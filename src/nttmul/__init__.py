@@ -22,6 +22,7 @@ from .modarith import (
     BarrettConstantError,
     BarrettVerdict,
     ModulusContext,
+    barrett_first_failure,
     barrett_reduce_fixed,
     barrett_reduce_generic,
     certify_fixed_u,
@@ -80,6 +81,7 @@ __all__ = [
     "BarrettConstantError",
     "BarrettVerdict",
     "ModulusContext",
+    "barrett_first_failure",
     "barrett_reduce_fixed",
     "barrett_reduce_generic",
     "certify_fixed_u",

@@ -7,9 +7,11 @@ specialised shift-add reducer (:func:`barrett_reduce_fixed`) whose data path
 mirrors a fixed 42-bit hardware implementation slice for slice.
 
 Multiplier constants are never trusted blindly: :func:`find_barrett_constants`
-derives the minimal pair by an exact integer error bound, and
-:func:`validate_barrett_constants` sweeps the full reduction procedure against
-``I % M`` over boundary-structured and randomly sampled inputs.
+derives the minimal pair by an exact integer error bound,
+:func:`barrett_first_failure` certifies a pair exactly in O(1) integer
+arithmetic, and :func:`validate_barrett_constants` independently sweeps the
+full reduction procedure against ``I % M`` over boundary-structured and
+randomly sampled inputs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ FIXED_U_SHORTCUT = 1_048_064    # 2**20 - 2**9, one subtracter cheaper - see gat
 KARATSUBA_BITS = 22             # default operand width: one headroom bit over 21-bit M
 
 _FIXED_DOMAIN_MAX = (FIXED_M - 1) ** 2
+
+# barrett_reduce_fixed keeps only the 23 low bits of r = value - beta*M.  For a
+# certified u, beta is q or q-1, so r already lies in [0, 2M), which fits in 23
+# bits: the truncation never changes r.
+assert 2 * FIXED_M < 1 << 23
 
 # u values barrett_reduce_fixed will accept.  FIXED_U_MIN ships certified; the
 # cheaper FIXED_U_SHORTCUT may only be added by certify_fixed_u() after it
@@ -67,15 +74,14 @@ class ModulusContext:
                 f"barrett_k={self.barrett_k} too small for M={self.M}")
 
     @classmethod
-    def create(cls, M: int, *, gate_samples: int = 50_000) -> "ModulusContext":
-        """Derive minimal Barrett constants for M and run the validation gate."""
+    def create(cls, M: int) -> "ModulusContext":
+        """Derive minimal Barrett constants for M and certify them exactly."""
         k, u = find_barrett_constants(M)
-        verdict = validate_barrett_constants(M, k, u, samples=gate_samples)
-        if not verdict.valid:
+        bad = barrett_first_failure(M, k, u)
+        if bad is not None:
             # Cannot happen for constants from find_barrett_constants; guard anyway.
             raise BarrettConstantError(
-                f"derived constants (k={k}, u={u}) failed the gate at "
-                f"I={verdict.first_counterexample}")
+                f"derived constants (k={k}, u={u}) failed the gate at I={bad}")
         return cls(M=M, width=M.bit_length() + 1, barrett_k=k, barrett_u=u,
                    u_validated=True)
 
@@ -192,6 +198,34 @@ def find_barrett_constants(M: int) -> tuple[int, int]:
         k += 1
 
 
+def barrett_first_failure(M: int, k: int, u: int) -> int | None:
+    """Smallest I in [0, (M-1)**2] that Barrett reduction with (k, u) gets wrong.
+
+    With q = I // M, one conditional subtraction yields I % M exactly when
+    beta = (I*u) >> k is q or q - 1.  beta is monotone in I, so within each
+    quotient block [qM, qM + M) overestimates form a suffix and
+    underestimates by two or more a prefix; the first bad block and its
+    first bad input follow in closed form.  Returns None when (k, u) is
+    correct on the whole domain.
+    """
+    if M < 2 or k < 1 or u < 1:
+        raise ValueError("need M >= 2, k >= 1, u >= 1")
+    top = (M - 1) ** 2
+    pow2 = 1 << k
+    d = u * M - pow2
+    if d > 0:
+        # beta >= q + 1 first at the end of block q once (q + 1) * d >= u;
+        # inside that block from the first I with I*u >= (q + 1) * 2**k
+        q = -(-u // d) - 1
+        first = max(q * M, -(-(q + 1) * pow2 // u))
+        return first if first <= min(q * M + M - 1, top) else None
+    if d < 0:
+        # beta <= q - 2 first at the start of block q once q * (2**k - uM) > 2**k
+        q = pow2 // -d + 1
+        return q * M if q * M <= top else None
+    return None
+
+
 @dataclass(frozen=True)
 class BarrettVerdict:
     valid: bool
@@ -208,12 +242,19 @@ def validate_barrett_constants(M: int, k: int, u: int, *,
     conditional subtraction) against I % M for:
 
     * boundary-structured inputs: every q*M - 1, q*M, q*M + 1 reachable
-      below (M-1)**2, plus 0, 1 and (M-1)**2 itself.  Overestimation
-      failures always surface just below a multiple of M, so this family
-      pins them down deterministically;
+      below (M-1)**2, plus 0, 1 and (M-1)**2 itself;
     * ``samples`` uniform draws from [0, (M-1)**2], seeded.
 
-    Returns the verdict with the smallest failing input found, if any.
+    Returns the verdict with the smallest failing input *among those
+    tested*; ``tested`` counts distinct inputs per family.  On the int64
+    path the valid/invalid verdict is exact: every run of overestimates
+    ends at some (q+1)*M - 1 or at (M-1)**2, and every run of
+    underestimates by two or more starts at some q*M, so any failure
+    reaches the boundary family.  The smallest failing input itself may
+    lie earlier in its run; :func:`barrett_first_failure` gives it.  The
+    scalar path (moduli too wide for int64) caps the boundary family at
+    4096 blocks, so there a failure in a later block is found only if a
+    sample happens to hit it: that verdict is not exact.
     """
     if M < 2 or k < 1 or u < 1:
         raise ValueError("need M >= 2, k >= 1, u >= 1")
@@ -226,7 +267,10 @@ def validate_barrett_constants(M: int, k: int, u: int, *,
     if fits64:
         def check_block(arr) -> int | None:
             nonlocal tested
-            arr = _np.unique(arr)
+            arr.sort()
+            keep = _np.ones(arr.size, dtype=bool)
+            keep[1:] = arr[1:] != arr[:-1]
+            arr = arr[keep]
             tested += arr.size
             beta = (arr * u) >> k
             r = arr - beta * M

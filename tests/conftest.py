@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from nttmul import build_params
+
+# Property tests share small, noisy hosts: no per-example deadline, and a fixed
+# example budget so the suite's run time does not drift.
+settings.register_profile("nttmul", deadline=None, max_examples=200)
+settings.load_profile("nttmul")
 
 FIXED_M = 1_049_089
 

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from nttmul import modarith
 from nttmul.modarith import (
     FIXED_K,
     FIXED_M,
@@ -11,6 +15,7 @@ from nttmul.modarith import (
     KARATSUBA_BITS,
     BarrettConstantError,
     ModulusContext,
+    barrett_first_failure,
     barrett_reduce_fixed,
     barrett_reduce_generic,
     certify_fixed_u,
@@ -249,3 +254,76 @@ class TestModulusContext:
             ModulusContext(M=1, width=1, barrett_k=2, barrett_u=1)
         with pytest.raises(ValueError):
             ModulusContext(M=17, width=5, barrett_k=3, barrett_u=0)
+
+
+def _brute_first_failure(M, k, u):
+    # the reduction procedure itself, run on every input of the domain
+    values = np.arange((M - 1) ** 2 + 1, dtype=np.int64)
+    r = values - ((values * u) >> k) * M
+    r = np.where(r >= M, r - M, r)
+    bad = np.flatnonzero(r != values % M)
+    return int(bad[0]) if bad.size else None
+
+
+@st.composite
+def _barrett_triples(draw, max_m):
+    # u near floor(2**k / M) hits both failure modes; any u covers the rest
+    M = draw(st.integers(2, max_m))
+    k = draw(st.integers(1, 40))
+    near = max(1, (1 << k) // M + draw(st.integers(-3, 3)))
+    u = draw(st.one_of(st.just(near), st.integers(1, 1 << (k + 1))))
+    return M, k, u
+
+
+class TestFirstFailureCertificate:
+    @given(_barrett_triples(max_m=299))
+    def test_matches_exhaustive_brute_force(self, mku):
+        assert barrett_first_failure(*mku) == _brute_first_failure(*mku)
+
+    @given(_barrett_triples(max_m=2_000))
+    def test_agrees_with_sweep_verdict(self, mku):
+        first = barrett_first_failure(*mku)
+        verdict = validate_barrett_constants(*mku, samples=0)
+        assert (first is None) == verdict.valid
+        if first is not None:
+            assert verdict.first_counterexample >= first
+
+    @pytest.mark.parametrize("M, k, u, expected", [
+        (257, 13, 33, 249),           # sweep reports a later input of the run
+        (FIXED_M, FIXED_K, FIXED_U_SHORTCUT, 2_098_177),
+        (FIXED_M, FIXED_K, FIXED_U_MIN, None),
+        # wide modulus, first failure in block 8195: past the scalar sweep's cap
+        (2_147_483_659, 75, 17_592_185_954_305, 17_600_776_069_163),
+    ])
+    def test_pinned_values(self, M, k, u, expected):
+        assert barrett_first_failure(M, k, u) == expected
+
+    def test_create_rejects_failing_constants(self, monkeypatch):
+        monkeypatch.setattr(modarith, "find_barrett_constants",
+                            lambda M: (FIXED_K, FIXED_U_SHORTCUT))
+        with pytest.raises(BarrettConstantError, match="I=2098177"):
+            ModulusContext.create(FIXED_M)
+
+    def test_create_does_not_run_the_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("ModulusContext.create ran the sweep")
+        monkeypatch.setattr(modarith, "validate_barrett_constants", sweep)
+        assert ModulusContext.create(FIXED_M).u_validated
+
+
+class TestSweepDedupe:
+    def test_fixed_modulus_boundary_family_size(self):
+        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_MIN, samples=0)
+        assert v.tested == 3_147_263
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_tested_counts_distinct_inputs(self, M):
+        k, u = find_barrett_constants(M)
+        top = (M - 1) ** 2
+        family = {0, 1, top} | {q * M + d for q in range(1, top // M + 1)
+                                for d in (-1, 0, 1)}
+        distinct = len({v for v in family if 0 <= v <= top})
+        assert validate_barrett_constants(M, k, u, samples=0).tested == distinct
+        # 200 seeded draws from so small a domain repeat and cover all of it
+        v = validate_barrett_constants(M, k, u, samples=200)
+        assert v.tested == distinct + top + 1
