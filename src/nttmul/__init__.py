@@ -58,7 +58,6 @@ from .pipesim import (
     predicted_ntt_regs,
     resource_report,
     run_stream,
-    stage_tick,
 )
 from .polymul import (
     Polynomial,
@@ -113,7 +112,6 @@ __all__ = [
     "predicted_ntt_regs",
     "resource_report",
     "run_stream",
-    "stage_tick",
     "Polynomial",
     "bit_reverse_permute",
     "naive_negacyclic_mul",

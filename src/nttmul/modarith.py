@@ -266,28 +266,37 @@ def validate_barrett_constants(M: int, k: int, u: int, *,
     fits64 = top * u < (1 << 62) and (top // M + 2) * M < (1 << 62)
     if fits64:
         def check_block(arr) -> int | None:
+            # consumes ``arr`` (sorted in place, dropped once deduplicated):
+            # given a fresh array, only the deduplicated copy and r stay alive
+            # at full size, and r is updated in place
             nonlocal tested
             arr.sort()
             keep = _np.ones(arr.size, dtype=bool)
             keep[1:] = arr[1:] != arr[:-1]
             arr = arr[keep]
+            del keep
             tested += arr.size
-            beta = (arr * u) >> k
-            r = arr - beta * M
-            r = _np.where(r >= M, r - M, r)
-            bad = arr[r != arr % M]
+            r = arr * u
+            r >>= k                         # beta
+            r *= M
+            _np.subtract(arr, r, out=r)     # I - beta*M
+            r[r >= M] -= M
+            # r is I minus a multiple of M, so r == I % M iff 0 <= r < M
+            bad = arr[(r < 0) | (r >= M)]
             return int(bad.min()) if bad.size else None
 
-        q_max = top // M
-        qs = _np.arange(1, q_max + 1, dtype=_np.int64)
-        base = qs * M
-        boundary = _np.concatenate([
-            _np.array([0, 1, top], dtype=_np.int64),
-            base - 1, base, base + 1])
-        boundary = boundary[(boundary >= 0) & (boundary <= top)]
-        hit = check_block(boundary)
-        if hit is not None:
-            worst = hit
+        def boundary_family():
+            q_max = top // M
+            family = _np.empty(3 * q_max + 3, dtype=_np.int64)
+            family[:3] = (0, 1, top)
+            rows = family[3:].reshape(q_max, 3)     # q*M - 1, q*M, q*M + 1
+            rows[:, 1] = _np.arange(M, q_max * M + 1, M, dtype=_np.int64)
+            _np.subtract(rows[:, 1], 1, out=rows[:, 0])
+            _np.add(rows[:, 1], 1, out=rows[:, 2])
+            # only the last q*M + 1 can pass top
+            return family[:-1] if q_max and q_max * M + 1 > top else family
+
+        worst = check_block(boundary_family())
         if samples > 0:
             nprng = _np.random.default_rng(seed)
             draws = nprng.integers(0, top + 1, size=samples, dtype=_np.int64)

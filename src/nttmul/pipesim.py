@@ -4,15 +4,18 @@ The modelled datapath multiplies a stream of polynomial pairs at a sustained
 rate of one product every N/2 clock cycles:
 
 * two coefficients of each operand enter per cycle, are weighted by
-  ``phi**i``, and flow through two parallel forward-transform pipelines;
+  ``phi**i``, and flow through two parallel forward-transform pipelines.
+  These share one control plane (FIFO ``sel`` and counters, twiddle
+  sequencing), modelled once with two data lanes: ``(a, b)`` elements;
 * each pipeline has log2(N) butterfly stages.  Stage s pairs lanes that sit
   N/2**s apart, which in stream order means its second operand arrives
   N/2**s cycles after its first; a double-buffer FIFO (:class:`StageFifo`)
   holds the early arrivals.  Stage 1 needs no buffer and, because its
   twiddle is always one, no multiplier either;
-* the spectra are multiplied pointwise, buffered until a transform's block
-  is complete, then driven through the inverse pipeline whose stages pair
-  lanes 2**(s-1) apart (holds double instead of halving) using
+* the spectra are multiplied pointwise (lane a times lane b), buffered
+  until a transform's block is complete, then driven through the inverse
+  pipeline whose stages pair lanes 2**(s-1) apart (holds double instead of
+  halving) using
   add/sub-then-multiply butterflies, and finally unweighted by
   ``N**-1 * phi**-i``.
 
@@ -41,9 +44,10 @@ from .modarith import (FIXED_K, FIXED_M, FIXED_U_MIN, barrett_reduce_fixed,
 from .params import NttParams
 from .polymul import Polynomial
 
-DEFAULT_KARATSUBA_CYCLES = 6
-DEFAULT_REDUCE_CYCLES = 4
-DEFAULT_ADDSUB_CYCLES = 2
+# structural-mode stage depths of one butterfly unit
+KARATSUBA_CYCLES = 6
+REDUCE_CYCLES = 4
+ADDSUB_CYCLES = 2
 
 
 class PipelineAssertionError(RuntimeError):
@@ -62,16 +66,13 @@ class PipelineConfig:
     match the closed forms) or ``"structural"`` (deep arithmetic pipelines).
     ``butterfly_latency`` defaults to 1 / karatsuba+reduce+addsub cycles
     respectively; scalar multiplier units (weight, pointwise, unweight) take
-    ``butterfly_latency - addsub_cycles`` since they skip the add/sub step.
+    ``butterfly_latency - ADDSUB_CYCLES`` since they skip the add/sub step.
     """
 
     n: int
     params: NttParams
     mode: str = "schedule"
     butterfly_latency: int | None = None
-    karatsuba_cycles: int = DEFAULT_KARATSUBA_CYCLES
-    reduce_cycles: int = DEFAULT_REDUCE_CYCLES
-    addsub_cycles: int = DEFAULT_ADDSUB_CYCLES
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
@@ -85,17 +86,16 @@ class PipelineConfig:
                 object.__setattr__(self, "butterfly_latency", 1)
             elif self.butterfly_latency != 1:
                 raise ValueError("schedule mode forces butterfly_latency = 1")
-        else:
-            if self.butterfly_latency is None:
-                object.__setattr__(
-                    self, "butterfly_latency",
-                    self.karatsuba_cycles + self.reduce_cycles + self.addsub_cycles)
+        elif self.butterfly_latency is None:
+            object.__setattr__(
+                self, "butterfly_latency",
+                KARATSUBA_CYCLES + REDUCE_CYCLES + ADDSUB_CYCLES)
         if self.butterfly_latency < 1:
             raise ValueError("butterfly_latency must be >= 1")
 
     @property
     def scalar_latency(self) -> int:
-        return max(1, self.butterfly_latency - self.addsub_cycles)
+        return max(1, self.butterfly_latency - ADDSUB_CYCLES)
 
     @property
     def num_stages(self) -> int:
@@ -107,14 +107,16 @@ class PipelineConfig:
 
 @lru_cache(maxsize=16)
 def _kernels(params: NttParams):
-    """(ct, gs, addsub_ct, addsub_gs, scalar) closures for one parameter set.
+    """(ct, gs, addsub, scalar) closures for one parameter set.
 
-    ct:  (a_i, a_j, w) -> (a_j + w*a_i, a_j - w*a_i)   multiply-then-add/sub
-    gs:  (a_i, a_j, w) -> (a_j + a_i, (a_j - a_i)*w)   add/sub-then-multiply
+    ct:     (a_i, a_j, w) -> (a_j + w*a_i, a_j - w*a_i)   multiply-then-add/sub
+    gs:     (a_i, a_j, w) -> (a_j + a_i, (a_j - a_i)*w)   add/sub-then-multiply
+    addsub: (a_i, a_j, w) -> (a_j + a_i, a_j - a_i)       unit-twiddle stage
 
     The product path is karatsuba_mul into the Barrett reducer; the fixed
     shift-add reducer is used whenever the context carries the default
-    modulus constants.
+    modulus constants.  karatsuba_mul is looked up as this module's global
+    on every call, so it can be counted by replacing that name.
     """
     M = params.M
     ctx = params.ctx
@@ -127,26 +129,7 @@ def _kernels(params: NttParams):
         def reduce(v, _ctx=ctx):
             return barrett_reduce_generic(v, _ctx)
 
-    def ct(a_i, a_j, w):
-        t = reduce(karatsuba_mul(a_i, w, l))
-        s = a_j + t
-        if s >= M:
-            s -= M
-        d = a_j - t
-        if d < 0:
-            d += M
-        return s, d
-
-    def gs(a_i, a_j, w):
-        s = a_j + a_i
-        if s >= M:
-            s -= M
-        d = a_j - a_i
-        if d < 0:
-            d += M
-        return s, reduce(karatsuba_mul(d, w, l))
-
-    def addsub_ct(a_i, a_j, w):
+    def addsub(a_i, a_j, w):
         # w == 1 path: no multiplier in the stage at all
         s = a_j + a_i
         if s >= M:
@@ -156,19 +139,27 @@ def _kernels(params: NttParams):
             d += M
         return s, d
 
-    def addsub_gs(a_i, a_j, w):
-        s = a_j + a_i
-        if s >= M:
-            s -= M
-        d = a_j - a_i
-        if d < 0:
-            d += M
-        return s, d
+    def ct(a_i, a_j, w):
+        return addsub(reduce(karatsuba_mul(a_i, w, l)), a_j, 1)
+
+    def gs(a_i, a_j, w):
+        s, d = addsub(a_i, a_j, 1)
+        return s, reduce(karatsuba_mul(d, w, l))
 
     def scalar(x, w):
         return reduce(karatsuba_mul(x, w, l))
 
-    return ct, gs, addsub_ct, addsub_gs, scalar
+    return ct, gs, addsub, scalar
+
+
+def _two_lane(kernel):
+    """Lift a butterfly kernel onto ``(a, b)`` lane tuples: both lanes share
+    the twiddle, as the two forward pipelines share their control."""
+    def lifted(x_i, x_j, w):
+        sa, da = kernel(x_i[0], x_j[0], w)
+        sb, db = kernel(x_i[1], x_j[1], w)
+        return (sa, sb), (da, db)
+    return lifted
 
 
 def butterfly_step(a_i: int, a_j: int, w: int,
@@ -199,12 +190,14 @@ class StageFifo:
     * sel = 1 (drain phase):     both banks shift; the two taps pair with
       each other while fresh data (possibly the next transform's) loads.
 
-    Capacity is exactly ``2 * hold`` entries; exceeding it, or starving a
-    phase that needs a live arrival, raises :class:`PipelineAssertionError`.
+    Capacity is exactly ``2 * hold`` entries; exceeding it, starving a
+    phase that needs a live arrival, or an arrival after the stream has
+    ended (a None while data was still held) raises
+    :class:`PipelineAssertionError`.
     """
 
     __slots__ = ("stage", "hold", "block_i", "block_ii", "counter",
-                 "started", "peak", "_hshift")
+                 "started", "ended", "peak", "_hshift")
 
     def __init__(self, stage: int, hold: int):
         if hold < 1 or hold & (hold - 1):
@@ -215,6 +208,7 @@ class StageFifo:
         self.block_ii: deque = deque()
         self.counter = 0
         self.started = False
+        self.ended = False
         self.peak = 0
         self._hshift = hold.bit_length() - 1
 
@@ -247,8 +241,14 @@ class StageFifo:
             if arrival is None:
                 return None
             self.started = True
-        elif arrival is None and not bi and not bii:
-            return None         # drained and idle
+        elif arrival is None:
+            if not bi and not bii:
+                return None     # drained and idle
+            self.ended = True
+        elif self.ended:
+            # resuming would pair across the gap at the wrong distance
+            raise PipelineAssertionError(
+                f"stage {self.stage}: arrival after the stream ended")
         hold = self.hold
         q = self.counter >> self._hshift
         self.counter += 1
@@ -286,11 +286,6 @@ class StageFifo:
         if occ > self.peak:
             self.peak = occ
         return out
-
-
-def stage_tick(fifo: StageFifo, incoming):
-    """Advance ``fifo`` one cycle with ``incoming``; see :meth:`StageFifo.tick`."""
-    return fifo.tick(incoming)
 
 
 class ButterflyUnit:
@@ -380,15 +375,18 @@ class _PipeStage:
 
 
 class _MulUnit:
-    """Pipelined pair multiplier used for weighting, pointwise and unweighting."""
+    """Pipelined pair multiplier used for weighting, pointwise and unweighting.
 
-    __slots__ = ("scalar", "latency", "table", "n_half", "t", "out", "_queue",
+    Maps the pair (x_j, x_{j+N/2}) to ``(mul(x_j, j), mul(x_{j+N/2}, j+N/2))``;
+    ``mul`` alone decides what an element is: a residue or an (a, b) tuple.
+    """
+
+    __slots__ = ("mul", "latency", "n_half", "t", "out", "_queue",
                  "first_fire", "poly_last_release", "release_t")
 
-    def __init__(self, scalar, latency, n_half, table=None):
-        self.scalar = scalar
+    def __init__(self, mul, latency, n_half):
+        self.mul = mul
         self.latency = latency
-        self.table = table      # weight table, or None for pointwise
         self.n_half = n_half
         self.t = 0
         self.release_t = 0
@@ -397,32 +395,15 @@ class _MulUnit:
         self.first_fire = None
         self.poly_last_release: list[int] = []
 
-    def tick_table(self, cycle: int, pair):
-        # multiply (x_j, x_{j+N/2}) by (table[j], table[j+N/2])
+    def tick(self, cycle: int, pair):
         if pair is not None:
-            j = self.t % self.n_half
+            n_half, mul = self.n_half, self.mul
+            j = self.t % n_half
             self.t += 1
-            tab, sc = self.table, self.scalar
-            res = (sc(pair[0], tab[j]), sc(pair[1], tab[j + self.n_half]))
+            res = (mul(pair[0], j), mul(pair[1], j + n_half))
             self._queue.append((cycle + self.latency - 1, res))
             if self.first_fire is None:
                 self.first_fire = cycle
-        self._release(cycle)
-
-    def tick_pairs(self, cycle: int, pa, pb):
-        # element-wise product of the two spectra streams
-        if (pa is None) != (pb is None):
-            raise PipelineAssertionError("forward pipelines fell out of lockstep")
-        if pa is not None:
-            self.t += 1
-            sc = self.scalar
-            res = (sc(pa[0], pb[0]), sc(pa[1], pb[1]))
-            self._queue.append((cycle + self.latency - 1, res))
-            if self.first_fire is None:
-                self.first_fire = cycle
-        self._release(cycle)
-
-    def _release(self, cycle: int):
         q = self._queue
         if q and q[0][0] <= cycle:
             self.out = q.popleft()[1]
@@ -440,35 +421,32 @@ class _TransformGate:
     The inverse pipeline only starts consuming a product spectrum once all
     N/2 pairs of that transform have arrived, which is what makes the
     first-product latency follow the closed form (a fully streamed handoff
-    would shave N/2 + 1 cycles but is not what is being modelled).
+    would shave N/2 + 1 cycles but is not what is being modelled).  The
+    first ``_ready`` buffered pairs belong to complete blocks.
     """
 
-    __slots__ = ("n_half", "_filling", "_ready", "peak_pairs")
+    __slots__ = ("n_half", "_pairs", "_ready", "peak_pairs")
 
     def __init__(self, n_half: int):
         self.n_half = n_half
-        self._filling: list = []
-        self._ready: deque = deque()
+        self._pairs: deque = deque()
+        self._ready = 0
         self.peak_pairs = 0
 
     def push(self, pair):
-        self._filling.append(pair)
-        if len(self._filling) == self.n_half:
-            self._ready.append(deque(self._filling))
-            self._filling = []
-        occ = len(self._filling) + sum(len(b) for b in self._ready)
+        q = self._pairs
+        q.append(pair)
+        occ = len(q)
+        if occ - self._ready == self.n_half:
+            self._ready += self.n_half
         if occ > self.peak_pairs:
             self.peak_pairs = occ
 
     def pop(self):
-        ready = self._ready
-        if not ready:
+        if not self._ready:
             return None
-        block = ready[0]
-        pair = block.popleft()
-        if not block:
-            ready.popleft()
-        return pair
+        self._ready -= 1
+        return self._pairs.popleft()
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +568,21 @@ def resource_report(config: PipelineConfig) -> dict:
 # the simulator
 
 def _build_pipeline(config: PipelineConfig, label: str, forward: bool):
+    """Stages of one pipeline; a forward pipeline carries ``(a, b)`` lanes."""
     params = config.params
     n = config.n
     n_half = n // 2
     m = config.num_stages
-    ct, gs, addsub_ct, addsub_gs, _ = _kernels(params)
+    ct, gs, addsub, _ = _kernels(params)
     holds = _forward_holds(n) if forward else _inverse_holds(n)
     tables = params.stage_twiddles_fwd if forward else params.stage_twiddles_inv
     stages = []
     for s in range(1, m + 1):
         twiddles = tables[s - 1]
         per_block = n_half // len(twiddles)
-        if set(twiddles) == {1}:
-            kernel = addsub_ct if forward else addsub_gs
-        else:
-            kernel = ct if forward else gs
+        kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
+        if forward:
+            kernel = _two_lane(kernel)
         stages.append(_PipeStage(f"{label}{s}", s, holds[s - 1], twiddles,
                                  per_block, kernel, config.butterfly_latency,
                                  n_half))
@@ -619,6 +597,10 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     every product has drained, and returns ``(products, CycleReport)``.
     Products are coefficient-domain, natural-order polynomials in input
     order and must match the schoolbook result exactly.
+
+    One forward weighting unit and pipeline carry both operands as two data
+    lanes under their shared control; the report still counts registers for
+    both hardware pipelines: ``total_regs = 2 * forward + inverse``.
 
     When ``trace_path`` is given, a per-cycle CSV of stage activity
     (cycle, stage, sel, counter, emitted pair indices) is written there.
@@ -636,15 +618,26 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
                 raise ValueError(
                     f"operand {name} must be coefficient-domain, natural order")
 
-    _, _, _, _, scalar = _kernels(params)
-    fwd_a = _build_pipeline(config, "fwd_a", forward=True)
-    fwd_b = _build_pipeline(config, "fwd_b", forward=True)
+    scalar = _kernels(params)[3]
+    w_fwd, w_inv = params.weights_fwd, params.weights_inv_scaled
+
+    def weigh(x, i):            # both lanes of coefficient i times phi**i
+        return scalar(x[0], w_fwd[i]), scalar(x[1], w_fwd[i])
+
+    def multiply_lanes(x, i):
+        return scalar(x[0], x[1])
+
+    def unweigh(x, i):
+        return scalar(x, w_inv[i])
+
+    # Labelled "fwd_a" as when each operand had its own pipeline and only
+    # the first was traced, so trace files stay byte-identical.
+    fwd = _build_pipeline(config, "fwd_a", forward=True)
     inv = _build_pipeline(config, "inv", forward=False)
     lat = config.scalar_latency
-    weight_a = _MulUnit(scalar, lat, n_half, params.weights_fwd)
-    weight_b = _MulUnit(scalar, lat, n_half, params.weights_fwd)
-    pointwise = _MulUnit(scalar, lat, n_half)
-    unweight = _MulUnit(scalar, lat, n_half, params.weights_inv_scaled)
+    weight = _MulUnit(weigh, lat, n_half)
+    pointwise = _MulUnit(multiply_lanes, lat, n_half)
+    unweight = _MulUnit(unweigh, lat, n_half)
     gate = _TransformGate(n_half)
 
     trace_rows = None
@@ -662,9 +655,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     limit = 1000 + (len(pairs) + 4) * n * (config.butterfly_latency + lat + 4)
 
     try:
-        _run_cycles(config, pairs, fwd_a, fwd_b, inv, weight_a, weight_b,
-                    pointwise, unweight, gate, products, trace,
-                    total_feeds, limit)
+        _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
+                    gate, products, trace, total_feeds, limit)
     finally:
         # keep whatever trace accumulated, even when an assertion aborts the
         # run: the trace is the debugging artifact for exactly that case
@@ -675,16 +667,14 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
                                  "pair_lo", "pair_hi"])
                 writer.writerows(trace_rows)
 
-    report = _build_report(config, pairs, fwd_a, fwd_b, inv, weight_a,
-                           unweight, gate)
+    report = _build_report(config, pairs, fwd, inv, weight, unweight, gate)
     out_polys = [Polynomial(tuple(c), M, "coefficient", "natural")
                  for c in products]
     return out_polys, report
 
 
-def _run_cycles(config, pairs, fwd_a, fwd_b, inv, weight_a, weight_b,
-                pointwise, unweight, gate, products, trace,
-                total_feeds, limit):
+def _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
+                gate, products, trace, total_feeds, limit):
     n_half = config.n // 2
     m = config.num_stages
     feed_idx = 0
@@ -699,7 +689,7 @@ def _run_cycles(config, pairs, fwd_a, fwd_b, inv, weight_a, weight_b,
 
         # reverse dataflow order: every consumer reads state its producer
         # latched on the previous cycle.
-        unweight.tick_table(cycle, inv[-1].out)
+        unweight.tick(cycle, inv[-1].out)
         if unweight.out is not None:
             r = unweight.release_t - 1
             poly, j = divmod(r, n_half)
@@ -712,28 +702,24 @@ def _run_cycles(config, pairs, fwd_a, fwd_b, inv, weight_a, weight_b,
             arrival = inv[s - 1].out if s else gate.pop()
             inv[s].tick(cycle, arrival, trace)
 
-        pw_a, pw_b = fwd_a[-1].out, fwd_b[-1].out
-        pointwise.tick_pairs(cycle, pw_a, pw_b)
+        pointwise.tick(cycle, fwd[-1].out)
         if pointwise.out is not None:
             gate.push(pointwise.out)
 
         for s in range(m - 1, -1, -1):
-            fwd_a[s].tick(cycle, fwd_a[s - 1].out if s else weight_a.out, trace)
-            fwd_b[s].tick(cycle, fwd_b[s - 1].out if s else weight_b.out, None)
+            fwd[s].tick(cycle, fwd[s - 1].out if s else weight.out, trace)
 
+        feed = None
         if feed_idx < total_feeds:
             poly, j = divmod(feed_idx, n_half)
             a, b = pairs[poly]
-            pa = (a.coeffs[j], a.coeffs[j + n_half])
-            pb = (b.coeffs[j], b.coeffs[j + n_half])
+            a, b = a.coeffs, b.coeffs
+            feed = ((a[j], b[j]), (a[j + n_half], b[j + n_half]))
             feed_idx += 1
-        else:
-            pa = pb = None
-        weight_a.tick_table(cycle, pa)
-        weight_b.tick_table(cycle, pb)
+        weight.tick(cycle, feed)
 
 
-def _build_report(config, pairs, fwd_a, fwd_b, inv, weight_a, unweight, gate):
+def _build_report(config, pairs, fwd, inv, weight, unweight, gate):
     n = config.n
     m = config.num_stages
     notes = [
@@ -756,12 +742,12 @@ def _build_report(config, pairs, fwd_a, fwd_b, inv, weight_a, unweight, gate):
                 f"forward stage 1 required non-unit twiddles {sorted(set(table))}")
 
     first_ntt = None
-    if fwd_a[-1].poly_last_fire and fwd_a[0].first_fire is not None:
-        first_ntt = fwd_a[-1].poly_last_fire[0] - fwd_a[0].first_fire + 1
+    if fwd[-1].poly_last_fire and fwd[0].first_fire is not None:
+        first_ntt = fwd[-1].poly_last_fire[0] - fwd[0].first_fire + 1
     first_mul = None
     completions = tuple(unweight.poly_last_release)
-    if completions and weight_a.first_fire is not None:
-        first_mul = completions[0] - weight_a.first_fire + 1
+    if completions and weight.first_fire is not None:
+        first_mul = completions[0] - weight.first_fire + 1
     steady = None
     if len(completions) >= 4:
         gaps = {completions[i + 1] - completions[i]
@@ -774,14 +760,11 @@ def _build_report(config, pairs, fwd_a, fwd_b, inv, weight_a, unweight, gate):
         notes.append("steady-state spacing needs at least 4 back-to-back "
                      "multiplications; not measured")
 
-    fwd_peaks = tuple(st.fifo.peak if st.fifo else 0 for st in fwd_a)
-    fwd_peaks_b = tuple(st.fifo.peak if st.fifo else 0 for st in fwd_b)
-    if fwd_peaks_b != fwd_peaks:
-        raise PipelineAssertionError("forward pipelines disagree on occupancy")
+    fwd_peaks = tuple(st.fifo.peak if st.fifo else 0 for st in fwd)
     inv_peaks = tuple(st.fifo.peak if st.fifo else 0 for st in inv)
     caps = tuple(2 * h for h in _forward_holds(n))
     inv_caps = tuple(2 * h for h in _inverse_holds(n))
-    stall_free = all(st.contiguous for st in (*fwd_a, *fwd_b, *inv))
+    stall_free = all(st.contiguous for st in (*fwd, *inv))
 
     return CycleReport(
         n=n,
@@ -795,9 +778,10 @@ def _build_report(config, pairs, fwd_a, fwd_b, inv, weight_a, unweight, gate):
         inv_regs_per_stage=inv_peaks,
         fifo_capacity_per_stage=caps,
         inv_fifo_capacity_per_stage=inv_caps,
+        # the modelled forward pipeline stands for both hardware copies
         total_regs=2 * sum(fwd_peaks) + sum(inv_peaks),
         handoff_peak_pairs=gate.peak_pairs,
-        fwd_stage_first_fire=tuple(st.first_fire for st in fwd_a),
+        fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
         inv_stage_first_fire=tuple(st.first_fire for st in inv),
         butterfly_units=3 * m,
         predicted_first_ntt=predicted_first_ntt_latency(n),

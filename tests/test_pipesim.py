@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nttmul.pipesim import (
     ButterflyUnit,
@@ -16,7 +19,6 @@ from nttmul.pipesim import (
     predicted_ntt_regs,
     resource_report,
     run_stream,
-    stage_tick,
 )
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
 
@@ -162,10 +164,45 @@ class TestStageFifo:
         with pytest.raises(ValueError):
             StageFifo(2, 0)
 
-    def test_stage_tick_wrapper(self):
-        fifo = StageFifo(2, 1)
-        assert stage_tick(fifo, (7, 8)) is None
-        assert stage_tick(fifo, (9, 10)) == (9, 7)
+    def test_arrival_after_drain_gap_raises(self):
+        # hold 2: a gap in the drain phase ends the stream; resuming would
+        # pair elements 1 apart instead of 2
+        fifo = StageFifo(2, 2)
+        feed_forever(fifo, 4)
+        assert fifo.tick(None) == (2002, 2000)
+        with pytest.raises(PipelineAssertionError, match="after the stream"):
+            fifo.tick((1004, 2004))
+
+    @given(hold_log=st.integers(0, 6), blocks=st.integers(1, 4),
+           data=st.data())
+    def test_gaps_pair_correctly_or_raise(self, hold_log, blocks, data):
+        hold = 1 << hold_log
+        total = 2 * hold * blocks
+        gaps = data.draw(st.lists(st.integers(0, total), max_size=3))
+        feed = [(("s1", i), ("s2", i)) for i in range(total)]
+        for g in sorted(gaps, reverse=True):
+            feed.insert(g, None)
+        fifo = StageFifo(2, hold)
+        out = []
+        raised = False
+        try:
+            for arrival in feed + [None] * (2 * hold):
+                pair = fifo.tick(arrival)
+                if pair is not None:
+                    out.append(pair)
+        except PipelineAssertionError:
+            raised = True
+        # every pair: one stream, the lower element of a 2*hold block
+        # paired with the element hold above it, never twice
+        for newer, older in out:
+            assert newer[0] == older[0]
+            assert newer[1] - older[1] == hold
+            assert older[1] % (2 * hold) < hold
+        assert len(set(out)) == len(out)
+        if all(g in (0, total) for g in gaps):   # no gap inside the stream
+            assert not raised
+            assert len(out) == total
+            assert fifo.peak == 2 * hold
 
 
 class TestButterflyUnit:
@@ -389,7 +426,40 @@ class TestRunStreamAccounting:
         assert rep.schedule_deviations == ()
 
 
+def output_digests(params, mode, count, trace_path):
+    """SHA-256 of the report JSON, the products and the trace CSV of one
+    fixed-seed stream."""
+    pairs = rand_pairs(random.Random(60), params, count)
+    prods, rep = run_stream(pairs, PipelineConfig(n=params.n, params=params,
+                                                  mode=mode),
+                            trace_path=trace_path)
+    return tuple(hashlib.sha256(b).hexdigest() for b in (
+        json.dumps(rep.to_dict(), sort_keys=True).encode(),
+        json.dumps([q.coeffs for q in prods]).encode(),
+        trace_path.read_bytes()))
+
+
+# Any change to the report, the products or the trace of these fixed-seed
+# streams changes a digest: a refactor of pipesim must keep them all.
+PINNED_DIGESTS = {
+    (16, "schedule", 4): (
+        "130e9c7e41ba90334e0f4a4c4872b037ac2287ab48b300125b4f9b2270249d83",
+        "bdc487cb46559b15e871e83d9518b5dd0a91c2461359988ee65d3021e8293e32",
+        "68a5a1bc4eea3f8445bb6f8fb14bf309fc9349f91866a43d74e236ba54b1a2fa"),
+    (64, "structural", 5): (
+        "12a7cc5423db4a9a177f2ddca59525b7029bb4a280976a33764d80c81b74a8a8",
+        "0f6691a67fd522a732faa9afe100b629cd9585c0d6718b8a50ae43d313c1597e",
+        "162682456bc810a7e555599e9666afe9118741eb7a2e2c5fbd26521b7ca9b3d1"),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("n, mode, count", sorted(PINNED_DIGESTS))
+    def test_outputs_byte_identical_to_pinned(self, fixed_params, tmp_path,
+                                              n, mode, count):
+        got = output_digests(fixed_params[n], mode, count, tmp_path / "t.csv")
+        assert got == PINNED_DIGESTS[(n, mode, count)]
+
     def test_identical_runs_identical_reports(self, fixed_params):
         p = fixed_params[16]
         rng = random.Random(53)
