@@ -40,7 +40,7 @@ assert 2 * FIXED_M < 1 << 23
 
 # u values barrett_reduce_fixed will accept.  FIXED_U_MIN ships certified; the
 # cheaper FIXED_U_SHORTCUT may only be added by certify_fixed_u() after it
-# passes the validation gate (it does not: see the gate's counterexample).
+# passes the exact certificate (it does not: see the gate's counterexample).
 _CERTIFIED_FIXED_U = {FIXED_U_MIN}
 
 
@@ -328,17 +328,18 @@ def validate_barrett_constants(M: int, k: int, u: int, *,
                           tested=tested)
 
 
-def certify_fixed_u(u: int, *, samples: int = 1_000_000,
-                    seed: int = 0) -> BarrettVerdict:
+def certify_fixed_u(u: int) -> BarrettVerdict:
     """Gate a multiplier for the fixed reducer; unlock it only on a pass.
 
     The shortcut constant FIXED_U_SHORTCUT saves one subtracter in the
     beta path but overshoots the true quotient for some inputs; running it
     through this gate reports the first such input instead of silently
-    producing wrapped negatives.
+    producing wrapped negatives.  The verdict is exact over the whole
+    domain [0, (M-1)**2] (:func:`barrett_first_failure`), so ``tested``
+    counts every input in it.
     """
-    verdict = validate_barrett_constants(FIXED_M, FIXED_K, u,
-                                         samples=samples, seed=seed)
-    if verdict.valid:
+    bad = barrett_first_failure(FIXED_M, FIXED_K, u)
+    if bad is None:
         _CERTIFIED_FIXED_U.add(u)
-    return verdict
+    return BarrettVerdict(valid=bad is None, first_counterexample=bad,
+                          tested=_FIXED_DOMAIN_MAX + 1)

@@ -19,12 +19,18 @@ rate of one product every N/2 clock cycles:
   add/sub-then-multiply butterflies, and finally unweighted by
   ``N**-1 * phi**-i``.
 
-Every arithmetic unit is fully pipelined: one operation enters per cycle
-and emerges a fixed number of cycles later.  ``schedule`` mode collapses all
-latencies to one cycle so the cycle counts match the closed-form expressions
-(:func:`predicted_first_ntt_latency` and friends); ``structural`` mode uses
-multi-cycle unit latencies, which stretches the fill latency but must not
-change throughput.
+Every column of the datapath is one kind of fully pipelined stage fed by
+the one before it: one operation enters per cycle and emerges a fixed
+number of cycles later.  Hold FIFOs sit only in front of butterfly stages;
+the weighting, pointwise and unweighting multipliers are stages without
+one, as is stage 1 of each transform.  The simulator ticks two such
+chains, ``[weight, *forward, pointwise]`` and ``[*inverse, unweight]``,
+joined by a gate that hands over one complete transform block at a time.
+
+``schedule`` mode collapses all latencies to one cycle so the cycle counts
+match the closed-form expressions (:func:`predicted_first_ntt_latency` and
+friends); ``structural`` mode uses multi-cycle unit latencies, which
+stretches the fill latency but must not change throughput.
 
 Butterfly products take the same path as the real datapath: a one-level
 Karatsuba multiply followed by Barrett reduction (the shift-add reducer for
@@ -107,16 +113,19 @@ class PipelineConfig:
 
 @lru_cache(maxsize=16)
 def _kernels(params: NttParams):
-    """(ct, gs, addsub, scalar) closures for one parameter set.
+    """(ct, gs, addsub, scale, lane_mul) closures for one parameter set.
 
-    ct:     (a_i, a_j, w) -> (a_j + w*a_i, a_j - w*a_i)   multiply-then-add/sub
-    gs:     (a_i, a_j, w) -> (a_j + a_i, (a_j - a_i)*w)   add/sub-then-multiply
-    addsub: (a_i, a_j, w) -> (a_j + a_i, a_j - a_i)       unit-twiddle stage
+    ct:       (a_i, a_j, w) -> (a_j + w*a_i, a_j - w*a_i)  multiply-then-add/sub
+    gs:       (a_i, a_j, w) -> (a_j + a_i, (a_j - a_i)*w)  add/sub-then-multiply
+    addsub:   (a_i, a_j, w) -> (a_j + a_i, a_j - a_i)      unit-twiddle stage
+    scale:    (a_i, a_j, w) -> (a_j*w[0], a_i*w[1])        (un)weighting
+    lane_mul: (x_i, x_j, w) -> (x_j[0]*x_j[1], x_i[0]*x_i[1])  pointwise
 
-    The product path is karatsuba_mul into the Barrett reducer; the fixed
-    shift-add reducer is used whenever the context carries the default
-    modulus constants.  karatsuba_mul is looked up as this module's global
-    on every call, so it can be counted by replacing that name.
+    Every kernel takes its pair higher element first.  The product path is
+    karatsuba_mul into the Barrett reducer; the fixed shift-add reducer is
+    used whenever the context carries the default modulus constants.
+    karatsuba_mul is looked up as this module's global on every call, so it
+    can be counted by replacing that name.
     """
     M = params.M
     ctx = params.ctx
@@ -146,15 +155,20 @@ def _kernels(params: NttParams):
         s, d = addsub(a_i, a_j, 1)
         return s, reduce(karatsuba_mul(d, w, l))
 
-    def scalar(x, w):
-        return reduce(karatsuba_mul(x, w, l))
+    def scale(a_i, a_j, w):
+        return (reduce(karatsuba_mul(a_j, w[0], l)),
+                reduce(karatsuba_mul(a_i, w[1], l)))
 
-    return ct, gs, addsub, scalar
+    def lane_mul(x_i, x_j, w):
+        return (reduce(karatsuba_mul(x_j[0], x_j[1], l)),
+                reduce(karatsuba_mul(x_i[0], x_i[1], l)))
+
+    return ct, gs, addsub, scale, lane_mul
 
 
 def _two_lane(kernel):
-    """Lift a butterfly kernel onto ``(a, b)`` lane tuples: both lanes share
-    the twiddle, as the two forward pipelines share their control."""
+    """Lift a kernel onto ``(a, b)`` lane tuples: both lanes share the
+    twiddle, as the two forward pipelines share their control."""
     def lifted(x_i, x_j, w):
         sa, da = kernel(x_i[0], x_j[0], w)
         sb, db = kernel(x_i[1], x_j[1], w)
@@ -289,7 +303,7 @@ class StageFifo:
 
 
 class ButterflyUnit:
-    """Fully pipelined butterfly: accepts one (a_i, a_j, w) per cycle,
+    """Fully pipelined arithmetic unit: accepts one (a_i, a_j, w) per cycle,
     result pair appears ``latency`` cycles later."""
 
     __slots__ = ("latency", "kernel", "_queue")
@@ -315,7 +329,14 @@ class ButterflyUnit:
 # pipeline pieces
 
 class _PipeStage:
-    """FIFO + twiddle sequencing + butterfly for one stage of one pipeline."""
+    """One column of the datapath: an optional hold FIFO, coefficient
+    sequencing and a pipelined unit.
+
+    ``hold = 0`` means no FIFO: the pair (x_j, x_{j+N/2}) arriving on one
+    cycle goes straight into the unit, higher element first.  Forward stage
+    1 and the weighting, pointwise and unweighting multipliers are such
+    columns.  A stage with ``label`` None emits no trace rows.
+    """
 
     __slots__ = ("label", "stage_no", "fifo", "unit", "twiddles", "per_block",
                  "n_half", "t", "out", "first_fire", "last_fire", "fires",
@@ -343,7 +364,9 @@ class _PipeStage:
             pair = None if arrival is None else (arrival[1], arrival[0])
         else:
             pair = fifo.tick(arrival)
-        fired_positions = None
+        if self.label is None:
+            trace = None
+        fired_positions = ("", "")
         if pair is not None:
             t = self.t
             self.t = t + 1
@@ -363,56 +386,16 @@ class _PipeStage:
                 fired_positions = (base, base + pb)
         if trace is not None:
             if fifo is not None and fifo.started:
-                trace(cycle, self.label, fifo.sel, fifo.counter, fired_positions)
-            elif fired_positions is not None:
-                trace(cycle, self.label, "", "", fired_positions)
+                trace((cycle, self.label, fifo.sel, fifo.counter,
+                       *fired_positions))
+            elif pair is not None:
+                trace((cycle, self.label, "", "", *fired_positions))
         self.out = self.unit.pop(cycle)
 
     @property
     def contiguous(self) -> bool:
         return (self.fires == 0
                 or self.last_fire - self.first_fire + 1 == self.fires)
-
-
-class _MulUnit:
-    """Pipelined pair multiplier used for weighting, pointwise and unweighting.
-
-    Maps the pair (x_j, x_{j+N/2}) to ``(mul(x_j, j), mul(x_{j+N/2}, j+N/2))``;
-    ``mul`` alone decides what an element is: a residue or an (a, b) tuple.
-    """
-
-    __slots__ = ("mul", "latency", "n_half", "t", "out", "_queue",
-                 "first_fire", "poly_last_release", "release_t")
-
-    def __init__(self, mul, latency, n_half):
-        self.mul = mul
-        self.latency = latency
-        self.n_half = n_half
-        self.t = 0
-        self.release_t = 0
-        self.out = None
-        self._queue: deque = deque()
-        self.first_fire = None
-        self.poly_last_release: list[int] = []
-
-    def tick(self, cycle: int, pair):
-        if pair is not None:
-            n_half, mul = self.n_half, self.mul
-            j = self.t % n_half
-            self.t += 1
-            res = (mul(pair[0], j), mul(pair[1], j + n_half))
-            self._queue.append((cycle + self.latency - 1, res))
-            if self.first_fire is None:
-                self.first_fire = cycle
-        q = self._queue
-        if q and q[0][0] <= cycle:
-            self.out = q.popleft()[1]
-            r = self.release_t
-            self.release_t = r + 1
-            if r % self.n_half == self.n_half - 1:
-                self.poly_last_release.append(cycle)
-        else:
-            self.out = None
 
 
 class _TransformGate:
@@ -567,26 +550,45 @@ def resource_report(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # the simulator
 
-def _build_pipeline(config: PipelineConfig, label: str, forward: bool):
-    """Stages of one pipeline; a forward pipeline carries ``(a, b)`` lanes."""
+def _build_chains(config: PipelineConfig):
+    """The datapath as two chains of stages, each fed by the one before:
+    ``front = [weight, *forward, pointwise]`` carries ``(a, b)`` lanes,
+    ``back = [*inverse, unweight]`` carries residues."""
     params = config.params
     n = config.n
     n_half = n // 2
-    m = config.num_stages
-    ct, gs, addsub, _ = _kernels(params)
-    holds = _forward_holds(n) if forward else _inverse_holds(n)
-    tables = params.stage_twiddles_fwd if forward else params.stage_twiddles_inv
-    stages = []
-    for s in range(1, m + 1):
-        twiddles = tables[s - 1]
-        per_block = n_half // len(twiddles)
-        kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
-        if forward:
-            kernel = _two_lane(kernel)
-        stages.append(_PipeStage(f"{label}{s}", s, holds[s - 1], twiddles,
-                                 per_block, kernel, config.butterfly_latency,
-                                 n_half))
-    return stages
+    ct, gs, addsub, scale, lane_mul = _kernels(params)
+    lat = config.scalar_latency
+
+    def butterflies(forward: bool, label: str):
+        holds = _forward_holds(n) if forward else _inverse_holds(n)
+        tables = (params.stage_twiddles_fwd if forward
+                  else params.stage_twiddles_inv)
+        stages = []
+        for s, (hold, twiddles) in enumerate(zip(holds, tables), start=1):
+            kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
+            if forward:
+                kernel = _two_lane(kernel)
+            stages.append(_PipeStage(f"{label}{s}", s, hold, twiddles,
+                                     n_half // len(twiddles), kernel,
+                                     config.butterfly_latency, n_half))
+        return stages
+
+    def multiplier(weights, kernel):
+        # per-index coefficient pairs (w_j, w_{j+N/2}); no weights: pointwise
+        table = (tuple(zip(weights[:n_half], weights[n_half:])) if weights
+                 else (None,))
+        return _PipeStage(None, 0, 0, table, n_half // len(table), kernel,
+                          lat, n_half)
+
+    # Labelled "fwd_a" as when each operand had its own pipeline and only
+    # the first was traced, so trace files stay byte-identical.
+    front = [multiplier(params.weights_fwd, _two_lane(scale)),
+             *butterflies(True, "fwd_a"),
+             multiplier(None, lane_mul)]
+    back = [*butterflies(False, "inv"),
+            multiplier(params.weights_inv_scaled, scale)]
+    return front, back
 
 
 def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
@@ -598,16 +600,19 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     Products are coefficient-domain, natural-order polynomials in input
     order and must match the schoolbook result exactly.
 
-    One forward weighting unit and pipeline carry both operands as two data
-    lanes under their shared control; the report still counts registers for
+    Every datapath column is the same kind of pipelined stage; the
+    weighting, pointwise and unweighting multipliers are stages without a
+    hold FIFO.  One forward chain carries both operands as two data lanes
+    under their shared control; the report still counts registers for
     both hardware pipelines: ``total_regs = 2 * forward + inverse``.
 
-    When ``trace_path`` is given, a per-cycle CSV of stage activity
-    (cycle, stage, sel, counter, emitted pair indices) is written there.
+    When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
+    activity (cycle, stage, sel, counter, emitted pair indices) is streamed
+    there row by row; the file is closed, and so complete up to the failing
+    cycle, also when a :class:`PipelineAssertionError` aborts the run.
     """
     params = config.params
     n = config.n
-    n_half = n // 2
     M = params.M
     pairs = list(pairs)
     for a, b in pairs:
@@ -618,65 +623,43 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
                 raise ValueError(
                     f"operand {name} must be coefficient-domain, natural order")
 
-    scalar = _kernels(params)[3]
-    w_fwd, w_inv = params.weights_fwd, params.weights_inv_scaled
-
-    def weigh(x, i):            # both lanes of coefficient i times phi**i
-        return scalar(x[0], w_fwd[i]), scalar(x[1], w_fwd[i])
-
-    def multiply_lanes(x, i):
-        return scalar(x[0], x[1])
-
-    def unweigh(x, i):
-        return scalar(x, w_inv[i])
-
-    # Labelled "fwd_a" as when each operand had its own pipeline and only
-    # the first was traced, so trace files stay byte-identical.
-    fwd = _build_pipeline(config, "fwd_a", forward=True)
-    inv = _build_pipeline(config, "inv", forward=False)
-    lat = config.scalar_latency
-    weight = _MulUnit(weigh, lat, n_half)
-    pointwise = _MulUnit(multiply_lanes, lat, n_half)
-    unweight = _MulUnit(unweigh, lat, n_half)
-    gate = _TransformGate(n_half)
-
-    trace_rows = None
-    trace = None
-    if trace_path is not None:
-        trace_rows = []
-
-        def trace(cycle, stage, sel, counter, pos):
-            trace_rows.append((cycle, stage, sel, counter,
-                               "" if pos is None else pos[0],
-                               "" if pos is None else pos[1]))
-
-    total_feeds = len(pairs) * n_half
+    front, back = _build_chains(config)
+    gate = _TransformGate(n // 2)
     products: list[list] = [[0] * n for _ in pairs]
-    limit = 1000 + (len(pairs) + 4) * n * (config.butterfly_latency + lat + 4)
+    if trace_path is None:
+        completions = _run_cycles(config, pairs, front, back, gate, products,
+                                  None)
+    else:
+        with open(trace_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cycle", "stage", "sel", "counter",
+                             "pair_lo", "pair_hi"])
+            completions = _run_cycles(config, pairs, front, back, gate,
+                                      products, writer.writerow)
 
-    try:
-        _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
-                    gate, products, trace, total_feeds, limit)
-    finally:
-        # keep whatever trace accumulated, even when an assertion aborts the
-        # run: the trace is the debugging artifact for exactly that case
-        if trace_path is not None:
-            with open(trace_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["cycle", "stage", "sel", "counter",
-                                 "pair_lo", "pair_hi"])
-                writer.writerows(trace_rows)
-
-    report = _build_report(config, pairs, fwd, inv, weight, unweight, gate)
+    report = _build_report(config, pairs, front[1:-1], back[:-1], gate,
+                           completions, front[0].first_fire)
     out_polys = [Polynomial(tuple(c), M, "coefficient", "natural")
                  for c in products]
     return out_polys, report
 
 
-def _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
-                gate, products, trace, total_feeds, limit):
+def _tick_chain(chain, cycle, arrival, trace):
+    # reverse dataflow order: every stage reads the output its producer
+    # latched on the previous cycle
+    for s in range(len(chain) - 1, 0, -1):
+        chain[s].tick(cycle, chain[s - 1].out, trace)
+    chain[0].tick(cycle, arrival, trace)
+
+
+def _run_cycles(config, pairs, front, back, gate, products, trace):
+    """Tick the chains until every product is collected; returns the cycle
+    on which each product's last coefficient pair was collected."""
     n_half = config.n // 2
-    m = config.num_stages
+    total_feeds = len(pairs) * n_half
+    limit = 1000 + (len(pairs) + 4) * config.n * (
+        config.butterfly_latency + config.scalar_latency + 4)
+    completions: list[int] = []
     feed_idx = 0
     collected = 0
     cycle = 0
@@ -687,27 +670,16 @@ def _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
             raise PipelineAssertionError(
                 f"no progress after {limit} cycles; schedule wedged")
 
-        # reverse dataflow order: every consumer reads state its producer
-        # latched on the previous cycle.
-        unweight.tick(cycle, inv[-1].out)
-        if unweight.out is not None:
-            r = unweight.release_t - 1
-            poly, j = divmod(r, n_half)
-            lo, hi = unweight.out
-            products[poly][j] = lo
-            products[poly][j + n_half] = hi
+        # the back chain ticks first, so the gate hands over what was
+        # complete before this cycle's pointwise output arrives
+        _tick_chain(back, cycle, gate.pop(), trace)
+        out = back[-1].out
+        if out is not None:
+            poly, j = divmod(collected, n_half)
+            products[poly][j], products[poly][j + n_half] = out
             collected += 1
-
-        for s in range(m - 1, -1, -1):
-            arrival = inv[s - 1].out if s else gate.pop()
-            inv[s].tick(cycle, arrival, trace)
-
-        pointwise.tick(cycle, fwd[-1].out)
-        if pointwise.out is not None:
-            gate.push(pointwise.out)
-
-        for s in range(m - 1, -1, -1):
-            fwd[s].tick(cycle, fwd[s - 1].out if s else weight.out, trace)
+            if j == n_half - 1:
+                completions.append(cycle)
 
         feed = None
         if feed_idx < total_feeds:
@@ -716,10 +688,13 @@ def _run_cycles(config, pairs, fwd, inv, weight, pointwise, unweight,
             a, b = a.coeffs, b.coeffs
             feed = ((a[j], b[j]), (a[j + n_half], b[j + n_half]))
             feed_idx += 1
-        weight.tick(cycle, feed)
+        _tick_chain(front, cycle, feed, trace)
+        if front[-1].out is not None:
+            gate.push(front[-1].out)
+    return completions
 
 
-def _build_report(config, pairs, fwd, inv, weight, unweight, gate):
+def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
     n = config.n
     m = config.num_stages
     notes = [
@@ -745,9 +720,8 @@ def _build_report(config, pairs, fwd, inv, weight, unweight, gate):
     if fwd[-1].poly_last_fire and fwd[0].first_fire is not None:
         first_ntt = fwd[-1].poly_last_fire[0] - fwd[0].first_fire + 1
     first_mul = None
-    completions = tuple(unweight.poly_last_release)
-    if completions and weight.first_fire is not None:
-        first_mul = completions[0] - weight.first_fire + 1
+    if completions and first_feed is not None:
+        first_mul = completions[0] - first_feed + 1
     steady = None
     if len(completions) >= 4:
         gaps = {completions[i + 1] - completions[i]
@@ -789,7 +763,7 @@ def _build_report(config, pairs, fwd, inv, weight, unweight, gate):
         predicted_ntt_regs=predicted_ntt_regs(n),
         predicted_mul_regs=predicted_mul_regs(n),
         stall_free=stall_free,
-        completion_cycles=completions,
+        completion_cycles=tuple(completions),
         notes=tuple(notes),
         schedule_deviations=tuple(deviations),
     )

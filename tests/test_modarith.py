@@ -231,15 +231,16 @@ class TestValidateConstants:
 
 class TestCertifyGate:
     def test_shortcut_stays_locked_after_failed_certification(self):
-        verdict = certify_fixed_u(FIXED_U_SHORTCUT, samples=1_000)
+        verdict = certify_fixed_u(FIXED_U_SHORTCUT)
         assert not verdict.valid
         assert verdict.first_counterexample == 2_098_177
         with pytest.raises(BarrettConstantError):
             barrett_reduce_fixed(7, u=FIXED_U_SHORTCUT)
 
     def test_minimal_u_certified(self):
-        verdict = certify_fixed_u(FIXED_U_MIN, samples=1_000)
+        verdict = certify_fixed_u(FIXED_U_MIN)
         assert verdict.valid
+        assert verdict.tested == (FIXED_M - 1) ** 2 + 1
         assert barrett_reduce_fixed(7, u=FIXED_U_MIN) == 7
 
 

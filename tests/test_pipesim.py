@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nttmul.params import build_params
 from nttmul.pipesim import (
     ButterflyUnit,
     PipelineAssertionError,
@@ -441,24 +442,68 @@ def output_digests(params, mode, count, trace_path):
 
 # Any change to the report, the products or the trace of these fixed-seed
 # streams changes a digest: a refactor of pipesim must keep them all.
+# Keyed by (M, N, mode, pairs); M = 12289 runs the generic Barrett reducer.
 PINNED_DIGESTS = {
-    (16, "schedule", 4): (
+    (FIXED_M, 16, "schedule", 4): (
         "130e9c7e41ba90334e0f4a4c4872b037ac2287ab48b300125b4f9b2270249d83",
         "bdc487cb46559b15e871e83d9518b5dd0a91c2461359988ee65d3021e8293e32",
         "68a5a1bc4eea3f8445bb6f8fb14bf309fc9349f91866a43d74e236ba54b1a2fa"),
-    (64, "structural", 5): (
+    (FIXED_M, 64, "structural", 5): (
         "12a7cc5423db4a9a177f2ddca59525b7029bb4a280976a33764d80c81b74a8a8",
         "0f6691a67fd522a732faa9afe100b629cd9585c0d6718b8a50ae43d313c1597e",
         "162682456bc810a7e555599e9666afe9118741eb7a2e2c5fbd26521b7ca9b3d1"),
+    (12289, 32, "structural", 3): (
+        "52a714afd8eaf7dfeffbd52562740eea151a0fc786622e84f264598329077d3c",
+        "71817d3f7770bf523729d4230917630dd4b38052ac66f4f034c0f1af408bcb69",
+        "f807a23c9a3ec53e24cb50b1fba122e9b7daa31e9971e19b8b17bf13c5550b04"),
 }
 
 
+def _pinned_id(key):
+    # the paper modulus is left out: those cases keep their N-mode-pairs ids
+    m, *rest = key
+    return "-".join(map(str, rest if m == FIXED_M else key))
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("n, mode, count", sorted(PINNED_DIGESTS))
-    def test_outputs_byte_identical_to_pinned(self, fixed_params, tmp_path,
-                                              n, mode, count):
-        got = output_digests(fixed_params[n], mode, count, tmp_path / "t.csv")
-        assert got == PINNED_DIGESTS[(n, mode, count)]
+    @pytest.mark.parametrize("m, n, mode, count", sorted(PINNED_DIGESTS),
+                             ids=map(_pinned_id, sorted(PINNED_DIGESTS)))
+    def test_outputs_byte_identical_to_pinned(self, tmp_path, m, n, mode,
+                                              count):
+        got = output_digests(build_params(m, n), mode, count,
+                             tmp_path / "t.csv")
+        assert got == PINNED_DIGESTS[(m, n, mode, count)]
+
+    @pytest.mark.parametrize("label, stage, hold, counter",
+                             [("fwd_a2", 2, 4, 9), ("inv4", 4, 4, 13)])
+    def test_trace_on_abort_is_the_unaborted_prefix(
+            self, fixed_params, tmp_path, monkeypatch, label, stage, hold,
+            counter):
+        # at N = 16, (stage, hold) names one FIFO: fwd_a2 or inv4
+        p = fixed_params[16]
+        pairs = rand_pairs(random.Random(56), p, 3)
+        cfg = PipelineConfig(n=16, params=p)
+        full = tmp_path / "full.csv"
+        run_stream(pairs, cfg, trace_path=full)
+        lines = full.read_text().splitlines()
+        # the failing tick's row: its counter has advanced past `counter`
+        fail = next(i for i, line in enumerate(lines)
+                    if line.split(",")[1:4:2] == [label, str(counter + 1)])
+
+        real_tick = StageFifo.tick
+
+        def tick(fifo, arrival):
+            if (fifo.stage, fifo.hold, fifo.counter) == (stage, hold, counter):
+                raise PipelineAssertionError("injected")
+            return real_tick(fifo, arrival)
+
+        monkeypatch.setattr(StageFifo, "tick", tick)
+        aborted = tmp_path / "aborted.csv"
+        with pytest.raises(PipelineAssertionError, match="injected"):
+            run_stream(pairs, cfg, trace_path=aborted)
+        # header plus every row written before the failing stage's row
+        assert aborted.read_text().splitlines() == lines[:fail]
+        assert full.read_bytes().startswith(aborted.read_bytes())
 
     def test_identical_runs_identical_reports(self, fixed_params):
         p = fixed_params[16]
