@@ -25,7 +25,6 @@ from .modarith import (
     barrett_first_failure,
     barrett_reduce_fixed,
     barrett_reduce_generic,
-    certify_fixed_u,
     find_barrett_constants,
     karatsuba_mul,
     mod_add,
@@ -83,7 +82,6 @@ __all__ = [
     "barrett_first_failure",
     "barrett_reduce_fixed",
     "barrett_reduce_generic",
-    "certify_fixed_u",
     "find_barrett_constants",
     "karatsuba_mul",
     "mod_add",

@@ -7,19 +7,16 @@ specialised shift-add reducer (:func:`barrett_reduce_fixed`) whose data path
 mirrors a fixed 42-bit hardware implementation slice for slice.
 
 Multiplier constants are never trusted blindly: :func:`find_barrett_constants`
-derives the minimal pair by an exact integer error bound,
+derives the minimal pair by an exact integer error bound, and
 :func:`barrett_first_failure` certifies a pair exactly in O(1) integer
-arithmetic, and :func:`validate_barrett_constants` independently sweeps the
-full reduction procedure against ``I % M`` over boundary-structured and
-randomly sampled inputs.
+arithmetic, returning the smallest input of the whole domain ``[0, (M-1)**2]``
+the reduction gets wrong.  That certificate is the only Barrett decider:
+:func:`validate_barrett_constants` reports its verdict.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-
-import numpy as _np
 
 # A residue is an int in [0, M); the alias only marks intent in signatures.
 Residue = int
@@ -27,21 +24,16 @@ Residue = int
 FIXED_M = 1_049_089             # 2**20 + 2**9 + 1
 FIXED_K = 40
 FIXED_U_MIN = 1_048_063         # 2**20 - 2**9 - 1, minimal multiplier for k = 40
-FIXED_U_SHORTCUT = 1_048_064    # 2**20 - 2**9, one subtracter cheaper - see gate below
+FIXED_U_SHORTCUT = 1_048_064    # 2**20 - 2**9, one subtracter cheaper but unsound
 
 KARATSUBA_BITS = 22             # default operand width: one headroom bit over 21-bit M
 
 _FIXED_DOMAIN_MAX = (FIXED_M - 1) ** 2
 
-# barrett_reduce_fixed keeps only the 23 low bits of r = value - beta*M.  For a
-# certified u, beta is q or q-1, so r already lies in [0, 2M), which fits in 23
-# bits: the truncation never changes r.
+# barrett_reduce_fixed keeps only the 23 low bits of r = value - beta*M.  With
+# u = FIXED_U_MIN, beta is q or q-1, so r already lies in [0, 2M), which fits in
+# 23 bits: the truncation never changes r.
 assert 2 * FIXED_M < 1 << 23
-
-# u values barrett_reduce_fixed will accept.  FIXED_U_MIN ships certified; the
-# cheaper FIXED_U_SHORTCUT may only be added by certify_fixed_u() after it
-# passes the exact certificate (it does not: see the gate's counterexample).
-_CERTIFIED_FIXED_U = {FIXED_U_MIN}
 
 
 class BarrettConstantError(ValueError):
@@ -145,31 +137,28 @@ def barrett_reduce_generic(value: int, ctx: ModulusContext) -> Residue:
     return r - M if r >= M else r
 
 
-def barrett_reduce_fixed(value: int, u: int = FIXED_U_MIN) -> Residue:
+def barrett_reduce_fixed(value: int) -> Residue:
     """Shift-add Barrett reduction for the fixed modulus 2**20 + 2**9 + 1.
 
     The 42-bit data path uses no general multiplier:
 
-    * ``value * u`` becomes ``(value << 20) - (value << 9) [- value]``,
-      kept pre-scaled as ``r1 = (value * u) >> 20``;
+    * ``value * FIXED_U_MIN`` becomes ``(value << 20) - (value << 9) - value``,
+      kept pre-scaled as ``r1 = (value * FIXED_U_MIN) >> 20``;
     * ``beta`` is the slice ``r1[41:20]``;
     * ``beta * M`` is subtracted as the three addends ``beta << 20``,
       ``beta << 9`` and ``beta``, each truncated to the 23 low result bits
       (slices ``r1[22:20]``, ``r1[33:20]`` and ``r1[41:20]``);
     * one conditional subtraction of M finishes.
 
-    Only gate-certified multipliers are accepted; the nominally cheaper
-    FIXED_U_SHORTCUT stays locked out unless certify_fixed_u() passes it.
+    FIXED_U_MIN is the only multiplier correct at k = 40 over the whole
+    domain (:func:`barrett_first_failure`): any larger u has u*M > 2**40, so
+    beta overshoots the quotient inside it (the one-subtracter-cheaper
+    FIXED_U_SHORTCUT first at 2*M - 1), and any smaller u undershoots it by
+    two.
     """
     if not (0 <= value <= _FIXED_DOMAIN_MAX):
         raise ValueError(f"value {value} outside reducible domain for M={FIXED_M}")
-    if u not in _CERTIFIED_FIXED_U:
-        raise BarrettConstantError(
-            f"u={u} is not certified for the fixed reducer; run certify_fixed_u")
-    if u == FIXED_U_SHORTCUT:
-        r1 = ((value << 20) - (value << 9)) >> 20
-    else:
-        r1 = ((value << 20) - (value << 9) - value) >> 20
+    r1 = ((value << 20) - (value << 9) - value) >> 20
     beta = (r1 >> 20) & 0x3FFFFF                      # r1[41:20]
     low = (value
            - beta                                     # r1[41:20]
@@ -233,113 +222,13 @@ class BarrettVerdict:
     tested: int
 
 
-def validate_barrett_constants(M: int, k: int, u: int, *,
-                               samples: int = 100_000,
-                               seed: int = 0) -> BarrettVerdict:
-    """Empirically gate a candidate (k, u) pair over the full input domain.
+def validate_barrett_constants(M: int, k: int, u: int) -> BarrettVerdict:
+    """Verdict on (k, u) over the whole input domain [0, (M-1)**2].
 
-    Runs the reduction procedure (beta = (I*u) >> k; r = I - beta*M; one
-    conditional subtraction) against I % M for:
-
-    * boundary-structured inputs: every q*M - 1, q*M, q*M + 1 reachable
-      below (M-1)**2, plus 0, 1 and (M-1)**2 itself;
-    * ``samples`` uniform draws from [0, (M-1)**2], seeded.
-
-    Returns the verdict with the smallest failing input *among those
-    tested*; ``tested`` counts distinct inputs per family.  On the int64
-    path the valid/invalid verdict is exact: every run of overestimates
-    ends at some (q+1)*M - 1 or at (M-1)**2, and every run of
-    underestimates by two or more starts at some q*M, so any failure
-    reaches the boundary family.  The smallest failing input itself may
-    lie earlier in its run; :func:`barrett_first_failure` gives it.  The
-    scalar path (moduli too wide for int64) caps the boundary family at
-    4096 blocks, so there a failure in a later block is found only if a
-    sample happens to hit it: that verdict is not exact.
+    Exact: ``first_counterexample`` is :func:`barrett_first_failure`, the
+    smallest input the reduction gets wrong, and ``tested`` counts every
+    input of the domain, all of which that certificate decides.
     """
-    if M < 2 or k < 1 or u < 1:
-        raise ValueError("need M >= 2, k >= 1, u >= 1")
-    top = (M - 1) ** 2
-    worst: int | None = None
-    tested = 0
-
-    # int64 throughout the vectorised path: I*u and beta*M must both fit.
-    fits64 = top * u < (1 << 62) and (top // M + 2) * M < (1 << 62)
-    if fits64:
-        def check_block(arr) -> int | None:
-            # consumes ``arr`` (sorted in place, dropped once deduplicated):
-            # given a fresh array, only the deduplicated copy and r stay alive
-            # at full size, and r is updated in place
-            nonlocal tested
-            arr.sort()
-            keep = _np.ones(arr.size, dtype=bool)
-            keep[1:] = arr[1:] != arr[:-1]
-            arr = arr[keep]
-            del keep
-            tested += arr.size
-            r = arr * u
-            r >>= k                         # beta
-            r *= M
-            _np.subtract(arr, r, out=r)     # I - beta*M
-            r[r >= M] -= M
-            # r is I minus a multiple of M, so r == I % M iff 0 <= r < M
-            bad = arr[(r < 0) | (r >= M)]
-            return int(bad.min()) if bad.size else None
-
-        def boundary_family():
-            q_max = top // M
-            family = _np.empty(3 * q_max + 3, dtype=_np.int64)
-            family[:3] = (0, 1, top)
-            rows = family[3:].reshape(q_max, 3)     # q*M - 1, q*M, q*M + 1
-            rows[:, 1] = _np.arange(M, q_max * M + 1, M, dtype=_np.int64)
-            _np.subtract(rows[:, 1], 1, out=rows[:, 0])
-            _np.add(rows[:, 1], 1, out=rows[:, 2])
-            # only the last q*M + 1 can pass top
-            return family[:-1] if q_max and q_max * M + 1 > top else family
-
-        worst = check_block(boundary_family())
-        if samples > 0:
-            nprng = _np.random.default_rng(seed)
-            draws = nprng.integers(0, top + 1, size=samples, dtype=_np.int64)
-            hit = check_block(draws)
-            if hit is not None and (worst is None or hit < worst):
-                worst = hit
-    else:
-        rng = random.Random(seed)
-        def check_one(value: int):
-            nonlocal worst, tested
-            tested += 1
-            r = value - ((value * u) >> k) * M
-            if r >= M:
-                r -= M
-            if r != value % M and (worst is None or value < worst):
-                worst = value
-
-        q_max = min(top // M, 4096)   # wide moduli: cap the structured family
-        for q in range(1, q_max + 1):
-            for value in (q * M - 1, q * M, q * M + 1):
-                if 0 <= value <= top:
-                    check_one(value)
-        for value in (0, 1, top):
-            check_one(value)
-        for _ in range(samples):
-            check_one(rng.randrange(top + 1))
-
-    return BarrettVerdict(valid=worst is None, first_counterexample=worst,
-                          tested=tested)
-
-
-def certify_fixed_u(u: int) -> BarrettVerdict:
-    """Gate a multiplier for the fixed reducer; unlock it only on a pass.
-
-    The shortcut constant FIXED_U_SHORTCUT saves one subtracter in the
-    beta path but overshoots the true quotient for some inputs; running it
-    through this gate reports the first such input instead of silently
-    producing wrapped negatives.  The verdict is exact over the whole
-    domain [0, (M-1)**2] (:func:`barrett_first_failure`), so ``tested``
-    counts every input in it.
-    """
-    bad = barrett_first_failure(FIXED_M, FIXED_K, u)
-    if bad is None:
-        _CERTIFIED_FIXED_U.add(u)
+    bad = barrett_first_failure(M, k, u)
     return BarrettVerdict(valid=bad is None, first_counterexample=bad,
-                          tested=_FIXED_DOMAIN_MAX + 1)
+                          tested=(M - 1) ** 2 + 1)

@@ -12,8 +12,9 @@ group this module derives, deterministically:
 * per-stage twiddle tables in the exact order a streaming pipeline consumes
   them, forward and inverse, plus a register/memory storage annotation.
 
-Tables round-trip through JSON with all integers as decimal strings; loading
-re-validates every invariant so a tampered file is rejected.
+Tables round-trip through JSON with all integers as canonical decimal
+strings; loading accepts no other spelling and re-validates every invariant,
+so a tampered file is rejected.
 """
 
 from __future__ import annotations
@@ -322,20 +323,34 @@ def emit_tables(params: NttParams, path) -> None:
         fh.write("\n")
 
 
+def _decimal(v) -> int:
+    # a table file spells every integer as its canonical decimal string
+    n = int(v)
+    if str(n) != v:
+        raise ValueError(f"{v!r} is not a canonical decimal string")
+    return n
+
+
+def _decimals(values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"expected an array, got {values!r}")
+    return tuple(_decimal(v) for v in values)
+
+
 def params_from_dict(obj: dict) -> NttParams:
     """Rebuild params from a table-file dict, re-checking every invariant."""
     try:
-        M = int(obj["M"])
-        N = int(obj["N"])
-        fwd = tuple(tuple(int(v) for v in t) for t in obj["stage_twiddles_fwd"])
-        inv = tuple(tuple(int(v) for v in t) for t in obj["stage_twiddles_inv"])
+        M = _decimal(obj["M"])
+        N = _decimal(obj["N"])
+        fwd = tuple(_decimals(t) for t in obj["stage_twiddles_fwd"])
+        inv = tuple(_decimals(t) for t in obj["stage_twiddles_inv"])
         params = NttParams(
             n=N, ctx=_cached_context(M),
-            omega=int(obj["omega"]), phi=int(obj["phi"]),
-            omega_inv=int(obj["omega_inv"]), phi_inv=int(obj["phi_inv"]),
-            n_inv=int(obj["n_inv"]),
-            weights_fwd=tuple(int(v) for v in obj["weights_fwd"]),
-            weights_inv_scaled=tuple(int(v) for v in obj["weights_inv_scaled"]),
+            omega=_decimal(obj["omega"]), phi=_decimal(obj["phi"]),
+            omega_inv=_decimal(obj["omega_inv"]), phi_inv=_decimal(obj["phi_inv"]),
+            n_inv=_decimal(obj["n_inv"]),
+            weights_fwd=_decimals(obj["weights_fwd"]),
+            weights_inv_scaled=_decimals(obj["weights_inv_scaled"]),
             stage_twiddles_fwd=fwd, stage_twiddles_inv=inv,
             storage_kind_fwd=tuple(obj["storage_kind_fwd"]),
             storage_kind_inv=tuple(obj["storage_kind_inv"]))

@@ -123,9 +123,9 @@ def test_barrett_constants_and_shortcut_verdict(announce):
                    "minimal constants are (k=40, u=1048063); shortcut "
                    "u=1048064 verdict recorded"):
         assert find_barrett_constants(FIXED_M) == (40, 1_048_063)
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT,
-                                       samples=10_000_000)
-        assert v.tested >= 10_000_000
+        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT)
+        assert v.first_counterexample == 2_098_177
+        assert v.tested == (FIXED_M - 1) ** 2 + 1
         if v.valid:
             announce(f"    u=1048064 verdict: valid over {v.tested} inputs")
         else:

@@ -21,7 +21,7 @@ def toy_tables(tmp_path):
 def prod_tables(tmp_path):
     path = tmp_path / "prod.json"
     rc = cli.main(["params", "--modulus", "1049089", "--n", "256",
-                   "--out", str(path), "--barrett-samples", "2000"])
+                   "--out", str(path)])
     assert rc == 0
     return path
 
@@ -40,12 +40,13 @@ class TestParamsCommand:
     def test_prints_constants_and_verdict(self, prod_tables, capsys):
         # fixture already ran the command; run again to capture its output
         rc = cli.main(["params", "--modulus", "1049089", "--n", "256",
-                       "--out", str(prod_tables), "--barrett-samples", "2000"])
+                       "--out", str(prod_tables)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "k = 40" in out and "u = 1048063" in out
         assert "omega = " in out and "phi = " in out
-        assert "barrett check: ok" in out
+        assert ("barrett check: ok over all 1100585631745 inputs "
+                "(exact certificate)") in out
 
     def test_rejects_composite_modulus(self, tmp_path, capsys):
         rc = cli.main(["params", "--modulus", "15", "--n", "4",
@@ -141,6 +142,19 @@ class TestMulCommand:
                        "--vectors", str(vec), "--out", str(tmp_path / "c")])
         assert rc == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])
+    def test_rejects_non_ascii_digits(self, toy_tables, tmp_path, capsys,
+                                      digit):
+        # Arabic-Indic three passes str.isdigit and int(); superscript two
+        # passes str.isdigit only
+        vec = tmp_path / "v.ndjson"
+        write_ndjson(vec, [{"a": ["1", digit, "0", "0"],
+                            "b": ["0", "0", "0", "0"]}])
+        rc = cli.main(["mul", "--params", str(toy_tables),
+                       "--vectors", str(vec), "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert f"{vec}:1 field a" in capsys.readouterr().err
 
     def test_rejects_malformed_json(self, toy_tables, tmp_path, capsys):
         vec = tmp_path / "v.ndjson"

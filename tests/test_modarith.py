@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nttmul import modarith
@@ -18,7 +18,6 @@ from nttmul.modarith import (
     barrett_first_failure,
     barrett_reduce_fixed,
     barrett_reduce_generic,
-    certify_fixed_u,
     find_barrett_constants,
     karatsuba_mul,
     mod_add,
@@ -82,6 +81,12 @@ class TestKaratsuba:
             b = rng.getrandbits(21)
             assert karatsuba_mul(a, b) == a * b
 
+    @given(st.data())
+    def test_exact_for_every_even_width(self, data):
+        l = 2 * data.draw(st.integers(1, 32))
+        a, b = (data.draw(st.integers(0, (1 << l) - 1)) for _ in range(2))
+        assert karatsuba_mul(a, b, l) == a * b
+
     def test_other_widths(self):
         rng = random.Random(7)
         for l in (2, 6, 10, 64):
@@ -129,6 +134,16 @@ class TestBarrettGeneric:
         with pytest.raises(BarrettConstantError):
             barrett_reduce_generic(12345, ctx)
 
+    @given(st.data())
+    def test_exact_over_the_domain_of_any_modulus(self, data):
+        # moduli up to 64 bits: products far past int64
+        M = data.draw(st.integers(2, (1 << 64) - 1))
+        values = data.draw(st.lists(st.integers(0, (M - 1) ** 2),
+                                    min_size=1, max_size=20))
+        ctx = ModulusContext.create(M)
+        for v in values:
+            assert barrett_reduce_generic(v, ctx) == v % M
+
     def test_small_modulus_full_domain(self):
         k, u = find_barrett_constants(17)
         ctx = ModulusContext(M=17, width=5, barrett_k=k, barrett_u=u)
@@ -161,13 +176,9 @@ class TestBarrettFixed:
         with pytest.raises(ValueError):
             barrett_reduce_fixed((FIXED_M - 1) ** 2 + 1)
 
-    def test_shortcut_multiplier_locked_without_gate(self):
-        with pytest.raises(BarrettConstantError):
-            barrett_reduce_fixed(12345, u=FIXED_U_SHORTCUT)
-
-    def test_unknown_multiplier_rejected(self):
-        with pytest.raises(BarrettConstantError):
-            barrett_reduce_fixed(12345, u=999_999)
+    @given(st.integers(0, (FIXED_M - 1) ** 2))
+    def test_exact_over_the_whole_domain(self, v):
+        assert barrett_reduce_fixed(v) == v % FIXED_M
 
 
 class TestFindConstants:
@@ -193,21 +204,19 @@ class TestFindConstants:
         moduli += [rng.randrange(2, 1 << 20) for _ in range(25)]
         for M in moduli:
             k, u = find_barrett_constants(M)
-            verdict = validate_barrett_constants(M, k, u, samples=2_000)
+            verdict = validate_barrett_constants(M, k, u)
             assert verdict.valid, (M, k, u, verdict)
 
 
 class TestValidateConstants:
     def test_minimal_pair_valid(self):
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_MIN, samples=50_000)
+        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_MIN)
         assert v.valid
         assert v.first_counterexample is None
 
     def test_shortcut_pair_fails_at_twice_m_minus_one(self):
-        # u*M = 2**40 + 785920 > 2**40, so beta can overestimate; the
-        # boundary family catches the smallest such input deterministically
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT,
-                                       samples=1_000)
+        # u*M = 2**40 + 785920 > 2**40, so beta can overestimate
+        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT)
         assert not v.valid
         assert v.first_counterexample == 2 * FIXED_M - 1 == 2_098_177
 
@@ -218,30 +227,20 @@ class TestValidateConstants:
         assert value - beta * FIXED_M < 0  # wrapped negative, not a residue
 
     def test_tiny_exact_division(self):
-        v = validate_barrett_constants(2, 2, 2, samples=100)
+        v = validate_barrett_constants(2, 2, 2)
         assert v.valid
 
-    def test_scalar_fallback_agrees(self):
-        # force the non-vectorised path with a modulus too wide for int64
-        M = (1 << 31) + 11
-        k, u = find_barrett_constants(M)
-        v = validate_barrett_constants(M, k, u, samples=2_000)
-        assert v.valid
-
-
-class TestCertifyGate:
-    def test_shortcut_stays_locked_after_failed_certification(self):
-        verdict = certify_fixed_u(FIXED_U_SHORTCUT)
-        assert not verdict.valid
-        assert verdict.first_counterexample == 2_098_177
-        with pytest.raises(BarrettConstantError):
-            barrett_reduce_fixed(7, u=FIXED_U_SHORTCUT)
-
-    def test_minimal_u_certified(self):
-        verdict = certify_fixed_u(FIXED_U_MIN)
-        assert verdict.valid
-        assert verdict.tested == (FIXED_M - 1) ** 2 + 1
-        assert barrett_reduce_fixed(7, u=FIXED_U_MIN) == 7
+    @pytest.mark.parametrize("M, k, u, first", [
+        ((1 << 31) + 11, *find_barrett_constants((1 << 31) + 11), None),
+        # the first failure is in block 8195
+        (2_147_483_659, 75, 17_592_185_954_305, 17_600_776_069_163),
+    ], ids=["derived", "late-block-failure"])
+    def test_wide_modulus_verdict(self, M, k, u, first):
+        # moduli too wide for int64 products
+        v = validate_barrett_constants(M, k, u)
+        assert v.valid == (first is None)
+        assert v.first_counterexample == first
+        assert v.tested == (M - 1) ** 2 + 1
 
 
 class TestModulusContext:
@@ -258,7 +257,8 @@ class TestModulusContext:
 
 
 def _brute_first_failure(M, k, u):
-    # the reduction procedure itself, run on every input of the domain
+    # the reduction procedure itself, run on every input of the domain;
+    # int64 holds values * u while (M - 1)**2 * 2**(k + 1) < 2**63
     values = np.arange((M - 1) ** 2 + 1, dtype=np.int64)
     r = values - ((values * u) >> k) * M
     r = np.where(r >= M, r - M, r)
@@ -267,9 +267,9 @@ def _brute_first_failure(M, k, u):
 
 
 @st.composite
-def _barrett_triples(draw, max_m):
+def _barrett_triples(draw, max_m, min_m=2):
     # u near floor(2**k / M) hits both failure modes; any u covers the rest
-    M = draw(st.integers(2, max_m))
+    M = draw(st.integers(min_m, max_m))
     k = draw(st.integers(1, 40))
     near = max(1, (1 << k) // M + draw(st.integers(-3, 3)))
     u = draw(st.one_of(st.just(near), st.integers(1, 1 << (k + 1))))
@@ -281,19 +281,23 @@ class TestFirstFailureCertificate:
     def test_matches_exhaustive_brute_force(self, mku):
         assert barrett_first_failure(*mku) == _brute_first_failure(*mku)
 
-    @given(_barrett_triples(max_m=2_000))
-    def test_agrees_with_sweep_verdict(self, mku):
-        first = barrett_first_failure(*mku)
-        verdict = validate_barrett_constants(*mku, samples=0)
-        assert (first is None) == verdict.valid
-        if first is not None:
-            assert verdict.first_counterexample >= first
+    @settings(max_examples=50)
+    @given(_barrett_triples(min_m=300, max_m=2_000))
+    def test_matches_exhaustive_brute_force_wider_moduli(self, mku):
+        assert barrett_first_failure(*mku) == _brute_first_failure(*mku)
+
+    @given(st.one_of(st.integers(1, 1 << 41),
+                     st.integers(FIXED_U_MIN - 3, FIXED_U_MIN + 3)))
+    def test_fixed_modulus_certifies_only_the_minimal_u(self, u):
+        # the fixed reducer's multiplier is the only sound one at k = 40
+        assert ((barrett_first_failure(FIXED_M, FIXED_K, u) is None)
+                == (u == FIXED_U_MIN))
 
     @pytest.mark.parametrize("M, k, u, expected", [
-        (257, 13, 33, 249),           # sweep reports a later input of the run
+        (257, 13, 33, 249),
         (FIXED_M, FIXED_K, FIXED_U_SHORTCUT, 2_098_177),
         (FIXED_M, FIXED_K, FIXED_U_MIN, None),
-        # wide modulus, first failure in block 8195: past the scalar sweep's cap
+        # wide modulus, first failure in block 8195
         (2_147_483_659, 75, 17_592_185_954_305, 17_600_776_069_163),
     ])
     def test_pinned_values(self, M, k, u, expected):
@@ -310,21 +314,3 @@ class TestFirstFailureCertificate:
             raise AssertionError("ModulusContext.create ran the sweep")
         monkeypatch.setattr(modarith, "validate_barrett_constants", sweep)
         assert ModulusContext.create(FIXED_M).u_validated
-
-
-class TestSweepDedupe:
-    def test_fixed_modulus_boundary_family_size(self):
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_MIN, samples=0)
-        assert v.tested == 3_147_263
-
-    @pytest.mark.parametrize("M", [2, 3])
-    def test_tested_counts_distinct_inputs(self, M):
-        k, u = find_barrett_constants(M)
-        top = (M - 1) ** 2
-        family = {0, 1, top} | {q * M + d for q in range(1, top // M + 1)
-                                for d in (-1, 0, 1)}
-        distinct = len({v for v in family if 0 <= v <= top})
-        assert validate_barrett_constants(M, k, u, samples=0).tested == distinct
-        # 200 seeded draws from so small a domain repeat and cover all of it
-        v = validate_barrett_constants(M, k, u, samples=200)
-        assert v.tested == distinct + top + 1
