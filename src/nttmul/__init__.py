@@ -4,10 +4,11 @@ model of a streaming FIFO-pipelined hardware multiplier.
 The package splits into four layers:
 
 * :mod:`nttmul.modarith` - Barrett reduction (generic and a shift-add form
-  fixed to M = 1049089), one-level Karatsuba multiplication, and constant
-  derivation/validation;
-* :mod:`nttmul.params`  - ring validation, root derivation, weight and
-  per-stage twiddle tables, JSON table files;
+  fixed to M = 1049089), one-level Karatsuba multiplication, constant
+  derivation and the exact certificate every ``ModulusContext`` passes when
+  it is built;
+* :mod:`nttmul.params`  - ring validation (prime M below 2**64), root
+  derivation, weight and per-stage twiddle tables, JSON table files;
 * :mod:`nttmul.polymul` - reference transforms and the schoolbook oracle;
 * :mod:`nttmul.pipesim` - the cycle-accurate pipeline simulator and its
   latency/register bookkeeping.
@@ -41,16 +42,12 @@ from .params import (
     params_from_dict,
     params_to_dict,
     ring_problem,
-    validate_ring,
 )
 from .pipesim import (
-    ButterflyUnit,
     CycleReport,
     PipelineAssertionError,
     PipelineConfig,
     StageFifo,
-    butterfly_step,
-    gs_butterfly_step,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
@@ -96,14 +93,10 @@ __all__ = [
     "params_from_dict",
     "params_to_dict",
     "ring_problem",
-    "validate_ring",
-    "ButterflyUnit",
     "CycleReport",
     "PipelineAssertionError",
     "PipelineConfig",
     "StageFifo",
-    "butterfly_step",
-    "gs_butterfly_step",
     "predicted_first_mul_latency",
     "predicted_first_ntt_latency",
     "predicted_mul_regs",

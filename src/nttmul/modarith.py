@@ -6,11 +6,12 @@ products without division.  The default modulus ``2**20 + 2**9 + 1`` gets a
 specialised shift-add reducer (:func:`barrett_reduce_fixed`) whose data path
 mirrors a fixed 42-bit hardware implementation slice for slice.
 
-Multiplier constants are never trusted blindly: :func:`find_barrett_constants`
-derives the minimal pair by an exact integer error bound, and
-:func:`barrett_first_failure` certifies a pair exactly in O(1) integer
-arithmetic, returning the smallest input of the whole domain ``[0, (M-1)**2]``
-the reduction gets wrong.  That certificate is the only Barrett decider:
+Multiplier constants are certified when a context is constructed:
+:func:`find_barrett_constants` derives the minimal pair by an exact integer
+error bound, and :func:`barrett_first_failure` certifies a pair exactly in
+O(1) integer arithmetic, returning the smallest input of the whole domain
+``[0, (M-1)**2]`` the reduction gets wrong.  That certificate is the only
+Barrett decider: a context whose pair it rejects cannot be built, and
 :func:`validate_barrett_constants` reports its verdict.
 """
 
@@ -37,50 +38,34 @@ assert 2 * FIXED_M < 1 << 23
 
 
 class BarrettConstantError(ValueError):
-    """Raised when Barrett constants fail a precondition or the gate."""
+    """Raised when Barrett constants reduce some input of the domain wrongly."""
 
 
 @dataclass(frozen=True)
 class ModulusContext:
-    """Modulus plus reduction constants for one coefficient ring.
+    """Modulus plus its certified Barrett reduction constants.
 
-    ``width`` is the register width for residues (ceil(log2 M) plus one
-    headroom bit).  ``u_validated`` records whether (barrett_k, barrett_u)
-    passed the domain-correctness gate for all inputs up to ``(M-1)**2``.
+    Construction runs :func:`barrett_first_failure`, so a context exists only
+    for a (barrett_k, barrett_u) pair that reduces every input of
+    ``[0, (M-1)**2]`` exactly; any other pair raises
+    :class:`BarrettConstantError` naming the first input it gets wrong.
     """
 
     M: int
-    width: int
     barrett_k: int
     barrett_u: int
-    u_validated: bool = False
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.M}")
-        if self.width < self.M.bit_length():
-            raise ValueError(
-                f"width {self.width} cannot hold residues of modulus {self.M}")
-        if self.barrett_k < self.M.bit_length():
+        bad = barrett_first_failure(self.M, self.barrett_k, self.barrett_u)
+        if bad is not None:
             raise BarrettConstantError(
-                f"barrett_k={self.barrett_k} too small for M={self.M}")
+                f"(k={self.barrett_k}, u={self.barrett_u}) fails for "
+                f"M={self.M} at I={bad}")
 
     @classmethod
     def create(cls, M: int) -> "ModulusContext":
-        """Derive minimal Barrett constants for M and certify them exactly."""
-        k, u = find_barrett_constants(M)
-        bad = barrett_first_failure(M, k, u)
-        if bad is not None:
-            # Cannot happen for constants from find_barrett_constants; guard anyway.
-            raise BarrettConstantError(
-                f"derived constants (k={k}, u={u}) failed the gate at I={bad}")
-        return cls(M=M, width=M.bit_length() + 1, barrett_k=k, barrett_u=u,
-                   u_validated=True)
-
-    @property
-    def error_nonnegative(self) -> bool:
-        """True when e = 1/M - u/2**k >= 0, i.e. beta never overestimates."""
-        return self.barrett_u * self.M <= (1 << self.barrett_k)
+        """Context with the minimal Barrett constants for M."""
+        return cls(M, *find_barrett_constants(M))
 
 
 def mod_add(a: Residue, b: Residue, ctx: ModulusContext) -> Residue:
@@ -121,18 +106,13 @@ def karatsuba_mul(a: int, b: int, l: int = KARATSUBA_BITS) -> int:
 def barrett_reduce_generic(value: int, ctx: ModulusContext) -> Residue:
     """Reduce ``value`` (up to (M-1)**2) to [0, M) via shift-multiply Barrett.
 
-    beta = (value * u) >> k approximates the quotient from below, so one
-    conditional subtraction finishes the job.  Contexts whose error term is
-    negative (u too large, beta may overestimate) are rejected unless the
-    validation gate has certified them.
+    The context's constants are certified, so beta = (value * u) >> k is
+    the quotient or one below it and one conditional subtraction finishes
+    the job.
     """
     M = ctx.M
     if not (0 <= value <= (M - 1) ** 2):
         raise ValueError(f"value {value} outside reducible domain for M={M}")
-    if not ctx.error_nonnegative and not ctx.u_validated:
-        raise BarrettConstantError(
-            f"(k={ctx.barrett_k}, u={ctx.barrett_u}) has negative error term "
-            f"and is not gate-certified for M={M}")
     r = value - ((value * ctx.barrett_u) >> ctx.barrett_k) * M
     return r - M if r >= M else r
 

@@ -176,18 +176,6 @@ def _two_lane(kernel):
     return lifted
 
 
-def butterfly_step(a_i: int, a_j: int, w: int,
-                   params: NttParams) -> tuple[int, int]:
-    """One multiply-then-add/sub butterfly: (a_j + w*a_i, a_j - w*a_i) mod M."""
-    return _kernels(params)[0](a_i, a_j, w)
-
-
-def gs_butterfly_step(a_i: int, a_j: int, w: int,
-                      params: NttParams) -> tuple[int, int]:
-    """One add/sub-then-multiply butterfly: (a_j + a_i, (a_j - a_i)*w) mod M."""
-    return _kernels(params)[1](a_i, a_j, w)
-
-
 # ---------------------------------------------------------------------------
 # stage FIFO
 
@@ -302,52 +290,35 @@ class StageFifo:
         return out
 
 
-class ButterflyUnit:
-    """Fully pipelined arithmetic unit: accepts one (a_i, a_j, w) per cycle,
-    result pair appears ``latency`` cycles later."""
-
-    __slots__ = ("latency", "kernel", "_queue")
-
-    def __init__(self, kernel, latency: int):
-        if latency < 1:
-            raise ValueError("latency must be >= 1")
-        self.latency = latency
-        self.kernel = kernel
-        self._queue: deque = deque()
-
-    def push(self, cycle: int, a_i: int, a_j: int, w: int):
-        self._queue.append((cycle + self.latency - 1, self.kernel(a_i, a_j, w)))
-
-    def pop(self, cycle: int):
-        q = self._queue
-        if q and q[0][0] <= cycle:
-            return q.popleft()[1]
-        return None
-
-
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
 class _PipeStage:
     """One column of the datapath: an optional hold FIFO, coefficient
-    sequencing and a pipelined unit.
+    sequencing and a fully pipelined unit.
 
     ``hold = 0`` means no FIFO: the pair (x_j, x_{j+N/2}) arriving on one
     cycle goes straight into the unit, higher element first.  Forward stage
     1 and the weighting, pointwise and unweighting multipliers are such
     columns.  A stage with ``label`` None emits no trace rows.
+
+    The unit accepts one operation per cycle: issued at cycle c, its result
+    becomes ``out`` at cycle c + latency - 1, so on the issuing tick itself
+    at latency 1.  ``_queue`` holds ``(ready_cycle, result)`` in issue order.
     """
 
-    __slots__ = ("label", "stage_no", "fifo", "unit", "twiddles", "per_block",
-                 "n_half", "t", "out", "first_fire", "last_fire", "fires",
-                 "poly_last_fire")
+    __slots__ = ("label", "stage_no", "fifo", "kernel", "latency", "_queue",
+                 "twiddles", "per_block", "n_half", "t", "out", "first_fire",
+                 "last_fire", "fires", "poly_last_fire")
 
     def __init__(self, label, stage_no, hold, twiddles, per_block, kernel,
                  latency, n_half):
         self.label = label
         self.stage_no = stage_no
         self.fifo = StageFifo(stage_no, hold) if hold else None
-        self.unit = ButterflyUnit(kernel, latency)
+        self.kernel = kernel
+        self.latency = latency
+        self._queue: deque = deque()
         self.twiddles = twiddles
         self.per_block = per_block
         self.n_half = n_half
@@ -372,7 +343,8 @@ class _PipeStage:
             self.t = t + 1
             tp = t % self.n_half
             w = self.twiddles[tp // self.per_block]
-            self.unit.push(cycle, pair[0], pair[1], w)
+            self._queue.append((cycle + self.latency - 1,
+                                self.kernel(pair[0], pair[1], w)))
             if self.first_fire is None:
                 self.first_fire = cycle
             self.last_fire = cycle
@@ -390,7 +362,8 @@ class _PipeStage:
                        *fired_positions))
             elif pair is not None:
                 trace((cycle, self.label, "", "", *fired_positions))
-        self.out = self.unit.pop(cycle)
+        q = self._queue
+        self.out = q.popleft()[1] if q and q[0][0] <= cycle else None
 
     @property
     def contiguous(self) -> bool:

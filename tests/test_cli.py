@@ -60,6 +60,13 @@ class TestParamsCommand:
         assert rc == 2
         assert capsys.readouterr().err
 
+    def test_rejects_modulus_beyond_exact_primality(self, tmp_path, capsys):
+        # a composite that Miller-Rabin with twelve witnesses calls prime
+        rc = cli.main(["params", "--modulus", "318665857834031151167461",
+                       "--n", "2", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGenCommand:
     def test_same_seed_byte_identical(self, toy_tables, tmp_path):

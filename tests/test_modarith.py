@@ -128,11 +128,15 @@ class TestBarrettGeneric:
             barrett_reduce_generic((FIXED_M - 1) ** 2 + 1, CTX)
 
     def test_overshooting_multiplier_locked_without_gate(self):
-        ctx = ModulusContext(M=FIXED_M, width=21, barrett_k=FIXED_K,
-                             barrett_u=FIXED_U_SHORTCUT)
-        assert not ctx.error_nonnegative
-        with pytest.raises(BarrettConstantError):
-            barrett_reduce_generic(12345, ctx)
+        # beta = 2 at I = 2M - 1, one above the quotient
+        with pytest.raises(BarrettConstantError, match="I=2098177$"):
+            ModulusContext(M=FIXED_M, barrett_k=FIXED_K,
+                           barrett_u=FIXED_U_SHORTCUT)
+
+    def test_undershooting_constants_raise_at_construction(self):
+        # beta = 1 at I = 3M, two below the quotient
+        with pytest.raises(BarrettConstantError, match="I=3147267$"):
+            ModulusContext(M=FIXED_M, barrett_k=21, barrett_u=1)
 
     @given(st.data())
     def test_exact_over_the_domain_of_any_modulus(self, data):
@@ -146,7 +150,7 @@ class TestBarrettGeneric:
 
     def test_small_modulus_full_domain(self):
         k, u = find_barrett_constants(17)
-        ctx = ModulusContext(M=17, width=5, barrett_k=k, barrett_u=u)
+        ctx = ModulusContext(M=17, barrett_k=k, barrett_u=u)
         for v in range(16 * 16 + 1):
             assert barrett_reduce_generic(v, ctx) == v % 17
 
@@ -247,13 +251,12 @@ class TestModulusContext:
     def test_create_fixed(self):
         assert CTX.barrett_k == FIXED_K
         assert CTX.barrett_u == FIXED_U_MIN
-        assert CTX.error_nonnegative
 
     def test_rejects_nonsense(self):
         with pytest.raises(ValueError):
-            ModulusContext(M=1, width=1, barrett_k=2, barrett_u=1)
+            ModulusContext(M=1, barrett_k=2, barrett_u=1)
         with pytest.raises(ValueError):
-            ModulusContext(M=17, width=5, barrett_k=3, barrett_u=0)
+            ModulusContext(M=17, barrett_k=3, barrett_u=0)
 
 
 def _brute_first_failure(M, k, u):
@@ -313,4 +316,15 @@ class TestFirstFailureCertificate:
         def sweep(*args, **kwargs):
             raise AssertionError("ModulusContext.create ran the sweep")
         monkeypatch.setattr(modarith, "validate_barrett_constants", sweep)
-        assert ModulusContext.create(FIXED_M).u_validated
+        assert ModulusContext.create(FIXED_M) == CTX
+
+    @given(_barrett_triples(max_m=299))
+    def test_context_has_an_exact_reducer_or_raises(self, mku):
+        M, k, u = mku
+        try:
+            ctx = ModulusContext(M, k, u)
+        except BarrettConstantError as exc:
+            assert str(exc).endswith(f"at I={_brute_first_failure(M, k, u)}")
+        else:
+            assert all(barrett_reduce_generic(v, ctx) == v % M
+                       for v in range((M - 1) ** 2 + 1))

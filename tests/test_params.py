@@ -17,7 +17,6 @@ from nttmul.params import (
     params_from_dict,
     params_to_dict,
     ring_problem,
-    validate_ring,
 )
 
 FIXED_M = 1_049_089
@@ -83,28 +82,34 @@ class TestPrimality:
 
 class TestRingValidation:
     def test_production_ring(self):
-        assert validate_ring(FIXED_M, 256)
         assert ring_problem(FIXED_M, 256) is None
 
     def test_toy_ring(self):
-        assert validate_ring(17, 4)
+        assert ring_problem(17, 4) is None
 
     def test_n512_needs_1024_dividing_group_order(self):
         # M - 1 = 2**9 * 3 * 683 carries only nine factors of two
         assert (FIXED_M - 1) % 1024 != 0
-        assert not validate_ring(FIXED_M, 512)
+        assert ring_problem(FIXED_M, 512) is not None
 
     def test_rejects_composite_modulus(self):
-        assert not validate_ring(15, 4)
+        assert ring_problem(15, 4) is not None
         assert "prime" in ring_problem(15, 4)
 
     def test_rejects_non_power_of_two(self):
-        assert not validate_ring(17, 3)
-        assert not validate_ring(17, 0)
+        assert ring_problem(17, 3) is not None
+        assert ring_problem(17, 0) is not None
 
     def test_rejects_order_mismatch(self):
-        assert not validate_ring(17, 16)  # 32 does not divide 16
-        assert ring_problem(17, 16) is not None
+        assert ring_problem(17, 16) is not None  # 32 does not divide 16
+
+    def test_rejects_modulus_beyond_exact_primality(self):
+        # composite, yet a strong pseudoprime to all twelve witness bases
+        M = 399_165_290_221 * 798_330_580_441
+        assert is_prime(M) and (M - 1) % 4 == 0
+        assert "2**64" in ring_problem(M, 2)
+        # the largest prime below 2**64 is still accepted
+        assert ring_problem((1 << 64) - 59, 2) is None
 
 
 class TestBitReverse:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from nttmul.params import build_params
 from nttmul.pipesim import (
-    ButterflyUnit,
     PipelineAssertionError,
     PipelineConfig,
     StageFifo,
-    butterfly_step,
-    gs_butterfly_step,
+    _kernels,
+    _PipeStage,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
@@ -39,34 +38,36 @@ def rand_pairs(rng, params, count):
 class TestButterflyStep:
     def test_unit_twiddle_is_add_sub(self, fixed_params):
         p = fixed_params[16]
-        u, v = butterfly_step(3, 10, 1, p)
+        u, v = _kernels(p)[0](3, 10, 1)
         assert (u, v) == (13, 7)
 
     def test_zero_input_passes_through(self, fixed_params):
         p = fixed_params[16]
-        assert butterfly_step(0, 42, 12345, p) == (42, 42)
+        assert _kernels(p)[0](0, 42, 12345) == (42, 42)
 
     def test_random_against_oracle(self, fixed_params, p17_4):
         for p, seed in ((fixed_params[256], 30), (p17_4, 31)):
             M = p.M
+            ct = _kernels(p)[0]
             rng = random.Random(seed)
             for _ in range(2_000):
                 a_i = rng.randrange(M)
                 a_j = rng.randrange(M)
                 w = rng.randrange(M)
-                u, v = butterfly_step(a_i, a_j, w, p)
+                u, v = ct(a_i, a_j, w)
                 assert u == (a_j + a_i * w) % M
                 assert v == (a_j - a_i * w) % M
 
     def test_gs_variant_against_oracle(self, fixed_params):
         p = fixed_params[256]
         M = p.M
+        gs = _kernels(p)[1]
         rng = random.Random(32)
         for _ in range(2_000):
             a_i = rng.randrange(M)
             a_j = rng.randrange(M)
             w = rng.randrange(M)
-            u, v = gs_butterfly_step(a_i, a_j, w, p)
+            u, v = gs(a_i, a_j, w)
             assert u == (a_j + a_i) % M
             assert v == (a_j - a_i) * w % M
 
@@ -206,21 +207,27 @@ class TestStageFifo:
             assert fifo.peak == 2 * hold
 
 
+def unit_stage(kernel, latency):
+    # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
+    # element first; twiddles 0, 1, 0, 1, ... in issue order
+    return _PipeStage(None, 0, 0, (0, 1), 1, kernel, latency, 2)
+
+
 class TestButterflyUnit:
     def test_latency_and_order(self):
-        unit = ButterflyUnit(lambda a, b, w: (a + b, w), latency=3)
-        assert unit.pop(1) is None
-        unit.push(1, 10, 20, 0)
-        unit.push(2, 11, 21, 1)
-        assert unit.pop(2) is None
-        assert unit.pop(3) == (30, 0)
-        assert unit.pop(4) == (32, 1)
-        assert unit.pop(5) is None
+        stage = unit_stage(lambda a, b, w: (a + b, w), latency=3)
+        outs = []
+        for cycle, arrival in enumerate([(20, 10), (21, 11), None, None,
+                                         None], start=1):
+            stage.tick(cycle, arrival)
+            outs.append(stage.out)
+        # issued on cycles 1 and 2, out two cycles later, in issue order
+        assert outs == [None, None, (30, 0), (32, 1), None]
 
     def test_single_cycle_latency_same_tick(self):
-        unit = ButterflyUnit(lambda a, b, w: (a, b), latency=1)
-        unit.push(5, 1, 2, 0)
-        assert unit.pop(5) == (1, 2)
+        stage = unit_stage(lambda a, b, w: (a, b), latency=1)
+        stage.tick(5, (2, 1))
+        assert stage.out == (1, 2)
 
 
 class TestPipelineConfig:
