@@ -57,12 +57,10 @@ from .pipesim import (
 )
 from .polymul import (
     Polynomial,
-    bit_reverse_permute,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
     ntt_forward,
     ntt_inverse,
-    pointwise_mul,
 )
 
 __version__ = "0.1.0"
@@ -104,11 +102,9 @@ __all__ = [
     "resource_report",
     "run_stream",
     "Polynomial",
-    "bit_reverse_permute",
     "naive_negacyclic_mul",
     "negacyclic_mul_ntt",
     "ntt_forward",
     "ntt_inverse",
-    "pointwise_mul",
     "__version__",
 ]

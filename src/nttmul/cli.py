@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``params`` - derive and validate the constants for a ring, write them to a
+* ``params`` - check the ring, derive its constants, write them to a
   table file, print a summary with the Barrett reducer verdict;
 * ``gen``    - produce seeded, reproducible test-vector files;
 * ``mul``    - multiply every vector record with the reference code
@@ -18,10 +18,10 @@ Every command is deterministic: the only randomness is ``gen``'s
 ``--seed``, which feeds Python's ``random.Random`` (Mersenne Twister); with
 equal flags the output files are byte-identical across runs.
 
-Exit codes: 0 success, 1 check found a disagreement, 2 bad input
-(ring, file, or record), 3 internal pipeline assertion.  The environment
-variable ``NTTMUL_TRACE_DIR`` names a default directory for ``sim`` traces
-when ``--trace`` is not given.
+Exit codes: 0 success, 1 check found a disagreement, 2 bad input (ring,
+file, or record) or a file that cannot be read or written, 3 internal
+pipeline assertion.  The environment variable ``NTTMUL_TRACE_DIR`` names a
+default directory for ``sim`` traces when ``--trace`` is not given.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _load_params(path):
         return load_tables(path)
     except FileNotFoundError:
         raise _InputError(f"parameter file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except ValueError as e:  # json.JSONDecodeError included
         raise _InputError(f"{path}: {e}")
 
 
@@ -296,10 +296,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except (_InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PipelineAssertionError as e:

@@ -14,8 +14,9 @@ the multiplicative group this module derives, deterministically:
   them, forward and inverse, plus a register/memory storage annotation.
 
 Tables round-trip through JSON with all integers as canonical decimal
-strings; loading accepts no other spelling and re-validates every invariant,
-so a tampered file is rejected.
+strings.  Derivation is deterministic, so a table file is accepted only when
+it equals the set derived for its own M and N: a tampered file, another
+valid root, a non-canonical spelling or an extra key is rejected.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def derive_roots(M: int, N: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class NttParams:
-    """Complete table set for one (M, N) transform instance.
+    """Complete table set for one (M, N) transform instance, as derived by
+    ``build_params``; a table file loads only when equal to the derived set.
 
     ``stage_twiddles_fwd[s-1]`` holds the distinct twiddles stage s consumes,
     in feed order, one per butterfly block; counts double per forward stage
@@ -180,57 +182,6 @@ class NttParams:
     def num_stages(self) -> int:
         return self.n.bit_length() - 1
 
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises ValueError on any failure."""
-        M, N = self.M, self.n
-        problem = ring_problem(M, N)
-        if problem:
-            raise ValueError(problem)
-        m = self.num_stages
-
-        def fail(msg: str):
-            raise ValueError(f"invalid transform tables for (M={M}, N={N}): {msg}")
-
-        for name, val in (("omega", self.omega), ("phi", self.phi),
-                          ("omega_inv", self.omega_inv), ("phi_inv", self.phi_inv),
-                          ("n_inv", self.n_inv)):
-            if not (0 < val < M):
-                fail(f"{name}={val} out of range")
-        if pow(self.phi, N, M) != M - 1:
-            fail("phi**N != -1")
-        if self.phi * self.phi % M != self.omega:
-            fail("omega != phi**2")
-        if pow(self.omega, N, M) != 1 or (N > 1 and pow(self.omega, N // 2, M) == 1):
-            fail("omega is not a primitive N-th root")
-        if self.omega * self.omega_inv % M != 1:
-            fail("omega_inv is wrong")
-        if self.phi * self.phi_inv % M != 1:
-            fail("phi_inv is wrong")
-        if N % M == 0 or N * self.n_inv % M != 1:
-            fail("n_inv is wrong")
-        if len(self.weights_fwd) != N or len(self.weights_inv_scaled) != N:
-            fail("weight tables must have N entries")
-        w = 1
-        for i in range(N):
-            if self.weights_fwd[i] != w:
-                fail(f"weights_fwd[{i}] != phi**{i}")
-            if self.weights_inv_scaled[i] != self.n_inv * pow(self.phi_inv, i, M) % M:
-                fail(f"weights_inv_scaled[{i}] != n_inv * phi**-{i}")
-            w = w * self.phi % M
-        if len(self.stage_twiddles_fwd) != m or len(self.stage_twiddles_inv) != m:
-            fail("need one twiddle table per stage")
-        for s in range(1, m + 1):
-            exp_fwd = _forward_stage_table(self.omega, N, M, s)
-            if self.stage_twiddles_fwd[s - 1] != exp_fwd:
-                fail(f"forward stage {s} twiddles do not match the schedule")
-            exp_inv = _inverse_stage_table(self.omega_inv, N, M, s)
-            if self.stage_twiddles_inv[s - 1] != exp_inv:
-                fail(f"inverse stage {s} twiddles do not match the schedule")
-        if self.storage_kind_fwd != _storage_kinds(self.stage_twiddles_fwd):
-            fail("forward storage kinds inconsistent with table sizes")
-        if self.storage_kind_inv != _storage_kinds(self.stage_twiddles_inv):
-            fail("inverse storage kinds inconsistent with table sizes")
-
 
 def _forward_stage_table(omega: int, N: int, M: int, s: int) -> tuple[int, ...]:
     # Stage s pairs lanes at distance N/2**s; each block of size N/2**(s-1)
@@ -259,12 +210,9 @@ def _cached_context(M: int) -> ModulusContext:
 
 
 def build_params(M: int, N: int) -> NttParams:
-    """Derive the full table set for (M, N); every invariant holds on return."""
-    problem = ring_problem(M, N)
-    if problem:
-        raise ValueError(problem)
-    ctx = _cached_context(M)
+    """Derive the full table set for (M, N); raises ValueError for a bad ring."""
     omega, phi = derive_roots(M, N)
+    ctx = _cached_context(M)
     omega_inv = pow(omega, -1, M)
     phi_inv = pow(phi, -1, M)
     n_inv = pow(N, -1, M)
@@ -280,15 +228,13 @@ def build_params(M: int, N: int) -> NttParams:
     m = N.bit_length() - 1
     fwd = tuple(_forward_stage_table(omega, N, M, s) for s in range(1, m + 1))
     inv = tuple(_inverse_stage_table(omega_inv, N, M, s) for s in range(1, m + 1))
-    params = NttParams(
+    return NttParams(
         n=N, ctx=ctx, omega=omega, phi=phi, omega_inv=omega_inv,
         phi_inv=phi_inv, n_inv=n_inv,
         weights_fwd=tuple(weights_fwd),
         weights_inv_scaled=tuple(weights_inv_scaled),
         stage_twiddles_fwd=fwd, stage_twiddles_inv=inv,
         storage_kind_fwd=_storage_kinds(fwd), storage_kind_inv=_storage_kinds(inv))
-    params.validate()
-    return params
 
 
 def params_to_dict(params: NttParams) -> dict:
@@ -319,46 +265,39 @@ def emit_tables(params: NttParams, path) -> None:
         fh.write("\n")
 
 
-def _decimal(v) -> int:
-    # a table file spells every integer as its canonical decimal string
-    n = int(v)
-    if str(n) != v:
-        raise ValueError(f"{v!r} is not a canonical decimal string")
-    return n
-
-
-def _decimals(values) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ValueError(f"expected an array, got {values!r}")
-    return tuple(_decimal(v) for v in values)
+_MISSING = object()
 
 
 def params_from_dict(obj: dict) -> NttParams:
-    """Rebuild params from a table-file dict, re-checking every invariant."""
-    try:
-        M = _decimal(obj["M"])
-        N = _decimal(obj["N"])
-        fwd = tuple(_decimals(t) for t in obj["stage_twiddles_fwd"])
-        inv = tuple(_decimals(t) for t in obj["stage_twiddles_inv"])
-        params = NttParams(
-            n=N, ctx=_cached_context(M),
-            omega=_decimal(obj["omega"]), phi=_decimal(obj["phi"]),
-            omega_inv=_decimal(obj["omega_inv"]), phi_inv=_decimal(obj["phi_inv"]),
-            n_inv=_decimal(obj["n_inv"]),
-            weights_fwd=_decimals(obj["weights_fwd"]),
-            weights_inv_scaled=_decimals(obj["weights_inv_scaled"]),
-            stage_twiddles_fwd=fwd, stage_twiddles_inv=inv,
-            storage_kind_fwd=tuple(obj["storage_kind_fwd"]),
-            storage_kind_inv=tuple(obj["storage_kind_inv"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed table file: {exc}") from exc
-    params.validate()
+    """Rebuild params from a table-file dict.
+
+    The dict is accepted only when it equals ``params_to_dict`` of the tables
+    ``build_params`` derives for its own M and N; otherwise ValueError names
+    the first key that differs.  Both weight lists must hold N entries before
+    anything is derived, so the file's own size bounds the work.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("malformed table file: expected a JSON object")
+    M, N = obj.get("M"), obj.get("N")
+    if not all(isinstance(v, str) and v.isascii() and v.isdigit() for v in (M, N)):
+        raise ValueError(f"malformed table file: M={M!r} and N={N!r} must be "
+                         "decimal strings")
+    M, N = int(M), int(N)
+    problem = ring_problem(M, N)
+    if problem:
+        raise ValueError(problem)
+    for key in ("weights_fwd", "weights_inv_scaled"):
+        if not isinstance(obj.get(key), list) or len(obj[key]) != N:
+            raise ValueError(f"malformed table file: {key} must hold N={N} entries")
+    params = build_params(M, N)
+    expected = params_to_dict(params)
+    for key in (*expected, *obj):
+        if obj.get(key, _MISSING) != expected.get(key, _MISSING):
+            raise ValueError(f"table file differs from the tables derived for "
+                             f"(M={M}, N={N}) at key {key!r}")
     return params
 
 
 def load_tables(path) -> NttParams:
     with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("malformed table file: expected a JSON object")
-    return params_from_dict(obj)
+        return params_from_dict(json.load(fh))

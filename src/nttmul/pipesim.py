@@ -570,8 +570,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     ``pairs`` is a sequence of (a, b) coefficient-domain polynomials.  Feeds
     two coefficients of each operand per cycle with no gaps, simulates until
     every product has drained, and returns ``(products, CycleReport)``.
-    Products are coefficient-domain, natural-order polynomials in input
-    order and must match the schoolbook result exactly.
+    Products are coefficient-domain polynomials in input order and must
+    match the schoolbook result exactly.
 
     Every datapath column is the same kind of pipelined stage; the
     weighting, pointwise and unweighting multipliers are stages without a
@@ -592,9 +592,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
         for p, name in ((a, "a"), (b, "b")):
             if p.modulus != M or len(p) != n:
                 raise ValueError(f"operand {name} does not fit the configuration")
-            if p.domain != "coefficient" or p.order != "natural":
-                raise ValueError(
-                    f"operand {name} must be coefficient-domain, natural order")
+            if p.domain != "coefficient":
+                raise ValueError(f"operand {name} must be coefficient-domain")
 
     front, back = _build_chains(config)
     gate = _TransformGate(n // 2)
@@ -612,8 +611,7 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     report = _build_report(config, pairs, front[1:-1], back[:-1], gate,
                            completions, front[0].first_fire)
-    out_polys = [Polynomial(tuple(c), M, "coefficient", "natural")
-                 for c in products]
+    out_polys = [Polynomial(tuple(c), M) for c in products]
     return out_polys, report
 
 

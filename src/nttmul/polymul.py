@@ -6,24 +6,20 @@ transform pair, and the five-step weighted-transform multiplier
 (weight, forward, pointwise, inverse, unweight).  The streaming pipeline
 model in :mod:`nttmul.pipesim` must agree with these exactly.
 
-Polynomials carry two tags besides their coefficients: ``domain`` says which
-side of the transform the values live on (``coefficient`` or ``evaluation``)
-and ``order`` whether the entries are in natural or bit-reversed position
-(``natural`` / ``permuted``).  Pointwise multiplication refuses operands
-whose order tags disagree; that mistake otherwise produces plausible-looking
-garbage.
+Polynomials carry one tag besides their coefficients: ``domain`` says which
+side of the transform the values live on (``coefficient`` or ``evaluation``).
+Entries are always in natural order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as _np
 
 from .params import NttParams, bit_reverse_index
 
 DOMAINS = ("coefficient", "evaluation")
-ORDERS = ("natural", "permuted")
 
 
 @dataclass(frozen=True)
@@ -31,14 +27,11 @@ class Polynomial:
     coeffs: tuple[int, ...]
     modulus: int
     domain: str = "coefficient"
-    order: str = "natural"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain tag {self.domain!r}")
-        if self.order not in ORDERS:
-            raise ValueError(f"unknown order tag {self.order!r}")
         n = len(self.coeffs)
         if n == 0 or n & (n - 1):
             raise ValueError(f"length {n} is not a power of two")
@@ -70,8 +63,6 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
-    if a.order != "natural" or b.order != "natural":
-        raise ValueError("naive product expects natural-order operands")
     N, M = params.n, params.M
     if N * (M - 1) ** 2 < (1 << 62):
         full = _np.convolve(_np.array(a.coeffs, dtype=_np.int64),
@@ -86,7 +77,7 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
                 for j, bj in enumerate(b.coeffs):
                     acc[i + j] += ai * bj
         out = tuple((acc[k] - acc[k + N]) % M for k in range(N))
-    return Polynomial(out, M, "coefficient", "natural")
+    return Polynomial(out, M, "coefficient")
 
 
 def _transform(vals, root: int, N: int, M: int) -> list[int]:
@@ -113,48 +104,17 @@ def _transform(vals, root: int, N: int, M: int) -> list[int]:
 def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     """Evaluate at the powers of omega: out_i = sum_j a_j omega**(i*j)."""
     _check_operand(a, params, domain="coefficient", name="a")
-    if a.order != "natural":
-        raise ValueError("ntt_forward expects a natural-order polynomial")
     vals = _transform(a.coeffs, params.omega, params.n, params.M)
-    return Polynomial(vals, params.M, "evaluation", "natural")
+    return Polynomial(vals, params.M, "evaluation")
 
 
 def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     """Inverse transform including the N**-1 scaling."""
     _check_operand(a, params, domain="evaluation", name="a")
-    if a.order != "natural":
-        raise ValueError("ntt_inverse expects a natural-order polynomial")
     N, M = params.n, params.M
     vals = _transform(a.coeffs, params.omega_inv, N, M)
     n_inv = params.n_inv
-    return Polynomial(tuple(v * n_inv % M for v in vals), M,
-                      "coefficient", "natural")
-
-
-def pointwise_mul(a: Polynomial, b: Polynomial, params: NttParams) -> Polynomial:
-    """Element-wise product of two evaluation-domain polynomials.
-
-    The order tags must match: multiplying a natural-order spectrum into a
-    bit-reversed one pairs unrelated evaluation points.
-    """
-    _check_operand(a, params, domain="evaluation", name="a")
-    _check_operand(b, params, domain="evaluation", name="b")
-    if a.order != b.order:
-        raise ValueError(
-            f"order tag mismatch: {a.order!r} * {b.order!r}; "
-            "permute one operand first")
-    M = params.M
-    vals = tuple(x * y % M for x, y in zip(a.coeffs, b.coeffs))
-    return Polynomial(vals, M, "evaluation", a.order)
-
-
-def bit_reverse_permute(a: Polynomial) -> Polynomial:
-    """Swap entry i with entry bitrev(i); toggles the order tag.  Involution."""
-    n = len(a)
-    m = n.bit_length() - 1
-    vals = tuple(a.coeffs[bit_reverse_index(i, m)] for i in range(n))
-    flipped = "permuted" if a.order == "natural" else "natural"
-    return replace(a, coeffs=vals, order=flipped)
+    return Polynomial(tuple(v * n_inv % M for v in vals), M, "coefficient")
 
 
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
@@ -174,4 +134,4 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]
     c_hat = _transform(prod, params.omega_inv, N, M)
     out = tuple(c * w % M for c, w in zip(c_hat, params.weights_inv_scaled))
-    return Polynomial(out, M, "coefficient", "natural")
+    return Polynomial(out, M, "coefficient")

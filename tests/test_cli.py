@@ -67,6 +67,12 @@ class TestParamsCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        rc = cli.main(["params", "--modulus", "17", "--n", "4",
+                       "--out", str(tmp_path / "missing" / "t.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGenCommand:
     def test_same_seed_byte_identical(self, toy_tables, tmp_path):
@@ -179,6 +185,20 @@ class TestMulCommand:
         assert rc == 2
         assert "4 coefficients" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--params", "--vectors"])
+    def test_directory_as_input_exits_two(self, toy_tables, tmp_path, capsys,
+                                          flag):
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "0", "--out", str(vec)])
+        files = {"--params": str(toy_tables), "--vectors": str(vec)}
+        files[flag] = str(tmp_path)
+        rc = cli.main(["mul", "--params", files["--params"],
+                       "--vectors", files["--vectors"],
+                       "--out", str(tmp_path / "c.ndjson")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimCommand:
     def test_report_and_products(self, toy_tables, tmp_path):
@@ -227,6 +247,17 @@ class TestSimCommand:
                        "--trace", str(trace)])
         assert rc == 0
         assert trace.read_text().startswith("cycle,stage,sel,counter")
+
+    def test_unwritable_trace_exits_two(self, toy_tables, tmp_path, capsys):
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "2",
+                  "--seed", "6", "--out", str(vec)])
+        rc = cli.main(["sim", "--params", str(toy_tables),
+                       "--vectors", str(vec),
+                       "--report", str(tmp_path / "r.json"),
+                       "--trace", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_trace_dir_env_fallback(self, toy_tables, tmp_path, monkeypatch):
         monkeypatch.setenv("NTTMUL_TRACE_DIR", str(tmp_path))

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nttmul.params
 from nttmul.params import (
     NttParams,
     bit_reverse_index,
@@ -18,6 +20,7 @@ from nttmul.params import (
     params_to_dict,
     ring_problem,
 )
+from nttmul.polymul import Polynomial, negacyclic_mul_ntt
 
 FIXED_M = 1_049_089
 
@@ -35,6 +38,18 @@ def _leaves(obj, path=()):
     else:
         return [path]
     return [leaf for key, v in items for leaf in _leaves(v, path + (key,))]
+
+
+@st.composite
+def _small_rings(draw):
+    """(M, N): a prime M < 2**31 with 2N | M - 1, N in {4, 8, 16}."""
+    N = draw(st.sampled_from((4, 8, 16)))
+    k = draw(st.integers(3, ((1 << 31) - 2) // (2 * N)))
+    # walk down to the nearest prime of the form k*2N + 1; 17 (N = 4, 8)
+    # and 97 (N = 16) end every walk
+    while not is_prime(k * 2 * N + 1):
+        k -= 1
+    return k * 2 * N + 1, N
 
 
 def _mutations(s):
@@ -199,8 +214,25 @@ class TestBuildParams:
 
     def test_validate_passes_and_is_hashable(self, fixed_params):
         p = fixed_params[64]
-        p.validate()
+        assert params_from_dict(params_to_dict(p)) == p
         assert isinstance(hash(p), int)
+
+    @given(ring=_small_rings())
+    def test_derived_tables_multiply_exactly(self, ring):
+        # The product map is bilinear over Z_M, so agreeing with
+        # x**i * x**j = +-x**((i+j) mod N) on all N**2 basis pairs proves it
+        # right for every pair of inputs on this ring.
+        M, N = ring
+        p = build_params(M, N)
+        assert pow(p.phi, N, M) == M - 1
+        basis = [Polynomial(tuple(int(k == i) for k in range(N)), M)
+                 for i in range(N)]
+        for i in range(N):
+            for j in range(N):
+                want = [0] * N
+                want[(i + j) % N] = 1 if i + j < N else M - 1
+                assert negacyclic_mul_ntt(basis[i], basis[j], p).coeffs \
+                    == tuple(want)
 
     def test_rejects_invalid_ring(self):
         with pytest.raises(ValueError):
@@ -265,6 +297,45 @@ class TestSerialization:
         holder[last] = data.draw(_mutations(holder[last]))
         with pytest.raises(ValueError):
             params_from_dict(obj)
+
+    def test_alternate_root_rejected(self):
+        # phi = 9**3 = 15 is another primitive 8th root mod 17, and every
+        # table below is consistent with it; only the derived root loads
+        assert pow(15, 4, 17) == 16
+        obj = {"M": "17", "N": "4", "omega": "4", "phi": "15",
+               "omega_inv": "13", "phi_inv": "8", "n_inv": "13",
+               "weights_fwd": ["1", "15", "4", "9"],
+               "weights_inv_scaled": ["13", "2", "16", "9"],
+               "stage_twiddles_fwd": [["1"], ["1", "4"]],
+               "stage_twiddles_inv": [["1", "13"], ["1"]],
+               "storage_kind_fwd": ["regs", "regs"],
+               "storage_kind_inv": ["regs", "regs"]}
+        with pytest.raises(ValueError, match="'omega'"):
+            params_from_dict(obj)
+
+    def test_extra_key_rejected(self, p17_4):
+        obj = params_to_dict(p17_4)
+        obj["comment"] = "hand-edited"
+        with pytest.raises(ValueError, match="'comment'"):
+            params_from_dict(obj)
+
+    def test_huge_claimed_size_rejected_before_deriving(self, p17_4,
+                                                        monkeypatch):
+        # 3*2**30 + 1 is prime, so N = 2**29 passes the ring check; the
+        # 4-entry weight lists must reject the file before any derivation
+        M, N = 3_221_225_473, 1 << 29
+        assert ring_problem(M, N) is None
+        obj = params_to_dict(p17_4)
+        obj["M"], obj["N"] = str(M), str(N)
+
+        def no_derivation(*args):
+            raise AssertionError("tables were derived")
+
+        monkeypatch.setattr(nttmul.params, "build_params", no_derivation)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="weights_fwd"):
+            params_from_dict(obj)
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_field_rejected(self, p17_4):
         obj = params_to_dict(p17_4)

@@ -5,12 +5,10 @@ import pytest
 from nttmul import build_params
 from nttmul.polymul import (
     Polynomial,
-    bit_reverse_permute,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
     ntt_forward,
     ntt_inverse,
-    pointwise_mul,
 )
 
 FIXED_M = 1_049_089
@@ -35,7 +33,7 @@ class TestPolynomialType:
     def test_accepts_lists_and_freezes(self):
         p = Polynomial([1, 2, 3, 4], 17)
         assert p.coeffs == (1, 2, 3, 4)
-        assert p.domain == "coefficient" and p.order == "natural"
+        assert p.domain == "coefficient"
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -52,8 +50,6 @@ class TestPolynomialType:
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
             Polynomial((1, 2), 17, domain="spectral")
-        with pytest.raises(ValueError):
-            Polynomial((1, 2), 17, order="shuffled")
 
 
 class TestNaiveMul:
@@ -187,65 +183,6 @@ class TestInverseTransform:
             ntt_inverse(a, p17_8)
 
 
-class TestPointwise:
-    def test_ones_is_identity(self, p17_8):
-        rng = random.Random(12)
-        a = rand_poly(rng, p17_8, domain="evaluation")
-        ones = Polynomial((1,) * 8, 17, "evaluation")
-        assert pointwise_mul(a, ones, p17_8).coeffs == a.coeffs
-
-    def test_zero_propagates(self, p17_8):
-        a = Polynomial((0, 5, 6, 7, 8, 9, 10, 11), 17, "evaluation")
-        b = Polynomial((3,) * 8, 17, "evaluation")
-        assert pointwise_mul(a, b, p17_8).coeffs[0] == 0
-
-    def test_elementwise_oracle(self, fixed_params):
-        p = fixed_params[32]
-        rng = random.Random(13)
-        for _ in range(100):
-            a = rand_poly(rng, p, domain="evaluation")
-            b = rand_poly(rng, p, domain="evaluation")
-            want = tuple(x * y % p.M for x, y in zip(a.coeffs, b.coeffs))
-            assert pointwise_mul(a, b, p).coeffs == want
-
-    def test_order_tag_mismatch_rejected(self, p17_8):
-        rng = random.Random(14)
-        a = rand_poly(rng, p17_8, domain="evaluation")
-        b = rand_poly(rng, p17_8, domain="evaluation", order="permuted")
-        with pytest.raises(ValueError):
-            pointwise_mul(a, b, p17_8)
-
-    def test_coefficient_domain_rejected(self, p17_8):
-        rng = random.Random(15)
-        a = rand_poly(rng, p17_8)
-        b = rand_poly(rng, p17_8, domain="evaluation")
-        with pytest.raises(ValueError):
-            pointwise_mul(a, b, p17_8)
-
-
-class TestBitReversePermute:
-    def test_length_two_is_identity(self):
-        p = Polynomial((5, 9), 17)
-        assert bit_reverse_permute(p).coeffs == (5, 9)
-
-    def test_length_eight_mapping(self):
-        p = Polynomial(tuple(range(8)), 17)
-        out = bit_reverse_permute(p)
-        assert out.coeffs[4] == 1   # index 1 lands at its bit reversal
-        assert out.coeffs[6] == 3
-        assert out.coeffs == (0, 4, 2, 6, 1, 5, 3, 7)
-
-    def test_involution_and_tag_toggle(self, fixed_params):
-        p = fixed_params[64]
-        rng = random.Random(16)
-        a = rand_poly(rng, p)
-        once = bit_reverse_permute(a)
-        assert once.order == "permuted"
-        twice = bit_reverse_permute(once)
-        assert twice.order == "natural"
-        assert twice.coeffs == a.coeffs
-
-
 class TestFiveStepMul:
     def test_identity(self, p17_8):
         rng = random.Random(17)
@@ -283,4 +220,4 @@ class TestFiveStepMul:
         a = rand_poly(rng, p17_8)
         b = rand_poly(rng, p17_8)
         c = negacyclic_mul_ntt(a, b, p17_8)
-        assert c.domain == "coefficient" and c.order == "natural"
+        assert c.domain == "coefficient"
