@@ -33,7 +33,7 @@ import random
 import sys
 
 from .modarith import validate_barrett_constants
-from .params import build_params, emit_tables, load_tables, ring_problem
+from .params import build_params, emit_tables, load_tables
 from .pipesim import PipelineAssertionError, PipelineConfig, run_stream
 from .polymul import Polynomial, naive_negacyclic_mul, negacyclic_mul_ntt
 
@@ -117,9 +117,6 @@ def _str_coeffs(values):
 # subcommands
 
 def cmd_params(args) -> int:
-    problem = ring_problem(args.modulus, args.n)
-    if problem is not None:
-        raise _InputError(problem)
     p = build_params(args.modulus, args.n)
     emit_tables(p, args.out)
     ctx = p.ctx

@@ -81,8 +81,7 @@ class PipelineConfig:
     butterfly_latency: int | None = None
 
     def __post_init__(self):
-        if self.n < 4 or self.n & (self.n - 1):
-            raise ValueError(f"N={self.n} must be a power of two >= 4")
+        _check_n(self.n)
         if self.n != self.params.n:
             raise ValueError(f"N={self.n} does not match params.n={self.params.n}")
         if self.mode not in ("schedule", "structural"):
@@ -309,7 +308,7 @@ class _PipeStage:
 
     __slots__ = ("label", "stage_no", "fifo", "kernel", "latency", "_queue",
                  "twiddles", "per_block", "n_half", "t", "out", "first_fire",
-                 "last_fire", "fires", "poly_last_fire")
+                 "last_fire", "fires", "first_block_fire")
 
     def __init__(self, label, stage_no, hold, twiddles, per_block, kernel,
                  latency, n_half):
@@ -327,7 +326,7 @@ class _PipeStage:
         self.first_fire = None
         self.last_fire = None
         self.fires = 0
-        self.poly_last_fire: list[int] = []
+        self.first_block_fire = None
 
     def tick(self, cycle: int, arrival, trace=None):
         fifo = self.fifo
@@ -349,8 +348,8 @@ class _PipeStage:
                 self.first_fire = cycle
             self.last_fire = cycle
             self.fires += 1
-            if tp == self.n_half - 1:
-                self.poly_last_fire.append(cycle)
+            if t == self.n_half - 1:
+                self.first_block_fire = cycle
             if trace is not None:
                 pb = self.per_block
                 blk, i = divmod(tp, pb)
@@ -688,8 +687,8 @@ def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
                 f"forward stage 1 required non-unit twiddles {sorted(set(table))}")
 
     first_ntt = None
-    if fwd[-1].poly_last_fire and fwd[0].first_fire is not None:
-        first_ntt = fwd[-1].poly_last_fire[0] - fwd[0].first_fire + 1
+    if fwd[-1].first_block_fire is not None:
+        first_ntt = fwd[-1].first_block_fire - fwd[0].first_fire + 1
     first_mul = None
     if completions and first_feed is not None:
         first_mul = completions[0] - first_feed + 1

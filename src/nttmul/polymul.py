@@ -1,10 +1,11 @@
 """Reference negacyclic polynomial multiplication.
 
 Everything here is the plain, array-at-a-time version of the arithmetic: a
-quadratic schoolbook product that serves as the oracle, an iterative
-transform pair, and the five-step weighted-transform multiplier
-(weight, forward, pointwise, inverse, unweight).  The streaming pipeline
-model in :mod:`nttmul.pipesim` must agree with these exactly.
+schoolbook product computed as one exact big-int multiplication, which
+serves as the oracle, an iterative transform pair, and the five-step
+weighted-transform multiplier (weight, forward, pointwise, inverse,
+unweight).  The streaming pipeline model in :mod:`nttmul.pipesim` must
+agree with these exactly.
 
 Polynomials carry one tag besides their coefficients: ``domain`` says which
 side of the transform the values live on (``coefficient`` or ``evaluation``).
@@ -14,8 +15,6 @@ Entries are always in natural order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as _np
 
 from .params import NttParams, bit_reverse_index
 
@@ -57,27 +56,24 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
                          params: NttParams) -> Polynomial:
     """Schoolbook product reduced mod x**N + 1: the oracle for every other path.
 
-    c_k = sum_{i+j = k} a_i b_j - sum_{i+j = k+N} a_i b_j (mod M).  Uses an
-    exact int64 convolution when the accumulator provably fits, otherwise
-    arbitrary-precision ints.
+    c_k = s_k - s_{k+N} (mod M), where s_k = sum_{i+j = k} a_i b_j is the full
+    product, computed as one exact big-int product (Kronecker substitution):
+    each operand becomes one int holding coefficient i in byte slot i of w
+    bytes, the two ints are multiplied once, and slot k of the result is s_k.
+    No slot carries into the next: s_k is a sum of at most N terms, each at
+    most (M-1)**2, so 0 <= s_k <= N*(M-1)**2 < 2**(8*w).  The bound holds for
+    every M and N, so there is no headroom branch.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     N, M = params.n, params.M
-    if N * (M - 1) ** 2 < (1 << 62):
-        full = _np.convolve(_np.array(a.coeffs, dtype=_np.int64),
-                            _np.array(b.coeffs, dtype=_np.int64))
-        low = full[:N]
-        low[: N - 1] -= full[N:]
-        out = tuple(int(v) for v in low % M)
-    else:
-        acc = [0] * (2 * N)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    acc[i + j] += ai * bj
-        out = tuple((acc[k] - acc[k + N]) % M for k in range(N))
-    return Polynomial(out, M, "coefficient")
+    w = ((N * (M - 1) ** 2).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in p.coeffs),
+                           "little") for p in (a, b))
+    buf = (x * y).to_bytes(2 * N * w, "little")
+    s = [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+    return Polynomial(tuple((s[k] - s[k + N]) % M for k in range(N)), M,
+                      "coefficient")
 
 
 def _transform(vals, root: int, N: int, M: int) -> list[int]:

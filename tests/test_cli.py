@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +363,14 @@ class TestArgumentErrors:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+def test_cli_import_loads_no_numpy():
+    # a fresh interpreter, so modules the test session already imported
+    # (numpy among them) cannot hide an import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, nttmul.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nttmul import build_params
+from nttmul.params import is_prime
 from nttmul.polymul import (
     Polynomial,
     naive_negacyclic_mul,
@@ -17,6 +20,18 @@ FIXED_M = 1_049_089
 def rand_poly(rng, params, **tags):
     return Polynomial(tuple(rng.randrange(params.M) for _ in range(params.n)),
                       params.M, **tags)
+
+
+@st.composite
+def _prime_rings(draw):
+    """(M, N): a prime M = k*2N + 1 < 2**64, N in {2, 4, 8, 16, 32}."""
+    N = draw(st.sampled_from((2, 4, 8, 16, 32)))
+    k = draw(st.integers(3, ((1 << 64) - 2) // (2 * N)))
+    # walk down to the nearest prime of the form k*2N + 1; 5 (N = 2), 17
+    # (N = 4, 8), 97 (N = 16) and 193 (N = 32) end every walk
+    while not is_prime(k * 2 * N + 1):
+        k -= 1
+    return k * 2 * N + 1, N
 
 
 def schoolbook_reference(a, b, N, M):
@@ -74,7 +89,8 @@ class TestNaiveMul:
             assert naive_negacyclic_mul(a, b, p17_8).coeffs == want
 
     def test_wide_modulus_path(self):
-        # 3*2**30 + 1 pushes N*(M-1)**2 past the vectorised range
+        # 3*2**30 + 1: N*(M-1)**2 passes 2**62, so full-product coefficients
+        # would overflow an int64 accumulator
         M = 3221225473
         p = build_params(M, 8)
         rng = random.Random(2)
@@ -83,6 +99,26 @@ class TestNaiveMul:
             b = rand_poly(rng, p)
             want = schoolbook_reference(a.coeffs, b.coeffs, 8, M)
             assert naive_negacyclic_mul(a, b, p).coeffs == want
+
+    @given(ring=_prime_rings(), data=st.data())
+    def test_prime_rings_match_independent_schoolbook(self, ring, data):
+        M, N = ring
+        p = build_params(M, N)
+        coeffs = st.lists(st.integers(0, M - 1), min_size=N, max_size=N)
+        a = Polynomial(data.draw(coeffs), M)
+        b = Polynomial(data.draw(coeffs), M)
+        assert (naive_negacyclic_mul(a, b, p).coeffs
+                == schoolbook_reference(a.coeffs, b.coeffs, N, M))
+
+    @pytest.mark.parametrize("M, N", [(FIXED_M, 256), (3221225473, 8)])
+    def test_all_max_operands_fill_the_slot_bound(self, M, N):
+        # full-product coefficient N - 1 is N * (M-1)**2, the largest value a
+        # packed slot must hold; as (M-1)**2 = 1 (mod M), c_k = 2k + 2 - N
+        p = build_params(M, N)
+        top = Polynomial((M - 1,) * N, M)
+        want = schoolbook_reference(top.coeffs, top.coeffs, N, M)
+        assert want == tuple((2 * k + 2 - N) % M for k in range(N))
+        assert naive_negacyclic_mul(top, top, p).coeffs == want
 
     def test_commutative(self, fixed_params):
         p = fixed_params[16]
