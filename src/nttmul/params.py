@@ -1,9 +1,10 @@
 """Ring validation and transform-table derivation.
 
 A transform instance is pinned down by a prime modulus M and a power-of-two
-length N with 2N | M - 1.  M must lie below 2**64, the range where the
-Miller-Rabin test decides primality exactly.  From the smallest generator of
-the multiplicative group this module derives, deterministically:
+length N >= 4 (the smallest the pipeline model builds) with 2N | M - 1.  M
+must lie below 2**64, the range where the Miller-Rabin test decides
+primality exactly.  From the smallest generator of the multiplicative group
+this module derives, deterministically:
 
 * ``phi``   - primitive 2N-th root of unity (negacyclic weighting factor),
 * ``omega`` - primitive N-th root, ``omega = phi**2``,
@@ -102,8 +103,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def ring_problem(M: int, N: int) -> str | None:
     """None when (M, N) supports a length-N negacyclic NTT, else the reason."""
-    if N < 2 or N & (N - 1):
-        return f"N={N} is not a power of two >= 2"
+    if N < 4 or N & (N - 1):
+        return f"N={N} is not a power of two >= 4"
     if M < 3:
         return f"M={M} is too small"
     if M >= 1 << 64:

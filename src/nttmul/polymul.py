@@ -2,10 +2,10 @@
 
 Everything here is the plain, array-at-a-time version of the arithmetic: a
 schoolbook product computed as one exact big-int multiplication, which
-serves as the oracle, an iterative transform pair, and the five-step
-weighted-transform multiplier (weight, forward, pointwise, inverse,
-unweight).  The streaming pipeline model in :mod:`nttmul.pipesim` must
-agree with these exactly.
+serves as the oracle, a constant-geometry transform pair on the per-stage
+twiddle tables, and the five-step weighted-transform multiplier (weight,
+forward, pointwise, inverse, unweight).  The streaming pipeline model in
+:mod:`nttmul.pipesim` must agree with these exactly.
 
 Polynomials carry one tag besides their coefficients: ``domain`` says which
 side of the transform the values live on (``coefficient`` or ``evaluation``).
@@ -34,10 +34,10 @@ class Polynomial:
         n = len(self.coeffs)
         if n == 0 or n & (n - 1):
             raise ValueError(f"length {n} is not a power of two")
-        M = self.modulus
-        for c in self.coeffs:
-            if not (0 <= c < M):
-                raise ValueError(f"coefficient {c} outside [0, {M})")
+        M, cs = self.modulus, self.coeffs
+        if min(cs) < 0 or max(cs) >= M:
+            bad = next(c for c in cs if not 0 <= c < M)
+            raise ValueError(f"coefficient {bad} outside [0, {M})")
 
     def __len__(self):
         return len(self.coeffs)
@@ -76,39 +76,49 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
                       "coefficient")
 
 
-def _transform(vals, root: int, N: int, M: int) -> list[int]:
-    # Iterative radix-2: bit-reverse copy, then butterflies over doubling
-    # spans with a running twiddle.  Natural order in and out.
-    m = N.bit_length() - 1
-    a = [vals[bit_reverse_index(i, m)] for i in range(N)]
-    span = 2
-    while span <= N:
-        w_span = pow(root, N // span, M)
-        half = span >> 1
-        for start in range(0, N, span):
-            w = 1
-            for j in range(start, start + half):
-                u = a[j]
-                v = a[j + half] * w % M
-                a[j] = (u + v) % M
-                a[j + half] = (u - v) % M
-                w = w * w_span % M
-        span <<= 1
+def _forward(a: list[int], tables, M: int) -> list[int]:
+    # Constant geometry (Pease 1968), natural order in, bit-reversed out.
+    # Each stage pairs a[j] with a[j + N/2] and writes to 2j and 2j + 1,
+    # rotating every index left by one bit; so after s - 1 stages the block
+    # bits of the in-place index are the low s - 1 bits of j, and pair j
+    # takes tw[j mod len(tw)].  Lazy reduction: only products reduce, so
+    # |x| <= (s+1)*M after stage s; Python ints are exact at any size.
+    h = len(a) >> 1
+    for tw in tables:
+        lo = a[:h]
+        v = [x * w % M for x, w in zip(a[h:], tw * (h // len(tw)))]
+        a[0::2] = [x + y for x, y in zip(lo, v)]
+        a[1::2] = [x - y for x, y in zip(lo, v)]
+    return a
+
+
+def _inverse(a: list[int], tables, M: int) -> list[int]:
+    # The mirror image, bit-reversed in, natural out: pair a[2j] with
+    # a[2j + 1], sum to j and twiddled difference to j + N/2 (rotate right);
+    # pair j takes tw[j mod len(tw)], and |x| <= 2**s * M after stage s.
+    h = len(a) >> 1
+    for tw in tables:
+        ev, od = a[0::2], a[1::2]
+        a[:h] = [x + y for x, y in zip(ev, od)]
+        a[h:] = [(x - y) * w % M for x, y, w in zip(ev, od, tw * (h // len(tw)))]
     return a
 
 
 def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     """Evaluate at the powers of omega: out_i = sum_j a_j omega**(i*j)."""
     _check_operand(a, params, domain="coefficient", name="a")
-    vals = _transform(a.coeffs, params.omega, params.n, params.M)
-    return Polynomial(vals, params.M, "evaluation")
+    N, M, m = params.n, params.M, params.num_stages
+    vals = _forward(list(a.coeffs), params.stage_twiddles_fwd, M)
+    return Polynomial(tuple(vals[bit_reverse_index(i, m)] % M for i in range(N)),
+                      M, "evaluation")
 
 
 def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     """Inverse transform including the N**-1 scaling."""
     _check_operand(a, params, domain="evaluation", name="a")
-    N, M = params.n, params.M
-    vals = _transform(a.coeffs, params.omega_inv, N, M)
+    N, M, m = params.n, params.M, params.num_stages
+    vals = _inverse([a.coeffs[bit_reverse_index(i, m)] for i in range(N)],
+                    params.stage_twiddles_inv, M)
     n_inv = params.n_inv
     return Polynomial(tuple(v * n_inv % M for v in vals), M, "coefficient")
 
@@ -116,18 +126,16 @@ def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
                        params: NttParams) -> Polynomial:
     """Five-step transform product: weight, two forwards, pointwise, inverse,
-    unweight.  The unweighting table already carries N**-1, so the inverse
-    transform runs unscaled here.  Exactly equals naive_negacyclic_mul.
+    unweight.  The spectra stay in bit-reversed order, as the pointwise step
+    does not depend on order, and the unweighting table already carries
+    N**-1.  Exactly equals naive_negacyclic_mul.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
-    N, M = params.n, params.M
-    wf = params.weights_fwd
-    a_hat = _transform([c * w % M for c, w in zip(a.coeffs, wf)],
-                       params.omega, N, M)
-    b_hat = _transform([c * w % M for c, w in zip(b.coeffs, wf)],
-                       params.omega, N, M)
+    M, wf, fwd = params.M, params.weights_fwd, params.stage_twiddles_fwd
+    a_hat = _forward([c * w % M for c, w in zip(a.coeffs, wf)], fwd, M)
+    b_hat = _forward([c * w % M for c, w in zip(b.coeffs, wf)], fwd, M)
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]
-    c_hat = _transform(prod, params.omega_inv, N, M)
+    c_hat = _inverse(prod, params.stage_twiddles_inv, M)
     out = tuple(c * w % M for c, w in zip(c_hat, params.weights_inv_scaled))
     return Polynomial(out, M, "coefficient")

@@ -67,9 +67,19 @@ class TestParamsCommand:
     def test_rejects_modulus_beyond_exact_primality(self, tmp_path, capsys):
         # a composite that Miller-Rabin with twelve witnesses calls prime
         rc = cli.main(["params", "--modulus", "318665857834031151167461",
-                       "--n", "2", "--out", str(tmp_path / "x.json")])
+                       "--n", "4", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**64" in err
+
+    def test_rejects_length_the_pipeline_cannot_build(self, tmp_path, capsys):
+        # 2N = 4 divides 17 - 1, but check and sim need N >= 4
+        out = tmp_path / "x.json"
+        rc = cli.main(["params", "--modulus", "17", "--n", "2",
+                       "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         rc = cli.main(["params", "--modulus", "17", "--n", "4",

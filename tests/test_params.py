@@ -119,12 +119,13 @@ class TestRingValidation:
         assert ring_problem(17, 16) is not None  # 32 does not divide 16
 
     def test_rejects_modulus_beyond_exact_primality(self):
-        # composite, yet a strong pseudoprime to all twelve witness bases
+        # composite, yet a strong pseudoprime to all twelve witness bases;
+        # the 2**64 limit is reported before the order check
         M = 399_165_290_221 * 798_330_580_441
-        assert is_prime(M) and (M - 1) % 4 == 0
-        assert "2**64" in ring_problem(M, 2)
-        # the largest prime below 2**64 is still accepted
-        assert ring_problem((1 << 64) - 59, 2) is None
+        assert is_prime(M)
+        assert "2**64" in ring_problem(M, 4)
+        # a prime just below 2**64 whose group order admits N = 4 is accepted
+        assert ring_problem((1 << 64) - (1 << 32) + 1, 4) is None
 
 
 class TestBitReverse:

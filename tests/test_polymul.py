@@ -24,11 +24,11 @@ def rand_poly(rng, params, **tags):
 
 @st.composite
 def _prime_rings(draw):
-    """(M, N): a prime M = k*2N + 1 < 2**64, N in {2, 4, 8, 16, 32}."""
-    N = draw(st.sampled_from((2, 4, 8, 16, 32)))
+    """(M, N): a prime M = k*2N + 1 < 2**64, N in {4, 8, 16, 32}."""
+    N = draw(st.sampled_from((4, 8, 16, 32)))
     k = draw(st.integers(3, ((1 << 64) - 2) // (2 * N)))
-    # walk down to the nearest prime of the form k*2N + 1; 5 (N = 2), 17
-    # (N = 4, 8), 97 (N = 16) and 193 (N = 32) end every walk
+    # walk down to the nearest prime of the form k*2N + 1; 17 (N = 4, 8),
+    # 97 (N = 16) and 193 (N = 32) end every walk
     while not is_prime(k * 2 * N + 1):
         k -= 1
     return k * 2 * N + 1, N
@@ -61,6 +61,9 @@ class TestPolynomialType:
             Polynomial((0, 17, 0, 0), 17)
         with pytest.raises(ValueError):
             Polynomial((0, -1, 0, 0), 17)
+        # the message names the first offender, not the smallest or largest
+        with pytest.raises(ValueError, match=r"coefficient 20 outside \[0, 17\)"):
+            Polynomial((0, 20, -1, 40), 17)
 
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
@@ -219,7 +222,51 @@ class TestInverseTransform:
             ntt_inverse(a, p17_8)
 
 
+class TestTransformCertificate:
+    """ntt_forward and ntt_inverse are Z_M-linear maps (integer sums and
+    products, each reduced mod M), so agreeing with the DFT matrix on the N
+    basis vectors proves them equal to it on all M**N inputs."""
+
+    @pytest.mark.parametrize("M", [FIXED_M, 12289])
+    def test_basis_vectors_give_the_dft_columns(self, M):
+        for N in (4, 8, 16, 32, 64, 128, 256):
+            p = build_params(M, N)
+            fwd = [pow(p.omega, k, M) for k in range(N)]
+            inv = [p.n_inv * pow(p.omega_inv, k, M) % M for k in range(N)]
+            for j in range(N):
+                e = (0,) * j + (1,) + (0,) * (N - j - 1)
+                col = tuple(fwd[i * j % N] for i in range(N))
+                assert ntt_forward(Polynomial(e, M), p).coeffs == col
+                col = tuple(inv[i * j % N] for i in range(N))
+                assert ntt_inverse(Polynomial(e, M, "evaluation"),
+                                   p).coeffs == col
+
+
+@st.composite
+def _wide_ring_operands(draw):
+    """(M, N, a, b) with M up to 2**64 - 2**32 + 1, so the unreduced stage
+    values, up to (log2 N + 1)*M forward and N*M inverse, pass 2**64."""
+    M, N = draw(st.one_of(_prime_rings(), st.sampled_from(
+        [((1 << 64) - (1 << 32) + 1, n) for n in (4, 16, 64, 256)])))
+    top = M - 1
+    operand = st.one_of(
+        st.just((top,) * N),
+        st.just(tuple(top * (i & 1) for i in range(N))),
+        st.integers(0, N - 1).map(
+            lambda j: (0,) * j + (top,) + (0,) * (N - j - 1)),
+        st.lists(st.integers(0, top), min_size=N, max_size=N))
+    return M, N, Polynomial(draw(operand), M), Polynomial(draw(operand), M)
+
+
 class TestFiveStepMul:
+    @given(case=_wide_ring_operands())
+    def test_lazy_reduction_headroom(self, case):
+        # all M-1, alternating 0 / M-1, a single M-1 and random operands
+        M, N, a, b = case
+        p = build_params(M, N)
+        assert (negacyclic_mul_ntt(a, b, p).coeffs
+                == naive_negacyclic_mul(a, b, p).coeffs)
+
     def test_identity(self, p17_8):
         rng = random.Random(17)
         one = Polynomial((1,) + (0,) * 7, 17)
