@@ -28,8 +28,6 @@ from .modarith import (
     barrett_reduce_generic,
     find_barrett_constants,
     karatsuba_mul,
-    mod_add,
-    mod_sub,
     validate_barrett_constants,
 )
 from .params import (
@@ -79,8 +77,6 @@ __all__ = [
     "barrett_reduce_generic",
     "find_barrett_constants",
     "karatsuba_mul",
-    "mod_add",
-    "mod_sub",
     "validate_barrett_constants",
     "NttParams",
     "bit_reverse_index",

@@ -20,15 +20,13 @@ equal flags the output files are byte-identical across runs.
 
 Exit codes: 0 success, 1 check found a disagreement, 2 bad input (ring,
 file, or record) or a file that cannot be read or written, 3 internal
-pipeline assertion.  The environment variable ``NTTMUL_TRACE_DIR`` names a
-default directory for ``sim`` traces when ``--trace`` is not given.
+pipeline assertion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -43,35 +41,25 @@ EXIT_INPUT = 2
 EXIT_ASSERT = 3
 
 
-class _InputError(Exception):
-    pass
-
-
 def _load_params(path):
     try:
         return load_tables(path)
     except FileNotFoundError:
-        raise _InputError(f"parameter file not found: {path}")
+        raise ValueError(f"parameter file not found: {path}")
     except ValueError as e:  # json.JSONDecodeError included
-        raise _InputError(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}")
 
 
-def _coeffs_from_json(value, n, M, where):
+def _poly_from_json(value, n, M, where):
     if not isinstance(value, list) or len(value) != n:
-        raise _InputError(f"{where}: expected an array of {n} coefficients")
-    out = []
-    for x in value:
-        if isinstance(x, str) and x.isascii() and x.isdigit():
-            v = int(x)
-        elif isinstance(x, int) and not isinstance(x, bool):
-            v = x
-        else:
-            raise _InputError(f"{where}: coefficient {x!r} is not a "
-                              "decimal integer")
-        if not 0 <= v < M:
-            raise _InputError(f"{where}: coefficient {v} outside [0, {M})")
-        out.append(v)
-    return tuple(out)
+        raise ValueError(f"{where}: expected an array of {n} coefficients")
+    # decimal strings become ints; Polynomial rejects every other entry
+    coeffs = [int(x) if isinstance(x, str) and x.isascii() and x.isdigit()
+              else x for x in value]
+    try:
+        return Polynomial(coeffs, M)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def _load_records(path, params):
@@ -80,7 +68,7 @@ def _load_records(path, params):
     try:
         fh = open(path)
     except FileNotFoundError:
-        raise _InputError(f"vector file not found: {path}")
+        raise ValueError(f"vector file not found: {path}")
     with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -90,16 +78,16 @@ def _load_records(path, params):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise _InputError(f"{where}: invalid JSON ({e})")
+                raise ValueError(f"{where}: invalid JSON ({e})")
             if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
-                raise _InputError(f"{where}: record must carry fields a and b")
+                raise ValueError(f"{where}: record must carry fields a and b")
             entry = {
-                "a": _coeffs_from_json(rec["a"], n, M, where + " field a"),
-                "b": _coeffs_from_json(rec["b"], n, M, where + " field b"),
+                "a": _poly_from_json(rec["a"], n, M, where + " field a"),
+                "b": _poly_from_json(rec["b"], n, M, where + " field b"),
                 "raw": rec,
             }
             if "c_expected" in rec:
-                entry["c_expected"] = _coeffs_from_json(
+                entry["c_expected"] = _poly_from_json(
                     rec["c_expected"], n, M, where + " field c_expected")
             records.append(entry)
     return records
@@ -135,7 +123,7 @@ def cmd_params(args) -> int:
 def cmd_gen(args) -> int:
     p = _load_params(args.params)
     if args.count < 0:
-        raise _InputError("--count must be >= 0")
+        raise ValueError("--count must be >= 0")
     rng = random.Random(args.seed)
     n, M = p.n, p.M
     with open(args.out, "w") as fh:
@@ -155,9 +143,7 @@ def cmd_mul(args) -> int:
     mul = naive_negacyclic_mul if args.method == "naive" else negacyclic_mul_ntt
     with open(args.out, "w") as fh:
         for rec in records:
-            a = Polynomial(rec["a"], p.M)
-            b = Polynomial(rec["b"], p.M)
-            c = mul(a, b, p)
+            c = mul(rec["a"], rec["b"], p)
             out = dict(rec["raw"])
             out["c"] = _str_coeffs(c.coeffs)
             fh.write(_dump_json_line(out))
@@ -165,29 +151,18 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
-def _trace_destination(args) -> str | None:
-    if getattr(args, "trace", None):
-        return args.trace
-    env_dir = os.environ.get("NTTMUL_TRACE_DIR")
-    if env_dir:
-        return os.path.join(env_dir, "sim_trace.csv")
-    return None
-
-
 def cmd_sim(args) -> int:
     p = _load_params(args.params)
     records = _load_records(args.vectors, p)
     config = PipelineConfig(n=p.n, params=p, mode=args.mode,
                             butterfly_latency=args.butterfly_latency)
-    pairs = [(Polynomial(r["a"], p.M), Polynomial(r["b"], p.M))
-             for r in records]
-    trace_path = _trace_destination(args)
+    pairs = [(r["a"], r["b"]) for r in records]
     try:
-        products, report = run_stream(pairs, config, trace_path=trace_path)
+        products, report = run_stream(pairs, config, trace_path=args.trace)
     except PipelineAssertionError as e:
         print(f"internal assertion: {e}", file=sys.stderr)
-        if trace_path is not None:
-            print(f"cycle trace (up to the failure): {trace_path}",
+        if args.trace is not None:
+            print(f"cycle trace (up to the failure): {args.trace}",
                   file=sys.stderr)
         return EXIT_ASSERT
     doc = {
@@ -205,8 +180,8 @@ def cmd_sim(args) -> int:
     if report.steady_cycles_per_mul is not None:
         print(f"steady state: {report.steady_cycles_per_mul} cycles "
               f"per multiplication")
-    if trace_path is not None:
-        print(f"cycle trace: {trace_path}")
+    if args.trace is not None:
+        print(f"cycle trace: {args.trace}")
     print(f"wrote {args.report}")
     return EXIT_OK
 
@@ -214,8 +189,7 @@ def cmd_sim(args) -> int:
 def cmd_check(args) -> int:
     p = _load_params(args.params)
     records = _load_records(args.vectors, p)
-    pairs = [(Polynomial(r["a"], p.M), Polynomial(r["b"], p.M))
-             for r in records]
+    pairs = [(r["a"], r["b"]) for r in records]
     config = PipelineConfig(n=p.n, params=p, mode="schedule")
     sim_products, _ = run_stream(pairs, config)
     for i, rec in enumerate(records):
@@ -230,7 +204,7 @@ def cmd_check(args) -> int:
             print(f"record {i}: simulator output disagrees with the "
                   f"schoolbook oracle", file=sys.stderr)
             return EXIT_MISMATCH
-        if "c_expected" in rec and rec["c_expected"] != want:
+        if "c_expected" in rec and rec["c_expected"].coeffs != want:
             print(f"record {i}: stored c_expected disagrees with the "
                   f"schoolbook oracle", file=sys.stderr)
             return EXIT_MISMATCH
@@ -276,9 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="schedule")
     sp.add_argument("--butterfly-latency", type=int, default=None)
     sp.add_argument("--report", required=True)
-    sp.add_argument("--trace", default=None,
-                    help="CSV cycle-trace path (default: sim_trace.csv under "
-                         "$NTTMUL_TRACE_DIR when that is set)")
+    sp.add_argument("--trace", default=None, help="CSV cycle-trace path")
     sp.set_defaults(func=cmd_sim)
 
     sp = sub.add_parser("check", help="cross-check oracle, transform, simulator")
@@ -293,7 +265,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PipelineAssertionError as e:

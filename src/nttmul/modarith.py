@@ -68,18 +68,6 @@ class ModulusContext:
         return cls(M, *find_barrett_constants(M))
 
 
-def mod_add(a: Residue, b: Residue, ctx: ModulusContext) -> Residue:
-    """(a + b) mod M with a single conditional correction, no division."""
-    s = a + b
-    return s - ctx.M if s >= ctx.M else s
-
-
-def mod_sub(a: Residue, b: Residue, ctx: ModulusContext) -> Residue:
-    """(a - b) mod M with a single conditional correction, no division."""
-    d = a - b
-    return d + ctx.M if d < 0 else d
-
-
 def karatsuba_mul(a: int, b: int, l: int = KARATSUBA_BITS) -> int:
     """Exact product of two l-bit operands using one Karatsuba level.
 

@@ -26,7 +26,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modarith import ModulusContext
 
@@ -184,36 +183,24 @@ class NttParams:
         return self.n.bit_length() - 1
 
 
-def _forward_stage_table(omega: int, N: int, M: int, s: int) -> tuple[int, ...]:
-    # Stage s pairs lanes at distance N/2**s; each block of size N/2**(s-1)
-    # shares one twiddle omega**(dist * bitrev(block)).
+def _stage_table(root: int, N: int, M: int, s: int) -> tuple[int, ...]:
+    # Forward stage s pairs lanes at distance N/2**s; each block of size
+    # N/2**(s-1) shares one twiddle root**(dist * bitrev(block)).  Inverse
+    # stage s is forward stage m - s + 1 on omega**-1: both have distance
+    # 2**(s-1), 2**(m-s) twiddles and the same bit-reversed exponents.
     dist = N >> s
-    return tuple(pow(omega, dist * bit_reverse_index(t, s - 1), M)
+    return tuple(pow(root, dist * bit_reverse_index(t, s - 1), M)
                  for t in range(1 << (s - 1)))
-
-
-def _inverse_stage_table(omega_inv: int, N: int, M: int, s: int) -> tuple[int, ...]:
-    # Inverse stage s pairs lanes at distance 2**(s-1); block twiddles are
-    # omega**-(dist * bitrev(block)) over N/2**s blocks.
-    m = N.bit_length() - 1
-    dist = 1 << (s - 1)
-    return tuple(pow(omega_inv, dist * bit_reverse_index(t, m - s), M)
-                 for t in range(1 << (m - s)))
 
 
 def _storage_kinds(tables: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
     return tuple("regs" if len(t) <= 4 else "mem" for t in tables)
 
 
-@lru_cache(maxsize=32)
-def _cached_context(M: int) -> ModulusContext:
-    return ModulusContext.create(M)
-
-
 def build_params(M: int, N: int) -> NttParams:
     """Derive the full table set for (M, N); raises ValueError for a bad ring."""
     omega, phi = derive_roots(M, N)
-    ctx = _cached_context(M)
+    ctx = ModulusContext.create(M)
     omega_inv = pow(omega, -1, M)
     phi_inv = pow(phi, -1, M)
     n_inv = pow(N, -1, M)
@@ -227,8 +214,8 @@ def build_params(M: int, N: int) -> NttParams:
         w = w * phi % M
         wi = wi * phi_inv % M
     m = N.bit_length() - 1
-    fwd = tuple(_forward_stage_table(omega, N, M, s) for s in range(1, m + 1))
-    inv = tuple(_inverse_stage_table(omega_inv, N, M, s) for s in range(1, m + 1))
+    fwd = tuple(_stage_table(omega, N, M, s) for s in range(1, m + 1))
+    inv = tuple(_stage_table(omega_inv, N, M, s) for s in range(m, 0, -1))
     return NttParams(
         n=N, ctx=ctx, omega=omega, phi=phi, omega_inv=omega_inv,
         phi_inv=phi_inv, n_inv=n_inv,

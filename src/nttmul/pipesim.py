@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
 
 from .modarith import (FIXED_K, FIXED_M, FIXED_U_MIN, barrett_reduce_fixed,
                        barrett_reduce_generic, karatsuba_mul)
 from .params import NttParams
-from .polymul import Polynomial
+from .polymul import Polynomial, _check_operand
 
 # structural-mode stage depths of one butterfly unit
 KARATSUBA_CYCLES = 6
@@ -86,15 +85,12 @@ class PipelineConfig:
             raise ValueError(f"N={self.n} does not match params.n={self.params.n}")
         if self.mode not in ("schedule", "structural"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "schedule":
-            if self.butterfly_latency is None:
-                object.__setattr__(self, "butterfly_latency", 1)
-            elif self.butterfly_latency != 1:
-                raise ValueError("schedule mode forces butterfly_latency = 1")
-        elif self.butterfly_latency is None:
-            object.__setattr__(
-                self, "butterfly_latency",
-                KARATSUBA_CYCLES + REDUCE_CYCLES + ADDSUB_CYCLES)
+        if self.butterfly_latency is None:
+            deep = KARATSUBA_CYCLES + REDUCE_CYCLES + ADDSUB_CYCLES
+            object.__setattr__(self, "butterfly_latency",
+                               1 if self.mode == "schedule" else deep)
+        if self.mode == "schedule" and self.butterfly_latency != 1:
+            raise ValueError("schedule mode forces butterfly_latency = 1")
         if self.butterfly_latency < 1:
             raise ValueError("butterfly_latency must be >= 1")
 
@@ -102,15 +98,10 @@ class PipelineConfig:
     def scalar_latency(self) -> int:
         return max(1, self.butterfly_latency - ADDSUB_CYCLES)
 
-    @property
-    def num_stages(self) -> int:
-        return self.n.bit_length() - 1
-
 
 # ---------------------------------------------------------------------------
 # arithmetic kernels
 
-@lru_cache(maxsize=16)
 def _kernels(params: NttParams):
     """(ct, gs, addsub, scale, lane_mul) closures for one parameter set.
 
@@ -308,10 +299,10 @@ class _PipeStage:
 
     __slots__ = ("label", "stage_no", "fifo", "kernel", "latency", "_queue",
                  "twiddles", "per_block", "n_half", "t", "out", "first_fire",
-                 "last_fire", "fires", "first_block_fire")
+                 "last_fire", "first_block_fire")
 
-    def __init__(self, label, stage_no, hold, twiddles, per_block, kernel,
-                 latency, n_half):
+    def __init__(self, label, stage_no, hold, twiddles, kernel, latency,
+                 n_half):
         self.label = label
         self.stage_no = stage_no
         self.fifo = StageFifo(stage_no, hold) if hold else None
@@ -319,13 +310,12 @@ class _PipeStage:
         self.latency = latency
         self._queue: deque = deque()
         self.twiddles = twiddles
-        self.per_block = per_block
+        self.per_block = n_half // len(twiddles)
         self.n_half = n_half
         self.t = 0
         self.out = None
         self.first_fire = None
         self.last_fire = None
-        self.fires = 0
         self.first_block_fire = None
 
     def tick(self, cycle: int, arrival, trace=None):
@@ -347,7 +337,6 @@ class _PipeStage:
             if self.first_fire is None:
                 self.first_fire = cycle
             self.last_fire = cycle
-            self.fires += 1
             if t == self.n_half - 1:
                 self.first_block_fire = cycle
             if trace is not None:
@@ -366,8 +355,7 @@ class _PipeStage:
 
     @property
     def contiguous(self) -> bool:
-        return (self.fires == 0
-                or self.last_fire - self.first_fire + 1 == self.fires)
+        return self.t == 0 or self.last_fire - self.first_fire + 1 == self.t
 
 
 class _TransformGate:
@@ -437,11 +425,8 @@ class CycleReport:
     schedule_deviations: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def predicted_first_ntt_latency(n: int) -> int:
@@ -489,8 +474,8 @@ def _inverse_holds(n: int) -> list[int]:
 def resource_report(config: PipelineConfig) -> dict:
     """Static unit and storage inventory for the configured multiplier."""
     n = config.n
-    m = config.num_stages
     params = config.params
+    m = params.num_stages
     fwd_holds = _forward_holds(n)
     inv_holds = _inverse_holds(n)
     return {
@@ -541,8 +526,7 @@ def _build_chains(config: PipelineConfig):
             kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
             if forward:
                 kernel = _two_lane(kernel)
-            stages.append(_PipeStage(f"{label}{s}", s, hold, twiddles,
-                                     n_half // len(twiddles), kernel,
+            stages.append(_PipeStage(f"{label}{s}", s, hold, twiddles, kernel,
                                      config.butterfly_latency, n_half))
         return stages
 
@@ -550,8 +534,7 @@ def _build_chains(config: PipelineConfig):
         # per-index coefficient pairs (w_j, w_{j+N/2}); no weights: pointwise
         table = (tuple(zip(weights[:n_half], weights[n_half:])) if weights
                  else (None,))
-        return _PipeStage(None, 0, 0, table, n_half // len(table), kernel,
-                          lat, n_half)
+        return _PipeStage(None, 0, 0, table, kernel, lat, n_half)
 
     # Labelled "fwd_a" as when each operand had its own pipeline and only
     # the first was traced, so trace files stay byte-identical.
@@ -585,14 +568,10 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     """
     params = config.params
     n = config.n
-    M = params.M
     pairs = list(pairs)
     for a, b in pairs:
-        for p, name in ((a, "a"), (b, "b")):
-            if p.modulus != M or len(p) != n:
-                raise ValueError(f"operand {name} does not fit the configuration")
-            if p.domain != "coefficient":
-                raise ValueError(f"operand {name} must be coefficient-domain")
+        _check_operand(a, params, domain="coefficient", name="a")
+        _check_operand(b, params, domain="coefficient", name="b")
 
     front, back = _build_chains(config)
     gate = _TransformGate(n // 2)
@@ -610,7 +589,7 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     report = _build_report(config, pairs, front[1:-1], back[:-1], gate,
                            completions, front[0].first_fire)
-    out_polys = [Polynomial(tuple(c), M) for c in products]
+    out_polys = [Polynomial(tuple(c), params.M) for c in products]
     return out_polys, report
 
 
@@ -666,7 +645,6 @@ def _run_cycles(config, pairs, front, back, gate, products, trace):
 
 def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
     n = config.n
-    m = config.num_stages
     notes = [
         "measured register figures count hold-FIFO occupancy; the closed-form "
         "totals additionally include two pipeline registers per stage",
@@ -704,10 +682,12 @@ def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
         notes.append("steady-state spacing needs at least 4 back-to-back "
                      "multiplications; not measured")
 
-    fwd_peaks = tuple(st.fifo.peak if st.fifo else 0 for st in fwd)
-    inv_peaks = tuple(st.fifo.peak if st.fifo else 0 for st in inv)
-    caps = tuple(2 * h for h in _forward_holds(n))
-    inv_caps = tuple(2 * h for h in _inverse_holds(n))
+    def per_stage(stages, attr):
+        # a FIFO figure per stage, 0 for a stage without a hold FIFO
+        return tuple(getattr(st.fifo, attr) if st.fifo else 0 for st in stages)
+
+    fwd_peaks = per_stage(fwd, "peak")
+    inv_peaks = per_stage(inv, "peak")
     stall_free = all(st.contiguous for st in (*fwd, *inv))
 
     return CycleReport(
@@ -720,14 +700,14 @@ def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
         steady_cycles_per_mul=steady,
         regs_per_stage=fwd_peaks,
         inv_regs_per_stage=inv_peaks,
-        fifo_capacity_per_stage=caps,
-        inv_fifo_capacity_per_stage=inv_caps,
+        fifo_capacity_per_stage=per_stage(fwd, "capacity"),
+        inv_fifo_capacity_per_stage=per_stage(inv, "capacity"),
         # the modelled forward pipeline stands for both hardware copies
         total_regs=2 * sum(fwd_peaks) + sum(inv_peaks),
         handoff_peak_pairs=gate.peak_pairs,
         fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
         inv_stage_first_fire=tuple(st.first_fire for st in inv),
-        butterfly_units=3 * m,
+        butterfly_units=3 * config.params.num_stages,
         predicted_first_ntt=predicted_first_ntt_latency(n),
         predicted_first_mul=predicted_first_mul_latency(n),
         predicted_ntt_regs=predicted_ntt_regs(n),

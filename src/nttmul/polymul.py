@@ -35,6 +35,9 @@ class Polynomial:
         if n == 0 or n & (n - 1):
             raise ValueError(f"length {n} is not a power of two")
         M, cs = self.modulus, self.coeffs
+        if set(map(type, cs)) != {int}:
+            bad = next(c for c in cs if type(c) is not int)
+            raise ValueError(f"coefficient {bad!r} is not an int")
         if min(cs) < 0 or max(cs) >= M:
             bad = next(c for c in cs if not 0 <= c < M)
             raise ValueError(f"coefficient {bad} outside [0, {M})")

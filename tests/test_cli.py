@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,7 +169,8 @@ class TestMulCommand:
         rc = cli.main(["mul", "--params", str(toy_tables),
                        "--vectors", str(vec), "--out", str(tmp_path / "c")])
         assert rc == 2
-        assert "outside" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {vec}:1 field a: coefficient 17 outside [0, 17)\n")
 
     @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])
     def test_rejects_non_ascii_digits(self, toy_tables, tmp_path, capsys,
@@ -182,6 +184,18 @@ class TestMulCommand:
                        "--vectors", str(vec), "--out", str(tmp_path / "c")])
         assert rc == 2
         assert f"{vec}:1 field a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [1.5, True, None, "-1", "0x1"])
+    def test_rejects_entries_that_are_not_decimal(self, toy_tables, tmp_path,
+                                                  capsys, entry):
+        vec = tmp_path / "v.ndjson"
+        write_ndjson(vec, [{"a": ["1", "0", "0", "0"],
+                            "b": ["0", entry, "0", "0"]}])
+        rc = cli.main(["mul", "--params", str(toy_tables),
+                       "--vectors", str(vec), "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {vec}:1 field b: coefficient {entry!r} is not an int\n")
 
     def test_rejects_malformed_json(self, toy_tables, tmp_path, capsys):
         vec = tmp_path / "v.ndjson"
@@ -273,17 +287,6 @@ class TestSimCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_trace_dir_env_fallback(self, toy_tables, tmp_path, monkeypatch):
-        monkeypatch.setenv("NTTMUL_TRACE_DIR", str(tmp_path))
-        vec = tmp_path / "v.ndjson"
-        cli.main(["gen", "--params", str(toy_tables), "--count", "2",
-                  "--seed", "6", "--out", str(vec)])
-        rc = cli.main(["sim", "--params", str(toy_tables),
-                       "--vectors", str(vec),
-                       "--report", str(tmp_path / "r.json")])
-        assert rc == 0
-        assert (tmp_path / "sim_trace.csv").exists()
-
     def test_assertion_exits_three(self, toy_tables, tmp_path, monkeypatch,
                                    capsys):
         vec = tmp_path / "v.ndjson"
@@ -356,11 +359,76 @@ class TestCheckCommand:
         assert rc == 1
         assert "record 1" in err
 
+    def test_out_of_range_expected_field_names_its_location(
+            self, toy_tables, tmp_path, capsys):
+        vec = tmp_path / "v.ndjson"
+        write_ndjson(vec, [{"a": ["1", "0", "0", "0"],
+                            "b": ["3", "5", "7", "11"],
+                            "c_expected": ["3", "5", "7", "17"]}])
+        rc = cli.main(["check", "--params", str(toy_tables),
+                       "--vectors", str(vec)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {vec}:1 field c_expected: coefficient 17 outside "
+            "[0, 17)\n")
+
     def test_empty_vector_file(self, toy_tables, tmp_path):
         vec = tmp_path / "v.ndjson"
         vec.write_text("")
         assert cli.main(["check", "--params", str(toy_tables),
                          "--vectors", str(vec)]) == 0
+
+
+# SHA-256 of every file and stdout of one fixed session at the paper ring,
+# plus the table file of a second ring: a refactor must keep them all.
+PINNED_SESSION = {
+    "params 1049089 256": "e77b4a572016e418b215197ff37983760c8ffeb5198bdb222ae3630d326a018d",
+    "params 12289 1024": "817bf013d51fdabbbb9e9f701dedc3a279944341504e2883c146e9f0ae2dc0b8",
+    "params stdout": "6909ecbce43c89e96ac2d1ef509baa2490c2b3646358e477662f050305527ee2",
+    "gen": "ed4bdf7df081533df2e0fb9a58e8b9d56a0ae23b1581d68c4b6c5cec5a039c80",
+    "mul ntt": "73c70c8ff759f79b735729005d542fee784f3d2bfd1a5c976e66685faad65c46",
+    "mul naive": "73c70c8ff759f79b735729005d542fee784f3d2bfd1a5c976e66685faad65c46",
+    "sim stdout": "9df2c7a8ade87464f64b39170e5771439274cdede16ceb72a3bfaec31d25c882",
+    "sim report": "ccd8ef0ef8e855b6781205e4138c3d1cdaab3075a4e70ae08d49b9a401a2084d",
+    "sim trace": "1249366145cb8eb566d94558973e37b116f0251065d5430d57747b78c1f43103",
+    "sim structural stdout": "e09f99d8c4582781c4ff171d06a56f45ef7950f2b3bcf63d8a3c4578dfefc40c",
+    "sim structural report": "a0af1297df7d90fb4489caefc2e6beafef22e83708b7f25a4205491e8ce35508",
+    "check stdout": "7021e8941c67637f77924dd69493a236b86d8f9c476a02619d4843c0f0d99279",
+}
+
+
+def test_session_bytes_match_pinned(tmp_path, monkeypatch, capsys):
+    # relative paths, so the printed "wrote ..." lines do not vary per run
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        assert cli.main(list(argv)) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def file_digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    got = {}
+    for m, n in (("12289", "1024"), ("1049089", "256")):
+        got["params stdout"] = run("params", "--modulus", m, "--n", n,
+                                   "--out", "t.json")
+        got[f"params {m} {n}"] = file_digest("t.json")
+    tables = ("--params", "t.json")
+    run("gen", *tables, "--count", "4", "--seed", "11", "--out", "v.ndjson")
+    got["gen"] = file_digest("v.ndjson")
+    vectors = (*tables, "--vectors", "v.ndjson")
+    for method in ("ntt", "naive"):
+        run("mul", *vectors, "--method", method, "--out", "c.ndjson")
+        got[f"mul {method}"] = file_digest("c.ndjson")
+    got["sim stdout"] = run("sim", *vectors, "--report", "r.json",
+                            "--trace", "t.csv")
+    got["sim report"] = file_digest("r.json")
+    got["sim trace"] = file_digest("t.csv")
+    got["sim structural stdout"] = run("sim", *vectors, "--mode", "structural",
+                                       "--report", "r.json")
+    got["sim structural report"] = file_digest("r.json")
+    got["check stdout"] = run("check", *vectors)
+    assert got == PINNED_SESSION
 
 
 class TestArgumentErrors:

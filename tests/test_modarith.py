@@ -20,38 +20,10 @@ from nttmul.modarith import (
     barrett_reduce_generic,
     find_barrett_constants,
     karatsuba_mul,
-    mod_add,
-    mod_sub,
     validate_barrett_constants,
 )
 
 CTX = ModulusContext.create(FIXED_M)
-
-
-class TestModAddSub:
-    def test_add_identity(self):
-        assert mod_add(0, 0, CTX) == 0
-
-    def test_add_wraparound(self):
-        assert mod_add(FIXED_M - 1, 1, CTX) == 0
-
-    def test_add_known_value(self):
-        # (523011 + 917772) % 1049089, worked out by hand
-        assert mod_add(523011, 917772, CTX) == 391694
-
-    def test_sub_self_is_zero(self):
-        assert mod_sub(5, 5, CTX) == 0
-
-    def test_sub_wraparound(self):
-        assert mod_sub(0, 1, CTX) == FIXED_M - 1
-
-    def test_random_sweep_against_plain_arithmetic(self):
-        rng = random.Random(0xADD)
-        for _ in range(20_000):
-            a = rng.randrange(FIXED_M)
-            b = rng.randrange(FIXED_M)
-            assert mod_add(a, b, CTX) == (a + b) % FIXED_M
-            assert mod_sub(a, b, CTX) == (a - b) % FIXED_M
 
 
 class TestKaratsuba:

@@ -210,7 +210,7 @@ class TestStageFifo:
 def unit_stage(kernel, latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
     # element first; twiddles 0, 1, 0, 1, ... in issue order
-    return _PipeStage(None, 0, 0, (0, 1), 1, kernel, latency, 2)
+    return _PipeStage(None, 0, 0, (0, 1), kernel, latency, 2)
 
 
 class TestButterflyUnit:

@@ -65,6 +65,11 @@ class TestPolynomialType:
         with pytest.raises(ValueError, match=r"coefficient 20 outside \[0, 17\)"):
             Polynomial((0, 20, -1, 40), 17)
 
+    @pytest.mark.parametrize("bad", [0.5, 3.0, True, False, "3"])
+    def test_rejects_coefficients_that_are_not_ints(self, bad):
+        with pytest.raises(ValueError, match=rf"coefficient {bad!r} is not an int"):
+            Polynomial((0, bad, 1, 2), 17)
+
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
             Polynomial((1, 2), 17, domain="spectral")
