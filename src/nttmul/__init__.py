@@ -50,7 +50,6 @@ from .pipesim import (
     predicted_first_ntt_latency,
     predicted_mul_regs,
     predicted_ntt_regs,
-    resource_report,
     run_stream,
 )
 from .polymul import (
@@ -95,7 +94,6 @@ __all__ = [
     "predicted_first_ntt_latency",
     "predicted_mul_regs",
     "predicted_ntt_regs",
-    "resource_report",
     "run_stream",
     "Polynomial",
     "naive_negacyclic_mul",

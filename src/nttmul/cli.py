@@ -157,14 +157,7 @@ def cmd_sim(args) -> int:
     config = PipelineConfig(n=p.n, params=p, mode=args.mode,
                             butterfly_latency=args.butterfly_latency)
     pairs = [(r["a"], r["b"]) for r in records]
-    try:
-        products, report = run_stream(pairs, config, trace_path=args.trace)
-    except PipelineAssertionError as e:
-        print(f"internal assertion: {e}", file=sys.stderr)
-        if args.trace is not None:
-            print(f"cycle trace (up to the failure): {args.trace}",
-                  file=sys.stderr)
-        return EXIT_ASSERT
+    products, report = run_stream(pairs, config, trace_path=args.trace)
     doc = {
         "report": report.to_dict(),
         "products": [_str_coeffs(poly.coeffs) for poly in products],
@@ -270,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PipelineAssertionError as e:
         print(f"internal assertion: {e}", file=sys.stderr)
+        if getattr(args, "trace", None):
+            print(f"cycle trace (up to the failure): {args.trace}",
+                  file=sys.stderr)
         return EXIT_ASSERT
 
 

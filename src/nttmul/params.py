@@ -12,7 +12,8 @@ this module derives, deterministically:
   inverse-transform scaling is folded into the unweighting table so the
   final step is a single multiply per coefficient),
 * per-stage twiddle tables in the exact order a streaming pipeline consumes
-  them, forward and inverse, plus a register/memory storage annotation.
+  them, forward and inverse; the table file also annotates each stage's
+  twiddle storage (register bank or memory), computed from the lengths.
 
 Tables round-trip through JSON with all integers as canonical decimal
 strings.  Derivation is deterministic, so a table file is accepted only when
@@ -155,9 +156,7 @@ class NttParams:
 
     ``stage_twiddles_fwd[s-1]`` holds the distinct twiddles stage s consumes,
     in feed order, one per butterfly block; counts double per forward stage
-    (1, 2, 4, ...) and halve per inverse stage.  ``storage_kind_*`` marks
-    whether a stage's twiddles fit a register bank ("regs", up to 4 values)
-    or need a memory ("mem").
+    (1, 2, 4, ...) and halve per inverse stage.
     """
 
     n: int
@@ -171,8 +170,6 @@ class NttParams:
     weights_inv_scaled: tuple[int, ...]
     stage_twiddles_fwd: tuple[tuple[int, ...], ...]
     stage_twiddles_inv: tuple[tuple[int, ...], ...]
-    storage_kind_fwd: tuple[str, ...]
-    storage_kind_inv: tuple[str, ...]
 
     @property
     def M(self) -> int:
@@ -193,8 +190,8 @@ def _stage_table(root: int, N: int, M: int, s: int) -> tuple[int, ...]:
                  for t in range(1 << (s - 1)))
 
 
-def _storage_kinds(tables: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
-    return tuple("regs" if len(t) <= 4 else "mem" for t in tables)
+def _storage_kinds(tables: tuple[tuple[int, ...], ...]) -> list[str]:
+    return ["regs" if len(t) <= 4 else "mem" for t in tables]
 
 
 def build_params(M: int, N: int) -> NttParams:
@@ -221,12 +218,14 @@ def build_params(M: int, N: int) -> NttParams:
         phi_inv=phi_inv, n_inv=n_inv,
         weights_fwd=tuple(weights_fwd),
         weights_inv_scaled=tuple(weights_inv_scaled),
-        stage_twiddles_fwd=fwd, stage_twiddles_inv=inv,
-        storage_kind_fwd=_storage_kinds(fwd), storage_kind_inv=_storage_kinds(inv))
+        stage_twiddles_fwd=fwd, stage_twiddles_inv=inv)
 
 
 def params_to_dict(params: NttParams) -> dict:
-    """JSON-ready dict; every integer is a decimal string."""
+    """JSON-ready dict; every integer is a decimal string.  ``storage_kind_*``
+    marks whether a stage's twiddles fit a register bank ("regs", up to 4
+    values) or need a memory ("mem").
+    """
     return {
         "M": str(params.M),
         "N": str(params.n),
@@ -241,8 +240,8 @@ def params_to_dict(params: NttParams) -> dict:
                                for t in params.stage_twiddles_fwd],
         "stage_twiddles_inv": [[str(v) for v in t]
                                for t in params.stage_twiddles_inv],
-        "storage_kind_fwd": list(params.storage_kind_fwd),
-        "storage_kind_inv": list(params.storage_kind_inv),
+        "storage_kind_fwd": _storage_kinds(params.stage_twiddles_fwd),
+        "storage_kind_inv": _storage_kinds(params.stage_twiddles_inv),
     }
 
 

@@ -173,8 +173,9 @@ class StageFifo:
     """Double-buffer hold FIFO in front of one butterfly stage.
 
     Two shift-register banks of ``hold`` entries each.  The local counter
-    starts at the first arrival; ``sel`` drops to 0 exactly when the counter
-    crosses an odd multiple of ``hold`` and back to 1 at the next multiple:
+    starts at the first arrival, so the FIFO has started exactly when the
+    counter is non-zero; ``sel`` drops to 0 exactly when the counter crosses
+    an odd multiple of ``hold`` and back to 1 at the next multiple:
 
     * counter in [0, hold):      fill - both banks load, no butterfly;
     * sel = 0 (gate phase):      bank II is clock-gated; bank I recycles the
@@ -188,8 +189,8 @@ class StageFifo:
     :class:`PipelineAssertionError`.
     """
 
-    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter",
-                 "started", "ended", "peak", "_hshift")
+    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "ended",
+                 "peak", "_hshift")
 
     def __init__(self, stage: int, hold: int):
         if hold < 1 or hold & (hold - 1):
@@ -199,7 +200,6 @@ class StageFifo:
         self.block_i: deque = deque()
         self.block_ii: deque = deque()
         self.counter = 0
-        self.started = False
         self.ended = False
         self.peak = 0
         self._hshift = hold.bit_length() - 1
@@ -229,10 +229,9 @@ class StageFifo:
         previous stage this cycle, or None once the stream has ended.
         """
         bi, bii = self.block_i, self.block_ii
-        if not self.started:
+        if not self.counter:
             if arrival is None:
                 return None
-            self.started = True
         elif arrival is None:
             if not bi and not bii:
                 return None     # drained and idle
@@ -345,7 +344,7 @@ class _PipeStage:
                 base = 2 * pb * blk + i
                 fired_positions = (base, base + pb)
         if trace is not None:
-            if fifo is not None and fifo.started:
+            if fifo is not None and fifo.counter:
                 trace((cycle, self.label, fifo.sel, fifo.counter,
                        *fired_positions))
             elif pair is not None:
@@ -469,39 +468,6 @@ def _forward_holds(n: int) -> list[int]:
 def _inverse_holds(n: int) -> list[int]:
     m = n.bit_length() - 1
     return [0 if s == 1 else 1 << (s - 2) for s in range(1, m + 1)]
-
-
-def resource_report(config: PipelineConfig) -> dict:
-    """Static unit and storage inventory for the configured multiplier."""
-    n = config.n
-    params = config.params
-    m = params.num_stages
-    fwd_holds = _forward_holds(n)
-    inv_holds = _inverse_holds(n)
-    return {
-        "n": n,
-        "stages_per_ntt": m,
-        "butterfly_units_per_ntt": m,
-        "butterfly_units_total": 3 * m,
-        "weight_units": 3,
-        "pointwise_units": 1,
-        "forward_holds": fwd_holds,
-        "inverse_holds": inv_holds,
-        "forward_fifo_capacity": [2 * h for h in fwd_holds],
-        "inverse_fifo_capacity": [2 * h for h in inv_holds],
-        "forward_twiddle_counts": [len(t) for t in params.stage_twiddles_fwd],
-        "inverse_twiddle_counts": [len(t) for t in params.stage_twiddles_inv],
-        "forward_twiddle_storage": list(params.storage_kind_fwd),
-        "inverse_twiddle_storage": list(params.storage_kind_inv),
-        "multiplierless_forward_stages":
-            [s + 1 for s, t in enumerate(params.stage_twiddles_fwd)
-             if set(t) == {1}],
-        "multiplierless_inverse_stages":
-            [s + 1 for s, t in enumerate(params.stage_twiddles_inv)
-             if set(t) == {1}],
-        "predicted_ntt_regs": predicted_ntt_regs(n),
-        "predicted_mul_regs": predicted_mul_regs(n),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,25 @@ class TestSimCommand:
         assert "forced failure" in err
         assert "t.csv" in err
 
+    def test_assertion_without_trace_names_no_trace(self, toy_tables,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "6", "--out", str(vec)])
+        capsys.readouterr()
+
+        def boom(*args, **kwargs):
+            raise PipelineAssertionError("forced failure")
+
+        monkeypatch.setattr(cli, "run_stream", boom)
+        rc = cli.main(["sim", "--params", str(toy_tables),
+                       "--vectors", str(vec),
+                       "--report", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "internal assertion: forced failure\n")
+
     def test_schedule_mode_rejects_deep_latency(self, toy_tables, tmp_path,
                                                 capsys):
         vec = tmp_path / "v.ndjson"
@@ -377,6 +396,49 @@ class TestCheckCommand:
         vec.write_text("")
         assert cli.main(["check", "--params", str(toy_tables),
                          "--vectors", str(vec)]) == 0
+
+    def test_assertion_exits_three(self, toy_tables, tmp_path, monkeypatch,
+                                   capsys):
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "6", "--out", str(vec)])
+        capsys.readouterr()
+
+        def boom(*args, **kwargs):
+            raise PipelineAssertionError("forced failure")
+
+        monkeypatch.setattr(cli, "run_stream", boom)
+        rc = cli.main(["check", "--params", str(toy_tables),
+                       "--vectors", str(vec)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "internal assertion: forced failure\n")
+
+
+@pytest.mark.parametrize("command", ["gen", "mul", "sim", "check"])
+def test_tampered_table_file_exits_two(toy_tables, tmp_path, capsys,
+                                       command):
+    vec = tmp_path / "v.ndjson"
+    cli.main(["gen", "--params", str(toy_tables), "--count", "2",
+              "--seed", "6", "--out", str(vec)])
+    obj = json.loads(toy_tables.read_text())
+    obj["omega"] = str((int(obj["omega"]) + 1) % 17)
+    toy_tables.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    tables = ["--params", str(toy_tables)]
+    argv = {
+        "gen": ["gen", *tables, "--count", "1", "--seed", "0",
+                "--out", str(tmp_path / "w.ndjson")],
+        "mul": ["mul", *tables, "--vectors", str(vec),
+                "--out", str(tmp_path / "c.ndjson")],
+        "sim": ["sim", *tables, "--vectors", str(vec),
+                "--report", str(tmp_path / "r.json")],
+        "check": ["check", *tables, "--vectors", str(vec)],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {toy_tables}: table file differs from the tables derived "
+        "for (M=17, N=4) at key 'omega'\n")
 
 
 # SHA-256 of every file and stdout of one fixed session at the paper ring,

@@ -189,9 +189,9 @@ class TestBuildParams:
             [128, 64, 32, 16, 8, 4, 2, 1]
 
     def test_storage_kinds_follow_table_sizes(self, fixed_params):
-        p = fixed_params[256]
-        assert p.storage_kind_fwd == ("regs",) * 3 + ("mem",) * 5
-        assert p.storage_kind_inv == ("mem",) * 5 + ("regs",) * 3
+        d = params_to_dict(fixed_params[256])
+        assert d["storage_kind_fwd"] == ["regs"] * 3 + ["mem"] * 5
+        assert d["storage_kind_inv"] == ["mem"] * 5 + ["regs"] * 3
 
     def test_weight_tables_cancel(self, p17_4, fixed_params):
         for p in (p17_4, fixed_params[256]):

@@ -17,7 +17,6 @@ from nttmul.pipesim import (
     predicted_first_ntt_latency,
     predicted_mul_regs,
     predicted_ntt_regs,
-    resource_report,
     run_stream,
 )
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
@@ -541,26 +540,3 @@ class TestDeterminism:
         # first stage-1 butterfly pairs lanes 0 and 2 on cycle 2
         first_fire = next(l for l in lines[1:] if l.startswith("2,fwd_a1"))
         assert first_fire.endswith("0,2")
-
-
-class TestResourceReport:
-    def test_small_instance(self, fixed_params):
-        rr = resource_report(PipelineConfig(n=16, params=fixed_params[16]))
-        assert rr["stages_per_ntt"] == 4
-        assert rr["butterfly_units_per_ntt"] == 4
-        assert rr["butterfly_units_total"] == 12
-        assert rr["weight_units"] == 3
-        assert rr["pointwise_units"] == 1
-
-    def test_production_instance(self, fixed_params):
-        rr = resource_report(PipelineConfig(n=256, params=fixed_params[256]))
-        assert rr["stages_per_ntt"] == 8
-        assert rr["butterfly_units_total"] == 24
-        assert rr["forward_holds"] == [0, 64, 32, 16, 8, 4, 2, 1]
-        assert rr["forward_fifo_capacity"] == [0, 128, 64, 32, 16, 8, 4, 2]
-        assert rr["inverse_holds"] == [0, 1, 2, 4, 8, 16, 32, 64]
-        assert rr["multiplierless_forward_stages"] == [1]
-        assert rr["multiplierless_inverse_stages"] == [8]
-        assert rr["forward_twiddle_storage"] == ["regs"] * 3 + ["mem"] * 5
-        assert rr["predicted_ntt_regs"] == 270
-        assert rr["predicted_mul_regs"] == 818
