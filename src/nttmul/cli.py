@@ -46,7 +46,8 @@ def _load_params(path):
         return load_tables(path)
     except FileNotFoundError:
         raise ValueError(f"parameter file not found: {path}")
-    except ValueError as e:  # json.JSONDecodeError included
+    # JSONDecodeError is a ValueError; too deep a nesting raises RecursionError
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: {e}")
 
 
@@ -77,7 +78,7 @@ def _load_records(path, params):
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise ValueError(f"{where}: invalid JSON ({e})")
             if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
                 raise ValueError(f"{where}: record must carry fields a and b")

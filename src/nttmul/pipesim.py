@@ -209,18 +209,10 @@ class StageFifo:
         return 2 * self.hold
 
     @property
-    def occupancy(self) -> int:
-        return len(self.block_i) + len(self.block_ii)
-
-    @property
     def sel(self) -> int:
         # 1 during fill and drain phases, 0 while bank II is gated
         q = self.counter >> self._hshift
         return 0 if q & 1 else 1
-
-    @property
-    def clock_gate(self) -> bool:
-        return self.sel == 0
 
     def tick(self, arrival):
         """Advance one cycle; returns the butterfly pair (newer, older) or None.
@@ -289,25 +281,23 @@ class _PipeStage:
     ``hold = 0`` means no FIFO: the pair (x_j, x_{j+N/2}) arriving on one
     cycle goes straight into the unit, higher element first.  Forward stage
     1 and the weighting, pointwise and unweighting multipliers are such
-    columns.  A stage with ``label`` None emits no trace rows.
+    columns.  A stage built without a ``trace`` sink emits no trace rows.
 
-    The unit accepts one operation per cycle: issued at cycle c, its result
-    becomes ``out`` at cycle c + latency - 1, so on the issuing tick itself
-    at latency 1.  ``_queue`` holds ``(ready_cycle, result)`` in issue order.
+    The unit is a shift register of ``latency - 1`` slots: each tick, which
+    runs once per cycle, shifts in this cycle's result or None and shifts
+    out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
     """
 
-    __slots__ = ("label", "stage_no", "fifo", "kernel", "latency", "_queue",
-                 "twiddles", "per_block", "n_half", "t", "out", "first_fire",
-                 "last_fire", "first_block_fire")
+    __slots__ = ("label", "fifo", "kernel", "_unit", "twiddles", "per_block",
+                 "n_half", "t", "out", "first_fire", "last_fire",
+                 "first_block_fire", "trace")
 
-    def __init__(self, label, stage_no, hold, twiddles, kernel, latency,
-                 n_half):
+    def __init__(self, label, stage, hold, twiddles, kernel, latency,
+                 n_half, trace=None):
         self.label = label
-        self.stage_no = stage_no
-        self.fifo = StageFifo(stage_no, hold) if hold else None
+        self.fifo = StageFifo(stage, hold) if hold else None
         self.kernel = kernel
-        self.latency = latency
-        self._queue: deque = deque()
+        self._unit = deque([None] * (latency - 1))
         self.twiddles = twiddles
         self.per_block = n_half // len(twiddles)
         self.n_half = n_half
@@ -316,41 +306,38 @@ class _PipeStage:
         self.first_fire = None
         self.last_fire = None
         self.first_block_fire = None
+        self.trace = trace
 
-    def tick(self, cycle: int, arrival, trace=None):
+    def tick(self, cycle: int, arrival):
         fifo = self.fifo
         if fifo is None:
             pair = None if arrival is None else (arrival[1], arrival[0])
         else:
             pair = fifo.tick(arrival)
-        if self.label is None:
-            trace = None
-        fired_positions = ("", "")
+        result = None
         if pair is not None:
             t = self.t
             self.t = t + 1
             tp = t % self.n_half
-            w = self.twiddles[tp // self.per_block]
-            self._queue.append((cycle + self.latency - 1,
-                                self.kernel(pair[0], pair[1], w)))
+            result = self.kernel(pair[0], pair[1],
+                                 self.twiddles[tp // self.per_block])
             if self.first_fire is None:
                 self.first_fire = cycle
             self.last_fire = cycle
             if t == self.n_half - 1:
                 self.first_block_fire = cycle
-            if trace is not None:
-                pb = self.per_block
-                blk, i = divmod(tp, pb)
-                base = 2 * pb * blk + i
-                fired_positions = (base, base + pb)
-        if trace is not None:
+        if self.trace is not None:
+            fired_positions = ("", "")
+            if pair is not None:
+                base = 2 * tp - tp % self.per_block
+                fired_positions = (base, base + self.per_block)
             if fifo is not None and fifo.counter:
-                trace((cycle, self.label, fifo.sel, fifo.counter,
-                       *fired_positions))
+                self.trace((cycle, self.label, fifo.sel, fifo.counter,
+                            *fired_positions))
             elif pair is not None:
-                trace((cycle, self.label, "", "", *fired_positions))
-        q = self._queue
-        self.out = q.popleft()[1] if q and q[0][0] <= cycle else None
+                self.trace((cycle, self.label, "", "", *fired_positions))
+        self._unit.append(result)
+        self.out = self._unit.popleft()
 
     @property
     def contiguous(self) -> bool:
@@ -460,40 +447,34 @@ def _check_n(n: int):
         raise ValueError(f"N={n} must be a power of two >= 4")
 
 
-def _forward_holds(n: int) -> list[int]:
-    m = n.bit_length() - 1
-    return [0 if s == 1 else n >> s for s in range(1, m + 1)]
-
-
-def _inverse_holds(n: int) -> list[int]:
-    m = n.bit_length() - 1
-    return [0 if s == 1 else 1 << (s - 2) for s in range(1, m + 1)]
-
-
 # ---------------------------------------------------------------------------
 # the simulator
 
-def _build_chains(config: PipelineConfig):
+def _build_chains(config: PipelineConfig, kernels, trace):
     """The datapath as two chains of stages, each fed by the one before:
     ``front = [weight, *forward, pointwise]`` carries ``(a, b)`` lanes,
-    ``back = [*inverse, unweight]`` carries residues."""
+    ``back = [*inverse, unweight]`` carries residues.  ``kernels`` is a
+    :func:`_kernels` tuple; butterfly stages write rows to ``trace``."""
     params = config.params
-    n = config.n
-    n_half = n // 2
-    ct, gs, addsub, scale, lane_mul = _kernels(params)
+    n_half = config.n // 2
+    ct, gs, addsub, scale, lane_mul = kernels
     lat = config.scalar_latency
 
     def butterflies(forward: bool, label: str):
-        holds = _forward_holds(n) if forward else _inverse_holds(n)
         tables = (params.stage_twiddles_fwd if forward
                   else params.stage_twiddles_inv)
         stages = []
-        for s, (hold, twiddles) in enumerate(zip(holds, tables), start=1):
+        for s, twiddles in enumerate(tables, start=1):
+            # hold = cycles between the two arrivals a butterfly pairs:
+            # N/2**s at forward stage s, 2**(s-2) at inverse stage s; stage
+            # 1 pairs the two halves of one arrival
+            hold = 0 if s == 1 else (config.n >> s if forward
+                                     else 1 << (s - 2))
             kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
             if forward:
                 kernel = _two_lane(kernel)
             stages.append(_PipeStage(f"{label}{s}", s, hold, twiddles, kernel,
-                                     config.butterfly_latency, n_half))
+                                     config.butterfly_latency, n_half, trace))
         return stages
 
     def multiplier(weights, kernel):
@@ -533,46 +514,48 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     cycle, also when a :class:`PipelineAssertionError` aborts the run.
     """
     params = config.params
-    n = config.n
-    pairs = list(pairs)
+    operands = []
     for a, b in pairs:
         _check_operand(a, params, domain="coefficient", name="a")
         _check_operand(b, params, domain="coefficient", name="b")
-
-    front, back = _build_chains(config)
-    gate = _TransformGate(n // 2)
-    products: list[list] = [[0] * n for _ in pairs]
+        operands.append((a.coeffs, b.coeffs))
+    kernels = _kernels(params)
     if trace_path is None:
-        completions = _run_cycles(config, pairs, front, back, gate, products,
-                                  None)
+        products, report = _run_cycles(config, operands, kernels, None)
     else:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cycle", "stage", "sel", "counter",
                              "pair_lo", "pair_hi"])
-            completions = _run_cycles(config, pairs, front, back, gate,
-                                      products, writer.writerow)
-
-    report = _build_report(config, pairs, front[1:-1], back[:-1], gate,
-                           completions, front[0].first_fire)
-    out_polys = [Polynomial(tuple(c), params.M) for c in products]
-    return out_polys, report
+            products, report = _run_cycles(config, operands, kernels,
+                                           writer.writerow)
+    return [Polynomial(tuple(c), params.M) for c in products], report
 
 
-def _tick_chain(chain, cycle, arrival, trace):
+def _tick_chain(chain, cycle, arrival):
     # reverse dataflow order: every stage reads the output its producer
     # latched on the previous cycle
     for s in range(len(chain) - 1, 0, -1):
-        chain[s].tick(cycle, chain[s - 1].out, trace)
-    chain[0].tick(cycle, arrival, trace)
+        chain[s].tick(cycle, chain[s - 1].out)
+    chain[0].tick(cycle, arrival)
 
 
-def _run_cycles(config, pairs, front, back, gate, products, trace):
-    """Tick the chains until every product is collected; returns the cycle
-    on which each product's last coefficient pair was collected."""
+def _run_cycles(config, operands, kernels, trace):
+    """The simulation loop: feed ``operands``, (a, b) coefficient sequences,
+    back to back through the datapath built on ``kernels`` until every
+    product is collected; ``trace`` is a row sink or None.  Returns
+    ``(products, CycleReport)``, products as coefficient lists in order.
+
+    The control plane (FIFOs, gate, collection) reads a wire only as None or
+    not None, so any kernels that always return a pair give the same report
+    and trace as the bit-exact ones: tests time the control plane alone.
+    """
     n_half = config.n // 2
-    total_feeds = len(pairs) * n_half
-    limit = 1000 + (len(pairs) + 4) * config.n * (
+    front, back = _build_chains(config, kernels, trace)
+    gate = _TransformGate(n_half)
+    products = [[0] * config.n for _ in operands]
+    total_feeds = len(operands) * n_half
+    limit = 1000 + (len(operands) + 4) * config.n * (
         config.butterfly_latency + config.scalar_latency + 4)
     completions: list[int] = []
     feed_idx = 0
@@ -587,7 +570,7 @@ def _run_cycles(config, pairs, front, back, gate, products, trace):
 
         # the back chain ticks first, so the gate hands over what was
         # complete before this cycle's pointwise output arrives
-        _tick_chain(back, cycle, gate.pop(), trace)
+        _tick_chain(back, cycle, gate.pop())
         out = back[-1].out
         if out is not None:
             poly, j = divmod(collected, n_half)
@@ -599,17 +582,18 @@ def _run_cycles(config, pairs, front, back, gate, products, trace):
         feed = None
         if feed_idx < total_feeds:
             poly, j = divmod(feed_idx, n_half)
-            a, b = pairs[poly]
-            a, b = a.coeffs, b.coeffs
+            a, b = operands[poly]
             feed = ((a[j], b[j]), (a[j + n_half], b[j + n_half]))
             feed_idx += 1
-        _tick_chain(front, cycle, feed, trace)
+        _tick_chain(front, cycle, feed)
         if front[-1].out is not None:
             gate.push(front[-1].out)
-    return completions
+    report = _build_report(config, len(operands), front[1:-1], back[:-1],
+                           gate, completions, front[0].first_fire)
+    return products, report
 
 
-def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
+def _build_report(config, count, fwd, inv, gate, completions, first_feed):
     n = config.n
     notes = [
         "measured register figures count hold-FIFO occupancy; the closed-form "
@@ -660,7 +644,7 @@ def _build_report(config, pairs, fwd, inv, gate, completions, first_feed):
         n=n,
         mode=config.mode,
         butterfly_latency=config.butterfly_latency,
-        multiplications=len(pairs),
+        multiplications=count,
         first_ntt_latency=first_ntt,
         first_mul_latency=first_mul,
         steady_cycles_per_mul=steady,

@@ -441,6 +441,26 @@ def test_tampered_table_file_exits_two(toy_tables, tmp_path, capsys,
         "for (M=17, N=4) at key 'omega'\n")
 
 
+@pytest.mark.parametrize("command", ["gen", "mul", "sim", "check"])
+def test_deeply_nested_json_exits_two(toy_tables, tmp_path, capsys, command):
+    # json raises RecursionError on nesting this deep: bad input, not a
+    # disagreement; gen reads a deep table file, the others a deep record
+    deep = tmp_path / "deep"
+    deep.write_text("[" * 5000 + "]" * 5000 + "\n")
+    tables = ["--params", str(deep if command == "gen" else toy_tables)]
+    vec = ["--vectors", str(deep)]
+    argv = {
+        "gen": ["gen", *tables, "--count", "1", "--seed", "0",
+                "--out", str(tmp_path / "w.ndjson")],
+        "mul": ["mul", *tables, *vec, "--out", str(tmp_path / "c.ndjson")],
+        "sim": ["sim", *tables, *vec, "--report", str(tmp_path / "r.json")],
+        "check": ["check", *tables, *vec],
+    }[command]
+    assert cli.main(argv) == 2
+    where = f"{deep}:" if command == "gen" else f"{deep}:1: invalid JSON"
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 # SHA-256 of every file and stdout of one fixed session at the paper ring,
 # plus the table file of a second ring: a refactor must keep them all.
 PINNED_SESSION = {

@@ -13,6 +13,7 @@ from nttmul.pipesim import (
     StageFifo,
     _kernels,
     _PipeStage,
+    _run_cycles,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
@@ -114,14 +115,6 @@ class TestStageFifo:
             fifo.tick((t, 100 + t))
         assert sels == [1] * hold + [0] * hold + [1] * hold + [0] * hold
 
-    def test_clock_gate_mirrors_sel(self):
-        fifo = StageFifo(2, 2)
-        states = []
-        for t in range(8):
-            states.append((fifo.sel, fifo.clock_gate))
-            fifo.tick((t, 100 + t))
-        assert all(gate == (sel == 0) for sel, gate in states)
-
     def test_drain_then_idle(self):
         hold = 2
         fifo = StageFifo(2, hold)
@@ -129,7 +122,7 @@ class TestStageFifo:
         # stream ends; drain phase empties both banks without arrivals
         assert fifo.tick(None) is not None
         assert fifo.tick(None) is not None
-        assert fifo.occupancy == 0
+        assert not fifo.block_i and not fifo.block_ii
         assert fifo.tick(None) is None        # idle afterwards
 
     def test_starved_during_fill(self):
@@ -431,6 +424,49 @@ class TestRunStreamAccounting:
         _, rep = run_stream(rand_pairs(rng, p, 4),
                             PipelineConfig(n=32, params=p))
         assert rep.schedule_deviations == ()
+
+
+# Kernels that ignore their operands: with these the loop runs the control
+# plane alone, which reads a wire only as None or not None.
+CONSTANT_KERNELS = ((lambda x_i, x_j, w: (0, 0)),) * 5
+RLWE_M = 786_433                    # 3 * 2**18 + 1: 2N | M - 1 up to N = 2**17
+
+
+def traced_cycles(config, operands, kernels):
+    rows = []
+    _, report = _run_cycles(config, operands, kernels, rows.append)
+    return report, rows
+
+
+class TestControlPlane:
+    @pytest.mark.parametrize("mode", ["schedule", "structural"])
+    def test_closed_forms_at_rlwe_sizes(self, mode):
+        # the constant kernels time the pipeline exactly as the bit-exact
+        # ones do, on both reducers ...
+        for m, n in ((FIXED_M, 256), (12289, 64)):
+            p = build_params(m, n)
+            config = PipelineConfig(n=n, params=p, mode=mode)
+            operands = [(a.coeffs, b.coeffs)
+                        for a, b in rand_pairs(random.Random(70), p, 4)]
+            exact = traced_cycles(config, operands, _kernels(p))
+            assert traced_cycles(config, operands, CONSTANT_KERNELS) == exact
+        # ... so they decide the closed forms at sizes the paper ring lacks
+        for n in (1024, 4096):
+            config = PipelineConfig(n=n, params=build_params(RLWE_M, n),
+                                    mode=mode)
+            zeros = (0,) * n
+            _, rep = _run_cycles(config, [(zeros, zeros)] * 4,
+                                 CONSTANT_KERNELS, None)
+            if mode == "schedule":
+                assert rep.first_ntt_latency == rep.predicted_first_ntt
+                assert rep.first_mul_latency == rep.predicted_first_mul
+            assert rep.steady_cycles_per_mul == n // 2
+            assert rep.stall_free
+            assert rep.regs_per_stage == rep.fifo_capacity_per_stage
+            assert rep.inv_regs_per_stage == rep.inv_fifo_capacity_per_stage
+            log_n = n.bit_length() - 1
+            assert (sum(rep.regs_per_stage) + 2 * log_n
+                    == predicted_ntt_regs(n))
 
 
 def output_digests(params, mode, count, trace_path):
