@@ -21,7 +21,6 @@ from .modarith import (
     FIXED_U_SHORTCUT,
     KARATSUBA_BITS,
     BarrettConstantError,
-    BarrettVerdict,
     ModulusContext,
     barrett_first_failure,
     barrett_reduce_fixed,
@@ -69,7 +68,6 @@ __all__ = [
     "FIXED_U_SHORTCUT",
     "KARATSUBA_BITS",
     "BarrettConstantError",
-    "BarrettVerdict",
     "ModulusContext",
     "barrett_first_failure",
     "barrett_reduce_fixed",

@@ -7,12 +7,13 @@ specialised shift-add reducer (:func:`barrett_reduce_fixed`) whose data path
 mirrors a fixed 42-bit hardware implementation slice for slice.
 
 Multiplier constants are certified when a context is constructed:
-:func:`find_barrett_constants` derives the minimal pair by an exact integer
-error bound, and :func:`barrett_first_failure` certifies a pair exactly in
-O(1) integer arithmetic, returning the smallest input of the whole domain
+:func:`barrett_first_failure` certifies a pair exactly in O(1) integer
+arithmetic, returning the smallest input of the whole domain
 ``[0, (M-1)**2]`` the reduction gets wrong.  That certificate is the only
-Barrett decider: a context whose pair it rejects cannot be built, and
-:func:`validate_barrett_constants` reports its verdict.
+Barrett decider: :func:`find_barrett_constants` takes the smallest k whose
+u it accepts, and :func:`validate_barrett_constants`, the one check a
+context runs when it is built, raises :class:`BarrettConstantError` naming
+the input it rejects.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class BarrettConstantError(ValueError):
 class ModulusContext:
     """Modulus plus its certified Barrett reduction constants.
 
-    Construction runs :func:`barrett_first_failure`, so a context exists only
-    for a (barrett_k, barrett_u) pair that reduces every input of
-    ``[0, (M-1)**2]`` exactly; any other pair raises
+    Construction runs :func:`validate_barrett_constants`, so a context
+    exists only for a (barrett_k, barrett_u) pair that reduces every input
+    of ``[0, (M-1)**2]`` exactly; any other pair raises
     :class:`BarrettConstantError` naming the first input it gets wrong.
     """
 
@@ -56,11 +57,7 @@ class ModulusContext:
     barrett_u: int
 
     def __post_init__(self):
-        bad = barrett_first_failure(self.M, self.barrett_k, self.barrett_u)
-        if bad is not None:
-            raise BarrettConstantError(
-                f"(k={self.barrett_k}, u={self.barrett_u}) fails for "
-                f"M={self.M} at I={bad}")
+        validate_barrett_constants(self.M, self.barrett_k, self.barrett_u)
 
     @classmethod
     def create(cls, M: int) -> "ModulusContext":
@@ -136,23 +133,19 @@ def barrett_reduce_fixed(value: int) -> Residue:
 
 
 def find_barrett_constants(M: int) -> tuple[int, int]:
-    """Smallest (k, u) with u = floor(2**k / M) whose quotient error is safe.
-
-    The approximation error e = 1/M - u/2**k must stay small enough that
-    beta = (I*u) >> k underestimates the true quotient by at most one for
-    every I up to (M-1)**2, i.e. e * (M-1)**2 < 1.  Checked exactly in
-    integers: (M-1)**2 * (2**k - u*M) < M * 2**k.
-    """
+    """Smallest k >= M.bit_length() whose u = floor(2**k / M) the certificate
+    :func:`barrett_first_failure` accepts, returned as (k, u)."""
     if M < 2:
         raise ValueError(f"modulus must be >= 2, got {M}")
-    sq = (M - 1) ** 2
+    # With r = 2**k mod M, the certificate accepts (k, u) exactly when
+    # 2**k >= (M-2) * r; the textbook error bound (M-1)**2 * r < M * 2**k
+    # accepts the same pairs except where 2**k == (M-2) * r, which odd
+    # M >= 3 rules out.  So for odd M this is the textbook minimal pair
+    # (the even M = 6 gets a smaller k).
     k = M.bit_length()          # smallest k with 2**k > M
-    while True:
-        pow2 = 1 << k
-        u = pow2 // M
-        if sq * (pow2 - u * M) < M * pow2:
-            return k, u
+    while barrett_first_failure(M, k, (1 << k) // M) is not None:
         k += 1
+    return k, (1 << k) // M
 
 
 def barrett_first_failure(M: int, k: int, u: int) -> int | None:
@@ -183,20 +176,10 @@ def barrett_first_failure(M: int, k: int, u: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class BarrettVerdict:
-    valid: bool
-    first_counterexample: int | None
-    tested: int
-
-
-def validate_barrett_constants(M: int, k: int, u: int) -> BarrettVerdict:
-    """Verdict on (k, u) over the whole input domain [0, (M-1)**2].
-
-    Exact: ``first_counterexample`` is :func:`barrett_first_failure`, the
-    smallest input the reduction gets wrong, and ``tested`` counts every
-    input of the domain, all of which that certificate decides.
-    """
+def validate_barrett_constants(M: int, k: int, u: int) -> None:
+    """Raise :class:`BarrettConstantError` unless (k, u) reduces every input
+    of [0, (M-1)**2] exactly; the message names the first input
+    :func:`barrett_first_failure` finds wrong."""
     bad = barrett_first_failure(M, k, u)
-    return BarrettVerdict(valid=bad is None, first_counterexample=bad,
-                          tested=(M - 1) ** 2 + 1)
+    if bad is not None:
+        raise BarrettConstantError(f"(k={k}, u={u}) fails for M={M} at I={bad}")

@@ -44,8 +44,8 @@ import csv
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from .modarith import (FIXED_K, FIXED_M, FIXED_U_MIN, barrett_reduce_fixed,
-                       barrett_reduce_generic, karatsuba_mul)
+from .modarith import (FIXED_M, barrett_reduce_fixed, barrett_reduce_generic,
+                       karatsuba_mul)
 from .params import NttParams
 from .polymul import Polynomial, _check_operand
 
@@ -112,20 +112,19 @@ def _kernels(params: NttParams):
     lane_mul: (x_i, x_j, w) -> (x_j[0]*x_j[1], x_i[0]*x_i[1])  pointwise
 
     Every kernel takes its pair higher element first.  The product path is
-    karatsuba_mul into the Barrett reducer; the fixed shift-add reducer is
-    used whenever the context carries the default modulus constants.
+    karatsuba_mul into the Barrett reducer; the fixed shift-add reducer,
+    which reads no context and is exact on its whole domain, is used
+    whenever M is the default modulus.
     karatsuba_mul is looked up as this module's global on every call, so it
     can be counted by replacing that name.
     """
     M = params.M
-    ctx = params.ctx
     bits = (M - 1).bit_length()
     l = bits + (bits & 1)       # smallest even operand width holding M - 1
-    if (M == FIXED_M and ctx.barrett_k == FIXED_K
-            and ctx.barrett_u == FIXED_U_MIN):
+    if M == FIXED_M:
         reduce = barrett_reduce_fixed
     else:
-        def reduce(v, _ctx=ctx):
+        def reduce(v, _ctx=params.ctx):
             return barrett_reduce_generic(v, _ctx)
 
     def addsub(a_i, a_j, w):

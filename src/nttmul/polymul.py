@@ -14,6 +14,7 @@ Entries are always in natural order.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .params import NttParams, bit_reverse_index
@@ -37,10 +38,10 @@ class Polynomial:
         M, cs = self.modulus, self.coeffs
         if set(map(type, cs)) != {int}:
             bad = next(c for c in cs if type(c) is not int)
-            raise ValueError(f"coefficient {bad!r} is not an int")
+            raise ValueError(f"coefficient {reprlib.repr(bad)} is not an int")
         if min(cs) < 0 or max(cs) >= M:
             bad = next(c for c in cs if not 0 <= c < M)
-            raise ValueError(f"coefficient {bad} outside [0, {M})")
+            raise ValueError(f"coefficient {reprlib.repr(bad)} outside [0, {M})")
 
     def __len__(self):
         return len(self.coeffs)

@@ -22,8 +22,10 @@ from contextlib import contextmanager
 import pytest
 
 from nttmul import (
+    BarrettConstantError,
     PipelineConfig,
     Polynomial,
+    barrett_first_failure,
     barrett_reduce_fixed,
     barrett_reduce_generic,
     find_barrett_constants,
@@ -123,14 +125,14 @@ def test_barrett_constants_and_shortcut_verdict(announce):
                    "minimal constants are (k=40, u=1048063); shortcut "
                    "u=1048064 verdict recorded"):
         assert find_barrett_constants(FIXED_M) == (40, 1_048_063)
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT)
-        assert v.first_counterexample == 2_098_177
-        assert v.tested == (FIXED_M - 1) ** 2 + 1
-        if v.valid:
-            announce(f"    u=1048064 verdict: valid over {v.tested} inputs")
-        else:
-            announce(f"    u=1048064 verdict: INVALID, first counterexample "
-                     f"{v.first_counterexample} (tested {v.tested} inputs)")
+        first = barrett_first_failure(FIXED_M, 40, FIXED_U_SHORTCUT)
+        assert first == 2_098_177
+        with pytest.raises(BarrettConstantError, match=f"at I={first}$"):
+            validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT)
+        # the certificate decides every input of [0, (M-1)**2]
+        tested = (FIXED_M - 1) ** 2 + 1
+        announce(f"    u=1048064 verdict: INVALID, first counterexample "
+                 f"{first} (tested {tested} inputs)")
 
 
 def test_simulator_transform_oracle_agree_everywhere(p17_4, fixed_params,

@@ -461,11 +461,33 @@ def test_deeply_nested_json_exits_two(toy_tables, tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
+@pytest.mark.parametrize("command", ["mul", "sim", "check"])
+def test_too_many_digits_names_its_location(toy_tables, tmp_path, capsys,
+                                            command):
+    # int() refuses a decimal string this long; the error line still names
+    # the file, line and field
+    vec = tmp_path / "v.ndjson"
+    write_ndjson(vec, [{"a": ["1" * 5000, "0", "0", "0"],
+                        "b": ["0", "0", "0", "0"]}])
+    tables = ["--params", str(toy_tables), "--vectors", str(vec)]
+    argv = {
+        "mul": ["mul", *tables, "--out", str(tmp_path / "c.ndjson")],
+        "sim": ["sim", *tables, "--report", str(tmp_path / "r.json")],
+        "check": ["check", *tables],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {vec}:1 field a: ")
+
+
 # SHA-256 of every file and stdout of one fixed session at the paper ring,
-# plus the table file of a second ring: a refactor must keep them all.
+# plus the table file and params stdout of two more rings: a refactor must
+# keep them all.
 PINNED_SESSION = {
     "params 1049089 256": "e77b4a572016e418b215197ff37983760c8ffeb5198bdb222ae3630d326a018d",
     "params 12289 1024": "817bf013d51fdabbbb9e9f701dedc3a279944341504e2883c146e9f0ae2dc0b8",
+    "params 12289 1024 stdout": "f1441c2b5636ee9afd2a245e3ed9d8b65586b4596a2933379398cd88a2b2f790",
+    "params 18446744069414584321 64": "3c680f4b32cb868b2a85232b1d54a935b1117bb199f601c644f03e019affb500",
+    "params 18446744069414584321 64 stdout": "8c2407346757e88093d5214815775afabb3a17ee20f42e4fb99d40f2c57b2cba",
     "params stdout": "6909ecbce43c89e96ac2d1ef509baa2490c2b3646358e477662f050305527ee2",
     "gen": "ed4bdf7df081533df2e0fb9a58e8b9d56a0ae23b1581d68c4b6c5cec5a039c80",
     "mul ntt": "73c70c8ff759f79b735729005d542fee784f3d2bfd1a5c976e66685faad65c46",
@@ -491,10 +513,14 @@ def test_session_bytes_match_pinned(tmp_path, monkeypatch, capsys):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
     got = {}
-    for m, n in (("12289", "1024"), ("1049089", "256")):
-        got["params stdout"] = run("params", "--modulus", m, "--n", n,
-                                   "--out", "t.json")
+    # 2**64 - 2**32 + 1 takes k = 128; the paper ring comes last, so the
+    # rest of the session reads its table file
+    for m, n in (("18446744069414584321", "64"), ("12289", "1024"),
+                 ("1049089", "256")):
+        stdout = run("params", "--modulus", m, "--n", n, "--out", "t.json")
         got[f"params {m} {n}"] = file_digest("t.json")
+        paper = m == "1049089"
+        got["params stdout" if paper else f"params {m} {n} stdout"] = stdout
     tables = ("--params", "t.json")
     run("gen", *tables, "--count", "4", "--seed", "11", "--out", "v.ndjson")
     got["gen"] = file_digest("v.ndjson")

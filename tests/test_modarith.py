@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -180,43 +181,53 @@ class TestFindConstants:
         moduli += [rng.randrange(2, 1 << 20) for _ in range(25)]
         for M in moduli:
             k, u = find_barrett_constants(M)
-            verdict = validate_barrett_constants(M, k, u)
-            assert verdict.valid, (M, k, u, verdict)
+            assert validate_barrett_constants(M, k, u) is None, (M, k, u)
+
+    @given(st.integers(1, (1 << 63) - 1).map(lambda h: 2 * h + 1))
+    def test_odd_moduli_keep_the_error_bound_pair(self, M):
+        # the search find_barrett_constants used before the certificate:
+        # smallest k whose u keeps (M-1)**2 * (2**k - u*M) < M * 2**k
+        k = M.bit_length()
+        while (M - 1) ** 2 * ((1 << k) % M) >= M << k:
+            k += 1
+        assert find_barrett_constants(M) == (k, (1 << k) // M)
+
+    def test_even_modulus_six_takes_a_smaller_k(self):
+        # at k = 3, 2**k == (M-2) * (2**k mod M): the error bound rejects
+        # u = 1, yet it reduces the whole domain [0, 25] exactly
+        assert find_barrett_constants(6) == (3, 1)
+        assert (6 - 1) ** 2 * (8 % 6) >= 6 * 8
+        ctx = ModulusContext(6, 3, 1)
+        assert all(barrett_reduce_generic(v, ctx) == v % 6 for v in range(26))
 
 
 class TestValidateConstants:
-    def test_minimal_pair_valid(self):
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_MIN)
-        assert v.valid
-        assert v.first_counterexample is None
-
-    def test_shortcut_pair_fails_at_twice_m_minus_one(self):
+    @pytest.mark.parametrize("M, k, u, first", [
+        (FIXED_M, 40, FIXED_U_MIN, None),
         # u*M = 2**40 + 785920 > 2**40, so beta can overestimate
-        v = validate_barrett_constants(FIXED_M, 40, FIXED_U_SHORTCUT)
-        assert not v.valid
-        assert v.first_counterexample == 2 * FIXED_M - 1 == 2_098_177
+        (FIXED_M, 40, FIXED_U_SHORTCUT, 2 * FIXED_M - 1),
+        (2, 2, 2, None),
+        # moduli too wide for int64 products
+        ((1 << 31) + 11, *find_barrett_constants((1 << 31) + 11), None),
+        # the first failure is in block 8195
+        (2_147_483_659, 75, 17_592_185_954_305, 17_600_776_069_163),
+    ], ids=["minimal-pair", "shortcut-pair", "tiny-exact-division",
+            "wide-derived", "wide-late-block-failure"])
+    def test_raises_at_the_first_failure_or_returns_none(self, M, k, u,
+                                                         first):
+        if first is None:
+            assert validate_barrett_constants(M, k, u) is None
+        else:
+            message = f"(k={k}, u={u}) fails for M={M} at I={first}"
+            with pytest.raises(BarrettConstantError,
+                               match=f"^{re.escape(message)}$"):
+                validate_barrett_constants(M, k, u)
 
     def test_shortcut_failure_reproduces_by_hand(self):
         value = 2 * FIXED_M - 1
         beta = (value * FIXED_U_SHORTCUT) >> 40
         assert beta == 2                   # true quotient is 1
         assert value - beta * FIXED_M < 0  # wrapped negative, not a residue
-
-    def test_tiny_exact_division(self):
-        v = validate_barrett_constants(2, 2, 2)
-        assert v.valid
-
-    @pytest.mark.parametrize("M, k, u, first", [
-        ((1 << 31) + 11, *find_barrett_constants((1 << 31) + 11), None),
-        # the first failure is in block 8195
-        (2_147_483_659, 75, 17_592_185_954_305, 17_600_776_069_163),
-    ], ids=["derived", "late-block-failure"])
-    def test_wide_modulus_verdict(self, M, k, u, first):
-        # moduli too wide for int64 products
-        v = validate_barrett_constants(M, k, u)
-        assert v.valid == (first is None)
-        assert v.first_counterexample == first
-        assert v.tested == (M - 1) ** 2 + 1
 
 
 class TestModulusContext:
@@ -284,11 +295,13 @@ class TestFirstFailureCertificate:
         with pytest.raises(BarrettConstantError, match="I=2098177"):
             ModulusContext.create(FIXED_M)
 
-    def test_create_does_not_run_the_sweep(self, monkeypatch):
-        def sweep(*args, **kwargs):
-            raise AssertionError("ModulusContext.create ran the sweep")
-        monkeypatch.setattr(modarith, "validate_barrett_constants", sweep)
+    def test_construction_certifies_through_validate(self, monkeypatch):
+        # looked up by name on every construction, so a wrapper sees it
+        calls = []
+        monkeypatch.setattr(modarith, "validate_barrett_constants",
+                            lambda *mku: calls.append(mku))
         assert ModulusContext.create(FIXED_M) == CTX
+        assert calls == [(FIXED_M, FIXED_K, FIXED_U_MIN)]
 
     @given(_barrett_triples(max_m=299))
     def test_context_has_an_exact_reducer_or_raises(self, mku):

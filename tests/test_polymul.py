@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -69,6 +70,17 @@ class TestPolynomialType:
     def test_rejects_coefficients_that_are_not_ints(self, bad):
         with pytest.raises(ValueError, match=rf"coefficient {bad!r} is not an int"):
             Polynomial((0, bad, 1, 2), 17)
+
+    @pytest.mark.parametrize("bad", [
+        "7" * 100_000,
+        17 + 10 ** 1000,
+        functools.reduce(lambda inner, _: [inner], range(900), []),
+    ], ids=["long-string", "wide-int", "deep-list"])
+    def test_message_length_is_bounded(self, bad):
+        # the message shows a shortened repr of the offender, not all of it
+        with pytest.raises(ValueError, match="^coefficient ") as exc:
+            Polynomial((0, bad, 1, 2), 17)
+        assert len(str(exc.value)) < 80
 
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
