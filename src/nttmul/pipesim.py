@@ -6,7 +6,7 @@ rate of one product every N/2 clock cycles:
 * two coefficients of each operand enter per cycle, are weighted by
   ``phi**i``, and flow through two parallel forward-transform pipelines.
   These share one control plane (FIFO ``sel`` and counters, twiddle
-  sequencing), modelled once with two data lanes: ``(a, b)`` elements;
+  sequencing), modelled once: both operands take one routing;
 * each pipeline has log2(N) butterfly stages.  Stage s pairs lanes that sit
   N/2**s apart, which in stream order means its second operand arrives
   N/2**s cycles after its first; a double-buffer FIFO (:class:`StageFifo`)
@@ -32,17 +32,21 @@ match the closed-form expressions (:func:`predicted_first_ntt_latency` and
 friends); ``structural`` mode uses multi-cycle unit latencies, which
 stretches the fill latency but must not change throughput.
 
-Butterfly products take the same path as the real datapath: a one-level
-Karatsuba multiply followed by Barrett reduction (the shift-add reducer for
-the default modulus).  A simulation is deterministic: identical inputs and
-configuration give identical cycle-by-cycle traces.
+The schedule does not depend on the data: :func:`_run_cycles` routes
+position labels and stops at the steady state its docstring proves, then
+:func:`_replay` computes the products on the recorded routing with the
+units' arithmetic, ``x * w % M`` standing for Karatsuba plus Barrett.
+Identical inputs and configuration give identical cycle-by-cycle traces.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
+from functools import partial
+from operator import add, itemgetter, sub
 
 from .modarith import (FIXED_M, barrett_reduce_fixed, barrett_reduce_generic,
                        karatsuba_mul)
@@ -56,7 +60,7 @@ ADDSUB_CYCLES = 2
 
 
 class PipelineAssertionError(RuntimeError):
-    """A FIFO overflowed, starved, or the stream schedule wedged.
+    """A FIFO overflowed or starved, a fire misrouted, or the schedule wedged.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -102,67 +106,36 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 # arithmetic kernels
 
-def _kernels(params: NttParams):
-    """(ct, gs, addsub, scale, lane_mul) closures for one parameter set.
-
-    ct:       (a_i, a_j, w) -> (a_j + w*a_i, a_j - w*a_i)  multiply-then-add/sub
-    gs:       (a_i, a_j, w) -> (a_j + a_i, (a_j - a_i)*w)  add/sub-then-multiply
-    addsub:   (a_i, a_j, w) -> (a_j + a_i, a_j - a_i)      unit-twiddle stage
-    scale:    (a_i, a_j, w) -> (a_j*w[0], a_i*w[1])        (un)weighting
-    lane_mul: (x_i, x_j, w) -> (x_j[0]*x_j[1], x_i[0]*x_i[1])  pointwise
-
-    Every kernel takes its pair higher element first.  The product path is
-    karatsuba_mul into the Barrett reducer; the fixed shift-add reducer,
-    which reads no context and is exact on its whole domain, is used
-    whenever M is the default modulus.
-    karatsuba_mul is looked up as this module's global on every call, so it
-    can be counted by replacing that name.
-    """
+def _datapath_mul(params: NttParams):
+    """The units' product of two lists of residues: ``karatsuba_mul`` (a
+    module global, counted by replacing the name) on l-bit operands into
+    Barrett, shift-add for the default modulus.  It equals ``x * y % M``,
+    which :func:`run_stream` replays: each reducer is exact up to (M-1)**2."""
     M = params.M
     bits = (M - 1).bit_length()
     l = bits + (bits & 1)       # smallest even operand width holding M - 1
-    if M == FIXED_M:
-        reduce = barrett_reduce_fixed
-    else:
-        def reduce(v, _ctx=params.ctx):
-            return barrett_reduce_generic(v, _ctx)
-
-    def addsub(a_i, a_j, w):
-        # w == 1 path: no multiplier in the stage at all
-        s = a_j + a_i
-        if s >= M:
-            s -= M
-        d = a_j - a_i
-        if d < 0:
-            d += M
-        return s, d
-
-    def ct(a_i, a_j, w):
-        return addsub(reduce(karatsuba_mul(a_i, w, l)), a_j, 1)
-
-    def gs(a_i, a_j, w):
-        s, d = addsub(a_i, a_j, 1)
-        return s, reduce(karatsuba_mul(d, w, l))
-
-    def scale(a_i, a_j, w):
-        return (reduce(karatsuba_mul(a_j, w[0], l)),
-                reduce(karatsuba_mul(a_i, w[1], l)))
-
-    def lane_mul(x_i, x_j, w):
-        return (reduce(karatsuba_mul(x_j[0], x_j[1], l)),
-                reduce(karatsuba_mul(x_i[0], x_i[1], l)))
-
-    return ct, gs, addsub, scale, lane_mul
+    reduce = (barrett_reduce_fixed if M == FIXED_M
+              else partial(barrett_reduce_generic, ctx=params.ctx))
+    return lambda xs, ys: [reduce(karatsuba_mul(x, y, l))
+                           for x, y in zip(xs, ys)]
 
 
-def _two_lane(kernel):
-    """Lift a kernel onto ``(a, b)`` lane tuples: both lanes share the
-    twiddle, as the two forward pipelines share their control."""
-    def lifted(x_i, x_j, w):
-        sa, da = kernel(x_i[0], x_j[0], w)
-        sb, db = kernel(x_i[1], x_j[1], w)
-        return (sa, sb), (da, db)
-    return lifted
+def _kernels(M, mul):
+    """By stage kind, the units on lists of the fires' lower and higher
+    elements and twiddles, ``mul`` the product mod M and each sum or
+    difference back in [0, M) by one conditional -M or +M: ct (lo + w*hi,
+    lo - w*hi), gs (lo + hi, (lo - hi)*w), addsub, scale (lo*w[0], hi*w[1])."""
+    def addsub(lo, hi, w=None):
+        return ([s - M if s >= M else s for s in map(add, lo, hi)],
+                [d + M if d < 0 else d for d in map(sub, lo, hi)])
+
+    def gs(lo, hi, w):
+        s, d = addsub(lo, hi)
+        return s, mul(d, w)
+
+    return {"addsub": addsub, "gs": gs,
+            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w)),
+            "scale": lambda lo, hi, w: (mul(lo, w[0]), mul(hi, w[1]))}
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +258,28 @@ class _PipeStage:
     The unit is a shift register of ``latency - 1`` slots: each tick, which
     runs once per cycle, shifts in this cycle's result or None and shifts
     out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
+
+    Fire t emits the labels (2t, 2t + 1).  ``program`` holds, per fire of
+    product 0, the higher and lower label paired and the twiddle index; fire
+    t must pair fire t mod N/2's labels moved up by N per product.
     """
 
-    __slots__ = ("label", "fifo", "kernel", "_unit", "twiddles", "per_block",
-                 "n_half", "t", "out", "first_fire", "last_fire",
+    __slots__ = ("label", "kind", "fifo", "_unit", "twiddles", "per_block",
+                 "n_half", "t", "out", "program", "first_fire", "last_fire",
                  "first_block_fire", "trace")
 
-    def __init__(self, label, stage, hold, twiddles, kernel, latency,
-                 n_half, trace=None):
+    def __init__(self, label, kind, stage, hold, twiddles, latency, n_half,
+                 trace=None):
         self.label = label
+        self.kind = kind
         self.fifo = StageFifo(stage, hold) if hold else None
-        self.kernel = kernel
         self._unit = deque([None] * (latency - 1))
         self.twiddles = twiddles
         self.per_block = n_half // len(twiddles)
         self.n_half = n_half
         self.t = 0
         self.out = None
+        self.program = array("i")
         self.first_fire = None
         self.last_fire = None
         self.first_block_fire = None
@@ -318,13 +296,20 @@ class _PipeStage:
             t = self.t
             self.t = t + 1
             tp = t % self.n_half
-            result = self.kernel(pair[0], pair[1],
-                                 self.twiddles[tp // self.per_block])
-            if self.first_fire is None:
-                self.first_fire = cycle
+            if t == tp:         # product 0: record its routing
+                if not t:
+                    self.first_fire = cycle
+                if t == self.n_half - 1:
+                    self.first_block_fire = cycle
+                self.program.extend((*pair, tp // self.per_block))
+            else:
+                d, i = 2 * (t - tp), 3 * tp
+                want = (self.program[i] + d, self.program[i + 1] + d)
+                if pair != want:
+                    raise PipelineAssertionError(
+                        f"{self.label}: fire {t} pairs {pair}, not {want}")
+            result = (2 * t, 2 * t + 1)
             self.last_fire = cycle
-            if t == self.n_half - 1:
-                self.first_block_fire = cycle
         if self.trace is not None:
             fired_positions = ("", "")
             if pair is not None:
@@ -449,15 +434,13 @@ def _check_n(n: int):
 # ---------------------------------------------------------------------------
 # the simulator
 
-def _build_chains(config: PipelineConfig, kernels, trace):
+def _build_chains(config: PipelineConfig, trace):
     """The datapath as two chains of stages, each fed by the one before:
-    ``front = [weight, *forward, pointwise]`` carries ``(a, b)`` lanes,
-    ``back = [*inverse, unweight]`` carries residues.  ``kernels`` is a
-    :func:`_kernels` tuple; butterfly stages write rows to ``trace``."""
+    ``front = [weight, *forward, pointwise]``, whose routing both operands
+    take, and ``back = [*inverse, unweight]``.  Butterfly stages write rows
+    to ``trace``."""
     params = config.params
     n_half = config.n // 2
-    ct, gs, addsub, scale, lane_mul = kernels
-    lat = config.scalar_latency
 
     def butterflies(forward: bool, label: str):
         tables = (params.stage_twiddles_fwd if forward
@@ -469,26 +452,25 @@ def _build_chains(config: PipelineConfig, kernels, trace):
             # 1 pairs the two halves of one arrival
             hold = 0 if s == 1 else (config.n >> s if forward
                                      else 1 << (s - 2))
-            kernel = addsub if set(twiddles) == {1} else (ct if forward else gs)
-            if forward:
-                kernel = _two_lane(kernel)
-            stages.append(_PipeStage(f"{label}{s}", s, hold, twiddles, kernel,
+            kind = ("addsub" if set(twiddles) == {1}
+                    else "ct" if forward else "gs")
+            stages.append(_PipeStage(f"{label}{s}", kind, s, hold, twiddles,
                                      config.butterfly_latency, n_half, trace))
         return stages
 
-    def multiplier(weights, kernel):
+    def multiplier(kind, weights=None):
         # per-index coefficient pairs (w_j, w_{j+N/2}); no weights: pointwise
         table = (tuple(zip(weights[:n_half], weights[n_half:])) if weights
                  else (None,))
-        return _PipeStage(None, 0, 0, table, kernel, lat, n_half)
+        return _PipeStage(kind, kind, 0, 0, table, config.scalar_latency,
+                          n_half)
 
     # Labelled "fwd_a" as when each operand had its own pipeline and only
     # the first was traced, so trace files stay byte-identical.
-    front = [multiplier(params.weights_fwd, _two_lane(scale)),
-             *butterflies(True, "fwd_a"),
-             multiplier(None, lane_mul)]
+    front = [multiplier("scale", params.weights_fwd),
+             *butterflies(True, "fwd_a"), multiplier("pointwise")]
     back = [*butterflies(False, "inv"),
-            multiplier(params.weights_inv_scaled, scale)]
+            multiplier("scale", params.weights_inv_scaled)]
     return front, back
 
 
@@ -503,9 +485,9 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     Every datapath column is the same kind of pipelined stage; the
     weighting, pointwise and unweighting multipliers are stages without a
-    hold FIFO.  One forward chain carries both operands as two data lanes
-    under their shared control; the report still counts registers for
-    both hardware pipelines: ``total_regs = 2 * forward + inverse``.
+    hold FIFO.  One forward chain routes both operands under their shared
+    control; the report still counts registers for both hardware
+    pipelines: ``total_regs = 2 * forward + inverse``.
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is streamed
@@ -518,17 +500,20 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
         _check_operand(a, params, domain="coefficient", name="a")
         _check_operand(b, params, domain="coefficient", name="b")
         operands.append((a.coeffs, b.coeffs))
-    kernels = _kernels(params)
     if trace_path is None:
-        products, report = _run_cycles(config, operands, kernels, None)
+        front, back, report = _run_cycles(config, len(operands), None)
     else:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cycle", "stage", "sel", "counter",
                              "pair_lo", "pair_hi"])
-            products, report = _run_cycles(config, operands, kernels,
-                                           writer.writerow)
-    return [Polynomial(tuple(c), params.M) for c in products], report
+            front, back, report = _run_cycles(config, len(operands),
+                                              writer.writerow)
+    M = params.M
+    products = operands and _replay(
+        config, front, back, operands,
+        lambda xs, ys: [x * y % M for x, y in zip(xs, ys)])
+    return [Polynomial(tuple(c), M) for c in products], report
 
 
 def _tick_chain(chain, cycle, arrival):
@@ -539,29 +524,82 @@ def _tick_chain(chain, cycle, arrival):
     chain[0].tick(cycle, arrival)
 
 
-def _run_cycles(config, operands, kernels, trace):
-    """The simulation loop: feed ``operands``, (a, b) coefficient sequences,
-    back to back through the datapath built on ``kernels`` until every
-    product is collected; ``trace`` is a row sink or None.  Returns
-    ``(products, CycleReport)``, products as coefficient lists in order.
+def _moved(stages, gate, fires):
+    """The state the loop reads moved up by ``fires`` fires, as values: gate
+    (_ready, pairs), per stage (t, out, unit, FIFO state or None)."""
+    lab = 2 * fires
 
-    The control plane (FIFOs, gate, collection) reads a wire only as None or
-    not None, so any kernels that always return a pair give the same report
-    and trace as the bit-exact ones: tests time the control plane alone.
+    def moved(pair):
+        return pair and (pair[0] + lab, pair[1] + lab)
+    state = [(gate._ready, deque(map(moved, gate._pairs)))]
+    for st in stages:
+        f = st.fifo
+        state.append((st.t + fires, moved(st.out), deque(map(moved, st._unit)),
+                      f and (f.counter + fires, f.ended,
+                             deque(x + lab for x in f.block_i),
+                             deque(x + lab for x in f.block_ii))))
+    return state
+
+
+def _run_cycles(config, count, trace):
+    """The cycle loop for ``count`` products, position j of product p fed
+    as the labels (pN + 2j, pN + 2j + 1); ``trace`` is a row sink or None.
+    Returns ``(front, back, CycleReport)``.
+
+    At product boundary k, once every stage has fired, the control state
+    relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
+    the collected count minus kN/2; ``_ready`` and ``ended`` as they are.
+    If boundary k + 1 repeats k, the loop moves the state to the last
+    boundary, repeats the period's completion and trace rows (``cycle`` and
+    ``counter`` up N/2 per period), and drains.  Proof: a period commutes
+    with moving the state up N/2 fires, so every later boundary repeats k.
+    The loop never reads a label's value: it moves labels, feeds (2f,
+    2f + 1), emits (2t, 2t + 1) at fire t and checks fires against product
+    0's routing moved by N per product.  A FIFO reads ``counter`` only as
+    != 0, as < hold (false past its first fire) and as its phase bit, and
+    2 * hold divides N/2.  A stage reads ``t`` mod N/2, and once at N/2 - 1,
+    passed before the second snapshot.  ``feed_idx`` and the collected
+    count are read mod N/2 and against the total, unreached before the last
+    boundary.  All else is only written.
     """
     n_half = config.n // 2
-    front, back = _build_chains(config, kernels, trace)
+    window: list = []       # trace rows since the last product boundary
+
+    def record(row):
+        trace(row)
+        window.append(row)
+
+    front, back = _build_chains(config, record if trace else None)
+    stages = (*front, *back)
     gate = _TransformGate(n_half)
-    products = [[0] * config.n for _ in operands]
-    total_feeds = len(operands) * n_half
-    limit = 1000 + (len(operands) + 4) * config.n * (
+    total = count * n_half
+    limit = 1000 + (count + 4) * config.n * (
         config.butterfly_latency + config.scalar_latency + 4)
     completions: list[int] = []
-    feed_idx = 0
-    collected = 0
-    cycle = 0
+    feed_idx = collected = cycle = 0
+    state = None
 
-    while collected < total_feeds:
+    while collected < total:
+        if not feed_idx % n_half and feed_idx < total:
+            rows, window = window, []   # the period ending here
+            if all(st.first_fire is not None for st in stages):
+                last, state = state, [collected - feed_idx,
+                                      *_moved(stages, gate, -feed_idx)]
+                if state == last:   # so one completion per period
+                    skip = total - feed_idx
+                    for i in range(n_half, skip + 1, n_half):
+                        completions.append(completions[-1] + n_half)
+                        for c, lab, sel, k, lo, hi in rows:
+                            trace((c + i, lab, sel, k if k == "" else k + i,
+                                   lo, hi))
+                    (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
+                    for st, (t, out, unit, f) in zip(stages, per_stage):
+                        st.t, st.out, st._unit = t, out, unit
+                        if f:
+                            (st.fifo.counter, _, st.fifo.block_i,
+                             st.fifo.block_ii) = f
+                    feed_idx, collected, cycle = (total, collected + skip,
+                                                  cycle + skip)
         cycle += 1
         if cycle > limit:
             raise PipelineAssertionError(
@@ -570,26 +608,61 @@ def _run_cycles(config, operands, kernels, trace):
         # the back chain ticks first, so the gate hands over what was
         # complete before this cycle's pointwise output arrives
         _tick_chain(back, cycle, gate.pop())
-        out = back[-1].out
-        if out is not None:
-            poly, j = divmod(collected, n_half)
-            products[poly][j], products[poly][j + n_half] = out
+        if back[-1].out is not None:
             collected += 1
-            if j == n_half - 1:
+            if not collected % n_half:
                 completions.append(cycle)
 
         feed = None
-        if feed_idx < total_feeds:
-            poly, j = divmod(feed_idx, n_half)
-            a, b = operands[poly]
-            feed = ((a[j], b[j]), (a[j + n_half], b[j + n_half]))
+        if feed_idx < total:
+            feed = (2 * feed_idx, 2 * feed_idx + 1)
             feed_idx += 1
         _tick_chain(front, cycle, feed)
         if front[-1].out is not None:
             gate.push(front[-1].out)
-    report = _build_report(config, len(operands), front[1:-1], back[:-1],
-                           gate, completions, front[0].first_fire)
-    return products, report
+    report = _build_report(config, count, front[1:-1], back[:-1], gate,
+                           completions, front[0].first_fire)
+    return front, back, report
+
+
+def _replay(config, front, back, operands, mul):
+    """The products of ``operands``, (a, b) coefficient sequences, through
+    the recorded programs of weighting, the forward stages (both operands),
+    pointwise, the inverse stages and unweighting.  A stage gathers the
+    labels its fires paired and applies its :func:`_kernels` entry; a list
+    holds label 2t at t and 2t + 1 at t + N/2, fire t's outputs."""
+    h = config.n // 2
+    kernels = _kernels(config.params.M, mul)
+    # one int object per index, so a gather costs a pointer per fire
+    place = [lab % 2 * h + lab // 2 for lab in range(config.n)]
+
+    def gather(labels):
+        return itemgetter(*map(place.__getitem__, labels))
+
+    programs = []
+    for st in (*front, *back):
+        prog = st.program
+        w = [st.twiddles[i] for i in prog[2::3]]
+        if st.kind == "scale":
+            w = tuple(zip(*w))      # per fire (w_j, w_j+N/2): two lists
+        programs.append((gather(prog[1::3]), gather(prog[0::3]), w,
+                         kernels.get(st.kind)))
+
+    def run(progs, x):
+        for lo, hi, w, kernel in progs:
+            first, second = kernel(lo(x), hi(x), w)
+            x = first + second
+        return x
+
+    *forward, (lo, hi, _, _) = programs[:len(front)]
+    inverse = programs[len(front):]
+    products = []
+    for a, b in operands:
+        xa, xb = run(forward, a), run(forward, b)
+        # pointwise: a's pairs scaled by b's
+        first, second = kernels["scale"](lo(xa), hi(xa), (lo(xb), hi(xb)))
+        products.append(run(inverse, first + second))
+    return products
 
 
 def _build_report(config, count, fwd, inv, gate, completions, first_feed):

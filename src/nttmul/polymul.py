@@ -38,13 +38,20 @@ class Polynomial:
         M, cs = self.modulus, self.coeffs
         if set(map(type, cs)) != {int}:
             bad = next(c for c in cs if type(c) is not int)
-            raise ValueError(f"coefficient {reprlib.repr(bad)} is not an int")
+            raise ValueError(f"coefficient {_describe(bad)} is not an int")
         if min(cs) < 0 or max(cs) >= M:
             bad = next(c for c in cs if not 0 <= c < M)
-            raise ValueError(f"coefficient {reprlib.repr(bad)} outside [0, {M})")
+            raise ValueError(f"coefficient {_describe(bad)} outside [0, {M})")
 
     def __len__(self):
         return len(self.coeffs)
+
+
+def _describe(c) -> str:
+    try:
+        return reprlib.repr(c)
+    except ValueError:      # repr refuses an int past the digit limit
+        return f"<int of {c.bit_length()} bits>"
 
 
 def _check_operand(p: Polynomial, params: NttParams, *, domain: str, name: str):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nttmul import pipesim
 from nttmul.params import build_params
 from nttmul.pipesim import (
     PipelineAssertionError,
     PipelineConfig,
     StageFifo,
+    _datapath_mul,
     _kernels,
     _PipeStage,
+    _replay,
     _run_cycles,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
@@ -35,41 +38,42 @@ def rand_pairs(rng, params, count):
             for _ in range(count)]
 
 
+def datapath_kernels(p):
+    # the list kernels on the multiplier units' Karatsuba + Barrett product
+    return _kernels(p.M, _datapath_mul(p))
+
+
 class TestButterflyStep:
+    # kernels take (lower elements, higher elements, twiddles)
     def test_unit_twiddle_is_add_sub(self, fixed_params):
         p = fixed_params[16]
-        u, v = _kernels(p)[0](3, 10, 1)
-        assert (u, v) == (13, 7)
+        assert datapath_kernels(p)["ct"]([10], [3], [1]) == ([13], [7])
 
     def test_zero_input_passes_through(self, fixed_params):
         p = fixed_params[16]
-        assert _kernels(p)[0](0, 42, 12345) == (42, 42)
+        assert datapath_kernels(p)["ct"]([42], [0], [12345]) == ([42], [42])
 
     def test_random_against_oracle(self, fixed_params, p17_4):
         for p, seed in ((fixed_params[256], 30), (p17_4, 31)):
             M = p.M
-            ct = _kernels(p)[0]
+            ct = datapath_kernels(p)["ct"]
             rng = random.Random(seed)
-            for _ in range(2_000):
-                a_i = rng.randrange(M)
-                a_j = rng.randrange(M)
-                w = rng.randrange(M)
-                u, v = ct(a_i, a_j, w)
-                assert u == (a_j + a_i * w) % M
-                assert v == (a_j - a_i * w) % M
+            hi, lo, w = ([rng.randrange(M) for _ in range(2_000)]
+                         for _ in range(3))
+            u, v = ct(lo, hi, w)
+            assert u == [(y + x * t) % M for x, y, t in zip(hi, lo, w)]
+            assert v == [(y - x * t) % M for x, y, t in zip(hi, lo, w)]
 
     def test_gs_variant_against_oracle(self, fixed_params):
         p = fixed_params[256]
         M = p.M
-        gs = _kernels(p)[1]
+        gs = datapath_kernels(p)["gs"]
         rng = random.Random(32)
-        for _ in range(2_000):
-            a_i = rng.randrange(M)
-            a_j = rng.randrange(M)
-            w = rng.randrange(M)
-            u, v = gs(a_i, a_j, w)
-            assert u == (a_j + a_i) % M
-            assert v == (a_j - a_i) * w % M
+        hi, lo, w = ([rng.randrange(M) for _ in range(2_000)]
+                     for _ in range(3))
+        u, v = gs(lo, hi, w)
+        assert u == [(y + x) % M for x, y in zip(hi, lo)]
+        assert v == [(y - x) * t % M for x, y, t in zip(hi, lo, w)]
 
 
 def feed_forever(fifo, n_ticks, start=0):
@@ -199,27 +203,29 @@ class TestStageFifo:
             assert fifo.peak == 2 * hold
 
 
-def unit_stage(kernel, latency):
+def unit_stage(latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
     # element first; twiddles 0, 1, 0, 1, ... in issue order
-    return _PipeStage(None, 0, 0, (0, 1), kernel, latency, 2)
+    return _PipeStage("unit", "ct", 0, 0, (0, 1), latency, 2)
 
 
 class TestButterflyUnit:
     def test_latency_and_order(self):
-        stage = unit_stage(lambda a, b, w: (a + b, w), latency=3)
+        stage = unit_stage(latency=3)
         outs = []
         for cycle, arrival in enumerate([(20, 10), (21, 11), None, None,
                                          None], start=1):
             stage.tick(cycle, arrival)
             outs.append(stage.out)
-        # issued on cycles 1 and 2, out two cycles later, in issue order
-        assert outs == [None, None, (30, 0), (32, 1), None]
+        # fire t emits labels (2t, 2t + 1), two cycles after it issued
+        assert outs == [None, None, (0, 1), (2, 3), None]
+        assert list(stage.program) == [10, 20, 0, 11, 21, 1]
 
     def test_single_cycle_latency_same_tick(self):
-        stage = unit_stage(lambda a, b, w: (a, b), latency=1)
+        stage = unit_stage(latency=1)
         stage.tick(5, (2, 1))
-        assert stage.out == (1, 2)
+        assert stage.out == (0, 1)
+        assert list(stage.program) == [1, 2, 0]
 
 
 class TestPipelineConfig:
@@ -426,37 +432,18 @@ class TestRunStreamAccounting:
         assert rep.schedule_deviations == ()
 
 
-# Kernels that ignore their operands: with these the loop runs the control
-# plane alone, which reads a wire only as None or not None.
-CONSTANT_KERNELS = ((lambda x_i, x_j, w: (0, 0)),) * 5
 RLWE_M = 786_433                    # 3 * 2**18 + 1: 2N | M - 1 up to N = 2**17
-
-
-def traced_cycles(config, operands, kernels):
-    rows = []
-    _, report = _run_cycles(config, operands, kernels, rows.append)
-    return report, rows
 
 
 class TestControlPlane:
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_closed_forms_at_rlwe_sizes(self, mode):
-        # the constant kernels time the pipeline exactly as the bit-exact
-        # ones do, on both reducers ...
-        for m, n in ((FIXED_M, 256), (12289, 64)):
-            p = build_params(m, n)
-            config = PipelineConfig(n=n, params=p, mode=mode)
-            operands = [(a.coeffs, b.coeffs)
-                        for a, b in rand_pairs(random.Random(70), p, 4)]
-            exact = traced_cycles(config, operands, _kernels(p))
-            assert traced_cycles(config, operands, CONSTANT_KERNELS) == exact
-        # ... so they decide the closed forms at sizes the paper ring lacks
+        # the loop routes labels only, so it decides the closed forms at
+        # sizes the paper ring lacks
         for n in (1024, 4096):
             config = PipelineConfig(n=n, params=build_params(RLWE_M, n),
                                     mode=mode)
-            zeros = (0,) * n
-            _, rep = _run_cycles(config, [(zeros, zeros)] * 4,
-                                 CONSTANT_KERNELS, None)
+            _, _, rep = _run_cycles(config, 4, None)
             if mode == "schedule":
                 assert rep.first_ntt_latency == rep.predicted_first_ntt
                 assert rep.first_mul_latency == rep.predicted_first_mul
@@ -467,6 +454,62 @@ class TestControlPlane:
             log_n = n.bit_length() - 1
             assert (sum(rep.regs_per_stage) + 2 * log_n
                     == predicted_ntt_regs(n))
+
+    def test_loop_stops_at_the_steady_state(self, fixed_params, monkeypatch):
+        # past the proved steady state the loop jumps to the last product
+        # boundary, so 1000 products tick no more cycles than 12 do
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        real_tick_chain = pipesim._tick_chain
+
+        def ticked(count):
+            cycles = set()
+            monkeypatch.setattr(pipesim, "_tick_chain",
+                                lambda chain, cycle, arrival: (
+                                    cycles.add(cycle),
+                                    real_tick_chain(chain, cycle, arrival)))
+            _, _, rep = _run_cycles(config, count, None)
+            assert rep.completion_cycles[-1] == 39 + 8 * (count - 1)
+            return len(cycles)
+
+        assert ticked(1000) == ticked(12) < 39 + 8 * 11
+
+    def test_misrouted_fire_raises(self, fixed_params, monkeypatch):
+        # swap the pair a stage-3 FIFO emits at fire 8, product 1's first:
+        # the data would come out wrong, and the routing check catches it
+        p = fixed_params[16]
+        real_tick = StageFifo.tick
+
+        def tick(fifo, arrival):
+            pair = real_tick(fifo, arrival)
+            if fifo.stage == 3 and fifo.counter == fifo.hold + 8 + 1:
+                return pair[::-1]
+            return pair
+
+        monkeypatch.setattr(StageFifo, "tick", tick)
+        with pytest.raises(PipelineAssertionError, match="fwd_a3: fire 8"):
+            run_stream(rand_pairs(random.Random(57), p, 3),
+                       PipelineConfig(n=16, params=p))
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
+           structural=st.booleans(), count=st.integers(0, 24),
+           seed=st.integers(0, 2**32))
+    def test_any_stream_is_exact_and_periodic(self, fixed_params, n, latency,
+                                              structural, count, seed):
+        p = fixed_params[n]
+        config = (PipelineConfig(n=n, params=p, mode="structural",
+                                 butterfly_latency=latency) if structural
+                  else PipelineConfig(n=n, params=p))
+        pairs = rand_pairs(random.Random(seed), p, count)
+        prods, rep = run_stream(pairs, config)
+        for (a, b), got in zip(pairs, prods):
+            assert got.coeffs == naive_negacyclic_mul(a, b, p).coeffs
+        assert len(prods) == len(rep.completion_cycles) == count
+        assert {b - a for a, b in zip(rep.completion_cycles,
+                                      rep.completion_cycles[1:])} <= {n // 2}
+        assert rep.stall_free
+        if count:
+            assert rep.regs_per_stage == rep.fifo_capacity_per_stage
+            assert rep.inv_regs_per_stage == rep.inv_fifo_capacity_per_stage
 
 
 def output_digests(params, mode, count, trace_path):
@@ -498,6 +541,16 @@ PINNED_DIGESTS = {
         "52a714afd8eaf7dfeffbd52562740eea151a0fc786622e84f264598329077d3c",
         "71817d3f7770bf523729d4230917630dd4b38052ac66f4f034c0f1af408bcb69",
         "f807a23c9a3ec53e24cb50b1fba122e9b7daa31e9971e19b8b17bf13c5550b04"),
+    # long enough for the loop to jump to the last product boundary (at
+    # boundary 5 and 14 of 12 and 20); pinned before the loop could jump
+    (FIXED_M, 16, "schedule", 12): (
+        "70c21234f548f6ead68a02f8a3a2e4199bb2caf23b0d3341686a274717d36fdc",
+        "496156e6279f7cb1f245eb9c60f540ff0a6c3e54993d87a135d66edf7eb32900",
+        "bc4b1c73c5d4d2bbdd121561b4f04810de92089316729eb3317fe6b15f9478b9"),
+    (12289, 32, "structural", 20): (
+        "451a5d387e1c265e37cf436210fef1ceeafc6a9920b7823456be29afd42460ce",
+        "7b2800a8cf8a8771889e7ae6da5634c0b63809d83be3b4ea3e3f11f7b863f5bd",
+        "d6593b561ebb0756dcf705a0d7285333b5c609d9573d3cd47a2e662fc1c5f493"),
 }
 
 
@@ -515,6 +568,22 @@ class TestDeterminism:
         got = output_digests(build_params(m, n), mode, count,
                              tmp_path / "t.csv")
         assert got == PINNED_DIGESTS[(m, n, mode, count)]
+
+    @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
+                                     (12289, 32, "structural", 20)],
+                             ids=["fixed-reducer", "generic-reducer"])
+    def test_datapath_product_gives_pinned_products(self, key):
+        # the replay on the units' Karatsuba + Barrett product, one stream
+        # per reducer, equals the pinned products
+        m, n, mode, count = key
+        p = build_params(m, n)
+        config = PipelineConfig(n=n, params=p, mode=mode)
+        operands = [(a.coeffs, b.coeffs)
+                    for a, b in rand_pairs(random.Random(60), p, count)]
+        front, back, _ = _run_cycles(config, count, None)
+        prods = _replay(config, front, back, operands, _datapath_mul(p))
+        digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[key][1]
 
     @pytest.mark.parametrize("label, stage, hold, counter",
                              [("fwd_a2", 2, 4, 9), ("inv4", 4, 4, 13)])

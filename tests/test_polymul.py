@@ -82,6 +82,12 @@ class TestPolynomialType:
             Polynomial((0, bad, 1, 2), 17)
         assert len(str(exc.value)) < 80
 
+    def test_names_an_int_too_long_to_print(self):
+        # repr refuses an int past the digit limit; the message gives its width
+        with pytest.raises(ValueError, match=r"^coefficient <int of 16610 "
+                                             r"bits> outside \[0, 17\)$"):
+            Polynomial((10 ** 5000, 0, 0, 0), 17)
+
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
             Polynomial((1, 2), 17, domain="spectral")
