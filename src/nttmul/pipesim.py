@@ -15,9 +15,8 @@ rate of one product every N/2 clock cycles:
 * the spectra are multiplied pointwise (lane a times lane b), buffered
   until a transform's block is complete, then driven through the inverse
   pipeline whose stages pair lanes 2**(s-1) apart (holds double instead of
-  halving) using
-  add/sub-then-multiply butterflies, and finally unweighted by
-  ``N**-1 * phi**-i``.
+  halving) using add/sub-then-multiply butterflies, and finally unweighted
+  by ``N**-1 * phi**-i``.
 
 Every column of the datapath is one kind of fully pipelined stage fed by
 the one before it: one operation enters per cycle and emerges a fixed
@@ -32,11 +31,14 @@ match the closed-form expressions (:func:`predicted_first_ntt_latency` and
 friends); ``structural`` mode uses multi-cycle unit latencies, which
 stretches the fill latency but must not change throughput.
 
-The schedule does not depend on the data: :func:`_run_cycles` routes
-position labels and stops at the steady state its docstring proves, then
-:func:`_replay` computes the products on the recorded routing with the
-units' arithmetic, ``x * w % M`` standing for Karatsuba plus Barrett.
-Identical inputs and configuration give identical cycle-by-cycle traces.
+The schedule does not depend on the data, so the stages carry control
+only: :func:`_run_cycles` routes position labels, a FIFO error names its
+stage's label, and the loop stops at the steady state its docstring
+proves.  :func:`_replay`, not the stages, reads the twiddle and weight
+tables: it computes the products on the recorded routing with the
+units' arithmetic (``x * w % M`` standing for Karatsuba plus Barrett),
+whole lists at a time at the multiplier columns.  Identical inputs and
+configuration give identical cycle-by-cycle traces.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .polymul import Polynomial, _check_operand
 KARATSUBA_CYCLES = 6
 REDUCE_CYCLES = 4
 ADDSUB_CYCLES = 2
+MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
@@ -76,6 +79,8 @@ class PipelineConfig:
     ``butterfly_latency`` defaults to 1 / karatsuba+reduce+addsub cycles
     respectively; scalar multiplier units (weight, pointwise, unweight) take
     ``butterfly_latency - ADDSUB_CYCLES`` since they skip the add/sub step.
+    It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
+    because every column allocates latency - 1 slots.
     """
 
     n: int
@@ -95,8 +100,9 @@ class PipelineConfig:
                                1 if self.mode == "schedule" else deep)
         if self.mode == "schedule" and self.butterfly_latency != 1:
             raise ValueError("schedule mode forces butterfly_latency = 1")
-        if self.butterfly_latency < 1:
-            raise ValueError("butterfly_latency must be >= 1")
+        if not 1 <= self.butterfly_latency <= MAX_BUTTERFLY_LATENCY:
+            raise ValueError(f"butterfly_latency must be in "
+                             f"[1, {MAX_BUTTERFLY_LATENCY}]")
 
     @property
     def scalar_latency(self) -> int:
@@ -121,10 +127,10 @@ def _datapath_mul(params: NttParams):
 
 
 def _kernels(M, mul):
-    """By stage kind, the units on lists of the fires' lower and higher
+    """By butterfly kind, the units on lists of the fires' lower and higher
     elements and twiddles, ``mul`` the product mod M and each sum or
     difference back in [0, M) by one conditional -M or +M: ct (lo + w*hi,
-    lo - w*hi), gs (lo + hi, (lo - hi)*w), addsub, scale (lo*w[0], hi*w[1])."""
+    lo - w*hi), gs (lo + hi, (lo - hi)*w), addsub (lo + hi, lo - hi)."""
     def addsub(lo, hi, w=None):
         return ([s - M if s >= M else s for s in map(add, lo, hi)],
                 [d + M if d < 0 else d for d in map(sub, lo, hi)])
@@ -134,8 +140,7 @@ def _kernels(M, mul):
         return s, mul(d, w)
 
     return {"addsub": addsub, "gs": gs,
-            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w)),
-            "scale": lambda lo, hi, w: (mul(lo, w[0]), mul(hi, w[1]))}
+            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w))}
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +163,14 @@ class StageFifo:
     Capacity is exactly ``2 * hold`` entries; exceeding it, starving a
     phase that needs a live arrival, or an arrival after the stream has
     ended (a None while data was still held) raises
-    :class:`PipelineAssertionError`.
+    :class:`PipelineAssertionError` naming ``stage``, the label of the
+    stage the FIFO feeds.
     """
 
     __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "ended",
                  "peak", "_hshift")
 
-    def __init__(self, stage: int, hold: int):
+    def __init__(self, stage: str, hold: int):
         if hold < 1 or hold & (hold - 1):
             raise ValueError(f"hold must be a power of two >= 1, got {hold}")
         self.stage = stage
@@ -203,7 +209,7 @@ class StageFifo:
         elif self.ended:
             # resuming would pair across the gap at the wrong distance
             raise PipelineAssertionError(
-                f"stage {self.stage}: arrival after the stream ended")
+                f"{self.stage}: arrival after the stream ended")
         hold = self.hold
         q = self.counter >> self._hshift
         self.counter += 1
@@ -211,23 +217,23 @@ class StageFifo:
         if q == 0:              # fill
             if arrival is None:
                 raise PipelineAssertionError(
-                    f"stage {self.stage}: starved during fill")
+                    f"{self.stage}: starved during fill")
             bi.append(arrival[0])
             bii.append(arrival[1])
         elif q & 1:             # sel = 0: bank II gated, pair tap with live s1
             if arrival is None:
                 raise PipelineAssertionError(
-                    f"stage {self.stage}: starved mid-stream")
+                    f"{self.stage}: starved mid-stream")
             if not bi:
                 raise PipelineAssertionError(
-                    f"stage {self.stage}: bank I underflow")
+                    f"{self.stage}: bank I underflow")
             older = bi.popleft()
             bi.append(arrival[1])
             out = (arrival[0], older)
         else:                   # sel = 1 past fill: taps pair, banks reload
             if not bi or not bii:
                 raise PipelineAssertionError(
-                    f"stage {self.stage}: bank underflow in drain phase")
+                    f"{self.stage}: bank underflow in drain phase")
             newer = bi.popleft()
             older = bii.popleft()
             if arrival is not None:
@@ -237,7 +243,7 @@ class StageFifo:
         occ = len(bi) + len(bii)
         if occ > 2 * hold:
             raise PipelineAssertionError(
-                f"stage {self.stage}: FIFO overflow ({occ} > {2 * hold})")
+                f"{self.stage}: FIFO overflow ({occ} > {2 * hold})")
         if occ > self.peak:
             self.peak = occ
         return out
@@ -247,35 +253,34 @@ class StageFifo:
 # pipeline pieces
 
 class _PipeStage:
-    """One column of the datapath: an optional hold FIFO, coefficient
-    sequencing and a fully pipelined unit.
+    """The control of one datapath column, timing and routing only: an
+    optional hold FIFO and a fully pipelined unit.
 
     ``hold = 0`` means no FIFO: the pair (x_j, x_{j+N/2}) arriving on one
-    cycle goes straight into the unit, higher element first.  Forward stage
-    1 and the weighting, pointwise and unweighting multipliers are such
-    columns.  A stage built without a ``trace`` sink emits no trace rows.
+    cycle goes straight into the unit, higher element first.  Stage 1 of
+    each transform and the weighting, pointwise and unweighting multipliers
+    are such columns.  Without a ``trace`` sink a stage emits no rows.
 
     The unit is a shift register of ``latency - 1`` slots: each tick, which
     runs once per cycle, shifts in this cycle's result or None and shifts
     out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
 
     Fire t emits the labels (2t, 2t + 1).  ``program`` holds, per fire of
-    product 0, the higher and lower label paired and the twiddle index; fire
-    t must pair fire t mod N/2's labels moved up by N per product.
+    product 0, the higher and lower label paired; fire t must pair fire
+    t mod N/2's labels moved up by N per product.  A butterfly's twiddle
+    changes every ``per_block`` fires: fire t applies entry
+    (t mod N/2) // per_block of its stage's table.
     """
 
-    __slots__ = ("label", "kind", "fifo", "_unit", "twiddles", "per_block",
-                 "n_half", "t", "out", "program", "first_fire", "last_fire",
-                 "first_block_fire", "trace")
+    __slots__ = ("label", "fifo", "_unit", "per_block", "n_half", "t", "out",
+                 "program", "first_fire", "last_fire", "first_block_fire",
+                 "trace")
 
-    def __init__(self, label, kind, stage, hold, twiddles, latency, n_half,
-                 trace=None):
+    def __init__(self, label, hold, per_block, latency, n_half, trace=None):
         self.label = label
-        self.kind = kind
-        self.fifo = StageFifo(stage, hold) if hold else None
+        self.fifo = StageFifo(label, hold) if hold else None
         self._unit = deque([None] * (latency - 1))
-        self.twiddles = twiddles
-        self.per_block = n_half // len(twiddles)
+        self.per_block = per_block
         self.n_half = n_half
         self.t = 0
         self.out = None
@@ -301,9 +306,9 @@ class _PipeStage:
                     self.first_fire = cycle
                 if t == self.n_half - 1:
                     self.first_block_fire = cycle
-                self.program.extend((*pair, tp // self.per_block))
+                self.program.extend(pair)
             else:
-                d, i = 2 * (t - tp), 3 * tp
+                d, i = 2 * (t - tp), 2 * tp
                 want = (self.program[i] + d, self.program[i + 1] + d)
                 if pair != want:
                     raise PipelineAssertionError(
@@ -435,42 +440,31 @@ def _check_n(n: int):
 # the simulator
 
 def _build_chains(config: PipelineConfig, trace):
-    """The datapath as two chains of stages, each fed by the one before:
-    ``front = [weight, *forward, pointwise]``, whose routing both operands
-    take, and ``back = [*inverse, unweight]``.  Butterfly stages write rows
-    to ``trace``."""
-    params = config.params
-    n_half = config.n // 2
+    """The datapath's control as two chains of stages, each fed by the one
+    before: ``front = [weight, *forward, pointwise]``, whose routing both
+    operands take, and ``back = [*inverse, unweight]``.  Butterfly stages
+    write rows to ``trace``."""
+    n = config.n
 
     def butterflies(forward: bool, label: str):
-        tables = (params.stage_twiddles_fwd if forward
-                  else params.stage_twiddles_inv)
-        stages = []
-        for s, twiddles in enumerate(tables, start=1):
-            # hold = cycles between the two arrivals a butterfly pairs:
-            # N/2**s at forward stage s, 2**(s-2) at inverse stage s; stage
-            # 1 pairs the two halves of one arrival
-            hold = 0 if s == 1 else (config.n >> s if forward
-                                     else 1 << (s - 2))
-            kind = ("addsub" if set(twiddles) == {1}
-                    else "ct" if forward else "gs")
-            stages.append(_PipeStage(f"{label}{s}", kind, s, hold, twiddles,
-                                     config.butterfly_latency, n_half, trace))
-        return stages
+        # hold = cycles between the two arrivals a butterfly pairs: N/2**s
+        # at forward stage s, 2**(s-2) at inverse stage s; stage 1 pairs the
+        # two halves of one arrival.  A twiddle serves N/2**s fires at
+        # forward stage s and 2**(s-1) at inverse stage s.
+        return [_PipeStage(f"{label}{s}",
+                           0 if s == 1 else n >> s if forward else 1 << s - 2,
+                           n >> s if forward else 1 << s - 1,
+                           config.butterfly_latency, n // 2, trace)
+                for s in range(1, config.params.num_stages + 1)]
 
-    def multiplier(kind, weights=None):
-        # per-index coefficient pairs (w_j, w_{j+N/2}); no weights: pointwise
-        table = (tuple(zip(weights[:n_half], weights[n_half:])) if weights
-                 else (None,))
-        return _PipeStage(kind, kind, 0, 0, table, config.scalar_latency,
-                          n_half)
+    def multiplier(label):
+        return _PipeStage(label, 0, 1, config.scalar_latency, n // 2)
 
     # Labelled "fwd_a" as when each operand had its own pipeline and only
     # the first was traced, so trace files stay byte-identical.
-    front = [multiplier("scale", params.weights_fwd),
-             *butterflies(True, "fwd_a"), multiplier("pointwise")]
-    back = [*butterflies(False, "inv"),
-            multiplier("scale", params.weights_inv_scaled)]
+    front = [multiplier("weight"), *butterflies(True, "fwd_a"),
+             multiplier("pointwise")]
+    back = [*butterflies(False, "inv"), multiplier("unweight")]
     return front, back
 
 
@@ -626,27 +620,26 @@ def _run_cycles(config, count, trace):
 
 
 def _replay(config, front, back, operands, mul):
-    """The products of ``operands``, (a, b) coefficient sequences, through
-    the recorded programs of weighting, the forward stages (both operands),
-    pointwise, the inverse stages and unweighting.  A stage gathers the
-    labels its fires paired and applies its :func:`_kernels` entry; a list
-    holds label 2t at t and 2t + 1 at t + N/2, fire t's outputs."""
+    """The products of ``operands``, (a, b) coefficient sequences, on the
+    recorded programs: weighting, the forward stages (both operands),
+    pointwise, the inverse stages and unweighting.  A butterfly stage
+    gathers the labels its fires paired and applies its :func:`_kernels`
+    unit with its table's twiddles, each repeated over ``per_block`` fires;
+    a list holds label 2t at t and 2t + 1 at t + N/2, fire t's outputs.
+    The multiplier columns pass fire t's own pair on, so they multiply
+    natural-order lists."""
+    params = config.params
     h = config.n // 2
-    kernels = _kernels(config.params.M, mul)
+    kernels = _kernels(params.M, mul)
     # one int object per index, so a gather costs a pointer per fire
     place = [lab % 2 * h + lab // 2 for lab in range(config.n)]
 
-    def gather(labels):
-        return itemgetter(*map(place.__getitem__, labels))
-
-    programs = []
-    for st in (*front, *back):
-        prog = st.program
-        w = [st.twiddles[i] for i in prog[2::3]]
-        if st.kind == "scale":
-            w = tuple(zip(*w))      # per fire (w_j, w_j+N/2): two lists
-        programs.append((gather(prog[1::3]), gather(prog[0::3]), w,
-                         kernels.get(st.kind)))
+    def programs(stages, tables, kind):
+        return [(itemgetter(*map(place.__getitem__, st.program[1::2])),
+                 itemgetter(*map(place.__getitem__, st.program[0::2])),
+                 [w for w in table for _ in range(st.per_block)],
+                 kernels["addsub" if set(table) == {1} else kind])
+                for st, table in zip(stages, tables)]
 
     def run(progs, x):
         for lo, hi, w, kernel in progs:
@@ -654,14 +647,14 @@ def _replay(config, front, back, operands, mul):
             x = first + second
         return x
 
-    *forward, (lo, hi, _, _) = programs[:len(front)]
-    inverse = programs[len(front):]
+    forward = programs(front[1:-1], params.stage_twiddles_fwd, "ct")
+    inverse = programs(back[:-1], params.stage_twiddles_inv, "gs")
     products = []
     for a, b in operands:
-        xa, xb = run(forward, a), run(forward, b)
-        # pointwise: a's pairs scaled by b's
-        first, second = kernels["scale"](lo(xa), hi(xa), (lo(xb), hi(xb)))
-        products.append(run(inverse, first + second))
+        xa = run(forward, mul(a, params.weights_fwd))
+        xb = run(forward, mul(b, params.weights_fwd))
+        products.append(mul(run(inverse, mul(xa, xb)),
+                            params.weights_inv_scaled))
     return products
 
 

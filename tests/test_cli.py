@@ -335,6 +335,24 @@ class TestSimCommand:
                        "--report", str(tmp_path / "r.json")])
         assert rc == 2
 
+    def test_latency_too_deep_to_model_exits_two(self, toy_tables, tmp_path):
+        # a fresh process: an uncaught exception would exit 1 with a
+        # traceback, and exit 1 means a check found a disagreement
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "6", "--out", str(vec)])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nttmul.cli", "sim",
+             "--params", str(toy_tables), "--vectors", str(vec),
+             "--mode", "structural", "--butterfly-latency", str(10**30),
+             "--report", str(tmp_path / "r.json")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
 
 class TestCheckCommand:
     def test_clean_run(self, toy_tables, tmp_path, capsys):

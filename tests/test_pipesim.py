@@ -205,8 +205,8 @@ class TestStageFifo:
 
 def unit_stage(latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
-    # element first; twiddles 0, 1, 0, 1, ... in issue order
-    return _PipeStage("unit", "ct", 0, 0, (0, 1), latency, 2)
+    # element first
+    return _PipeStage("unit", 0, 1, latency, 2)
 
 
 class TestButterflyUnit:
@@ -219,13 +219,13 @@ class TestButterflyUnit:
             outs.append(stage.out)
         # fire t emits labels (2t, 2t + 1), two cycles after it issued
         assert outs == [None, None, (0, 1), (2, 3), None]
-        assert list(stage.program) == [10, 20, 0, 11, 21, 1]
+        assert list(stage.program) == [10, 20, 11, 21]
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
         stage.tick(5, (2, 1))
         assert stage.out == (0, 1)
-        assert list(stage.program) == [1, 2, 0]
+        assert list(stage.program) == [1, 2]
 
 
 class TestPipelineConfig:
@@ -248,6 +248,15 @@ class TestPipelineConfig:
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=4)
         assert cfg.scalar_latency == 2
+
+    def test_latency_bound(self, fixed_params):
+        # every column holds latency - 1 slots, so the depth is bounded
+        cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
+                             butterfly_latency=1024)
+        assert cfg.scalar_latency == 1022
+        with pytest.raises(ValueError, match=r"butterfly_latency.*1024"):
+            PipelineConfig(n=16, params=fixed_params[16], mode="structural",
+                           butterfly_latency=1025)
 
     def test_rejects_mismatched_n(self, fixed_params):
         with pytest.raises(ValueError):
@@ -481,7 +490,7 @@ class TestControlPlane:
 
         def tick(fifo, arrival):
             pair = real_tick(fifo, arrival)
-            if fifo.stage == 3 and fifo.counter == fifo.hold + 8 + 1:
+            if fifo.stage == "fwd_a3" and fifo.counter == fifo.hold + 8 + 1:
                 return pair[::-1]
             return pair
 
@@ -489,6 +498,27 @@ class TestControlPlane:
         with pytest.raises(PipelineAssertionError, match="fwd_a3: fire 8"):
             run_stream(rand_pairs(random.Random(57), p, 3),
                        PipelineConfig(n=16, params=p))
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
+           structural=st.booleans(), count=st.integers(0, 24))
+    def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
+        # the jumped run gives the report, trace rows and programs of the
+        # run that ticks every cycle: with _moved returning a fresh object,
+        # no two product boundaries compare equal and the loop never jumps
+        p = fixed_params[n]
+        config = (PipelineConfig(n=n, params=p, mode="structural",
+                                 butterfly_latency=latency) if structural
+                  else PipelineConfig(n=n, params=p))
+
+        def run():
+            rows = []
+            front, back, rep = _run_cycles(config, count, rows.append)
+            return rep, rows, [list(s.program) for s in (*front, *back)]
+
+        jumped = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipesim, "_moved", lambda *args: [object()])
+            assert run() == jumped
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
@@ -551,6 +581,15 @@ PINNED_DIGESTS = {
         "451a5d387e1c265e37cf436210fef1ceeafc6a9920b7823456be29afd42460ce",
         "7b2800a8cf8a8771889e7ae6da5634c0b63809d83be3b4ea3e3f11f7b863f5bd",
         "d6593b561ebb0756dcf705a0d7285333b5c609d9573d3cd47a2e662fc1c5f493"),
+    # the shapes of the benchmark's in-process streams
+    (FIXED_M, 256, "schedule", 8): (
+        "1f5196dbd8cfb8e1ddd2194ba045ed8bbb7ca7818ec977f99b45955b01ca6757",
+        "ae4f02f9a8b7e11378c5ad935bc969c3b841ac386c58f247ba04f13d38935631",
+        "f3b3a8f476e347a6fae8d4428b03555c382b60d0cf9b64be283a1cb767c32a65"),
+    (12289, 1024, "structural", 4): (
+        "774c2440c708078a8c882ab27b9b27613b49c1946d0adac3d06d1a842d2329d5",
+        "37eb541b3360959d0bc0716f8a18e2b73935d684481b3657418b5df406f15707",
+        "876d524f4e2d70774ac4872c6767cd443f9f69c5903e84fe8634f4f39fbe3ce0"),
 }
 
 
@@ -585,12 +624,9 @@ class TestDeterminism:
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
-    @pytest.mark.parametrize("label, stage, hold, counter",
-                             [("fwd_a2", 2, 4, 9), ("inv4", 4, 4, 13)])
+    @pytest.mark.parametrize("label, counter", [("fwd_a2", 9), ("inv4", 13)])
     def test_trace_on_abort_is_the_unaborted_prefix(
-            self, fixed_params, tmp_path, monkeypatch, label, stage, hold,
-            counter):
-        # at N = 16, (stage, hold) names one FIFO: fwd_a2 or inv4
+            self, fixed_params, tmp_path, monkeypatch, label, counter):
         p = fixed_params[16]
         pairs = rand_pairs(random.Random(56), p, 3)
         cfg = PipelineConfig(n=16, params=p)
@@ -604,7 +640,7 @@ class TestDeterminism:
         real_tick = StageFifo.tick
 
         def tick(fifo, arrival):
-            if (fifo.stage, fifo.hold, fifo.counter) == (stage, hold, counter):
+            if (fifo.stage, fifo.counter) == (label, counter):
                 raise PipelineAssertionError("injected")
             return real_tick(fifo, arrival)
 
