@@ -32,19 +32,20 @@ friends); ``structural`` mode uses multi-cycle unit latencies, which
 stretches the fill latency but must not change throughput.
 
 The schedule does not depend on the data, so the stages carry control
-only: :func:`_run_cycles` routes position labels, a FIFO error names its
-stage's label, and the loop stops at the steady state its docstring
-proves.  :func:`_replay`, not the stages, reads the twiddle and weight
-tables: it computes the products on the recorded routing with the
-units' arithmetic (``x * w % M`` standing for Karatsuba plus Barrett),
-whole lists at a time at the multiplier columns.  Identical inputs and
-configuration give identical cycle-by-cycle traces.
+only: :func:`_run_cycles` routes position labels, checks every fire of
+every stage against one routing law (:class:`_PipeStage`) and stops at the
+steady state its docstring proves.  :func:`_replay` computes the products
+on the same law from the twiddle and weight tables, with the units'
+arithmetic (``x * w % M`` standing for Karatsuba plus Barrett).  The law
+check proves that the FIFO model builds the same butterfly network at
+every size it runs; that this network multiplies correctly is sampled
+against the schoolbook product at N <= 1024, and above that rests on the
+law plus sampling.  The same inputs and configuration give the same trace.
 """
 
 from __future__ import annotations
 
 import csv
-from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -265,26 +266,27 @@ class _PipeStage:
     runs once per cycle, shifts in this cycle's result or None and shifts
     out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
 
-    Fire t emits the labels (2t, 2t + 1).  ``program`` holds, per fire of
-    product 0, the higher and lower label paired; fire t must pair fire
-    t mod N/2's labels moved up by N per product.  A butterfly's twiddle
-    changes every ``per_block`` fires: fire t applies entry
+    Fire t, counted over the stream, emits the labels (2t, 2t + 1) and must
+    pair, higher label first, (2t + d, 2t) when ``t & hold`` is 0 and
+    (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold), or raise
+    :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per_block of its stage's table.
     """
 
-    __slots__ = ("label", "fifo", "_unit", "per_block", "n_half", "t", "out",
-                 "program", "first_fire", "last_fire", "first_block_fire",
+    __slots__ = ("label", "fifo", "_unit", "hold", "d", "per_block", "n_half",
+                 "t", "out", "first_fire", "last_fire", "first_block_fire",
                  "trace")
 
     def __init__(self, label, hold, per_block, latency, n_half, trace=None):
         self.label = label
         self.fifo = StageFifo(label, hold) if hold else None
         self._unit = deque([None] * (latency - 1))
+        self.hold = hold
+        self.d = max(1, 2 * hold)
         self.per_block = per_block
         self.n_half = n_half
         self.t = 0
         self.out = None
-        self.program = array("i")
         self.first_fire = None
         self.last_fire = None
         self.first_block_fire = None
@@ -300,24 +302,21 @@ class _PipeStage:
         if pair is not None:
             t = self.t
             self.t = t + 1
-            tp = t % self.n_half
-            if t == tp:         # product 0: record its routing
-                if not t:
-                    self.first_fire = cycle
-                if t == self.n_half - 1:
-                    self.first_block_fire = cycle
-                self.program.extend(pair)
-            else:
-                d, i = 2 * (t - tp), 2 * tp
-                want = (self.program[i] + d, self.program[i + 1] + d)
-                if pair != want:
-                    raise PipelineAssertionError(
-                        f"{self.label}: fire {t} pairs {pair}, not {want}")
+            want = ((2 * t + 1, 2 * t + 1 - self.d) if t & self.hold
+                    else (2 * t + self.d, 2 * t))
+            if pair != want:
+                raise PipelineAssertionError(
+                    f"{self.label}: fire {t} pairs {pair}, not {want}")
+            if not t:
+                self.first_fire = cycle
+            elif t == self.n_half - 1:
+                self.first_block_fire = cycle
             result = (2 * t, 2 * t + 1)
             self.last_fire = cycle
         if self.trace is not None:
             fired_positions = ("", "")
             if pair is not None:
+                tp = t % self.n_half
                 base = 2 * tp - tp % self.per_block
                 fired_positions = (base, base + self.per_block)
             if fifo is not None and fifo.counter:
@@ -439,6 +438,15 @@ def _check_n(n: int):
 # ---------------------------------------------------------------------------
 # the simulator
 
+def _butterfly_timing(n: int, forward: bool):
+    """Per butterfly stage s = 1 ... log2 N, (hold, fires per twiddle): the
+    cycles between the arrivals it pairs, N/2**s forward and 2**(s-2)
+    inverse (0 at stage 1: one arrival's halves), and N/2**s or 2**(s-1)."""
+    return [(0 if s == 1 else n >> s if forward else 1 << s - 2,
+             n >> s if forward else 1 << s - 1)
+            for s in range(1, n.bit_length())]
+
+
 def _build_chains(config: PipelineConfig, trace):
     """The datapath's control as two chains of stages, each fed by the one
     before: ``front = [weight, *forward, pointwise]``, whose routing both
@@ -447,15 +455,9 @@ def _build_chains(config: PipelineConfig, trace):
     n = config.n
 
     def butterflies(forward: bool, label: str):
-        # hold = cycles between the two arrivals a butterfly pairs: N/2**s
-        # at forward stage s, 2**(s-2) at inverse stage s; stage 1 pairs the
-        # two halves of one arrival.  A twiddle serves N/2**s fires at
-        # forward stage s and 2**(s-1) at inverse stage s.
-        return [_PipeStage(f"{label}{s}",
-                           0 if s == 1 else n >> s if forward else 1 << s - 2,
-                           n >> s if forward else 1 << s - 1,
-                           config.butterfly_latency, n // 2, trace)
-                for s in range(1, config.params.num_stages + 1)]
+        return [_PipeStage(f"{label}{s}", *timing, config.butterfly_latency,
+                           n // 2, trace)
+                for s, timing in enumerate(_butterfly_timing(n, forward), 1)]
 
     def multiplier(label):
         return _PipeStage(label, 0, 1, config.scalar_latency, n // 2)
@@ -477,11 +479,9 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     Products are coefficient-domain polynomials in input order and must
     match the schoolbook result exactly.
 
-    Every datapath column is the same kind of pipelined stage; the
-    weighting, pointwise and unweighting multipliers are stages without a
-    hold FIFO.  One forward chain routes both operands under their shared
-    control; the report still counts registers for both hardware
-    pipelines: ``total_regs = 2 * forward + inverse``.
+    One forward chain routes both operands under their shared control; the
+    report still counts registers for both hardware pipelines:
+    ``total_regs = 2 * forward + inverse``.
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is streamed
@@ -495,18 +495,16 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
         _check_operand(b, params, domain="coefficient", name="b")
         operands.append((a.coeffs, b.coeffs))
     if trace_path is None:
-        front, back, report = _run_cycles(config, len(operands), None)
+        report = _run_cycles(config, len(operands), None)
     else:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cycle", "stage", "sel", "counter",
                              "pair_lo", "pair_hi"])
-            front, back, report = _run_cycles(config, len(operands),
-                                              writer.writerow)
+            report = _run_cycles(config, len(operands), writer.writerow)
     M = params.M
     products = operands and _replay(
-        config, front, back, operands,
-        lambda xs, ys: [x * y % M for x, y in zip(xs, ys)])
+        config, operands, lambda xs, ys: [x * y % M for x, y in zip(xs, ys)])
     return [Polynomial(tuple(c), M) for c in products], report
 
 
@@ -538,7 +536,7 @@ def _moved(stages, gate, fires):
 def _run_cycles(config, count, trace):
     """The cycle loop for ``count`` products, position j of product p fed
     as the labels (pN + 2j, pN + 2j + 1); ``trace`` is a row sink or None.
-    Returns ``(front, back, CycleReport)``.
+    Returns the :class:`CycleReport`.
 
     At product boundary k, once every stage has fired, the control state
     relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
@@ -548,13 +546,14 @@ def _run_cycles(config, count, trace):
     ``counter`` up N/2 per period), and drains.  Proof: a period commutes
     with moving the state up N/2 fires, so every later boundary repeats k.
     The loop never reads a label's value: it moves labels, feeds (2f,
-    2f + 1), emits (2t, 2t + 1) at fire t and checks fires against product
-    0's routing moved by N per product.  A FIFO reads ``counter`` only as
-    != 0, as < hold (false past its first fire) and as its phase bit, and
-    2 * hold divides N/2.  A stage reads ``t`` mod N/2, and once at N/2 - 1,
-    passed before the second snapshot.  ``feed_idx`` and the collected
-    count are read mod N/2 and against the total, unreached before the last
-    boundary.  All else is only written.
+    2f + 1), emits (2t, 2t + 1) at fire t and checks that fire t pairs 2t
+    plus terms in ``hold`` and ``t & hold``.  A period moves t by N/2 and
+    labels by N; 2 * hold divides N/2, so ``t & hold`` stays, and so does
+    a FIFO's phase bit, which with != 0 and < hold (false past its first
+    fire) is all it reads of ``counter``.  A stage reads ``t`` also mod N/2
+    and as 0 and N/2 - 1, passed before the second snapshot.  ``feed_idx``
+    and the collected count are read mod N/2 and against the total,
+    unreached before the last boundary.  All else is only written.
     """
     n_half = config.n // 2
     window: list = []       # trace rows since the last product boundary
@@ -614,32 +613,34 @@ def _run_cycles(config, count, trace):
         _tick_chain(front, cycle, feed)
         if front[-1].out is not None:
             gate.push(front[-1].out)
-    report = _build_report(config, count, front[1:-1], back[:-1], gate,
-                           completions, front[0].first_fire)
-    return front, back, report
+    return _build_report(config, count, front[1:-1], back[:-1], gate,
+                         completions, front[0].first_fire)
 
 
-def _replay(config, front, back, operands, mul):
-    """The products of ``operands``, (a, b) coefficient sequences, on the
-    recorded programs: weighting, the forward stages (both operands),
-    pointwise, the inverse stages and unweighting.  A butterfly stage
-    gathers the labels its fires paired and applies its :func:`_kernels`
-    unit with its table's twiddles, each repeated over ``per_block`` fires;
-    a list holds label 2t at t and 2t + 1 at t + N/2, fire t's outputs.
-    The multiplier columns pass fire t's own pair on, so they multiply
-    natural-order lists."""
+def _replay(config, operands, mul):
+    """The products of ``operands``, (a, b) coefficient sequences, through
+    weighting, the forward stages (both operands), pointwise, the inverse
+    stages and unweighting.  A list holds label 2t at t and 2t + 1 at
+    t + N/2, so :class:`_PipeStage`'s law reads: with k the hold, or N/2
+    without a FIFO, fire t pairs the lower element at i = t if ``t & k`` is
+    0, else N/2 + t - k, with the higher at i + k.  A butterfly applies its
+    :func:`_kernels` unit with its table's twiddles, each repeated over its
+    fires per twiddle.  The multiplier columns pass fire t's pair on, so
+    they multiply natural-order lists."""
     params = config.params
     h = config.n // 2
     kernels = _kernels(params.M, mul)
-    # one int object per index, so a gather costs a pointer per fire
-    place = [lab % 2 * h + lab // 2 for lab in range(config.n)]
 
-    def programs(stages, tables, kind):
-        return [(itemgetter(*map(place.__getitem__, st.program[1::2])),
-                 itemgetter(*map(place.__getitem__, st.program[0::2])),
-                 [w for w in table for _ in range(st.per_block)],
-                 kernels["addsub" if set(table) == {1} else kind])
-                for st, table in zip(stages, tables)]
+    def programs(forward, tables, kind):
+        progs = []
+        for (hold, per_block), table in zip(
+                _butterfly_timing(config.n, forward), tables):
+            k = hold or h
+            lo = [h + t - k if t & k else t for t in range(h)]
+            progs.append((itemgetter(*lo), itemgetter(*[i + k for i in lo]),
+                          [w for w in table for _ in range(per_block)],
+                          kernels["addsub" if set(table) == {1} else kind]))
+        return progs
 
     def run(progs, x):
         for lo, hi, w, kernel in progs:
@@ -647,8 +648,8 @@ def _replay(config, front, back, operands, mul):
             x = first + second
         return x
 
-    forward = programs(front[1:-1], params.stage_twiddles_fwd, "ct")
-    inverse = programs(back[:-1], params.stage_twiddles_inv, "gs")
+    forward = programs(True, params.stage_twiddles_fwd, "ct")
+    inverse = programs(False, params.stage_twiddles_inv, "gs")
     products = []
     for a, b in operands:
         xa = run(forward, mul(a, params.weights_fwd))
@@ -673,12 +674,6 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
             "per-stage capacities sum to the same, yet a figure of 18 has "
             "been reported for this size; both are quoted here unreconciled "
             "and the measured occupancy is reported independently")
-    deviations = []
-    for s, table in enumerate(config.params.stage_twiddles_fwd, start=1):
-        if s == 1 and set(table) != {1}:
-            deviations.append(
-                f"forward stage 1 required non-unit twiddles {sorted(set(table))}")
-
     first_ntt = None
     if fwd[-1].first_block_fire is not None:
         first_ntt = fwd[-1].first_block_fire - fwd[0].first_fire + 1
@@ -703,6 +698,10 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
 
     fwd_peaks = per_stage(fwd, "peak")
     inv_peaks = per_stage(inv, "peak")
+    # True in every run that returns: the feed has no gap, a column without
+    # a FIFO fires when its producer did, and a FIFO stage fires each cycle
+    # from its first fire until it drains, or raises.  So only the gate can
+    # open a gap, and inv2's FIFO raises on it: starved, or after the end.
     stall_free = all(st.contiguous for st in (*fwd, *inv))
 
     return CycleReport(
@@ -730,5 +729,5 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
         stall_free=stall_free,
         completion_cycles=tuple(completions),
         notes=tuple(notes),
-        schedule_deviations=tuple(deviations),
+        schedule_deviations=(),
     )

@@ -205,7 +205,7 @@ class TestStageFifo:
 
 def unit_stage(latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
-    # element first
+    # element first, so fire t must receive the labels (2t, 2t + 1)
     return _PipeStage("unit", 0, 1, latency, 2)
 
 
@@ -213,19 +213,26 @@ class TestButterflyUnit:
     def test_latency_and_order(self):
         stage = unit_stage(latency=3)
         outs = []
-        for cycle, arrival in enumerate([(20, 10), (21, 11), None, None,
+        for cycle, arrival in enumerate([(0, 1), (2, 3), None, None,
                                          None], start=1):
             stage.tick(cycle, arrival)
             outs.append(stage.out)
         # fire t emits labels (2t, 2t + 1), two cycles after it issued
         assert outs == [None, None, (0, 1), (2, 3), None]
-        assert list(stage.program) == [10, 20, 11, 21]
+        assert (stage.first_fire, stage.last_fire) == (1, 2)
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
-        stage.tick(5, (2, 1))
+        stage.tick(5, (0, 1))
         assert stage.out == (0, 1)
-        assert list(stage.program) == [1, 2]
+
+    def test_arrival_breaking_the_law_raises(self):
+        # fire 1 must pair the labels (3, 2); product 0 is checked too
+        stage = unit_stage(latency=1)
+        stage.tick(1, (0, 1))
+        with pytest.raises(PipelineAssertionError,
+                           match=r"unit: fire 1 pairs \(5, 4\), not \(3, 2\)"):
+            stage.tick(2, (4, 5))
 
 
 class TestPipelineConfig:
@@ -452,7 +459,7 @@ class TestControlPlane:
         for n in (1024, 4096):
             config = PipelineConfig(n=n, params=build_params(RLWE_M, n),
                                     mode=mode)
-            _, _, rep = _run_cycles(config, 4, None)
+            rep = _run_cycles(config, 4, None)
             if mode == "schedule":
                 assert rep.first_ntt_latency == rep.predicted_first_ntt
                 assert rep.first_mul_latency == rep.predicted_first_mul
@@ -476,7 +483,7 @@ class TestControlPlane:
                                 lambda chain, cycle, arrival: (
                                     cycles.add(cycle),
                                     real_tick_chain(chain, cycle, arrival)))
-            _, _, rep = _run_cycles(config, count, None)
+            rep = _run_cycles(config, count, None)
             assert rep.completion_cycles[-1] == 39 + 8 * (count - 1)
             return len(cycles)
 
@@ -499,11 +506,64 @@ class TestControlPlane:
             run_stream(rand_pairs(random.Random(57), p, 3),
                        PipelineConfig(n=16, params=p))
 
+    def test_misrouting_every_product_alike_raises(self, fixed_params,
+                                                   monkeypatch):
+        # swap every pair stage 3 emits in its drain phase, product 0's
+        # included: the first is fire 2, and the law catches it there
+        p = fixed_params[16]
+        real_tick = StageFifo.tick
+
+        def tick(fifo, arrival):
+            phase = fifo.counter >> fifo._hshift
+            pair = real_tick(fifo, arrival)
+            if fifo.stage == "fwd_a3" and phase and not phase & 1:
+                return pair[::-1]
+            return pair
+
+        monkeypatch.setattr(StageFifo, "tick", tick)
+        with pytest.raises(PipelineAssertionError, match="fwd_a3: fire 2 "):
+            run_stream(rand_pairs(random.Random(57), p, 3),
+                       PipelineConfig(n=16, params=p))
+
+    @pytest.mark.parametrize("gap_at, error", [
+        (0, None),
+        (1, "starved mid-stream"),
+        (2, "arrival after the stream ended"),
+        (9, "starved mid-stream"),
+        (22, "arrival after the stream ended"),
+        (23, "starved mid-stream")])
+    def test_gap_at_the_gate_raises_in_inv2(self, fixed_params, monkeypatch,
+                                            gap_at, error):
+        # only the gate can open a gap in a stage's fires, and inv2's FIFO
+        # raises in either phase, so a run that returns is stall-free;
+        # withholding the first pair delays the back chain without a gap
+        p = fixed_params[16]
+        real_pop = pipesim._TransformGate.pop
+        handed = []
+
+        def pop(gate):
+            # withhold once, on the cycle that would hand over pair gap_at
+            if gate._ready and len(handed) == gap_at:
+                handed.append(None)
+                return None
+            pair = real_pop(gate)
+            if pair is not None:
+                handed.append(pair)
+            return pair
+
+        monkeypatch.setattr(pipesim._TransformGate, "pop", pop)
+        config = PipelineConfig(n=16, params=p)
+        if error is None:
+            assert _run_cycles(config, 3, None).stall_free
+        else:
+            with pytest.raises(PipelineAssertionError, match=f"inv2: {error}"):
+                _run_cycles(config, 3, None)
+
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
-        # the jumped run gives the report, trace rows and programs of the
-        # run that ticks every cycle: with _moved returning a fresh object,
+        # the jumped run gives the report and trace rows of the run that
+        # ticks every cycle: with _moved returning a fresh object,
         # no two product boundaries compare equal and the loop never jumps
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
@@ -512,8 +572,7 @@ class TestControlPlane:
 
         def run():
             rows = []
-            front, back, rep = _run_cycles(config, count, rows.append)
-            return rep, rows, [list(s.program) for s in (*front, *back)]
+            return _run_cycles(config, count, rows.append), rows
 
         jumped = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -619,8 +678,7 @@ class TestDeterminism:
         config = PipelineConfig(n=n, params=p, mode=mode)
         operands = [(a.coeffs, b.coeffs)
                     for a, b in rand_pairs(random.Random(60), p, count)]
-        front, back, _ = _run_cycles(config, count, None)
-        prods = _replay(config, front, back, operands, _datapath_mul(p))
+        prods = _replay(config, operands, _datapath_mul(p))
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
