@@ -45,7 +45,6 @@ law plus sampling.  The same inputs and configuration give the same trace.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -438,6 +437,36 @@ def _check_n(n: int):
 # ---------------------------------------------------------------------------
 # the simulator
 
+class _TraceWriter:
+    """Trace rows as CSV text on an open file: one row as it is produced,
+    or a recorded window again over a range of shifts.  The text is what
+    ``csv.writer`` writes, ``\\r\\n`` line ends included, because no field
+    needs quoting or holds a ``%``: labels are ``[a-z0-9_]`` and every
+    other field is an int or ``""``."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, fh):
+        self.write = fh.write
+
+    def row(self, row):
+        self.write("%s,%s,%s,%s,%s,%s\r\n" % row)
+
+    def repeat(self, rows, shifts):
+        """``rows`` once per shift i, with ``cycle`` and a FIFO's
+        ``counter`` up by i: one format string with a ``%d`` slot for each
+        of those, everything else literal, and one write per shift."""
+        fmt, base = [], []
+        for c, label, sel, k, lo, hi in rows:
+            counted = k != ""
+            fmt.append(f"%d,{label},{sel},{'%d' if counted else ''},"
+                       f"{lo},{hi}\r\n")
+            base += (c, k) if counted else (c,)
+        fmt = "".join(fmt)
+        for i in shifts:
+            self.write(fmt % tuple(map(i.__add__, base)))
+
+
 def _butterfly_timing(n: int, forward: bool):
     """Per butterfly stage s = 1 ... log2 N, (hold, fires per twiddle): the
     cycles between the arrivals it pairs, N/2**s forward and 2**(s-2)
@@ -485,8 +514,10 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is streamed
-    there row by row; the file is closed, and so complete up to the failing
-    cycle, also when a :class:`PipelineAssertionError` aborts the run.
+    there: ticked rows as they are produced, and each repeated period as
+    one formatted write, so memory holds at most one period's text.  The
+    file is closed, and so complete up to the failing cycle, also when a
+    :class:`PipelineAssertionError` aborts the run.
     """
     params = config.params
     operands = []
@@ -498,10 +529,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
         report = _run_cycles(config, len(operands), None)
     else:
         with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cycle", "stage", "sel", "counter",
-                             "pair_lo", "pair_hi"])
-            report = _run_cycles(config, len(operands), writer.writerow)
+            fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
+            report = _run_cycles(config, len(operands), _TraceWriter(fh))
     M = params.M
     products = operands and _replay(
         config, operands, lambda xs, ys: [x * y % M for x, y in zip(xs, ys)])
@@ -535,8 +564,8 @@ def _moved(stages, gate, fires):
 
 def _run_cycles(config, count, trace):
     """The cycle loop for ``count`` products, position j of product p fed
-    as the labels (pN + 2j, pN + 2j + 1); ``trace`` is a row sink or None.
-    Returns the :class:`CycleReport`.
+    as the labels (pN + 2j, pN + 2j + 1); ``trace`` is a
+    :class:`_TraceWriter` or None.  Returns the :class:`CycleReport`.
 
     At product boundary k, once every stage has fired, the control state
     relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
@@ -559,7 +588,7 @@ def _run_cycles(config, count, trace):
     window: list = []       # trace rows since the last product boundary
 
     def record(row):
-        trace(row)
+        trace.row(row)
         window.append(row)
 
     front, back = _build_chains(config, record if trace else None)
@@ -580,11 +609,10 @@ def _run_cycles(config, count, trace):
                                       *_moved(stages, gate, -feed_idx)]
                 if state == last:   # so one completion per period
                     skip = total - feed_idx
-                    for i in range(n_half, skip + 1, n_half):
-                        completions.append(completions[-1] + n_half)
-                        for c, lab, sel, k, lo, hi in rows:
-                            trace((c + i, lab, sel, k if k == "" else k + i,
-                                   lo, hi))
+                    shifts = range(n_half, skip + 1, n_half)
+                    completions += [completions[-1] + i for i in shifts]
+                    if trace is not None:
+                        trace.repeat(rows, shifts)
                     (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
                     for st, (t, out, unit, f) in zip(stages, per_stage):
                         st.t, st.out, st._unit = t, out, unit

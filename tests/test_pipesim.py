@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import random
 
@@ -17,6 +19,7 @@ from nttmul.pipesim import (
     _PipeStage,
     _replay,
     _run_cycles,
+    _TraceWriter,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
@@ -562,17 +565,20 @@ class TestControlPlane:
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
-        # the jumped run gives the report and trace rows of the run that
+        # the jumped run gives the report and trace text of the run that
         # ticks every cycle: with _moved returning a fresh object,
-        # no two product boundaries compare equal and the loop never jumps
+        # no two product boundaries compare equal and the loop never jumps,
+        # so each repeated period's format string is checked against the
+        # rows the ticked periods write
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
 
         def run():
-            rows = []
-            return _run_cycles(config, count, rows.append), rows
+            text = io.StringIO()
+            report = _run_cycles(config, count, _TraceWriter(text))
+            return report, text.getvalue()
 
         jumped = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -682,11 +688,16 @@ class TestDeterminism:
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
-    @pytest.mark.parametrize("label, counter", [("fwd_a2", 9), ("inv4", 13)])
+    # 12 pairs jump from boundary 5 to the last one, at cycle 96, and inv3
+    # reaches counter 80 only in the drain after it
+    @pytest.mark.parametrize("count, label, counter",
+                             [(3, "fwd_a2", 9), (3, "inv4", 13),
+                              (12, "inv3", 80)],
+                             ids=["fwd_a2-9", "inv4-13", "jumped-inv3-80"])
     def test_trace_on_abort_is_the_unaborted_prefix(
-            self, fixed_params, tmp_path, monkeypatch, label, counter):
+            self, fixed_params, tmp_path, monkeypatch, count, label, counter):
         p = fixed_params[16]
-        pairs = rand_pairs(random.Random(56), p, 3)
+        pairs = rand_pairs(random.Random(56), p, count)
         cfg = PipelineConfig(n=16, params=p)
         full = tmp_path / "full.csv"
         run_stream(pairs, cfg, trace_path=full)
@@ -709,6 +720,29 @@ class TestDeterminism:
         # header plus every row written before the failing stage's row
         assert aborted.read_text().splitlines() == lines[:fail]
         assert full.read_bytes().startswith(aborted.read_bytes())
+        if count == 12:
+            # a jump writes rows up to the last boundary's cycle, count N/2,
+            # so the aborted file holds every repeated period
+            assert int(lines[fail].split(",")[0]) > count * 8
+
+    @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
+                                     (12289, 32, "structural", 20)],
+                             ids=_pinned_id)
+    def test_trace_is_what_csv_writes(self, tmp_path, key):
+        # the rows are formatted by hand, repeated periods included (both
+        # streams jump): read back and rewritten by the csv module, the
+        # file comes out byte for byte, six fields a row
+        m, n, mode, count = key
+        p = build_params(m, n)
+        path = tmp_path / "t.csv"
+        run_stream(rand_pairs(random.Random(60), p, count),
+                   PipelineConfig(n=n, params=p, mode=mode), trace_path=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        out = io.StringIO(newline="")
+        csv.writer(out).writerows(rows)
+        assert out.getvalue().encode() == path.read_bytes()
 
     def test_identical_runs_identical_reports(self, fixed_params):
         p = fixed_params[16]
