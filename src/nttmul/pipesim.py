@@ -113,10 +113,12 @@ class PipelineConfig:
 # arithmetic kernels
 
 def _datapath_mul(params: NttParams):
-    """The units' product of two lists of residues: ``karatsuba_mul`` (a
-    module global, counted by replacing the name) on l-bit operands into
-    Barrett, shift-add for the default modulus.  It equals ``x * y % M``,
-    which :func:`run_stream` replays: each reducer is exact up to (M-1)**2."""
+    """The units' product of two lists of residues: ``karatsuba_mul`` on
+    l-bit operands into Barrett, shift-add for the default modulus.  Each
+    reducer is exact up to (M-1)**2, so this equals ``x * y % M``, the
+    product :func:`run_stream` replays with.  ``run_stream`` never calls
+    this or ``karatsuba_mul``: only the tests' replay on the units'
+    arithmetic uses it."""
     M = params.M
     bits = (M - 1).bit_length()
     l = bits + (bits & 1)       # smallest even operand width holding M - 1
@@ -199,7 +201,8 @@ class StageFifo:
         previous stage this cycle, or None once the stream has ended.
         """
         bi, bii = self.block_i, self.block_ii
-        if not self.counter:
+        counter = self.counter
+        if not counter:
             if arrival is None:
                 return None
         elif arrival is None:
@@ -210,42 +213,39 @@ class StageFifo:
             # resuming would pair across the gap at the wrong distance
             raise PipelineAssertionError(
                 f"{self.stage}: arrival after the stream ended")
-        hold = self.hold
-        q = self.counter >> self._hshift
-        self.counter += 1
-        out = None
-        if q == 0:              # fill
-            if arrival is None:
-                raise PipelineAssertionError(
-                    f"{self.stage}: starved during fill")
-            bi.append(arrival[0])
-            bii.append(arrival[1])
-        elif q & 1:             # sel = 0: bank II gated, pair tap with live s1
+        q = counter >> self._hshift
+        self.counter = counter + 1
+        if q & 1:               # sel = 0: bank II gated, pair tap with live s1
             if arrival is None:
                 raise PipelineAssertionError(
                     f"{self.stage}: starved mid-stream")
             if not bi:
                 raise PipelineAssertionError(
                     f"{self.stage}: bank I underflow")
-            older = bi.popleft()
+            out = (arrival[0], bi.popleft())
             bi.append(arrival[1])
-            out = (arrival[0], older)
-        else:                   # sel = 1 past fill: taps pair, banks reload
+        elif q:                 # sel = 1 past fill: taps pair, banks reload
             if not bi or not bii:
                 raise PipelineAssertionError(
                     f"{self.stage}: bank underflow in drain phase")
-            newer = bi.popleft()
-            older = bii.popleft()
+            out = (bi.popleft(), bii.popleft())
             if arrival is not None:
                 bi.append(arrival[0])
                 bii.append(arrival[1])
-            out = (newer, older)
-        occ = len(bi) + len(bii)
-        if occ > 2 * hold:
-            raise PipelineAssertionError(
-                f"{self.stage}: FIFO overflow ({occ} > {2 * hold})")
-        if occ > self.peak:
+        else:                   # fill
+            if arrival is None:
+                raise PipelineAssertionError(
+                    f"{self.stage}: starved during fill")
+            bi.append(arrival[0])
+            bii.append(arrival[1])
+            # only the fill adds entries, two a tick from empty banks, so
+            # only it can overflow, and each of its ticks sets the peak
+            occ = len(bi) + len(bii)
+            if occ > 2 * self.hold:
+                raise PipelineAssertionError(
+                    f"{self.stage}: FIFO overflow ({occ} > {2 * self.hold})")
             self.peak = occ
+            return None
         return out
 
 
@@ -301,11 +301,12 @@ class _PipeStage:
         if pair is not None:
             t = self.t
             self.t = t + 1
-            want = ((2 * t + 1, 2 * t + 1 - self.d) if t & self.hold
-                    else (2 * t + self.d, 2 * t))
-            if pair != want:
+            # the lower label is 2t or 2t + 1 - d, the higher d above it
+            lo = 2 * t + 1 - self.d if t & self.hold else 2 * t
+            if pair[1] != lo or pair[0] != lo + self.d:
                 raise PipelineAssertionError(
-                    f"{self.label}: fire {t} pairs {pair}, not {want}")
+                    f"{self.label}: fire {t} pairs {pair}, "
+                    f"not {(lo + self.d, lo)}")
             if not t:
                 self.first_fire = cycle
             elif t == self.n_half - 1:
@@ -323,8 +324,11 @@ class _PipeStage:
                             *fired_positions))
             elif pair is not None:
                 self.trace((cycle, self.label, "", "", *fired_positions))
-        self._unit.append(result)
-        self.out = self._unit.popleft()
+        unit = self._unit
+        if unit:
+            unit.append(result)
+            result = unit.popleft()
+        self.out = result
 
     @property
     def contiguous(self) -> bool:
@@ -439,7 +443,7 @@ def _check_n(n: int):
 
 class _TraceWriter:
     """Trace rows as CSV text on an open file: one row as it is produced,
-    or a recorded window again over a range of shifts.  The text is what
+    or a recorded period again over a range of shifts.  The text is what
     ``csv.writer`` writes, ``\\r\\n`` line ends included, because no field
     needs quoting or holds a ``%``: labels are ``[a-z0-9_]`` and every
     other field is an int or ``""``."""
@@ -539,10 +543,47 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
 def _tick_chain(chain, cycle, arrival):
     # reverse dataflow order: every stage reads the output its producer
-    # latched on the previous cycle
+    # latched on the previous cycle; an empty window ticks nothing
     for s in range(len(chain) - 1, 0, -1):
         chain[s].tick(cycle, chain[s - 1].out)
-    chain[0].tick(cycle, arrival)
+    if chain:
+        chain[0].tick(cycle, arrival)
+
+
+def _window(chain, first, reach):
+    """The stages a cycle ticks: ``chain[first]`` to ``chain[reach]``."""
+    return chain[first:reach + 1]
+
+
+class _Window:
+    """``stages``, the stages of one chain that can change state: none
+    past ``reach``, which moves on when the stage at it first emits, and,
+    once ``update`` is told that no arrival can enter the chain, none
+    before ``first``, which then moves past each stage that holds nothing."""
+
+    __slots__ = ("chain", "first", "reach", "stages")
+
+    def __init__(self, chain):
+        self.chain = chain
+        self.first = self.reach = 0
+        self.stages = _window(chain, 0, 0)
+
+    def update(self, closed):
+        chain, first, reach = self.chain, self.first, self.reach
+        if reach < len(chain) - 1 and chain[reach].out is not None:
+            reach += 1
+        while closed and first <= reach and _holds_nothing(chain[first]):
+            first += 1
+        if first != self.first or reach != self.reach:
+            self.first, self.reach = first, reach
+            self.stages = _window(chain, first, reach)
+
+
+def _holds_nothing(st):
+    # no result in the unit or at its output, no entry in the FIFO
+    f = st.fifo
+    return (st.out is None and not any(st._unit)
+            and (f is None or not (f.block_i or f.block_ii)))
 
 
 def _moved(stages, gate, fires):
@@ -583,16 +624,26 @@ def _run_cycles(config, count, trace):
     and as 0 and N/2 - 1, passed before the second snapshot.  ``feed_idx``
     and the collected count are read mod N/2 and against the total,
     unreached before the last boundary.  All else is only written.
+
+    Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
+    is of a stage that has had no arrival, or, untraced, of one that holds
+    nothing and can receive nothing: it has a None arrival, so it changes
+    no state that :func:`_moved` or :func:`_build_report` reads, and
+    writes no row.  Every stage has fired by a snapshot, and no chain
+    closes while the feed runs, so at every snapshot the windows span both
+    chains: the jump and its proof stand as they are.
     """
     n_half = config.n // 2
-    window: list = []       # trace rows since the last product boundary
+    period: list = []       # trace rows since the last product boundary
 
     def record(row):
         trace.row(row)
-        window.append(row)
+        period.append(row)
 
     front, back = _build_chains(config, record if trace else None)
     stages = (*front, *back)
+    front_win, back_win = _Window(front), _Window(back)
+    untraced = trace is None
     gate = _TransformGate(n_half)
     total = count * n_half
     limit = 1000 + (count + 4) * config.n * (
@@ -603,7 +654,7 @@ def _run_cycles(config, count, trace):
 
     while collected < total:
         if not feed_idx % n_half and feed_idx < total:
-            rows, window = window, []   # the period ending here
+            rows, period = period, []   # the period ending here
             if all(st.first_fire is not None for st in stages):
                 last, state = state, [collected - feed_idx,
                                       *_moved(stages, gate, -feed_idx)]
@@ -628,7 +679,7 @@ def _run_cycles(config, count, trace):
 
         # the back chain ticks first, so the gate hands over what was
         # complete before this cycle's pointwise output arrives
-        _tick_chain(back, cycle, gate.pop())
+        _tick_chain(back_win.stages, cycle, gate.pop())
         if back[-1].out is not None:
             collected += 1
             if not collected % n_half:
@@ -638,9 +689,15 @@ def _run_cycles(config, count, trace):
         if feed_idx < total:
             feed = (2 * feed_idx, 2 * feed_idx + 1)
             feed_idx += 1
-        _tick_chain(front, cycle, feed)
+        _tick_chain(front_win.stages, cycle, feed)
         if front[-1].out is not None:
             gate.push(front[-1].out)
+        # no arrival can come once the feed has ended, or once the front
+        # has drained and the gate is empty; a drained FIFO still writes
+        # its frozen counter, so a traced run ticks every stage it reached
+        front_win.update(untraced and feed_idx == total)
+        back_win.update(untraced and not front_win.stages
+                        and not gate._pairs)
     return _build_report(config, count, front[1:-1], back[:-1], gate,
                          completions, front[0].first_fire)
 

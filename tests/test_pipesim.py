@@ -454,6 +454,23 @@ class TestRunStreamAccounting:
 RLWE_M = 786_433                    # 3 * 2**18 + 1: 2N | M - 1 up to N = 2**17
 
 
+def withhold_at_gate(mp, gap_at):
+    # the gate withholds once, on the cycle that would hand over pair gap_at
+    real_pop = pipesim._TransformGate.pop
+    handed = []
+
+    def pop(gate):
+        if gate._ready and len(handed) == gap_at:
+            handed.append(None)
+            return None
+        pair = real_pop(gate)
+        if pair is not None:
+            handed.append(pair)
+        return pair
+
+    mp.setattr(pipesim._TransformGate, "pop", pop)
+
+
 class TestControlPlane:
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_closed_forms_at_rlwe_sizes(self, mode):
@@ -540,27 +557,31 @@ class TestControlPlane:
         # only the gate can open a gap in a stage's fires, and inv2's FIFO
         # raises in either phase, so a run that returns is stall-free;
         # withholding the first pair delays the back chain without a gap
-        p = fixed_params[16]
-        real_pop = pipesim._TransformGate.pop
-        handed = []
-
-        def pop(gate):
-            # withhold once, on the cycle that would hand over pair gap_at
-            if gate._ready and len(handed) == gap_at:
-                handed.append(None)
-                return None
-            pair = real_pop(gate)
-            if pair is not None:
-                handed.append(pair)
-            return pair
-
-        monkeypatch.setattr(pipesim._TransformGate, "pop", pop)
-        config = PipelineConfig(n=16, params=p)
+        withhold_at_gate(monkeypatch, gap_at)
+        config = PipelineConfig(n=16, params=fixed_params[16])
         if error is None:
             assert _run_cycles(config, 3, None).stall_free
         else:
             with pytest.raises(PipelineAssertionError, match=f"inv2: {error}"):
                 _run_cycles(config, 3, None)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_gap_anywhere_never_underflows(self, fixed_params, n):
+        # StageFifo.tick's invariant: both banks hold equally many entries
+        # until a None arrival ends the stream, so a gap starves a FIFO or
+        # ends its stream before a pop could find a bank empty
+        config = PipelineConfig(n=n, params=fixed_params[n])
+        outcomes = set()
+        for gap_at in range(3 * n // 2):
+            with pytest.MonkeyPatch.context() as mp:
+                withhold_at_gate(mp, gap_at)
+                try:
+                    assert _run_cycles(config, 3, None).stall_free
+                    outcomes.add("stall-free")
+                except PipelineAssertionError as e:
+                    outcomes.add(str(e))
+        assert outcomes == {"stall-free", "inv2: starved mid-stream",
+                            "inv2: arrival after the stream ended"}
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -584,6 +605,57 @@ class TestControlPlane:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipesim, "_moved", lambda *args: [object()])
             assert run() == jumped
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
+           structural=st.booleans(), count=st.integers(0, 24),
+           traced=st.booleans(), data=st.data())
+    def test_window_is_exact(self, fixed_params, n, latency, structural,
+                             count, traced, data):
+        # ticking only each chain's window gives the report, the trace text
+        # and the error of the loop that ticks every stage every cycle,
+        # which is what _window returning the whole chain makes of it; a
+        # pair withheld at the gate injects the fault
+        p = fixed_params[n]
+        config = (PipelineConfig(n=n, params=p, mode="structural",
+                                 butterfly_latency=latency) if structural
+                  else PipelineConfig(n=n, params=p))
+        gap_at = data.draw(st.none() | st.integers(0, count * n // 2))
+
+        def run(full):
+            text = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                if gap_at is not None:
+                    withhold_at_gate(mp, gap_at)
+                if full:
+                    mp.setattr(pipesim, "_window",
+                               lambda chain, first, reach: chain)
+                try:
+                    result = _run_cycles(config, count,
+                                         _TraceWriter(text) if traced else None)
+                except PipelineAssertionError as e:
+                    result = str(e)
+            return result, text.getvalue()
+
+        assert run(full=False) == run(full=True)
+
+    def test_window_skips_idle_ticks(self, monkeypatch):
+        # the benchmark's structural N = 1024 stream of 4 ticks 3850 cycles,
+        # 23 stages each when every stage ticks every cycle
+        config = PipelineConfig(n=1024, params=build_params(12289, 1024),
+                                mode="structural")
+        real_tick = _PipeStage.tick
+
+        def ticks(window):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipesim, "_window", window)
+                mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
+                    calls.append(None), real_tick(stage, cycle, arrival)))
+                _run_cycles(config, 4, None)
+            return len(calls)
+
+        assert ticks(lambda chain, first, reach: chain) == 88_550
+        assert ticks(pipesim._window) < 88_550
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
