@@ -63,7 +63,7 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
-    """A FIFO overflowed or starved, a fire misrouted, or the schedule wedged.
+    """A FIFO stream had a gap, a fire misrouted, or the schedule wedged.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -98,11 +98,12 @@ class PipelineConfig:
             deep = KARATSUBA_CYCLES + REDUCE_CYCLES + ADDSUB_CYCLES
             object.__setattr__(self, "butterfly_latency",
                                1 if self.mode == "schedule" else deep)
+        if (type(self.butterfly_latency) is not int     # bool included
+                or not 1 <= self.butterfly_latency <= MAX_BUTTERFLY_LATENCY):
+            raise ValueError(f"butterfly_latency must be an int in "
+                             f"[1, {MAX_BUTTERFLY_LATENCY}]")
         if self.mode == "schedule" and self.butterfly_latency != 1:
             raise ValueError("schedule mode forces butterfly_latency = 1")
-        if not 1 <= self.butterfly_latency <= MAX_BUTTERFLY_LATENCY:
-            raise ValueError(f"butterfly_latency must be in "
-                             f"[1, {MAX_BUTTERFLY_LATENCY}]")
 
     @property
     def scalar_latency(self) -> int:
@@ -151,37 +152,38 @@ def _kernels(M, mul):
 class StageFifo:
     """Double-buffer hold FIFO in front of one butterfly stage.
 
-    Two shift-register banks of ``hold`` entries each.  The local counter
-    starts at the first arrival, so the FIFO has started exactly when the
-    counter is non-zero; ``sel`` drops to 0 exactly when the counter crosses
-    an odd multiple of ``hold`` and back to 1 at the next multiple:
+    Two register banks of ``hold`` slots, read and written at the tap
+    ``counter mod hold``.  The counter starts at the first arrival; ``sel``
+    drops to 0 when it crosses an odd multiple of ``hold``, back to 1 at
+    the next:
 
-    * counter in [0, hold):      fill - both banks load, no butterfly;
-    * sel = 0 (gate phase):      bank II is clock-gated; bank I recycles the
-      second input stream while its tap pairs with the live first stream;
-    * sel = 1 (drain phase):     both banks shift; the two taps pair with
-      each other while fresh data (possibly the next transform's) loads.
+    * counter in [0, hold):  fill - both taps load, no butterfly;
+    * sel = 0 (gate phase):  bank II is clock-gated; bank I's tap pairs with
+      the live first stream and takes the second stream's element;
+    * sel = 1 (drain phase): the two taps pair, and reload with fresh data
+      (possibly the next transform's) unless the stream has ended.
 
-    Capacity is exactly ``2 * hold`` entries; exceeding it, starving a
-    phase that needs a live arrival, or an arrival after the stream has
-    ended (a None while data was still held) raises
-    :class:`PipelineAssertionError` naming ``stage``, the label of the
-    stage the FIFO feeds.
+    ``held`` counts the live entries.  Capacity is exactly ``2 * hold`` by
+    construction: a fixed bank can neither overflow nor underflow, and a
+    wrong slot breaks the routing law :class:`_PipeStage` checks.  A gap in
+    the fill ("starved during fill") or a gate phase ("starved mid-stream"),
+    or an arrival once a None has ended the stream with data held ("arrival
+    after the stream ended"), raises :class:`PipelineAssertionError` naming
+    ``stage``, the label of the stage the FIFO feeds.
     """
 
-    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "ended",
-                 "peak", "_hshift")
+    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "held",
+                 "ended", "peak", "_hshift")
 
     def __init__(self, stage: str, hold: int):
         if hold < 1 or hold & (hold - 1):
             raise ValueError(f"hold must be a power of two >= 1, got {hold}")
         self.stage = stage
         self.hold = hold
-        self.block_i: deque = deque()
-        self.block_ii: deque = deque()
-        self.counter = 0
+        self.block_i: list = [None] * hold
+        self.block_ii: list = [None] * hold
+        self.counter = self.held = self.peak = 0
         self.ended = False
-        self.peak = 0
         self._hshift = hold.bit_length() - 1
 
     @property
@@ -191,8 +193,7 @@ class StageFifo:
     @property
     def sel(self) -> int:
         # 1 during fill and drain phases, 0 while bank II is gated
-        q = self.counter >> self._hshift
-        return 0 if q & 1 else 1
+        return 1 - (self.counter >> self._hshift & 1)
 
     def tick(self, arrival):
         """Advance one cycle; returns the butterfly pair (newer, older) or None.
@@ -200,51 +201,36 @@ class StageFifo:
         ``arrival`` is the (stream-1, stream-2) element pair leaving the
         previous stage this cycle, or None once the stream has ended.
         """
-        bi, bii = self.block_i, self.block_ii
-        counter = self.counter
-        if not counter:
-            if arrival is None:
-                return None
-        elif arrival is None:
-            if not bi and not bii:
-                return None     # drained and idle
+        if arrival is None:
+            if not self.held:
+                return None     # not started, or drained and idle
             self.ended = True
         elif self.ended:
             # resuming would pair across the gap at the wrong distance
             raise PipelineAssertionError(
                 f"{self.stage}: arrival after the stream ended")
-        q = counter >> self._hshift
+        counter = self.counter
+        q, p = counter >> self._hshift, counter & self.hold - 1
         self.counter = counter + 1
+        bi, bii = self.block_i, self.block_ii
         if q & 1:               # sel = 0: bank II gated, pair tap with live s1
             if arrival is None:
                 raise PipelineAssertionError(
                     f"{self.stage}: starved mid-stream")
-            if not bi:
-                raise PipelineAssertionError(
-                    f"{self.stage}: bank I underflow")
-            out = (arrival[0], bi.popleft())
-            bi.append(arrival[1])
+            out = (arrival[0], bi[p])
+            bi[p] = arrival[1]
         elif q:                 # sel = 1 past fill: taps pair, banks reload
-            if not bi or not bii:
-                raise PipelineAssertionError(
-                    f"{self.stage}: bank underflow in drain phase")
-            out = (bi.popleft(), bii.popleft())
-            if arrival is not None:
-                bi.append(arrival[0])
-                bii.append(arrival[1])
-        else:                   # fill
+            out = (bi[p], bii[p])
+            if arrival is None:
+                self.held -= 2
+            else:
+                bi[p], bii[p] = arrival
+        else:                   # fill: each tick adds two, a new peak
             if arrival is None:
                 raise PipelineAssertionError(
                     f"{self.stage}: starved during fill")
-            bi.append(arrival[0])
-            bii.append(arrival[1])
-            # only the fill adds entries, two a tick from empty banks, so
-            # only it can overflow, and each of its ticks sets the peak
-            occ = len(bi) + len(bii)
-            if occ > 2 * self.hold:
-                raise PipelineAssertionError(
-                    f"{self.stage}: FIFO overflow ({occ} > {2 * self.hold})")
-            self.peak = occ
+            bi[p], bii[p] = arrival
+            self.held = self.peak = self.held + 2
             return None
         return out
 
@@ -580,15 +566,15 @@ class _Window:
 
 
 def _holds_nothing(st):
-    # no result in the unit or at its output, no entry in the FIFO
-    f = st.fifo
+    # no result in the unit or at its output, no live entry in the FIFO
     return (st.out is None and not any(st._unit)
-            and (f is None or not (f.block_i or f.block_ii)))
+            and not (st.fifo and st.fifo.held))
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs), per stage (t, out, unit, FIFO state or None)."""
+    (_ready, pairs), per stage (t, out, unit, FIFO counter, ended, held and
+    banks, or None)."""
     lab = 2 * fires
 
     def moved(pair):
@@ -597,9 +583,9 @@ def _moved(stages, gate, fires):
     for st in stages:
         f = st.fifo
         state.append((st.t + fires, moved(st.out), deque(map(moved, st._unit)),
-                      f and (f.counter + fires, f.ended,
-                             deque(x + lab for x in f.block_i),
-                             deque(x + lab for x in f.block_ii))))
+                      f and (f.counter + fires, f.ended, f.held,
+                             [x + lab for x in f.block_i],
+                             [x + lab for x in f.block_ii])))
     return state
 
 
@@ -610,20 +596,24 @@ def _run_cycles(config, count, trace):
 
     At product boundary k, once every stage has fired, the control state
     relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
-    the collected count minus kN/2; ``_ready`` and ``ended`` as they are.
-    If boundary k + 1 repeats k, the loop moves the state to the last
-    boundary, repeats the period's completion and trace rows (``cycle`` and
-    ``counter`` up N/2 per period), and drains.  Proof: a period commutes
-    with moving the state up N/2 fires, so every later boundary repeats k.
+    the collected count minus kN/2; ``_ready``, ``ended`` and ``held`` as
+    they are.  If boundary k + 1 repeats k, the loop moves the state to the
+    last boundary, repeats the period's completion and trace rows
+    (``cycle`` and ``counter`` up N/2 per period), and drains.  Proof: a
+    period commutes with moving the state up N/2 fires, so every later
+    boundary repeats k.
     The loop never reads a label's value: it moves labels, feeds (2f,
     2f + 1), emits (2t, 2t + 1) at fire t and checks that fire t pairs 2t
     plus terms in ``hold`` and ``t & hold``.  A period moves t by N/2 and
-    labels by N; 2 * hold divides N/2, so ``t & hold`` stays, and so does
-    a FIFO's phase bit, which with != 0 and < hold (false past its first
-    fire) is all it reads of ``counter``.  A stage reads ``t`` also mod N/2
-    and as 0 and N/2 - 1, passed before the second snapshot.  ``feed_idx``
-    and the collected count are read mod N/2 and against the total,
-    unreached before the last boundary.  All else is only written.
+    labels by N; 2 * hold divides N/2, so ``t & hold`` stays, and so do
+    a FIFO's phase bit and tap ``counter mod hold``, which with != 0 and
+    < hold (false past its first fire) are all it reads of ``counter``.
+    At a snapshot each FIFO is past its fill, so every slot holds a label,
+    2 * hold of them live unless it has ended: the jump moves banks whole.
+    A stage reads ``t`` also mod N/2 and as 0 and N/2 - 1, passed before
+    the second snapshot.  ``feed_idx`` and the collected count are read
+    mod N/2 and against the total, unreached before the last boundary.
+    All else is only written.
 
     Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
     is of a stage that has had no arrival, or, untraced, of one that holds
@@ -668,7 +658,7 @@ def _run_cycles(config, count, trace):
                     for st, (t, out, unit, f) in zip(stages, per_stage):
                         st.t, st.out, st._unit = t, out, unit
                         if f:
-                            (st.fifo.counter, _, st.fifo.block_i,
+                            (st.fifo.counter, _, _, st.fifo.block_i,
                              st.fifo.block_ii) = f
                     feed_idx, collected, cycle = (total, collected + skip,
                                                   cycle + skip)

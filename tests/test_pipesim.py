@@ -129,7 +129,7 @@ class TestStageFifo:
         # stream ends; drain phase empties both banks without arrivals
         assert fifo.tick(None) is not None
         assert fifo.tick(None) is not None
-        assert not fifo.block_i and not fifo.block_ii
+        assert fifo.held == 0
         assert fifo.tick(None) is None        # idle afterwards
 
     def test_starved_during_fill(self):
@@ -185,12 +185,18 @@ class TestStageFifo:
             feed.insert(g, None)
         fifo = StageFifo(2, hold)
         out = []
+        taken = 0
         raised = False
         try:
             for arrival in feed + [None] * (2 * hold):
                 pair = fifo.tick(arrival)
+                taken += arrival is not None
                 if pair is not None:
                     out.append(pair)
+                # the occupancy law: two entries per arrival taken, two
+                # out per pair emitted, never more than the two banks hold
+                assert 0 <= fifo.held <= 2 * hold
+                assert fifo.held == 2 * (taken - len(out))
         except PipelineAssertionError:
             raised = True
         # every pair: one stream, the lower element of a 2*hold block
@@ -267,6 +273,13 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=r"butterfly_latency.*1024"):
             PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                            butterfly_latency=1025)
+
+    @pytest.mark.parametrize("latency", [True, 2.0, "3"])
+    def test_latency_must_be_an_int(self, fixed_params, latency):
+        # True compares equal to 1, so only a type check turns it away
+        with pytest.raises(ValueError, match=r"latency must be an int in"):
+            PipelineConfig(n=16, params=fixed_params[16], mode="structural",
+                           butterfly_latency=latency)
 
     def test_rejects_mismatched_n(self, fixed_params):
         with pytest.raises(ValueError):
@@ -545,6 +558,29 @@ class TestControlPlane:
             run_stream(rand_pairs(random.Random(57), p, 3),
                        PipelineConfig(n=16, params=p))
 
+    @pytest.mark.parametrize("label, counter, bank", [
+        ("fwd_a3", 5, "block_i"),
+        ("fwd_a2", 9, "block_ii"),
+        ("inv3", 7, "block_i")])
+    def test_corrupted_bank_entry_raises(self, fixed_params, monkeypatch,
+                                         label, counter, bank):
+        # swap two entries of one bank just before a tick: the FIFO emits a
+        # wrong element, and the routing law names the stage and the fire
+        p = fixed_params[16]
+        real_tick = StageFifo.tick
+
+        def tick(fifo, arrival):
+            if (fifo.stage, fifo.counter) == (label, counter):
+                entries = getattr(fifo, bank)
+                entries[0], entries[1] = entries[1], entries[0]
+            return real_tick(fifo, arrival)
+
+        monkeypatch.setattr(StageFifo, "tick", tick)
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^{label}: fire \d+ pairs "):
+            run_stream(rand_pairs(random.Random(57), p, 3),
+                       PipelineConfig(n=16, params=p))
+
     @pytest.mark.parametrize("gap_at, error", [
         (0, None),
         (1, "starved mid-stream"),
@@ -567,9 +603,10 @@ class TestControlPlane:
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_gap_anywhere_never_underflows(self, fixed_params, n):
-        # StageFifo.tick's invariant: both banks hold equally many entries
-        # until a None arrival ends the stream, so a gap starves a FIFO or
-        # ends its stream before a pop could find a bank empty
+        # StageFifo.tick's invariant: a FIFO past its fill holds 2 * hold
+        # live entries until a None arrival ends the stream, so a gap
+        # starves a FIFO or ends its stream before it could read a slot it
+        # has drained
         config = PipelineConfig(n=n, params=fixed_params[n])
         outcomes = set()
         for gap_at in range(3 * n // 2):
