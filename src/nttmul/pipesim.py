@@ -31,16 +31,16 @@ match the closed-form expressions (:func:`predicted_first_ntt_latency` and
 friends); ``structural`` mode uses multi-cycle unit latencies, which
 stretches the fill latency but must not change throughput.
 
-The schedule does not depend on the data, so the stages carry control
-only: :func:`_run_cycles` routes position labels, checks every fire of
-every stage against one routing law (:class:`_PipeStage`) and stops at the
-steady state its docstring proves.  :func:`_replay` computes the products
-on the same law from the twiddle and weight tables, with the units'
-arithmetic (``x * w % M`` standing for Karatsuba plus Barrett).  The law
-check proves that the FIFO model builds the same butterfly network at
-every size it runs; that this network multiplies correctly is sampled
-against the schoolbook product at N <= 1024, and above that rests on the
-law plus sampling.  The same inputs and configuration give the same trace.
+The schedule does not depend on the data, so the stages carry control only:
+:func:`_run_cycles` routes position labels, checks every fire of every stage
+against a routing and a timing law (:class:`_PipeStage`) and stops at the
+steady state its docstring proves.  :func:`_replay` computes the products on
+the routing law from the twiddle and weight tables, with the units'
+arithmetic (``x * w % M`` standing for Karatsuba plus Barrett).  The routing
+check proves that the FIFO model builds the same butterfly network at every
+size it runs; that this network multiplies correctly is sampled against the
+schoolbook product at N <= 1024, and above that rests on the law plus
+sampling.  The same inputs and configuration give the same trace.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
-    """A FIFO stream had a gap, a fire misrouted, or the schedule wedged.
+    """A FIFO stream had a gap, a fire misrouted or came off its cycle, or
+    the schedule wedged.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -176,8 +177,8 @@ class StageFifo:
                  "ended", "peak", "_hshift")
 
     def __init__(self, stage: str, hold: int):
-        if hold < 1 or hold & (hold - 1):
-            raise ValueError(f"hold must be a power of two >= 1, got {hold}")
+        if type(hold) is not int or hold < 1 or hold & (hold - 1):
+            raise ValueError(f"hold must be a power of two >= 1, got {hold!r}")
         self.stage = stage
         self.hold = hold
         self.block_i: list = [None] * hold
@@ -251,16 +252,16 @@ class _PipeStage:
     runs once per cycle, shifts in this cycle's result or None and shifts
     out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
 
-    Fire t, counted over the stream, emits the labels (2t, 2t + 1) and must
-    pair, higher label first, (2t + d, 2t) when ``t & hold`` is 0 and
-    (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold), or raise
-    :class:`PipelineAssertionError`.  Its twiddle is entry
+    Fire t, counted over the stream, emits the labels (2t, 2t + 1).  By the
+    routing law it pairs, higher label first, (2t + d, 2t) when ``t & hold``
+    is 0 and (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold); by
+    the timing law it happens at cycle ``first_fire + t``.  A fire breaking
+    either raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per_block of its stage's table.
     """
 
     __slots__ = ("label", "fifo", "_unit", "hold", "d", "per_block", "n_half",
-                 "t", "out", "first_fire", "last_fire", "first_block_fire",
-                 "trace")
+                 "t", "out", "first_fire", "trace")
 
     def __init__(self, label, hold, per_block, latency, n_half, trace=None):
         self.label = label
@@ -273,8 +274,6 @@ class _PipeStage:
         self.t = 0
         self.out = None
         self.first_fire = None
-        self.last_fire = None
-        self.first_block_fire = None
         self.trace = trace
 
     def tick(self, cycle: int, arrival):
@@ -295,10 +294,11 @@ class _PipeStage:
                     f"not {(lo + self.d, lo)}")
             if not t:
                 self.first_fire = cycle
-            elif t == self.n_half - 1:
-                self.first_block_fire = cycle
+            elif cycle != self.first_fire + t:
+                raise PipelineAssertionError(
+                    f"{self.label}: fire {t} at cycle {cycle}, "
+                    f"not {self.first_fire + t}")
             result = (2 * t, 2 * t + 1)
-            self.last_fire = cycle
         if self.trace is not None:
             fired_positions = ("", "")
             if pair is not None:
@@ -315,10 +315,6 @@ class _PipeStage:
             unit.append(result)
             result = unit.popleft()
         self.out = result
-
-    @property
-    def contiguous(self) -> bool:
-        return self.t == 0 or self.last_fire - self.first_fire + 1 == self.t
 
 
 class _TransformGate:
@@ -420,8 +416,8 @@ def predicted_mul_regs(n: int) -> int:
 
 
 def _check_n(n: int):
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"N={n} must be a power of two >= 4")
+    if type(n) is not int or n < 4 or n & (n - 1):     # bool included
+        raise ValueError(f"N={n!r} must be a power of two >= 4")
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +562,17 @@ class _Window:
 
 
 def _holds_nothing(st):
-    # no result in the unit or at its output, no live entry in the FIFO
-    return (st.out is None and not any(st._unit)
-            and not (st.fifo and st.fifo.held))
+    """No result at ``out`` or in the unit, and so no live FIFO entry: this
+    is asked once no arrival can come, when a FIFO holding any is in its
+    drain phase (a None in the fill or a gate phase raises), so it fired."""
+    return st.out is None and not any(st._unit)
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs), per stage (t, out, unit, FIFO counter, ended, held and
-    banks, or None)."""
+    (_ready, pairs), per stage (t, out, unit, FIFO counter, ended and banks,
+    or None).  A FIFO's ``held`` is left out: past its fill it is 2 * hold
+    unless the FIFO has ``ended``, which is here."""
     lab = 2 * fires
 
     def moved(pair):
@@ -583,7 +581,7 @@ def _moved(stages, gate, fires):
     for st in stages:
         f = st.fifo
         state.append((st.t + fires, moved(st.out), deque(map(moved, st._unit)),
-                      f and (f.counter + fires, f.ended, f.held,
+                      f and (f.counter + fires, f.ended,
                              [x + lab for x in f.block_i],
                              [x + lab for x in f.block_ii])))
     return state
@@ -596,10 +594,10 @@ def _run_cycles(config, count, trace):
 
     At product boundary k, once every stage has fired, the control state
     relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
-    the collected count minus kN/2; ``_ready``, ``ended`` and ``held`` as
-    they are.  If boundary k + 1 repeats k, the loop moves the state to the
-    last boundary, repeats the period's completion and trace rows
-    (``cycle`` and ``counter`` up N/2 per period), and drains.  Proof: a
+    the collected count minus kN/2; ``_ready`` and ``ended`` as they are.
+    If boundary k + 1 repeats k, the loop moves the state to the last
+    boundary, repeats the period's completion and trace rows (``cycle``
+    and ``counter`` up N/2 per period), and drains.  Proof: a
     period commutes with moving the state up N/2 fires, so every later
     boundary repeats k.
     The loop never reads a label's value: it moves labels, feeds (2f,
@@ -610,8 +608,10 @@ def _run_cycles(config, count, trace):
     < hold (false past its first fire) are all it reads of ``counter``.
     At a snapshot each FIFO is past its fill, so every slot holds a label,
     2 * hold of them live unless it has ended: the jump moves banks whole.
-    A stage reads ``t`` also mod N/2 and as 0 and N/2 - 1, passed before
-    the second snapshot.  ``feed_idx`` and the collected count are read
+    A stage reads ``t`` also mod N/2, as 0, passed before the first
+    snapshot, and against ``cycle`` in the timing law: ``first_fire`` is
+    fixed before the first snapshot, and a period moves ``cycle`` and
+    ``t`` together by N/2.  ``feed_idx`` and the collected count are read
     mod N/2 and against the total, unreached before the last boundary.
     All else is only written.
 
@@ -658,7 +658,7 @@ def _run_cycles(config, count, trace):
                     for st, (t, out, unit, f) in zip(stages, per_stage):
                         st.t, st.out, st._unit = t, out, unit
                         if f:
-                            (st.fifo.counter, _, _, st.fifo.block_i,
+                            (st.fifo.counter, _, st.fifo.block_i,
                              st.fifo.block_ii) = f
                     feed_idx, collected, cycle = (total, collected + skip,
                                                   cycle + skip)
@@ -735,6 +735,8 @@ def _replay(config, operands, mul):
 
 
 def _build_report(config, count, fwd, inv, gate, completions, first_feed):
+    """The :class:`CycleReport` of a run that returned: every fire met the
+    routing and timing laws, so the run is ``stall_free``."""
     n = config.n
     notes = [
         "measured register figures count hold-FIFO occupancy; the closed-form "
@@ -749,11 +751,9 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
             "per-stage capacities sum to the same, yet a figure of 18 has "
             "been reported for this size; both are quoted here unreconciled "
             "and the measured occupancy is reported independently")
-    first_ntt = None
-    if fwd[-1].first_block_fire is not None:
-        first_ntt = fwd[-1].first_block_fire - fwd[0].first_fire + 1
-    first_mul = None
-    if completions and first_feed is not None:
+    first_ntt = first_mul = None
+    if count:   # the timing law puts fire N/2 - 1 at first_fire + N/2 - 1
+        first_ntt = fwd[-1].first_fire + n // 2 - fwd[0].first_fire
         first_mul = completions[0] - first_feed + 1
     steady = None
     if len(completions) >= 4:
@@ -773,11 +773,6 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
 
     fwd_peaks = per_stage(fwd, "peak")
     inv_peaks = per_stage(inv, "peak")
-    # True in every run that returns: the feed has no gap, a column without
-    # a FIFO fires when its producer did, and a FIFO stage fires each cycle
-    # from its first fire until it drains, or raises.  So only the gate can
-    # open a gap, and inv2's FIFO raises on it: starved, or after the end.
-    stall_free = all(st.contiguous for st in (*fwd, *inv))
 
     return CycleReport(
         n=n,
@@ -801,7 +796,7 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
         predicted_first_mul=predicted_first_mul_latency(n),
         predicted_ntt_regs=predicted_ntt_regs(n),
         predicted_mul_regs=predicted_mul_regs(n),
-        stall_free=stall_free,
+        stall_free=True,
         completion_cycles=tuple(completions),
         notes=tuple(notes),
         schedule_deviations=(),

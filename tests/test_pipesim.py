@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -160,10 +161,11 @@ class TestStageFifo:
         assert outs[3] == (1003, 1002)
 
     def test_rejects_bad_hold(self):
-        with pytest.raises(ValueError):
-            StageFifo(2, 3)
-        with pytest.raises(ValueError):
-            StageFifo(2, 0)
+        # True would pass as hold 1 and 2.0 or "2" fail on & or <: only a
+        # type check turns them away with the ValueError of a bad size
+        for bad in (3, 0, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="hold must be"):
+                StageFifo("x", bad)
 
     def test_arrival_after_drain_gap_raises(self):
         # hold 2: a gap in the drain phase ends the stream; resuming would
@@ -228,7 +230,7 @@ class TestButterflyUnit:
             outs.append(stage.out)
         # fire t emits labels (2t, 2t + 1), two cycles after it issued
         assert outs == [None, None, (0, 1), (2, 3), None]
-        assert (stage.first_fire, stage.last_fire) == (1, 2)
+        assert (stage.first_fire, stage.t) == (1, 2)
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
@@ -242,6 +244,15 @@ class TestButterflyUnit:
         with pytest.raises(PipelineAssertionError,
                            match=r"unit: fire 1 pairs \(5, 4\), not \(3, 2\)"):
             stage.tick(2, (4, 5))
+
+    def test_fire_off_its_cycle_raises(self):
+        # fire 1 must come at first_fire + 1, the cycle after fire 0
+        stage = unit_stage(latency=1)
+        stage.tick(1, (0, 1))
+        stage.tick(2, None)
+        with pytest.raises(PipelineAssertionError,
+                           match=r"^unit: fire 1 at cycle 3, not 2$"):
+            stage.tick(3, (2, 3))
 
 
 class TestPipelineConfig:
@@ -310,10 +321,15 @@ class TestPredictors:
         assert predicted_mul_regs(4) == 26
         assert predicted_mul_regs(256) == 818
 
-    def test_reject_bad_sizes(self):
-        for bad in (0, 2, 3, 24):
-            with pytest.raises(ValueError):
+    def test_reject_bad_sizes(self, p17_4):
+        for bad in (0, 2, 3, 24, True, 4.0, "8"):
+            with pytest.raises(ValueError, match="must be a power of two"):
                 predicted_first_ntt_latency(bad)
+            with pytest.raises(ValueError, match="must be a power of two"):
+                predicted_ntt_regs(bad)
+        # a float N fails the type check before the params.n comparison
+        with pytest.raises(ValueError, match="must be a power of two"):
+            PipelineConfig(n=4.0, params=p17_4)
 
 
 class TestRunStreamFunctional:
@@ -584,15 +600,13 @@ class TestControlPlane:
     @pytest.mark.parametrize("gap_at, error", [
         (0, None),
         (1, "starved mid-stream"),
-        (2, "arrival after the stream ended"),
         (9, "starved mid-stream"),
-        (22, "arrival after the stream ended"),
         (23, "starved mid-stream")])
     def test_gap_at_the_gate_raises_in_inv2(self, fixed_params, monkeypatch,
                                             gap_at, error):
-        # only the gate can open a gap in a stage's fires, and inv2's FIFO
-        # raises in either phase, so a run that returns is stall-free;
-        # withholding the first pair delays the back chain without a gap
+        # only the gate can open a gap in a stage's fires: in a gate phase
+        # inv2's FIFO starves; withholding the first pair delays the back
+        # chain without a gap
         withhold_at_gate(monkeypatch, gap_at)
         config = PipelineConfig(n=16, params=fixed_params[16])
         if error is None:
@@ -601,12 +615,25 @@ class TestControlPlane:
             with pytest.raises(PipelineAssertionError, match=f"inv2: {error}"):
                 _run_cycles(config, 3, None)
 
+    @pytest.mark.parametrize("gap_at, due", [(2, 23), (22, 43)])
+    def test_gap_at_the_gate_delays_inv1(self, fixed_params, monkeypatch,
+                                         gap_at, due):
+        # in a drain phase inv2's FIFO takes the gap as the stream's end,
+        # and inv1's fire of the withheld pair, a cycle late, breaks the
+        # timing law before inv2 sees the arrival
+        withhold_at_gate(monkeypatch, gap_at)
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^inv1: fire {gap_at} at cycle {due + 1}, "
+                                 rf"not {due}$"):
+            _run_cycles(config, 3, None)
+
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_gap_anywhere_never_underflows(self, fixed_params, n):
         # StageFifo.tick's invariant: a FIFO past its fill holds 2 * hold
         # live entries until a None arrival ends the stream, so a gap
-        # starves a FIFO or ends its stream before it could read a slot it
-        # has drained
+        # starves a FIFO, or ends its stream and puts inv1's next fire off
+        # its cycle, before the FIFO could read a slot it has drained
         config = PipelineConfig(n=n, params=fixed_params[n])
         outcomes = set()
         for gap_at in range(3 * n // 2):
@@ -616,9 +643,9 @@ class TestControlPlane:
                     assert _run_cycles(config, 3, None).stall_free
                     outcomes.add("stall-free")
                 except PipelineAssertionError as e:
-                    outcomes.add(str(e))
+                    outcomes.add(re.sub(r" \d+", " #", str(e)))
         assert outcomes == {"stall-free", "inv2: starved mid-stream",
-                            "inv2: arrival after the stream ended"}
+                            "inv1: fire # at cycle #, not #"}
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
