@@ -63,8 +63,7 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
-    """A FIFO stream had a gap, a fire misrouted or came off its cycle, or
-    the schedule wedged.
+    """A fire misrouted or came off its cycle, or the schedule wedged.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -162,19 +161,21 @@ class StageFifo:
     * sel = 0 (gate phase):  bank II is clock-gated; bank I's tap pairs with
       the live first stream and takes the second stream's element;
     * sel = 1 (drain phase): the two taps pair, and reload with fresh data
-      (possibly the next transform's) unless the stream has ended.
+      (possibly the next transform's).
 
-    ``held`` counts the live entries.  Capacity is exactly ``2 * hold`` by
-    construction: a fixed bank can neither overflow nor underflow, and a
-    wrong slot breaks the routing law :class:`_PipeStage` checks.  A gap in
-    the fill ("starved during fill") or a gate phase ("starved mid-stream"),
-    or an arrival once a None has ended the stream with data held ("arrival
-    after the stream ended"), raises :class:`PipelineAssertionError` naming
-    ``stage``, the label of the stage the FIFO feeds.
+    A None arrival is the stream's end: it ticks a drain phase, pairing the
+    taps without reloading them, and idles any other phase.  Capacity is
+    exactly ``2 * hold``: a fixed bank can neither overflow nor underflow,
+    and a wrong slot breaks the routing law :class:`_PipeStage` checks.
+    The FIFO checks no gap: its feeder is a :class:`_PipeStage`, whose
+    fires the timing law keeps contiguous, so after a gap the feeder's next
+    fire is late and raises before its result reaches the FIFO.  A stream
+    of whole transforms ends just as a drain phase starts; one cut short
+    leaves the run short of results, and "schedule wedged" raises.
+    ``stage`` labels the stage the FIFO feeds.
     """
 
-    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "held",
-                 "ended", "peak", "_hshift")
+    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "_hshift")
 
     def __init__(self, stage: str, hold: int):
         if type(hold) is not int or hold < 1 or hold & (hold - 1):
@@ -183,13 +184,17 @@ class StageFifo:
         self.hold = hold
         self.block_i: list = [None] * hold
         self.block_ii: list = [None] * hold
-        self.counter = self.held = self.peak = 0
-        self.ended = False
+        self.counter = 0
         self._hshift = hold.bit_length() - 1
 
     @property
     def capacity(self) -> int:
         return 2 * self.hold
+
+    @property
+    def peak(self) -> int:
+        # only the fill adds entries, two per tick
+        return 2 * min(self.counter, self.hold)
 
     @property
     def sel(self) -> int:
@@ -202,37 +207,21 @@ class StageFifo:
         ``arrival`` is the (stream-1, stream-2) element pair leaving the
         previous stage this cycle, or None once the stream has ended.
         """
-        if arrival is None:
-            if not self.held:
-                return None     # not started, or drained and idle
-            self.ended = True
-        elif self.ended:
-            # resuming would pair across the gap at the wrong distance
-            raise PipelineAssertionError(
-                f"{self.stage}: arrival after the stream ended")
         counter = self.counter
         q, p = counter >> self._hshift, counter & self.hold - 1
-        self.counter = counter + 1
         bi, bii = self.block_i, self.block_ii
+        if arrival is None:
+            if q & 1 or not q:
+                return None     # fill or gate phase: idle
+            self.counter = counter + 1
+            return bi[p], bii[p]    # drain phase: taps pair, no reload
+        self.counter = counter + 1
         if q & 1:               # sel = 0: bank II gated, pair tap with live s1
-            if arrival is None:
-                raise PipelineAssertionError(
-                    f"{self.stage}: starved mid-stream")
-            out = (arrival[0], bi[p])
+            out = arrival[0], bi[p]
             bi[p] = arrival[1]
-        elif q:                 # sel = 1 past fill: taps pair, banks reload
-            out = (bi[p], bii[p])
-            if arrival is None:
-                self.held -= 2
-            else:
-                bi[p], bii[p] = arrival
-        else:                   # fill: each tick adds two, a new peak
-            if arrival is None:
-                raise PipelineAssertionError(
-                    f"{self.stage}: starved during fill")
-            bi[p], bii[p] = arrival
-            self.held = self.peak = self.held + 2
-            return None
+            return out
+        out = (bi[p], bii[p]) if q else None    # drain pairs, fill loads only
+        bi[p], bii[p] = arrival
         return out
 
 
@@ -562,17 +551,17 @@ class _Window:
 
 
 def _holds_nothing(st):
-    """No result at ``out`` or in the unit, and so no live FIFO entry: this
-    is asked once no arrival can come, when a FIFO holding any is in its
-    drain phase (a None in the fill or a gate phase raises), so it fired."""
+    """No result at ``out`` or in the unit, so a FIFO's counter is in the
+    fill or a gate phase (a tick into a drain phase fires), where the None
+    arrivals that come once this is asked idle it: skipping its ticks
+    changes nothing, and live entries left there wedge the run."""
     return st.out is None and not any(st._unit)
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs), per stage (t, out, unit, FIFO counter, ended and banks,
-    or None).  A FIFO's ``held`` is left out: past its fill it is 2 * hold
-    unless the FIFO has ``ended``, which is here."""
+    (_ready, pairs), per stage (t, out, unit, FIFO counter and banks, or
+    None).  A FIFO holds nothing else: its peak follows from ``counter``."""
     lab = 2 * fires
 
     def moved(pair):
@@ -581,7 +570,7 @@ def _moved(stages, gate, fires):
     for st in stages:
         f = st.fifo
         state.append((st.t + fires, moved(st.out), deque(map(moved, st._unit)),
-                      f and (f.counter + fires, f.ended,
+                      f and (f.counter + fires,
                              [x + lab for x in f.block_i],
                              [x + lab for x in f.block_ii])))
     return state
@@ -594,7 +583,7 @@ def _run_cycles(config, count, trace):
 
     At product boundary k, once every stage has fired, the control state
     relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
-    the collected count minus kN/2; ``_ready`` and ``ended`` as they are.
+    the collected count minus kN/2; ``_ready`` as it is.
     If boundary k + 1 repeats k, the loop moves the state to the last
     boundary, repeats the period's completion and trace rows (``cycle``
     and ``counter`` up N/2 per period), and drains.  Proof: a
@@ -606,8 +595,9 @@ def _run_cycles(config, count, trace):
     labels by N; 2 * hold divides N/2, so ``t & hold`` stays, and so do
     a FIFO's phase bit and tap ``counter mod hold``, which with != 0 and
     < hold (false past its first fire) are all it reads of ``counter``.
-    At a snapshot each FIFO is past its fill, so every slot holds a label,
-    2 * hold of them live unless it has ended: the jump moves banks whole.
+    At a snapshot each FIFO is past its fill and no None has reached it
+    since (its feeder fires on, contiguously), so every slot holds a live
+    label: the jump moves banks whole.
     A stage reads ``t`` also mod N/2, as 0, passed before the first
     snapshot, and against ``cycle`` in the timing law: ``first_fire`` is
     fixed before the first snapshot, and a period moves ``cycle`` and
@@ -617,7 +607,7 @@ def _run_cycles(config, count, trace):
 
     Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
     is of a stage that has had no arrival, or, untraced, of one that holds
-    nothing and can receive nothing: it has a None arrival, so it changes
+    nothing and can receive nothing: its None arrival idles it, so it changes
     no state that :func:`_moved` or :func:`_build_report` reads, and
     writes no row.  Every stage has fired by a snapshot, and no chain
     closes while the feed runs, so at every snapshot the windows span both
@@ -658,7 +648,7 @@ def _run_cycles(config, count, trace):
                     for st, (t, out, unit, f) in zip(stages, per_stage):
                         st.t, st.out, st._unit = t, out, unit
                         if f:
-                            (st.fifo.counter, _, st.fifo.block_i,
+                            (st.fifo.counter, st.fifo.block_i,
                              st.fifo.block_ii) = f
                     feed_idx, collected, cycle = (total, collected + skip,
                                                   cycle + skip)
@@ -757,12 +747,9 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
         first_mul = completions[0] - first_feed + 1
     steady = None
     if len(completions) >= 4:
-        gaps = {completions[i + 1] - completions[i]
-                for i in range(len(completions) - 1)}
-        if len(gaps) == 1:
-            steady = gaps.pop()
-        else:
-            notes.append(f"completion spacing not constant: {sorted(gaps)}")
+        # completion k is output (k+1)N/2 - 1 of unweight, whose fires the
+        # timing law makes contiguous: every spacing is N/2
+        steady = completions[1] - completions[0]
     elif completions:
         notes.append("steady-state spacing needs at least 4 back-to-back "
                      "multiplications; not measured")
