@@ -134,18 +134,36 @@ class TestStageFifo:
             assert fifo.tick(None) is None
             assert fifo.counter == 3 * hold
 
-    def test_none_pairs_in_a_drain_phase_only(self):
-        # hold 2: a None before the first arrival, in the fill or in a gate
-        # phase emits nothing and leaves the counter; in a drain phase it
-        # pairs the two taps
+    def test_starved_during_fill(self):
+        # hold 2: a None before the first arrival or in the fill is the
+        # stream's end, not a fault: it emits nothing and leaves the counter
         fifo = StageFifo(2, 2)
-        for start, count, counter in ((0, 0, 0), (0, 1, 1), (1, 2, 3)):
-            feed_forever(fifo, count, start)
-            assert fifo.tick(None) is None
-            assert fifo.counter == counter
-        feed_forever(fifo, 1, 3)              # the gate phase's last arrival
+        assert fifo.tick(None) is None
+        assert fifo.counter == 0
+        feed_forever(fifo, 1)
+        assert fifo.tick(None) is None
+        assert fifo.counter == 1
+
+    def test_starved_mid_stream(self):
+        # hold 2: a None in a gate phase idles the FIFO, and the stream
+        # resumes where it stopped
+        fifo = StageFifo(2, 2)
+        feed_forever(fifo, 3)                 # fill + the gate's first tick
+        assert fifo.tick(None) is None
+        assert fifo.counter == 3
+        assert fifo.tick((1003, 2003)) == (1003, 1001)
+        assert fifo.counter == 4
+
+    def test_arrival_after_drain_gap_raises(self):
+        # hold 2: a None in a drain phase pairs the two taps without
+        # reloading them; a later arrival raises nothing, it takes the next
+        # drain slot, since the feeder's timing law is the one gap check
+        fifo = StageFifo(2, 2)
+        feed_forever(fifo, 4)                 # fill + gate phase
         assert fifo.tick(None) == (2002, 2000)
         assert fifo.counter == 5
+        assert fifo.tick((1005, 2005)) == (2003, 2001)
+        assert fifo.counter == 6
 
     def test_peak_occupancy_is_capacity(self):
         hold = 8
