@@ -35,12 +35,11 @@ The schedule does not depend on the data, so the stages carry control only:
 :func:`_run_cycles` routes position labels, checks every fire of every stage
 against a routing and a timing law (:class:`_PipeStage`) and stops at the
 steady state its docstring proves.  :func:`_replay` computes the products on
-the routing law from the twiddle and weight tables, with the units'
-arithmetic (``x * w % M`` standing for Karatsuba plus Barrett).  The routing
-check proves that the FIFO model builds the same butterfly network at every
-size it runs; that this network multiplies correctly is sampled against the
-schoolbook product at N <= 1024, and above that rests on the law plus
-sampling.  The same inputs and configuration give the same trace.
+the routing law (:func:`_programs`), with ``x * w % M`` standing for
+Karatsuba plus Barrett and lazy adders.  The routing check proves that the
+FIFO model builds the same butterfly network at every size it runs; that
+this network multiplies correctly is sampled against the schoolbook product
+at N <= 1024.  The same inputs and configuration give the same trace.
 """
 
 from __future__ import annotations
@@ -115,11 +114,9 @@ class PipelineConfig:
 
 def _datapath_mul(params: NttParams):
     """The units' product of two lists of residues: ``karatsuba_mul`` on
-    l-bit operands into Barrett, shift-add for the default modulus.  Each
-    reducer is exact up to (M-1)**2, so this equals ``x * y % M``, the
-    product :func:`run_stream` replays with.  ``run_stream`` never calls
-    this or ``karatsuba_mul``: only the tests' replay on the units'
-    arithmetic uses it."""
+    l-bit operands into Barrett, shift-add for the default modulus, exact
+    up to (M-1)**2 and so equal to ``x * y % M``.  Only the tests' replay
+    on the units' arithmetic, exact adders included, calls it."""
     M = params.M
     bits = (M - 1).bit_length()
     l = bits + (bits & 1)       # smallest even operand width holding M - 1
@@ -129,21 +126,19 @@ def _datapath_mul(params: NttParams):
                            for x, y in zip(xs, ys)]
 
 
-def _kernels(M, mul):
+def _kernels(mul, plus, minus):
     """By butterfly kind, the units on lists of the fires' lower and higher
-    elements and twiddles, ``mul`` the product mod M and each sum or
-    difference back in [0, M) by one conditional -M or +M: ct (lo + w*hi,
-    lo - w*hi), gs (lo + hi, (lo - hi)*w), addsub (lo + hi, lo - hi)."""
+    elements and twiddles: ct (lo + w*hi, lo - w*hi), gs (lo + hi,
+    (lo - hi)*w), addsub (lo + hi, lo - hi); at "mul", ``mul``, the product
+    mod M.  ``plus`` and ``minus`` add in [0, M), or as ``add`` and ``sub``
+    within |x| < (s+1)*M after forward stage s, 2**s * M after inverse s."""
     def addsub(lo, hi, w=None):
-        return ([s - M if s >= M else s for s in map(add, lo, hi)],
-                [d + M if d < 0 else d for d in map(sub, lo, hi)])
+        return list(map(plus, lo, hi)), list(map(minus, lo, hi))
 
-    def gs(lo, hi, w):
-        s, d = addsub(lo, hi)
-        return s, mul(d, w)
-
-    return {"addsub": addsub, "gs": gs,
-            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w))}
+    return {"addsub": addsub, "mul": mul,
+            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w)),
+            "gs": lambda lo, hi, w: (list(map(plus, lo, hi)),
+                                     mul(map(minus, lo, hi), w))}
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +502,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
             report = _run_cycles(config, len(operands), _TraceWriter(fh))
     M = params.M
-    products = operands and _replay(
-        config, operands, lambda xs, ys: [x * y % M for x, y in zip(xs, ys)])
+    products = operands and _replay(params, operands, _kernels(
+        lambda xs, ys: [x * y % M for x, y in zip(xs, ys)], add, sub))
     return [Polynomial(tuple(c), M) for c in products], report
 
 
@@ -602,8 +597,8 @@ def _run_cycles(config, count, trace):
     snapshot, and against ``cycle`` in the timing law: ``first_fire`` is
     fixed before the first snapshot, and a period moves ``cycle`` and
     ``t`` together by N/2.  ``feed_idx`` and the collected count are read
-    mod N/2 and against the total, unreached before the last boundary.
-    All else is only written.
+    mod N/2 and against the total, unreached before the last boundary, and
+    ``idle`` is 0 at each boundary the feed reaches.  All else is only written.
 
     Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
     is of a stage that has had no arrival, or, untraced, of one that holds
@@ -626,10 +621,11 @@ def _run_cycles(config, count, trace):
     untraced = trace is None
     gate = _TransformGate(n_half)
     total = count * n_half
-    limit = 1000 + (count + 4) * config.n * (
+    # a sound run feeds or collects within one product's latency of cycles
+    limit = 1000 + 5 * config.n * (
         config.butterfly_latency + config.scalar_latency + 4)
     completions: list[int] = []
-    feed_idx = collected = cycle = 0
+    feed_idx = collected = cycle = idle = 0
     state = None
 
     while collected < total:
@@ -652,8 +648,8 @@ def _run_cycles(config, count, trace):
                              st.fifo.block_ii) = f
                     feed_idx, collected, cycle = (total, collected + skip,
                                                   cycle + skip)
-        cycle += 1
-        if cycle > limit:
+        cycle, idle = cycle + 1, idle + 1
+        if idle > limit:
             raise PipelineAssertionError(
                 f"no progress after {limit} cycles; schedule wedged")
 
@@ -661,14 +657,14 @@ def _run_cycles(config, count, trace):
         # complete before this cycle's pointwise output arrives
         _tick_chain(back_win.stages, cycle, gate.pop())
         if back[-1].out is not None:
-            collected += 1
+            collected, idle = collected + 1, 0
             if not collected % n_half:
                 completions.append(cycle)
 
         feed = None
         if feed_idx < total:
             feed = (2 * feed_idx, 2 * feed_idx + 1)
-            feed_idx += 1
+            feed_idx, idle = feed_idx + 1, 0
         _tick_chain(front_win.stages, cycle, feed)
         if front[-1].out is not None:
             gate.push(front[-1].out)
@@ -682,43 +678,47 @@ def _run_cycles(config, count, trace):
                          completions, front[0].first_fire)
 
 
-def _replay(config, operands, mul):
-    """The products of ``operands``, (a, b) coefficient sequences, through
-    weighting, the forward stages (both operands), pointwise, the inverse
-    stages and unweighting.  A list holds label 2t at t and 2t + 1 at
+def _programs(params, forward):
+    """Per butterfly stage of one transform, in order: getters of its fires'
+    lower and higher elements, its twiddles repeated over their fires and
+    its :func:`_kernels` kind.  A list holds label 2t at t and 2t + 1 at
     t + N/2, so :class:`_PipeStage`'s law reads: with k the hold, or N/2
     without a FIFO, fire t pairs the lower element at i = t if ``t & k`` is
-    0, else N/2 + t - k, with the higher at i + k.  A butterfly applies its
-    :func:`_kernels` unit with its table's twiddles, each repeated over its
-    fires per twiddle.  The multiplier columns pass fire t's pair on, so
-    they multiply natural-order lists."""
-    params = config.params
-    h = config.n // 2
-    kernels = _kernels(params.M, mul)
+    0, else N/2 + t - k, with the higher at i + k."""
+    h, progs = params.n // 2, []
+    kind, tables = (("ct", params.stage_twiddles_fwd) if forward
+                    else ("gs", params.stage_twiddles_inv))
+    for (hold, per_block), table in zip(_butterfly_timing(params.n, forward),
+                                        tables):
+        k = hold or h
+        lo = [h + t - k if t & k else t for t in range(h)]
+        progs.append((itemgetter(*lo), itemgetter(*[i + k for i in lo]),
+                      [w for w in table for _ in range(per_block)],
+                      "addsub" if set(table) == {1} else kind))
+    return progs
 
-    def programs(forward, tables, kind):
-        progs = []
-        for (hold, per_block), table in zip(
-                _butterfly_timing(config.n, forward), tables):
-            k = hold or h
-            lo = [h + t - k if t & k else t for t in range(h)]
-            progs.append((itemgetter(*lo), itemgetter(*[i + k for i in lo]),
-                          [w for w in table for _ in range(per_block)],
-                          kernels["addsub" if set(table) == {1} else kind]))
-        return progs
+
+def _replay(params, operands, kernels):
+    """The products of ``operands``, (a, b) coefficient sequences, through
+    weighting, the forward stages (both operands), pointwise, the inverse
+    stages and unweighting: each stage runs its :func:`_programs` entry on
+    ``kernels``, and the multiplier columns, which pass fire t's pair on,
+    multiply natural-order lists.  Lazy adders keep |x| < (s+1)*M after
+    forward stage s (a value plus a product in [0, M)) and |x| < 2**s * M
+    after inverse stage s (a sum or difference of two); every multiply, the
+    unweighting too, reduces into [0, M), so the products are exact."""
+    mul = kernels["mul"]
 
     def run(progs, x):
-        for lo, hi, w, kernel in progs:
-            first, second = kernel(lo(x), hi(x), w)
+        for lo, hi, w, kind in progs:
+            first, second = kernels[kind](lo(x), hi(x), w)
             x = first + second
         return x
 
-    forward = programs(True, params.stage_twiddles_fwd, "ct")
-    inverse = programs(False, params.stage_twiddles_inv, "gs")
+    forward, inverse = _programs(params, True), _programs(params, False)
     products = []
     for a, b in operands:
-        xa = run(forward, mul(a, params.weights_fwd))
-        xb = run(forward, mul(b, params.weights_fwd))
+        xa, xb = (run(forward, mul(x, params.weights_fwd)) for x in (a, b))
         products.append(mul(run(inverse, mul(xa, xb)),
                             params.weights_inv_scaled))
     return products

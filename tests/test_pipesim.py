@@ -44,7 +44,12 @@ def rand_pairs(rng, params, count):
 
 def datapath_kernels(p):
     # the list kernels on the multiplier units' Karatsuba + Barrett product
-    return _kernels(p.M, _datapath_mul(p))
+    # and adders, which bring each sum or difference back into [0, M) by
+    # one conditional -M or +M: the l-bit Karatsuba takes residues only
+    M = p.M
+    return _kernels(_datapath_mul(p),
+                    lambda x, y: x + y - M if x + y >= M else x + y,
+                    lambda x, y: x - y + M if x < y else x - y)
 
 
 class TestButterflyStep:
@@ -400,6 +405,89 @@ class TestRunStreamFunctional:
             run_stream([(ok, Polynomial((1, 2, 3, 4), FIXED_M))], cfg)
 
 
+# operand kinds for the lazy replay: random, and the ends of the residue
+# range, all at one end or alternating between them
+OPERANDS = {
+    "random": lambda rng, M, n: [rng.randrange(M) for _ in range(n)],
+    "zero": lambda rng, M, n: [0] * n,
+    "max": lambda rng, M, n: [M - 1] * n,
+    "alternating": lambda rng, M, n: [(M - 1) * (i & 1) for i in range(n)],
+}
+LAZY_RINGS = [(m, n) for n in (4, 8, 16, 32, 64)
+              for m in ((17,) if n <= 8 else ()) + (12289, FIXED_M)]
+
+
+@pytest.fixture(scope="session")
+def lazy_rings():
+    return {ring: build_params(*ring) for ring in LAZY_RINGS}
+
+
+class TestLazyReplay:
+    @given(ring=st.sampled_from(LAZY_RINGS),
+           mode=st.sampled_from(["schedule", "structural"]),
+           kinds=st.lists(st.tuples(st.sampled_from(sorted(OPERANDS)),
+                                    st.sampled_from(sorted(OPERANDS))),
+                          min_size=1, max_size=3),
+           seed=st.integers(0, 2**32))
+    def test_lazy_products_equal_exact_and_schoolbook(
+            self, lazy_rings, ring, mode, kinds, seed):
+        # run_stream's lazy adders give the products of the replay on the
+        # units' Karatsuba + Barrett product with exact adders, and those
+        # of the schoolbook
+        p = lazy_rings[ring]
+        M, n = ring
+        rng = random.Random(seed)
+        pairs = [tuple(Polynomial(OPERANDS[k](rng, M, n), M) for k in kind)
+                 for kind in kinds]
+        prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p, mode=mode))
+        lazy = [q.coeffs for q in prods]
+        exact = _replay(p, [(a.coeffs, b.coeffs) for a, b in pairs],
+                        datapath_kernels(p))
+        assert lazy == [tuple(c) for c in exact]
+        assert lazy == [naive_negacyclic_mul(a, b, p).coeffs for a, b in pairs]
+
+    @pytest.mark.parametrize("m, n", [(FIXED_M, 256), (12289, 1024)])
+    def test_lazy_adders_keep_the_stated_bounds(self, monkeypatch, m, n):
+        # run_stream's walk with its adders wrapped to check every sum and
+        # difference: |x| < (s+1)*M in forward stage s, |x| < 2**s * M in
+        # inverse stage s.  Per product the kernels run a's forward stages,
+        # b's, then the inverse ones, so a count of calls names the stage
+        p = build_params(m, n)
+        stages = p.num_stages
+        calls, bound = [], [None]
+        real_kernels = pipesim._kernels
+
+        def checked(op):
+            def adder(x, y):
+                r = op(x, y)
+                assert abs(r) < bound[0], (calls[-1], x, y)
+                return r
+            return adder
+
+        def staged(kernel):
+            def run(lo, hi, w):
+                j = len(calls) % (3 * stages)
+                calls.append(j)
+                s = j % stages + 1
+                bound[0] = (s + 1) * m if j < 2 * stages else 2**s * m
+                return kernel(lo, hi, w)
+            return run
+
+        def kernels(mul, plus, minus):
+            units = real_kernels(mul, checked(plus), checked(minus))
+            return {kind: unit if kind == "mul" else staged(unit)
+                    for kind, unit in units.items()}
+
+        monkeypatch.setattr(pipesim, "_kernels", kernels)
+        rng = random.Random(61)
+        top = Polynomial((m - 1,) * n, m)
+        pairs = [(rand_poly(rng, p), rand_poly(rng, p)), (top, top)]
+        prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p))
+        assert len(calls) == 3 * stages * len(pairs)
+        for (a, b), got in zip(pairs, prods):
+            assert got.coeffs == naive_negacyclic_mul(a, b, p).coeffs
+
+
 class TestRunStreamTiming:
     def test_latencies_match_closed_forms(self, fixed_params):
         for n in (8, 16, 32, 64):
@@ -694,6 +782,35 @@ class TestControlPlane:
         assert outcomes == {"fire # pairs (#, #), not (#, #)",
                             "fire # at cycle #, not #", wedged}
 
+    def test_lost_tail_result_wedges_after_a_fixed_limit(self, fixed_params):
+        # the last unweight result lost on the last cycle: the run raises
+        # the same count of cycles after the last progress, with the same
+        # message, for a short stream and for a long one the loop jumps
+        config = PipelineConfig(n=256, params=fixed_params[256])
+        real_tick, real_tick_chain = _PipeStage.tick, pipesim._tick_chain
+        seen = []
+        for count in (8, 200):
+            last = _run_cycles(config, count, None).completion_cycles[-1]
+            cycles = []
+
+            def tick(stage, cycle, arrival):
+                real_tick(stage, cycle, arrival)
+                if cycle == last and stage.label == "unweight":
+                    stage.out = None
+
+            def tick_chain(chain, cycle, arrival):
+                cycles.append(cycle)
+                real_tick_chain(chain, cycle, arrival)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_PipeStage, "tick", tick)
+                mp.setattr(pipesim, "_tick_chain", tick_chain)
+                with pytest.raises(PipelineAssertionError,
+                                   match="schedule wedged$") as e:
+                    _run_cycles(config, count, None)
+            seen.append((str(e.value), cycles[-1] - last))
+        assert seen[0] == seen[1]
+
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
@@ -860,14 +977,13 @@ class TestDeterminism:
                                      (12289, 32, "structural", 20)],
                              ids=["fixed-reducer", "generic-reducer"])
     def test_datapath_product_gives_pinned_products(self, key):
-        # the replay on the units' Karatsuba + Barrett product, one stream
-        # per reducer, equals the pinned products
-        m, n, mode, count = key
+        # the replay on the units' Karatsuba + Barrett product and exact
+        # adders, one stream per reducer, equals the pinned products
+        m, n, _, count = key
         p = build_params(m, n)
-        config = PipelineConfig(n=n, params=p, mode=mode)
         operands = [(a.coeffs, b.coeffs)
                     for a, b in rand_pairs(random.Random(60), p, count)]
-        prods = _replay(config, operands, _datapath_mul(p))
+        prods = _replay(p, operands, datapath_kernels(p))
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
