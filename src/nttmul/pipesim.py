@@ -79,7 +79,7 @@ class PipelineConfig:
     respectively; scalar multiplier units (weight, pointwise, unweight) take
     ``butterfly_latency - ADDSUB_CYCLES`` since they skip the add/sub step.
     It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
-    because every column allocates latency - 1 slots.
+    since the fill, the cycles a run ticks and the wedge limit grow with it.
     """
 
     n: int
@@ -167,15 +167,13 @@ class StageFifo:
     fire is late and raises before its result reaches the FIFO.  A stream
     of whole transforms ends just as a drain phase starts; one cut short
     leaves the run short of results, and "schedule wedged" raises.
-    ``stage`` labels the stage the FIFO feeds.
     """
 
-    __slots__ = ("stage", "hold", "block_i", "block_ii", "counter", "_hshift")
+    __slots__ = ("hold", "block_i", "block_ii", "counter", "_hshift")
 
-    def __init__(self, stage: str, hold: int):
+    def __init__(self, hold: int):
         if type(hold) is not int or hold < 1 or hold & (hold - 1):
             raise ValueError(f"hold must be a power of two >= 1, got {hold!r}")
-        self.stage = stage
         self.hold = hold
         self.block_i: list = [None] * hold
         self.block_ii: list = [None] * hold
@@ -232,25 +230,25 @@ class _PipeStage:
     each transform and the weighting, pointwise and unweighting multipliers
     are such columns.  Without a ``trace`` sink a stage emits no rows.
 
-    The unit is a shift register of ``latency - 1`` slots: each tick, which
-    runs once per cycle, shifts in this cycle's result or None and shifts
-    out ``out``, so a result issued at cycle c is ``out`` at c + latency - 1.
-
     Fire t, counted over the stream, emits the labels (2t, 2t + 1).  By the
     routing law it pairs, higher label first, (2t + d, 2t) when ``t & hold``
     is 0 and (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold); by
     the timing law it happens at cycle ``first_fire + t``.  A fire breaking
     either raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per_block of its stage's table.
+
+    The unit holds no state: each tick, once per cycle, sets ``out`` to
+    fire k's result, k = cycle - lag - first_fire with lag = latency - 1,
+    when fire k has happened (0 <= k < t), and to None otherwise.
     """
 
-    __slots__ = ("label", "fifo", "_unit", "hold", "d", "per_block", "n_half",
+    __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "n_half",
                  "t", "out", "first_fire", "trace")
 
     def __init__(self, label, hold, per_block, latency, n_half, trace=None):
         self.label = label
-        self.fifo = StageFifo(label, hold) if hold else None
-        self._unit = deque([None] * (latency - 1))
+        self.fifo = StageFifo(hold) if hold else None
+        self.lag = latency - 1
         self.hold = hold
         self.d = max(1, 2 * hold)
         self.per_block = per_block
@@ -266,7 +264,6 @@ class _PipeStage:
             pair = None if arrival is None else (arrival[1], arrival[0])
         else:
             pair = fifo.tick(arrival)
-        result = None
         if pair is not None:
             t = self.t
             self.t = t + 1
@@ -282,7 +279,6 @@ class _PipeStage:
                 raise PipelineAssertionError(
                     f"{self.label}: fire {t} at cycle {cycle}, "
                     f"not {self.first_fire + t}")
-            result = (2 * t, 2 * t + 1)
         if self.trace is not None:
             fired_positions = ("", "")
             if pair is not None:
@@ -294,11 +290,8 @@ class _PipeStage:
                             *fired_positions))
             elif pair is not None:
                 self.trace((cycle, self.label, "", "", *fired_positions))
-        unit = self._unit
-        if unit:
-            unit.append(result)
-            result = unit.popleft()
-        self.out = result
+        k = self.t and cycle - self.lag - self.first_fire
+        self.out = (2 * k, 2 * k + 1) if 0 <= k < self.t else None
 
 
 class _TransformGate:
@@ -534,29 +527,33 @@ class _Window:
         self.first = self.reach = 0
         self.stages = _window(chain, 0, 0)
 
-    def update(self, closed):
+    def update(self, closed, cycle):
         chain, first, reach = self.chain, self.first, self.reach
         if reach < len(chain) - 1 and chain[reach].out is not None:
             reach += 1
-        while closed and first <= reach and _holds_nothing(chain[first]):
+        while (closed and first <= reach
+               and _holds_nothing(chain[first], cycle)):
             first += 1
         if first != self.first or reach != self.reach:
             self.first, self.reach = first, reach
             self.stages = _window(chain, first, reach)
 
 
-def _holds_nothing(st):
-    """No result at ``out`` or in the unit, so a FIFO's counter is in the
-    fill or a gate phase (a tick into a drain phase fires), where the None
-    arrivals that come once this is asked idle it: skipping its ticks
-    changes nothing, and live entries left there wedge the run."""
-    return st.out is None and not any(st._unit)
+def _holds_nothing(st, cycle):
+    """After ``cycle``'s tick, no result at ``out`` and none in flight (fire
+    t - 1's is due at first_fire + t - 1 + lag), so the stage did not fire
+    and a FIFO's counter is in the fill or a gate phase (a tick into a
+    drain phase fires), where the None arrivals that come once this is
+    asked idle it: skipping its ticks changes nothing, and live entries
+    left there wedge the run."""
+    return st.out is None and (
+        not st.t or st.first_fire + st.t - 1 + st.lag <= cycle)
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs), per stage (t, out, unit, FIFO counter and banks, or
-    None).  A FIFO holds nothing else: its peak follows from ``counter``."""
+    (_ready, pairs), per stage (t, out, FIFO counter and banks, or None).
+    A FIFO holds nothing else: its peak follows from ``counter``."""
     lab = 2 * fires
 
     def moved(pair):
@@ -564,7 +561,7 @@ def _moved(stages, gate, fires):
     state = [(gate._ready, deque(map(moved, gate._pairs)))]
     for st in stages:
         f = st.fifo
-        state.append((st.t + fires, moved(st.out), deque(map(moved, st._unit)),
+        state.append((st.t + fires, moved(st.out),
                       f and (f.counter + fires,
                              [x + lab for x in f.block_i],
                              [x + lab for x in f.block_ii])))
@@ -594,19 +591,21 @@ def _run_cycles(config, count, trace):
     since (its feeder fires on, contiguously), so every slot holds a live
     label: the jump moves banks whole.
     A stage reads ``t`` also mod N/2, as 0, passed before the first
-    snapshot, and against ``cycle`` in the timing law: ``first_fire`` is
-    fixed before the first snapshot, and a period moves ``cycle`` and
-    ``t`` together by N/2.  ``feed_idx`` and the collected count are read
-    mod N/2 and against the total, unreached before the last boundary, and
-    ``idle`` is 0 at each boundary the feed reaches.  All else is only written.
+    snapshot, and against ``cycle`` in the timing law and in ``out``, fire
+    cycle - lag - first_fire's if below t: ``first_fire`` is fixed before
+    the first snapshot, and a period moves ``cycle`` and ``t`` together by
+    N/2, so ``out`` moves with them.  ``feed_idx`` and the collected count
+    are read mod N/2 and against the total, unreached before the last
+    boundary, and ``idle`` is 0 at each boundary the feed reaches.  All
+    else is only written.
 
     Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
     is of a stage that has had no arrival, or, untraced, of one that holds
-    nothing and can receive nothing: its None arrival idles it, so it changes
-    no state that :func:`_moved` or :func:`_build_report` reads, and
-    writes no row.  Every stage has fired by a snapshot, and no chain
-    closes while the feed runs, so at every snapshot the windows span both
-    chains: the jump and its proof stand as they are.
+    nothing and can receive nothing: its None arrival idles it and keeps
+    ``out`` None, so it changes no state that :func:`_moved` or
+    :func:`_build_report` reads, and writes no row.  Every stage has fired
+    by a snapshot, and no chain closes while the feed runs, so at every
+    snapshot the windows span both chains: the jump and its proof stand.
     """
     n_half = config.n // 2
     period: list = []       # trace rows since the last product boundary
@@ -641,8 +640,8 @@ def _run_cycles(config, count, trace):
                     if trace is not None:
                         trace.repeat(rows, shifts)
                     (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
-                    for st, (t, out, unit, f) in zip(stages, per_stage):
-                        st.t, st.out, st._unit = t, out, unit
+                    for st, (t, out, f) in zip(stages, per_stage):
+                        st.t, st.out = t, out
                         if f:
                             (st.fifo.counter, st.fifo.block_i,
                              st.fifo.block_ii) = f
@@ -671,9 +670,9 @@ def _run_cycles(config, count, trace):
         # no arrival can come once the feed has ended, or once the front
         # has drained and the gate is empty; a drained FIFO still writes
         # its frozen counter, so a traced run ticks every stage it reached
-        front_win.update(untraced and feed_idx == total)
+        front_win.update(untraced and feed_idx == total, cycle)
         back_win.update(untraced and not front_win.stages
-                        and not gate._pairs)
+                        and not gate._pairs, cycle)
     return _build_report(config, count, front[1:-1], back[:-1], gate,
                          completions, front[0].first_fire)
 

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from nttmul.pipesim import (
     PipelineConfig,
     StageFifo,
     _datapath_mul,
+    _holds_nothing,
     _kernels,
     _PipeStage,
     _replay,
@@ -94,19 +96,19 @@ def feed_forever(fifo, n_ticks, start=0):
 
 class TestStageFifo:
     def test_capacity_is_twice_hold(self):
-        assert StageFifo(2, 64).capacity == 128
-        assert StageFifo(3, 32).capacity == 64
+        assert StageFifo(64).capacity == 128
+        assert StageFifo(32).capacity == 64
 
     def test_first_pair_after_hold_many_ticks(self):
         # hold 64: ticks 1..64 fill, tick 65 emits the first pair
-        fifo = StageFifo(2, 64)
+        fifo = StageFifo(64)
         outs = feed_forever(fifo, 65)
         assert outs[:64] == [None] * 64
         assert outs[64] == (1064, 1000)   # live s1 paired with s1 held 64 back
 
     def test_pairing_distance_both_phases(self):
         hold = 4
-        fifo = StageFifo(2, hold)
+        fifo = StageFifo(hold)
         outs = feed_forever(fifo, 4 * hold)
         # gate phase: live stream-1 meets bank-I tap
         for j in range(hold):
@@ -121,7 +123,7 @@ class TestStageFifo:
 
     def test_sel_toggles_at_hold_multiples(self):
         hold = 8
-        fifo = StageFifo(2, hold)
+        fifo = StageFifo(hold)
         sels = []
         for t in range(4 * hold):
             sels.append(fifo.sel)
@@ -130,7 +132,7 @@ class TestStageFifo:
 
     def test_drain_then_idle(self):
         hold = 2
-        fifo = StageFifo(2, hold)
+        fifo = StageFifo(hold)
         feed_forever(fifo, 2 * hold)          # fill + gate phase
         # stream ends; drain phase pairs both banks without arrivals
         assert fifo.tick(None) is not None
@@ -142,7 +144,7 @@ class TestStageFifo:
     def test_starved_during_fill(self):
         # hold 2: a None before the first arrival or in the fill is the
         # stream's end, not a fault: it emits nothing and leaves the counter
-        fifo = StageFifo(2, 2)
+        fifo = StageFifo(2)
         assert fifo.tick(None) is None
         assert fifo.counter == 0
         feed_forever(fifo, 1)
@@ -152,7 +154,7 @@ class TestStageFifo:
     def test_starved_mid_stream(self):
         # hold 2: a None in a gate phase idles the FIFO, and the stream
         # resumes where it stopped
-        fifo = StageFifo(2, 2)
+        fifo = StageFifo(2)
         feed_forever(fifo, 3)                 # fill + the gate's first tick
         assert fifo.tick(None) is None
         assert fifo.counter == 3
@@ -163,7 +165,7 @@ class TestStageFifo:
         # hold 2: a None in a drain phase pairs the two taps without
         # reloading them; a later arrival raises nothing, it takes the next
         # drain slot, since the feeder's timing law is the one gap check
-        fifo = StageFifo(2, 2)
+        fifo = StageFifo(2)
         feed_forever(fifo, 4)                 # fill + gate phase
         assert fifo.tick(None) == (2002, 2000)
         assert fifo.counter == 5
@@ -172,12 +174,12 @@ class TestStageFifo:
 
     def test_peak_occupancy_is_capacity(self):
         hold = 8
-        fifo = StageFifo(2, hold)
+        fifo = StageFifo(hold)
         feed_forever(fifo, 6 * hold)
         assert fifo.peak == fifo.capacity
 
     def test_hold_one(self):
-        fifo = StageFifo(4, 1)
+        fifo = StageFifo(1)
         outs = feed_forever(fifo, 5)
         assert outs[0] is None
         assert outs[1] == (1001, 1000)
@@ -189,7 +191,7 @@ class TestStageFifo:
         # type check turns them away with the ValueError of a bad size
         for bad in (3, 0, True, 2.0, "2"):
             with pytest.raises(ValueError, match="hold must be"):
-                StageFifo("x", bad)
+                StageFifo(bad)
 
     @given(hold_log=st.integers(0, 6), blocks=st.integers(1, 4),
            data=st.data())
@@ -207,7 +209,7 @@ class TestStageFifo:
         feed = [(("s1", i), ("s2", i)) for i in range(arrivals)]
 
         def run(feed):
-            fifo = StageFifo(2, hold)
+            fifo = StageFifo(hold)
             out = [fifo.tick(arrival) for arrival in feed + [None] * 2 * hold]
             return [pair for pair in out if pair is not None], fifo
 
@@ -236,16 +238,25 @@ def unit_stage(latency):
 
 
 class TestButterflyUnit:
-    def test_latency_and_order(self):
-        stage = unit_stage(latency=3)
-        outs = []
-        for cycle, arrival in enumerate([(0, 1), (2, 3), None, None,
-                                         None], start=1):
+    @given(latency=st.integers(1, 16), lead=st.integers(0, 3),
+           fires=st.integers(0, 20))
+    def test_latency_and_order(self, latency, lead, fires):
+        # fire t emits the labels (2t, 2t + 1) as a delay line of
+        # latency - 1 slots would, and the stage holds nothing exactly
+        # when neither that line nor its output holds a result
+        stage = unit_stage(latency)
+        line = deque([None] * (latency - 1))
+        feed = ([None] * lead + [(2 * t, 2 * t + 1) for t in range(fires)]
+                + [None] * (latency + 1))
+        for cycle, arrival in enumerate(feed, start=1):
             stage.tick(cycle, arrival)
-            outs.append(stage.out)
-        # fire t emits labels (2t, 2t + 1), two cycles after it issued
-        assert outs == [None, None, (0, 1), (2, 3), None]
-        assert (stage.first_fire, stage.t) == (1, 2)
+            line.append(arrival)
+            out = line.popleft()
+            assert stage.out == out, cycle
+            assert _holds_nothing(stage, cycle) == (
+                out is None and not any(line)), cycle
+        assert stage.t == fires
+        assert stage.first_fire == (lead + 1 if fires else None)
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
@@ -292,7 +303,8 @@ class TestPipelineConfig:
         assert cfg.scalar_latency == 2
 
     def test_latency_bound(self, fixed_params):
-        # every column holds latency - 1 slots, so the depth is bounded
+        # the fill, the ticked cycles and the wedge limit grow with the
+        # depth, so it is bounded
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=1024)
         assert cfg.scalar_latency == 1022
@@ -598,6 +610,21 @@ def withhold_at_gate(mp, gap_at):
     mp.setattr(pipesim._TransformGate, "pop", pop)
 
 
+def fifo_labels(mp):
+    # the label of the stage each FIFO feeds, filled in as a run builds
+    # its chains
+    real_build = pipesim._build_chains
+    labels = {}
+
+    def build(config, trace):
+        front, back = real_build(config, trace)
+        labels.update((st.fifo, st.label) for st in (*front, *back) if st.fifo)
+        return front, back
+
+    mp.setattr(pipesim, "_build_chains", build)
+    return labels
+
+
 class TestControlPlane:
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_closed_forms_at_rlwe_sizes(self, mode):
@@ -641,10 +668,11 @@ class TestControlPlane:
         # the data would come out wrong, and the routing check catches it
         p = fixed_params[16]
         real_tick = StageFifo.tick
+        labels = fifo_labels(monkeypatch)
 
         def tick(fifo, arrival):
             pair = real_tick(fifo, arrival)
-            if fifo.stage == "fwd_a3" and fifo.counter == fifo.hold + 8 + 1:
+            if labels[fifo] == "fwd_a3" and fifo.counter == fifo.hold + 8 + 1:
                 return pair[::-1]
             return pair
 
@@ -659,11 +687,12 @@ class TestControlPlane:
         # included: the first is fire 2, and the law catches it there
         p = fixed_params[16]
         real_tick = StageFifo.tick
+        labels = fifo_labels(monkeypatch)
 
         def tick(fifo, arrival):
             phase = fifo.counter >> fifo._hshift
             pair = real_tick(fifo, arrival)
-            if fifo.stage == "fwd_a3" and phase and not phase & 1:
+            if labels[fifo] == "fwd_a3" and phase and not phase & 1:
                 return pair[::-1]
             return pair
 
@@ -682,9 +711,10 @@ class TestControlPlane:
         # wrong element, and the routing law names the stage and the fire
         p = fixed_params[16]
         real_tick = StageFifo.tick
+        labels = fifo_labels(monkeypatch)
 
         def tick(fifo, arrival):
-            if (fifo.stage, fifo.counter) == (label, counter):
+            if (labels[fifo], fifo.counter) == (label, counter):
                 entries = getattr(fifo, bank)
                 entries[0], entries[1] = entries[1], entries[0]
             return real_tick(fifo, arrival)
@@ -1006,9 +1036,10 @@ class TestDeterminism:
                     if line.split(",")[1:4:2] == [label, str(counter + 1)])
 
         real_tick = StageFifo.tick
+        labels = fifo_labels(monkeypatch)
 
         def tick(fifo, arrival):
-            if (fifo.stage, fifo.counter) == (label, counter):
+            if (labels[fifo], fifo.counter) == (label, counter):
                 raise PipelineAssertionError("injected")
             return real_tick(fifo, arrival)
 
