@@ -32,9 +32,13 @@ friends); ``structural`` mode uses multi-cycle unit latencies, which
 stretches the fill latency but must not change throughput.
 
 The schedule does not depend on the data, so the stages carry control only:
-:func:`_run_cycles` routes position labels, checks every fire of every stage
-against a routing and a timing law (:class:`_PipeStage`) and stops at the
-steady state its docstring proves.  :func:`_replay` computes the products on
+:func:`_run_cycles` routes position labels and checks every fire it ticks
+against a routing and a timing law (:class:`_PipeStage`).  Untraced, each
+stage leaves the loop once its state repeats and fires the rest of the
+stream by the timing law; traced, the loop jumps from its steady state to
+the last product boundary.  Both are proved in its docstring, and every run
+ends by checking each stage's first fire and every completion against
+closed forms (:func:`_schedule_law`).  :func:`_replay` computes the products on
 the routing law (:func:`_programs`), with ``x * w % M`` standing for
 Karatsuba plus Barrett and lazy adders.  The routing check proves that the
 FIFO model builds the same butterfly network at every size it runs; that
@@ -44,6 +48,7 @@ at N <= 1024.  The same inputs and configuration give the same trace.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -239,7 +244,8 @@ class _PipeStage:
 
     The unit holds no state: each tick, once per cycle, sets ``out`` to
     fire k's result, k = cycle - lag - first_fire with lag = latency - 1,
-    when fire k has happened (0 <= k < t), and to None otherwise.
+    when fire k has happened (0 <= k < t), and to None otherwise
+    (:func:`_law_out`).
     """
 
     __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "n_half",
@@ -290,8 +296,7 @@ class _PipeStage:
                             *fired_positions))
             elif pair is not None:
                 self.trace((cycle, self.label, "", "", *fired_positions))
-        k = self.t and cycle - self.lag - self.first_fire
-        self.out = (2 * k, 2 * k + 1) if 0 <= k < self.t else None
+        self.out = _law_out(self, cycle)
 
 
 class _TransformGate:
@@ -466,10 +471,14 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     """Push polynomial pairs through the multiplier back to back.
 
     ``pairs`` is a sequence of (a, b) coefficient-domain polynomials.  Feeds
-    two coefficients of each operand per cycle with no gaps, simulates until
-    every product has drained, and returns ``(products, CycleReport)``.
-    Products are coefficient-domain polynomials in input order and must
-    match the schoolbook result exactly.
+    two coefficients of each operand per cycle with no gaps and returns
+    ``(products, CycleReport)``.  Untraced, each stage leaves the cycle loop
+    once its control state repeats, and its remaining fires, and the
+    remaining completions, follow from the timing law; a stream of 1 or 2
+    products never repeats, so it is ticked until every product has drained.
+    Traced, the loop jumps from its steady state to the last product boundary
+    and drains.  Both give one report.  Products are coefficient-domain
+    polynomials in input order and must match the schoolbook result exactly.
 
     One forward chain routes both operands under their shared control; the
     report still counts registers for both hardware pipelines:
@@ -509,56 +518,90 @@ def _tick_chain(chain, cycle, arrival):
         chain[0].tick(cycle, arrival)
 
 
+def _law_out(st, cycle):
+    """A stage's output after ``cycle``'s tick by the timing law: fire k's
+    labels, k = cycle - lag - first_fire, if 0 <= k < t."""
+    k = st.t and cycle - st.lag - st.first_fire
+    return (2 * k, 2 * k + 1) if 0 <= k < st.t else None
+
+
 def _window(chain, first, reach):
     """The stages a cycle ticks: ``chain[first]`` to ``chain[reach]``."""
     return chain[first:reach + 1]
 
 
 class _Window:
-    """``stages``, the stages of one chain that can change state: none
-    past ``reach``, which moves on when the stage at it first emits, and,
-    once ``update`` is told that no arrival can enter the chain, none
-    before ``first``, which then moves past each stage that holds nothing."""
+    """``stages``, the stages of one chain that a cycle ticks: none past
+    ``reach``, which moves on when the stage at it first emits, and none
+    before ``first``, which moves past each stage that has left.  The first
+    stage ticked reads ``source(cycle)`` if it is ``chain[0]``, else the
+    law output of the stage before it, which has left."""
 
-    __slots__ = ("chain", "first", "reach", "stages")
+    __slots__ = ("chain", "source", "first", "reach", "stages")
 
-    def __init__(self, chain):
-        self.chain = chain
-        self.first = self.reach = 0
-        self.stages = _window(chain, 0, 0)
+    def __init__(self, chain, source, reach):
+        self.chain, self.source = chain, source
+        self.first, self.reach = 0, reach
+        self.stages = _window(chain, 0, reach)
 
-    def update(self, closed, cycle):
-        chain, first, reach = self.chain, self.first, self.reach
-        if reach < len(chain) - 1 and chain[reach].out is not None:
-            reach += 1
-        while (closed and first <= reach
-               and _holds_nothing(chain[first], cycle)):
+    def arrival(self, cycle):
+        first = self.first
+        return (_law_out(self.chain[first - 1], cycle - 1) if first
+                else self.source(cycle))
+
+    def update(self, started=True):
+        """While ``reach`` < len(chain), moves it on: from -1 once the
+        chain has ``started``, else past a stage that has first emitted,
+        which it returns."""
+        reach = self.reach
+        st = self.chain[reach] if reach >= 0 else None
+        if started if st is None else st.out is not None:
+            self.reach = reach + 1
+            self.stages = _window(self.chain, self.first, reach + 1)
+            return st
+        return None
+
+    def leave(self, cycle, left, ended, repeats, total):
+        """Moves ``first`` past each stage that has left.  A stage whose
+        feeder has left (for ``chain[0]``, ``left``) leaves when its state
+        repeats (``repeats``), and fires the rest of the stream by the
+        timing law: its t becomes ``total``.  It also leaves when its feeder
+        has ended (for ``chain[0]``, ``ended``) and it holds nothing."""
+        chain, first = self.chain, self.first
+        if not (first or left):
+            return
+        while first <= self.reach and first < len(chain):
+            st = chain[first]
+            if repeats.get(st):
+                st.t = total
+            elif not ((_holds_nothing(chain[first - 1], cycle) if first
+                       else ended) and _holds_nothing(st, cycle)):
+                break
             first += 1
-        if first != self.first or reach != self.reach:
-            self.first, self.reach = first, reach
-            self.stages = _window(chain, first, reach)
+        if first != self.first:
+            self.first = first
+            self.stages = _window(chain, first, self.reach)
 
 
 def _holds_nothing(st, cycle):
-    """After ``cycle``'s tick, no result at ``out`` and none in flight (fire
-    t - 1's is due at first_fire + t - 1 + lag), so the stage did not fire
-    and a FIFO's counter is in the fill or a gate phase (a tick into a
-    drain phase fires), where the None arrivals that come once this is
-    asked idle it: skipping its ticks changes nothing, and live entries
-    left there wedge the run."""
-    return st.out is None and (
-        not st.t or st.first_fire + st.t - 1 + st.lag <= cycle)
+    """After ``cycle``'s tick, no result at ``out`` and none in flight: the
+    stage has not fired, or fire t - 1's result, due at first_fire + t - 1
+    + lag, has left.  Then it did not fire, and a FIFO's counter is in the
+    fill or a gate phase (a tick into a drain phase fires), where the None
+    arrivals that come once its feeder has ended idle it: skipping its
+    ticks changes nothing, and live entries left there wedge the run."""
+    return not st.t or st.first_fire + st.t - 1 + st.lag < cycle
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs), per stage (t, out, FIFO counter and banks, or None).
-    A FIFO holds nothing else: its peak follows from ``counter``."""
+    (_ready, pairs) or None, per stage (t, out, FIFO counter and banks, or
+    None).  A FIFO holds nothing else: its peak follows from ``counter``."""
     lab = 2 * fires
 
     def moved(pair):
         return pair and (pair[0] + lab, pair[1] + lab)
-    state = [(gate._ready, deque(map(moved, gate._pairs)))]
+    state = [gate and (gate._ready, deque(map(moved, gate._pairs)))]
     for st in stages:
         f = st.fifo
         state.append((st.t + fires, moved(st.out),
@@ -568,44 +611,93 @@ def _moved(stages, gate, fires):
     return state
 
 
+def _schedule_law(n, butterfly_latency):
+    """The first fires of the forward and the inverse butterfly stages and
+    the first completion, in closed form; completion k comes k*N/2 cycles
+    after the first.  With L the butterfly latency, S = max(1, L - 2) and
+    m = log2 N: F_1 = 1 + S, F_s = F_{s-1} + L + N/2**s; I_1 = F_m + N/2 +
+    L + S - 1, I_s = I_{s-1} + L + 2**(s-2); the first completion is I_m +
+    N/2 - 1 + (L - 1) + S.
+
+    Column by column: weighting fires first on cycle 1, with the first feed.
+    A column's fire leaves its unit latency - 1 cycles later and reaches the
+    next column on the cycle after, which fires then, or, behind a FIFO,
+    ``hold`` arrivals later, once its fill is done.  The multipliers
+    (weighting, pointwise, unweighting) have latency S and the butterfly
+    stages L; forward stage s >= 2 holds N/2**s and inverse stage s >= 2
+    holds 2**(s-2).  So pointwise fires first at F_m + L, and the gate
+    hands its first block over on the cycle after pointwise's fire N/2 - 1
+    has left: I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires
+    first at I_m + L, and completion k is its fire (k + 1)*N/2 - 1
+    leaving, S - 1 cycles later."""
+    L = butterfly_latency
+    S = max(1, L - ADDSUB_CYCLES)
+    fwd, inv = [1 + S], []
+    for s in range(2, n.bit_length()):
+        fwd.append(fwd[-1] + L + (n >> s))
+    inv.append(fwd[-1] + n // 2 + L + S - 1)
+    for s in range(2, n.bit_length()):
+        inv.append(inv[-1] + L + (1 << s - 2))
+    return tuple(fwd), tuple(inv), inv[-1] + n // 2 - 1 + (L - 1) + S
+
+
 def _run_cycles(config, count, trace):
     """The cycle loop for ``count`` products, position j of product p fed
-    as the labels (pN + 2j, pN + 2j + 1); ``trace`` is a
-    :class:`_TraceWriter` or None.  Returns the :class:`CycleReport`.
+    as the labels (pN + 2j, pN + 2j + 1): the feed is the law output of a
+    stage that fires f at cycle f + 1.  ``trace`` is a :class:`_TraceWriter`
+    or None.  Returns the :class:`CycleReport` once every butterfly stage's
+    first fire and every completion has matched :func:`_schedule_law`.
 
-    At product boundary k, once every stage has fired, the control state
-    relative to k is: labels minus kN; FIFO ``counter``, stage ``t`` and
-    the collected count minus kN/2; ``_ready`` as it is.
-    If boundary k + 1 repeats k, the loop moves the state to the last
-    boundary, repeats the period's completion and trace rows (``cycle``
-    and ``counter`` up N/2 per period), and drains.  Proof: a
-    period commutes with moving the state up N/2 fires, so every later
-    boundary repeats k.
-    The loop never reads a label's value: it moves labels, feeds (2f,
-    2f + 1), emits (2t, 2t + 1) at fire t and checks that fire t pairs 2t
-    plus terms in ``hold`` and ``t & hold``.  A period moves t by N/2 and
-    labels by N; 2 * hold divides N/2, so ``t & hold`` stays, and so do
-    a FIFO's phase bit and tap ``counter mod hold``, which with != 0 and
-    < hold (false past its first fire) are all it reads of ``counter``.
-    At a snapshot each FIFO is past its fill and no None has reached it
+    The shift: moving a stage's state up N/2 fires (t and a FIFO's counter
+    up N/2, labels up N, as :func:`_moved` does) commutes with N/2 cycles
+    of ticks on arrivals moved up N.  The loop never reads a label's value:
+    it moves labels, emits (2t, 2t + 1) at fire t and checks that fire t
+    pairs 2t plus terms in ``hold`` and ``t & hold``.  2 * hold divides
+    N/2, so ``t & hold`` stays, and so do a FIFO's phase bit and tap
+    ``counter mod hold``, which with != 0 and < hold (false past its first
+    fire) are all it reads of ``counter``.  A stage reads ``t`` also mod
+    N/2, as 0, passed at its first fire, and against ``cycle`` in the
+    timing law and in ``out``, fire cycle - lag - first_fire's if below t:
+    ``first_fire`` is fixed, and ``cycle`` and ``t`` move together.
+
+    Untraced, a stage leaves the loop once its feeder has left (the feed
+    counts as left from the start) and its state moved down by its fire
+    count t is equal at two successive t that are multiples of N/2 and
+    below the total T = count * N/2.  It fires the rest of the stream by
+    the timing law: its t becomes T, and its consumer's arrival is its law
+    output.  Proof: a stage reads its FIFO and t, and inverse stage 1 the
+    gate, which pointwise's law output feeds until inverse stage 1 leaves.
+    A feeder that has left emits its law output, two labels up a cycle, so
+    with equal states at t1 and t2 = t1 + N/2, the fires from t2 are those
+    from t1, which met both laws, shifted, and the state comes back to the
+    same, up to the end of the input.  T is a multiple of N/2, so a stream
+    of whole transforms ends just as a drain phase starts, where a None
+    arrival pairs the taps as a live one would: the last fires repeat too,
+    and every stage fires T times.  At t >= N/2 a FIFO is past its fill, so
+    every slot holds a live label.  Once unweighting leaves, the loop ends:
+    completion j is its fire (j + 1) * N/2 - 1 leaving, at first_fire + lag
+    + (j + 1) * N/2 - 1.  A stream of 1 or 2 products has at most one such
+    t per stage, so no stage leaves so.  A stage also leaves once its
+    feeder has ended and it holds nothing (:func:`_holds_nothing`): its
+    ticks would idle it, and its law output is None.
+
+    Traced, every stage that has had an arrival ticks each cycle.  At
+    product boundary k, once every stage has fired, the state relative to
+    k is: labels minus kN; FIFO ``counter``, stage ``t`` and the collected
+    count minus kN/2; ``_ready`` as it is.  If boundary k + 1 repeats k,
+    the loop moves the state to the last boundary, repeats the period's
+    completion and trace rows (``cycle`` and ``counter`` up N/2 per
+    period), and drains.  Proof: by the shift, every later boundary repeats
+    k.  At a snapshot each FIFO is past its fill and no None has reached it
     since (its feeder fires on, contiguously), so every slot holds a live
-    label: the jump moves banks whole.
-    A stage reads ``t`` also mod N/2, as 0, passed before the first
-    snapshot, and against ``cycle`` in the timing law and in ``out``, fire
-    cycle - lag - first_fire's if below t: ``first_fire`` is fixed before
-    the first snapshot, and a period moves ``cycle`` and ``t`` together by
-    N/2, so ``out`` moves with them.  ``feed_idx`` and the collected count
+    label: the jump moves banks whole.  The feed and the collected count
     are read mod N/2 and against the total, unreached before the last
-    boundary, and ``idle`` is 0 at each boundary the feed reaches.  All
-    else is only written.
+    boundary, and ``idle`` is 0 at each boundary the feed reaches.
 
-    Each cycle ticks only each chain's :class:`_Window`.  A skipped tick
-    is of a stage that has had no arrival, or, untraced, of one that holds
-    nothing and can receive nothing: its None arrival idles it and keeps
-    ``out`` None, so it changes no state that :func:`_moved` or
-    :func:`_build_report` reads, and writes no row.  Every stage has fired
-    by a snapshot, and no chain closes while the feed runs, so at every
-    snapshot the windows span both chains: the jump and its proof stand.
+    Each cycle ticks only each chain's :class:`_Window`.  A skipped tick is
+    of a stage that has had no arrival (inverse stage 1 joins at the gate's
+    first complete block), or of one that has left, so it changes no state
+    that :func:`_moved` or :func:`_build_report` reads, and writes no row.
     """
     n_half = config.n // 2
     period: list = []       # trace rows since the last product boundary
@@ -616,63 +708,105 @@ def _run_cycles(config, count, trace):
 
     front, back = _build_chains(config, record if trace else None)
     stages = (*front, *back)
-    front_win, back_win = _Window(front), _Window(back)
-    untraced = trace is None
     gate = _TransformGate(n_half)
     total = count * n_half
+    feed = _PipeStage("feed", 0, 1, 1, n_half)
+    feed.t, feed.first_fire = total, 0
+    front_win = _Window(front, lambda cycle: _law_out(feed, cycle - 1), 0)
+    back_win = _Window(back, lambda cycle: gate.pop(), -1)
     # a sound run feeds or collects within one product's latency of cycles
     limit = 1000 + 5 * config.n * (
         config.butterfly_latency + config.scalar_latency + 4)
     completions: list[int] = []
-    feed_idx = collected = cycle = idle = 0
+    collected = cycle = idle = 0
     state = None
+    due: dict = {}          # cycle -> stages whose t is then a multiple of N/2
+    snaps, repeats = {}, {}
+
+    def watch(st):
+        # st has first emitted: snapshot it at each t = k * N/2 < total
+        if st is None or trace is not None:
+            return
+        at = st.first_fire + n_half - 1
+        while at < cycle:
+            at += n_half
+        if at - st.first_fire + 1 < total:
+            due.setdefault(at, []).append(st)
 
     while collected < total:
-        if not feed_idx % n_half and feed_idx < total:
+        if trace is not None and not cycle % n_half and cycle < total:
             rows, period = period, []   # the period ending here
             if all(st.first_fire is not None for st in stages):
-                last, state = state, [collected - feed_idx,
-                                      *_moved(stages, gate, -feed_idx)]
+                last, state = state, [collected - cycle,
+                                      *_moved(stages, gate, -cycle)]
                 if state == last:   # so one completion per period
-                    skip = total - feed_idx
+                    skip = total - cycle
                     shifts = range(n_half, skip + 1, n_half)
                     completions += [completions[-1] + i for i in shifts]
-                    if trace is not None:
-                        trace.repeat(rows, shifts)
+                    trace.repeat(rows, shifts)
                     (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
                     for st, (t, out, f) in zip(stages, per_stage):
                         st.t, st.out = t, out
                         if f:
                             (st.fifo.counter, st.fifo.block_i,
                              st.fifo.block_ii) = f
-                    feed_idx, collected, cycle = (total, collected + skip,
-                                                  cycle + skip)
+                    collected, cycle = collected + skip, total
         cycle, idle = cycle + 1, idle + 1
         if idle > limit:
             raise PipelineAssertionError(
                 f"no progress after {limit} cycles; schedule wedged")
+        if cycle <= total:
+            idle = 0        # the feed advances
 
         # the back chain ticks first, so the gate hands over what was
         # complete before this cycle's pointwise output arrives
-        _tick_chain(back_win.stages, cycle, gate.pop())
+        _tick_chain(back_win.stages, cycle, back_win.arrival(cycle))
         if back[-1].out is not None:
             collected, idle = collected + 1, 0
             if not collected % n_half:
                 completions.append(cycle)
-
-        feed = None
-        if feed_idx < total:
-            feed = (2 * feed_idx, 2 * feed_idx + 1)
-            feed_idx, idle = feed_idx + 1, 0
-        _tick_chain(front_win.stages, cycle, feed)
-        if front[-1].out is not None:
-            gate.push(front[-1].out)
-        # no arrival can come once the feed has ended, or once the front
-        # has drained and the gate is empty; a drained FIFO still writes
-        # its frozen counter, so a traced run ticks every stage it reached
-        front_win.update(untraced and feed_idx == total, cycle)
-        back_win.update(untraced and not front_win.stages
-                        and not gate._pairs, cycle)
+        _tick_chain(front_win.stages, cycle, front_win.arrival(cycle))
+        if not back_win.first:
+            # pointwise feeds the gate until inverse stage 1 leaves
+            out = (front[-1].out if front_win.first < len(front)
+                   else _law_out(front[-1], cycle))
+            if out is not None:
+                gate.push(out)
+        if front_win.reach < len(front):
+            watch(front_win.update())
+        if back_win.reach < len(back):
+            watch(back_win.update(gate._ready))
+        # a stage leaves at a snapshot, or drains once the feed has ended
+        if trace is None and (cycle in due or cycle >= total):
+            for st in due.pop(cycle, ()):
+                snap = _moved((st,), gate if st is back[0] else None, -st.t)
+                repeats[st] = snap == snaps.get(st)
+                snaps[st] = snap
+                if st.t + n_half < total:
+                    due.setdefault(cycle + n_half, []).append(st)
+            front_win.leave(cycle, True, _holds_nothing(feed, cycle),
+                            repeats, total)
+            back_win.leave(cycle, front_win.first == len(front),
+                           not gate._pairs
+                           and _holds_nothing(front[-1], cycle),
+                           repeats, total)
+            if back_win.first == len(back) and repeats.get(back[-1]):
+                u = back[-1]
+                completions += [u.first_fire + u.lag + (j + 1) * n_half - 1
+                                for j in range(len(completions), count)]
+                collected = total
+    if count:
+        fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
+        for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):
+            if st.first_fire != due:
+                raise PipelineAssertionError(
+                    f"{st.label}: first fire at cycle {st.first_fire}, "
+                    f"not {due} by law")
+        for k, c in enumerate(completions):
+            if c != done + k * n_half:
+                raise PipelineAssertionError(
+                    f"product {k} completes at cycle {c}, "
+                    f"not {done + k * n_half} by law")
     return _build_report(config, count, front[1:-1], back[:-1], gate,
                          completions, front[0].first_fire)
 
@@ -697,6 +831,10 @@ def _programs(params, forward):
     return progs
 
 
+# the (forward, inverse) programs of each live NttParams, freed with it
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _replay(params, operands, kernels):
     """The products of ``operands``, (a, b) coefficient sequences, through
     weighting, the forward stages (both operands), pointwise, the inverse
@@ -705,7 +843,8 @@ def _replay(params, operands, kernels):
     multiply natural-order lists.  Lazy adders keep |x| < (s+1)*M after
     forward stage s (a value plus a product in [0, M)) and |x| < 2**s * M
     after inverse stage s (a sum or difference of two); every multiply, the
-    unweighting too, reduces into [0, M), so the products are exact."""
+    unweighting too, reduces into [0, M), so the products are exact.  The
+    programs are built once per ``params``."""
     mul = kernels["mul"]
 
     def run(progs, x):
@@ -714,7 +853,11 @@ def _replay(params, operands, kernels):
             x = first + second
         return x
 
-    forward, inverse = _programs(params, True), _programs(params, False)
+    progs = _PROGRAMS.get(params)
+    if progs is None:
+        progs = _PROGRAMS[params] = (_programs(params, True),
+                                     _programs(params, False))
+    forward, inverse = progs
     products = []
     for a, b in operands:
         xa, xb = (run(forward, mul(x, params.weights_fwd)) for x in (a, b))

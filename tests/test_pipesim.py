@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import random
 import re
+import weakref
 from collections import deque
 
 import pytest
@@ -22,6 +24,7 @@ from nttmul.pipesim import (
     _PipeStage,
     _replay,
     _run_cycles,
+    _schedule_law,
     _TraceWriter,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
@@ -610,6 +613,22 @@ def withhold_at_gate(mp, gap_at):
     mp.setattr(pipesim._TransformGate, "pop", pop)
 
 
+def tick_count(mp, config, count):
+    # the _PipeStage ticks of one untraced loop, and its report
+    real_tick = _PipeStage.tick
+    calls = []
+    mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
+        calls.append(None), real_tick(stage, cycle, arrival)))
+    report = _run_cycles(config, count, None)
+    return len(calls), report
+
+
+def no_retirement(mp):
+    # every snapshot a fresh object: no two compare equal, so no stage
+    # leaves before its last fire and a fault injected late is still met
+    mp.setattr(pipesim, "_moved", lambda *args: [object()])
+
+
 def fifo_labels(mp):
     # the label of the stage each FIFO feeds, filled in as a run builds
     # its chains
@@ -646,8 +665,9 @@ class TestControlPlane:
                     == predicted_ntt_regs(n))
 
     def test_loop_stops_at_the_steady_state(self, fixed_params, monkeypatch):
-        # past the proved steady state the loop jumps to the last product
-        # boundary, so 1000 products tick no more cycles than 12 do
+        # past the proved steady state every stage leaves the loop and
+        # unweighting's completions come by law, so 1000 products tick no
+        # more cycles than 12 do
         config = PipelineConfig(n=16, params=fixed_params[16])
         real_tick_chain = pipesim._tick_chain
 
@@ -733,11 +753,15 @@ class TestControlPlane:
         # the withheld pair, a cycle late, breaks the timing law before
         # inv2 sees the arrival, in a gate phase of inv2's FIFO or a drain
         # phase; withholding the first pair delays the back chain without
-        # a gap
+        # a gap, and the schedule law catches that at the end
         withhold_at_gate(monkeypatch, gap_at)
+        no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
         if due is None:
-            assert _run_cycles(config, 3, None).stall_free
+            with pytest.raises(PipelineAssertionError,
+                               match=r"^inv1: first fire at cycle 22, not 21 "
+                                     r"by law$"):
+                _run_cycles(config, 3, None)
             return
         with pytest.raises(PipelineAssertionError,
                            match=rf"^inv1: fire {gap_at} at cycle {due + 1}, "
@@ -748,7 +772,8 @@ class TestControlPlane:
     def test_gap_anywhere_never_underflows(self, fixed_params, n):
         # a FIFO checks no gap and reads only its fixed banks; the timing
         # law of the stage feeding it is the one gap check, so a gap
-        # anywhere in the stream is inv1's late fire, in either mode
+        # anywhere in the stream is inv1's late fire, in either mode, and
+        # a delay with no gap puts the schedule off its law
         p = fixed_params[n]
         for config in (PipelineConfig(n=n, params=p),
                        *(PipelineConfig(n=n, params=p, mode="structural",
@@ -758,12 +783,13 @@ class TestControlPlane:
             for gap_at in range(3 * n // 2):
                 with pytest.MonkeyPatch.context() as mp:
                     withhold_at_gate(mp, gap_at)
+                    no_retirement(mp)
                     try:
                         assert _run_cycles(config, 3, None).stall_free
                         outcomes.add("stall-free")
                     except PipelineAssertionError as e:
                         outcomes.add(re.sub(r" \d+", " #", str(e)))
-            assert outcomes == {"stall-free",
+            assert outcomes == {"inv1: first fire at cycle #, not # by law",
                                 "inv1: fire # at cycle #, not #"}, config
 
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
@@ -786,6 +812,7 @@ class TestControlPlane:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_PipeStage, "tick", record)
+            no_retirement(mp)
             run_stream(pairs, config)
         labels = [st.label for chain in pipesim._build_chains(config, None)
                   for st in chain]
@@ -800,6 +827,7 @@ class TestControlPlane:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_PipeStage, "tick", tick)
+                no_retirement(mp)
                 with pytest.raises(PipelineAssertionError) as e:
                     run_stream(pairs, config)
             error = re.sub(r"\b\d+", "#", str(e.value))
@@ -815,7 +843,7 @@ class TestControlPlane:
     def test_lost_tail_result_wedges_after_a_fixed_limit(self, fixed_params):
         # the last unweight result lost on the last cycle: the run raises
         # the same count of cycles after the last progress, with the same
-        # message, for a short stream and for a long one the loop jumps
+        # message, for a short stream and for a long one
         config = PipelineConfig(n=256, params=fixed_params[256])
         real_tick, real_tick_chain = _PipeStage.tick, pipesim._tick_chain
         seen = []
@@ -835,6 +863,7 @@ class TestControlPlane:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_PipeStage, "tick", tick)
                 mp.setattr(pipesim, "_tick_chain", tick_chain)
+                no_retirement(mp)
                 with pytest.raises(PipelineAssertionError,
                                    match="schedule wedged$") as e:
                     _run_cycles(config, count, None)
@@ -871,8 +900,9 @@ class TestControlPlane:
                              count, traced, data):
         # ticking only each chain's window gives the report, the trace text
         # and the error of the loop that ticks every stage every cycle,
-        # which is what _window returning the whole chain makes of it; a
-        # pair withheld at the gate injects the fault
+        # which is what _window returning the whole chain makes of it when
+        # no stage leaves before its last fire; a pair withheld at the gate
+        # injects the fault, and then neither run lets a stage leave early
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
@@ -884,6 +914,8 @@ class TestControlPlane:
             with pytest.MonkeyPatch.context() as mp:
                 if gap_at is not None:
                     withhold_at_gate(mp, gap_at)
+                if full or gap_at is not None:
+                    no_retirement(mp)
                 if full:
                     mp.setattr(pipesim, "_window",
                                lambda chain, first, reach: chain)
@@ -906,6 +938,8 @@ class TestControlPlane:
         def ticks(window):
             calls = []
             with pytest.MonkeyPatch.context() as mp:
+                if window is not pipesim._window:
+                    no_retirement(mp)
                 mp.setattr(pipesim, "_window", window)
                 mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
                     calls.append(None), real_tick(stage, cycle, arrival)))
@@ -914,6 +948,99 @@ class TestControlPlane:
 
         assert ticks(lambda chain, first, reach: chain) == 88_550
         assert ticks(pipesim._window) < 88_550
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
+           structural=st.booleans(), count=st.integers(0, 24))
+    def test_retirement_is_exact(self, fixed_params, n, latency, structural,
+                                 count):
+        # the untraced run whose stages leave once their state repeats
+        # gives the report of the run where no stage leaves before its last
+        # fire; a stream of 1 or 2 products has no repeat to see, so there
+        # every fire is ticked and checked
+        p = fixed_params[n]
+        config = (PipelineConfig(n=n, params=p, mode="structural",
+                                 butterfly_latency=latency) if structural
+                  else PipelineConfig(n=n, params=p))
+
+        def run(retiring):
+            with pytest.MonkeyPatch.context() as mp:
+                if not retiring:
+                    no_retirement(mp)
+                return tick_count(mp, config, count)
+
+        (retired, report), (ticked, full) = run(True), run(False)
+        assert report == full
+        assert retired <= ticked
+        if count <= 2:
+            assert retired == ticked
+
+    def test_retirement_ticks_a_fixed_count(self, fixed_params):
+        # the benchmark's paper-ring stream: each of the 19 columns ticks
+        # from its first arrival to its fire N - 1, where its state has
+        # repeated once: N = 256 fires, plus a FIFO's fill (127 cycles in
+        # each direction); a stream of 1000 ticks the same
+        config = PipelineConfig(n=256, params=fixed_params[256])
+        with pytest.MonkeyPatch.context() as mp:
+            assert tick_count(mp, config, 8)[0] == 19 * 256 + 2 * 127
+        with pytest.MonkeyPatch.context() as mp:
+            assert tick_count(mp, config, 1000)[0] == 19 * 256 + 2 * 127
+
+    @pytest.mark.parametrize("n, latencies", [
+        (4, range(1, 65)), (8, range(1, 65)),
+        (256, (1, 2, 3, 5, 12, 64, 199)), (1024, (1, 12, 40))])
+    def test_schedule_law(self, n, latencies):
+        # every first fire and completion of the loop, which checks them
+        # against _schedule_law at the end of each run, equals the closed
+        # forms: F_1 = 1 + S, F_s = F_{s-1} + L + N/2**s, I_1 = F_m + N/2 + L
+        # + S - 1, I_s = I_{s-1} + L + 2**(s-2), completion k at I_m + N/2
+        # - 1 + (L - 1) + S + k*N/2
+        p = build_params(RLWE_M, n)
+        m = n.bit_length() - 1
+        for latency in latencies:
+            S = max(1, latency - 2)
+            fwd, inv = [1 + S], []
+            for s in range(2, m + 1):
+                fwd.append(fwd[-1] + latency + n // 2**s)
+            inv.append(fwd[-1] + n // 2 + latency + S - 1)
+            for s in range(2, m + 1):
+                inv.append(inv[-1] + latency + 2**(s - 2))
+            done = inv[-1] + n // 2 - 1 + (latency - 1) + S
+            assert _schedule_law(n, latency) == (tuple(fwd), tuple(inv), done)
+            config = PipelineConfig(n=n, params=p, mode="structural",
+                                    butterfly_latency=latency)
+            for count in (1, 6):
+                rep = _run_cycles(config, count, None)
+                assert rep.fwd_stage_first_fire == tuple(fwd)
+                assert rep.inv_stage_first_fire == tuple(inv)
+                assert rep.completion_cycles == tuple(
+                    done + k * n // 2 for k in range(count))
+        if latencies[0] == 1:
+            rep = _run_cycles(PipelineConfig(n=n, params=p), 6, None)
+            assert rep.completion_cycles[0] == _schedule_law(n, 1)[2]
+
+    @pytest.mark.parametrize("off, error", [
+        (0, "fwd_a1: first fire at cycle 2, not 3 by law"),
+        (1, "inv1: first fire at cycle 21, not 22 by law"),
+        (2, "product 0 completes at cycle 39, not 40 by law")])
+    def test_schedule_off_its_law_raises(self, fixed_params, monkeypatch,
+                                         off, error):
+        # a law one cycle off in the forward stages, the inverse ones or the
+        # completions: the run, traced or not, raises at its end, naming
+        # the first stage or product off it
+        real_law = pipesim._schedule_law
+
+        def law(n, latency):
+            parts = list(real_law(n, latency))
+            parts[off] = (parts[off] + 1 if off == 2
+                          else (parts[off][0] + 1, *parts[off][1:]))
+            return tuple(parts)
+
+        monkeypatch.setattr(pipesim, "_schedule_law", law)
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        for trace in (None, _TraceWriter(io.StringIO())):
+            with pytest.raises(PipelineAssertionError,
+                               match=rf"^{re.escape(error)}$"):
+                _run_cycles(config, 12, trace)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
@@ -1073,6 +1200,42 @@ class TestDeterminism:
         out = io.StringIO(newline="")
         csv.writer(out).writerows(rows)
         assert out.getvalue().encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("m, n, mode, count", [
+        (FIXED_M, 256, "schedule", 64), (12289, 1024, "structural", 8)],
+        ids=["paper-ring", "generic-ring"])
+    def test_one_report_traced_or_not(self, tmp_path, m, n, mode, count):
+        # the traced run jumps from its steady state to the last product
+        # boundary, the untraced one lets each stage leave once its state
+        # repeats: both give one report and one set of products
+        p = build_params(m, n)
+        pairs = rand_pairs(random.Random(62), p, count)
+        config = PipelineConfig(n=n, params=p, mode=mode)
+        traced = run_stream(pairs, config, trace_path=tmp_path / "t.csv")
+        untraced = run_stream(pairs, config)
+        assert traced[1] == untraced[1]
+        assert ([q.coeffs for q in traced[0]]
+                == [q.coeffs for q in untraced[0]])
+
+    def test_programs_built_once_per_params(self, monkeypatch):
+        # the replay's per-stage programs depend on params alone: a second
+        # run_stream with the same params builds none, and they are freed
+        # with the params
+        p = build_params(FIXED_M, 16)
+        real_programs = pipesim._programs
+        built = []
+        monkeypatch.setattr(pipesim, "_programs", lambda params, forward: (
+            built.append(forward), real_programs(params, forward))[1])
+        monkeypatch.setattr(pipesim, "_PROGRAMS", weakref.WeakKeyDictionary())
+        pairs = rand_pairs(random.Random(63), p, 2)
+        config = PipelineConfig(n=16, params=p)
+        first = run_stream(pairs, config)
+        assert built == [True, False]
+        assert run_stream(pairs, config) == first
+        assert built == [True, False]
+        del p, config
+        gc.collect()
+        assert not pipesim._PROGRAMS
 
     def test_identical_runs_identical_reports(self, fixed_params):
         p = fixed_params[16]
