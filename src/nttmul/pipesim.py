@@ -34,9 +34,9 @@ stretches the fill latency but must not change throughput.
 The schedule does not depend on the data, so the stages carry control only:
 :func:`_run_cycles` routes position labels and checks every fire it ticks
 against a routing and a timing law (:class:`_PipeStage`).  Untraced, each
-stage leaves the loop once its state repeats and fires the rest of the
-stream by the timing law; traced, the loop jumps from its steady state to
-the last product boundary.  Both are proved in its docstring, and every run
+stage leaves the loop once its state repeats, a period of its own after its
+first fire, and fires the rest of the stream by the timing law; traced, the
+loop jumps from its steady state to the last product boundary.  Both are proved in its docstring, and every run
 ends by checking each stage's first fire and every completion against
 closed forms (:func:`_schedule_law`).  :func:`_replay` computes the products on
 the routing law (:func:`_programs`), with ``x * w % M`` standing for
@@ -52,6 +52,7 @@ import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import groupby
 from operator import add, itemgetter, sub
 
 from .modarith import (FIXED_M, barrett_reduce_fixed, barrett_reduce_generic,
@@ -473,10 +474,11 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     ``pairs`` is a sequence of (a, b) coefficient-domain polynomials.  Feeds
     two coefficients of each operand per cycle with no gaps and returns
     ``(products, CycleReport)``.  Untraced, each stage leaves the cycle loop
-    once its control state repeats, and its remaining fires, and the
-    remaining completions, follow from the timing law; a stream of 1 or 2
-    products never repeats, so it is ticked until every product has drained.
-    Traced, the loop jumps from its steady state to the last product boundary
+    once its control state repeats, a period of its own after its first
+    fire, and its remaining fires, and the remaining completions, follow
+    from the timing law; a stage whose state cannot repeat before the
+    stream ends, as in a stream of one product, is ticked to its last
+    result.  Traced, the loop jumps from its steady state to the last product boundary
     and drains.  Both give one report.  Products are coefficient-domain
     polynomials in input order and must match the schoolbook result exactly.
 
@@ -511,11 +513,10 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
 def _tick_chain(chain, cycle, arrival):
     # reverse dataflow order: every stage reads the output its producer
-    # latched on the previous cycle; an empty window ticks nothing
+    # latched on the previous cycle
     for s in range(len(chain) - 1, 0, -1):
         chain[s].tick(cycle, chain[s - 1].out)
-    if chain:
-        chain[0].tick(cycle, arrival)
+    chain[0].tick(cycle, arrival)
 
 
 def _law_out(st, cycle):
@@ -525,86 +526,64 @@ def _law_out(st, cycle):
     return (2 * k, 2 * k + 1) if 0 <= k < st.t else None
 
 
-def _window(chain, first, reach):
-    """The stages a cycle ticks: ``chain[first]`` to ``chain[reach]``."""
-    return chain[first:reach + 1]
+def _window(chain, reach, left):
+    """The stages up to ``chain[reach]`` not in ``left``, as runs of
+    consecutive stages, each with the index of its first in ``chain``."""
+    runs, i = [], 0
+    for ticked, run in groupby(chain[:reach + 1], lambda st: st not in left):
+        run = list(run)
+        if ticked:
+            runs.append((i, run))
+        i += len(run)
+    return runs
 
 
 class _Window:
-    """``stages``, the stages of one chain that a cycle ticks: none past
-    ``reach``, which moves on when the stage at it first emits, and none
-    before ``first``, which moves past each stage that has left.  The first
-    stage ticked reads ``source(cycle)`` if it is ``chain[0]``, else the
-    law output of the stage before it, which has left."""
+    """``runs``, the stages of one chain that a cycle ticks: none past
+    ``reach``, which moves on when the stage at it first emits, and none in
+    ``left``.  A run's first stage reads ``source(cycle)`` if it is
+    ``chain[0]``, else the law output of the stage before it, which has
+    left."""
 
-    __slots__ = ("chain", "source", "first", "reach", "stages")
+    __slots__ = ("chain", "source", "left", "reach", "runs")
 
-    def __init__(self, chain, source, reach):
-        self.chain, self.source = chain, source
-        self.first, self.reach = 0, reach
-        self.stages = _window(chain, 0, reach)
+    def __init__(self, chain, source, left):
+        self.chain, self.source, self.left = chain, source, left
+        self.reach = -1
+        self.rebuild()
 
-    def arrival(self, cycle):
-        first = self.first
-        return (_law_out(self.chain[first - 1], cycle - 1) if first
-                else self.source(cycle))
+    def tick(self, cycle):
+        for head, run in self.runs:
+            _tick_chain(run, cycle, self.source(cycle) if not head
+                        else _law_out(self.chain[head - 1], cycle - 1))
 
-    def update(self, started=True):
-        """While ``reach`` < len(chain), moves it on: from -1 once the
-        chain has ``started``, else past a stage that has first emitted,
-        which it returns."""
+    def update(self, cycle, started=True):
+        """Moves ``reach`` on by one: from -1 once the chain has
+        ``started``, else past a stage whose law output after ``cycle``'s
+        tick is not None.  Returns the stage it reaches."""
         reach = self.reach
-        st = self.chain[reach] if reach >= 0 else None
-        if started if st is None else st.out is not None:
+        if (_law_out(self.chain[reach], cycle) is not None if reach >= 0
+                else started):
             self.reach = reach + 1
-            self.stages = _window(self.chain, self.first, reach + 1)
-            return st
+            self.rebuild()
+            return self.chain[reach + 1]
         return None
 
-    def leave(self, cycle, left, ended, repeats, total):
-        """Moves ``first`` past each stage that has left.  A stage whose
-        feeder has left (for ``chain[0]``, ``left``) leaves when its state
-        repeats (``repeats``), and fires the rest of the stream by the
-        timing law: its t becomes ``total``.  It also leaves when its feeder
-        has ended (for ``chain[0]``, ``ended``) and it holds nothing."""
-        chain, first = self.chain, self.first
-        if not (first or left):
-            return
-        while first <= self.reach and first < len(chain):
-            st = chain[first]
-            if repeats.get(st):
-                st.t = total
-            elif not ((_holds_nothing(chain[first - 1], cycle) if first
-                       else ended) and _holds_nothing(st, cycle)):
-                break
-            first += 1
-        if first != self.first:
-            self.first = first
-            self.stages = _window(chain, first, self.reach)
-
-
-def _holds_nothing(st, cycle):
-    """After ``cycle``'s tick, no result at ``out`` and none in flight: the
-    stage has not fired, or fire t - 1's result, due at first_fire + t - 1
-    + lag, has left.  Then it did not fire, and a FIFO's counter is in the
-    fill or a gate phase (a tick into a drain phase fires), where the None
-    arrivals that come once its feeder has ended idle it: skipping its
-    ticks changes nothing, and live entries left there wedge the run."""
-    return not st.t or st.first_fire + st.t - 1 + st.lag < cycle
+    def rebuild(self):
+        self.runs = _window(self.chain, self.reach, self.left)
 
 
 def _moved(stages, gate, fires):
     """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs) or None, per stage (t, out, FIFO counter and banks, or
-    None).  A FIFO holds nothing else: its peak follows from ``counter``."""
+    (_ready, pairs) or None, per stage (t, FIFO counter and banks, or
+    None).  A FIFO holds nothing else: its peak follows from ``counter``;
+    nor does a unit: ``out`` follows from t and the cycle."""
     lab = 2 * fires
-
-    def moved(pair):
-        return pair and (pair[0] + lab, pair[1] + lab)
-    state = [gate and (gate._ready, deque(map(moved, gate._pairs)))]
+    state = [gate and (gate._ready, deque((a + lab, b + lab)
+                                          for a, b in gate._pairs))]
     for st in stages:
         f = st.fifo
-        state.append((st.t + fires, moved(st.out),
+        state.append((st.t + fires,
                       f and (f.counter + fires,
                              [x + lab for x in f.block_i],
                              [x + lab for x in f.block_ii])))
@@ -648,51 +627,63 @@ def _run_cycles(config, count, trace):
     or None.  Returns the :class:`CycleReport` once every butterfly stage's
     first fire and every completion has matched :func:`_schedule_law`.
 
-    The shift: moving a stage's state up N/2 fires (t and a FIFO's counter
-    up N/2, labels up N, as :func:`_moved` does) commutes with N/2 cycles
-    of ticks on arrivals moved up N.  The loop never reads a label's value:
+    The shift: moving a stage's state up P fires (t and a FIFO's counter
+    up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
+    ticks on arrivals moved up 2P, if P is a multiple of the stage's
+    period: 2 * hold behind a FIFO, 1 without one, and N/2 for inverse
+    stage 1 with the gate it reads.  The loop never reads a label's value:
     it moves labels, emits (2t, 2t + 1) at fire t and checks that fire t
-    pairs 2t plus terms in ``hold`` and ``t & hold``.  2 * hold divides
-    N/2, so ``t & hold`` stays, and so do a FIFO's phase bit and tap
-    ``counter mod hold``, which with != 0 and < hold (false past its first
-    fire) are all it reads of ``counter``.  A stage reads ``t`` also mod
-    N/2, as 0, passed at its first fire, and against ``cycle`` in the
-    timing law and in ``out``, fire cycle - lag - first_fire's if below t:
-    ``first_fire`` is fixed, and ``cycle`` and ``t`` move together.
+    pairs 2t plus terms in ``hold`` and ``t & hold``.  So ``t & hold``
+    stays, and so do a FIFO's phase bit and tap ``counter mod hold``, which
+    with != 0 and < hold (false past its first fire) are all it reads of
+    ``counter``.  A stage reads ``t`` also as 0, passed at its first fire,
+    mod N/2 in trace rows, and against ``cycle`` in the timing law and in
+    ``out``, fire cycle - lag - first_fire's if below t: ``first_fire`` is
+    fixed, and ``cycle`` and ``t`` move together.
 
-    Untraced, a stage leaves the loop once its feeder has left (the feed
-    counts as left from the start) and its state moved down by its fire
-    count t is equal at two successive t that are multiples of N/2 and
-    below the total T = count * N/2.  It fires the rest of the stream by
-    the timing law: its t becomes T, and its consumer's arrival is its law
-    output.  Proof: a stage reads its FIFO and t, and inverse stage 1 the
-    gate, which pointwise's law output feeds until inverse stage 1 leaves.
-    A feeder that has left emits its law output, two labels up a cycle, so
-    with equal states at t1 and t2 = t1 + N/2, the fires from t2 are those
-    from t1, which met both laws, shifted, and the state comes back to the
-    same, up to the end of the input.  T is a multiple of N/2, so a stream
-    of whole transforms ends just as a drain phase starts, where a None
-    arrival pairs the taps as a live one would: the last fires repeat too,
-    and every stage fires T times.  At t >= N/2 a FIFO is past its fill, so
-    every slot holds a live label.  Once unweighting leaves, the loop ends:
-    completion j is its fire (j + 1) * N/2 - 1 leaving, at first_fire + lag
-    + (j + 1) * N/2 - 1.  A stream of 1 or 2 products has at most one such
-    t per stage, so no stage leaves so.  A stage also leaves once its
-    feeder has ended and it holds nothing (:func:`_holds_nothing`): its
-    ticks would idle it, and its law output is None.
+    Untraced, each stage is snapshot at its first fire and every P fires
+    after, while t is below the total T = count * N/2: its state moved
+    down by t, less ``out``, which its ticks do not read.  A snapshot
+    counts only if t is then its timing-law count, cycle - first_fire + 1
+    (c), and the stage leaves the loop at the first equal to the one
+    before.  A stage that has left is not ticked, its t becomes T, and the
+    stage after it reads its law output.  A stage also leaves once its fire
+    T - 1's result has left ``out``: its ticks would idle it.  The loop
+    ends only when every stage has left (a) and every result is collected.
+    When unweighting leaves at a repeat, its remaining completions follow
+    by law (completion j is its fire (j + 1)N/2 - 1 leaving, at first_fire
+    + lag + (j + 1)N/2 - 1) and count as collected, but they reset no
+    wedge counter and end no loop (b).  Proof that every stage fires T
+    times by both laws, and so emits its law output on every cycle, by
+    induction along each chain: the feed does.  Let a stage's feeder do so
+    (for inverse stage 1, pointwise, whose law output feeds the gate until
+    inverse stage 1 leaves).  Its ticked fires were checked.  If it left at
+    a repeat, its input is invariant under the shift from its first fire
+    on, so with equal states P fires apart, both on its law by (c), the
+    fires that follow are those P fires before, which met both laws,
+    shifted, and the state comes back to the same, up to the end of the
+    input.  T is a multiple of N/2 and so of P: a stream of whole
+    transforms ends just as a drain phase starts, where a None arrival
+    pairs the taps as a live one would, so the last fires repeat too, and
+    the stage fires T times.  At t >= 1 a FIFO is past its fill, so every
+    slot holds a live label.  The induction needs each feeder to leave,
+    also after its consumer has, which (a) gives: a stage that stops firing
+    falls behind its law for good, so no later snapshot of it counts and it
+    never makes T fires, and the loop wedges (b).
 
     Traced, every stage that has had an arrival ticks each cycle.  At
-    product boundary k, once every stage has fired, the state relative to
+    product boundary k, once every stage has emitted, the state relative to
     k is: labels minus kN; FIFO ``counter``, stage ``t`` and the collected
-    count minus kN/2; ``_ready`` as it is.  If boundary k + 1 repeats k,
-    the loop moves the state to the last boundary, repeats the period's
-    completion and trace rows (``cycle`` and ``counter`` up N/2 per
-    period), and drains.  Proof: by the shift, every later boundary repeats
-    k.  At a snapshot each FIFO is past its fill and no None has reached it
-    since (its feeder fires on, contiguously), so every slot holds a live
-    label: the jump moves banks whole.  The feed and the collected count
-    are read mod N/2 and against the total, unreached before the last
-    boundary, and ``idle`` is 0 at each boundary the feed reaches.
+    count minus kN/2; ``_ready`` as it is; ``out`` moves with ``t``.  If
+    boundary k + 1 repeats k, the loop moves the state to the last
+    boundary, repeats the period's completion and trace rows (``cycle`` and
+    ``counter`` up N/2 per period), and drains.  Proof: by the shift with P
+    = N/2, every later boundary repeats k.  At a snapshot each FIFO is past
+    its fill and no None has reached it since (its feeder fires on,
+    contiguously), so every slot holds a live label: the jump moves banks
+    whole.  The feed and the collected count are read mod N/2 and against
+    the total, unreached before the last boundary, and ``idle`` is 0 at
+    each boundary the feed reaches.
 
     Each cycle ticks only each chain's :class:`_Window`.  A skipped tick is
     of a stage that has had no arrival (inverse stage 1 joins at the gate's
@@ -712,31 +703,34 @@ def _run_cycles(config, count, trace):
     total = count * n_half
     feed = _PipeStage("feed", 0, 1, 1, n_half)
     feed.t, feed.first_fire = total, 0
-    front_win = _Window(front, lambda cycle: _law_out(feed, cycle - 1), 0)
-    back_win = _Window(back, lambda cycle: gate.pop(), -1)
+    left: set = set()       # stages that have left the loop
+    front_win = _Window(front, lambda cycle: _law_out(feed, cycle - 1), left)
+    back_win = _Window(back, lambda cycle: gate.pop(), left)
     # a sound run feeds or collects within one product's latency of cycles
     limit = 1000 + 5 * config.n * (
         config.butterfly_latency + config.scalar_latency + 4)
     completions: list[int] = []
     collected = cycle = idle = 0
     state = None
-    due: dict = {}          # cycle -> stages whose t is then a multiple of N/2
-    snaps, repeats = {}, {}
+    due: dict = {}          # cycle -> stages to snapshot after its tick
+    snaps = {}
+    to_leave = len(stages) if count and trace is None else 0     # (a)
 
     def watch(st):
-        # st has first emitted: snapshot it at each t = k * N/2 < total
-        if st is None or trace is not None:
-            return
-        at = st.first_fire + n_half - 1
-        while at < cycle:
-            at += n_half
-        if at - st.first_fire + 1 < total:
-            due.setdefault(at, []).append(st)
+        # st's first arrival comes next cycle, its first fire hold later
+        if st is not None and trace is None:
+            due.setdefault(cycle + 1 + st.hold, []).append(st)
 
-    while collected < total:
+    def leave(st):
+        left.add(st)
+        front_win.rebuild()
+        back_win.rebuild()
+
+    watch(front_win.update(cycle))
+    while collected < total or len(left) < to_leave:
         if trace is not None and not cycle % n_half and cycle < total:
             rows, period = period, []   # the period ending here
-            if all(st.first_fire is not None for st in stages):
+            if all(st.t and st.first_fire + st.lag <= cycle for st in stages):
                 last, state = state, [collected - cycle,
                                       *_moved(stages, gate, -cycle)]
                 if state == last:   # so one completion per period
@@ -745,8 +739,9 @@ def _run_cycles(config, count, trace):
                     completions += [completions[-1] + i for i in shifts]
                     trace.repeat(rows, shifts)
                     (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
-                    for st, (t, out, f) in zip(stages, per_stage):
-                        st.t, st.out = t, out
+                    for st, (t, f) in zip(stages, per_stage):
+                        st.t = t
+                        st.out = _law_out(st, total)
                         if f:
                             (st.fifo.counter, st.fifo.block_i,
                              st.fifo.block_ii) = f
@@ -760,41 +755,43 @@ def _run_cycles(config, count, trace):
 
         # the back chain ticks first, so the gate hands over what was
         # complete before this cycle's pointwise output arrives
-        _tick_chain(back_win.stages, cycle, back_win.arrival(cycle))
-        if back[-1].out is not None:
+        back_win.tick(cycle)
+        if back[-1].out is not None and back[-1] not in left:     # (b)
             collected, idle = collected + 1, 0
             if not collected % n_half:
                 completions.append(cycle)
-        _tick_chain(front_win.stages, cycle, front_win.arrival(cycle))
-        if not back_win.first:
-            # pointwise feeds the gate until inverse stage 1 leaves
-            out = (front[-1].out if front_win.first < len(front)
-                   else _law_out(front[-1], cycle))
+        front_win.tick(cycle)
+        if back[0] not in left:
+            out = (_law_out(front[-1], cycle) if front[-1] in left
+                   else front[-1].out)
             if out is not None:
                 gate.push(out)
-        if front_win.reach < len(front):
-            watch(front_win.update())
-        if back_win.reach < len(back):
-            watch(back_win.update(gate._ready))
-        # a stage leaves at a snapshot, or drains once the feed has ended
-        if trace is None and (cycle in due or cycle >= total):
-            for st in due.pop(cycle, ()):
+        if front_win.reach < len(front) - 1:
+            watch(front_win.update(cycle))
+        if back_win.reach < len(back) - 1:
+            watch(back_win.update(cycle, gate._ready))
+        for st in due.pop(cycle, ()):
+            if st.t and st.first_fire + st.t - 1 == cycle:     # (c)
                 snap = _moved((st,), gate if st is back[0] else None, -st.t)
-                repeats[st] = snap == snaps.get(st)
+                if snap == snaps.get(st):
+                    st.t = total
+                    leave(st)
+                    if st is back[-1]:
+                        completions += [
+                            st.first_fire + st.lag + (j + 1) * n_half - 1
+                            for j in range(len(completions), count)]
+                        collected = total
+                    continue
                 snaps[st] = snap
-                if st.t + n_half < total:
-                    due.setdefault(cycle + n_half, []).append(st)
-            front_win.leave(cycle, True, _holds_nothing(feed, cycle),
-                            repeats, total)
-            back_win.leave(cycle, front_win.first == len(front),
-                           not gate._pairs
-                           and _holds_nothing(front[-1], cycle),
-                           repeats, total)
-            if back_win.first == len(back) and repeats.get(back[-1]):
-                u = back[-1]
-                completions += [u.first_fire + u.lag + (j + 1) * n_half - 1
-                                for j in range(len(completions), count)]
-                collected = total
+                step = n_half if st is back[0] else st.d
+                if st.t + step < total:
+                    due.setdefault(cycle + step, []).append(st)
+        if len(left) < to_leave and cycle >= total:
+            for _, run in (*front_win.runs, *back_win.runs):
+                for st in run:
+                    if st.t == total and cycle > (
+                            st.first_fire + total - 1 + st.lag):
+                        leave(st)
     if count:
         fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
         for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):

@@ -19,7 +19,6 @@ from nttmul.pipesim import (
     PipelineConfig,
     StageFifo,
     _datapath_mul,
-    _holds_nothing,
     _kernels,
     _PipeStage,
     _replay,
@@ -245,8 +244,7 @@ class TestButterflyUnit:
            fires=st.integers(0, 20))
     def test_latency_and_order(self, latency, lead, fires):
         # fire t emits the labels (2t, 2t + 1) as a delay line of
-        # latency - 1 slots would, and the stage holds nothing exactly
-        # when neither that line nor its output holds a result
+        # latency - 1 slots would
         stage = unit_stage(latency)
         line = deque([None] * (latency - 1))
         feed = ([None] * lead + [(2 * t, 2 * t + 1) for t in range(fires)]
@@ -256,8 +254,6 @@ class TestButterflyUnit:
             line.append(arrival)
             out = line.popleft()
             assert stage.out == out, cycle
-            assert _holds_nothing(stage, cycle) == (
-                out is None and not any(line)), cycle
         assert stage.t == fires
         assert stage.first_fire == (lead + 1 if fires else None)
 
@@ -613,14 +609,37 @@ def withhold_at_gate(mp, gap_at):
     mp.setattr(pipesim._TransformGate, "pop", pop)
 
 
-def tick_count(mp, config, count):
+def tick_count(config, count, retiring=True):
     # the _PipeStage ticks of one untraced loop, and its report
     real_tick = _PipeStage.tick
     calls = []
-    mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
-        calls.append(None), real_tick(stage, cycle, arrival)))
-    report = _run_cycles(config, count, None)
+    with pytest.MonkeyPatch.context() as mp:
+        if not retiring:
+            no_retirement(mp)
+        mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
+            calls.append(None), real_tick(stage, cycle, arrival)))
+        report = _run_cycles(config, count, None)
     return len(calls), report
+
+
+def retired_ticks(config, count):
+    # the ticks of an untraced run: each stage ticks from its first
+    # arrival, hold cycles before its first fire, to its second snapshot,
+    # P fires after the first (P its period: 2 * hold behind a FIFO, 1
+    # without one, N/2 at inv1), if that comes below the total T; else to
+    # the cycle after its last result, T + lag cycles after its first fire.
+    # inv1's state repeats only if pointwise still feeds the gate at its
+    # second snapshot, which takes 3 products
+    total = count * config.n // 2
+    ticks = 0
+    for chain in pipesim._build_chains(config, None):
+        for stage in chain:
+            inv1 = stage.label == "inv1"
+            period = config.n // 2 if inv1 else stage.d
+            repeats = 1 + period < total and (count > 2 or not inv1)
+            ticks += stage.hold + (1 + period if repeats
+                                   else total + stage.lag + 1)
+    return ticks if count else 0
 
 
 def no_retirement(mp):
@@ -685,10 +704,13 @@ class TestControlPlane:
 
     def test_misrouted_fire_raises(self, fixed_params, monkeypatch):
         # swap the pair a stage-3 FIFO emits at fire 8, product 1's first:
-        # the data would come out wrong, and the routing check catches it
+        # the data would come out wrong, and the routing check catches it.
+        # Stage 3 leaves at its second snapshot, after fire 4, so fire 8 is
+        # ticked only with retirement off
         p = fixed_params[16]
         real_tick = StageFifo.tick
         labels = fifo_labels(monkeypatch)
+        no_retirement(monkeypatch)
 
         def tick(fifo, arrival):
             pair = real_tick(fifo, arrival)
@@ -728,10 +750,12 @@ class TestControlPlane:
     def test_corrupted_bank_entry_raises(self, fixed_params, monkeypatch,
                                          label, counter, bank):
         # swap two entries of one bank just before a tick: the FIFO emits a
-        # wrong element, and the routing law names the stage and the fire
+        # wrong element, and the routing law names the stage and the fire.
+        # Retirement off: inv3's swap meets its fire 5, after it has left
         p = fixed_params[16]
         real_tick = StageFifo.tick
         labels = fifo_labels(monkeypatch)
+        no_retirement(monkeypatch)
 
         def tick(fifo, arrival):
             if (labels[fifo], fifo.counter) == (label, counter):
@@ -744,6 +768,74 @@ class TestControlPlane:
                            match=rf"^{label}: fire \d+ pairs "):
             run_stream(rand_pairs(random.Random(57), p, 3),
                        PipelineConfig(n=16, params=p))
+
+    @pytest.mark.parametrize("latency", [None, 12])
+    def test_fault_before_a_second_snapshot_raises(self, fixed_params,
+                                                   latency):
+        # retirement on: a stage's fire P, P its period (2 * hold behind a
+        # FIFO, 1 without one, N/2 at inv1), is its last before its second
+        # snapshot, so the stage is still in the loop, and a pair swapped
+        # there raises, naming the stage and the fire
+        config = PipelineConfig(n=16, params=fixed_params[16],
+                                mode="structural" if latency else "schedule",
+                                butterfly_latency=latency)
+        real_tick, real_fifo_tick = _PipeStage.tick, StageFifo.tick
+        for stage in (st for chain in pipesim._build_chains(config, None)
+                      for st in chain):
+            label = stage.label
+            fire = config.n // 2 if label == "inv1" else stage.d
+
+            def tick(st, cycle, arrival):
+                if (st.label, st.t, st.fifo) == (label, fire, None):
+                    arrival = arrival and arrival[::-1]
+                real_tick(st, cycle, arrival)
+
+            def fifo_tick(fifo, arrival):
+                pair = real_fifo_tick(fifo, arrival)
+                if (labels[fifo] == label
+                        and fifo.counter == fifo.hold + fire + 1):
+                    return pair[::-1]
+                return pair
+
+            with pytest.MonkeyPatch.context() as mp:
+                labels = fifo_labels(mp)
+                mp.setattr(_PipeStage, "tick", tick)
+                mp.setattr(StageFifo, "tick", fifo_tick)
+                with pytest.raises(PipelineAssertionError,
+                                   match=rf"^{label}: fire {fire} pairs "):
+                    _run_cycles(config, 3, None)
+
+    def test_stage_stopping_after_its_consumer_left_wedges(self,
+                                                           fixed_params):
+        # forward stage 2 stops at fire 110, after stage 3 has left at its
+        # fire 64, 97 cycles into stage 2's fires.  Nothing reads stage 2
+        # any more, yet it never leaves: its t falls behind its timing law,
+        # so its later snapshots do not count.  The loop runs on although
+        # unweighting has left and its completions followed by law, which
+        # reset no wedge counter, so the run wedges the limit (8680 cycles)
+        # after the feed's last cycle, 1024
+        config = PipelineConfig(n=256, params=fixed_params[256])
+        real_tick = _PipeStage.tick
+        last, stopped = {}, []
+
+        def tick(stage, cycle, arrival):
+            if stage.label == "fwd_a2" and stage.t == 110:
+                stage.out = None
+                stopped.append(cycle)
+                if cycle > 20_000:
+                    raise RuntimeError("the loop ran on")
+                return
+            last[stage.label] = cycle
+            real_tick(stage, cycle, arrival)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_PipeStage, "tick", tick)
+            with pytest.raises(PipelineAssertionError,
+                               match="^no progress after 8680 cycles; "
+                                     "schedule wedged$"):
+                _run_cycles(config, 8, None)
+        assert last["fwd_a3"] < stopped[0]
+        assert stopped[-1] == 1024 + 8680
 
     @pytest.mark.parametrize("gap_at, due", [
         (0, None), (1, 22), (2, 23), (9, 30), (22, 43), (23, 44)])
@@ -918,7 +1010,7 @@ class TestControlPlane:
                     no_retirement(mp)
                 if full:
                     mp.setattr(pipesim, "_window",
-                               lambda chain, first, reach: chain)
+                               lambda chain, reach, left: [(0, chain)])
                 try:
                     result = _run_cycles(config, count,
                                          _TraceWriter(text) if traced else None)
@@ -929,8 +1021,9 @@ class TestControlPlane:
         assert run(full=False) == run(full=True)
 
     def test_window_skips_idle_ticks(self, monkeypatch):
-        # the benchmark's structural N = 1024 stream of 4 ticks 3850 cycles,
-        # 23 stages each when every stage ticks every cycle
+        # the benchmark's structural N = 1024 stream of 4 ticks 3851 cycles,
+        # 23 stages each when every stage ticks every cycle: the last is
+        # the one after the last completion, where unweighting leaves
         config = PipelineConfig(n=1024, params=build_params(12289, 1024),
                                 mode="structural")
         real_tick = _PipeStage.tick
@@ -946,8 +1039,8 @@ class TestControlPlane:
                 _run_cycles(config, 4, None)
             return len(calls)
 
-        assert ticks(lambda chain, first, reach: chain) == 88_550
-        assert ticks(pipesim._window) < 88_550
+        assert ticks(lambda chain, reach, left: [(0, chain)]) == 88_573
+        assert ticks(pipesim._window) < 88_573
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -955,35 +1048,50 @@ class TestControlPlane:
                                  count):
         # the untraced run whose stages leave once their state repeats
         # gives the report of the run where no stage leaves before its last
-        # fire; a stream of 1 or 2 products has no repeat to see, so there
-        # every fire is ticked and checked
+        # fire, and ticks what retired_ticks counts
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
-
-        def run(retiring):
-            with pytest.MonkeyPatch.context() as mp:
-                if not retiring:
-                    no_retirement(mp)
-                return tick_count(mp, config, count)
-
-        (retired, report), (ticked, full) = run(True), run(False)
+        (retired, report), (ticked, full) = (tick_count(config, count),
+                                             tick_count(config, count, False))
         assert report == full
-        assert retired <= ticked
-        if count <= 2:
-            assert retired == ticked
+        assert retired == retired_ticks(config, count) <= ticked
+
+    @pytest.mark.parametrize("n, latencies, counts", [
+        (64, (None, 2, 3, 12, 17), range(14)),
+        (256, (None, 5, 12), range(14)),
+        (1024, (None, 12), (0, 1, 2, 3, 13))])
+    def test_retirement_is_exact_at_larger_sizes(self, n, latencies, counts):
+        # as above, at sizes where the holds reach N/4 = 16 ... 256, in
+        # both modes, at sampled latencies and 0-13 products
+        p = build_params(RLWE_M, n)
+        for latency in latencies:
+            config = PipelineConfig(n=n, params=p,
+                                    mode="structural" if latency else
+                                    "schedule", butterfly_latency=latency)
+            for count in counts:
+                (retired, report), (_, full) = (
+                    tick_count(config, count), tick_count(config, count, False))
+                assert report == full, (latency, count)
+                assert retired == retired_ticks(config, count), (latency,
+                                                                 count)
 
     def test_retirement_ticks_a_fixed_count(self, fixed_params):
-        # the benchmark's paper-ring stream: each of the 19 columns ticks
-        # from its first arrival to its fire N - 1, where its state has
-        # repeated once: N = 256 fires, plus a FIFO's fill (127 cycles in
-        # each direction); a stream of 1000 ticks the same
-        config = PipelineConfig(n=256, params=fixed_params[256])
-        with pytest.MonkeyPatch.context() as mp:
-            assert tick_count(mp, config, 8)[0] == 19 * 256 + 2 * 127
-        with pytest.MonkeyPatch.context() as mp:
-            assert tick_count(mp, config, 1000)[0] == 19 * 256 + 2 * 127
+        # the benchmark's in-process streams.  Each column ticks from its
+        # first arrival, hold cycles before its first fire, to its second
+        # snapshot, P fires later, P its period: 3 * hold + 1 ticks behind
+        # a FIFO, N/2 + 1 at inv1, whose period is N/2, and 2 at weighting,
+        # forward stage 1, pointwise and unweighting.  A transform's FIFOs
+        # hold N/4 ... 1: 3 * (N/2 - 1) + log2(N) - 1 ticks, 388 at N = 256
+        # and 1542 at N = 1024; a stream of 1000 ticks as one of 8
+        for m, n, mode, counts, ticks in (
+                (FIXED_M, 256, "schedule", (8, 1000), 2 * 388 + 129 + 8),
+                (12289, 1024, "structural", (4,), 2 * 1542 + 513 + 8)):
+            config = PipelineConfig(n=n, params=build_params(m, n),
+                                    mode=mode)
+            for count in counts:
+                assert tick_count(config, count)[0] == ticks
 
     @pytest.mark.parametrize("n, latencies", [
         (4, range(1, 65)), (8, range(1, 65)),
@@ -993,7 +1101,10 @@ class TestControlPlane:
         # against _schedule_law at the end of each run, equals the closed
         # forms: F_1 = 1 + S, F_s = F_{s-1} + L + N/2**s, I_1 = F_m + N/2 + L
         # + S - 1, I_s = I_{s-1} + L + 2**(s-2), completion k at I_m + N/2
-        # - 1 + (L - 1) + S + k*N/2
+        # - 1 + (L - 1) + S + k*N/2; and so do the two latencies the report
+        # derives from them: the first transform takes N + m - 2 + (m -
+        # 1)(L - 1) cycles and the first product 2N + 2m - 1 + 2m(L - 1) +
+        # 3(S - 1)
         p = build_params(RLWE_M, n)
         m = n.bit_length() - 1
         for latency in latencies:
@@ -1014,6 +1125,10 @@ class TestControlPlane:
                 assert rep.inv_stage_first_fire == tuple(inv)
                 assert rep.completion_cycles == tuple(
                     done + k * n // 2 for k in range(count))
+                assert rep.first_ntt_latency == (n + m - 2
+                                                 + (m - 1) * (latency - 1))
+                assert rep.first_mul_latency == (
+                    2 * n + 2 * m - 1 + 2 * m * (latency - 1) + 3 * (S - 1))
         if latencies[0] == 1:
             rep = _run_cycles(PipelineConfig(n=n, params=p), 6, None)
             assert rep.completion_cycles[0] == _schedule_law(n, 1)[2]
