@@ -36,29 +36,30 @@ The schedule does not depend on the data, so the stages carry control only:
 against a routing and a timing law (:class:`_PipeStage`).  Untraced, each
 stage leaves the loop once its state repeats, a period of its own after its
 first fire, and fires the rest of the stream by the timing law; traced, the
-loop jumps from its steady state to the last product boundary.  Both are proved in its docstring, and every run
-ends by checking each stage's first fire and every completion against
-closed forms (:func:`_schedule_law`).  :func:`_replay` computes the products on
-the routing law (:func:`_programs`), with ``x * w % M`` standing for
-Karatsuba plus Barrett and lazy adders.  The routing check proves that the
-FIFO model builds the same butterfly network at every size it runs; that
-this network multiplies correctly is sampled against the schoolbook product
-at N <= 1024.  The same inputs and configuration give the same trace.
+loop jumps from its steady state to the last product boundary.  Both are
+proved in its docstring, and every run ends by checking each stage's first
+fire and every completion against closed forms (:func:`_schedule_law`).
+The products are :func:`nttmul.polymul.negacyclic_mul_ntt`'s, one call per
+pair: :func:`_network_proof` shows, on indices alone and once per N, that
+the network the routing law builds from the stages' holds and fires per
+twiddle is the constant-geometry network polymul walks, pair for pair and
+twiddle for twiddle.  So a run that returns multiplies as polymul does at
+every size it runs; that this network multiplies correctly is sampled
+against the schoolbook product at N <= 1024 until an exact certificate
+exists.  The same inputs and configuration give the same trace.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache
 from itertools import groupby
-from operator import add, itemgetter, sub
 
-from .modarith import (FIXED_M, barrett_reduce_fixed, barrett_reduce_generic,
-                       karatsuba_mul)
+# read by perfbench/tracing.count_modmuls, which wraps it by name
+from .modarith import karatsuba_mul  # noqa: F401
 from .params import NttParams
-from .polymul import Polynomial, _check_operand
+from .polymul import negacyclic_mul_ntt
 
 # structural-mode stage depths of one butterfly unit
 KARATSUBA_CYCLES = 6
@@ -113,38 +114,6 @@ class PipelineConfig:
     @property
     def scalar_latency(self) -> int:
         return max(1, self.butterfly_latency - ADDSUB_CYCLES)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic kernels
-
-def _datapath_mul(params: NttParams):
-    """The units' product of two lists of residues: ``karatsuba_mul`` on
-    l-bit operands into Barrett, shift-add for the default modulus, exact
-    up to (M-1)**2 and so equal to ``x * y % M``.  Only the tests' replay
-    on the units' arithmetic, exact adders included, calls it."""
-    M = params.M
-    bits = (M - 1).bit_length()
-    l = bits + (bits & 1)       # smallest even operand width holding M - 1
-    reduce = (barrett_reduce_fixed if M == FIXED_M
-              else partial(barrett_reduce_generic, ctx=params.ctx))
-    return lambda xs, ys: [reduce(karatsuba_mul(x, y, l))
-                           for x, y in zip(xs, ys)]
-
-
-def _kernels(mul, plus, minus):
-    """By butterfly kind, the units on lists of the fires' lower and higher
-    elements and twiddles: ct (lo + w*hi, lo - w*hi), gs (lo + hi,
-    (lo - hi)*w), addsub (lo + hi, lo - hi); at "mul", ``mul``, the product
-    mod M.  ``plus`` and ``minus`` add in [0, M), or as ``add`` and ``sub``
-    within |x| < (s+1)*M after forward stage s, 2**s * M after inverse s."""
-    def addsub(lo, hi, w=None):
-        return list(map(plus, lo, hi)), list(map(minus, lo, hi))
-
-    return {"addsub": addsub, "mul": mul,
-            "ct": lambda lo, hi, w: addsub(lo, mul(hi, w)),
-            "gs": lambda lo, hi, w: (list(map(plus, lo, hi)),
-                                     mul(map(minus, lo, hi), w))}
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +414,50 @@ def _butterfly_timing(n: int, forward: bool):
             for s in range(1, n.bit_length())]
 
 
+@cache
+def _network_proof(n: int):
+    """Shows on indices alone that the butterfly stages of
+    :func:`_butterfly_timing` route :mod:`nttmul.polymul`'s network.
+
+    sigma maps a storage index, where fire t of a stage writes label 2t at
+    t and 2t + 1 at t + N/2, to polymul's index; the feed puts coefficient
+    i at i, so sigma starts as the identity.  By :class:`_PipeStage`'s
+    routing law fire t reads the storage indices lo and lo + k, with k the
+    hold, or N/2 without a FIFO, and lo = t if ``t & k`` is 0, else
+    N/2 + t - k.  Forward, it must read polymul's pair (j, j + N/2) and
+    writes 2j, 2j + 1; inverse, it must read (2j, 2j + 1) and writes j,
+    j + N/2.  Its twiddle, entry t // per of its stage's table, must be
+    polymul's, entry j mod len(table).  Pointwise multiplies the spectra
+    at one storage index, so at one polymul index, and unweighting weighs
+    storage index i by weight i, so sigma must end as the identity.  A
+    break raises :class:`PipelineAssertionError` naming stage and fire."""
+    h = n // 2
+    sigma = list(range(n))
+    for forward, label in ((True, "fwd_a"), (False, "inv")):
+        # polymul reads pair j at (j << r, + dr) and writes it to (j << w, + dw)
+        r, dr, w, dw = (0, h, 1, 1) if forward else (1, 1, 0, h)
+        for s, (hold, per) in enumerate(_butterfly_timing(n, forward), 1):
+            k = hold or h
+            size = 1 << s - 1 if forward else n >> s    # as build_params has
+            out = [None] * n
+            for t in range(h):
+                lo = h + t - k if t & k else t
+                x, y = sigma[lo], sigma[lo + k]
+                j = x >> r
+                if y != x + dr or x != j << r or t // per != j % size:
+                    raise PipelineAssertionError(
+                        f"{label}{s}: fire {t} reads polymul's {(x, y)} with "
+                        f"twiddle {t // per}, not {(j << r, (j << r) + dr)} "
+                        f"with twiddle {j % size}")
+                out[t] = j << w
+                out[t + h] = (j << w) + dw
+            sigma = out
+    for i, j in enumerate(sigma):
+        if i != j:
+            raise PipelineAssertionError(
+                f"unweight: storage index {i} holds polymul's {j}, not {i}")
+
+
 def _build_chains(config: PipelineConfig, trace):
     """The datapath's control as two chains of stages, each fed by the one
     before: ``front = [weight, *forward, pointwise]``, whose routing both
@@ -478,9 +491,13 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     fire, and its remaining fires, and the remaining completions, follow
     from the timing law; a stage whose state cannot repeat before the
     stream ends, as in a stream of one product, is ticked to its last
-    result.  Traced, the loop jumps from its steady state to the last product boundary
-    and drains.  Both give one report.  Products are coefficient-domain
-    polynomials in input order and must match the schoolbook result exactly.
+    result.  Traced, the loop jumps from its steady state to the last
+    product boundary and drains.  Both give one report.  Products are
+    :func:`~nttmul.polymul.negacyclic_mul_ntt`'s, in input order: the run
+    rests on :func:`_network_proof` for its N, which shows that the stages
+    route polymul's network, so the products are the pipeline's.  That the
+    network multiplies correctly is sampled against the schoolbook product
+    at N <= 1024.
 
     One forward chain routes both operands under their shared control; the
     report still counts registers for both hardware pipelines:
@@ -494,21 +511,15 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     :class:`PipelineAssertionError` aborts the run.
     """
     params = config.params
-    operands = []
-    for a, b in pairs:
-        _check_operand(a, params, domain="coefficient", name="a")
-        _check_operand(b, params, domain="coefficient", name="b")
-        operands.append((a.coeffs, b.coeffs))
+    _network_proof(config.n)
+    products = [negacyclic_mul_ntt(a, b, params) for a, b in pairs]
     if trace_path is None:
-        report = _run_cycles(config, len(operands), None)
+        report = _run_cycles(config, len(products), None)
     else:
         with open(trace_path, "w", newline="") as fh:
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            report = _run_cycles(config, len(operands), _TraceWriter(fh))
-    M = params.M
-    products = operands and _replay(params, operands, _kernels(
-        lambda xs, ys: [x * y % M for x, y in zip(xs, ys)], add, sub))
-    return [Polynomial(tuple(c), M) for c in products], report
+            report = _run_cycles(config, len(products), _TraceWriter(fh))
+    return products, report
 
 
 def _tick_chain(chain, cycle, arrival):
@@ -806,61 +817,6 @@ def _run_cycles(config, count, trace):
                     f"not {done + k * n_half} by law")
     return _build_report(config, count, front[1:-1], back[:-1], gate,
                          completions, front[0].first_fire)
-
-
-def _programs(params, forward):
-    """Per butterfly stage of one transform, in order: getters of its fires'
-    lower and higher elements, its twiddles repeated over their fires and
-    its :func:`_kernels` kind.  A list holds label 2t at t and 2t + 1 at
-    t + N/2, so :class:`_PipeStage`'s law reads: with k the hold, or N/2
-    without a FIFO, fire t pairs the lower element at i = t if ``t & k`` is
-    0, else N/2 + t - k, with the higher at i + k."""
-    h, progs = params.n // 2, []
-    kind, tables = (("ct", params.stage_twiddles_fwd) if forward
-                    else ("gs", params.stage_twiddles_inv))
-    for (hold, per_block), table in zip(_butterfly_timing(params.n, forward),
-                                        tables):
-        k = hold or h
-        lo = [h + t - k if t & k else t for t in range(h)]
-        progs.append((itemgetter(*lo), itemgetter(*[i + k for i in lo]),
-                      [w for w in table for _ in range(per_block)],
-                      "addsub" if set(table) == {1} else kind))
-    return progs
-
-
-# the (forward, inverse) programs of each live NttParams, freed with it
-_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _replay(params, operands, kernels):
-    """The products of ``operands``, (a, b) coefficient sequences, through
-    weighting, the forward stages (both operands), pointwise, the inverse
-    stages and unweighting: each stage runs its :func:`_programs` entry on
-    ``kernels``, and the multiplier columns, which pass fire t's pair on,
-    multiply natural-order lists.  Lazy adders keep |x| < (s+1)*M after
-    forward stage s (a value plus a product in [0, M)) and |x| < 2**s * M
-    after inverse stage s (a sum or difference of two); every multiply, the
-    unweighting too, reduces into [0, M), so the products are exact.  The
-    programs are built once per ``params``."""
-    mul = kernels["mul"]
-
-    def run(progs, x):
-        for lo, hi, w, kind in progs:
-            first, second = kernels[kind](lo(x), hi(x), w)
-            x = first + second
-        return x
-
-    progs = _PROGRAMS.get(params)
-    if progs is None:
-        progs = _PROGRAMS[params] = (_programs(params, True),
-                                     _programs(params, False))
-    forward, inverse = progs
-    products = []
-    for a, b in operands:
-        xa, xb = (run(forward, mul(x, params.weights_fwd)) for x in (a, b))
-        products.append(mul(run(inverse, mul(xa, xb)),
-                            params.weights_inv_scaled))
-    return products
 
 
 def _build_report(config, count, fwd, inv, gate, completions, first_feed):

@@ -1,11 +1,10 @@
 import csv
-import gc
+import functools
 import hashlib
 import io
 import json
 import random
 import re
-import weakref
 from collections import deque
 
 import pytest
@@ -13,15 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nttmul import pipesim
+from nttmul.modarith import (barrett_reduce_fixed, barrett_reduce_generic,
+                            karatsuba_mul)
 from nttmul.params import build_params
 from nttmul.pipesim import (
     PipelineAssertionError,
     PipelineConfig,
     StageFifo,
-    _datapath_mul,
-    _kernels,
+    _network_proof,
     _PipeStage,
-    _replay,
     _run_cycles,
     _schedule_law,
     _TraceWriter,
@@ -46,30 +45,76 @@ def rand_pairs(rng, params, count):
             for _ in range(count)]
 
 
-def datapath_kernels(p):
-    # the list kernels on the multiplier units' Karatsuba + Barrett product
-    # and adders, which bring each sum or difference back into [0, M) by
-    # one conditional -M or +M: the l-bit Karatsuba takes residues only
-    M = p.M
-    return _kernels(_datapath_mul(p),
-                    lambda x, y: x + y - M if x + y >= M else x + y,
-                    lambda x, y: x - y + M if x < y else x - y)
+def datapath_mul(p):
+    # the multiplier units' product of two lists of residues: karatsuba_mul
+    # on l-bit operands into Barrett, shift-add for the paper modulus, exact
+    # up to (M-1)**2 and so equal to x * y % M
+    bits = (p.M - 1).bit_length()
+    l = bits + (bits & 1)       # smallest even operand width holding M - 1
+    reduce = (barrett_reduce_fixed if p.M == FIXED_M
+              else functools.partial(barrett_reduce_generic, ctx=p.ctx))
+    return lambda xs, ys: [reduce(karatsuba_mul(x, y, l))
+                           for x, y in zip(xs, ys)]
+
+
+def datapath_units(p):
+    # the units' product, and the butterflies on lists of lower elements,
+    # higher elements and twiddles: ct (lo + w*hi, lo - w*hi) and gs
+    # (lo + hi, (lo - hi)*w), with adders that bring each sum or difference
+    # back into [0, M) by one conditional -M or +M, since the l-bit
+    # Karatsuba takes residues only
+    M, mul = p.M, datapath_mul(p)
+
+    def addsub(lo, hi):
+        return ([x + y - M if x + y >= M else x + y for x, y in zip(lo, hi)],
+                [x - y + M if x < y else x - y for x, y in zip(lo, hi)])
+
+    def ct(lo, hi, w):
+        return addsub(lo, mul(hi, w))
+
+    def gs(lo, hi, w):
+        u, v = addsub(lo, hi)
+        return u, mul(v, w)
+
+    return mul, ct, gs
+
+
+def datapath_product(p, a, b):
+    # polymul's constant-geometry walk, weighting to unweighting, on the
+    # units' arithmetic: forward stages pair j with j + N/2 and write 2j,
+    # 2j + 1; inverse stages pair 2j with 2j + 1 and write j, j + N/2
+    mul, ct, gs = datapath_units(p)
+    h = p.n // 2
+
+    def forward(x):
+        for tw in p.stage_twiddles_fwd:
+            x[0::2], x[1::2] = ct(x[:h], x[h:], tw * (h // len(tw)))
+        return x
+
+    def inverse(x):
+        for tw in p.stage_twiddles_inv:
+            u, v = gs(x[0::2], x[1::2], tw * (h // len(tw)))
+            x = u + v
+        return x
+
+    xa, xb = (forward(mul(c, p.weights_fwd)) for c in (a, b))
+    return mul(inverse(mul(xa, xb)), p.weights_inv_scaled)
 
 
 class TestButterflyStep:
-    # kernels take (lower elements, higher elements, twiddles)
+    # butterflies take (lower elements, higher elements, twiddles)
     def test_unit_twiddle_is_add_sub(self, fixed_params):
-        p = fixed_params[16]
-        assert datapath_kernels(p)["ct"]([10], [3], [1]) == ([13], [7])
+        _, ct, _ = datapath_units(fixed_params[16])
+        assert ct([10], [3], [1]) == ([13], [7])
 
     def test_zero_input_passes_through(self, fixed_params):
-        p = fixed_params[16]
-        assert datapath_kernels(p)["ct"]([42], [0], [12345]) == ([42], [42])
+        _, ct, _ = datapath_units(fixed_params[16])
+        assert ct([42], [0], [12345]) == ([42], [42])
 
     def test_random_against_oracle(self, fixed_params, p17_4):
         for p, seed in ((fixed_params[256], 30), (p17_4, 31)):
             M = p.M
-            ct = datapath_kernels(p)["ct"]
+            _, ct, _ = datapath_units(p)
             rng = random.Random(seed)
             hi, lo, w = ([rng.randrange(M) for _ in range(2_000)]
                          for _ in range(3))
@@ -80,7 +125,7 @@ class TestButterflyStep:
     def test_gs_variant_against_oracle(self, fixed_params):
         p = fixed_params[256]
         M = p.M
-        gs = datapath_kernels(p)["gs"]
+        _, _, gs = datapath_units(p)
         rng = random.Random(32)
         hi, lo, w = ([rng.randrange(M) for _ in range(2_000)]
                      for _ in range(3))
@@ -416,7 +461,7 @@ class TestRunStreamFunctional:
             run_stream([(ok, Polynomial((1, 2, 3, 4), FIXED_M))], cfg)
 
 
-# operand kinds for the lazy replay: random, and the ends of the residue
+# operand kinds for the lazy walk: random, and the ends of the residue
 # range, all at one end or alternating between them
 OPERANDS = {
     "random": lambda rng, M, n: [rng.randrange(M) for _ in range(n)],
@@ -442,9 +487,9 @@ class TestLazyReplay:
            seed=st.integers(0, 2**32))
     def test_lazy_products_equal_exact_and_schoolbook(
             self, lazy_rings, ring, mode, kinds, seed):
-        # run_stream's lazy adders give the products of the replay on the
-        # units' Karatsuba + Barrett product with exact adders, and those
-        # of the schoolbook
+        # run_stream's products, polymul's walk with lazy adders, are those
+        # of the walk on the units' Karatsuba + Barrett product with exact
+        # adders, and those of the schoolbook
         p = lazy_rings[ring]
         M, n = ring
         rng = random.Random(seed)
@@ -452,51 +497,10 @@ class TestLazyReplay:
                  for kind in kinds]
         prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p, mode=mode))
         lazy = [q.coeffs for q in prods]
-        exact = _replay(p, [(a.coeffs, b.coeffs) for a, b in pairs],
-                        datapath_kernels(p))
+        exact = [datapath_product(p, a.coeffs, b.coeffs) for a, b in pairs]
         assert lazy == [tuple(c) for c in exact]
         assert lazy == [naive_negacyclic_mul(a, b, p).coeffs for a, b in pairs]
 
-    @pytest.mark.parametrize("m, n", [(FIXED_M, 256), (12289, 1024)])
-    def test_lazy_adders_keep_the_stated_bounds(self, monkeypatch, m, n):
-        # run_stream's walk with its adders wrapped to check every sum and
-        # difference: |x| < (s+1)*M in forward stage s, |x| < 2**s * M in
-        # inverse stage s.  Per product the kernels run a's forward stages,
-        # b's, then the inverse ones, so a count of calls names the stage
-        p = build_params(m, n)
-        stages = p.num_stages
-        calls, bound = [], [None]
-        real_kernels = pipesim._kernels
-
-        def checked(op):
-            def adder(x, y):
-                r = op(x, y)
-                assert abs(r) < bound[0], (calls[-1], x, y)
-                return r
-            return adder
-
-        def staged(kernel):
-            def run(lo, hi, w):
-                j = len(calls) % (3 * stages)
-                calls.append(j)
-                s = j % stages + 1
-                bound[0] = (s + 1) * m if j < 2 * stages else 2**s * m
-                return kernel(lo, hi, w)
-            return run
-
-        def kernels(mul, plus, minus):
-            units = real_kernels(mul, checked(plus), checked(minus))
-            return {kind: unit if kind == "mul" else staged(unit)
-                    for kind, unit in units.items()}
-
-        monkeypatch.setattr(pipesim, "_kernels", kernels)
-        rng = random.Random(61)
-        top = Polynomial((m - 1,) * n, m)
-        pairs = [(rand_poly(rng, p), rand_poly(rng, p)), (top, top)]
-        prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p))
-        assert len(calls) == 3 * stages * len(pairs)
-        for (a, b), got in zip(pairs, prods):
-            assert got.coeffs == naive_negacyclic_mul(a, b, p).coeffs
 
 
 class TestRunStreamTiming:
@@ -1249,13 +1253,12 @@ class TestDeterminism:
                                      (12289, 32, "structural", 20)],
                              ids=["fixed-reducer", "generic-reducer"])
     def test_datapath_product_gives_pinned_products(self, key):
-        # the replay on the units' Karatsuba + Barrett product and exact
+        # the walk on the units' Karatsuba + Barrett product and exact
         # adders, one stream per reducer, equals the pinned products
         m, n, _, count = key
         p = build_params(m, n)
-        operands = [(a.coeffs, b.coeffs)
-                    for a, b in rand_pairs(random.Random(60), p, count)]
-        prods = _replay(p, operands, datapath_kernels(p))
+        prods = [datapath_product(p, a.coeffs, b.coeffs)
+                 for a, b in rand_pairs(random.Random(60), p, count)]
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
@@ -1332,26 +1335,6 @@ class TestDeterminism:
         assert ([q.coeffs for q in traced[0]]
                 == [q.coeffs for q in untraced[0]])
 
-    def test_programs_built_once_per_params(self, monkeypatch):
-        # the replay's per-stage programs depend on params alone: a second
-        # run_stream with the same params builds none, and they are freed
-        # with the params
-        p = build_params(FIXED_M, 16)
-        real_programs = pipesim._programs
-        built = []
-        monkeypatch.setattr(pipesim, "_programs", lambda params, forward: (
-            built.append(forward), real_programs(params, forward))[1])
-        monkeypatch.setattr(pipesim, "_PROGRAMS", weakref.WeakKeyDictionary())
-        pairs = rand_pairs(random.Random(63), p, 2)
-        config = PipelineConfig(n=16, params=p)
-        first = run_stream(pairs, config)
-        assert built == [True, False]
-        assert run_stream(pairs, config) == first
-        assert built == [True, False]
-        del p, config
-        gc.collect()
-        assert not pipesim._PROGRAMS
-
     def test_identical_runs_identical_reports(self, fixed_params):
         p = fixed_params[16]
         rng = random.Random(53)
@@ -1381,3 +1364,70 @@ class TestDeterminism:
         # first stage-1 butterfly pairs lanes 0 and 2 on cycle 2
         first_fire = next(l for l in lines[1:] if l.startswith("2,fwd_a1"))
         assert first_fire.endswith("0,2")
+
+
+# timing mutants: each turns one direction's per-stage (hold, fires per
+# twiddle) list into a wrong one that the FIFO model still routes by its law
+def doubled_hold(timing):
+    return [(2 * hold, per) for hold, per in timing]
+
+
+def doubled_per(timing):
+    return [(hold, 2 * per) for hold, per in timing]
+
+
+def reversed_stages(timing):
+    return timing[::-1]
+
+
+def swapped_stages(timing):
+    timing = list(timing)
+    timing[1], timing[2] = timing[2], timing[1]
+    return timing
+
+
+# (forward, mutation, the stage the proof names at N = 256)
+MUTANTS = [(True, doubled_hold, "fwd_a2"), (False, doubled_per, "inv1"),
+           (False, reversed_stages, "inv1"), (True, swapped_stages, "fwd_a2")]
+
+
+def mutant_timing(monkeypatch, forward, mutate):
+    real = pipesim._butterfly_timing
+    monkeypatch.setattr(pipesim, "_butterfly_timing", lambda n, fwd: (
+        mutate(real(n, fwd)) if fwd == forward else real(n, fwd)))
+
+
+class TestNetworkProof:
+    def test_holds_at_every_rlwe_size(self):
+        for e in range(2, 17):
+            _network_proof.__wrapped__(1 << e)
+
+    @pytest.mark.parametrize("forward, mutate, stage", MUTANTS,
+                             ids=[("fwd-" if f else "inv-") + m.__name__
+                                  for f, m, _ in MUTANTS])
+    def test_timing_mutants_are_rejected(self, monkeypatch, forward, mutate,
+                                         stage):
+        mutant_timing(monkeypatch, forward, mutate)
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^{stage}: fire \d+ reads polymul's"):
+            _network_proof.__wrapped__(256)
+
+    def test_run_stream_rests_on_the_proof(self, monkeypatch, fixed_params):
+        _network_proof.cache_clear()
+        forward, mutate, stage = MUTANTS[0]
+        mutant_timing(monkeypatch, forward, mutate)
+        p = fixed_params[16]
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^{stage}: fire \d+ reads polymul's"):
+            run_stream(rand_pairs(random.Random(65), p, 2),
+                       PipelineConfig(n=16, params=p))
+
+    def test_runs_once_per_n(self, fixed_params):
+        _network_proof.cache_clear()
+        p = fixed_params[16]
+        pairs = rand_pairs(random.Random(66), p, 2)
+        config = PipelineConfig(n=16, params=p)
+        first = run_stream(pairs, config)
+        assert run_stream(pairs, config) == first
+        info = _network_proof.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

@@ -9,6 +9,8 @@ from nttmul import build_params
 from nttmul.params import is_prime
 from nttmul.polymul import (
     Polynomial,
+    _forward,
+    _inverse,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
     ntt_forward,
@@ -289,6 +291,29 @@ class TestFiveStepMul:
         p = build_params(M, N)
         assert (negacyclic_mul_ntt(a, b, p).coeffs
                 == naive_negacyclic_mul(a, b, p).coeffs)
+
+    @pytest.mark.parametrize("M, N", [(FIXED_M, 256), (12289, 1024)])
+    def test_lazy_adders_keep_the_stated_bounds(self, M, N):
+        # the transforms' adders do not reduce: walked one table at a time,
+        # |x| < (s+1)*M after forward stage s and |x| < 2**s * M after
+        # inverse stage s, with random and all-(M-1) operands
+        p = build_params(M, N)
+        rng = random.Random(61)
+        top = Polynomial((M - 1,) * N, M)
+        for a, b in ((rand_poly(rng, p), rand_poly(rng, p)), (top, top)):
+            spectra = []
+            for c in (a, b):
+                x = [v * w % M for v, w in zip(c.coeffs, p.weights_fwd)]
+                for s, tw in enumerate(p.stage_twiddles_fwd, 1):
+                    x = _forward(x, [tw], M)
+                    assert max(map(abs, x)) < (s + 1) * M, s
+                spectra.append(x)
+            x = [u * v % M for u, v in zip(*spectra)]
+            for s, tw in enumerate(p.stage_twiddles_inv, 1):
+                x = _inverse(x, [tw], M)
+                assert max(map(abs, x)) < 2**s * M, s
+            assert ([v * w % M for v, w in zip(x, p.weights_inv_scaled)]
+                    == list(negacyclic_mul_ntt(a, b, p).coeffs))
 
     def test_identity(self, p17_8):
         rng = random.Random(17)
