@@ -39,14 +39,19 @@ first fire, and fires the rest of the stream by the timing law; traced, the
 loop jumps from its steady state to the last product boundary.  Both are
 proved in its docstring, and every run ends by checking each stage's first
 fire and every completion against closed forms (:func:`_schedule_law`).
-The products are :func:`nttmul.polymul.negacyclic_mul_ntt`'s, one call per
-pair: :func:`_network_proof` shows, on indices alone and once per N, that
-the network the routing law builds from the stages' holds and fires per
-twiddle is the constant-geometry network polymul walks, pair for pair and
-twiddle for twiddle.  So a run that returns multiplies as polymul does at
-every size it runs; that this network multiplies correctly is sampled
-against the schoolbook product at N <= 1024 until an exact certificate
-exists.  The same inputs and configuration give the same trace.
+The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
+per pair, and a chain of proofs makes them the pipeline's at every size:
+the stages fire as the routing law states; :func:`_network_proof` shows,
+on indices alone and once per N, that the network the law builds from the
+stages' holds and fires per twiddle is the constant-geometry network
+polymul walks, pair for pair and twiddle for twiddle, and that this
+network is a tree of CRT splits; :func:`_table_proof` shows, once per
+table set, that the tables hold the powers the splits need, so the network
+computes a*b mod x**N + 1 for every input; and the schoolbook product is
+exact by its no-carry bound.  The index proofs hold per N and the table
+check per table set; primality of M, which neither uses, is decided
+exactly below 2**64 by :func:`nttmul.params.ring_problem`.  The same
+inputs and configuration give the same trace.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from itertools import groupby
 # read by perfbench/tracing.count_modmuls, which wraps it by name
 from .modarith import karatsuba_mul  # noqa: F401
 from .params import NttParams
-from .polymul import negacyclic_mul_ntt
+from .polymul import naive_negacyclic_mul
 
 # structural-mode stage depths of one butterfly unit
 KARATSUBA_CYCLES = 6
@@ -69,7 +74,8 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
-    """A fire misrouted or came off its cycle, or the schedule wedged.
+    """A fire misrouted or came off its cycle, the schedule wedged, or the
+    tables are not the powers the network needs.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -417,7 +423,10 @@ def _butterfly_timing(n: int, forward: bool):
 @cache
 def _network_proof(n: int):
     """Shows on indices alone that the butterfly stages of
-    :func:`_butterfly_timing` route :mod:`nttmul.polymul`'s network.
+    :func:`_butterfly_timing` route :mod:`nttmul.polymul`'s network, and
+    that this network is a tree of CRT splits.  Returns the exponents of
+    omega that the stage tables must hold, forward and inverse, for
+    :func:`_table_proof` to check.
 
     sigma maps a storage index, where fire t of a stage writes label 2t at
     t and 2t + 1 at t + N/2, to polymul's index; the feed puts coefficient
@@ -429,16 +438,38 @@ def _network_proof(n: int):
     j + N/2.  Its twiddle, entry t // per of its stage's table, must be
     polymul's, entry j mod len(table).  Pointwise multiplies the spectra
     at one storage index, so at one polymul index, and unweighting weighs
-    storage index i by weight i, so sigma must end as the identity.  A
-    break raises :class:`PipelineAssertionError` naming stage and fire."""
+    storage index i by weight i, so sigma must end as the identity.
+
+    The CRT walk (Pollard 1971; Longa and Naehrig 2016) follows polymul's
+    pairs stage by stage, with exponents of omega taken mod N, as
+    omega**N = 1 and omega**(N/2) = -1.  Polymul's index i carries
+    (e, c) = (root[i], coef[i]): coefficient c of the residue mod
+    x**L - omega**e of the weighted operand, with L = N/2**(s-1) before
+    forward stage s; before inverse stage s, L = 2**(s-1) and it is
+    2**(s-1) times that coefficient of the weighted product.  It starts as
+    (0, i).  A forward pair must read (e, c) and (e, c + L/2) with e even;
+    with the twiddle omega**(e/2), its sum and difference are the residues
+    mod x**(L/2) -+ omega**(e/2), so it writes (e/2, c) and
+    (e/2 + N/2, c).  At L = 1 a residue is a value, and pointwise
+    multiplies the two operands' values at one root.  An inverse pair must
+    read (e, c) and (e + N/2, c); with the twiddle omega**-e, its sum and
+    twiddled difference are twice coefficients c and c + L of the residue
+    mod x**(2L) - omega**(2e), so it writes (2e, c) and (2e, c + L).  The
+    pairs that share a table entry must need one exponent of it.  Each
+    step is an identity of polynomials over Z/M, so when index i ends as
+    (0, i), polymul's inverse leaves N times coefficient i of the weighted
+    product mod x**N - 1.  A break raises :class:`PipelineAssertionError`
+    naming the stage, and the fire if it is a routing break."""
     h = n // 2
-    sigma = list(range(n))
+    sigma, root, coef = list(range(n)), [0] * n, list(range(n))
+    needs = []
     for forward, label in ((True, "fwd_a"), (False, "inv")):
         # polymul reads pair j at (j << r, + dr) and writes it to (j << w, + dw)
         r, dr, w, dw = (0, h, 1, 1) if forward else (1, 1, 0, h)
         for s, (hold, per) in enumerate(_butterfly_timing(n, forward), 1):
             k = hold or h
             size = 1 << s - 1 if forward else n >> s    # as build_params has
+            d = n >> s if forward else 1 << s - 1       # L/2, or L
             out = [None] * n
             for t in range(h):
                 lo = h + t - k if t & k else t
@@ -452,10 +483,85 @@ def _network_proof(n: int):
                 out[t] = j << w
                 out[t + h] = (j << w) + dw
             sigma = out
+            # The CRT walk: polymul's pair j reads root exponents e[j] and
+            # ey[j] and coefficients c[j] and cy[j], and needs omega**f[j]
+            # from twiddle entry j mod size.
+            if forward:
+                e, ey, c, cy = root[:h], root[h:], coef[:h], coef[h:]
+                f = [x >> 1 for x in e]
+                split = (ey == e == [x << 1 for x in f]
+                         and cy == [x + d for x in c])
+                root[0::2], root[1::2] = f, [x + h for x in f]
+                coef[0::2] = coef[1::2] = c
+            else:
+                e, ey, c, cy = root[0::2], root[1::2], coef[0::2], coef[1::2]
+                f = [-x % n for x in e]
+                split = ey == [(x + h) % n for x in e] and cy == c
+                root[:h] = root[h:] = [2 * x % n for x in e]
+                coef[:h], coef[h:] = c, [x + d for x in c]
+            if not split or f != f[:size] * (h // size):
+                raise PipelineAssertionError(
+                    f"{label}{s}: polymul's pairs are not CRT splits with "
+                    f"one exponent per twiddle")
+            needs.append(tuple(f[:size]))
     for i, j in enumerate(sigma):
         if i != j:
             raise PipelineAssertionError(
                 f"unweight: storage index {i} holds polymul's {j}, not {i}")
+    if root != [0] * n or coef != list(range(n)):
+        raise PipelineAssertionError(
+            "unweight: polymul's index i does not hold coefficient i mod "
+            "x**N - 1")
+    m = n.bit_length() - 1
+    return tuple(needs[:m]), tuple(needs[m:])
+
+
+def _powers(x, first, n, M):
+    """first * x**i mod M for i < n, first as given."""
+    out = [first]
+    for _ in range(n - 1):
+        out.append(out[-1] * x % M)
+    return tuple(out)
+
+
+@cache
+def _table_proof(params: NttParams):
+    """Checks a table set against what :func:`_network_proof` needs, once
+    per table set: then polymul's five steps on these tables compute
+    a*b mod x**N + 1 for every input.
+
+    phi**N = -1 and omega = phi**2 give omega**N = 1 and omega**(N/2) = -1,
+    which the CRT walk uses.  Each stage table must be the powers of omega
+    the walk needs, and ``weights_fwd`` must be phi**i: the weighted
+    operand is a(phi*x), whose product mod x**N - 1 is that of a*b mod
+    x**N + 1 at phi*x, as (phi*x)**N = -x**N.  Coefficient i of it is
+    phi**i*c_i, so ``weights_inv_scaled`` must be n_inv * phi_inv**i, where
+    N * n_inv = 1 and phi * phi_inv = 1; and omega * omega_inv = 1.  The
+    tables are read, never derived.  None of these identities needs M
+    prime; primality is left to :func:`nttmul.params.ring_problem`.  A
+    break raises :class:`PipelineAssertionError` naming the law or the
+    table."""
+    n, M, phi, omega = params.n, params.M, params.phi, params.omega
+    for law, holds in (
+            ("phi**N = -1", pow(phi, n, M) == M - 1),
+            ("omega = phi**2", omega == phi * phi % M),
+            ("phi * phi_inv = 1", phi * params.phi_inv % M == 1),
+            ("omega * omega_inv = 1", omega * params.omega_inv % M == 1),
+            ("N * n_inv = 1", n * params.n_inv % M == 1)):
+        if not holds:
+            raise PipelineAssertionError(f"tables: {law} fails")
+    root = _powers(omega, 1, n, M)
+    fwd, inv = _network_proof(n)
+    for key, want in (
+            ("weights_fwd", _powers(phi, 1, n, M)),
+            ("weights_inv_scaled", _powers(params.phi_inv, params.n_inv, n, M)),
+            ("stage_twiddles_fwd", tuple(tuple(root[e] for e in st)
+                                         for st in fwd)),
+            ("stage_twiddles_inv", tuple(tuple(root[e] for e in st)
+                                         for st in inv))):
+        if getattr(params, key) != want:
+            raise PipelineAssertionError(
+                f"tables: {key} is not what the network needs")
 
 
 def _build_chains(config: PipelineConfig, trace):
@@ -493,11 +599,12 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     stream ends, as in a stream of one product, is ticked to its last
     result.  Traced, the loop jumps from its steady state to the last
     product boundary and drains.  Both give one report.  Products are
-    :func:`~nttmul.polymul.negacyclic_mul_ntt`'s, in input order: the run
-    rests on :func:`_network_proof` for its N, which shows that the stages
-    route polymul's network, so the products are the pipeline's.  That the
-    network multiplies correctly is sampled against the schoolbook product
-    at N <= 1024.
+    :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order.  Before
+    any is computed, the run checks :func:`_network_proof` for its N and
+    :func:`_table_proof` for its tables: the stages route polymul's
+    network, and that network on these tables computes a*b mod x**N + 1
+    for every input, so the products are the pipeline's.  A break raises
+    :class:`PipelineAssertionError`; there is no fallback.
 
     One forward chain routes both operands under their shared control; the
     report still counts registers for both hardware pipelines:
@@ -512,7 +619,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     """
     params = config.params
     _network_proof(config.n)
-    products = [negacyclic_mul_ntt(a, b, params) for a, b in pairs]
+    _table_proof(params)
+    products = [naive_negacyclic_mul(a, b, params) for a, b in pairs]
     if trace_path is None:
         report = _run_cycles(config, len(products), None)
     else:

@@ -5,7 +5,10 @@ schoolbook product computed as one exact big-int multiplication, which
 serves as the oracle, a constant-geometry transform pair on the per-stage
 twiddle tables, and the five-step weighted-transform multiplier (weight,
 forward, pointwise, inverse, unweight).  The streaming pipeline model in
-:mod:`nttmul.pipesim` must agree with these exactly.
+:mod:`nttmul.pipesim` returns the schoolbook's products, once it has
+proved that its stages route this transform's network and that the
+network, on the tables it is given, computes a*b mod x**N + 1 for every
+input (``pipesim._network_proof`` and ``pipesim._table_proof``).
 
 Polynomials carry one tag besides their coefficients: ``domain`` says which
 side of the transform the values live on (``coefficient`` or ``evaluation``).

@@ -140,6 +140,12 @@ def test_simulator_transform_oracle_agree_everywhere(p17_4, fixed_params,
     with criterion(announce, 5,
                    "simulator = transform = schoolbook on the n=4 grid and "
                    "1000 random pairs per size"):
+        # run_stream returns the schoolbook's products; that they are the
+        # simulated pipeline's rests on the proofs it runs (the routing
+        # law, _network_proof and the table certificate).  The
+        # negacyclic_mul_ntt call below is the suite's only transform
+        # computation on these pairs: it compares the transform itself
+        # with the schoolbook.
         t0 = time.time()
 
         # structured grid: all corner-valued polynomials, both operands

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -23,6 +24,7 @@ from nttmul.pipesim import (
     _PipeStage,
     _run_cycles,
     _schedule_law,
+    _table_proof,
     _TraceWriter,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
@@ -30,7 +32,8 @@ from nttmul.pipesim import (
     predicted_ntt_regs,
     run_stream,
 )
-from nttmul.polymul import Polynomial, naive_negacyclic_mul
+from nttmul.polymul import (Polynomial, naive_negacyclic_mul,
+                            negacyclic_mul_ntt)
 
 FIXED_M = 1_049_089
 
@@ -487,19 +490,20 @@ class TestLazyReplay:
            seed=st.integers(0, 2**32))
     def test_lazy_products_equal_exact_and_schoolbook(
             self, lazy_rings, ring, mode, kinds, seed):
-        # run_stream's products, polymul's walk with lazy adders, are those
-        # of the walk on the units' Karatsuba + Barrett product with exact
-        # adders, and those of the schoolbook
+        # run_stream's products, the schoolbook's, are those of polymul's
+        # walk with lazy adders and of the walk on the units' Karatsuba +
+        # Barrett product with exact adders
         p = lazy_rings[ring]
         M, n = ring
         rng = random.Random(seed)
         pairs = [tuple(Polynomial(OPERANDS[k](rng, M, n), M) for k in kind)
                  for kind in kinds]
         prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p, mode=mode))
-        lazy = [q.coeffs for q in prods]
+        got = [q.coeffs for q in prods]
         exact = [datapath_product(p, a.coeffs, b.coeffs) for a, b in pairs]
-        assert lazy == [tuple(c) for c in exact]
-        assert lazy == [naive_negacyclic_mul(a, b, p).coeffs for a, b in pairs]
+        assert got == [tuple(c) for c in exact]
+        assert got == [negacyclic_mul_ntt(a, b, p).coeffs for a, b in pairs]
+        assert got == [naive_negacyclic_mul(a, b, p).coeffs for a, b in pairs]
 
 
 
@@ -1423,11 +1427,36 @@ class TestNetworkProof:
                        PipelineConfig(n=16, params=p))
 
     def test_runs_once_per_n(self, fixed_params):
+        # and the table certificate once per table set
         _network_proof.cache_clear()
+        _table_proof.cache_clear()
         p = fixed_params[16]
         pairs = rand_pairs(random.Random(66), p, 2)
         config = PipelineConfig(n=16, params=p)
         first = run_stream(pairs, config)
         assert run_stream(pairs, config) == first
-        info = _network_proof.cache_info()
+        assert _network_proof.cache_info().misses == 1
+        info = _table_proof.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_run_stream_rests_on_the_table_certificate(self, fixed_params,
+                                                      tmp_path):
+        # a tampered table raises before any product or trace row
+        p = fixed_params[16]
+        tw = p.stage_twiddles_inv[1]
+        bad = dataclasses.replace(p, stage_twiddles_inv=(
+            p.stage_twiddles_inv[0], tw[::-1], *p.stage_twiddles_inv[2:]))
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(PipelineAssertionError,
+                           match="^tables: stage_twiddles_inv "):
+            run_stream(rand_pairs(random.Random(67), p, 2),
+                       PipelineConfig(n=16, params=bad), trace_path=trace)
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_products_equal_the_transform_above_1024(self, n):
+        p = build_params(RLWE_M, n)
+        pairs = rand_pairs(random.Random(n), p, 3)
+        prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p))
+        assert ([q.coeffs for q in prods]
+                == [negacyclic_mul_ntt(a, b, p).coeffs for a, b in pairs])

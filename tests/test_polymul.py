@@ -1,12 +1,16 @@
+import dataclasses
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nttmul import build_params
-from nttmul.params import is_prime
+from nttmul import params as params_module
+from nttmul.params import derive_roots, is_prime
+from nttmul.pipesim import PipelineAssertionError, _table_proof
 from nttmul.polymul import (
     Polynomial,
     _forward,
@@ -352,3 +356,102 @@ class TestFiveStepMul:
         b = rand_poly(rng, p17_8)
         c = negacyclic_mul_ntt(a, b, p17_8)
         assert c.domain == "coefficient"
+
+
+CERTIFIED_RINGS = [(M, N) for M in (17, FIXED_M, 12289, 786433)
+                   for N in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+                   if (M - 1) % (2 * N) == 0]
+
+
+def tampered(params, key, at, value):
+    # params with entry `at` of table `key` (a (stage, entry) pair for the
+    # stage tables, None for a scalar) set to value
+    if at is None:
+        return dataclasses.replace(params, **{key: value})
+    table = getattr(params, key)
+    if isinstance(at, tuple):
+        s, i = at
+        stage = table[s][:i] + (value,) + table[s][i + 1:]
+        return dataclasses.replace(params,
+                                   **{key: table[:s] + (stage,) + table[s + 1:]})
+    return dataclasses.replace(params,
+                               **{key: table[:at] + (value,) + table[at + 1:]})
+
+
+class TestNetworkCertificate:
+    """pipesim's certificate: polymul's network is a tree of CRT splits
+    (``_network_proof``) and a table set holds the powers it needs
+    (``_table_proof``), so the five steps compute a*b mod x**N + 1."""
+
+    @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
+    def test_accepts_derived_tables(self, M, N):
+        _table_proof.__wrapped__(build_params(M, N))
+
+    @given(ring=_prime_rings(), data=st.data())
+    def test_rejects_any_single_tampered_entry(self, ring, data):
+        M, N = ring
+        p = build_params(*ring)
+        _table_proof.__wrapped__(p)
+        key = data.draw(st.sampled_from(
+            ["weights_fwd", "weights_inv_scaled", "stage_twiddles_fwd",
+             "stage_twiddles_inv", "phi", "omega", "phi_inv", "omega_inv",
+             "n_inv"]))
+        if isinstance(getattr(p, key), int):
+            at, old = None, getattr(p, key)
+        elif key.startswith("stage"):
+            s = data.draw(st.integers(0, p.num_stages - 1))
+            i = data.draw(st.integers(0, len(getattr(p, key)[s]) - 1))
+            at, old = (s, i), getattr(p, key)[s][i]
+        else:
+            at = data.draw(st.integers(0, N - 1))
+            old = getattr(p, key)[at]
+        value = data.draw(st.integers(0, M - 1).filter(lambda v: v != old))
+        with pytest.raises(PipelineAssertionError, match=key):
+            _table_proof.__wrapped__(tampered(p, key, at, value))
+
+    @pytest.mark.parametrize("mutant", ["twiddle-swap", "index-rotation",
+                                        "direction-swap"])
+    def test_rejects_table_mutants(self, fixed_params, mutant):
+        # at N = 256, for every stage table with two or more entries: its
+        # first two entries swapped; its entries rotated by one, which is a
+        # pair reading twiddle j + 1 mod len; or the same-length table of
+        # the other direction in its place
+        p = fixed_params[256]
+        rejected = 0
+        for key, other in (("stage_twiddles_fwd", "stage_twiddles_inv"),
+                           ("stage_twiddles_inv", "stage_twiddles_fwd")):
+            tables = getattr(p, key)
+            for s, tw in enumerate(tables):
+                if len(tw) < 2:
+                    continue
+                new = {"twiddle-swap": (tw[1], tw[0]) + tw[2:],
+                       "index-rotation": tw[1:] + tw[:1],
+                       "direction-swap": getattr(p, other)[-1 - s]}[mutant]
+                assert new != tw
+                mutated = tables[:s] + (new,) + tables[s + 1:]
+                with pytest.raises(PipelineAssertionError, match=key):
+                    _table_proof.__wrapped__(
+                        dataclasses.replace(p, **{key: mutated}))
+                rejected += 1
+        assert rejected == 14
+
+    @pytest.mark.parametrize("roots, law", [
+        (lambda omega, phi: (omega * omega, omega), "phi**N = -1"),
+        (lambda omega, phi: (omega * omega, phi), "omega = phi**2")])
+    def test_rejects_consistent_tables_of_wrong_roots(self, monkeypatch,
+                                                     roots, law):
+        # tables derived as build_params derives them, but from phi = omega
+        # (phi**N = 1) or from omega**2 (order N/2): every table matches its
+        # root, the products are wrong, and only the law catches it
+        M, N = FIXED_M, 16
+        right = derive_roots(M, N)
+        monkeypatch.setattr(params_module, "derive_roots", lambda M, N: tuple(
+            x % M for x in roots(*right)))
+        p = build_params(M, N)
+        rng = random.Random(71)
+        a, b = rand_poly(rng, p), rand_poly(rng, p)
+        assert (negacyclic_mul_ntt(a, b, p).coeffs
+                != naive_negacyclic_mul(a, b, p).coeffs)
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^tables: {re.escape(law)} fails$"):
+            _table_proof.__wrapped__(p)
