@@ -48,10 +48,13 @@ polymul walks, pair for pair and twiddle for twiddle, and that this
 network is a tree of CRT splits; :func:`_table_proof` shows, once per
 table set, that the tables hold the powers the splits need, so the network
 computes a*b mod x**N + 1 for every input; and the schoolbook product is
-exact by its no-carry bound.  The index proofs hold per N and the table
-check per table set; primality of M, which neither uses, is decided
-exactly below 2**64 by :func:`nttmul.params.ring_problem`.  The same
-inputs and configuration give the same trace.
+exact by its slot bound: with B the smallest multiple of M at or above
+N*(M-1)**2, each wrapped slot s_k - s_{k+N} + B lies in [0, 2B], so no
+slot carries or borrows, for every coefficient below M < 2**64.  The
+index proofs hold per N and the table check per table set; primality of
+M, which neither uses, is decided exactly below 2**64 by
+:func:`nttmul.params.ring_problem`.  The same inputs and configuration
+give the same trace.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Reference negacyclic polynomial multiplication.
 
 Everything here is the plain, array-at-a-time version of the arithmetic: a
-schoolbook product computed as one exact big-int multiplication, which
-serves as the oracle, a constant-geometry transform pair on the per-stage
-twiddle tables, and the five-step weighted-transform multiplier (weight,
-forward, pointwise, inverse, unweight).  The streaming pipeline model in
-:mod:`nttmul.pipesim` returns the schoolbook's products, once it has
-proved that its stages route this transform's network and that the
-network, on the tables it is given, computes a*b mod x**N + 1 for every
-input (``pipesim._network_proof`` and ``pipesim._table_proof``).
+schoolbook product computed as one exact big-int multiplication that also
+wraps x**N = -1, which serves as the oracle (its wrapped slots
+s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so none carries or
+borrows, for coefficients below M < 2**64), a constant-geometry transform
+pair on the per-stage twiddle tables, and the five-step weighted-transform
+multiplier (weight, forward, pointwise, inverse, unweight).  The streaming
+pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's products,
+once it has proved that its stages route this transform's network and
+that the network, on the tables it is given, computes a*b mod x**N + 1 for
+every input (``pipesim._network_proof`` and ``pipesim._table_proof``).
 
 Polynomials carry one tag besides their coefficients: ``domain`` says which
 side of the transform the values live on (``coefficient`` or ``evaluation``).
@@ -18,7 +20,9 @@ Entries are always in natural order.
 from __future__ import annotations
 
 import reprlib
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .params import NttParams, bit_reverse_index
 
@@ -66,6 +70,30 @@ def _check_operand(p: Polynomial, params: NttParams, *, domain: str, name: str):
         raise ValueError(f"{name}: expected {domain}-domain operand, got {p.domain}")
 
 
+@lru_cache(maxsize=64)
+def _slots(n: int, M: int):
+    """Slot geometry of :func:`naive_negacyclic_mul` for (N, M): the slot
+    width w in bytes, q = ceil(w/8) 64-bit limbs a slot spreads into, the
+    bytes a coefficient below M fills, D (B in each of N slots), and the
+    struct packer of N coefficients and unpacker of q*N limbs."""
+    B = -(-n * (M - 1) ** 2 // M) * M   # smallest multiple of M >= N*(M-1)**2
+    w = ((2 * B).bit_length() + 7) // 8
+    q = (w + 7) // 8
+    D = int.from_bytes(B.to_bytes(w, "little") * n, "little")
+    return (w, q, ((M - 1).bit_length() + 7) // 8, D,
+            struct.Struct(f"<{n}Q").pack, struct.Struct(f"<{q * n}Q").unpack)
+
+
+def _restride(src, step: int, new_step: int, width: int, n: int) -> bytearray:
+    """The low ``width`` bytes of n records ``step`` bytes apart in src,
+    copied into zeroed records ``new_step`` bytes apart: one strided slice
+    copy per byte lane, so the per-record work stays in C."""
+    out = bytearray(new_step * n)
+    for j in range(width):
+        out[j::new_step] = src[j::step]
+    return out
+
+
 def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
                          params: NttParams) -> Polynomial:
     """Schoolbook product reduced mod x**N + 1: the oracle for every other path.
@@ -73,21 +101,34 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
     c_k = s_k - s_{k+N} (mod M), where s_k = sum_{i+j = k} a_i b_j is the full
     product, computed as one exact big-int product (Kronecker substitution):
     each operand becomes one int holding coefficient i in byte slot i of w
-    bytes, the two ints are multiplied once, and slot k of the result is s_k.
-    No slot carries into the next: s_k is a sum of at most N terms, each at
-    most (M-1)**2, so 0 <= s_k <= N*(M-1)**2 < 2**(8*w).  The bound holds for
-    every M and N, so there is no headroom branch.
+    bytes, the two ints are multiplied once to z, and slot k of z is s_k.
+    The wrap happens in the big-int too: with B the smallest multiple of M
+    at or above N*(M-1)**2 and D holding B in every slot, slot k of
+    r = lo(z) - hi(z) + D (the low and high N slots of z) is
+    s_k - s_{k+N} + B, so c_k = slot_k mod M.  No slot carries or borrows:
+    0 <= s_k <= N*(M-1)**2 <= B, so every slot of z and of r lies in
+    [0, 2B], and w is the fewest bytes holding 2B.
+
+    Coefficients are below M < 2**64, which
+    :func:`nttmul.params.ring_problem` enforces for every table set, so
+    struct packs them as little-endian 64-bit words and byte-lane slice
+    copies lay them into w-byte slots; unpacking spreads each slot into
+    q = ceil(w/8) words and joins them.  One path serves every M and N;
+    only the final reduction runs per coefficient in Python.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     N, M = params.n, params.M
-    w = ((N * (M - 1) ** 2).bit_length() + 7) // 8
-    x, y = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in p.coeffs),
-                           "little") for p in (a, b))
-    buf = (x * y).to_bytes(2 * N * w, "little")
-    s = [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
-    return Polynomial(tuple((s[k] - s[k + N]) % M for k in range(N)), M,
-                      "coefficient")
+    w, q, width, D, pack, unpack = _slots(N, M)
+    x, y = (int.from_bytes(_restride(pack(*p.coeffs), 8, w, width, N), "little")
+            for p in (a, b))
+    z, bits = x * y, 8 * w * N
+    r = (z & (1 << bits) - 1) - (z >> bits) + D
+    limbs = unpack(_restride(r.to_bytes(w * N, "little"), w, 8 * q, w, N))
+    s = limbs[0::q]
+    for j in range(1, q):
+        s = [lo + (hi << 64 * j) for lo, hi in zip(s, limbs[j::q])]
+    return Polynomial(tuple([v % M for v in s]), M, "coefficient")
 
 
 def _forward(a: list[int], tables, M: int) -> list[int]:

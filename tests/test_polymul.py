@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from nttmul import build_params
 from nttmul import params as params_module
 from nttmul.params import derive_roots, is_prime
-from nttmul.pipesim import PipelineAssertionError, _table_proof
+from nttmul.pipesim import (PipelineAssertionError, PipelineConfig, _table_proof,
+                            run_stream)
 from nttmul.polymul import (
     Polynomial,
     _forward,
     _inverse,
+    _slots,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
     ntt_forward,
@@ -22,6 +24,12 @@ from nttmul.polymul import (
 )
 
 FIXED_M = 1_049_089
+# (M, N, w, q): rings whose schoolbook slot of w bytes spreads into q 64-bit
+# limbs, under one limb, exactly one, two (twice) and three; the last M is
+# the largest prime below 2**64 with 64 | M - 1
+LIMB_RINGS = [(FIXED_M, 256, 7, 1), (1_073_741_441, 8, 8, 1),
+              (1_518_500_033, 8, 9, 2), (3_221_225_473, 8, 9, 2),
+              (18_446_744_073_709_550_593, 32, 17, 3)]
 
 
 def rand_poly(rng, params, **tags):
@@ -142,15 +150,42 @@ class TestNaiveMul:
         assert (naive_negacyclic_mul(a, b, p).coeffs
                 == schoolbook_reference(a.coeffs, b.coeffs, N, M))
 
-    @pytest.mark.parametrize("M, N", [(FIXED_M, 256), (3221225473, 8)])
+    @pytest.mark.parametrize("M, N, w, q", LIMB_RINGS)
+    def test_random_operands_at_limb_boundaries(self, M, N, w, q):
+        assert _slots(N, M)[:2] == (w, q)
+        p = build_params(M, N)
+        rng = random.Random(M)
+        for _ in range(4):
+            a = rand_poly(rng, p)
+            b = rand_poly(rng, p)
+            want = schoolbook_reference(a.coeffs, b.coeffs, N, M)
+            assert naive_negacyclic_mul(a, b, p).coeffs == want
+
+    @pytest.mark.parametrize("M, N", [(FIXED_M, 256), (3221225473, 8),
+                                      (1_073_741_441, 8),
+                                      (18_446_744_073_709_550_593, 32)])
     def test_all_max_operands_fill_the_slot_bound(self, M, N):
-        # full-product coefficient N - 1 is N * (M-1)**2, the largest value a
-        # packed slot must hold; as (M-1)**2 = 1 (mod M), c_k = 2k + 2 - N
+        # full-product coefficient N - 1 is N * (M-1)**2, so wrapped slot
+        # N - 1 holds N * (M-1)**2 + B, within M of the 2B a slot must hold;
+        # as (M-1)**2 = 1 (mod M), c_k = 2k + 2 - N
         p = build_params(M, N)
         top = Polynomial((M - 1,) * N, M)
         want = schoolbook_reference(top.coeffs, top.coeffs, N, M)
         assert want == tuple((2 * k + 2 - N) % M for k in range(N))
         assert naive_negacyclic_mul(top, top, p).coeffs == want
+
+    @pytest.mark.parametrize("M, N, mode", [(FIXED_M, 256, "schedule"),
+                                            (12289, 1024, "structural")])
+    def test_random_products_at_benchmark_sizes(self, M, N, mode):
+        # run_stream returns this kernel's products, so at these sizes they
+        # are checked against the independent schoolbook here
+        p = build_params(M, N)
+        rng = random.Random(N)
+        pairs = [(rand_poly(rng, p), rand_poly(rng, p)) for _ in range(3)]
+        want = [schoolbook_reference(a.coeffs, b.coeffs, N, M) for a, b in pairs]
+        assert [naive_negacyclic_mul(a, b, p).coeffs for a, b in pairs] == want
+        prods, _ = run_stream(pairs, PipelineConfig(n=N, params=p, mode=mode))
+        assert [c.coeffs for c in prods] == want
 
     def test_commutative(self, fixed_params):
         p = fixed_params[16]
