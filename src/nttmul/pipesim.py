@@ -33,12 +33,14 @@ stretches the fill latency but must not change throughput.
 
 The schedule does not depend on the data, so the stages carry control only:
 :func:`_run_cycles` routes position labels and checks every fire it ticks
-against a routing and a timing law (:class:`_PipeStage`).  Untraced, each
-stage leaves the loop once its state repeats, a period of its own after its
-first fire, and fires the rest of the stream by the timing law; traced, the
-loop jumps from its steady state to the last product boundary.  Both are
-proved in its docstring, and every run ends by checking each stage's first
-fire and every completion against closed forms (:func:`_schedule_law`).
+against a routing and a timing law (:class:`_PipeStage`).  It proves the
+stages one at a time in dataflow order, each ticked alone on its feeder's
+output by the timing law from its first arrival until its state repeats, a
+period of its own after its first fire; the rest of its stream follows by
+the timing law, as its docstring proves.  Every run ends by checking each
+stage's first fire and every completion against closed forms
+(:func:`_schedule_law`), and a trace is written from closed forms too
+(:func:`_write_trace`).
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` shows,
@@ -62,7 +64,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import groupby
 
 # read by perfbench/tracing.count_modmuls, which wraps it by name
 from .modarith import karatsuba_mul  # noqa: F401
@@ -77,8 +78,8 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 
 class PipelineAssertionError(RuntimeError):
-    """A fire misrouted or came off its cycle, the schedule wedged, or the
-    tables are not the powers the network needs.
+    """A fire misrouted or came off its cycle, a stage fell short of its
+    law, or the tables are not the powers the network needs.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -95,7 +96,11 @@ class PipelineConfig:
     respectively; scalar multiplier units (weight, pointwise, unweight) take
     ``butterfly_latency - ADDSUB_CYCLES`` since they skip the add/sub step.
     It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
-    since the fill, the cycles a run ticks and the wedge limit grow with it.
+    since the fill, and with it the rows a traced run writes, grows with
+    it.  The per-stage proof does not: each stage is ticked from its first
+    arrival for at most hold + 1 + its period cycles, or to its last fire
+    in a stream too short to repeat, and a stage short of its law raises on
+    the cycle after its last fire was due (:func:`_run_cycles`).
     """
 
     n: int
@@ -146,11 +151,12 @@ class StageFifo:
     taps without reloading them, and idles any other phase.  Capacity is
     exactly ``2 * hold``: a fixed bank can neither overflow nor underflow,
     and a wrong slot breaks the routing law :class:`_PipeStage` checks.
-    The FIFO checks no gap: its feeder is a :class:`_PipeStage`, whose
-    fires the timing law keeps contiguous, so after a gap the feeder's next
-    fire is late and raises before its result reaches the FIFO.  A stream
+    The FIFO checks no gap: its input is its feeder's output by the timing
+    law, which keeps the feeder's fires contiguous, and only the gate in
+    front of inverse stage 1, which has no FIFO, could open a gap, where
+    that stage's next fire is late and raises.  A stream
     of whole transforms ends just as a drain phase starts; one cut short
-    leaves the run short of results, and "schedule wedged" raises.
+    leaves its stage short of its law, which raises at the stage's bound.
     """
 
     __slots__ = ("hold", "block_i", "block_ii", "counter", "_hshift")
@@ -212,7 +218,7 @@ class _PipeStage:
     ``hold = 0`` means no FIFO: the pair (x_j, x_{j+N/2}) arriving on one
     cycle goes straight into the unit, higher element first.  Stage 1 of
     each transform and the weighting, pointwise and unweighting multipliers
-    are such columns.  Without a ``trace`` sink a stage emits no rows.
+    are such columns.
 
     Fire t, counted over the stream, emits the labels (2t, 2t + 1).  By the
     routing law it pairs, higher label first, (2t + d, 2t) when ``t & hold``
@@ -221,27 +227,22 @@ class _PipeStage:
     either raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per_block of its stage's table.
 
-    The unit holds no state: each tick, once per cycle, sets ``out`` to
-    fire k's result, k = cycle - lag - first_fire with lag = latency - 1,
-    when fire k has happened (0 <= k < t), and to None otherwise
-    (:func:`_law_out`).
+    The unit holds no state: fire k's result leaves it lag = latency - 1
+    cycles after the fire (:func:`_law_out`).
     """
 
-    __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "n_half",
-                 "t", "out", "first_fire", "trace")
+    __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "t",
+                 "first_fire")
 
-    def __init__(self, label, hold, per_block, latency, n_half, trace=None):
+    def __init__(self, label, hold, per_block, latency):
         self.label = label
         self.fifo = StageFifo(hold) if hold else None
         self.lag = latency - 1
         self.hold = hold
         self.d = max(1, 2 * hold)
         self.per_block = per_block
-        self.n_half = n_half
         self.t = 0
-        self.out = None
         self.first_fire = None
-        self.trace = trace
 
     def tick(self, cycle: int, arrival):
         fifo = self.fifo
@@ -264,18 +265,6 @@ class _PipeStage:
                 raise PipelineAssertionError(
                     f"{self.label}: fire {t} at cycle {cycle}, "
                     f"not {self.first_fire + t}")
-        if self.trace is not None:
-            fired_positions = ("", "")
-            if pair is not None:
-                tp = t % self.n_half
-                base = 2 * tp - tp % self.per_block
-                fired_positions = (base, base + self.per_block)
-            if fifo is not None and fifo.counter:
-                self.trace((cycle, self.label, fifo.sel, fifo.counter,
-                            *fired_positions))
-            elif pair is not None:
-                self.trace((cycle, self.label, "", "", *fired_positions))
-        self.out = _law_out(self, cycle)
 
 
 class _TransformGate:
@@ -385,8 +374,8 @@ def _check_n(n: int):
 # the simulator
 
 class _TraceWriter:
-    """Trace rows as CSV text on an open file: one row as it is produced,
-    or a recorded period again over a range of shifts.  The text is what
+    """Trace rows as CSV text on an open file: a run of rows in one write,
+    or a period of rows again over a range of shifts.  The text is what
     ``csv.writer`` writes, ``\\r\\n`` line ends included, because no field
     needs quoting or holds a ``%``: labels are ``[a-z0-9_]`` and every
     other field is an int or ``""``."""
@@ -396,8 +385,8 @@ class _TraceWriter:
     def __init__(self, fh):
         self.write = fh.write
 
-    def row(self, row):
-        self.write("%s,%s,%s,%s,%s,%s\r\n" % row)
+    def rows(self, rows):
+        self.write("".join(["%s,%s,%s,%s,%s,%s\r\n" % row for row in rows]))
 
     def repeat(self, rows, shifts):
         """``rows`` once per shift i, with ``cycle`` and a FIFO's
@@ -567,20 +556,18 @@ def _table_proof(params: NttParams):
                 f"tables: {key} is not what the network needs")
 
 
-def _build_chains(config: PipelineConfig, trace):
+def _build_chains(config: PipelineConfig):
     """The datapath's control as two chains of stages, each fed by the one
     before: ``front = [weight, *forward, pointwise]``, whose routing both
-    operands take, and ``back = [*inverse, unweight]``.  Butterfly stages
-    write rows to ``trace``."""
+    operands take, and ``back = [*inverse, unweight]``."""
     n = config.n
 
     def butterflies(forward: bool, label: str):
-        return [_PipeStage(f"{label}{s}", *timing, config.butterfly_latency,
-                           n // 2, trace)
+        return [_PipeStage(f"{label}{s}", *timing, config.butterfly_latency)
                 for s, timing in enumerate(_butterfly_timing(n, forward), 1)]
 
     def multiplier(label):
-        return _PipeStage(label, 0, 1, config.scalar_latency, n // 2)
+        return _PipeStage(label, 0, 1, config.scalar_latency)
 
     # Labelled "fwd_a" as when each operand had its own pipeline and only
     # the first was traced, so trace files stay byte-identical.
@@ -595,13 +582,12 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     ``pairs`` is a sequence of (a, b) coefficient-domain polynomials.  Feeds
     two coefficients of each operand per cycle with no gaps and returns
-    ``(products, CycleReport)``.  Untraced, each stage leaves the cycle loop
-    once its control state repeats, a period of its own after its first
-    fire, and its remaining fires, and the remaining completions, follow
-    from the timing law; a stage whose state cannot repeat before the
-    stream ends, as in a stream of one product, is ticked to its last
-    result.  Traced, the loop jumps from its steady state to the last
-    product boundary and drains.  Both give one report.  Products are
+    ``(products, CycleReport)``.  The schedule is proved one stage at a
+    time, each stage ticked alone on its feeder's output by law until its
+    control state repeats, a period of its own after its first fire, or,
+    in a stream too short for that, until its last fire; its remaining
+    fires, and the completions, follow from the timing law
+    (:func:`_run_cycles`).  Products are
     :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order.  Before
     any is computed, the run checks :func:`_network_proof` for its N and
     :func:`_table_proof` for its tables: the stages route polymul's
@@ -614,11 +600,13 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     ``total_regs = 2 * forward + inverse``.
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
-    activity (cycle, stage, sel, counter, emitted pair indices) is streamed
-    there: ticked rows as they are produced, and each repeated period as
-    one formatted write, so memory holds at most one period's text.  The
-    file is closed, and so complete up to the failing cycle, also when a
-    :class:`PipelineAssertionError` aborts the run.
+    activity (cycle, stage, sel, counter, emitted pair indices) is written
+    there after the same proof, from the closed forms of
+    :func:`_write_trace`: the fill and the drain row by row, and the
+    steady middle as one period repeated, so memory holds at most one
+    period's text.  A traced and an untraced run give one report.  When a
+    :class:`PipelineAssertionError` aborts the run, the file holds the
+    law's rows up to the failing cycle and stage, and is closed.
     """
     params = config.params
     _network_proof(config.n)
@@ -633,14 +621,6 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     return products, report
 
 
-def _tick_chain(chain, cycle, arrival):
-    # reverse dataflow order: every stage reads the output its producer
-    # latched on the previous cycle
-    for s in range(len(chain) - 1, 0, -1):
-        chain[s].tick(cycle, chain[s - 1].out)
-    chain[0].tick(cycle, arrival)
-
-
 def _law_out(st, cycle):
     """A stage's output after ``cycle``'s tick by the timing law: fire k's
     labels, k = cycle - lag - first_fire, if 0 <= k < t."""
@@ -648,58 +628,12 @@ def _law_out(st, cycle):
     return (2 * k, 2 * k + 1) if 0 <= k < st.t else None
 
 
-def _window(chain, reach, left):
-    """The stages up to ``chain[reach]`` not in ``left``, as runs of
-    consecutive stages, each with the index of its first in ``chain``."""
-    runs, i = [], 0
-    for ticked, run in groupby(chain[:reach + 1], lambda st: st not in left):
-        run = list(run)
-        if ticked:
-            runs.append((i, run))
-        i += len(run)
-    return runs
-
-
-class _Window:
-    """``runs``, the stages of one chain that a cycle ticks: none past
-    ``reach``, which moves on when the stage at it first emits, and none in
-    ``left``.  A run's first stage reads ``source(cycle)`` if it is
-    ``chain[0]``, else the law output of the stage before it, which has
-    left."""
-
-    __slots__ = ("chain", "source", "left", "reach", "runs")
-
-    def __init__(self, chain, source, left):
-        self.chain, self.source, self.left = chain, source, left
-        self.reach = -1
-        self.rebuild()
-
-    def tick(self, cycle):
-        for head, run in self.runs:
-            _tick_chain(run, cycle, self.source(cycle) if not head
-                        else _law_out(self.chain[head - 1], cycle - 1))
-
-    def update(self, cycle, started=True):
-        """Moves ``reach`` on by one: from -1 once the chain has
-        ``started``, else past a stage whose law output after ``cycle``'s
-        tick is not None.  Returns the stage it reaches."""
-        reach = self.reach
-        if (_law_out(self.chain[reach], cycle) is not None if reach >= 0
-                else started):
-            self.reach = reach + 1
-            self.rebuild()
-            return self.chain[reach + 1]
-        return None
-
-    def rebuild(self):
-        self.runs = _window(self.chain, self.reach, self.left)
-
-
 def _moved(stages, gate, fires):
-    """The state the loop reads moved up by ``fires`` fires, as values: gate
-    (_ready, pairs) or None, per stage (t, FIFO counter and banks, or
-    None).  A FIFO holds nothing else: its peak follows from ``counter``;
-    nor does a unit: ``out`` follows from t and the cycle."""
+    """The state a stage's proof reads moved up by ``fires`` fires, as
+    values: gate (_ready, pairs) or None, per stage (t, FIFO counter and
+    banks, or None).  A FIFO holds nothing else: its peak follows from
+    ``counter``; nor does a unit: its output follows from t and the
+    cycle."""
     lab = 2 * fires
     state = [gate and (gate._ready, deque((a + lab, b + lab)
                                           for a, b in gate._pairs))]
@@ -742,179 +676,192 @@ def _schedule_law(n, butterfly_latency):
     return tuple(fwd), tuple(inv), inv[-1] + n // 2 - 1 + (L - 1) + S
 
 
+def _write_trace(trace, n, count, fly, firsts, stop=None):
+    """Writes the trace rows of ``count`` products by their closed forms,
+    for the butterfly stages ``fly`` in tick order with the first fires
+    ``firsts``, shaped as :func:`_schedule_law` returns them: every cycle
+    up to the first completion's cycle plus ``count - 1`` periods, or, with
+    ``stop = (cycle, k)``, the cycles before ``cycle`` and that cycle's
+    rows of the first k stages.
+
+    A stage with hold h, fires per twiddle ``per`` and first fire F fires
+    t < T = count * N/2 at cycle F + t, and with tp = t mod N/2 and base =
+    2tp - tp mod ``per`` emits the pair fields (base, base + ``per``).
+    Behind a FIFO it writes a row on every cycle c from its first arrival,
+    F - h, with the counter min(c - F + h + 1, T + h), the arrivals and
+    then the drain's None arrivals it has counted, and sel 1 - (counter //
+    h mod 2); without one (stage 1) it writes a row only on the cycles it
+    fires.  Within a cycle rows go in tick order: inverse stages from the
+    last to the first, then forward stages from the last to the first.
+
+    From the last first fire to the first stage's last fire every stage
+    fires and no counter has stopped, so the rows of a cycle N/2 later are
+    those of the cycle, with ``cycle`` and ``counter`` up N/2, ``sel``
+    unchanged as 2h divides N/2, and the pair fields unchanged: that
+    middle is one period's rows repeated (:meth:`_TraceWriter.repeat`).
+    The fill and the drain are written row by row, one period's cycles a
+    write."""
+    n_half, total = n // 2, count * n // 2
+    fwd, inv, done = firsts
+    cols = [(st.label, st.hold, st.per_block, first)
+            for st, first in zip(fly, (*inv[::-1], *fwd[::-1]))]
+    end, keep = stop or (done + total - n_half, len(cols))
+
+    def rows(cycles, cols=cols):
+        out = []
+        for c in cycles:
+            for label, h, per, first in cols:
+                t = c - first
+                fires = 0 <= t < total
+                if h and t >= -h:
+                    k = min(t + h + 1, total + h)
+                    sel = 1 - (k // h & 1)
+                elif fires:
+                    sel = k = ""
+                else:
+                    continue
+                if fires:
+                    tp = t % n_half
+                    lo = 2 * tp - tp % per
+                    out.append((c, label, sel, k, lo, lo + per))
+                else:
+                    out.append((c, label, sel, k, "", ""))
+        return out
+
+    def write(lo, hi):
+        for c in range(lo, hi, n_half):
+            trace.rows(rows(range(c, min(c + n_half, hi))))
+
+    steady = max(fwd + inv)
+    periods = max(0, min(min(fwd) + total, end) - steady) // n_half
+    if periods:
+        write(1, steady)
+        trace.repeat(rows(range(steady, steady + n_half)),
+                     range(0, periods * n_half, n_half))
+    write(steady + periods * n_half if periods else 1, end)
+    trace.rows(rows((end,), cols[:keep]))
+
+
 def _run_cycles(config, count, trace):
-    """The cycle loop for ``count`` products, position j of product p fed
-    as the labels (pN + 2j, pN + 2j + 1): the feed is the law output of a
-    stage that fires f at cycle f + 1.  ``trace`` is a :class:`_TraceWriter`
-    or None.  Returns the :class:`CycleReport` once every butterfly stage's
-    first fire and every completion has matched :func:`_schedule_law`.
+    """The per-stage proof of the schedule for ``count`` products, position
+    j of product p fed as the labels (pN + 2j, pN + 2j + 1): the feed is
+    the law output of a stage that fires f at cycle f + 1.  ``trace`` is a
+    :class:`_TraceWriter` or None.  Returns the :class:`CycleReport` once
+    every butterfly stage's first fire and every completion has matched
+    :func:`_schedule_law`.
+
+    The stages are proved one at a time in dataflow order: weighting, the
+    forward stages, pointwise, inverse stage 1 with the gate, the other
+    inverse stages, unweighting.  Each is ticked alone on its feeder's law
+    output (:func:`_law_out`), from its first arrival: its feeder's first
+    fire + lag + 1.  The gate takes pointwise's law output from the cycle
+    it starts, and inverse stage 1 reads the gate from the cycle after its
+    first block is complete.  Cycles before a first arrival idle the stage
+    and are never walked.
 
     The shift: moving a stage's state up P fires (t and a FIFO's counter
     up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
     ticks on arrivals moved up 2P, if P is a multiple of the stage's
     period: 2 * hold behind a FIFO, 1 without one, and N/2 for inverse
-    stage 1 with the gate it reads.  The loop never reads a label's value:
+    stage 1 with the gate it reads.  A stage never reads a label's value:
     it moves labels, emits (2t, 2t + 1) at fire t and checks that fire t
     pairs 2t plus terms in ``hold`` and ``t & hold``.  So ``t & hold``
     stays, and so do a FIFO's phase bit and tap ``counter mod hold``, which
     with != 0 and < hold (false past its first fire) are all it reads of
     ``counter``.  A stage reads ``t`` also as 0, passed at its first fire,
-    mod N/2 in trace rows, and against ``cycle`` in the timing law and in
-    ``out``, fire cycle - lag - first_fire's if below t: ``first_fire`` is
-    fixed, and ``cycle`` and ``t`` move together.
+    and against ``cycle`` in the timing law: ``first_fire`` is fixed, and
+    ``cycle`` and ``t`` move together.
 
-    Untraced, each stage is snapshot at its first fire and every P fires
+    Each stage is snapshot at its first fire by law and every P fires
     after, while t is below the total T = count * N/2: its state moved
-    down by t, less ``out``, which its ticks do not read.  A snapshot
-    counts only if t is then its timing-law count, cycle - first_fire + 1
-    (c), and the stage leaves the loop at the first equal to the one
-    before.  A stage that has left is not ticked, its t becomes T, and the
-    stage after it reads its law output.  A stage also leaves once its fire
-    T - 1's result has left ``out``: its ticks would idle it.  The loop
-    ends only when every stage has left (a) and every result is collected.
-    When unweighting leaves at a repeat, its remaining completions follow
-    by law (completion j is its fire (j + 1)N/2 - 1 leaving, at first_fire
-    + lag + (j + 1)N/2 - 1) and count as collected, but they reset no
-    wedge counter and end no loop (b).  Proof that every stage fires T
-    times by both laws, and so emits its law output on every cycle, by
-    induction along each chain: the feed does.  Let a stage's feeder do so
-    (for inverse stage 1, pointwise, whose law output feeds the gate until
-    inverse stage 1 leaves).  Its ticked fires were checked.  If it left at
-    a repeat, its input is invariant under the shift from its first fire
-    on, so with equal states P fires apart, both on its law by (c), the
-    fires that follow are those P fires before, which met both laws,
-    shifted, and the state comes back to the same, up to the end of the
-    input.  T is a multiple of N/2 and so of P: a stream of whole
-    transforms ends just as a drain phase starts, where a None arrival
-    pairs the taps as a live one would, so the last fires repeat too, and
-    the stage fires T times.  At t >= 1 a FIFO is past its fill, so every
-    slot holds a live label.  The induction needs each feeder to leave,
-    also after its consumer has, which (a) gives: a stage that stops firing
-    falls behind its law for good, so no later snapshot of it counts and it
-    never makes T fires, and the loop wedges (b).
+    down by t.  A snapshot counts only if t is then its timing-law count,
+    cycle - first_fire + 1 (c), and the stage stops at the first equal to
+    the one before, or else after its fire T - 1; either way t becomes T.
+    Its bound: a stage not done on the cycle past its fire T - 1's cycle by
+    law, first_fire + T - 1, or before its first fire that of its first
+    fire by law, has fallen short of its law, and raises.  Proof that
+    every stage fires T times by both laws, and so emits its law output on
+    every cycle, by induction in dataflow order: the feed does.  Let a
+    stage's feeder do so (for inverse stage 1, pointwise, whose law output
+    feeds the gate).  Its ticked fires were checked.  If it stopped at a
+    repeat, its input is invariant under the shift from its first fire on,
+    so with equal states P fires apart, both on its law by (c), the fires
+    that follow are those P fires before, which met both laws, shifted, and
+    the state comes back to the same, up to the end of the input.  T is a
+    multiple of N/2 and so of P: a stream of whole transforms ends just as
+    a drain phase starts, where a None arrival pairs the taps as a live one
+    would, so the last fires repeat too, and the stage fires T times.  At
+    t >= 1 a FIFO is past its fill, so every slot holds a live label.  So
+    completion k, unweighting's fire (k + 1)N/2 - 1 leaving, comes at its
+    first_fire + lag + (k + 1)N/2 - 1.
 
-    Traced, every stage that has had an arrival ticks each cycle.  At
-    product boundary k, once every stage has emitted, the state relative to
-    k is: labels minus kN; FIFO ``counter``, stage ``t`` and the collected
-    count minus kN/2; ``_ready`` as it is; ``out`` moves with ``t``.  If
-    boundary k + 1 repeats k, the loop moves the state to the last
-    boundary, repeats the period's completion and trace rows (``cycle`` and
-    ``counter`` up N/2 per period), and drains.  Proof: by the shift with P
-    = N/2, every later boundary repeats k.  At a snapshot each FIFO is past
-    its fill and no None has reached it since (its feeder fires on,
-    contiguously), so every slot holds a live label: the jump moves banks
-    whole.  The feed and the collected count are read mod N/2 and against
-    the total, unreached before the last boundary, and ``idle`` is 0 at
-    each boundary the feed reaches.
-
-    Each cycle ticks only each chain's :class:`_Window`.  A skipped tick is
-    of a stage that has had no arrival (inverse stage 1 joins at the gate's
-    first complete block), or of one that has left, so it changes no state
-    that :func:`_moved` or :func:`_build_report` reads, and writes no row.
+    A traced run writes its rows after the proof, from the stages' first
+    fires (:func:`_write_trace`).  When the proof raises, it writes the
+    rows of :func:`_schedule_law`'s first fires up to the failing cycle and
+    stage, in the order a cycle ticks the stages: the inverse chain from
+    unweighting back, then the forward chain from pointwise back.
     """
     n_half = config.n // 2
-    period: list = []       # trace rows since the last product boundary
-
-    def record(row):
-        trace.row(row)
-        period.append(row)
-
-    front, back = _build_chains(config, record if trace else None)
-    stages = (*front, *back)
+    front, back = _build_chains(config)
+    order = (*back[::-1], *front[::-1])     # the ticks within a cycle
+    fly = (*back[-2::-1], *front[-2:0:-1])  # those that write trace rows
     gate = _TransformGate(n_half)
     total = count * n_half
-    feed = _PipeStage("feed", 0, 1, 1, n_half)
-    feed.t, feed.first_fire = total, 0
-    left: set = set()       # stages that have left the loop
-    front_win = _Window(front, lambda cycle: _law_out(feed, cycle - 1), left)
-    back_win = _Window(back, lambda cycle: gate.pop(), left)
-    # a sound run feeds or collects within one product's latency of cycles
-    limit = 1000 + 5 * config.n * (
-        config.butterfly_latency + config.scalar_latency + 4)
-    completions: list[int] = []
-    collected = cycle = idle = 0
-    state = None
-    due: dict = {}          # cycle -> stages to snapshot after its tick
-    snaps = {}
-    to_leave = len(stages) if count and trace is None else 0     # (a)
-
-    def watch(st):
-        # st's first arrival comes next cycle, its first fire hold later
-        if st is not None and trace is None:
-            due.setdefault(cycle + 1 + st.hold, []).append(st)
-
-    def leave(st):
-        left.add(st)
-        front_win.rebuild()
-        back_win.rebuild()
-
-    watch(front_win.update(cycle))
-    while collected < total or len(left) < to_leave:
-        if trace is not None and not cycle % n_half and cycle < total:
-            rows, period = period, []   # the period ending here
-            if all(st.t and st.first_fire + st.lag <= cycle for st in stages):
-                last, state = state, [collected - cycle,
-                                      *_moved(stages, gate, -cycle)]
-                if state == last:   # so one completion per period
-                    skip = total - cycle
-                    shifts = range(n_half, skip + 1, n_half)
-                    completions += [completions[-1] + i for i in shifts]
-                    trace.repeat(rows, shifts)
-                    (_, gate._pairs), *per_stage = _moved(stages, gate, skip)
-                    for st, (t, f) in zip(stages, per_stage):
-                        st.t = t
-                        st.out = _law_out(st, total)
-                        if f:
-                            (st.fifo.counter, st.fifo.block_i,
-                             st.fifo.block_ii) = f
-                    collected, cycle = collected + skip, total
-        cycle, idle = cycle + 1, idle + 1
-        if idle > limit:
-            raise PipelineAssertionError(
-                f"no progress after {limit} cycles; schedule wedged")
-        if cycle <= total:
-            idle = 0        # the feed advances
-
-        # the back chain ticks first, so the gate hands over what was
-        # complete before this cycle's pointwise output arrives
-        back_win.tick(cycle)
-        if back[-1].out is not None and back[-1] not in left:     # (b)
-            collected, idle = collected + 1, 0
-            if not collected % n_half:
-                completions.append(cycle)
-        front_win.tick(cycle)
-        if back[0] not in left:
-            out = (_law_out(front[-1], cycle) if front[-1] in left
-                   else front[-1].out)
-            if out is not None:
-                gate.push(out)
-        if front_win.reach < len(front) - 1:
-            watch(front_win.update(cycle))
-        if back_win.reach < len(back) - 1:
-            watch(back_win.update(cycle, gate._ready))
-        for st in due.pop(cycle, ()):
-            if st.t and st.first_fire + st.t - 1 == cycle:     # (c)
-                snap = _moved((st,), gate if st is back[0] else None, -st.t)
-                if snap == snaps.get(st):
-                    st.t = total
-                    leave(st)
-                    if st is back[-1]:
-                        completions += [
-                            st.first_fire + st.lag + (j + 1) * n_half - 1
-                            for j in range(len(completions), count)]
-                        collected = total
-                    continue
-                snaps[st] = snap
-                step = n_half if st is back[0] else st.d
-                if st.t + step < total:
-                    due.setdefault(cycle + step, []).append(st)
-        if len(left) < to_leave and cycle >= total:
-            for _, run in (*front_win.runs, *back_win.runs):
-                for st in run:
-                    if st.t == total and cycle > (
-                            st.first_fire + total - 1 + st.lag):
-                        leave(st)
+    feeder = _PipeStage("feed", 0, 1, 1)
+    feeder.t, feeder.first_fire = total, 0
+    try:
+        for st in (*front, *back) if count else ():
+            if st is back[0]:
+                start = feeder.first_fire + feeder.lag
+                for cycle in range(start, start + n_half):
+                    gate.push(_law_out(feeder, cycle))
+                start, period, pool = start + n_half, n_half, gate
+            else:
+                start = feeder.first_fire + feeder.lag + 1
+                period, pool = st.d, None
+            cycle, due, snap = start, start + st.hold, None
+            limit = due + total
+            while True:
+                if pool is None:    # the feeder's law output: fire k
+                    k = cycle - start
+                    st.tick(cycle, (2 * k, 2 * k + 1) if k < total else None)
+                else:
+                    st.tick(cycle, gate.pop())
+                    out = _law_out(feeder, cycle)
+                    if out is not None:
+                        gate.push(out)
+                if st.t == total:
+                    break
+                if cycle == due:
+                    if st.t and st.first_fire + st.t - 1 == cycle:     # (c)
+                        moved = _moved((st,), pool, -st.t)
+                        if moved == snap:
+                            break
+                        snap = moved
+                    if st.t + period < total:
+                        due += period
+                if cycle >= limit and (not st.t
+                                       or cycle >= st.first_fire + total):
+                    raise PipelineAssertionError(
+                        f"{st.label}: {st.t} of {total} fires by cycle "
+                        f"{cycle}, short of its law")
+                cycle += 1
+            st.t = total
+            feeder = st
+    except PipelineAssertionError:
+        if trace is not None:
+            _write_trace(trace, config.n, count, fly,
+                         _schedule_law(config.n, config.butterfly_latency),
+                         (cycle, sum(s in fly for s in
+                                     order[:order.index(st)])))
+        raise
+    completions = [back[-1].first_fire + back[-1].lag + k * n_half - 1
+                   for k in range(1, count + 1)]
     if count:
+        if trace is not None:
+            _write_trace(trace, config.n, count, fly, (
+                tuple(st.first_fire for st in front[1:-1]),
+                tuple(st.first_fire for st in back[:-1]), completions[0]))
         fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
         for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):
             if st.first_fire != due:

@@ -53,6 +53,17 @@ class Polynomial:
     def __len__(self):
         return len(self.coeffs)
 
+    @classmethod
+    def _unchecked(cls, coeffs: tuple, modulus: int, domain: str):
+        """A kernel's result, built without the checks: the kernels below
+        make a tuple of N ints, each ``v % M`` for the M of a checked table
+        set, so every check would pass.  Every other construction checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "modulus", modulus)
+        object.__setattr__(p, "domain", domain)
+        return p
+
 
 def _describe(c) -> str:
     try:
@@ -128,7 +139,7 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
     s = limbs[0::q]
     for j in range(1, q):
         s = [lo + (hi << 64 * j) for lo, hi in zip(s, limbs[j::q])]
-    return Polynomial(tuple([v % M for v in s]), M, "coefficient")
+    return Polynomial._unchecked(tuple([v % M for v in s]), M, "coefficient")
 
 
 def _forward(a: list[int], tables, M: int) -> list[int]:
@@ -164,8 +175,9 @@ def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     _check_operand(a, params, domain="coefficient", name="a")
     N, M, m = params.n, params.M, params.num_stages
     vals = _forward(list(a.coeffs), params.stage_twiddles_fwd, M)
-    return Polynomial(tuple(vals[bit_reverse_index(i, m)] % M for i in range(N)),
-                      M, "evaluation")
+    return Polynomial._unchecked(
+        tuple(vals[bit_reverse_index(i, m)] % M for i in range(N)), M,
+        "evaluation")
 
 
 def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
@@ -175,7 +187,8 @@ def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     vals = _inverse([a.coeffs[bit_reverse_index(i, m)] for i in range(N)],
                     params.stage_twiddles_inv, M)
     n_inv = params.n_inv
-    return Polynomial(tuple(v * n_inv % M for v in vals), M, "coefficient")
+    return Polynomial._unchecked(tuple(v * n_inv % M for v in vals), M,
+                                 "coefficient")
 
 
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
@@ -193,4 +206,4 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]
     c_hat = _inverse(prod, params.stage_twiddles_inv, M)
     out = tuple(c * w % M for c, w in zip(c_hat, params.weights_inv_scaled))
-    return Polynomial(out, M, "coefficient")
+    return Polynomial._unchecked(out, M, "coefficient")

@@ -396,6 +396,55 @@ class TestCheckCommand:
         assert rc == 1
         assert "record 1" in err
 
+    @staticmethod
+    def bumped(poly):
+        # the polynomial with coefficient 0 changed
+        c = poly.coeffs
+        return Polynomial(((c[0] + 1) % poly.modulus, *c[1:]), poly.modulus)
+
+    def run_check(self, toy_tables, tmp_path, capsys):
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "3",
+                  "--seed", "9", "--out", str(vec)])
+        capsys.readouterr()
+        rc = cli.main(["check", "--params", str(toy_tables),
+                       "--vectors", str(vec)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return rc, captured.err
+
+    def test_transform_disagreement_exits_one(self, toy_tables, tmp_path,
+                                              monkeypatch, capsys):
+        # the transform path returns record 1's product with one coefficient
+        # changed
+        real, calls = cli.negacyclic_mul_ntt, []
+
+        def ntt(a, b, p):
+            calls.append(None)
+            c = real(a, b, p)
+            return self.bumped(c) if len(calls) == 2 else c
+
+        monkeypatch.setattr(cli, "negacyclic_mul_ntt", ntt)
+        assert self.run_check(toy_tables, tmp_path, capsys) == (
+            1, "record 1: transform result disagrees with the schoolbook "
+               "oracle\n")
+
+    def test_simulator_disagreement_exits_one(self, toy_tables, tmp_path,
+                                              monkeypatch, capsys):
+        # the simulator returns record 1's product with one coefficient
+        # changed, after the transform path has agreed on records 0 and 1
+        real = cli.run_stream
+
+        def run_stream(pairs, config, **kwargs):
+            products, report = real(pairs, config, **kwargs)
+            products[1] = self.bumped(products[1])
+            return products, report
+
+        monkeypatch.setattr(cli, "run_stream", run_stream)
+        assert self.run_check(toy_tables, tmp_path, capsys) == (
+            1, "record 1: simulator output disagrees with the schoolbook "
+               "oracle\n")
+
     def test_out_of_range_expected_field_names_its_location(
             self, toy_tables, tmp_path, capsys):
         vec = tmp_path / "v.ndjson"

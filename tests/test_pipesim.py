@@ -284,15 +284,15 @@ class TestStageFifo:
 def unit_stage(latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
     # element first, so fire t must receive the labels (2t, 2t + 1)
-    return _PipeStage("unit", 0, 1, latency, 2)
+    return _PipeStage("unit", 0, 1, latency)
 
 
 class TestButterflyUnit:
     @given(latency=st.integers(1, 16), lead=st.integers(0, 3),
            fires=st.integers(0, 20))
     def test_latency_and_order(self, latency, lead, fires):
-        # fire t emits the labels (2t, 2t + 1) as a delay line of
-        # latency - 1 slots would
+        # by the timing law, the unit's output is fire t's labels
+        # (2t, 2t + 1) as a delay line of latency - 1 slots would emit them
         stage = unit_stage(latency)
         line = deque([None] * (latency - 1))
         feed = ([None] * lead + [(2 * t, 2 * t + 1) for t in range(fires)]
@@ -301,14 +301,14 @@ class TestButterflyUnit:
             stage.tick(cycle, arrival)
             line.append(arrival)
             out = line.popleft()
-            assert stage.out == out, cycle
+            assert pipesim._law_out(stage, cycle) == out, cycle
         assert stage.t == fires
         assert stage.first_fire == (lead + 1 if fires else None)
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
         stage.tick(5, (0, 1))
-        assert stage.out == (0, 1)
+        assert pipesim._law_out(stage, 5) == (0, 1)
 
     def test_arrival_breaking_the_law_raises(self):
         # fire 1 must pair the labels (3, 2); product 0 is checked too
@@ -350,7 +350,7 @@ class TestPipelineConfig:
         assert cfg.scalar_latency == 2
 
     def test_latency_bound(self, fixed_params):
-        # the fill, the ticked cycles and the wedge limit grow with the
+        # the fill, and with it the rows a trace writes, grows with the
         # depth, so it is bounded
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=1024)
@@ -618,7 +618,7 @@ def withhold_at_gate(mp, gap_at):
 
 
 def tick_count(config, count, retiring=True):
-    # the _PipeStage ticks of one untraced loop, and its report
+    # the _PipeStage ticks of one untraced proof, and its report
     real_tick = _PipeStage.tick
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -635,18 +635,17 @@ def retired_ticks(config, count):
     # arrival, hold cycles before its first fire, to its second snapshot,
     # P fires after the first (P its period: 2 * hold behind a FIFO, 1
     # without one, N/2 at inv1), if that comes below the total T; else to
-    # the cycle after its last result, T + lag cycles after its first fire.
-    # inv1's state repeats only if pointwise still feeds the gate at its
-    # second snapshot, which takes 3 products
+    # its last fire, T - 1 cycles after its first.  inv1's state repeats
+    # only if pointwise still feeds the gate at its second snapshot, which
+    # takes 3 products
     total = count * config.n // 2
     ticks = 0
-    for chain in pipesim._build_chains(config, None):
+    for chain in pipesim._build_chains(config):
         for stage in chain:
             inv1 = stage.label == "inv1"
             period = config.n // 2 if inv1 else stage.d
             repeats = 1 + period < total and (count > 2 or not inv1)
-            ticks += stage.hold + (1 + period if repeats
-                                   else total + stage.lag + 1)
+            ticks += stage.hold + (1 + period if repeats else total)
     return ticks if count else 0
 
 
@@ -662,13 +661,68 @@ def fifo_labels(mp):
     real_build = pipesim._build_chains
     labels = {}
 
-    def build(config, trace):
-        front, back = real_build(config, trace)
+    def build(config):
+        front, back = real_build(config)
         labels.update((st.fifo, st.label) for st in (*front, *back) if st.fifo)
         return front, back
 
     mp.setattr(pipesim, "_build_chains", build)
     return labels
+
+
+def every_cycle(config, count):
+    # the every-cycle reference: both chains ticked on every cycle from
+    # cycle 1 to the last completion, in reverse dataflow order so that each
+    # stage reads what its feeder emitted on the cycle before, each stage's
+    # output a delay line of lag slots behind its fires, and a trace row
+    # written from every butterfly tick.  Returns the report and the trace
+    # text
+    n_half = config.n // 2
+    front, back = pipesim._build_chains(config)
+    gate = pipesim._TransformGate(n_half)
+    total = count * n_half
+    lines = {st: deque([None] * st.lag) for st in (*front, *back)}
+    out = dict.fromkeys(lines)
+    fly = {*front[1:-1], *back[:-1]}
+    text = []
+
+    def tick(st, cycle, arrival):
+        t = st.t
+        st.tick(cycle, arrival)
+        fired = st.t > t
+        lines[st].append((2 * t, 2 * t + 1) if fired else None)
+        out[st] = lines[st].popleft()
+        if st in fly:
+            lo = hi = ""
+            if fired:
+                tp = t % n_half
+                lo = 2 * tp - tp % st.per_block
+                hi = lo + st.per_block
+            if st.fifo is not None and st.fifo.counter:
+                text.append(f"{cycle},{st.label},{st.fifo.sel},"
+                            f"{st.fifo.counter},{lo},{hi}\r\n")
+            elif fired:
+                text.append(f"{cycle},{st.label},,,{lo},{hi}\r\n")
+
+    completions, collected, cycle = [], 0, 0
+    while collected < total:
+        cycle += 1
+        for i in range(len(back) - 1, 0, -1):
+            tick(back[i], cycle, out[back[i - 1]])
+        tick(back[0], cycle, gate.pop())
+        if out[back[-1]] is not None:
+            collected += 1
+            if not collected % n_half:
+                completions.append(cycle)
+        for i in range(len(front) - 1, 0, -1):
+            tick(front[i], cycle, out[front[i - 1]])
+        tick(front[0], cycle,
+             (2 * cycle - 2, 2 * cycle - 1) if cycle <= total else None)
+        if out[front[-1]] is not None:
+            gate.push(out[front[-1]])
+    report = pipesim._build_report(config, count, front[1:-1], back[:-1],
+                                   gate, completions, front[0].first_fire)
+    return report, "".join(text)
 
 
 class TestControlPlane:
@@ -691,24 +745,16 @@ class TestControlPlane:
             assert (sum(rep.regs_per_stage) + 2 * log_n
                     == predicted_ntt_regs(n))
 
-    def test_loop_stops_at_the_steady_state(self, fixed_params, monkeypatch):
-        # past the proved steady state every stage leaves the loop and
-        # unweighting's completions come by law, so 1000 products tick no
-        # more cycles than 12 do
+    def test_loop_stops_at_the_steady_state(self, fixed_params):
+        # past its proved steady state every stage stops, and unweighting's
+        # completions come by law, so 1000 products tick the stages as often
+        # as 12 do, and fewer times than 12 products take cycles
         config = PipelineConfig(n=16, params=fixed_params[16])
-        real_tick_chain = pipesim._tick_chain
-
-        def ticked(count):
-            cycles = set()
-            monkeypatch.setattr(pipesim, "_tick_chain",
-                                lambda chain, cycle, arrival: (
-                                    cycles.add(cycle),
-                                    real_tick_chain(chain, cycle, arrival)))
-            rep = _run_cycles(config, count, None)
+        ticks = {}
+        for count in (12, 1000):
+            ticks[count], rep = tick_count(config, count)
             assert rep.completion_cycles[-1] == 39 + 8 * (count - 1)
-            return len(cycles)
-
-        assert ticked(1000) == ticked(12) < 39 + 8 * 11
+        assert ticks[1000] == ticks[12] < 39 + 8 * 11
 
     def test_misrouted_fire_raises(self, fixed_params, monkeypatch):
         # swap the pair a stage-3 FIFO emits at fire 8, product 1's first:
@@ -788,7 +834,7 @@ class TestControlPlane:
                                 mode="structural" if latency else "schedule",
                                 butterfly_latency=latency)
         real_tick, real_fifo_tick = _PipeStage.tick, StageFifo.tick
-        for stage in (st for chain in pipesim._build_chains(config, None)
+        for stage in (st for chain in pipesim._build_chains(config)
                       for st in chain):
             label = stage.label
             fire = config.n // 2 if label == "inv1" else stage.d
@@ -815,35 +861,33 @@ class TestControlPlane:
 
     def test_stage_stopping_after_its_consumer_left_wedges(self,
                                                            fixed_params):
-        # forward stage 2 stops at fire 110, after stage 3 has left at its
-        # fire 64, 97 cycles into stage 2's fires.  Nothing reads stage 2
-        # any more, yet it never leaves: its t falls behind its timing law,
-        # so its later snapshots do not count.  The loop runs on although
-        # unweighting has left and its completions followed by law, which
-        # reset no wedge counter, so the run wedges the limit (8680 cycles)
-        # after the feed's last cycle, 1024
+        # forward stage 2 stops firing at its fire 110 of 1024, before its
+        # second snapshot at fire 129.  No stage reads its ticks: stage 3 is
+        # proved after it, on its law output, and is never ticked.  It falls
+        # behind its timing law, so no later snapshot counts, and it raises
+        # at its bound: on the cycle after its fire 1023's by law, first
+        # fire 67 + 1023
         config = PipelineConfig(n=256, params=fixed_params[256])
         real_tick = _PipeStage.tick
-        last, stopped = {}, []
+        ticked, stopped = set(), []
 
         def tick(stage, cycle, arrival):
+            ticked.add(stage.label)
             if stage.label == "fwd_a2" and stage.t == 110:
-                stage.out = None
                 stopped.append(cycle)
                 if cycle > 20_000:
-                    raise RuntimeError("the loop ran on")
+                    raise RuntimeError("the proof ran on")
                 return
-            last[stage.label] = cycle
             real_tick(stage, cycle, arrival)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_PipeStage, "tick", tick)
             with pytest.raises(PipelineAssertionError,
-                               match="^no progress after 8680 cycles; "
-                                     "schedule wedged$"):
+                               match="^fwd_a2: 110 of 1024 fires by cycle "
+                                     "1091, short of its law$"):
                 _run_cycles(config, 8, None)
-        assert last["fwd_a3"] < stopped[0]
-        assert stopped[-1] == 1024 + 8680
+        assert "fwd_a3" not in ticked
+        assert stopped[-1] == 67 + 1024
 
     @pytest.mark.parametrize("gap_at, due", [
         (0, None), (1, 22), (2, 23), (9, 30), (22, 43), (23, 44)])
@@ -894,169 +938,113 @@ class TestControlPlane:
 
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_lost_result_raises(self, fixed_params, mode):
-        # a result lost from any stage's unit at any cycle: the next stage
-        # pairs the wrong labels at its next fire, or fires late when the
-        # gate's block completes late, or, at the stream's tail, the run
-        # falls short and wedges.  Nulling a slot that holds None changes
-        # nothing, so only the clean run's results are lost, each once
-        p = fixed_params[16]
-        pairs = rand_pairs(random.Random(58), p, 3)
-        config = PipelineConfig(n=16, params=p, mode=mode)
+        # a result lost on its way to the next stage, at any cycle.  Each
+        # stage is proved on its feeder's law output, so the loss is the
+        # stage's arrival replaced by None, and the stage itself pairs the
+        # wrong labels at its next fire, fires late, or falls short of its
+        # law at its bound.  Losing a None arrival changes nothing, so only
+        # the clean run's live arrivals are lost, each once; retirement is
+        # off, so that every arrival is ticked.  A loss cannot make a fire
+        # late: the gate takes pointwise's law output, so a block cannot
+        # complete late, and a gap opens only where the gate withholds a
+        # pair (test_gap_at_the_gate_delays_inv1)
+        config = PipelineConfig(n=16, params=fixed_params[16], mode=mode)
         real_tick = _PipeStage.tick
-        results = []
+        arrivals = []
 
         def record(stage, cycle, arrival):
+            if arrival is not None:
+                arrivals.append((stage.label, cycle))
             real_tick(stage, cycle, arrival)
-            if stage.out is not None:
-                results.append((stage.label, cycle))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_PipeStage, "tick", record)
             no_retirement(mp)
-            run_stream(pairs, config)
-        labels = [st.label for chain in pipesim._build_chains(config, None)
-                  for st in chain]
-        after = dict(zip(labels, labels[1:]))   # the stage a result feeds
-        wedged = "no progress after # cycles; schedule wedged"
+            _run_cycles(config, 3, None)
         outcomes = set()
-        for label, at in results:
+        for label, at in arrivals:
             def tick(stage, cycle, arrival):
-                real_tick(stage, cycle, arrival)
-                if cycle == at and stage.label == label:
-                    stage.out = None
+                lost = (stage.label, cycle) == (label, at)
+                real_tick(stage, cycle, None if lost else arrival)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_PipeStage, "tick", tick)
                 no_retirement(mp)
                 with pytest.raises(PipelineAssertionError) as e:
-                    run_stream(pairs, config)
+                    _run_cycles(config, 3, None)
             error = re.sub(r"\b\d+", "#", str(e.value))
-            allowed = {wedged}
-            if label in after:
-                allowed |= {f"{after[label]}: fire # pairs (#, #), not (#, #)",
-                            f"{after[label]}: fire # at cycle #, not #"}
-            assert error in allowed
-            outcomes.add(re.sub(r"^\w+: ", "", error))
+            assert error.startswith(f"{label}: "), (label, at, error)
+            outcomes.add(error.removeprefix(f"{label}: "))
         assert outcomes == {"fire # pairs (#, #), not (#, #)",
-                            "fire # at cycle #, not #", wedged}
+                            "# of # fires by cycle #, short of its law"}
 
     def test_lost_tail_result_wedges_after_a_fixed_limit(self, fixed_params):
-        # the last unweight result lost on the last cycle: the run raises
-        # the same count of cycles after the last progress, with the same
-        # message, for a short stream and for a long one
+        # unweighting's last arrival lost, with retirement off so that it is
+        # ticked: the stage falls one fire short and raises at its bound,
+        # one cycle after the loss, with the same message up to its
+        # figures, for a short stream and for a long one
         config = PipelineConfig(n=256, params=fixed_params[256])
-        real_tick, real_tick_chain = _PipeStage.tick, pipesim._tick_chain
+        real_tick = _PipeStage.tick
         seen = []
         for count in (8, 200):
             last = _run_cycles(config, count, None).completion_cycles[-1]
-            cycles = []
 
             def tick(stage, cycle, arrival):
-                real_tick(stage, cycle, arrival)
-                if cycle == last and stage.label == "unweight":
-                    stage.out = None
-
-            def tick_chain(chain, cycle, arrival):
-                cycles.append(cycle)
-                real_tick_chain(chain, cycle, arrival)
+                lost = stage.label == "unweight" and cycle == last
+                real_tick(stage, cycle, None if lost else arrival)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_PipeStage, "tick", tick)
-                mp.setattr(pipesim, "_tick_chain", tick_chain)
                 no_retirement(mp)
                 with pytest.raises(PipelineAssertionError,
-                                   match="schedule wedged$") as e:
+                                   match="^unweight: .* short of its law$"
+                                   ) as e:
                     _run_cycles(config, count, None)
-            seen.append((str(e.value), cycles[-1] - last))
-        assert seen[0] == seen[1]
+            fires, total, cycle = map(int, re.findall(r"\d+", str(e.value)))
+            seen.append((total - fires, cycle - last))
+        assert seen == [(1, 1), (1, 1)]
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
-    def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
-        # the jumped run gives the report and trace text of the run that
-        # ticks every cycle: with _moved returning a fresh object,
-        # no two product boundaries compare equal and the loop never jumps,
-        # so each repeated period's format string is checked against the
-        # rows the ticked periods write
+    def test_proof_equals_the_every_cycle_oracle(self, fixed_params, n,
+                                                 latency, structural, count):
+        # the per-stage proof, its stages stopping at their repeats, and
+        # the trace it writes by law give the report and the trace text of
+        # the reference that ticks both chains on every cycle
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
+        text = io.StringIO()
+        report = _run_cycles(config, count, _TraceWriter(text))
+        assert (report, text.getvalue()) == every_cycle(config, count)
 
-        def run():
-            text = io.StringIO()
-            report = _run_cycles(config, count, _TraceWriter(text))
-            return report, text.getvalue()
-
-        jumped = run()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipesim, "_moved", lambda *args: [object()])
-            assert run() == jumped
-
-    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
-           structural=st.booleans(), count=st.integers(0, 24),
-           traced=st.booleans(), data=st.data())
-    def test_window_is_exact(self, fixed_params, n, latency, structural,
-                             count, traced, data):
-        # ticking only each chain's window gives the report, the trace text
-        # and the error of the loop that ticks every stage every cycle,
-        # which is what _window returning the whole chain makes of it when
-        # no stage leaves before its last fire; a pair withheld at the gate
-        # injects the fault, and then neither run lets a stage leave early
-        p = fixed_params[n]
-        config = (PipelineConfig(n=n, params=p, mode="structural",
-                                 butterfly_latency=latency) if structural
-                  else PipelineConfig(n=n, params=p))
-        gap_at = data.draw(st.none() | st.integers(0, count * n // 2))
-
-        def run(full):
-            text = io.StringIO()
-            with pytest.MonkeyPatch.context() as mp:
-                if gap_at is not None:
-                    withhold_at_gate(mp, gap_at)
-                if full or gap_at is not None:
-                    no_retirement(mp)
-                if full:
-                    mp.setattr(pipesim, "_window",
-                               lambda chain, reach, left: [(0, chain)])
-                try:
-                    result = _run_cycles(config, count,
-                                         _TraceWriter(text) if traced else None)
-                except PipelineAssertionError as e:
-                    result = str(e)
-            return result, text.getvalue()
-
-        assert run(full=False) == run(full=True)
-
-    def test_window_skips_idle_ticks(self, monkeypatch):
-        # the benchmark's structural N = 1024 stream of 4 ticks 3851 cycles,
-        # 23 stages each when every stage ticks every cycle: the last is
-        # the one after the last completion, where unweighting leaves
+    def test_window_skips_idle_ticks(self):
+        # the benchmark's structural N = 1024 stream of 4: the every-cycle
+        # reference ticks all 23 stages on each cycle up to the last
+        # completion, while the proof ticks each stage only from its first
+        # arrival to its repeat
         config = PipelineConfig(n=1024, params=build_params(12289, 1024),
                                 mode="structural")
         real_tick = _PipeStage.tick
-
-        def ticks(window):
-            calls = []
-            with pytest.MonkeyPatch.context() as mp:
-                if window is not pipesim._window:
-                    no_retirement(mp)
-                mp.setattr(pipesim, "_window", window)
-                mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
-                    calls.append(None), real_tick(stage, cycle, arrival)))
-                _run_cycles(config, 4, None)
-            return len(calls)
-
-        assert ticks(lambda chain, reach, left: [(0, chain)]) == 88_573
-        assert ticks(pipesim._window) < 88_573
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
+                calls.append(None), real_tick(stage, cycle, arrival)))
+            report, _ = every_cycle(config, 4)
+            oracle = len(calls)
+            calls.clear()
+            _run_cycles(config, 4, None)
+        assert oracle == 23 * report.completion_cycles[-1] == 88_550
+        assert len(calls) == 3605
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_retirement_is_exact(self, fixed_params, n, latency, structural,
                                  count):
-        # the untraced run whose stages leave once their state repeats
-        # gives the report of the run where no stage leaves before its last
-        # fire, and ticks what retired_ticks counts
+        # the untraced run whose stages stop once their state repeats
+        # gives the report of the run where every stage is ticked to its
+        # last fire, and ticks what retired_ticks counts
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
@@ -1086,10 +1074,11 @@ class TestControlPlane:
                                                                  count)
 
     def test_retirement_ticks_a_fixed_count(self, fixed_params):
-        # the benchmark's in-process streams.  Each column ticks from its
-        # first arrival, hold cycles before its first fire, to its second
-        # snapshot, P fires later, P its period: 3 * hold + 1 ticks behind
-        # a FIFO, N/2 + 1 at inv1, whose period is N/2, and 2 at weighting,
+        # the benchmark's in-process streams.  Each column is ticked from
+        # its first arrival, hold cycles before its first fire, to its
+        # second snapshot, P fires later, P its period: 3 * hold + 1 ticks
+        # behind a FIFO, N/2 + 1 at inv1, whose period is N/2 and which
+        # reads the gate from its first complete block, and 2 at weighting,
         # forward stage 1, pointwise and unweighting.  A transform's FIFOs
         # hold N/4 ... 1: 3 * (N/2 - 1) + log2(N) - 1 ticks, 388 at N = 256
         # and 1542 at N = 1024; a stream of 1000 ticks as one of 8
@@ -1149,7 +1138,12 @@ class TestControlPlane:
                                          off, error):
         # a law one cycle off in the forward stages, the inverse ones or the
         # completions: the run, traced or not, raises at its end, naming
-        # the first stage or product off it
+        # the first stage or product off it.  The traced run has written
+        # the rows of the schedule it proved, in full, as a run the law
+        # agrees with writes them
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        clean = io.StringIO()
+        _run_cycles(config, 12, _TraceWriter(clean))
         real_law = pipesim._schedule_law
 
         def law(n, latency):
@@ -1159,11 +1153,12 @@ class TestControlPlane:
             return tuple(parts)
 
         monkeypatch.setattr(pipesim, "_schedule_law", law)
-        config = PipelineConfig(n=16, params=fixed_params[16])
-        for trace in (None, _TraceWriter(io.StringIO())):
+        text = io.StringIO()
+        for trace in (None, _TraceWriter(text)):
             with pytest.raises(PipelineAssertionError,
                                match=rf"^{re.escape(error)}$"):
                 _run_cycles(config, 12, trace)
+        assert text.getvalue() == clean.getvalue()
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
@@ -1216,8 +1211,8 @@ PINNED_DIGESTS = {
         "52a714afd8eaf7dfeffbd52562740eea151a0fc786622e84f264598329077d3c",
         "71817d3f7770bf523729d4230917630dd4b38052ac66f4f034c0f1af408bcb69",
         "f807a23c9a3ec53e24cb50b1fba122e9b7daa31e9971e19b8b17bf13c5550b04"),
-    # long enough for the loop to jump to the last product boundary (at
-    # boundary 5 and 14 of 12 and 20); pinned before the loop could jump
+    # long enough for the trace to repeat a steady middle (8 and 13 of 12
+    # and 20 periods); pinned when the cycle loop ticked every cycle
     (FIXED_M, 16, "schedule", 12): (
         "70c21234f548f6ead68a02f8a3a2e4199bb2caf23b0d3341686a274717d36fdc",
         "496156e6279f7cb1f245eb9c60f540ff0a6c3e54993d87a135d66edf7eb32900",
@@ -1266,14 +1261,18 @@ class TestDeterminism:
         digest = hashlib.sha256(json.dumps(prods).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[key][1]
 
-    # 12 pairs jump from boundary 5 to the last one, at cycle 96, and inv3
-    # reaches counter 80 only in the drain after it
+    # a fault injected at a stage's FIFO counter: the aborted file holds
+    # the law's rows up to the failing cycle and stage.  Retirement is off,
+    # so that the stage is ticked to its counter; 12 pairs repeat the
+    # steady middle over cycles 31 to 94, and inv3 reaches counter 80 only
+    # in the drain after it
     @pytest.mark.parametrize("count, label, counter",
                              [(3, "fwd_a2", 9), (3, "inv4", 13),
                               (12, "inv3", 80)],
-                             ids=["fwd_a2-9", "inv4-13", "jumped-inv3-80"])
+                             ids=["fwd_a2-9", "inv4-13", "drain-inv3-80"])
     def test_trace_on_abort_is_the_unaborted_prefix(
             self, fixed_params, tmp_path, monkeypatch, count, label, counter):
+        no_retirement(monkeypatch)
         p = fixed_params[16]
         pairs = rand_pairs(random.Random(56), p, count)
         cfg = PipelineConfig(n=16, params=p)
@@ -1300,16 +1299,16 @@ class TestDeterminism:
         assert aborted.read_text().splitlines() == lines[:fail]
         assert full.read_bytes().startswith(aborted.read_bytes())
         if count == 12:
-            # a jump writes rows up to the last boundary's cycle, count N/2,
-            # so the aborted file holds every repeated period
-            assert int(lines[fail].split(",")[0]) > count * 8
+            # the failing row comes after the repeated middle, so the
+            # aborted file holds every repeated period
+            assert int(lines[fail].split(",")[0]) >= 31 + 8 * 8
 
     @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
                                      (12289, 32, "structural", 20)],
                              ids=_pinned_id)
     def test_trace_is_what_csv_writes(self, tmp_path, key):
         # the rows are formatted by hand, repeated periods included (both
-        # streams jump): read back and rewritten by the csv module, the
+        # streams repeat a steady middle): read back and rewritten by the csv module, the
         # file comes out byte for byte, six fields a row
         m, n, mode, count = key
         p = build_params(m, n)
@@ -1327,9 +1326,8 @@ class TestDeterminism:
         (FIXED_M, 256, "schedule", 64), (12289, 1024, "structural", 8)],
         ids=["paper-ring", "generic-ring"])
     def test_one_report_traced_or_not(self, tmp_path, m, n, mode, count):
-        # the traced run jumps from its steady state to the last product
-        # boundary, the untraced one lets each stage leave once its state
-        # repeats: both give one report and one set of products
+        # the traced run runs the untraced run's proof and then writes its
+        # rows by law: both give one report and one set of products
         p = build_params(m, n)
         pairs = rand_pairs(random.Random(62), p, count)
         config = PipelineConfig(n=n, params=p, mode=mode)

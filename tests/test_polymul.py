@@ -102,6 +102,21 @@ class TestPolynomialType:
                                              r"bits> outside \[0, 17\)$"):
             Polynomial((10 ** 5000, 0, 0, 0), 17)
 
+    @pytest.mark.parametrize("M, N", [(17, 8), (FIXED_M, 256), (12289, 1024),
+                                      (18_446_744_073_709_550_593, 32)])
+    def test_kernel_outputs_equal_checked_polynomials(self, M, N):
+        # the four kernels build their results without the checks; each
+        # equals the polynomial the checking constructor makes of its
+        # fields, which would raise on any entry outside [0, M)
+        p = build_params(M, N)
+        rng = random.Random(N)
+        a, b = rand_poly(rng, p), rand_poly(rng, p)
+        spectrum = ntt_forward(a, p)
+        for out in (naive_negacyclic_mul(a, b, p), negacyclic_mul_ntt(a, b, p),
+                    spectrum, ntt_inverse(spectrum, p)):
+            assert type(out.coeffs) is tuple and len(out) == N
+            assert out == Polynomial(out.coeffs, out.modulus, out.domain)
+
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
             Polynomial((1, 2), 17, domain="spectral")
