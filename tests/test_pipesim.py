@@ -1006,18 +1006,50 @@ class TestControlPlane:
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
-    def test_proof_equals_the_every_cycle_oracle(self, fixed_params, n,
-                                                 latency, structural, count):
-        # the per-stage proof, its stages stopping at their repeats, and
-        # the trace it writes by law give the report and the trace text of
-        # the reference that ticks both chains on every cycle
+    def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
+        # the traced run, whose trace jumps the steady middle as one
+        # period repeated, gives the report and the trace text of the
+        # reference that ticks both chains on every cycle, and the text of
+        # the same rows written one by one
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
-        text = io.StringIO()
-        report = _run_cycles(config, count, _TraceWriter(text))
-        assert (report, text.getvalue()) == every_cycle(config, count)
+
+        def run():
+            text = io.StringIO()
+            report = _run_cycles(config, count, _TraceWriter(text))
+            return report, text.getvalue()
+
+        jumped = run()
+        assert jumped == every_cycle(config, count)
+
+        def repeat(trace, rows, shifts):
+            for i in shifts:
+                trace.rows([(c + i, label, sel, k if k == "" else k + i,
+                             lo, hi) for c, label, sel, k, lo, hi in rows])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_TraceWriter, "repeat", repeat)
+            assert run() == jumped
+
+    @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
+           structural=st.booleans(), count=st.integers(0, 24))
+    def test_window_is_exact(self, fixed_params, n, latency, structural,
+                             count):
+        # ticking each stage alone, only in its window from its first
+        # arrival to its repeat, gives the report of the reference that
+        # ticks both chains on every cycle, as does ticking each stage to
+        # its last fire
+        p = fixed_params[n]
+        config = (PipelineConfig(n=n, params=p, mode="structural",
+                                 butterfly_latency=latency) if structural
+                  else PipelineConfig(n=n, params=p))
+        oracle, _ = every_cycle(config, count)
+        assert _run_cycles(config, count, None) == oracle
+        with pytest.MonkeyPatch.context() as mp:
+            no_retirement(mp)
+            assert _run_cycles(config, count, None) == oracle
 
     def test_window_skips_idle_ticks(self):
         # the benchmark's structural N = 1024 stream of 4: the every-cycle
