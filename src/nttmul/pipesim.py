@@ -22,9 +22,12 @@ Every column of the datapath is one kind of fully pipelined stage fed by
 the one before it: one operation enters per cycle and emerges a fixed
 number of cycles later.  Hold FIFOs sit only in front of butterfly stages;
 the weighting, pointwise and unweighting multipliers are stages without
-one, as is stage 1 of each transform.  The simulator ticks two such
-chains, ``[weight, *forward, pointwise]`` and ``[*inverse, unweight]``,
-joined by a gate that hands over one complete transform block at a time.
+one, as is stage 1 of each transform.  The datapath is two such chains,
+``[weight, *forward, pointwise]`` and ``[*inverse, unweight]``, joined by
+a buffer that hands over one complete transform block at a time: as the
+stream has no gaps, inverse stage 1 reads pointwise's output N/2 - 1
+cycles later than a column reads its feeder's, and the buffer holds N/2
+pairs at its peak.
 
 ``schedule`` mode collapses all latencies to one cycle so the cycle counts
 match the closed-form expressions (:func:`predicted_first_ntt_latency` and
@@ -61,7 +64,6 @@ give the same trace.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cache
 
@@ -99,7 +101,8 @@ class PipelineConfig:
     since the fill, and with it the rows a traced run writes, grows with
     it.  The per-stage proof does not: each stage is ticked from its first
     arrival for at most hold + 1 + its period cycles, or to its last fire
-    in a stream too short to repeat, and a stage short of its law raises on
+    in a stream too short to repeat, and a stage short of its law raises at
+    its first snapshot behind the timing law, or past its last snapshot on
     the cycle after its last fire was due (:func:`_run_cycles`).
     """
 
@@ -152,11 +155,10 @@ class StageFifo:
     exactly ``2 * hold``: a fixed bank can neither overflow nor underflow,
     and a wrong slot breaks the routing law :class:`_PipeStage` checks.
     The FIFO checks no gap: its input is its feeder's output by the timing
-    law, which keeps the feeder's fires contiguous, and only the gate in
-    front of inverse stage 1, which has no FIFO, could open a gap, where
-    that stage's next fire is late and raises.  A stream
-    of whole transforms ends just as a drain phase starts; one cut short
-    leaves its stage short of its law, which raises at the stage's bound.
+    law, which keeps the feeder's fires contiguous, so an arrival late
+    after a gap makes its stage's next fire late or misrouted, which
+    raises.  A stream of whole transforms ends just as a drain phase
+    starts; one cut short leaves its stage short of its law, which raises.
     """
 
     __slots__ = ("hold", "block_i", "block_ii", "counter", "_hshift")
@@ -227,8 +229,8 @@ class _PipeStage:
     either raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per_block of its stage's table.
 
-    The unit holds no state: fire k's result leaves it lag = latency - 1
-    cycles after the fire (:func:`_law_out`).
+    The unit holds no state: fire k's labels leave it lag = latency - 1
+    cycles after the fire, at cycle first_fire + lag + k.
     """
 
     __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "t",
@@ -265,40 +267,6 @@ class _PipeStage:
                 raise PipelineAssertionError(
                     f"{self.label}: fire {t} at cycle {cycle}, "
                     f"not {self.first_fire + t}")
-
-
-class _TransformGate:
-    """Buffers pointwise output until a transform's full block is present.
-
-    The inverse pipeline only starts consuming a product spectrum once all
-    N/2 pairs of that transform have arrived, which is what makes the
-    first-product latency follow the closed form (a fully streamed handoff
-    would shave N/2 + 1 cycles but is not what is being modelled).  The
-    first ``_ready`` buffered pairs belong to complete blocks.
-    """
-
-    __slots__ = ("n_half", "_pairs", "_ready", "peak_pairs")
-
-    def __init__(self, n_half: int):
-        self.n_half = n_half
-        self._pairs: deque = deque()
-        self._ready = 0
-        self.peak_pairs = 0
-
-    def push(self, pair):
-        q = self._pairs
-        q.append(pair)
-        occ = len(q)
-        if occ - self._ready == self.n_half:
-            self._ready += self.n_half
-        if occ > self.peak_pairs:
-            self.peak_pairs = occ
-
-    def pop(self):
-        if not self._ready:
-            return None
-        self._ready -= 1
-        return self._pairs.popleft()
 
 
 # ---------------------------------------------------------------------------
@@ -621,29 +589,15 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     return products, report
 
 
-def _law_out(st, cycle):
-    """A stage's output after ``cycle``'s tick by the timing law: fire k's
-    labels, k = cycle - lag - first_fire, if 0 <= k < t."""
-    k = st.t and cycle - st.lag - st.first_fire
-    return (2 * k, 2 * k + 1) if 0 <= k < st.t else None
-
-
-def _moved(stages, gate, fires):
-    """The state a stage's proof reads moved up by ``fires`` fires, as
-    values: gate (_ready, pairs) or None, per stage (t, FIFO counter and
-    banks, or None).  A FIFO holds nothing else: its peak follows from
-    ``counter``; nor does a unit: its output follows from t and the
-    cycle."""
-    lab = 2 * fires
-    state = [gate and (gate._ready, deque((a + lab, b + lab)
-                                          for a, b in gate._pairs))]
-    for st in stages:
-        f = st.fifo
-        state.append((st.t + fires,
-                      f and (f.counter + fires,
-                             [x + lab for x in f.block_i],
-                             [x + lab for x in f.block_ii])))
-    return state
+def _moved(st, fires):
+    """The state a stage's proof reads moved up by ``fires`` fires, as a
+    value: t, and the FIFO counter and banks or None.  A FIFO holds
+    nothing else: its peak follows from ``counter``; nor does a unit: its
+    output follows from t and the cycle."""
+    f, lab = st.fifo, 2 * fires
+    return st.t + fires, f and (f.counter + fires,
+                                [x + lab for x in f.block_i],
+                                [x + lab for x in f.block_ii])
 
 
 def _schedule_law(n, butterfly_latency):
@@ -660,9 +614,10 @@ def _schedule_law(n, butterfly_latency):
     ``hold`` arrivals later, once its fill is done.  The multipliers
     (weighting, pointwise, unweighting) have latency S and the butterfly
     stages L; forward stage s >= 2 holds N/2**s and inverse stage s >= 2
-    holds 2**(s-2).  So pointwise fires first at F_m + L, and the gate
-    hands its first block over on the cycle after pointwise's fire N/2 - 1
-    has left: I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires
+    holds 2**(s-2).  So pointwise fires first at F_m + L, and inverse
+    stage 1 takes its first block from the buffer on the cycle after
+    pointwise's fire N/2 - 1 has left, when that block is complete:
+    I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires
     first at I_m + L, and completion k is its fire (k + 1)*N/2 - 1
     leaving, S - 1 cycles later."""
     L = butterfly_latency
@@ -744,56 +699,59 @@ def _write_trace(trace, n, count, fly, firsts, stop=None):
 
 def _run_cycles(config, count, trace):
     """The per-stage proof of the schedule for ``count`` products, position
-    j of product p fed as the labels (pN + 2j, pN + 2j + 1): the feed is
-    the law output of a stage that fires f at cycle f + 1.  ``trace`` is a
-    :class:`_TraceWriter` or None.  Returns the :class:`CycleReport` once
-    every butterfly stage's first fire and every completion has matched
-    :func:`_schedule_law`.
+    j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
+    pN/2 + j + 1.  ``trace`` is a :class:`_TraceWriter` or None.  Returns
+    the :class:`CycleReport` once every butterfly stage's first fire and
+    every completion has matched :func:`_schedule_law`.
 
     The stages are proved one at a time in dataflow order: weighting, the
-    forward stages, pointwise, inverse stage 1 with the gate, the other
-    inverse stages, unweighting.  Each is ticked alone on its feeder's law
-    output (:func:`_law_out`), from its first arrival: its feeder's first
-    fire + lag + 1.  The gate takes pointwise's law output from the cycle
-    it starts, and inverse stage 1 reads the gate from the cycle after its
-    first block is complete.  Cycles before a first arrival idle the stage
+    forward stages, pointwise, the inverse stages, unweighting.  Each is
+    ticked alone on its feeder's law output, fire k's labels (2k, 2k + 1)
+    on the cycle after they leave its unit, from its first arrival: its
+    feeder's first fire + lag + 1, or, for inverse stage 1, N/2 - 1
+    cycles later.  The buffer between them takes pointwise's law output,
+    one pair a cycle, and hands a block over once it is complete, so it
+    holds the first block from its completion until inverse stage 1
+    starts to read it and then pops one pair on each cycle it pushes one:
+    inverse stage 1's arrival k is pointwise's fire k, N/2 - 1 cycles
+    later than a column's.  Cycles before a first arrival idle the stage
     and are never walked.
 
     The shift: moving a stage's state up P fires (t and a FIFO's counter
     up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
     ticks on arrivals moved up 2P, if P is a multiple of the stage's
-    period: 2 * hold behind a FIFO, 1 without one, and N/2 for inverse
-    stage 1 with the gate it reads.  A stage never reads a label's value:
-    it moves labels, emits (2t, 2t + 1) at fire t and checks that fire t
-    pairs 2t plus terms in ``hold`` and ``t & hold``.  So ``t & hold``
-    stays, and so do a FIFO's phase bit and tap ``counter mod hold``, which
-    with != 0 and < hold (false past its first fire) are all it reads of
-    ``counter``.  A stage reads ``t`` also as 0, passed at its first fire,
-    and against ``cycle`` in the timing law: ``first_fire`` is fixed, and
-    ``cycle`` and ``t`` move together.
+    period: 2 * hold behind a FIFO, 1 without one.  A stage never reads a
+    label's value: it moves labels, emits (2t, 2t + 1) at fire t and
+    checks that fire t pairs 2t plus terms in ``hold`` and ``t & hold``.
+    So ``t & hold`` stays, and so do a FIFO's phase bit and tap ``counter
+    mod hold``, which with != 0 and < hold (false past its first fire) are
+    all it reads of ``counter``.  A stage reads ``t`` also as 0, passed at
+    its first fire, and against ``cycle`` in the timing law:
+    ``first_fire`` is fixed, and ``cycle`` and ``t`` move together.
 
-    Each stage is snapshot at its first fire by law and every P fires
-    after, while t is below the total T = count * N/2: its state moved
-    down by t.  A snapshot counts only if t is then its timing-law count,
-    cycle - first_fire + 1 (c), and the stage stops at the first equal to
-    the one before, or else after its fire T - 1; either way t becomes T.
-    Its bound: a stage not done on the cycle past its fire T - 1's cycle by
-    law, first_fire + T - 1, or before its first fire that of its first
-    fire by law, has fallen short of its law, and raises.  Proof that
-    every stage fires T times by both laws, and so emits its law output on
-    every cycle, by induction in dataflow order: the feed does.  Let a
-    stage's feeder do so (for inverse stage 1, pointwise, whose law output
-    feeds the gate).  Its ticked fires were checked.  If it stopped at a
-    repeat, its input is invariant under the shift from its first fire on,
-    so with equal states P fires apart, both on its law by (c), the fires
-    that follow are those P fires before, which met both laws, shifted, and
-    the state comes back to the same, up to the end of the input.  T is a
-    multiple of N/2 and so of P: a stream of whole transforms ends just as
-    a drain phase starts, where a None arrival pairs the taps as a live one
-    would, so the last fires repeat too, and the stage fires T times.  At
-    t >= 1 a FIFO is past its fill, so every slot holds a live label.  So
-    completion k, unweighting's fire (k + 1)N/2 - 1 leaving, comes at its
-    first_fire + lag + (k + 1)N/2 - 1.
+    Each stage is snapshot at its first fire by law, its first arrival +
+    hold, and every P fires after, while t is below the total
+    T = count * N/2: its state moved down by t.  Its input has no gap, so
+    at a snapshot t must be its timing-law count, cycle - first_fire + 1
+    (c); a stage behind it has stopped firing, is short of its law, and
+    raises.  The stage stops at the first snapshot equal to the one
+    before, or else after its fire T - 1; either way t becomes T.  Past
+    its last snapshot, a stage not done on the cycle after its fire
+    T - 1's cycle by law, first_fire + T - 1, is short of its law too.
+    Proof that every stage fires T times by both laws, and so emits its
+    law output on every cycle, by induction in dataflow order: the feed
+    does.  Let a stage's feeder do so (for inverse stage 1, pointwise,
+    through the buffer).  Its ticked fires were checked.  If it stopped at
+    a repeat, its input is invariant under the shift from its first fire
+    on, so with equal states P fires apart, both on its law by (c), the
+    fires that follow are those P fires before, which met both laws,
+    shifted, and the state comes back to the same, up to the end of the
+    input.  T is a multiple of N/2 and so of P: a stream of whole
+    transforms ends just as a drain phase starts, where a None arrival
+    pairs the taps as a live one would, so the last fires repeat too, and
+    the stage fires T times.  At t >= 1 a FIFO is past its fill, so every
+    slot holds a live label.  So completion k, unweighting's fire
+    (k + 1)N/2 - 1 leaving, comes at its first_fire + lag + (k + 1)N/2 - 1.
 
     A traced run writes its rows after the proof, from the stages' first
     fires (:func:`_write_trace`).  When the proof raises, it writes the
@@ -805,49 +763,31 @@ def _run_cycles(config, count, trace):
     front, back = _build_chains(config)
     order = (*back[::-1], *front[::-1])     # the ticks within a cycle
     fly = (*back[-2::-1], *front[-2:0:-1])  # those that write trace rows
-    gate = _TransformGate(n_half)
     total = count * n_half
-    feeder = _PipeStage("feed", 0, 1, 1)
-    feeder.t, feeder.first_fire = total, 0
+    start = 1
     try:
         for st in (*front, *back) if count else ():
-            if st is back[0]:
-                start = feeder.first_fire + feeder.lag
-                for cycle in range(start, start + n_half):
-                    gate.push(_law_out(feeder, cycle))
-                start, period, pool = start + n_half, n_half, gate
-            else:
-                start = feeder.first_fire + feeder.lag + 1
-                period, pool = st.d, None
             cycle, due, snap = start, start + st.hold, None
-            limit = due + total
             while True:
-                if pool is None:    # the feeder's law output: fire k
-                    k = cycle - start
-                    st.tick(cycle, (2 * k, 2 * k + 1) if k < total else None)
-                else:
-                    st.tick(cycle, gate.pop())
-                    out = _law_out(feeder, cycle)
-                    if out is not None:
-                        gate.push(out)
+                k = cycle - start       # the feeder's law output: fire k
+                st.tick(cycle, (2 * k, 2 * k + 1) if k < total else None)
                 if st.t == total:
                     break
-                if cycle == due:
-                    if st.t and st.first_fire + st.t - 1 == cycle:     # (c)
-                        moved = _moved((st,), pool, -st.t)
-                        if moved == snap:
-                            break
-                        snap = moved
-                    if st.t + period < total:
-                        due += period
-                if cycle >= limit and (not st.t
-                                       or cycle >= st.first_fire + total):
+                if cycle == due and st.t and st.first_fire + st.t - 1 == cycle:
+                    moved = _moved(st, -st.t)       # a snapshot on (c)
+                    if moved == snap:
+                        break
+                    snap = moved
+                    if st.t + st.d < total:
+                        due += st.d
+                elif cycle == due or (cycle > due
+                                      and cycle >= st.first_fire + total):
                     raise PipelineAssertionError(
                         f"{st.label}: {st.t} of {total} fires by cycle "
                         f"{cycle}, short of its law")
                 cycle += 1
             st.t = total
-            feeder = st
+            start = st.first_fire + st.lag + (n_half if st is front[-1] else 1)
     except PipelineAssertionError:
         if trace is not None:
             _write_trace(trace, config.n, count, fly,
@@ -873,13 +813,15 @@ def _run_cycles(config, count, trace):
                 raise PipelineAssertionError(
                     f"product {k} completes at cycle {c}, "
                     f"not {done + k * n_half} by law")
-    return _build_report(config, count, front[1:-1], back[:-1], gate,
-                         completions, front[0].first_fire)
+    return _build_report(config, count, front[1:-1], back[:-1], completions,
+                         front[0].first_fire)
 
 
-def _build_report(config, count, fwd, inv, gate, completions, first_feed):
+def _build_report(config, count, fwd, inv, completions, first_feed):
     """The :class:`CycleReport` of a run that returned: every fire met the
-    routing and timing laws, so the run is ``stall_free``."""
+    routing and timing laws, so the run is ``stall_free``, and the buffer
+    in front of inverse stage 1 peaks at one whole block, N/2 pairs
+    (:func:`_run_cycles`)."""
     n = config.n
     notes = [
         "measured register figures count hold-FIFO occupancy; the closed-form "
@@ -928,7 +870,7 @@ def _build_report(config, count, fwd, inv, gate, completions, first_feed):
         inv_fifo_capacity_per_stage=per_stage(inv, "capacity"),
         # the modelled forward pipeline stands for both hardware copies
         total_regs=2 * sum(fwd_peaks) + sum(inv_peaks),
-        handoff_peak_pairs=gate.peak_pairs,
+        handoff_peak_pairs=n // 2 if count else 0,
         fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
         inv_stage_first_fire=tuple(st.first_fire for st in inv),
         butterfly_units=3 * config.params.num_stages,

@@ -287,6 +287,13 @@ def unit_stage(latency):
     return _PipeStage("unit", 0, 1, latency)
 
 
+def law_out(stage, cycle):
+    # a stage's output after cycle's tick by the timing law: fire k's
+    # labels (2k, 2k + 1), k = cycle - lag - first_fire, if 0 <= k < t
+    k = stage.t and cycle - stage.lag - stage.first_fire
+    return (2 * k, 2 * k + 1) if 0 <= k < stage.t else None
+
+
 class TestButterflyUnit:
     @given(latency=st.integers(1, 16), lead=st.integers(0, 3),
            fires=st.integers(0, 20))
@@ -301,14 +308,14 @@ class TestButterflyUnit:
             stage.tick(cycle, arrival)
             line.append(arrival)
             out = line.popleft()
-            assert pipesim._law_out(stage, cycle) == out, cycle
+            assert law_out(stage, cycle) == out, cycle
         assert stage.t == fires
         assert stage.first_fire == (lead + 1 if fires else None)
 
     def test_single_cycle_latency_same_tick(self):
         stage = unit_stage(latency=1)
         stage.tick(5, (0, 1))
-        assert pipesim._law_out(stage, 5) == (0, 1)
+        assert law_out(stage, 5) == (0, 1)
 
     def test_arrival_breaking_the_law_raises(self):
         # fire 1 must pair the labels (3, 2); product 0 is checked too
@@ -600,21 +607,18 @@ class TestRunStreamAccounting:
 RLWE_M = 786_433                    # 3 * 2**18 + 1: 2N | M - 1 up to N = 2**17
 
 
-def withhold_at_gate(mp, gap_at):
-    # the gate withholds once, on the cycle that would hand over pair gap_at
-    real_pop = pipesim._TransformGate.pop
-    handed = []
+def stall(mp, label, at):
+    # a one-cycle stall in the input of the stage ``label`` at cycle ``at``:
+    # that cycle's arrival is None and every later one comes a cycle late
+    real_tick = _PipeStage.tick
+    held = [None]
 
-    def pop(gate):
-        if gate._ready and len(handed) == gap_at:
-            handed.append(None)
-            return None
-        pair = real_pop(gate)
-        if pair is not None:
-            handed.append(pair)
-        return pair
+    def tick(stage, cycle, arrival):
+        if stage.label == label and cycle >= at:
+            arrival, held[0] = held[0], arrival
+        real_tick(stage, cycle, arrival)
 
-    mp.setattr(pipesim._TransformGate, "pop", pop)
+    mp.setattr(_PipeStage, "tick", tick)
 
 
 def tick_count(config, count, retiring=True):
@@ -634,18 +638,14 @@ def retired_ticks(config, count):
     # the ticks of an untraced run: each stage ticks from its first
     # arrival, hold cycles before its first fire, to its second snapshot,
     # P fires after the first (P its period: 2 * hold behind a FIFO, 1
-    # without one, N/2 at inv1), if that comes below the total T; else to
-    # its last fire, T - 1 cycles after its first.  inv1's state repeats
-    # only if pointwise still feeds the gate at its second snapshot, which
-    # takes 3 products
+    # without one), if that comes below the total T; else to its last
+    # fire, T - 1 cycles after its first
     total = count * config.n // 2
     ticks = 0
     for chain in pipesim._build_chains(config):
         for stage in chain:
-            inv1 = stage.label == "inv1"
-            period = config.n // 2 if inv1 else stage.d
-            repeats = 1 + period < total and (count > 2 or not inv1)
-            ticks += stage.hold + (1 + period if repeats else total)
+            repeats = 1 + stage.d < total
+            ticks += stage.hold + (1 + stage.d if repeats else total)
     return ticks if count else 0
 
 
@@ -653,6 +653,24 @@ def no_retirement(mp):
     # every snapshot a fresh object: no two compare equal, so no stage
     # leaves before its last fire and a fault injected late is still met
     mp.setattr(pipesim, "_moved", lambda *args: [object()])
+
+
+def live_arrivals(config, count):
+    # (stage label, cycle) of every live arrival of a run with retirement
+    # off, in tick order
+    real_tick = _PipeStage.tick
+    arrivals = []
+
+    def record(stage, cycle, arrival):
+        if arrival is not None:
+            arrivals.append((stage.label, cycle))
+        real_tick(stage, cycle, arrival)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_PipeStage, "tick", record)
+        no_retirement(mp)
+        _run_cycles(config, count, None)
+    return arrivals
 
 
 def fifo_labels(mp):
@@ -670,16 +688,42 @@ def fifo_labels(mp):
     return labels
 
 
+class TransformGate:
+    # buffers pointwise's output until a transform's full block is present:
+    # inv1 only starts on a product spectrum once all N/2 pairs of it have
+    # arrived.  The first ``ready`` buffered pairs belong to complete blocks
+
+    def __init__(self, n_half):
+        self.n_half = n_half
+        self.pairs = deque()
+        self.ready = 0
+        self.peak_pairs = 0
+
+    def push(self, pair):
+        self.pairs.append(pair)
+        occ = len(self.pairs)
+        if occ - self.ready == self.n_half:
+            self.ready += self.n_half
+        self.peak_pairs = max(self.peak_pairs, occ)
+
+    def pop(self):
+        if not self.ready:
+            return None
+        self.ready -= 1
+        return self.pairs.popleft()
+
+
 def every_cycle(config, count):
     # the every-cycle reference: both chains ticked on every cycle from
     # cycle 1 to the last completion, in reverse dataflow order so that each
     # stage reads what its feeder emitted on the cycle before, each stage's
-    # output a delay line of lag slots behind its fires, and a trace row
-    # written from every butterfly tick.  Returns the report and the trace
-    # text
+    # output a delay line of lag slots behind its fires, pointwise's output
+    # handed to inv1 by a ticked TransformGate, whose peak the report
+    # states, and a trace row written from every butterfly tick.  Returns
+    # the report and the trace text
     n_half = config.n // 2
     front, back = pipesim._build_chains(config)
-    gate = pipesim._TransformGate(n_half)
+    gate = TransformGate(n_half)
     total = count * n_half
     lines = {st: deque([None] * st.lag) for st in (*front, *back)}
     out = dict.fromkeys(lines)
@@ -721,7 +765,8 @@ def every_cycle(config, count):
         if out[front[-1]] is not None:
             gate.push(out[front[-1]])
     report = pipesim._build_report(config, count, front[1:-1], back[:-1],
-                                   gate, completions, front[0].first_fire)
+                                   completions, front[0].first_fire)
+    assert report.handoff_peak_pairs == gate.peak_pairs
     return report, "".join(text)
 
 
@@ -827,17 +872,16 @@ class TestControlPlane:
     def test_fault_before_a_second_snapshot_raises(self, fixed_params,
                                                    latency):
         # retirement on: a stage's fire P, P its period (2 * hold behind a
-        # FIFO, 1 without one, N/2 at inv1), is its last before its second
-        # snapshot, so the stage is still in the loop, and a pair swapped
-        # there raises, naming the stage and the fire
+        # FIFO, 1 without one), is its last before its second snapshot, so
+        # the stage is still in the loop, and a pair swapped there raises,
+        # naming the stage and the fire
         config = PipelineConfig(n=16, params=fixed_params[16],
                                 mode="structural" if latency else "schedule",
                                 butterfly_latency=latency)
         real_tick, real_fifo_tick = _PipeStage.tick, StageFifo.tick
         for stage in (st for chain in pipesim._build_chains(config)
                       for st in chain):
-            label = stage.label
-            fire = config.n // 2 if label == "inv1" else stage.d
+            label, fire = stage.label, stage.d
 
             def tick(st, cycle, arrival):
                 if (st.label, st.t, st.fifo) == (label, fire, None):
@@ -861,80 +905,75 @@ class TestControlPlane:
 
     def test_stage_stopping_after_its_consumer_left_wedges(self,
                                                            fixed_params):
-        # forward stage 2 stops firing at its fire 110 of 1024, before its
-        # second snapshot at fire 129.  No stage reads its ticks: stage 3 is
-        # proved after it, on its law output, and is never ticked.  It falls
-        # behind its timing law, so no later snapshot counts, and it raises
-        # at its bound: on the cycle after its fire 1023's by law, first
-        # fire 67 + 1023
+        # forward stage 2 stops firing at its fire 110, before its second
+        # snapshot at fire 129.  No stage reads its ticks: stage 3 is proved
+        # after it, on its law output, and is never ticked.  Its second
+        # snapshot, on cycle 67 + 128, finds it behind its timing law, and
+        # it raises there, after 2 ticks each of weighting and stage 1 and
+        # its own 193 from cycle 3, in a short stream and a long one alike
         config = PipelineConfig(n=256, params=fixed_params[256])
         real_tick = _PipeStage.tick
-        ticked, stopped = set(), []
+        for count in (8, 1000):
+            ticked, stopped = [], []
 
-        def tick(stage, cycle, arrival):
-            ticked.add(stage.label)
-            if stage.label == "fwd_a2" and stage.t == 110:
-                stopped.append(cycle)
-                if cycle > 20_000:
-                    raise RuntimeError("the proof ran on")
-                return
-            real_tick(stage, cycle, arrival)
+            def tick(stage, cycle, arrival):
+                ticked.append(stage.label)
+                if stage.label == "fwd_a2" and stage.t == 110:
+                    stopped.append(cycle)
+                    if cycle > 20_000:
+                        raise RuntimeError("the proof ran on")
+                    return
+                real_tick(stage, cycle, arrival)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_PipeStage, "tick", tick)
-            with pytest.raises(PipelineAssertionError,
-                               match="^fwd_a2: 110 of 1024 fires by cycle "
-                                     "1091, short of its law$"):
-                _run_cycles(config, 8, None)
-        assert "fwd_a3" not in ticked
-        assert stopped[-1] == 67 + 1024
-
-    @pytest.mark.parametrize("gap_at, due", [
-        (0, None), (1, 22), (2, 23), (9, 30), (22, 43), (23, 44)])
-    def test_gap_at_the_gate_delays_inv1(self, fixed_params, monkeypatch,
-                                         gap_at, due):
-        # only the gate can open a gap in a stage's fires: inv1's fire of
-        # the withheld pair, a cycle late, breaks the timing law before
-        # inv2 sees the arrival, in a gate phase of inv2's FIFO or a drain
-        # phase; withholding the first pair delays the back chain without
-        # a gap, and the schedule law catches that at the end
-        withhold_at_gate(monkeypatch, gap_at)
-        no_retirement(monkeypatch)
-        config = PipelineConfig(n=16, params=fixed_params[16])
-        if due is None:
-            with pytest.raises(PipelineAssertionError,
-                               match=r"^inv1: first fire at cycle 22, not 21 "
-                                     r"by law$"):
-                _run_cycles(config, 3, None)
-            return
-        with pytest.raises(PipelineAssertionError,
-                           match=rf"^inv1: fire {gap_at} at cycle {due + 1}, "
-                                 rf"not {due}$"):
-            _run_cycles(config, 3, None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_PipeStage, "tick", tick)
+                with pytest.raises(PipelineAssertionError,
+                                   match=rf"^fwd_a2: 110 of {count * 128} "
+                                         r"fires by cycle 195, short of its "
+                                         r"law$"):
+                    _run_cycles(config, count, None)
+            assert "fwd_a3" not in ticked
+            assert stopped[-1] == 67 + 128
+            assert len(ticked) == 197
 
     @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_gap_anywhere_never_underflows(self, fixed_params, n):
-        # a FIFO checks no gap and reads only its fixed banks; the timing
-        # law of the stage feeding it is the one gap check, so a gap
-        # anywhere in the stream is inv1's late fire, in either mode, and
-        # a delay with no gap puts the schedule off its law
+    def test_stall_anywhere_names_its_stage(self, fixed_params, n):
+        # a one-cycle stall in one stage's input, at any cycle of a
+        # 3-product stream, delays every later arrival by a cycle: that
+        # stage pairs the wrong labels, fires late or falls behind its law
+        # at a snapshot or at its bound, and raises naming itself, or, with
+        # the stall past its last arrival, the run is clean.  Retirement
+        # off, so that every arrival is ticked.  A stall before a stage's
+        # first arrival delays the same arrivals as one on it, and any
+        # stall past its last arrival leaves the run clean, so the stalls
+        # from each stage's first arrival to the cycle after its last meet
+        # every outcome
         p = fixed_params[n]
         for config in (PipelineConfig(n=n, params=p),
                        *(PipelineConfig(n=n, params=p, mode="structural",
                                         butterfly_latency=latency)
                          for latency in (2, 12))):
+            first, last = {}, {}
+            for label, cycle in live_arrivals(config, 3):
+                first.setdefault(label, cycle)
+                last[label] = cycle
             outcomes = set()
-            for gap_at in range(3 * n // 2):
-                with pytest.MonkeyPatch.context() as mp:
-                    withhold_at_gate(mp, gap_at)
-                    no_retirement(mp)
-                    try:
-                        assert _run_cycles(config, 3, None).stall_free
-                        outcomes.add("stall-free")
-                    except PipelineAssertionError as e:
-                        outcomes.add(re.sub(r" \d+", " #", str(e)))
-            assert outcomes == {"inv1: first fire at cycle #, not # by law",
-                                "inv1: fire # at cycle #, not #"}, config
+            for label in first:
+                for at in range(first[label], last[label] + 2):
+                    with pytest.MonkeyPatch.context() as mp:
+                        stall(mp, label, at)
+                        no_retirement(mp)
+                        try:
+                            assert _run_cycles(config, 3, None).stall_free
+                            error = "clean"
+                        except PipelineAssertionError as e:
+                            error = re.sub(r"\b\d+", "#", str(e))
+                            assert error.startswith(f"{label}: "), (at, error)
+                    outcomes.add(error.removeprefix(f"{label}: "))
+            assert outcomes == {"clean", "fire # pairs (#, #), not (#, #)",
+                                "fire # at cycle #, not #",
+                                "# of # fires by cycle #, short of its law"
+                                }, config
 
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_lost_result_raises(self, fixed_params, mode):
@@ -942,27 +981,15 @@ class TestControlPlane:
         # stage is proved on its feeder's law output, so the loss is the
         # stage's arrival replaced by None, and the stage itself pairs the
         # wrong labels at its next fire, fires late, or falls short of its
-        # law at its bound.  Losing a None arrival changes nothing, so only
-        # the clean run's live arrivals are lost, each once; retirement is
-        # off, so that every arrival is ticked.  A loss cannot make a fire
-        # late: the gate takes pointwise's law output, so a block cannot
-        # complete late, and a gap opens only where the gate withholds a
-        # pair (test_gap_at_the_gate_delays_inv1)
+        # law at a snapshot or at its bound.  Losing a None arrival changes
+        # nothing, so only the clean run's live arrivals are lost, each
+        # once; retirement is off, so that every arrival is ticked.  A loss
+        # cannot make a fire late: the arrivals after it keep their cycles,
+        # where a stall delays them (test_stall_anywhere_names_its_stage)
         config = PipelineConfig(n=16, params=fixed_params[16], mode=mode)
         real_tick = _PipeStage.tick
-        arrivals = []
-
-        def record(stage, cycle, arrival):
-            if arrival is not None:
-                arrivals.append((stage.label, cycle))
-            real_tick(stage, cycle, arrival)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_PipeStage, "tick", record)
-            no_retirement(mp)
-            _run_cycles(config, 3, None)
         outcomes = set()
-        for label, at in arrivals:
+        for label, at in live_arrivals(config, 3):
             def tick(stage, cycle, arrival):
                 lost = (stage.label, cycle) == (label, at)
                 real_tick(stage, cycle, None if lost else arrival)
@@ -1068,7 +1095,7 @@ class TestControlPlane:
             calls.clear()
             _run_cycles(config, 4, None)
         assert oracle == 23 * report.completion_cycles[-1] == 88_550
-        assert len(calls) == 3605
+        assert len(calls) == 3094
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -1109,14 +1136,13 @@ class TestControlPlane:
         # the benchmark's in-process streams.  Each column is ticked from
         # its first arrival, hold cycles before its first fire, to its
         # second snapshot, P fires later, P its period: 3 * hold + 1 ticks
-        # behind a FIFO, N/2 + 1 at inv1, whose period is N/2 and which
-        # reads the gate from its first complete block, and 2 at weighting,
-        # forward stage 1, pointwise and unweighting.  A transform's FIFOs
-        # hold N/4 ... 1: 3 * (N/2 - 1) + log2(N) - 1 ticks, 388 at N = 256
-        # and 1542 at N = 1024; a stream of 1000 ticks as one of 8
+        # behind a FIFO, and 2 at weighting, forward and inverse stage 1,
+        # pointwise and unweighting.  A transform's FIFOs hold N/4 ... 1:
+        # 3 * (N/2 - 1) + log2(N) - 1 ticks, 388 at N = 256 and 1542 at
+        # N = 1024; a stream of 2 or 1000 ticks as one of 8
         for m, n, mode, counts, ticks in (
-                (FIXED_M, 256, "schedule", (8, 1000), 2 * 388 + 129 + 8),
-                (12289, 1024, "structural", (4,), 2 * 1542 + 513 + 8)):
+                (FIXED_M, 256, "schedule", (2, 8, 1000), 2 * 388 + 10),
+                (12289, 1024, "structural", (2, 4), 2 * 1542 + 10)):
             config = PipelineConfig(n=n, params=build_params(m, n),
                                     mode=mode)
             for count in counts:
