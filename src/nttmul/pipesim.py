@@ -41,9 +41,11 @@ stages one at a time in dataflow order, each ticked alone on its feeder's
 output by the timing law from its first arrival until its state repeats, a
 period of its own after its first fire; the rest of its stream follows by
 the timing law, as its docstring proves.  Every run ends by checking each
-stage's first fire and every completion against closed forms
-(:func:`_schedule_law`), and a trace is written from closed forms too
-(:func:`_write_trace`).
+butterfly stage's first fire and the first completion against closed forms
+(:func:`_schedule_law`); each later completion comes N/2 cycles after the
+one before by the timing law and by the law alike.  So a run that returns
+is on the law, and its report is built from the law and the stage holds
+alone (:func:`_build_report`), as its trace is (:func:`_write_trace`).
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` shows,
@@ -173,15 +175,6 @@ class StageFifo:
         self._hshift = hold.bit_length() - 1
 
     @property
-    def capacity(self) -> int:
-        return 2 * self.hold
-
-    @property
-    def peak(self) -> int:
-        # only the fill adds entries, two per tick
-        return 2 * min(self.counter, self.hold)
-
-    @property
     def sel(self) -> int:
         # 1 during fill and drain phases, 0 while bank II is gated
         return 1 - (self.counter >> self._hshift & 1)
@@ -283,13 +276,16 @@ class CycleReport:
     first_ntt_latency: int | None
     first_mul_latency: int | None
     steady_cycles_per_mul: int | None
-    regs_per_stage: tuple[int, ...]           # forward pipeline FIFO peaks
-    inv_regs_per_stage: tuple[int, ...]       # inverse pipeline FIFO peaks
-    fifo_capacity_per_stage: tuple[int, ...]
+    # FIFO peaks by law: 2*hold per butterfly stage for a stream with
+    # products, as the fill loads both banks before the first fire, 0
+    # without; stage 1 has no FIFO and reads 0
+    regs_per_stage: tuple[int, ...]           # forward pipeline
+    inv_regs_per_stage: tuple[int, ...]       # inverse pipeline
+    fifo_capacity_per_stage: tuple[int, ...]  # 2*hold, both banks
     inv_fifo_capacity_per_stage: tuple[int, ...]
     total_regs: int                           # 2x forward peaks + inverse peaks
-    handoff_peak_pairs: int
-    fwd_stage_first_fire: tuple               # first butterfly cycle per stage
+    handoff_peak_pairs: int                   # one block, N/2, or 0
+    fwd_stage_first_fire: tuple               # by _schedule_law, or None each
     inv_stage_first_fire: tuple
     butterfly_units: int
     predicted_first_ntt: int
@@ -308,16 +304,17 @@ class CycleReport:
 
 def predicted_first_ntt_latency(n: int) -> int:
     """Cycles from first stage-1 butterfly to the last output of one transform:
-    N + log2(N) - 2."""
+    N + log2(N) - 2, :func:`_first_latencies` at butterfly latency 1."""
     _check_n(n)
-    return n + (n.bit_length() - 1) - 2
+    return _first_latencies(n, 1)[0]
 
 
 def predicted_first_mul_latency(n: int) -> int:
     """Cycles from first weighting to the last coefficient of the first
-    product: 2N + 2*log2(N) - 1."""
+    product: 2N + 2*log2(N) - 1, :func:`_first_latencies` at butterfly
+    latency 1."""
     _check_n(n)
-    return 2 * n + 2 * (n.bit_length() - 1) - 1
+    return _first_latencies(n, 1)[1]
 
 
 def predicted_ntt_regs(n: int) -> int:
@@ -331,6 +328,15 @@ def predicted_mul_regs(n: int) -> int:
     """Closed-form register count for the full multiplier:
     three transform pipelines plus eight."""
     return 3 * predicted_ntt_regs(n) + 8
+
+
+def _first_latencies(n, butterfly_latency):
+    """(first transform, first product) latency by :func:`_schedule_law`,
+    both counted inclusively: from the last stage's fire N/2 - 1, at its
+    first fire + N/2 - 1, back to the first stage's first fire, and from the
+    first completion back to weighting's first fire, on cycle 1."""
+    fwd, _, done = _schedule_law(n, butterfly_latency)
+    return fwd[-1] + n // 2 - fwd[0], done
 
 
 def _check_n(n: int):
@@ -555,7 +561,9 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     control state repeats, a period of its own after its first fire, or,
     in a stream too short for that, until its last fire; its remaining
     fires, and the completions, follow from the timing law
-    (:func:`_run_cycles`).  Products are
+    (:func:`_run_cycles`).  The proof returns nothing: once it has, the
+    report is the law's for the config and the stream's length
+    (:func:`_build_report`).  Products are
     :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order.  Before
     any is computed, the run checks :func:`_network_proof` for its N and
     :func:`_table_proof` for its tables: the stages route polymul's
@@ -581,19 +589,19 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     _table_proof(params)
     products = [naive_negacyclic_mul(a, b, params) for a, b in pairs]
     if trace_path is None:
-        report = _run_cycles(config, len(products), None)
+        _run_cycles(config, len(products), None)
     else:
         with open(trace_path, "w", newline="") as fh:
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            report = _run_cycles(config, len(products), _TraceWriter(fh))
-    return products, report
+            _run_cycles(config, len(products), _TraceWriter(fh))
+    return products, _build_report(config, len(products))
 
 
 def _moved(st, fires):
     """The state a stage's proof reads moved up by ``fires`` fires, as a
     value: t, and the FIFO counter and banks or None.  A FIFO holds
-    nothing else: its peak follows from ``counter``; nor does a unit: its
-    output follows from t and the cycle."""
+    nothing else, nor does a unit: its output follows from t and the
+    cycle."""
     f, lab = st.fifo, 2 * fires
     return st.t + fires, f and (f.counter + fires,
                                 [x + lab for x in f.block_i],
@@ -701,8 +709,9 @@ def _run_cycles(config, count, trace):
     """The per-stage proof of the schedule for ``count`` products, position
     j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
     pN/2 + j + 1.  ``trace`` is a :class:`_TraceWriter` or None.  Returns
-    the :class:`CycleReport` once every butterfly stage's first fire and
-    every completion has matched :func:`_schedule_law`.
+    None once every butterfly stage's first fire and the first completion
+    have matched :func:`_schedule_law`, or raises
+    :class:`PipelineAssertionError`; it builds no report.
 
     The stages are proved one at a time in dataflow order: weighting, the
     forward stages, pointwise, the inverse stages, unweighting.  Each is
@@ -751,14 +760,19 @@ def _run_cycles(config, count, trace):
     pairs the taps as a live one would, so the last fires repeat too, and
     the stage fires T times.  At t >= 1 a FIFO is past its fill, so every
     slot holds a live label.  So completion k, unweighting's fire
-    (k + 1)N/2 - 1 leaving, comes at its first_fire + lag + (k + 1)N/2 - 1.
+    (k + 1)N/2 - 1 leaving, comes at its first_fire + lag + (k + 1)N/2 - 1,
+    N/2 cycles after completion k - 1, as by :func:`_schedule_law`: the
+    check of completion 0 decides them all.
 
     A traced run writes its rows after the proof, from the stages' first
-    fires (:func:`_write_trace`).  When the proof raises, it writes the
+    fires (:func:`_write_trace`), and only then checks them against the
+    law.  When the proof raises, it writes the
     rows of :func:`_schedule_law`'s first fires up to the failing cycle and
     stage, in the order a cycle ticks the stages: the inverse chain from
     unweighting back, then the forward chain from pointwise back.
     """
+    if not count:
+        return
     n_half = config.n // 2
     front, back = _build_chains(config)
     order = (*back[::-1], *front[::-1])     # the ticks within a cycle
@@ -766,7 +780,7 @@ def _run_cycles(config, count, trace):
     total = count * n_half
     start = 1
     try:
-        for st in (*front, *back) if count else ():
+        for st in (*front, *back):
             cycle, due, snap = start, start + st.hold, None
             while True:
                 k = cycle - start       # the feeder's law output: fire k
@@ -795,34 +809,38 @@ def _run_cycles(config, count, trace):
                          (cycle, sum(s in fly for s in
                                      order[:order.index(st)])))
         raise
-    completions = [back[-1].first_fire + back[-1].lag + k * n_half - 1
-                   for k in range(1, count + 1)]
-    if count:
-        if trace is not None:
-            _write_trace(trace, config.n, count, fly, (
-                tuple(st.first_fire for st in front[1:-1]),
-                tuple(st.first_fire for st in back[:-1]), completions[0]))
-        fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
-        for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):
-            if st.first_fire != due:
-                raise PipelineAssertionError(
-                    f"{st.label}: first fire at cycle {st.first_fire}, "
-                    f"not {due} by law")
-        for k, c in enumerate(completions):
-            if c != done + k * n_half:
-                raise PipelineAssertionError(
-                    f"product {k} completes at cycle {c}, "
-                    f"not {done + k * n_half} by law")
-    return _build_report(config, count, front[1:-1], back[:-1], completions,
-                         front[0].first_fire)
+    first = back[-1].first_fire + back[-1].lag + n_half - 1
+    if trace is not None:
+        _write_trace(trace, config.n, count, fly, (
+            tuple(st.first_fire for st in front[1:-1]),
+            tuple(st.first_fire for st in back[:-1]), first))
+    fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
+    for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):
+        if st.first_fire != due:
+            raise PipelineAssertionError(
+                f"{st.label}: first fire at cycle {st.first_fire}, "
+                f"not {due} by law")
+    if first != done:
+        raise PipelineAssertionError(
+            f"product 0 completes at cycle {first}, not {done} by law")
 
 
-def _build_report(config, count, fwd, inv, completions, first_feed):
-    """The :class:`CycleReport` of a run that returned: every fire met the
-    routing and timing laws, so the run is ``stall_free``, and the buffer
-    in front of inverse stage 1 peaks at one whole block, N/2 pairs
-    (:func:`_run_cycles`)."""
-    n = config.n
+def _build_report(config, count):
+    """The :class:`CycleReport` of ``count`` products, from the laws alone:
+    a run whose proof returned (:func:`_run_cycles`) fired as the routing
+    and timing laws state, its butterfly stages first and its products
+    completing as :func:`_schedule_law` does, so it is ``stall_free``.
+    Each FIFO has two banks of ``hold`` slots (:func:`_butterfly_timing`),
+    which the fill loads before the first fire: it peaks at its capacity,
+    2 * hold, whenever the stream has products.  The buffer in front of
+    inverse stage 1 peaks at one whole block, N/2 pairs."""
+    n, latency = config.n, config.butterfly_latency
+    fwd, inv, done = _schedule_law(n, latency)
+    fwd_caps, inv_caps = (tuple(2 * hold for hold, _ in
+                                _butterfly_timing(n, forward))
+                          for forward in (True, False))
+    fwd_peaks, inv_peaks = (caps if count else (0,) * len(caps)
+                            for caps in (fwd_caps, inv_caps))
     notes = [
         "measured register figures count hold-FIFO occupancy; the closed-form "
         "totals additionally include two pipeline registers per stage",
@@ -836,50 +854,38 @@ def _build_report(config, count, fwd, inv, completions, first_feed):
             "per-stage capacities sum to the same, yet a figure of 18 has "
             "been reported for this size; both are quoted here unreconciled "
             "and the measured occupancy is reported independently")
-    first_ntt = first_mul = None
-    if count:   # the timing law puts fire N/2 - 1 at first_fire + N/2 - 1
-        first_ntt = fwd[-1].first_fire + n // 2 - fwd[0].first_fire
-        first_mul = completions[0] - first_feed + 1
-    steady = None
-    if len(completions) >= 4:
-        # completion k is output (k+1)N/2 - 1 of unweight, whose fires the
-        # timing law makes contiguous: every spacing is N/2
-        steady = completions[1] - completions[0]
-    elif completions:
+    if 0 < count < 4:
         notes.append("steady-state spacing needs at least 4 back-to-back "
                      "multiplications; not measured")
-
-    def per_stage(stages, attr):
-        # a FIFO figure per stage, 0 for a stage without a hold FIFO
-        return tuple(getattr(st.fifo, attr) if st.fifo else 0 for st in stages)
-
-    fwd_peaks = per_stage(fwd, "peak")
-    inv_peaks = per_stage(inv, "peak")
+    first_ntt, first_mul = (_first_latencies(n, latency) if count
+                            else (None, None))
 
     return CycleReport(
         n=n,
         mode=config.mode,
-        butterfly_latency=config.butterfly_latency,
+        butterfly_latency=latency,
         multiplications=count,
         first_ntt_latency=first_ntt,
         first_mul_latency=first_mul,
-        steady_cycles_per_mul=steady,
+        # completion k is output (k+1)N/2 - 1 of unweight, whose fires the
+        # timing law makes contiguous: every spacing is N/2
+        steady_cycles_per_mul=n // 2 if count >= 4 else None,
         regs_per_stage=fwd_peaks,
         inv_regs_per_stage=inv_peaks,
-        fifo_capacity_per_stage=per_stage(fwd, "capacity"),
-        inv_fifo_capacity_per_stage=per_stage(inv, "capacity"),
+        fifo_capacity_per_stage=fwd_caps,
+        inv_fifo_capacity_per_stage=inv_caps,
         # the modelled forward pipeline stands for both hardware copies
         total_regs=2 * sum(fwd_peaks) + sum(inv_peaks),
         handoff_peak_pairs=n // 2 if count else 0,
-        fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
-        inv_stage_first_fire=tuple(st.first_fire for st in inv),
+        fwd_stage_first_fire=fwd if count else (None,) * len(fwd),
+        inv_stage_first_fire=inv if count else (None,) * len(inv),
         butterfly_units=3 * config.params.num_stages,
         predicted_first_ntt=predicted_first_ntt_latency(n),
         predicted_first_mul=predicted_first_mul_latency(n),
         predicted_ntt_regs=predicted_ntt_regs(n),
         predicted_mul_regs=predicted_mul_regs(n),
         stall_free=True,
-        completion_cycles=tuple(completions),
+        completion_cycles=tuple(range(done, done + count * n // 2, n // 2)),
         notes=tuple(notes),
         schedule_deviations=(),
     )

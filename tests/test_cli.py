@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nttmul import cli
+from nttmul import cli, pipesim
 from nttmul.params import load_tables
 from nttmul.pipesim import PipelineAssertionError
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
@@ -324,6 +324,50 @@ class TestSimCommand:
         assert rc == 3
         assert capsys.readouterr().err == (
             "internal assertion: forced failure\n")
+
+    def test_pipeline_fault_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a fault in the model itself, not a patched run_stream: fwd_a3's
+        # FIFO swaps the pair it emits at fire 8, product 1's first, with
+        # retirement off so that the stage is still ticked there.  The run
+        # exits 3 naming the stage and the trace, writes no report, and
+        # leaves the clean run's trace up to the failure
+        tables, vec = tmp_path / "p16.json", tmp_path / "v.ndjson"
+        cli.main(["params", "--modulus", "1049089", "--n", "16",
+                  "--out", str(tables)])
+        cli.main(["gen", "--params", str(tables), "--count", "3",
+                  "--seed", "7", "--out", str(vec)])
+        clean, trace = tmp_path / "clean.csv", tmp_path / "t.csv"
+        report = tmp_path / "r.json"
+        sim = ["sim", "--params", str(tables), "--vectors", str(vec)]
+        assert cli.main([*sim, "--report", str(tmp_path / "clean.json"),
+                         "--trace", str(clean)]) == 0
+        capsys.readouterr()
+
+        real_build, real_tick = pipesim._build_chains, pipesim.StageFifo.tick
+        faulty = []
+
+        def build(config):
+            front, back = real_build(config)
+            faulty[:] = [st.fifo for st in front if st.label == "fwd_a3"]
+            return front, back
+
+        def tick(fifo, arrival):
+            pair = real_tick(fifo, arrival)
+            if fifo in faulty and fifo.counter == fifo.hold + 8 + 1:
+                return pair[::-1]
+            return pair
+
+        monkeypatch.setattr(pipesim, "_build_chains", build)
+        monkeypatch.setattr(pipesim.StageFifo, "tick", tick)
+        monkeypatch.setattr(pipesim, "_moved", lambda *args: [object()])
+        rc = cli.main([*sim, "--report", str(report), "--trace", str(trace)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "internal assertion: fwd_a3: fire 8 pairs " in err
+        assert f"cycle trace (up to the failure): {trace}\n" in err
+        assert not report.exists()
+        assert clean.read_bytes().startswith(trace.read_bytes())
+        assert len(trace.read_bytes()) < len(clean.read_bytes())
 
     def test_schedule_mode_rejects_deep_latency(self, toy_tables, tmp_path,
                                                 capsys):

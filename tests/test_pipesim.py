@@ -145,9 +145,17 @@ def feed_forever(fifo, n_ticks, start=0):
 
 
 class TestStageFifo:
-    def test_capacity_is_twice_hold(self):
-        assert StageFifo(64).capacity == 128
-        assert StageFifo(32).capacity == 64
+    def test_fill_loads_both_banks(self):
+        # two banks of hold slots, two loaded per fill tick, all of them
+        # by the first pair: the report's peak and capacity, 2 * hold
+        for hold in (1, 2, 8, 64):
+            fifo = StageFifo(hold)
+            for k in range(hold + 1):
+                banks = fifo.block_i + fifo.block_ii
+                assert len(banks) == 2 * hold
+                assert sum(x is not None for x in banks) == 2 * k
+                out = fifo.tick((1000 + k, 2000 + k))
+            assert out == (1000 + hold, 1000)
 
     def test_first_pair_after_hold_many_ticks(self):
         # hold 64: ticks 1..64 fill, tick 65 emits the first pair
@@ -222,12 +230,6 @@ class TestStageFifo:
         assert fifo.tick((1005, 2005)) == (2003, 2001)
         assert fifo.counter == 6
 
-    def test_peak_occupancy_is_capacity(self):
-        hold = 8
-        fifo = StageFifo(hold)
-        feed_forever(fifo, 6 * hold)
-        assert fifo.peak == fifo.capacity
-
     def test_hold_one(self):
         fifo = StageFifo(1)
         outs = feed_forever(fifo, 5)
@@ -249,7 +251,7 @@ class TestStageFifo:
                                                   data):
         # Nones in the fill or a gate phase idle the FIFO: it emits the
         # pairs of the gap-free feed, whole transforms or cut short, and
-        # its peak is the two entries per fill tick it saw
+        # ends in the gap-free feed's state
         hold = 1 << hold_log
         total = 2 * hold * blocks
         arrivals = data.draw(st.integers(0, total))
@@ -269,7 +271,8 @@ class TestStageFifo:
         gapped, gapped_fifo = run(feed)
         assert gapped == out
         assert gapped_fifo.counter == fifo.counter
-        assert gapped_fifo.peak == fifo.peak == 2 * min(arrivals, hold)
+        assert ((gapped_fifo.block_i, gapped_fifo.block_ii)
+                == (fifo.block_i, fifo.block_ii))
         # every pair: one stream, the lower element of a 2*hold block
         # paired with the element hold above it, never twice
         for newer, older in out:
@@ -362,9 +365,10 @@ class TestPipelineConfig:
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=1024)
         assert cfg.scalar_latency == 1022
-        with pytest.raises(ValueError, match=r"butterfly_latency.*1024"):
-            PipelineConfig(n=16, params=fixed_params[16], mode="structural",
-                           butterfly_latency=1025)
+        for bad in (0, 1025):
+            with pytest.raises(ValueError, match=r"butterfly_latency.*1024"):
+                PipelineConfig(n=16, params=fixed_params[16],
+                               mode="structural", butterfly_latency=bad)
 
     @pytest.mark.parametrize("latency", [True, 2.0, "3"])
     def test_latency_must_be_an_int(self, fixed_params, latency):
@@ -408,6 +412,11 @@ class TestPredictors:
                 predicted_first_ntt_latency(bad)
             with pytest.raises(ValueError, match="must be a power of two"):
                 predicted_ntt_regs(bad)
+            # the latency predictors read _schedule_law, which takes any N
+            with pytest.raises(ValueError, match="must be a power of two"):
+                predicted_first_mul_latency(bad)
+            with pytest.raises(ValueError, match="must be a power of two"):
+                predicted_mul_regs(bad)
         # a float N fails the type check before the params.n comparison
         with pytest.raises(ValueError, match="must be a power of two"):
             PipelineConfig(n=4.0, params=p17_4)
@@ -436,6 +445,8 @@ class TestRunStreamFunctional:
         assert prods == []
         assert report.first_mul_latency is None
         assert report.steady_cycles_per_mul is None
+        # no products, so no steady spacing to miss
+        assert not any("at least 4" in note for note in report.notes)
 
     def test_single_multiplication_latency(self, fixed_params):
         p = fixed_params[16]
@@ -622,7 +633,7 @@ def stall(mp, label, at):
 
 
 def tick_count(config, count, retiring=True):
-    # the _PipeStage ticks of one untraced proof, and its report
+    # the _PipeStage ticks of one untraced proof, which returns nothing
     real_tick = _PipeStage.tick
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -630,8 +641,8 @@ def tick_count(config, count, retiring=True):
             no_retirement(mp)
         mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
             calls.append(None), real_tick(stage, cycle, arrival)))
-        report = _run_cycles(config, count, None)
-    return len(calls), report
+        assert _run_cycles(config, count, None) is None
+    return len(calls)
 
 
 def retired_ticks(config, count):
@@ -671,6 +682,21 @@ def live_arrivals(config, count):
         no_retirement(mp)
         _run_cycles(config, count, None)
     return arrivals
+
+
+def built_stages(mp):
+    # the stages of the chains a run builds, by label, filled in as it
+    # builds them
+    real_build = pipesim._build_chains
+    stages = {}
+
+    def build(config):
+        front, back = real_build(config)
+        stages.update((st.label, st) for st in (*front, *back))
+        return front, back
+
+    mp.setattr(pipesim, "_build_chains", build)
+    return stages
 
 
 def fifo_labels(mp):
@@ -718,9 +744,12 @@ def every_cycle(config, count):
     # cycle 1 to the last completion, in reverse dataflow order so that each
     # stage reads what its feeder emitted on the cycle before, each stage's
     # output a delay line of lag slots behind its fires, pointwise's output
-    # handed to inv1 by a ticked TransformGate, whose peak the report
-    # states, and a trace row written from every butterfly tick.  Returns
-    # the report and the trace text
+    # handed to inv1 by a ticked TransformGate, and a trace row written
+    # from every butterfly tick.  It measures the report's figures from
+    # what it ticks (first fires, completions, the most loaded bank slots
+    # of each FIFO after any tick, bank lengths, the gate's peak and the
+    # first latencies) and asserts that they are the report by law.
+    # Returns the trace text
     n_half = config.n // 2
     front, back = pipesim._build_chains(config)
     gate = TransformGate(n_half)
@@ -728,14 +757,23 @@ def every_cycle(config, count):
     lines = {st: deque([None] * st.lag) for st in (*front, *back)}
     out = dict.fromkeys(lines)
     fly = {*front[1:-1], *back[:-1]}
+    peak = dict.fromkeys(fly, 0)
     text = []
+    last_ntt_fire = None
 
     def tick(st, cycle, arrival):
+        nonlocal last_ntt_fire
         t = st.t
         st.tick(cycle, arrival)
         fired = st.t > t
         lines[st].append((2 * t, 2 * t + 1) if fired else None)
         out[st] = lines[st].popleft()
+        if st is front[-2] and fired and t == n_half - 1:
+            last_ntt_fire = cycle
+        if st.fifo is not None:
+            bi, bii = st.fifo.block_i, st.fifo.block_ii
+            peak[st] = max(peak[st], 2 * st.hold - bi.count(None)
+                           - bii.count(None))
         if st in fly:
             lo = hi = ""
             if fired:
@@ -764,21 +802,48 @@ def every_cycle(config, count):
              (2 * cycle - 2, 2 * cycle - 1) if cycle <= total else None)
         if out[front[-1]] is not None:
             gate.push(out[front[-1]])
-    report = pipesim._build_report(config, count, front[1:-1], back[:-1],
-                                   completions, front[0].first_fire)
-    assert report.handoff_peak_pairs == gate.peak_pairs
-    return report, "".join(text)
+    fwd, inv = front[1:-1], back[:-1]
+
+    def banks(stages):
+        return tuple(len(st.fifo.block_i) + len(st.fifo.block_ii)
+                     if st.fifo else 0 for st in stages)
+
+    regs, inv_regs = (tuple(peak[st] for st in fwd),
+                      tuple(peak[st] for st in inv))
+    spacings = {b - a for a, b in zip(completions, completions[1:])}
+    assert len(spacings) <= 1       # completions evenly spaced
+    measured = dict(
+        fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
+        inv_stage_first_fire=tuple(st.first_fire for st in inv),
+        completion_cycles=tuple(completions),
+        steady_cycles_per_mul=min(spacings) if count >= 4 else None,
+        regs_per_stage=regs,
+        inv_regs_per_stage=inv_regs,
+        total_regs=2 * sum(regs) + sum(inv_regs),
+        fifo_capacity_per_stage=banks(fwd),
+        inv_fifo_capacity_per_stage=banks(inv),
+        handoff_peak_pairs=gate.peak_pairs,
+        first_ntt_latency=(last_ntt_fire - fwd[0].first_fire + 1
+                           if count else None),
+        first_mul_latency=(completions[0] - front[0].first_fire + 1
+                           if count else None),
+    )
+    law = pipesim._build_report(config, count)
+    assert dataclasses.replace(law, **measured) == law, measured
+    return "".join(text)
 
 
 class TestControlPlane:
     @pytest.mark.parametrize("mode", ["schedule", "structural"])
     def test_closed_forms_at_rlwe_sizes(self, mode):
         # the loop routes labels only, so it decides the closed forms at
-        # sizes the paper ring lacks
+        # sizes the paper ring lacks; once it returns, the report is the
+        # law's
         for n in (1024, 4096):
             config = PipelineConfig(n=n, params=build_params(RLWE_M, n),
                                     mode=mode)
-            rep = _run_cycles(config, 4, None)
+            assert _run_cycles(config, 4, None) is None
+            rep = pipesim._build_report(config, 4)
             if mode == "schedule":
                 assert rep.first_ntt_latency == rep.predicted_first_ntt
                 assert rep.first_mul_latency == rep.predicted_first_mul
@@ -797,7 +862,8 @@ class TestControlPlane:
         config = PipelineConfig(n=16, params=fixed_params[16])
         ticks = {}
         for count in (12, 1000):
-            ticks[count], rep = tick_count(config, count)
+            ticks[count] = tick_count(config, count)
+            rep = pipesim._build_report(config, count)
             assert rep.completion_cycles[-1] == 39 + 8 * (count - 1)
         assert ticks[1000] == ticks[12] < 39 + 8 * 11
 
@@ -964,7 +1030,7 @@ class TestControlPlane:
                         stall(mp, label, at)
                         no_retirement(mp)
                         try:
-                            assert _run_cycles(config, 3, None).stall_free
+                            assert _run_cycles(config, 3, None) is None
                             error = "clean"
                         except PipelineAssertionError as e:
                             error = re.sub(r"\b\d+", "#", str(e))
@@ -1014,7 +1080,8 @@ class TestControlPlane:
         real_tick = _PipeStage.tick
         seen = []
         for count in (8, 200):
-            last = _run_cycles(config, count, None).completion_cycles[-1]
+            assert _run_cycles(config, count, None) is None
+            last = pipesim._build_report(config, count).completion_cycles[-1]
 
             def tick(stage, cycle, arrival):
                 lost = stage.label == "unweight" and cycle == last
@@ -1035,9 +1102,9 @@ class TestControlPlane:
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
         # the traced run, whose trace jumps the steady middle as one
-        # period repeated, gives the report and the trace text of the
-        # reference that ticks both chains on every cycle, and the text of
-        # the same rows written one by one
+        # period repeated, returns, and writes the trace text of the
+        # reference that ticks both chains on every cycle and measures the
+        # report by law, and the text of the same rows written one by one
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
@@ -1045,8 +1112,8 @@ class TestControlPlane:
 
         def run():
             text = io.StringIO()
-            report = _run_cycles(config, count, _TraceWriter(text))
-            return report, text.getvalue()
+            assert _run_cycles(config, count, _TraceWriter(text)) is None
+            return text.getvalue()
 
         jumped = run()
         assert jumped == every_cycle(config, count)
@@ -1064,19 +1131,19 @@ class TestControlPlane:
            structural=st.booleans(), count=st.integers(0, 24))
     def test_window_is_exact(self, fixed_params, n, latency, structural,
                              count):
-        # ticking each stage alone, only in its window from its first
-        # arrival to its repeat, gives the report of the reference that
-        # ticks both chains on every cycle, as does ticking each stage to
-        # its last fire
+        # the reference that ticks both chains on every cycle measures the
+        # report by law, and the proof that ticks each stage alone, only in
+        # its window from its first arrival to its repeat, returns on it,
+        # as does the proof that ticks each stage to its last fire
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
-        oracle, _ = every_cycle(config, count)
-        assert _run_cycles(config, count, None) == oracle
+        every_cycle(config, count)
+        assert _run_cycles(config, count, None) is None
         with pytest.MonkeyPatch.context() as mp:
             no_retirement(mp)
-            assert _run_cycles(config, count, None) == oracle
+            assert _run_cycles(config, count, None) is None
 
     def test_window_skips_idle_ticks(self):
         # the benchmark's structural N = 1024 stream of 4: the every-cycle
@@ -1090,27 +1157,27 @@ class TestControlPlane:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
                 calls.append(None), real_tick(stage, cycle, arrival)))
-            report, _ = every_cycle(config, 4)
+            every_cycle(config, 4)
             oracle = len(calls)
             calls.clear()
             _run_cycles(config, 4, None)
-        assert oracle == 23 * report.completion_cycles[-1] == 88_550
+        last = pipesim._build_report(config, 4).completion_cycles[-1]
+        assert oracle == 23 * last == 88_550
         assert len(calls) == 3094
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_retirement_is_exact(self, fixed_params, n, latency, structural,
                                  count):
-        # the untraced run whose stages stop once their state repeats
-        # gives the report of the run where every stage is ticked to its
-        # last fire, and ticks what retired_ticks counts
+        # the untraced proof whose stages stop once their state repeats
+        # returns, as does the one where every stage is ticked to its last
+        # fire, and ticks what retired_ticks counts
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
-        (retired, report), (ticked, full) = (tick_count(config, count),
-                                             tick_count(config, count, False))
-        assert report == full
+        retired, ticked = (tick_count(config, count),
+                           tick_count(config, count, False))
         assert retired == retired_ticks(config, count) <= ticked
 
     @pytest.mark.parametrize("n, latencies, counts", [
@@ -1126,11 +1193,10 @@ class TestControlPlane:
                                     mode="structural" if latency else
                                     "schedule", butterfly_latency=latency)
             for count in counts:
-                (retired, report), (_, full) = (
-                    tick_count(config, count), tick_count(config, count, False))
-                assert report == full, (latency, count)
-                assert retired == retired_ticks(config, count), (latency,
-                                                                 count)
+                retired, ticked = (tick_count(config, count),
+                                   tick_count(config, count, False))
+                assert retired == retired_ticks(config, count) <= ticked, (
+                    latency, count)
 
     def test_retirement_ticks_a_fixed_count(self, fixed_params):
         # the benchmark's in-process streams.  Each column is ticked from
@@ -1146,20 +1212,20 @@ class TestControlPlane:
             config = PipelineConfig(n=n, params=build_params(m, n),
                                     mode=mode)
             for count in counts:
-                assert tick_count(config, count)[0] == ticks
+                assert tick_count(config, count) == ticks
 
     @pytest.mark.parametrize("n, latencies", [
         (4, range(1, 65)), (8, range(1, 65)),
         (256, (1, 2, 3, 5, 12, 64, 199)), (1024, (1, 12, 40))])
     def test_schedule_law(self, n, latencies):
         # every first fire and completion of the loop, which checks them
-        # against _schedule_law at the end of each run, equals the closed
-        # forms: F_1 = 1 + S, F_s = F_{s-1} + L + N/2**s, I_1 = F_m + N/2 + L
-        # + S - 1, I_s = I_{s-1} + L + 2**(s-2), completion k at I_m + N/2
-        # - 1 + (L - 1) + S + k*N/2; and so do the two latencies the report
-        # derives from them: the first transform takes N + m - 2 + (m -
-        # 1)(L - 1) cycles and the first product 2N + 2m - 1 + 2m(L - 1) +
-        # 3(S - 1)
+        # against _schedule_law at the end of each run, and so of the
+        # report, equals the closed forms: F_1 = 1 + S, F_s = F_{s-1} + L +
+        # N/2**s, I_1 = F_m + N/2 + L + S - 1, I_s = I_{s-1} + L +
+        # 2**(s-2), completion k at I_m + N/2 - 1 + (L - 1) + S + k*N/2;
+        # and so do the two latencies the report derives from them: the
+        # first transform takes N + m - 2 + (m - 1)(L - 1) cycles and the
+        # first product 2N + 2m - 1 + 2m(L - 1) + 3(S - 1)
         p = build_params(RLWE_M, n)
         m = n.bit_length() - 1
         for latency in latencies:
@@ -1175,7 +1241,17 @@ class TestControlPlane:
             config = PipelineConfig(n=n, params=p, mode="structural",
                                     butterfly_latency=latency)
             for count in (1, 6):
-                rep = _run_cycles(config, count, None)
+                with pytest.MonkeyPatch.context() as mp:
+                    stages = built_stages(mp)
+                    assert _run_cycles(config, count, None) is None
+                # the multipliers, whose first fires the run checks against
+                # no law of their own: weighting on cycle 1, pointwise and
+                # unweighting a butterfly latency after the stage before
+                assert ((stages["weight"].first_fire,
+                         stages["pointwise"].first_fire,
+                         stages["unweight"].first_fire)
+                        == (1, fwd[-1] + latency, inv[-1] + latency))
+                rep = pipesim._build_report(config, count)
                 assert rep.fwd_stage_first_fire == tuple(fwd)
                 assert rep.inv_stage_first_fire == tuple(inv)
                 assert rep.completion_cycles == tuple(
@@ -1185,7 +1261,9 @@ class TestControlPlane:
                 assert rep.first_mul_latency == (
                     2 * n + 2 * m - 1 + 2 * m * (latency - 1) + 3 * (S - 1))
         if latencies[0] == 1:
-            rep = _run_cycles(PipelineConfig(n=n, params=p), 6, None)
+            config = PipelineConfig(n=n, params=p)
+            assert _run_cycles(config, 6, None) is None
+            rep = pipesim._build_report(config, 6)
             assert rep.completion_cycles[0] == _schedule_law(n, 1)[2]
 
     @pytest.mark.parametrize("off, error", [
@@ -1269,7 +1347,7 @@ PINNED_DIGESTS = {
         "52a714afd8eaf7dfeffbd52562740eea151a0fc786622e84f264598329077d3c",
         "71817d3f7770bf523729d4230917630dd4b38052ac66f4f034c0f1af408bcb69",
         "f807a23c9a3ec53e24cb50b1fba122e9b7daa31e9971e19b8b17bf13c5550b04"),
-    # long enough for the trace to repeat a steady middle (8 and 13 of 12
+    # long enough for the trace to repeat a steady middle (8 and 9 of 12
     # and 20 periods); pinned when the cycle loop ticked every cycle
     (FIXED_M, 16, "schedule", 12): (
         "70c21234f548f6ead68a02f8a3a2e4199bb2caf23b0d3341686a274717d36fdc",
@@ -1366,13 +1444,24 @@ class TestDeterminism:
                              ids=_pinned_id)
     def test_trace_is_what_csv_writes(self, tmp_path, key):
         # the rows are formatted by hand, repeated periods included (both
-        # streams repeat a steady middle): read back and rewritten by the csv module, the
-        # file comes out byte for byte, six fields a row
+        # streams repeat a steady middle, 8 and 9 periods long): read back
+        # and rewritten by the csv module, the file comes out byte for
+        # byte, six fields a row
         m, n, mode, count = key
         p = build_params(m, n)
         path = tmp_path / "t.csv"
-        run_stream(rand_pairs(random.Random(60), p, count),
-                   PipelineConfig(n=n, params=p, mode=mode), trace_path=path)
+        real_repeat, periods = _TraceWriter.repeat, []
+
+        def repeat(trace, rows, shifts):
+            periods.append(len(shifts))
+            real_repeat(trace, rows, shifts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_TraceWriter, "repeat", repeat)
+            run_stream(rand_pairs(random.Random(60), p, count),
+                       PipelineConfig(n=n, params=p, mode=mode),
+                       trace_path=path)
+        assert periods == [8 if count == 12 else 9]
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {6}
