@@ -145,17 +145,29 @@ def feed_forever(fifo, n_ticks, start=0):
 
 
 class TestStageFifo:
-    def test_fill_loads_both_banks(self):
-        # two banks of hold slots, two loaded per fill tick, all of them
-        # by the first pair: the report's peak and capacity, 2 * hold
+    def test_capacity_is_twice_hold(self):
+        # two banks of hold slots, fixed for the whole stream: the report's
+        # capacity, 2 * hold
+        for hold in (1, 2, 8, 64):
+            fifo = StageFifo(hold)
+            for t in range(4 * hold + 1):
+                assert len(fifo.block_i) == len(fifo.block_ii) == hold
+                fifo.tick((1000 + t, 2000 + t))
+            assert len(fifo.block_i) + len(fifo.block_ii) == 2 * hold
+
+    def test_peak_occupancy_is_capacity(self):
+        # two slots loaded per fill tick, all 2 * hold of them by the first
+        # pair: the report's peak equals its capacity
         for hold in (1, 2, 8, 64):
             fifo = StageFifo(hold)
             for k in range(hold + 1):
                 banks = fifo.block_i + fifo.block_ii
-                assert len(banks) == 2 * hold
                 assert sum(x is not None for x in banks) == 2 * k
                 out = fifo.tick((1000 + k, 2000 + k))
             assert out == (1000 + hold, 1000)
+            feed_forever(fifo, 2 * hold, start=hold + 1)
+            banks = fifo.block_i + fifo.block_ii
+            assert sum(x is not None for x in banks) == 2 * hold
 
     def test_first_pair_after_hold_many_ticks(self):
         # hold 64: ticks 1..64 fill, tick 65 emits the first pair
