@@ -41,7 +41,7 @@ stages one at a time in dataflow order, each ticked alone on its feeder's
 output by the timing law from its first arrival until its state repeats, a
 period of its own after its first fire; the rest of its stream follows by
 the timing law, as its docstring proves.  Every run ends by checking each
-butterfly stage's first fire and the first completion against closed forms
+stage's first fire and the first completion against closed forms
 (:func:`_schedule_law`); each later completion comes N/2 cycles after the
 one before by the timing law and by the law alike.  So a run that returns
 is on the law, and its report is built from the law and the stage holds
@@ -709,8 +709,8 @@ def _run_cycles(config, count, trace):
     """The per-stage proof of the schedule for ``count`` products, position
     j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
     pN/2 + j + 1.  ``trace`` is a :class:`_TraceWriter` or None.  Returns
-    None once every butterfly stage's first fire and the first completion
-    have matched :func:`_schedule_law`, or raises
+    None once every stage's first fire and the first completion have
+    matched :func:`_schedule_law`, or raises
     :class:`PipelineAssertionError`; it builds no report.
 
     The stages are proved one at a time in dataflow order: weighting, the
@@ -814,8 +814,10 @@ def _run_cycles(config, count, trace):
         _write_trace(trace, config.n, count, fly, (
             tuple(st.first_fire for st in front[1:-1]),
             tuple(st.first_fire for st in back[:-1]), first))
-    fwd, inv, done = _schedule_law(config.n, config.butterfly_latency)
-    for st, due in zip((*front[1:-1], *back[:-1]), (*fwd, *inv)):
+    L = config.butterfly_latency
+    fwd, inv, done = _schedule_law(config.n, L)
+    for st, due in zip((*front, *back),
+                       (1, *fwd, fwd[-1] + L, *inv, inv[-1] + L)):
         if st.first_fire != due:
             raise PipelineAssertionError(
                 f"{st.label}: first fire at cycle {st.first_fire}, "
@@ -828,7 +830,7 @@ def _run_cycles(config, count, trace):
 def _build_report(config, count):
     """The :class:`CycleReport` of ``count`` products, from the laws alone:
     a run whose proof returned (:func:`_run_cycles`) fired as the routing
-    and timing laws state, its butterfly stages first and its products
+    and timing laws state, its stages first firing and its products
     completing as :func:`_schedule_law` does, so it is ``stall_free``.
     Each FIFO has two banks of ``hold`` slots (:func:`_butterfly_timing`),
     which the fill loads before the first fire: it peaks at its capacity,

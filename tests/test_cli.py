@@ -11,6 +11,7 @@ from nttmul import cli, pipesim
 from nttmul.params import load_tables
 from nttmul.pipesim import PipelineAssertionError
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
+from test_pipesim import built_stages, no_retirement
 
 
 @pytest.fixture
@@ -343,23 +344,18 @@ class TestSimCommand:
                          "--trace", str(clean)]) == 0
         capsys.readouterr()
 
-        real_build, real_tick = pipesim._build_chains, pipesim.StageFifo.tick
-        faulty = []
-
-        def build(config):
-            front, back = real_build(config)
-            faulty[:] = [st.fifo for st in front if st.label == "fwd_a3"]
-            return front, back
+        real_tick = pipesim.StageFifo.tick
+        stages = built_stages(monkeypatch)
+        no_retirement(monkeypatch)
 
         def tick(fifo, arrival):
             pair = real_tick(fifo, arrival)
-            if fifo in faulty and fifo.counter == fifo.hold + 8 + 1:
+            if (fifo is stages["fwd_a3"].fifo
+                    and fifo.counter == fifo.hold + 8 + 1):
                 return pair[::-1]
             return pair
 
-        monkeypatch.setattr(pipesim, "_build_chains", build)
         monkeypatch.setattr(pipesim.StageFifo, "tick", tick)
-        monkeypatch.setattr(pipesim, "_moved", lambda *args: [object()])
         rc = cli.main([*sim, "--report", str(report), "--trace", str(trace)])
         err = capsys.readouterr().err
         assert rc == 3

@@ -696,15 +696,15 @@ def live_arrivals(config, count):
     return arrivals
 
 
-def built_stages(mp):
-    # the stages of the chains a run builds, by label, filled in as it
-    # builds them
+def built_stages(mp, entry=lambda st: (st.label, st)):
+    # the stages of the chains a run builds, as the dict of entry(stage)
+    # pairs, by label by default, filled in as it builds them
     real_build = pipesim._build_chains
     stages = {}
 
     def build(config):
         front, back = real_build(config)
-        stages.update((st.label, st) for st in (*front, *back))
+        stages.update(entry(st) for st in (*front, *back))
         return front, back
 
     mp.setattr(pipesim, "_build_chains", build)
@@ -712,18 +712,9 @@ def built_stages(mp):
 
 
 def fifo_labels(mp):
-    # the label of the stage each FIFO feeds, filled in as a run builds
-    # its chains
-    real_build = pipesim._build_chains
-    labels = {}
-
-    def build(config):
-        front, back = real_build(config)
-        labels.update((st.fifo, st.label) for st in (*front, *back) if st.fifo)
-        return front, back
-
-    mp.setattr(pipesim, "_build_chains", build)
-    return labels
+    # the label of the stage each FIFO feeds (None keys the multipliers,
+    # which have no FIFO), filled in as a run builds its chains
+    return built_stages(mp, lambda st: (st.fifo, st.label))
 
 
 class TransformGate:
@@ -1256,9 +1247,9 @@ class TestControlPlane:
                 with pytest.MonkeyPatch.context() as mp:
                     stages = built_stages(mp)
                     assert _run_cycles(config, count, None) is None
-                # the multipliers, whose first fires the run checks against
-                # no law of their own: weighting on cycle 1, pointwise and
-                # unweighting a butterfly latency after the stage before
+                # the multipliers' first fires, as the run checks them:
+                # weighting on cycle 1, pointwise and unweighting a
+                # butterfly latency after the stage before
                 assert ((stages["weight"].first_fire,
                          stages["pointwise"].first_fire,
                          stages["unweight"].first_fire)
@@ -1307,6 +1298,29 @@ class TestControlPlane:
                                match=rf"^{re.escape(error)}$"):
                 _run_cycles(config, 12, trace)
         assert text.getvalue() == clean.getvalue()
+
+    @pytest.mark.parametrize("slow, error", [
+        ("fwd_a4", "pointwise: first fire at cycle 14, not 13 by law"),
+        ("inv4", "unweight: first fire at cycle 33, not 32 by law")])
+    def test_multiplier_off_its_law_raises(self, fixed_params, monkeypatch,
+                                           slow, error):
+        # the last butterfly unit of a chain one cycle slower than its
+        # latency: the multiplier behind it fires a cycle late, every stage
+        # still on its own timing law, and the run raises at its end naming
+        # the multiplier, before any stage or product behind it
+        real_build = pipesim._build_chains
+
+        def build(config):
+            front, back = real_build(config)
+            for st in (*front, *back):
+                st.lag += st.label == slow
+            return front, back
+
+        monkeypatch.setattr(pipesim, "_build_chains", build)
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^{re.escape(error)}$"):
+            _run_cycles(PipelineConfig(n=16, params=fixed_params[16]), 12,
+                        None)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),

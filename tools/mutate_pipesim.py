@@ -12,7 +12,10 @@ the tree itself, and runs ``tests/test_pipesim.py`` against each mutant of
 * a ``not`` dropped.
 
 A mutant is killed when the tests fail (``pytest -x`` stops at the first
-failure) or run past the time limit.  Every survivor missing from
+failure) or run past the time limit.  Each run has hypothesis's seed fixed
+and its example database emptied first, so a mutant's outcome depends on
+the mutant alone, not on random draws or on the mutants a tree copy ran
+before it.  Every survivor missing from
 ``pipesim_equivalent_mutants.json`` is printed, and the exit status is 1
 if there is one; a full run also prints each listed mutant that no longer
 survives.  That list names each equivalent mutant by its enclosing
@@ -24,10 +27,11 @@ pyproject's ``pythonpath = ["src"]`` puts the copy's own ``src`` first when
 pytest runs from inside the copy; a plugin checks after collection that
 the ``nttmul.pipesim`` the tests imported is the copy's mutant.
 
+Mutants are tested one per CPU at once, each CPU with its own tree copy.
 Usage, from anywhere::
 
-    python3 tools/mutate_pipesim.py --jobs 2             # every mutant
-    python3 tools/mutate_pipesim.py --sample 10 --seed 1 # a fixed sample
+    python3 tools/mutate_pipesim.py               # every mutant
+    python3 tools/mutate_pipesim.py --sample 10   # a fixed sample
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ EQUIVALENTS = Path(__file__).resolve().with_name(
     "pipesim_equivalent_mutants.json")
 TESTS = "tests/test_pipesim.py"
 TIMEOUT_S = 300
+SEED = 1                # draws the sample, and seeds hypothesis
 GUARD_EXIT = 97
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
@@ -158,12 +163,14 @@ def _copy_tree(dest: Path):
 def _run_tests(dest: Path, source: bytes) -> str:
     """'survived', 'killed' or 'timeout' for ``source`` as pipesim.py."""
     (dest / TARGET).write_bytes(source)
+    shutil.rmtree(dest / ".hypothesis", ignore_errors=True)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"    # no stale bytecode of a mutant
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
-             "-p", "no:cacheprovider", "-p", "mutant_guard", TESTS],
+             "-p", "no:cacheprovider", "-p", "mutant_guard",
+             f"--hypothesis-seed={SEED}", TESTS],
             cwd=dest, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -176,22 +183,20 @@ def _run_tests(dest: Path, source: bytes) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sample", type=int, default=None,
-                    help="run this many mutants, drawn with --seed")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="mutants tested at once, one tree copy each")
+                    help="run this many mutants, a fixed draw")
     args = ap.parse_args(argv)
 
     every = mutants((ROOT / TARGET).read_bytes())
     chosen = every
     if args.sample is not None:
-        chosen = random.Random(args.seed).sample(every,
-                                                 min(args.sample, len(every)))
+        chosen = random.Random(SEED).sample(every,
+                                            min(args.sample, len(every)))
     listed = {(e["function"], e["mutant"]): e["reason"]
               for e in json.loads(EQUIVALENTS.read_text())}
 
     with tempfile.TemporaryDirectory(prefix="mutate_pipesim_") as tmp:
-        copies = [Path(tmp, str(i)) for i in range(max(1, args.jobs))]
+        jobs = min(os.cpu_count() or 1, max(1, len(chosen)))
+        copies = [Path(tmp, str(i)) for i in range(jobs)]
         for dest in copies:
             _copy_tree(dest)
         original = (ROOT / TARGET).read_bytes()
