@@ -1392,6 +1392,17 @@ PINNED_DIGESTS = {
         "774c2440c708078a8c882ab27b9b27613b49c1946d0adac3d06d1a842d2329d5",
         "37eb541b3360959d0bc0716f8a18e2b73935d684481b3657418b5df406f15707",
         "876d524f4e2d70774ac4872c6767cd443f9f69c5903e84fe8634f4f39fbe3ce0"),
+    # one product: too short for a stage to repeat, so stages are ticked
+    # to their last fire through the drain (from two products on, every
+    # stage stops at its second snapshot)
+    (FIXED_M, 256, "schedule", 1): (
+        "88edb70fc6d3b75d1e8cb9848c6ca076cc2fd1c39aa0180d4c2fb81b9337267a",
+        "7821d4980881e38be90c84146e12c35edbcbf39125f96bbb73f6d3d486ff8cc0",
+        "c971fe16512958d405be5c6e171556e8b0eb4c394ac7f995763634c632e79874"),
+    (12289, 1024, "structural", 1): (
+        "36c8ac84d0ef1765552bf29aa42a96defbe1f021625a6dd15601302bfd222cb3",
+        "290aa7ec4d0bd6f859ddc73f991b7d3e9f88ff4b4dd3c88dcfc48f61c8bc5857",
+        "bfa2e0fe975d0a08a0d0367aff9791963c69752b833eab2dd1463ea23f1c9218"),
 }
 
 
