@@ -44,8 +44,11 @@ the timing law, as its docstring proves.  Every run ends by checking each
 stage's first fire and the first completion against closed forms
 (:func:`_schedule_law`); each later completion comes N/2 cycles after the
 one before by the timing law and by the law alike.  So a run that returns
-is on the law, and its report is built from the law and the stage holds
-alone (:func:`_build_report`), as its trace is (:func:`_write_trace`).
+is on the law, and its report (:func:`_build_report`) and its trace
+(:func:`_write_trace`) are built from :func:`_schedule_law` and the stage
+geometry of :func:`_butterfly_timing` alone.  A traced run that raises,
+at a tick or at that final check, leaves the file with the same laws' rows
+up to the failing cycle and stage.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` shows,
@@ -220,22 +223,21 @@ class _PipeStage:
     is 0 and (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold); by
     the timing law it happens at cycle ``first_fire + t``.  A fire breaking
     either raises :class:`PipelineAssertionError`.  Its twiddle is entry
-    (t mod N/2) // per_block of its stage's table.
+    (t mod N/2) // per of its stage's table, with ``per`` its fires per
+    twiddle (:func:`_butterfly_timing`).
 
     The unit holds no state: fire k's labels leave it lag = latency - 1
     cycles after the fire, at cycle first_fire + lag + k.
     """
 
-    __slots__ = ("label", "fifo", "lag", "hold", "d", "per_block", "t",
-                 "first_fire")
+    __slots__ = ("label", "fifo", "lag", "hold", "d", "t", "first_fire")
 
-    def __init__(self, label, hold, per_block, latency):
+    def __init__(self, label, hold, latency):
         self.label = label
         self.fifo = StageFifo(hold) if hold else None
         self.lag = latency - 1
         self.hold = hold
         self.d = max(1, 2 * hold)
-        self.per_block = per_block
         self.t = 0
         self.first_fire = None
 
@@ -420,12 +422,14 @@ def _network_proof(n: int):
     multiplies the two operands' values at one root.  An inverse pair must
     read (e, c) and (e + N/2, c); with the twiddle omega**-e, its sum and
     twiddled difference are twice coefficients c and c + L of the residue
-    mod x**(2L) - omega**(2e), so it writes (2e, c) and (2e, c + L).  The
-    pairs that share a table entry must need one exponent of it.  Each
-    step is an identity of polynomials over Z/M, so when index i ends as
-    (0, i), polymul's inverse leaves N times coefficient i of the weighted
-    product mod x**N - 1.  A break raises :class:`PipelineAssertionError`
-    naming the stage, and the fire if it is a routing break."""
+    mod x**(2L) - omega**(2e), so it writes (2e, c) and (2e, c + L).  L/2
+    forward and L inverse are the stage's fires per twiddle, ``per``, and
+    its table has N/2 // per entries.  The pairs that share a table entry
+    must need one exponent of it.  Each step is an identity of polynomials
+    over Z/M, so when index i ends as (0, i), polymul's inverse leaves N
+    times coefficient i of the weighted product mod x**N - 1.  A break
+    raises :class:`PipelineAssertionError` naming the stage, and the fire
+    if it is a routing break."""
     h = n // 2
     sigma, root, coef = list(range(n)), [0] * n, list(range(n))
     needs = []
@@ -433,9 +437,7 @@ def _network_proof(n: int):
         # polymul reads pair j at (j << r, + dr) and writes it to (j << w, + dw)
         r, dr, w, dw = (0, h, 1, 1) if forward else (1, 1, 0, h)
         for s, (hold, per) in enumerate(_butterfly_timing(n, forward), 1):
-            k = hold or h
-            size = 1 << s - 1 if forward else n >> s    # as build_params has
-            d = n >> s if forward else 1 << s - 1       # L/2, or L
+            k, size = hold or h, h // per
             out = [None] * n
             for t in range(h):
                 lo = h + t - k if t & k else t
@@ -456,7 +458,7 @@ def _network_proof(n: int):
                 e, ey, c, cy = root[:h], root[h:], coef[:h], coef[h:]
                 f = [x >> 1 for x in e]
                 split = (ey == e == [x << 1 for x in f]
-                         and cy == [x + d for x in c])
+                         and cy == [x + per for x in c])
                 root[0::2], root[1::2] = f, [x + h for x in f]
                 coef[0::2] = coef[1::2] = c
             else:
@@ -464,8 +466,8 @@ def _network_proof(n: int):
                 f = [-x % n for x in e]
                 split = ey == [(x + h) % n for x in e] and cy == c
                 root[:h] = root[h:] = [2 * x % n for x in e]
-                coef[:h], coef[h:] = c, [x + d for x in c]
-            if not split or f != f[:size] * (h // size):
+                coef[:h], coef[h:] = c, [x + per for x in c]
+            if not split or f != f[:size] * per:
                 raise PipelineAssertionError(
                     f"{label}{s}: polymul's pairs are not CRT splits with "
                     f"one exponent per twiddle")
@@ -537,11 +539,11 @@ def _build_chains(config: PipelineConfig):
     n = config.n
 
     def butterflies(forward: bool, label: str):
-        return [_PipeStage(f"{label}{s}", *timing, config.butterfly_latency)
-                for s, timing in enumerate(_butterfly_timing(n, forward), 1)]
+        return [_PipeStage(f"{label}{s}", hold, config.butterfly_latency)
+                for s, (hold, _) in enumerate(_butterfly_timing(n, forward), 1)]
 
     def multiplier(label):
-        return _PipeStage(label, 0, 1, config.scalar_latency)
+        return _PipeStage(label, 0, config.scalar_latency)
 
     # Labelled "fwd_a" as when each operand had its own pipeline and only
     # the first was traced, so trace files stay byte-identical.
@@ -577,12 +579,14 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is written
-    there after the same proof, from the closed forms of
-    :func:`_write_trace`: the fill and the drain row by row, and the
-    steady middle as one period repeated, so memory holds at most one
-    period's text.  A traced and an untraced run give one report.  When a
-    :class:`PipelineAssertionError` aborts the run, the file holds the
-    law's rows up to the failing cycle and stage, and is closed.
+    there after the same proof, by :func:`_write_trace` from the closed
+    forms of :func:`_schedule_law` and :func:`_butterfly_timing`: the fill
+    and the drain row by row, and the steady middle as one period
+    repeated, so memory holds at most one period's text.  A traced and an
+    untraced run give one report.  When the proof raises
+    :class:`PipelineAssertionError`, at a tick or at its final check
+    against :func:`_schedule_law`, the file holds those laws' rows up to
+    the failing cycle and stage, and is closed.
     """
     params = config.params
     _network_proof(config.n)
@@ -611,41 +615,44 @@ def _moved(st, fires):
 def _schedule_law(n, butterfly_latency):
     """The first fires of the forward and the inverse butterfly stages and
     the first completion, in closed form; completion k comes k*N/2 cycles
-    after the first.  With L the butterfly latency, S = max(1, L - 2) and
-    m = log2 N: F_1 = 1 + S, F_s = F_{s-1} + L + N/2**s; I_1 = F_m + N/2 +
-    L + S - 1, I_s = I_{s-1} + L + 2**(s-2); the first completion is I_m +
-    N/2 - 1 + (L - 1) + S.
+    after the first.  With L the butterfly latency, S = max(1, L - 2), m =
+    log2 N and h_s stage s's hold by :func:`_butterfly_timing` (0 at stage
+    1, N/2**s forward and 2**(s-2) inverse): F_1 = 1 + S, F_s = F_{s-1} +
+    L + h_s; I_1 = F_m + N/2 + L + S - 1, I_s = I_{s-1} + L + h_s; the
+    first completion is I_m + N/2 - 1 + (L - 1) + S.
 
     Column by column: weighting fires first on cycle 1, with the first feed.
     A column's fire leaves its unit latency - 1 cycles later and reaches the
     next column on the cycle after, which fires then, or, behind a FIFO,
     ``hold`` arrivals later, once its fill is done.  The multipliers
     (weighting, pointwise, unweighting) have latency S and the butterfly
-    stages L; forward stage s >= 2 holds N/2**s and inverse stage s >= 2
-    holds 2**(s-2).  So pointwise fires first at F_m + L, and inverse
-    stage 1 takes its first block from the buffer on the cycle after
-    pointwise's fire N/2 - 1 has left, when that block is complete:
-    I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires
-    first at I_m + L, and completion k is its fire (k + 1)*N/2 - 1
-    leaving, S - 1 cycles later."""
+    stages L.  So pointwise fires first at F_m + L, and inverse stage 1
+    takes its first block from the buffer on the cycle after pointwise's
+    fire N/2 - 1 has left, when that block is complete:
+    I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires first at
+    I_m + L, and completion k is its fire (k + 1)*N/2 - 1 leaving, S - 1
+    cycles later."""
     L = butterfly_latency
     S = max(1, L - ADDSUB_CYCLES)
-    fwd, inv = [1 + S], []
-    for s in range(2, n.bit_length()):
-        fwd.append(fwd[-1] + L + (n >> s))
-    inv.append(fwd[-1] + n // 2 + L + S - 1)
-    for s in range(2, n.bit_length()):
-        inv.append(inv[-1] + L + (1 << s - 2))
-    return tuple(fwd), tuple(inv), inv[-1] + n // 2 - 1 + (L - 1) + S
+    firsts, arrival = ([], []), 1 + S       # forward stage 1's first arrival
+    for fires, forward in zip(firsts, (True, False)):
+        for hold, _ in _butterfly_timing(n, forward):
+            fires.append(arrival + hold)
+            arrival = fires[-1] + L
+        # arrival is the first fire of pointwise, then of unweighting;
+        # their fire N/2 - 1 leaves at arrival + N/2 - 2 + S, the cycle
+        # before inverse stage 1's first arrival, and the first completion
+        arrival += n // 2 - 1 + S
+    return (*map(tuple, firsts), arrival - 1)
 
 
-def _write_trace(trace, n, count, fly, firsts, stop=None):
-    """Writes the trace rows of ``count`` products by their closed forms,
-    for the butterfly stages ``fly`` in tick order with the first fires
-    ``firsts``, shaped as :func:`_schedule_law` returns them: every cycle
-    up to the first completion's cycle plus ``count - 1`` periods, or, with
-    ``stop = (cycle, k)``, the cycles before ``cycle`` and that cycle's
-    rows of the first k stages.
+def _write_trace(trace, config, count, stop=None):
+    """Writes the trace rows of ``count`` products by their closed forms:
+    each butterfly stage's hold and fires per twiddle by
+    :func:`_butterfly_timing` and its first fire by :func:`_schedule_law`.
+    It writes every cycle up to the first completion's cycle plus
+    ``count - 1`` periods, or, with ``stop = (cycle, k)``, the cycles
+    before ``cycle`` and that cycle's rows of the first k stages.
 
     A stage with hold h, fires per twiddle ``per`` and first fire F fires
     t < T = count * N/2 at cycle F + t, and with tp = t mod N/2 and base =
@@ -664,10 +671,15 @@ def _write_trace(trace, n, count, fly, firsts, stop=None):
     middle is one period's rows repeated (:meth:`_TraceWriter.repeat`).
     The fill and the drain are written row by row, one period's cycles a
     write."""
+    n = config.n
     n_half, total = n // 2, count * n // 2
-    fwd, inv, done = firsts
-    cols = [(st.label, st.hold, st.per_block, first)
-            for st, first in zip(fly, (*inv[::-1], *fwd[::-1]))]
+    fwd, inv, done = _schedule_law(n, config.butterfly_latency)
+    # dataflow order, reversed into tick order
+    cols = [(f"{label}{s}", hold, per, first)
+            for label, forward, firsts in (("fwd_a", True, fwd),
+                                           ("inv", False, inv))
+            for s, ((hold, per), first)
+            in enumerate(zip(_butterfly_timing(n, forward), firsts), 1)][::-1]
     end, keep = stop or (done + total - n_half, len(cols))
 
     def rows(cycles, cols=cols):
@@ -764,16 +776,20 @@ def _run_cycles(config, count, trace):
     N/2 cycles after completion k - 1, as by :func:`_schedule_law`: the
     check of completion 0 decides them all.
 
-    A traced run writes its rows after the proof, from the stages' first
-    fires (:func:`_write_trace`), and only then checks them against the
-    law.  When the proof raises, it writes the
-    rows of :func:`_schedule_law`'s first fires up to the failing cycle and
-    stage, in the order a cycle ticks the stages: the inverse chain from
-    unweighting back, then the forward chain from pointwise back.
+    A traced run writes, by :func:`_write_trace`, the rows that
+    :func:`_schedule_law` and :func:`_butterfly_timing` give: all of them
+    once the proof has returned, or, when it raises, those up to the
+    failing cycle and stage, in the order a cycle ticks the stages: the
+    inverse chain from unweighting back, then the forward chain from
+    pointwise back.  A tick that raises fails at its cycle and stage; a
+    first fire or the first completion off the law fails at the earlier
+    of its ticked cycle and the law's, at its stage or at unweighting.
     """
     if not count:
         return
     n_half = config.n // 2
+    L = config.butterfly_latency
+    fwd, inv, done = _schedule_law(config.n, L)
     front, back = _build_chains(config)
     order = (*back[::-1], *front[::-1])     # the ticks within a cycle
     fly = (*back[-2::-1], *front[-2:0:-1])  # those that write trace rows
@@ -802,29 +818,26 @@ def _run_cycles(config, count, trace):
                 cycle += 1
             st.t = total
             start = st.first_fire + st.lag + (n_half if st is front[-1] else 1)
+        # the law's checks; an abort's trace stops at the earlier cycle
+        for st, due in zip((*front, *back),
+                           (1, *fwd, fwd[-1] + L, *inv, inv[-1] + L)):
+            cycle = min(st.first_fire, due)
+            if st.first_fire != due:
+                raise PipelineAssertionError(
+                    f"{st.label}: first fire at cycle {st.first_fire}, "
+                    f"not {due} by law")
+        first = st.first_fire + st.lag + n_half - 1     # st is unweighting
+        cycle = min(first, done)
+        if first != done:
+            raise PipelineAssertionError(
+                f"product 0 completes at cycle {first}, not {done} by law")
     except PipelineAssertionError:
         if trace is not None:
-            _write_trace(trace, config.n, count, fly,
-                         _schedule_law(config.n, config.butterfly_latency),
-                         (cycle, sum(s in fly for s in
-                                     order[:order.index(st)])))
+            _write_trace(trace, config, count, (
+                cycle, sum(s in fly for s in order[:order.index(st)])))
         raise
-    first = back[-1].first_fire + back[-1].lag + n_half - 1
     if trace is not None:
-        _write_trace(trace, config.n, count, fly, (
-            tuple(st.first_fire for st in front[1:-1]),
-            tuple(st.first_fire for st in back[:-1]), first))
-    L = config.butterfly_latency
-    fwd, inv, done = _schedule_law(config.n, L)
-    for st, due in zip((*front, *back),
-                       (1, *fwd, fwd[-1] + L, *inv, inv[-1] + L)):
-        if st.first_fire != due:
-            raise PipelineAssertionError(
-                f"{st.label}: first fire at cycle {st.first_fire}, "
-                f"not {due} by law")
-    if first != done:
-        raise PipelineAssertionError(
-            f"product 0 completes at cycle {first}, not {done} by law")
+        _write_trace(trace, config, count)
 
 
 def _build_report(config, count):

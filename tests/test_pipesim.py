@@ -7,6 +7,7 @@ import json
 import random
 import re
 from collections import deque
+from itertools import takewhile
 
 import pytest
 from hypothesis import given
@@ -299,7 +300,7 @@ class TestStageFifo:
 def unit_stage(latency):
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
     # element first, so fire t must receive the labels (2t, 2t + 1)
-    return _PipeStage("unit", 0, 1, latency)
+    return _PipeStage("unit", 0, latency)
 
 
 def law_out(stage, cycle):
@@ -759,8 +760,11 @@ def every_cycle(config, count):
     total = count * n_half
     lines = {st: deque([None] * st.lag) for st in (*front, *back)}
     out = dict.fromkeys(lines)
-    fly = {*front[1:-1], *back[:-1]}
-    peak = dict.fromkeys(fly, 0)
+    # the butterfly stages, each with its fires per twiddle
+    per = dict(zip((*front[1:-1], *back[:-1]),
+                   (p for forward in (True, False) for _, p in
+                    pipesim._butterfly_timing(config.n, forward))))
+    peak = dict.fromkeys(per, 0)
     text = []
     last_ntt_fire = None
 
@@ -777,12 +781,12 @@ def every_cycle(config, count):
             bi, bii = st.fifo.block_i, st.fifo.block_ii
             peak[st] = max(peak[st], 2 * st.hold - bi.count(None)
                            - bii.count(None))
-        if st in fly:
+        if st in per:
             lo = hi = ""
             if fired:
                 tp = t % n_half
-                lo = 2 * tp - tp % st.per_block
-                hi = lo + st.per_block
+                lo = 2 * tp - tp % per[st]
+                hi = lo + per[st]
             if st.fifo is not None and st.fifo.counter:
                 text.append(f"{cycle},{st.label},{st.fifo.sel},"
                             f"{st.fifo.counter},{lo},{hi}\r\n")
@@ -834,6 +838,23 @@ def every_cycle(config, count):
     law = pipesim._build_report(config, count)
     assert dataclasses.replace(law, **measured) == law, measured
     return "".join(text)
+
+
+def rows_before(text, n, cycle, label):
+    # the rows of a clean trace that precede the tick of stage ``label`` on
+    # ``cycle``: every row of an earlier cycle, and that cycle's rows of
+    # the stages ticked before it, the inverse chain from unweighting back
+    # and then the forward chain from pointwise back
+    m = n.bit_length() - 1
+    order = ["unweight", *(f"inv{s}" for s in range(m, 0, -1)), "pointwise",
+             *(f"fwd_a{s}" for s in range(m, 0, -1)), "weight"]
+    before = order[:order.index(label)]
+
+    def kept(row):
+        c, stage = row.split(",")[:2]
+        return int(c) < cycle or int(c) == cycle and stage in before
+
+    return "".join(takewhile(kept, text.splitlines(keepends=True)))
 
 
 class TestControlPlane:
@@ -1278,8 +1299,12 @@ class TestControlPlane:
         # a law one cycle off in the forward stages, the inverse ones or the
         # completions: the run, traced or not, raises at its end, naming
         # the first stage or product off it.  The traced run has written
-        # the rows of the schedule it proved, in full, as a run the law
-        # agrees with writes them
+        # the law's rows up to the earlier of the ticked and the law's
+        # cycle, at the stage off it, or at unweighting for a completion.
+        # The law moves a stage without a FIFO, which writes no row before
+        # its first fire, or the completion, which writes none: up to that
+        # cycle its rows are the clean run's
+        fail = ((2, "fwd_a1"), (21, "inv1"), (39, "unweight"))[off]
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
         _run_cycles(config, 12, _TraceWriter(clean))
@@ -1297,7 +1322,7 @@ class TestControlPlane:
             with pytest.raises(PipelineAssertionError,
                                match=rf"^{re.escape(error)}$"):
                 _run_cycles(config, 12, trace)
-        assert text.getvalue() == clean.getvalue()
+        assert text.getvalue() == rows_before(clean.getvalue(), 16, *fail)
 
     @pytest.mark.parametrize("slow, error", [
         ("fwd_a4", "pointwise: first fire at cycle 14, not 13 by law"),
@@ -1306,8 +1331,14 @@ class TestControlPlane:
                                            slow, error):
         # the last butterfly unit of a chain one cycle slower than its
         # latency: the multiplier behind it fires a cycle late, every stage
-        # still on its own timing law, and the run raises at its end naming
-        # the multiplier, before any stage or product behind it
+        # still on its own timing law, and the run, traced or not, raises
+        # at its end naming the multiplier, before any stage or product
+        # behind it.  The traced run has written the law's rows up to the
+        # law's cycle of that first fire, the earlier, at the multiplier
+        fail = (13, "pointwise") if slow == "fwd_a4" else (32, "unweight")
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        clean = io.StringIO()
+        _run_cycles(config, 12, _TraceWriter(clean))
         real_build = pipesim._build_chains
 
         def build(config):
@@ -1317,10 +1348,12 @@ class TestControlPlane:
             return front, back
 
         monkeypatch.setattr(pipesim, "_build_chains", build)
-        with pytest.raises(PipelineAssertionError,
-                           match=rf"^{re.escape(error)}$"):
-            _run_cycles(PipelineConfig(n=16, params=fixed_params[16]), 12,
-                        None)
+        text = io.StringIO()
+        for trace in (None, _TraceWriter(text)):
+            with pytest.raises(PipelineAssertionError,
+                               match=rf"^{re.escape(error)}$"):
+                _run_cycles(config, 12, trace)
+        assert text.getvalue() == rows_before(clean.getvalue(), 16, *fail)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
@@ -1475,6 +1508,32 @@ class TestDeterminism:
             # the failing row comes after the repeated middle, so the
             # aborted file holds every repeated period
             assert int(lines[fail].split(",")[0]) >= 31 + 8 * 8
+
+    def test_trace_on_abort_at_weighting_keeps_its_cycles_rows(
+            self, fixed_params, monkeypatch):
+        # weighting, the last stage a cycle ticks, misrouted at its fire 5
+        # on cycle 6: the file holds every row before cycle 6 and cycle
+        # 6's rows of every butterfly stage, fwd_a1's fire 4 the last.
+        # Retirement is off, so that weighting is ticked to its fire 5
+        no_retirement(monkeypatch)
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        clean = io.StringIO()
+        _run_cycles(config, 3, _TraceWriter(clean))
+        real_tick = _PipeStage.tick
+
+        def tick(stage, cycle, arrival):
+            if stage.label == "weight" and stage.t == 5:
+                arrival = arrival[::-1]
+            real_tick(stage, cycle, arrival)
+
+        monkeypatch.setattr(_PipeStage, "tick", tick)
+        text = io.StringIO()
+        with pytest.raises(PipelineAssertionError,
+                           match=r"^weight: fire 5 pairs \(10, 11\)"):
+            _run_cycles(config, 3, _TraceWriter(text))
+        rows = text.getvalue()
+        assert rows == rows_before(clean.getvalue(), 16, 6, "weight")
+        assert rows.endswith("6,fwd_a1,,,4,12\r\n")
 
     @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
                                      (12289, 32, "structural", 20)],
