@@ -472,8 +472,7 @@ class TestCheckCommand:
     def test_simulator_disagreement_exits_one(self, toy_tables, tmp_path,
                                               monkeypatch, capsys):
         # the simulator returns record 1's product with one coefficient
-        # changed: check compares the transform with the simulator's
-        # products, so record 1's transform result disagrees with it
+        # changed, after the transform path has agreed on records 0 and 1
         real = cli.run_stream
 
         def run_stream(pairs, config, **kwargs):
@@ -483,7 +482,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(cli, "run_stream", run_stream)
         assert self.run_check(toy_tables, tmp_path, capsys) == (
-            1, "record 1: transform result disagrees with the schoolbook "
+            1, "record 1: simulator output disagrees with the schoolbook "
                "oracle\n")
 
     def test_out_of_range_expected_field_names_its_location(

@@ -1333,8 +1333,8 @@ class TestControlPlane:
         # latency: the multiplier behind it fires a cycle late, every stage
         # still on its own timing law, and the run, traced or not, raises
         # at its end naming the multiplier, before any stage or product
-        # behind it.  The traced run has written the law's rows up to the
-        # law's cycle of that first fire, the earlier, at the multiplier
+        # behind it.  The traced run has written the law's rows up to that
+        # first fire's cycle by law, the earlier one, at the multiplier
         fail = (13, "pointwise") if slow == "fwd_a4" else (32, "unweight")
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
