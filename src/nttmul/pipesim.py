@@ -22,12 +22,13 @@ Every column of the datapath is one kind of fully pipelined stage fed by
 the one before it: one operation enters per cycle and emerges a fixed
 number of cycles later.  Hold FIFOs sit only in front of butterfly stages;
 the weighting, pointwise and unweighting multipliers are stages without
-one, as is stage 1 of each transform.  The datapath is two such chains,
-``[weight, *forward, pointwise]`` and ``[*inverse, unweight]``, joined by
-a buffer that hands over one complete transform block at a time: as the
-stream has no gaps, inverse stage 1 reads pointwise's output N/2 - 1
-cycles later than a column reads its feeder's, and the buffer holds N/2
-pairs at its peak.
+one, as is stage 1 of each transform.  The datapath is one row of such
+columns, ``[weight, *forward, pointwise, *inverse, unweight]``, stated once
+with each column's label, hold and fires per twiddle (:func:`_columns`).
+A buffer between pointwise and inverse stage 1 hands over one complete
+transform block at a time: as the stream has no gaps, inverse stage 1
+reads pointwise's output N/2 - 1 cycles later than a column reads its
+feeder's, and the buffer holds N/2 pairs at its peak.
 
 ``schedule`` mode collapses all latencies to one cycle so the cycle counts
 match the closed-form expressions (:func:`predicted_first_ntt_latency` and
@@ -45,10 +46,10 @@ stage's first fire and the first completion against closed forms
 (:func:`_schedule_law`); each later completion comes N/2 cycles after the
 one before by the timing law and by the law alike.  So a run that returns
 is on the law, and its report (:func:`_build_report`) and its trace
-(:func:`_write_trace`) are built from :func:`_schedule_law` and the stage
-geometry of :func:`_butterfly_timing` alone.  A traced run that raises,
-at a tick or at that final check, leaves the file with the same laws' rows
-up to the failing cycle and stage.
+(:func:`_write_trace`) are built from :func:`_schedule_law` and the column
+table of :func:`_columns` alone.  A traced run that raises, at a tick or
+at that final check, leaves the file with the same laws' rows up to the
+failing cycle and column.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` shows,
@@ -224,7 +225,7 @@ class _PipeStage:
     the timing law it happens at cycle ``first_fire + t``.  A fire breaking
     either raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per of its stage's table, with ``per`` its fires per
-    twiddle (:func:`_butterfly_timing`).
+    twiddle (:func:`_columns`).
 
     The unit holds no state: fire k's labels leave it lag = latency - 1
     cycles after the fire, at cycle first_fire + lag + k.
@@ -334,11 +335,12 @@ def predicted_mul_regs(n: int) -> int:
 
 def _first_latencies(n, butterfly_latency):
     """(first transform, first product) latency by :func:`_schedule_law`,
-    both counted inclusively: from the last stage's fire N/2 - 1, at its
-    first fire + N/2 - 1, back to the first stage's first fire, and from the
-    first completion back to weighting's first fire, on cycle 1."""
-    fwd, _, done = _schedule_law(n, butterfly_latency)
-    return fwd[-1] + n // 2 - fwd[0], done
+    both counted inclusively: from the last forward stage's fire N/2 - 1,
+    at its first fire + N/2 - 1, back to forward stage 1's first fire, and
+    from the first completion back to weighting's first fire, on cycle 1."""
+    firsts, done = _schedule_law(n, butterfly_latency)
+    # column s is forward stage s, for s = 1 ... log2 N
+    return firsts[n.bit_length() - 1] + n // 2 - firsts[1], done
 
 
 def _check_n(n: int):
@@ -379,22 +381,33 @@ class _TraceWriter:
             self.write(fmt % tuple(map(i.__add__, base)))
 
 
-def _butterfly_timing(n: int, forward: bool):
-    """Per butterfly stage s = 1 ... log2 N, (hold, fires per twiddle): the
-    cycles between the arrivals it pairs, N/2**s forward and 2**(s-2)
-    inverse (0 at stage 1: one arrival's halves), and N/2**s or 2**(s-1)."""
-    return [(0 if s == 1 else n >> s if forward else 1 << s - 2,
-             n >> s if forward else 1 << s - 1)
-            for s in range(1, n.bit_length())]
+@cache
+def _columns(n: int):
+    """The datapath's columns in dataflow order, each as (label, hold, fires
+    per twiddle): weighting, forward stages 1 ... log2 N, pointwise,
+    inverse stages 1 ... log2 N and unweighting.  A butterfly stage s holds
+    for the cycles between the arrivals it pairs, N/2**s forward and
+    2**(s-2) inverse (0 at stage 1: one arrival's halves), and fires
+    N/2**s or 2**(s-1) times per twiddle.  A multiplier has no hold and
+    ``per`` 0, as it reads no stage table."""
+    # Labelled "fwd_a" as when each operand had its own pipeline and only
+    # the first was traced, so trace files stay byte-identical.
+    return (("weight", 0, 0),
+            *((f"fwd_a{s}", 0 if s == 1 else n >> s, n >> s)
+              for s in range(1, n.bit_length())),
+            ("pointwise", 0, 0),
+            *((f"inv{s}", 0 if s == 1 else 1 << s - 2, 1 << s - 1)
+              for s in range(1, n.bit_length())),
+            ("unweight", 0, 0))
 
 
 @cache
 def _network_proof(n: int):
-    """Shows on indices alone that the butterfly stages of
-    :func:`_butterfly_timing` route :mod:`nttmul.polymul`'s network, and
-    that this network is a tree of CRT splits.  Returns the exponents of
-    omega that the stage tables must hold, forward and inverse, for
-    :func:`_table_proof` to check.
+    """Shows on indices alone that the butterfly columns of
+    :func:`_columns`, walked in dataflow order, route
+    :mod:`nttmul.polymul`'s network, and that this network is a tree of
+    CRT splits.  Returns the exponents of omega that the stage tables must
+    hold, forward and inverse, for :func:`_table_proof` to check.
 
     sigma maps a storage index, where fire t of a stage writes label 2t at
     t and 2t + 1 at t + N/2, to polymul's index; the feed puts coefficient
@@ -430,57 +443,59 @@ def _network_proof(n: int):
     times coefficient i of the weighted product mod x**N - 1.  A break
     raises :class:`PipelineAssertionError` naming the stage, and the fire
     if it is a routing break."""
-    h = n // 2
+    h, m = n // 2, n.bit_length() - 1
     sigma, root, coef = list(range(n)), [0] * n, list(range(n))
     needs = []
-    for forward, label in ((True, "fwd_a"), (False, "inv")):
+    for i, (label, hold, per) in enumerate(_columns(n)):
+        if not per:
+            continue        # a multiplier: weighting, pointwise, unweighting
+        forward = i <= m
         # polymul reads pair j at (j << r, + dr) and writes it to (j << w, + dw)
         r, dr, w, dw = (0, h, 1, 1) if forward else (1, 1, 0, h)
-        for s, (hold, per) in enumerate(_butterfly_timing(n, forward), 1):
-            k, size = hold or h, h // per
-            out = [None] * n
-            for t in range(h):
-                lo = h + t - k if t & k else t
-                x, y = sigma[lo], sigma[lo + k]
-                j = x >> r
-                if y != x + dr or x != j << r or t // per != j % size:
-                    raise PipelineAssertionError(
-                        f"{label}{s}: fire {t} reads polymul's {(x, y)} with "
-                        f"twiddle {t // per}, not {(j << r, (j << r) + dr)} "
-                        f"with twiddle {j % size}")
-                out[t] = j << w
-                out[t + h] = (j << w) + dw
-            sigma = out
-            # The CRT walk: polymul's pair j reads root exponents e[j] and
-            # ey[j] and coefficients c[j] and cy[j], and needs omega**f[j]
-            # from twiddle entry j mod size.
-            if forward:
-                e, ey, c, cy = root[:h], root[h:], coef[:h], coef[h:]
-                f = [x >> 1 for x in e]
-                split = (ey == e == [x << 1 for x in f]
-                         and cy == [x + per for x in c])
-                root[0::2], root[1::2] = f, [x + h for x in f]
-                coef[0::2] = coef[1::2] = c
-            else:
-                e, ey, c, cy = root[0::2], root[1::2], coef[0::2], coef[1::2]
-                f = [-x % n for x in e]
-                split = ey == [(x + h) % n for x in e] and cy == c
-                root[:h] = root[h:] = [2 * x % n for x in e]
-                coef[:h], coef[h:] = c, [x + per for x in c]
-            if not split or f != f[:size] * per:
+        k, size = hold or h, h // per
+        out = [None] * n
+        for t in range(h):
+            lo = h + t - k if t & k else t
+            x, y = sigma[lo], sigma[lo + k]
+            j = x >> r
+            if y != x + dr or x != j << r or t // per != j % size:
                 raise PipelineAssertionError(
-                    f"{label}{s}: polymul's pairs are not CRT splits with "
-                    f"one exponent per twiddle")
-            needs.append(tuple(f[:size]))
+                    f"{label}: fire {t} reads polymul's {(x, y)} with "
+                    f"twiddle {t // per}, not {(j << r, (j << r) + dr)} "
+                    f"with twiddle {j % size}")
+            out[t] = j << w
+            out[t + h] = (j << w) + dw
+        sigma = out
+        # The CRT walk: polymul's pair j reads root exponents e[j] and
+        # ey[j] and coefficients c[j] and cy[j], and needs omega**f[j]
+        # from twiddle entry j mod size.
+        if forward:
+            e, ey, c, cy = root[:h], root[h:], coef[:h], coef[h:]
+            f = [x >> 1 for x in e]
+            split = (ey == e == [x << 1 for x in f]
+                     and cy == [x + per for x in c])
+            root[0::2], root[1::2] = f, [x + h for x in f]
+            coef[0::2] = coef[1::2] = c
+        else:
+            e, ey, c, cy = root[0::2], root[1::2], coef[0::2], coef[1::2]
+            f = [-x % n for x in e]
+            split = ey == [(x + h) % n for x in e] and cy == c
+            root[:h] = root[h:] = [2 * x % n for x in e]
+            coef[:h], coef[h:] = c, [x + per for x in c]
+        if not split or f != f[:size] * per:
+            raise PipelineAssertionError(
+                f"{label}: polymul's pairs are not CRT splits with "
+                f"one exponent per twiddle")
+        needs.append(tuple(f[:size]))
+    # label is the last column's, unweighting's
     for i, j in enumerate(sigma):
         if i != j:
             raise PipelineAssertionError(
-                f"unweight: storage index {i} holds polymul's {j}, not {i}")
+                f"{label}: storage index {i} holds polymul's {j}, not {i}")
     if root != [0] * n or coef != list(range(n)):
         raise PipelineAssertionError(
-            "unweight: polymul's index i does not hold coefficient i mod "
+            f"{label}: polymul's index i does not hold coefficient i mod "
             "x**N - 1")
-    m = n.bit_length() - 1
     return tuple(needs[:m]), tuple(needs[m:])
 
 
@@ -532,27 +547,6 @@ def _table_proof(params: NttParams):
                 f"tables: {key} is not what the network needs")
 
 
-def _build_chains(config: PipelineConfig):
-    """The datapath's control as two chains of stages, each fed by the one
-    before: ``front = [weight, *forward, pointwise]``, whose routing both
-    operands take, and ``back = [*inverse, unweight]``."""
-    n = config.n
-
-    def butterflies(forward: bool, label: str):
-        return [_PipeStage(f"{label}{s}", hold, config.butterfly_latency)
-                for s, (hold, _) in enumerate(_butterfly_timing(n, forward), 1)]
-
-    def multiplier(label):
-        return _PipeStage(label, 0, config.scalar_latency)
-
-    # Labelled "fwd_a" as when each operand had its own pipeline and only
-    # the first was traced, so trace files stay byte-identical.
-    front = [multiplier("weight"), *butterflies(True, "fwd_a"),
-             multiplier("pointwise")]
-    back = [*butterflies(False, "inv"), multiplier("unweight")]
-    return front, back
-
-
 def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     """Push polynomial pairs through the multiplier back to back.
 
@@ -573,20 +567,20 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     for every input, so the products are the pipeline's.  A break raises
     :class:`PipelineAssertionError`; there is no fallback.
 
-    One forward chain routes both operands under their shared control; the
-    report still counts registers for both hardware pipelines:
-    ``total_regs = 2 * forward + inverse``.
+    One row of forward stages routes both operands under their shared
+    control; the report still counts registers for both hardware
+    pipelines: ``total_regs = 2 * forward + inverse``.
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is written
     there after the same proof, by :func:`_write_trace` from the closed
-    forms of :func:`_schedule_law` and :func:`_butterfly_timing`: the fill
-    and the drain row by row, and the steady middle as one period
-    repeated, so memory holds at most one period's text.  A traced and an
-    untraced run give one report.  When the proof raises
+    forms of :func:`_schedule_law` and the column table of
+    :func:`_columns`: the fill and the drain row by row, and the steady
+    middle as one period repeated, so memory holds at most one period's
+    text.  A traced and an untraced run give one report.  When the proof raises
     :class:`PipelineAssertionError`, at a tick or at its final check
     against :func:`_schedule_law`, the file holds those laws' rows up to
-    the failing cycle and stage, and is closed.
+    the failing cycle and column, and is closed.
     """
     params = config.params
     _network_proof(config.n)
@@ -613,46 +607,44 @@ def _moved(st, fires):
 
 
 def _schedule_law(n, butterfly_latency):
-    """The first fires of the forward and the inverse butterfly stages and
-    the first completion, in closed form; completion k comes k*N/2 cycles
-    after the first.  With L the butterfly latency, S = max(1, L - 2), m =
-    log2 N and h_s stage s's hold by :func:`_butterfly_timing` (0 at stage
-    1, N/2**s forward and 2**(s-2) inverse): F_1 = 1 + S, F_s = F_{s-1} +
-    L + h_s; I_1 = F_m + N/2 + L + S - 1, I_s = I_{s-1} + L + h_s; the
-    first completion is I_m + N/2 - 1 + (L - 1) + S.
+    """Every column's first fire, in :func:`_columns`'s dataflow order,
+    and the first completion, in closed form; completion k comes k*N/2
+    cycles after the first.  With L the butterfly latency and S = max(1,
+    L - 2), a butterfly stage's unit has latency L and a multiplier's
+    (weighting, pointwise, unweighting) S.
 
-    Column by column: weighting fires first on cycle 1, with the first feed.
-    A column's fire leaves its unit latency - 1 cycles later and reaches the
-    next column on the cycle after, which fires then, or, behind a FIFO,
-    ``hold`` arrivals later, once its fill is done.  The multipliers
-    (weighting, pointwise, unweighting) have latency S and the butterfly
-    stages L.  So pointwise fires first at F_m + L, and inverse stage 1
-    takes its first block from the buffer on the cycle after pointwise's
-    fire N/2 - 1 has left, when that block is complete:
-    I_1 = F_m + L + (N/2 - 1) + (S - 1) + 1.  Unweighting fires first at
-    I_m + L, and completion k is its fire (k + 1)*N/2 - 1 leaving, S - 1
-    cycles later."""
+    The walk goes column by column.  Weighting's first arrival is the
+    first feed, on cycle 1.  A column fires first ``hold`` cycles after its
+    first arrival, once its fill is done, or on it without a FIFO; its fire
+    leaves its unit latency - 1 cycles later and reaches the next column
+    on the cycle after, so the next first arrival is the first fire plus
+    the latency.  Inverse stage 1 takes its first block from the buffer on
+    the cycle after pointwise's fire N/2 - 1 has left, when that block is
+    complete: N/2 - 1 cycles later than a column's first arrival.
+    Completion k is unweighting's fire (k + 1)*N/2 - 1 leaving, at its
+    first fire + (k + 1)*N/2 - 1 + S - 1."""
     L = butterfly_latency
     S = max(1, L - ADDSUB_CYCLES)
-    firsts, arrival = ([], []), 1 + S       # forward stage 1's first arrival
-    for fires, forward in zip(firsts, (True, False)):
-        for hold, _ in _butterfly_timing(n, forward):
-            fires.append(arrival + hold)
-            arrival = fires[-1] + L
-        # arrival is the first fire of pointwise, then of unweighting;
-        # their fire N/2 - 1 leaves at arrival + N/2 - 2 + S, the cycle
-        # before inverse stage 1's first arrival, and the first completion
-        arrival += n // 2 - 1 + S
-    return (*map(tuple, firsts), arrival - 1)
+    firsts, arrival = [], 1                 # weighting's first arrival
+    for label, hold, per in _columns(n):
+        firsts.append(arrival + hold)
+        arrival = firsts[-1] + (L if per else S)
+        if label == "pointwise":    # inverse stage 1 reads whole blocks
+            arrival += n // 2 - 1
+    # unweighting's fire 0 leaves at arrival - 1, and completion 0, its
+    # fire N/2 - 1, N/2 - 1 cycles later
+    return tuple(firsts), arrival + n // 2 - 2
 
 
 def _write_trace(trace, config, count, stop=None):
     """Writes the trace rows of ``count`` products by their closed forms:
-    each butterfly stage's hold and fires per twiddle by
-    :func:`_butterfly_timing` and its first fire by :func:`_schedule_law`.
-    It writes every cycle up to the first completion's cycle plus
-    ``count - 1`` periods, or, with ``stop = (cycle, k)``, the cycles
-    before ``cycle`` and that cycle's rows of the first k stages.
+    each butterfly column's label, hold and fires per twiddle by
+    :func:`_columns` and its first fire by :func:`_schedule_law`; the
+    multipliers write no rows.  It writes every cycle up to the first
+    completion's cycle plus ``count - 1`` periods, or, with ``stop =
+    (cycle, k)`` and k the failing column's place in tick order, the
+    cycles before ``cycle`` and that cycle's rows of the k columns a cycle
+    ticks before the failing one: those after it in dataflow order.
 
     A stage with hold h, fires per twiddle ``per`` and first fire F fires
     t < T = count * N/2 at cycle F + t, and with tp = t mod N/2 and base =
@@ -661,8 +653,9 @@ def _write_trace(trace, config, count, stop=None):
     F - h, with the counter min(c - F + h + 1, T + h), the arrivals and
     then the drain's None arrivals it has counted, and sel 1 - (counter //
     h mod 2); without one (stage 1) it writes a row only on the cycles it
-    fires.  Within a cycle rows go in tick order: inverse stages from the
-    last to the first, then forward stages from the last to the first.
+    fires.  Within a cycle rows go in tick order, reverse dataflow order:
+    inverse stages from the last to the first, then forward stages from
+    the last to the first.
 
     From the last first fire to the first stage's last fire every stage
     fires and no counter has stopped, so the rows of a cycle N/2 later are
@@ -673,13 +666,9 @@ def _write_trace(trace, config, count, stop=None):
     write."""
     n = config.n
     n_half, total = n // 2, count * n // 2
-    fwd, inv, done = _schedule_law(n, config.butterfly_latency)
+    firsts, done = _schedule_law(n, config.butterfly_latency)
     # dataflow order, reversed into tick order
-    cols = [(f"{label}{s}", hold, per, first)
-            for label, forward, firsts in (("fwd_a", True, fwd),
-                                           ("inv", False, inv))
-            for s, ((hold, per), first)
-            in enumerate(zip(_butterfly_timing(n, forward), firsts), 1)][::-1]
+    cols = [(*col, first) for col, first in zip(_columns(n), firsts)][::-1]
     end, keep = stop or (done + total - n_half, len(cols))
 
     def rows(cycles, cols=cols):
@@ -687,7 +676,7 @@ def _write_trace(trace, config, count, stop=None):
         for c in cycles:
             for label, h, per, first in cols:
                 t = c - first
-                fires = 0 <= t < total
+                fires = per and 0 <= t < total      # a multiplier writes none
                 if h and t >= -h:
                     k = min(t + h + 1, total + h)
                     sel = 1 - (k // h & 1)
@@ -707,8 +696,9 @@ def _write_trace(trace, config, count, stop=None):
         for c in range(lo, hi, n_half):
             trace.rows(rows(range(c, min(c + n_half, hi))))
 
-    steady = max(fwd + inv)
-    periods = max(0, min(min(fwd) + total, end) - steady) // n_half
+    fly = [first for _, _, per, first in cols if per]  # butterflies' firsts
+    steady = max(fly)
+    periods = max(0, min(min(fly) + total, end) - steady) // n_half
     if periods:
         write(1, steady)
         trace.repeat(rows(range(steady, steady + n_half)),
@@ -725,18 +715,20 @@ def _run_cycles(config, count, trace):
     matched :func:`_schedule_law`, or raises
     :class:`PipelineAssertionError`; it builds no report.
 
-    The stages are proved one at a time in dataflow order: weighting, the
-    forward stages, pointwise, the inverse stages, unweighting.  Each is
-    ticked alone on its feeder's law output, fire k's labels (2k, 2k + 1)
-    on the cycle after they leave its unit, from its first arrival: its
-    feeder's first fire + lag + 1, or, for inverse stage 1, N/2 - 1
-    cycles later.  The buffer between them takes pointwise's law output,
-    one pair a cycle, and hands a block over once it is complete, so it
-    holds the first block from its completion until inverse stage 1
+    It builds one stage per column of :func:`_columns`, with the column's
+    label and hold and latency L for a butterfly stage or S for a
+    multiplier, and proves them one at a time in that dataflow order:
+    weighting, the forward stages, pointwise, the inverse stages,
+    unweighting.  Each is ticked alone on its feeder's law output, fire k's
+    labels (2k, 2k + 1) on the cycle after they leave its unit, from its
+    first arrival: its feeder's first fire + lag + 1, or, for inverse stage
+    1, N/2 - 1 cycles later.  The buffer between them takes pointwise's law
+    output, one pair a cycle, and hands a block over once it is complete,
+    so it holds the first block from its completion until inverse stage 1
     starts to read it and then pops one pair on each cycle it pushes one:
-    inverse stage 1's arrival k is pointwise's fire k, N/2 - 1 cycles
-    later than a column's.  Cycles before a first arrival idle the stage
-    and are never walked.
+    inverse stage 1's arrival k is pointwise's fire k, N/2 - 1 cycles later
+    than a column's.  Cycles before a first arrival idle the stage and are
+    never walked.
 
     The shift: moving a stage's state up P fires (t and a FIFO's counter
     up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
@@ -777,26 +769,25 @@ def _run_cycles(config, count, trace):
     check of completion 0 decides them all.
 
     A traced run writes, by :func:`_write_trace`, the rows that
-    :func:`_schedule_law` and :func:`_butterfly_timing` give: all of them
-    once the proof has returned, or, when it raises, those up to the
-    failing cycle and stage, in the order a cycle ticks the stages: the
-    inverse chain from unweighting back, then the forward chain from
-    pointwise back.  A tick that raises fails at its cycle and stage; a
-    first fire or the first completion off the law fails at the earlier
-    of its ticked cycle and the law's, at its stage or at unweighting.
+    :func:`_schedule_law` and :func:`_columns` give: all of them once the
+    proof has returned, or, when it raises, those up to the failing cycle
+    and column, in the order a cycle ticks the columns, reverse dataflow
+    order: that cycle's rows of the columns after the failing one.  A
+    tick that raises fails at its cycle and column; a first fire or the
+    first completion off the law fails at the earlier of its ticked cycle
+    and the law's, at its column or at unweighting.
     """
     if not count:
         return
     n_half = config.n // 2
     L = config.butterfly_latency
-    fwd, inv, done = _schedule_law(config.n, L)
-    front, back = _build_chains(config)
-    order = (*back[::-1], *front[::-1])     # the ticks within a cycle
-    fly = (*back[-2::-1], *front[-2:0:-1])  # those that write trace rows
+    firsts, done = _schedule_law(config.n, L)
+    stages = [_PipeStage(label, hold, L if per else config.scalar_latency)
+              for label, hold, per in _columns(config.n)]
     total = count * n_half
     start = 1
     try:
-        for st in (*front, *back):
+        for st in stages:
             cycle, due, snap = start, start + st.hold, None
             while True:
                 k = cycle - start       # the feeder's law output: fire k
@@ -817,10 +808,10 @@ def _run_cycles(config, count, trace):
                         f"{cycle}, short of its law")
                 cycle += 1
             st.t = total
-            start = st.first_fire + st.lag + (n_half if st is front[-1] else 1)
+            start = st.first_fire + st.lag + (
+                n_half if st.label == "pointwise" else 1)
         # the law's checks; an abort's trace stops at the earlier cycle
-        for st, due in zip((*front, *back),
-                           (1, *fwd, fwd[-1] + L, *inv, inv[-1] + L)):
+        for st, due in zip(stages, firsts):
             cycle = min(st.first_fire, due)
             if st.first_fire != due:
                 raise PipelineAssertionError(
@@ -833,8 +824,7 @@ def _run_cycles(config, count, trace):
                 f"product 0 completes at cycle {first}, not {done} by law")
     except PipelineAssertionError:
         if trace is not None:
-            _write_trace(trace, config, count, (
-                cycle, sum(s in fly for s in order[:order.index(st)])))
+            _write_trace(trace, config, count, (cycle, stages[::-1].index(st)))
         raise
     if trace is not None:
         _write_trace(trace, config, count)
@@ -845,15 +835,17 @@ def _build_report(config, count):
     a run whose proof returned (:func:`_run_cycles`) fired as the routing
     and timing laws state, its stages first firing and its products
     completing as :func:`_schedule_law` does, so it is ``stall_free``.
-    Each FIFO has two banks of ``hold`` slots (:func:`_butterfly_timing`),
+    Each FIFO has two banks of ``hold`` slots (:func:`_columns`),
     which the fill loads before the first fire: it peaks at its capacity,
     2 * hold, whenever the stream has products.  The buffer in front of
     inverse stage 1 peaks at one whole block, N/2 pairs."""
     n, latency = config.n, config.butterfly_latency
-    fwd, inv, done = _schedule_law(n, latency)
-    fwd_caps, inv_caps = (tuple(2 * hold for hold, _ in
-                                _butterfly_timing(n, forward))
-                          for forward in (True, False))
+    firsts, done = _schedule_law(n, latency)
+    capacity = tuple(2 * hold for _, hold, _ in _columns(n))
+    # the forward and the inverse stages, between the multipliers
+    m = n.bit_length() - 1
+    fwd, inv, fwd_caps, inv_caps = (seq[lo:hi] for seq in (firsts, capacity)
+                                    for lo, hi in ((1, m + 1), (m + 2, -1)))
     fwd_peaks, inv_peaks = (caps if count else (0,) * len(caps)
                             for caps in (fwd_caps, inv_caps))
     notes = [

@@ -666,10 +666,10 @@ def retired_ticks(config, count):
     # fire, T - 1 cycles after its first
     total = count * config.n // 2
     ticks = 0
-    for chain in pipesim._build_chains(config):
-        for stage in chain:
-            repeats = 1 + stage.d < total
-            ticks += stage.hold + (1 + stage.d if repeats else total)
+    for _, hold, _ in pipesim._columns(config.n):
+        period = max(1, 2 * hold)
+        repeats = 1 + period < total
+        ticks += hold + (1 + period if repeats else total)
     return ticks if count else 0
 
 
@@ -698,23 +698,22 @@ def live_arrivals(config, count):
 
 
 def built_stages(mp, entry=lambda st: (st.label, st)):
-    # the stages of the chains a run builds, as the dict of entry(stage)
-    # pairs, by label by default, filled in as it builds them
-    real_build = pipesim._build_chains
+    # the stages a run builds, as the dict of entry(stage) pairs, by label
+    # by default, filled in as it builds them
+    real_init = _PipeStage.__init__
     stages = {}
 
-    def build(config):
-        front, back = real_build(config)
-        stages.update(entry(st) for st in (*front, *back))
-        return front, back
+    def init(st, *args):
+        real_init(st, *args)
+        stages.update((entry(st),))
 
-    mp.setattr(pipesim, "_build_chains", build)
+    mp.setattr(_PipeStage, "__init__", init)
     return stages
 
 
 def fifo_labels(mp):
     # the label of the stage each FIFO feeds (None keys the multipliers,
-    # which have no FIFO), filled in as a run builds its chains
+    # which have no FIFO), filled in as a run builds its stages
     return built_stages(mp, lambda st: (st.fifo, st.label))
 
 
@@ -744,26 +743,29 @@ class TransformGate:
 
 
 def every_cycle(config, count):
-    # the every-cycle reference: both chains ticked on every cycle from
+    # the every-cycle reference: a stage per column of the table, the stages
+    # split at pointwise into two chains, both ticked on every cycle from
     # cycle 1 to the last completion, in reverse dataflow order so that each
     # stage reads what its feeder emitted on the cycle before, each stage's
     # output a delay line of lag slots behind its fires, pointwise's output
-    # handed to inv1 by a ticked TransformGate, and a trace row written
-    # from every butterfly tick.  It measures the report's figures from
-    # what it ticks (first fires, completions, the most loaded bank slots
-    # of each FIFO after any tick, bank lengths, the gate's peak and the
-    # first latencies) and asserts that they are the report by law.
-    # Returns the trace text
+    # handed to inv1 by a ticked TransformGate, and a trace row written from
+    # every butterfly tick.  It measures the report's figures from what it
+    # ticks (first fires, completions, the most loaded bank slots of each FIFO
+    # after any tick, bank lengths, the gate's peak and the first latencies)
+    # and asserts that they are the report by law.  Returns the trace text
     n_half = config.n // 2
-    front, back = pipesim._build_chains(config)
+    columns = pipesim._columns(config.n)
+    stages = [_PipeStage(label, hold, config.butterfly_latency if p
+                         else config.scalar_latency)
+              for label, hold, p in columns]
+    cut = [label for label, _, _ in columns].index("pointwise") + 1
+    front, back = stages[:cut], stages[cut:]
     gate = TransformGate(n_half)
     total = count * n_half
-    lines = {st: deque([None] * st.lag) for st in (*front, *back)}
+    lines = {st: deque([None] * st.lag) for st in stages}
     out = dict.fromkeys(lines)
     # the butterfly stages, each with its fires per twiddle
-    per = dict(zip((*front[1:-1], *back[:-1]),
-                   (p for forward in (True, False) for _, p in
-                    pipesim._butterfly_timing(config.n, forward))))
+    per = {st: p for st, (_, _, p) in zip(stages, columns) if p}
     peak = dict.fromkeys(per, 0)
     text = []
     last_ntt_fire = None
@@ -840,14 +842,21 @@ def every_cycle(config, count):
     return "".join(text)
 
 
+def dataflow(n):
+    # the datapath's column labels, as the trace names them, in dataflow
+    # order
+    m = n.bit_length() - 1
+    return ["weight", *(f"fwd_a{s}" for s in range(1, m + 1)), "pointwise",
+            *(f"inv{s}" for s in range(1, m + 1)), "unweight"]
+
+
 def rows_before(text, n, cycle, label):
     # the rows of a clean trace that precede the tick of stage ``label`` on
     # ``cycle``: every row of an earlier cycle, and that cycle's rows of
-    # the stages ticked before it, the inverse chain from unweighting back
-    # and then the forward chain from pointwise back
-    m = n.bit_length() - 1
-    order = ["unweight", *(f"inv{s}" for s in range(m, 0, -1)), "pointwise",
-             *(f"fwd_a{s}" for s in range(m, 0, -1)), "weight"]
+    # the stages ticked before it, in reverse dataflow order: the inverse
+    # chain from unweighting back and then the forward chain from
+    # pointwise back
+    order = dataflow(n)[::-1]
     before = order[:order.index(label)]
 
     def kept(row):
@@ -969,9 +978,8 @@ class TestControlPlane:
                                 mode="structural" if latency else "schedule",
                                 butterfly_latency=latency)
         real_tick, real_fifo_tick = _PipeStage.tick, StageFifo.tick
-        for stage in (st for chain in pipesim._build_chains(config)
-                      for st in chain):
-            label, fire = stage.label, stage.d
+        for label, hold, _ in pipesim._columns(config.n):
+            fire = max(1, 2 * hold)
 
             def tick(st, cycle, arrival):
                 if (st.label, st.t, st.fifo) == (label, fire, None):
@@ -1261,7 +1269,10 @@ class TestControlPlane:
             for s in range(2, m + 1):
                 inv.append(inv[-1] + latency + 2**(s - 2))
             done = inv[-1] + n // 2 - 1 + (latency - 1) + S
-            assert _schedule_law(n, latency) == (tuple(fwd), tuple(inv), done)
+            # every column's first fire in dataflow order, the multipliers'
+            # at 1, F_m + L and I_m + L, and the first completion
+            assert _schedule_law(n, latency) == (
+                (1, *fwd, fwd[-1] + latency, *inv, inv[-1] + latency), done)
             config = PipelineConfig(n=n, params=p, mode="structural",
                                     butterfly_latency=latency)
             for count in (1, 6):
@@ -1288,7 +1299,7 @@ class TestControlPlane:
             config = PipelineConfig(n=n, params=p)
             assert _run_cycles(config, 6, None) is None
             rep = pipesim._build_report(config, 6)
-            assert rep.completion_cycles[0] == _schedule_law(n, 1)[2]
+            assert rep.completion_cycles[0] == _schedule_law(n, 1)[1]
 
     @pytest.mark.parametrize("off, error", [
         (0, "fwd_a1: first fire at cycle 2, not 3 by law"),
@@ -1311,10 +1322,11 @@ class TestControlPlane:
         real_law = pipesim._schedule_law
 
         def law(n, latency):
-            parts = list(real_law(n, latency))
-            parts[off] = (parts[off] + 1 if off == 2
-                          else (parts[off][0] + 1, *parts[off][1:]))
-            return tuple(parts)
+            firsts, done = real_law(n, latency)
+            if off == 2:
+                return firsts, done + 1
+            i = [label for label, _, _ in pipesim._columns(n)].index(fail[1])
+            return (*firsts[:i], firsts[i] + 1, *firsts[i + 1:]), done
 
         monkeypatch.setattr(pipesim, "_schedule_law", law)
         text = io.StringIO()
@@ -1339,15 +1351,13 @@ class TestControlPlane:
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
         _run_cycles(config, 12, _TraceWriter(clean))
-        real_build = pipesim._build_chains
+        real_init = _PipeStage.__init__
 
-        def build(config):
-            front, back = real_build(config)
-            for st in (*front, *back):
-                st.lag += st.label == slow
-            return front, back
+        def init(st, label, hold, latency):
+            real_init(st, label, hold, latency)
+            st.lag += label == slow
 
-        monkeypatch.setattr(pipesim, "_build_chains", build)
+        monkeypatch.setattr(_PipeStage, "__init__", init)
         text = io.StringIO()
         for trace in (None, _TraceWriter(text)):
             with pytest.raises(PipelineAssertionError,
@@ -1535,6 +1545,36 @@ class TestDeterminism:
         assert rows == rows_before(clean.getvalue(), 16, 6, "weight")
         assert rows.endswith("6,fwd_a1,,,4,12\r\n")
 
+    @pytest.mark.parametrize("label", dataflow(16))
+    def test_trace_on_abort_at_every_column(self, fixed_params, monkeypatch,
+                                            label):
+        # each column fails on its tick on cycle 40, its fire k = 40 - F,
+        # F its first fire by law and k >= 1, in a traced stream of 12
+        # products: every butterfly column writes a row on that cycle of
+        # the steady middle, and the file holds every row before cycle 40
+        # and that cycle's rows of the columns ticked before the failing
+        # one, those after it in dataflow order.  Retirement is off, so
+        # that the column is ticked to that fire
+        no_retirement(monkeypatch)
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        clean = io.StringIO()
+        _run_cycles(config, 12, _TraceWriter(clean))
+        first = _schedule_law(16, 1)[0][dataflow(16).index(label)]
+        fire = 40 - first
+        assert fire >= 1
+        real_tick = _PipeStage.tick
+
+        def tick(stage, cycle, arrival):
+            if (stage.label, stage.t, cycle) == (label, fire, 40):
+                raise PipelineAssertionError("injected")
+            real_tick(stage, cycle, arrival)
+
+        monkeypatch.setattr(_PipeStage, "tick", tick)
+        text = io.StringIO()
+        with pytest.raises(PipelineAssertionError, match="^injected$"):
+            _run_cycles(config, 12, _TraceWriter(text))
+        assert text.getvalue() == rows_before(clean.getvalue(), 16, 40, label)
+
     @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
                                      (12289, 32, "structural", 20)],
                              ids=_pinned_id)
@@ -1611,7 +1651,7 @@ class TestDeterminism:
         assert first_fire.endswith("0,2")
 
 
-# timing mutants: each turns one direction's per-stage (hold, fires per
+# timing mutants: each turns one direction's per-column (hold, fires per
 # twiddle) list into a wrong one that the FIFO model still routes by its law
 def doubled_hold(timing):
     return [(2 * hold, per) for hold, per in timing]
@@ -1637,9 +1677,20 @@ MUTANTS = [(True, doubled_hold, "fwd_a2"), (False, doubled_per, "inv1"),
 
 
 def mutant_timing(monkeypatch, forward, mutate):
-    real = pipesim._butterfly_timing
-    monkeypatch.setattr(pipesim, "_butterfly_timing", lambda n, fwd: (
-        mutate(real(n, fwd)) if fwd == forward else real(n, fwd)))
+    # one direction's butterfly columns take the mutated list, each keeping
+    # its label, so the proof names the column at its place
+    real = pipesim._columns
+    prefix = "fwd_a" if forward else "inv"
+
+    def columns(n):
+        cols = list(real(n))
+        at = [i for i, (label, _, _) in enumerate(cols)
+              if label.startswith(prefix)]
+        for i, timing in zip(at, mutate([cols[i][1:] for i in at])):
+            cols[i] = cols[i][0], *timing
+        return tuple(cols)
+
+    monkeypatch.setattr(pipesim, "_columns", columns)
 
 
 class TestNetworkProof:

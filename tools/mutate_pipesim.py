@@ -17,11 +17,13 @@ and its example database emptied first, so a mutant's outcome depends on
 the mutant alone, not on random draws or on the mutants a tree copy ran
 before it.  Every survivor missing from
 ``pipesim_equivalent_mutants.json`` is printed, and the exit status is 1
-if there is one; a full run also prints each listed mutant that no longer
-survives.  That list names each equivalent mutant by its enclosing
-function and its mutated source text (the lines of the mutated node, with
-whitespace collapsed, and " [k]" appended to the k-th mutant of one text
-in one function), never by line number, and gives a one-line reason.
+if there is one.  A full run also prints each listed mutant that no
+longer survives, as ``STALE``, and exits 1 if there is one, so an entry
+whose code is gone or now killed cannot linger.  That list names each
+equivalent mutant by its enclosing function and its mutated source text
+(the lines of the mutated node, with whitespace collapsed, and " [k]"
+appended to the k-th mutant of one text in one function), never by line
+number, and gives a one-line reason.
 
 pyproject's ``pythonpath = ["src"]`` puts the copy's own ``src`` first when
 pytest runs from inside the copy; a plugin checks after collection that
@@ -220,16 +222,17 @@ def main(argv=None) -> int:
     unlisted = [m for m in survivors if (m.function, m.text) not in listed]
     for m in unlisted:
         print(f"SURVIVED {m.function}: {m.text}")
+    stale = []
     if args.sample is None:     # listed, yet killed or no longer a mutant
-        kept = {(m.function, m.text) for m in survivors}
-        for function, text in sorted(set(listed) - kept):
+        stale = sorted(set(listed) - {(m.function, m.text) for m in survivors})
+        for function, text in stale:
             print(f"STALE {function}: {text}")
     print(f"{len(chosen)} of {len(every)} mutants: "
           f"{len(chosen) - len(survivors)} killed "
           f"({outcomes.count('timeout')} by the {TIMEOUT_S} s limit), "
           f"{len(survivors)} survived, {len(unlisted)} of them not listed "
           f"as equivalent")
-    return 1 if unlisted else 0
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
