@@ -52,13 +52,12 @@ at that final check, leaves the file with the same laws' rows up to the
 failing cycle and column.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
-the stages fire as the routing law states; :func:`_network_proof` shows,
-on indices alone and once per N, that the network the law builds from the
-stages' holds and fires per twiddle is the constant-geometry network
-polymul walks, pair for pair and twiddle for twiddle, and that this
-network is a tree of CRT splits; :func:`_table_proof` shows, once per
-table set, that the tables hold the powers the splits need, so the network
-computes a*b mod x**N + 1 for every input; and the schoolbook product is
+the stages fire as the routing law states; :func:`_network_proof` walks,
+on indices alone and once per N, the network the law builds from the
+stages' holds and fires per twiddle, and shows that it is a tree of CRT
+splits; :func:`_table_proof` shows, once per table set, that the tables
+hold the powers the splits need, so the network computes
+a*b mod x**N + 1 for every input; and the schoolbook product is
 exact by its slot bound: with B the smallest multiple of M at or above
 N*(M-1)**2, each wrapped slot s_k - s_{k+N} + B lies in [0, 2B], so no
 slot carries or borrows, for every coefficient below M < 2**64.  The
@@ -73,10 +72,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cache
 
+from . import polymul
 # read by perfbench/tracing.count_modmuls, which wraps it by name
 from .modarith import karatsuba_mul  # noqa: F401
 from .params import NttParams
-from .polymul import naive_negacyclic_mul
 
 # structural-mode stage depths of one butterfly unit
 KARATSUBA_CYCLES = 6
@@ -87,7 +86,8 @@ MAX_BUTTERFLY_LATENCY = 1024
 
 class PipelineAssertionError(RuntimeError):
     """A fire misrouted or came off its cycle, a stage fell short of its
-    law, or the tables are not the powers the network needs.
+    law, the stages' network is not a tree of CRT splits, or the tables
+    are not the powers the network needs.
 
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.
@@ -404,98 +404,72 @@ def _columns(n: int):
 @cache
 def _network_proof(n: int):
     """Shows on indices alone that the butterfly columns of
-    :func:`_columns`, walked in dataflow order, route
-    :mod:`nttmul.polymul`'s network, and that this network is a tree of
-    CRT splits.  Returns the exponents of omega that the stage tables must
-    hold, forward and inverse, for :func:`_table_proof` to check.
+    :func:`_columns`, walked in dataflow order, build a tree of CRT splits
+    (Pollard 1971; Longa and Naehrig 2016).  Returns the exponents of
+    omega that the stage tables must hold, forward and inverse, for
+    :func:`_table_proof` to check.
 
-    sigma maps a storage index, where fire t of a stage writes label 2t at
-    t and 2t + 1 at t + N/2, to polymul's index; the feed puts coefficient
-    i at i, so sigma starts as the identity.  By :class:`_PipeStage`'s
-    routing law fire t reads the storage indices lo and lo + k, with k the
-    hold, or N/2 without a FIFO, and lo = t if ``t & k`` is 0, else
-    N/2 + t - k.  Forward, it must read polymul's pair (j, j + N/2) and
-    writes 2j, 2j + 1; inverse, it must read (2j, 2j + 1) and writes j,
-    j + N/2.  Its twiddle, entry t // per of its stage's table, must be
-    polymul's, entry j mod len(table).  Pointwise multiplies the spectra
-    at one storage index, so at one polymul index, and unweighting weighs
-    storage index i by weight i, so sigma must end as the identity.
-
-    The CRT walk (Pollard 1971; Longa and Naehrig 2016) follows polymul's
-    pairs stage by stage, with exponents of omega taken mod N, as
-    omega**N = 1 and omega**(N/2) = -1.  Polymul's index i carries
-    (e, c) = (root[i], coef[i]): coefficient c of the residue mod
-    x**L - omega**e of the weighted operand, with L = N/2**(s-1) before
-    forward stage s; before inverse stage s, L = 2**(s-1) and it is
-    2**(s-1) times that coefficient of the weighted product.  It starts as
-    (0, i).  A forward pair must read (e, c) and (e, c + L/2) with e even;
+    The walk runs in storage coordinates: fire t of a stage writes label
+    2t at storage index t and 2t + 1 at t + N/2, and the feed puts
+    coefficient i at i.  By :class:`_PipeStage`'s routing law fire t reads
+    the storage indices lo and lo + k, with k the hold, or N/2 without a
+    FIFO, and lo = t if ``t & k`` is 0, else N/2 + t - k.  Exponents of
+    omega are taken mod N, as omega**N = 1 and omega**(N/2) = -1.  Storage
+    index i carries (e, c): coefficient c of the residue mod x**L -
+    omega**e of the weighted operand, or, in the inverse stages, L times
+    that coefficient of the weighted product.  It starts as (0, i), at
+    L = N.  A forward fire must read (e, c) and (e, c + L/2) with e even;
     with the twiddle omega**(e/2), its sum and difference are the residues
-    mod x**(L/2) -+ omega**(e/2), so it writes (e/2, c) and
-    (e/2 + N/2, c).  At L = 1 a residue is a value, and pointwise
-    multiplies the two operands' values at one root.  An inverse pair must
-    read (e, c) and (e + N/2, c); with the twiddle omega**-e, its sum and
-    twiddled difference are twice coefficients c and c + L of the residue
-    mod x**(2L) - omega**(2e), so it writes (2e, c) and (2e, c + L).  L/2
-    forward and L inverse are the stage's fires per twiddle, ``per``, and
-    its table has N/2 // per entries.  The pairs that share a table entry
-    must need one exponent of it.  Each step is an identity of polynomials
-    over Z/M, so when index i ends as (0, i), polymul's inverse leaves N
-    times coefficient i of the weighted product mod x**N - 1.  A break
-    raises :class:`PipelineAssertionError` naming the stage, and the fire
-    if it is a routing break."""
+    mod x**(L/2) -+ omega**(e/2), so it writes (e/2, c) and (e/2 + N/2, c),
+    and L halves over the stage.  At L = 1 a residue is a value, and
+    pointwise multiplies the two operands' values at one storage index.
+    An inverse fire must read (e, c) and (e + N/2, c); with the twiddle
+    omega**-e, its sum and twiddled difference are twice coefficients c
+    and c + L of the residue mod x**(2L) - omega**(2e), so it writes
+    (2e, c) and (2e, c + L), and L doubles over the stage.  The walk
+    tracks L itself rather than reading it from a column's ``per``, so a
+    column whose fires per twiddle are wrong breaks a split where it
+    stands.  Fire t's twiddle is entry t // per of its stage's table, and
+    the fires that share an entry must need one exponent of it; a stage's
+    needs are its entries in order.  Each step is an identity of
+    polynomials over Z/M, so when storage index i ends as (0, i), which
+    unweighting weighs by weight i, the inverse stages leave N times
+    coefficient i of the weighted product mod x**N - 1.  A break raises
+    :class:`PipelineAssertionError` naming the column, and the fire if it
+    is a read."""
     h, m = n // 2, n.bit_length() - 1
-    sigma, root, coef = list(range(n)), [0] * n, list(range(n))
-    needs = []
+    cell, L, needs = [(0, i) for i in range(n)], n, []
     for i, (label, hold, per) in enumerate(_columns(n)):
         if not per:
             continue        # a multiplier: weighting, pointwise, unweighting
         forward = i <= m
-        # polymul reads pair j at (j << r, + dr) and writes it to (j << w, + dw)
-        r, dr, w, dw = (0, h, 1, 1) if forward else (1, 1, 0, h)
-        k, size = hold or h, h // per
-        out = [None] * n
+        k, out, need = hold or h, [None] * n, []
         for t in range(h):
             lo = h + t - k if t & k else t
-            x, y = sigma[lo], sigma[lo + k]
-            j = x >> r
-            if y != x + dr or x != j << r or t // per != j % size:
+            (e, c), (ey, cy) = cell[lo], cell[lo + k]
+            if forward:
+                f = e >> 1
+                split = e == ey == 2 * f and cy == c + L // 2
+                out[t], out[t + h] = (f, c), (f + h, c)
+            else:
+                f = -e % n
+                split = ey == (e + h) % n and cy == c
+                out[t], out[t + h] = (2 * e % n, c), (2 * e % n, c + L)
+            if not t % per:
+                need.append(f)
+            if not split or need[-1] != f:
                 raise PipelineAssertionError(
-                    f"{label}: fire {t} reads polymul's {(x, y)} with "
-                    f"twiddle {t // per}, not {(j << r, (j << r) + dr)} "
-                    f"with twiddle {j % size}")
-            out[t] = j << w
-            out[t + h] = (j << w) + dw
-        sigma = out
-        # The CRT walk: polymul's pair j reads root exponents e[j] and
-        # ey[j] and coefficients c[j] and cy[j], and needs omega**f[j]
-        # from twiddle entry j mod size.
-        if forward:
-            e, ey, c, cy = root[:h], root[h:], coef[:h], coef[h:]
-            f = [x >> 1 for x in e]
-            split = (ey == e == [x << 1 for x in f]
-                     and cy == [x + per for x in c])
-            root[0::2], root[1::2] = f, [x + h for x in f]
-            coef[0::2] = coef[1::2] = c
-        else:
-            e, ey, c, cy = root[0::2], root[1::2], coef[0::2], coef[1::2]
-            f = [-x % n for x in e]
-            split = ey == [(x + h) % n for x in e] and cy == c
-            root[:h] = root[h:] = [2 * x % n for x in e]
-            coef[:h], coef[h:] = c, [x + per for x in c]
-        if not split or f != f[:size] * per:
-            raise PipelineAssertionError(
-                f"{label}: polymul's pairs are not CRT splits with "
-                f"one exponent per twiddle")
-        needs.append(tuple(f[:size]))
+                    f"{label}: fire {t} reads {cell[lo]} and "
+                    f"{cell[lo + k]} at L = {L} needing omega**{f} from "
+                    f"twiddle {t // per}: not a CRT split with one "
+                    "exponent per twiddle")
+        cell, L = out, L // 2 if forward else 2 * L
+        needs.append(tuple(need))
     # label is the last column's, unweighting's
-    for i, j in enumerate(sigma):
-        if i != j:
+    for i, x in enumerate(cell):
+        if x != (0, i):
             raise PipelineAssertionError(
-                f"{label}: storage index {i} holds polymul's {j}, not {i}")
-    if root != [0] * n or coef != list(range(n)):
-        raise PipelineAssertionError(
-            f"{label}: polymul's index i does not hold coefficient i mod "
-            "x**N - 1")
+                f"{label}: storage index {i} ends as {x}, not {(0, i)}")
     return tuple(needs[:m]), tuple(needs[m:])
 
 
@@ -510,8 +484,9 @@ def _powers(x, first, n, M):
 @cache
 def _table_proof(params: NttParams):
     """Checks a table set against what :func:`_network_proof` needs, once
-    per table set: then polymul's five steps on these tables compute
-    a*b mod x**N + 1 for every input.
+    per table set: then the stages' network, between the weighting and
+    unweighting multipliers, computes a*b mod x**N + 1 on these tables
+    for every input.
 
     phi**N = -1 and omega = phi**2 give omega**N = 1 and omega**(N/2) = -1,
     which the CRT walk uses.  Each stage table must be the powers of omega
@@ -560,12 +535,13 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     (:func:`_run_cycles`).  The proof returns nothing: once it has, the
     report is the law's for the config and the stream's length
     (:func:`_build_report`).  Products are
-    :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order.  Before
-    any is computed, the run checks :func:`_network_proof` for its N and
-    :func:`_table_proof` for its tables: the stages route polymul's
-    network, and that network on these tables computes a*b mod x**N + 1
-    for every input, so the products are the pipeline's.  A break raises
-    :class:`PipelineAssertionError`; there is no fallback.
+    :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order, one
+    call each through the module.  Before any is computed, the run checks
+    :func:`_network_proof` for its N and :func:`_table_proof` for its
+    tables: the stages' network is a tree of CRT splits, and on these
+    tables it computes a*b mod x**N + 1 for every input, so the products
+    are the pipeline's.  A break raises :class:`PipelineAssertionError`;
+    there is no fallback.
 
     One row of forward stages routes both operands under their shared
     control; the report still counts registers for both hardware
@@ -585,7 +561,8 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     params = config.params
     _network_proof(config.n)
     _table_proof(params)
-    products = [naive_negacyclic_mul(a, b, params) for a, b in pairs]
+    # through the module, so a wrapper of the oracle sees every call
+    products = [polymul.naive_negacyclic_mul(a, b, params) for a, b in pairs]
     if trace_path is None:
         _run_cycles(config, len(products), None)
     else:

@@ -8,9 +8,11 @@ borrows, for coefficients below M < 2**64), a constant-geometry transform
 pair on the per-stage twiddle tables, and the five-step weighted-transform
 multiplier (weight, forward, pointwise, inverse, unweight).  The streaming
 pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's products,
-once it has proved that its stages route this transform's network and
-that the network, on the tables it is given, computes a*b mod x**N + 1 for
-every input (``pipesim._network_proof`` and ``pipesim._table_proof``).
+once it has proved that its own stages' network is a tree of CRT splits
+and that this network, on the tables it is given, computes
+a*b mod x**N + 1 for every input (``pipesim._network_proof`` and
+``pipesim._table_proof``).  Those proofs do not read this transform,
+which rests on its own tests.
 
 Polynomials carry one tag besides their coefficients: ``domain`` says which
 side of the transform the values live on (``coefficient`` or ``evaluation``).

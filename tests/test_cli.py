@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nttmul import cli, pipesim
+from nttmul import cli, pipesim, polymul
 from nttmul.params import load_tables
 from nttmul.pipesim import PipelineAssertionError
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
@@ -471,19 +471,21 @@ class TestCheckCommand:
 
     def test_simulator_disagreement_exits_one(self, toy_tables, tmp_path,
                                               monkeypatch, capsys):
-        # the simulator returns record 1's product with one coefficient
-        # changed, after the transform path has agreed on records 0 and 1
-        real = cli.run_stream
+        # the schoolbook oracle returns record 1's product with one
+        # coefficient changed; the simulator returns the oracle's products,
+        # so the transform path disagrees with them at record 1
+        real, calls = polymul.naive_negacyclic_mul, []
 
-        def run_stream(pairs, config, **kwargs):
-            products, report = real(pairs, config, **kwargs)
-            products[1] = self.bumped(products[1])
-            return products, report
+        def naive(a, b, p):
+            calls.append(None)
+            c = real(a, b, p)
+            return self.bumped(c) if len(calls) == 2 else c
 
-        monkeypatch.setattr(cli, "run_stream", run_stream)
+        monkeypatch.setattr(polymul, "naive_negacyclic_mul", naive)
         assert self.run_check(toy_tables, tmp_path, capsys) == (
-            1, "record 1: simulator output disagrees with the schoolbook "
+            1, "record 1: transform result disagrees with the schoolbook "
                "oracle\n")
+        assert len(calls) == 3
 
     def test_out_of_range_expected_field_names_its_location(
             self, toy_tables, tmp_path, capsys):

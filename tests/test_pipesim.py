@@ -1671,9 +1671,19 @@ def swapped_stages(timing):
     return timing
 
 
-# (forward, mutation, the stage the proof names at N = 256)
-MUTANTS = [(True, doubled_hold, "fwd_a2"), (False, doubled_per, "inv1"),
-           (False, reversed_stages, "inv1"), (True, swapped_stages, "fwd_a2")]
+def held_first(timing):
+    # stage 1 takes stage 2's hold in place of none
+    return [(timing[1][0], timing[0][1]), *timing[1:]]
+
+
+# (forward, mutation, the stage the proof names at N = 256), every
+# mutation in both directions
+MUTANTS = [(True, doubled_hold, "fwd_a2"), (False, doubled_hold, "inv2"),
+           (True, doubled_per, "fwd_a2"), (False, doubled_per, "inv1"),
+           (True, reversed_stages, "fwd_a1"), (False, reversed_stages, "inv1"),
+           (True, swapped_stages, "fwd_a2"), (False, swapped_stages, "inv2"),
+           (True, held_first, "fwd_a1"), (False, held_first, "inv1")]
+BREAK = r"reads \(.*\) at L = \d+ .*: not a CRT split"
 
 
 def mutant_timing(monkeypatch, forward, mutate):
@@ -1705,7 +1715,7 @@ class TestNetworkProof:
                                          stage):
         mutant_timing(monkeypatch, forward, mutate)
         with pytest.raises(PipelineAssertionError,
-                           match=rf"^{stage}: fire \d+ reads polymul's"):
+                           match=rf"^{stage}: fire \d+ {BREAK}"):
             _network_proof.__wrapped__(256)
 
     def test_run_stream_rests_on_the_proof(self, monkeypatch, fixed_params):
@@ -1714,7 +1724,7 @@ class TestNetworkProof:
         mutant_timing(monkeypatch, forward, mutate)
         p = fixed_params[16]
         with pytest.raises(PipelineAssertionError,
-                           match=rf"^{stage}: fire \d+ reads polymul's"):
+                           match=rf"^{stage}: fire \d+ {BREAK}"):
             run_stream(rand_pairs(random.Random(65), p, 2),
                        PipelineConfig(n=16, params=p))
 

@@ -429,9 +429,9 @@ def tampered(params, key, at, value):
 
 
 class TestNetworkCertificate:
-    """pipesim's certificate: polymul's network is a tree of CRT splits
-    (``_network_proof``) and a table set holds the powers it needs
-    (``_table_proof``), so the five steps compute a*b mod x**N + 1."""
+    """pipesim's certificate: the network its stages route is a tree of
+    CRT splits (``_network_proof``) and a table set holds the powers it
+    needs (``_table_proof``), so the pipeline computes a*b mod x**N + 1."""
 
     @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
     def test_accepts_derived_tables(self, M, N):

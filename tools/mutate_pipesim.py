@@ -12,10 +12,11 @@ the tree itself, and runs ``tests/test_pipesim.py`` against each mutant of
 * a ``not`` dropped.
 
 A mutant is killed when the tests fail (``pytest -x`` stops at the first
-failure) or run past the time limit.  Each run has hypothesis's seed fixed
-and its example database emptied first, so a mutant's outcome depends on
-the mutant alone, not on random draws or on the mutants a tree copy ran
-before it.  Every survivor missing from
+failure) or run past the time limit; each one only the limit kills is
+printed as ``TIMEOUT``, as a slow test may hide a survivor there.  Each
+run has hypothesis's seed fixed and its example database emptied first,
+so a mutant's outcome depends on the mutant alone, not on random draws
+or on the mutants a tree copy ran before it.  Every survivor missing from
 ``pipesim_equivalent_mutants.json`` is printed, and the exit status is 1
 if there is one.  A full run also prints each listed mutant that no
 longer survives, as ``STALE``, and exits 1 if there is one, so an entry
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(len(copies)) as pool:
             outcomes = list(pool.map(test, chosen))
 
+    for m, o in zip(chosen, outcomes):
+        if o == "timeout":
+            print(f"TIMEOUT {m.function}: {m.text}")
     survivors = [m for m, o in zip(chosen, outcomes) if o == "survived"]
     unlisted = [m for m in survivors if (m.function, m.text) not in listed]
     for m in unlisted:
