@@ -79,7 +79,8 @@ def _load_records(path, params):
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
+            # JSONDecodeError is a ValueError, as is a too-long JSON number
+            except (ValueError, RecursionError) as e:
                 raise ValueError(f"{where}: invalid JSON ({e})")
             if not isinstance(rec, dict) or "a" not in rec or "b" not in rec:
                 raise ValueError(f"{where}: record must carry fields a and b")

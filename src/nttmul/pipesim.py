@@ -38,18 +38,18 @@ stretches the fill latency but must not change throughput.
 The schedule does not depend on the data, so the stages carry control only:
 :func:`_run_cycles` routes position labels and checks every fire it ticks
 against a routing and a timing law (:class:`_PipeStage`).  It proves the
-stages one at a time in dataflow order, each ticked alone on its feeder's
-output by the timing law from its first arrival until its state repeats, a
-period of its own after its first fire; the rest of its stream follows by
-the timing law, as its docstring proves.  Every run ends by checking each
-stage's first fire and the first completion against closed forms
-(:func:`_schedule_law`); each later completion comes N/2 cycles after the
-one before by the timing law and by the law alike.  So a run that returns
-is on the law, and its report (:func:`_build_report`) and its trace
+stages one at a time in dataflow order, each started on its first arrival
+by the closed forms of :func:`_schedule_law`, the one statement of the
+unit latencies and of the block hand-over, and ticked alone on its
+feeder's output by the timing law until its state repeats, a period of its
+own after its first fire; the rest of its stream follows by the timing
+law, as its docstring proves.  A stage first fires on its law's cycle or
+raises: no fire before it is routed right, and a stage that has not fired
+by then is short of its law.  So a run that returns is on the law, its
+completions included, and its report (:func:`_build_report`) and its trace
 (:func:`_write_trace`) are built from :func:`_schedule_law` and the column
-table of :func:`_columns` alone.  A traced run that raises, at a tick or
-at that final check, leaves the file with the same laws' rows up to the
-failing cycle and column.
+table of :func:`_columns` alone.  A traced run that raises leaves the file
+with the same laws' rows up to the failing cycle and column.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` walks,
@@ -101,9 +101,8 @@ class PipelineConfig:
     ``mode`` is ``"schedule"`` (all unit latencies one cycle, cycle counts
     match the closed forms) or ``"structural"`` (deep arithmetic pipelines).
     ``butterfly_latency`` defaults to 1 / karatsuba+reduce+addsub cycles
-    respectively; scalar multiplier units (weight, pointwise, unweight) take
-    ``butterfly_latency - ADDSUB_CYCLES`` since they skip the add/sub step.
-    It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
+    respectively; :func:`_schedule_law` gives the units' latencies from it,
+    the multipliers' (weight, pointwise, unweight) included.  It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
     since the fill, and with it the rows a traced run writes, grows with
     it.  The per-stage proof does not: each stage is ticked from its first
     arrival for at most hold + 1 + its period cycles, or to its last fire
@@ -133,10 +132,6 @@ class PipelineConfig:
                              f"[1, {MAX_BUTTERFLY_LATENCY}]")
         if self.mode == "schedule" and self.butterfly_latency != 1:
             raise ValueError("schedule mode forces butterfly_latency = 1")
-
-    @property
-    def scalar_latency(self) -> int:
-        return max(1, self.butterfly_latency - ADDSUB_CYCLES)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +222,18 @@ class _PipeStage:
     (t mod N/2) // per of its stage's table, with ``per`` its fires per
     twiddle (:func:`_columns`).
 
-    The unit holds no state: fire k's labels leave it lag = latency - 1
-    cycles after the fire, at cycle first_fire + lag + k.
+    The unit holds no state, nor does the stage know its latency: fire
+    k's labels leave it as the next column's arrival k, on the cycles
+    :func:`_schedule_law` states.  Fire 0 pairs label d, which comes in
+    arrival ``hold``, so no fire before the first arrival + hold, when a
+    FIFO's fill ends, keeps the routing law.
     """
 
-    __slots__ = ("label", "fifo", "lag", "hold", "d", "t", "first_fire")
+    __slots__ = ("label", "fifo", "hold", "d", "t", "first_fire")
 
-    def __init__(self, label, hold, latency):
+    def __init__(self, label, hold):
         self.label = label
         self.fifo = StageFifo(hold) if hold else None
-        self.lag = latency - 1
         self.hold = hold
         self.d = max(1, 2 * hold)
         self.t = 0
@@ -553,10 +550,9 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     forms of :func:`_schedule_law` and the column table of
     :func:`_columns`: the fill and the drain row by row, and the steady
     middle as one period repeated, so memory holds at most one period's
-    text.  A traced and an untraced run give one report.  When the proof raises
-    :class:`PipelineAssertionError`, at a tick or at its final check
-    against :func:`_schedule_law`, the file holds those laws' rows up to
-    the failing cycle and column, and is closed.
+    text.  A traced and an untraced run give one report.  When the proof
+    raises :class:`PipelineAssertionError`, the file holds those laws' rows
+    up to the failing cycle and column, and is closed.
     """
     params = config.params
     _network_proof(config.n)
@@ -599,7 +595,9 @@ def _schedule_law(n, butterfly_latency):
     the cycle after pointwise's fire N/2 - 1 has left, when that block is
     complete: N/2 - 1 cycles later than a column's first arrival.
     Completion k is unweighting's fire (k + 1)*N/2 - 1 leaving, at its
-    first fire + (k + 1)*N/2 - 1 + S - 1."""
+    first fire + (k + 1)*N/2 - 1 + S - 1.  This is the model's one
+    statement of the unit latencies and of the hand-over: :func:`_run_cycles`
+    starts each stage on the first arrival it gives."""
     L = butterfly_latency
     S = max(1, L - ADDSUB_CYCLES)
     firsts, arrival = [], 1                 # weighting's first arrival
@@ -688,24 +686,20 @@ def _run_cycles(config, count, trace):
     """The per-stage proof of the schedule for ``count`` products, position
     j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
     pN/2 + j + 1.  ``trace`` is a :class:`_TraceWriter` or None.  Returns
-    None once every stage's first fire and the first completion have
-    matched :func:`_schedule_law`, or raises
+    None once every stage has fired on its law, or raises
     :class:`PipelineAssertionError`; it builds no report.
 
     It builds one stage per column of :func:`_columns`, with the column's
-    label and hold and latency L for a butterfly stage or S for a
-    multiplier, and proves them one at a time in that dataflow order:
+    label and hold, and proves them one at a time in that dataflow order:
     weighting, the forward stages, pointwise, the inverse stages,
-    unweighting.  Each is ticked alone on its feeder's law output, fire k's
-    labels (2k, 2k + 1) on the cycle after they leave its unit, from its
-    first arrival: its feeder's first fire + lag + 1, or, for inverse stage
-    1, N/2 - 1 cycles later.  The buffer between them takes pointwise's law
-    output, one pair a cycle, and hands a block over once it is complete,
-    so it holds the first block from its completion until inverse stage 1
-    starts to read it and then pops one pair on each cycle it pushes one:
-    inverse stage 1's arrival k is pointwise's fire k, N/2 - 1 cycles later
-    than a column's.  Cycles before a first arrival idle the stage and are
-    never walked.
+    unweighting.  Each starts on its first arrival by law, F - hold with F
+    its first fire by :func:`_schedule_law`, which states when each unit's
+    fires leave it and when the buffer in front of inverse stage 1 hands a
+    block over, and is ticked alone on its feeder's law output from there,
+    arrival k the labels (2k, 2k + 1).  Cycles before a first arrival idle
+    the stage and are never walked.  Its first fire is F: an earlier one
+    breaks the routing law (:class:`_PipeStage`), and a stage that has
+    not fired by F is short of its law there.
 
     The shift: moving a stage's state up P fires (t and a FIFO's counter
     up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
@@ -722,12 +716,12 @@ def _run_cycles(config, count, trace):
     Each stage is snapshot at its first fire by law, its first arrival +
     hold, and every P fires after, while t is below the total
     T = count * N/2: its state moved down by t.  Its input has no gap, so
-    at a snapshot t must be its timing-law count, cycle - first_fire + 1
-    (c); a stage behind it has stopped firing, is short of its law, and
-    raises.  The stage stops at the first snapshot equal to the one
-    before, or else after its fire T - 1; either way t becomes T.  Past
-    its last snapshot, a stage not done on the cycle after its fire
-    T - 1's cycle by law, first_fire + T - 1, is short of its law too.
+    at a snapshot t must be its timing-law count, cycle - F + 1 (c); a
+    stage behind it has stopped firing, is short of its law, and raises.
+    The stage stops at the first snapshot equal to the one before, or else
+    after its fire T - 1; either way t becomes T.  Past its last snapshot,
+    a stage not done on the cycle after its fire T - 1's cycle by law,
+    F + T - 1, is short of its law too.
     Proof that every stage fires T times by both laws, and so emits its
     law output on every cycle, by induction in dataflow order: the feed
     does.  Let a stage's feeder do so (for inverse stage 1, pointwise,
@@ -740,65 +734,45 @@ def _run_cycles(config, count, trace):
     transforms ends just as a drain phase starts, where a None arrival
     pairs the taps as a live one would, so the last fires repeat too, and
     the stage fires T times.  At t >= 1 a FIFO is past its fill, so every
-    slot holds a live label.  So completion k, unweighting's fire
-    (k + 1)N/2 - 1 leaving, comes at its first_fire + lag + (k + 1)N/2 - 1,
-    N/2 cycles after completion k - 1, as by :func:`_schedule_law`: the
-    check of completion 0 decides them all.
+    slot holds a live label.  So unweighting fires on its law, and
+    completion k, its fire (k + 1)N/2 - 1 leaving, comes where
+    :func:`_schedule_law` puts it, N/2 cycles after completion k - 1.
 
     A traced run writes, by :func:`_write_trace`, the rows that
     :func:`_schedule_law` and :func:`_columns` give: all of them once the
     proof has returned, or, when it raises, those up to the failing cycle
     and column, in the order a cycle ticks the columns, reverse dataflow
-    order: that cycle's rows of the columns after the failing one.  A
-    tick that raises fails at its cycle and column; a first fire or the
-    first completion off the law fails at the earlier of its ticked cycle
-    and the law's, at its column or at unweighting.
+    order: that cycle's rows of the columns after the failing one.  The
+    failing cycle and column are those of the tick that raises: an early
+    first fire's own, or a late one's cycle by law.
     """
     if not count:
         return
-    n_half = config.n // 2
-    L = config.butterfly_latency
-    firsts, done = _schedule_law(config.n, L)
-    stages = [_PipeStage(label, hold, L if per else config.scalar_latency)
-              for label, hold, per in _columns(config.n)]
-    total = count * n_half
-    start = 1
+    firsts, _ = _schedule_law(config.n, config.butterfly_latency)
+    stages = [_PipeStage(label, hold) for label, hold, _ in _columns(config.n)]
+    total = count * config.n // 2
     try:
-        for st in stages:
-            cycle, due, snap = start, start + st.hold, None
+        for st, first in zip(stages, firsts):
+            start = cycle = first - st.hold     # its first arrival by law
+            due, snap = first, None
             while True:
                 k = cycle - start       # the feeder's law output: fire k
                 st.tick(cycle, (2 * k, 2 * k + 1) if k < total else None)
                 if st.t == total:
                     break
-                if cycle == due and st.t and st.first_fire + st.t - 1 == cycle:
+                if cycle == due and st.t == cycle - first + 1:
                     moved = _moved(st, -st.t)       # a snapshot on (c)
                     if moved == snap:
                         break
                     snap = moved
                     if st.t + st.d < total:
                         due += st.d
-                elif cycle == due or (cycle > due
-                                      and cycle >= st.first_fire + total):
+                elif cycle == due or cycle >= first + total:
                     raise PipelineAssertionError(
                         f"{st.label}: {st.t} of {total} fires by cycle "
                         f"{cycle}, short of its law")
                 cycle += 1
             st.t = total
-            start = st.first_fire + st.lag + (
-                n_half if st.label == "pointwise" else 1)
-        # the law's checks; an abort's trace stops at the earlier cycle
-        for st, due in zip(stages, firsts):
-            cycle = min(st.first_fire, due)
-            if st.first_fire != due:
-                raise PipelineAssertionError(
-                    f"{st.label}: first fire at cycle {st.first_fire}, "
-                    f"not {due} by law")
-        first = st.first_fire + st.lag + n_half - 1     # st is unweighting
-        cycle = min(first, done)
-        if first != done:
-            raise PipelineAssertionError(
-                f"product 0 completes at cycle {first}, not {done} by law")
     except PipelineAssertionError:
         if trace is not None:
             _write_trace(trace, config, count, (cycle, stages[::-1].index(st)))
@@ -810,8 +784,9 @@ def _run_cycles(config, count, trace):
 def _build_report(config, count):
     """The :class:`CycleReport` of ``count`` products, from the laws alone:
     a run whose proof returned (:func:`_run_cycles`) fired as the routing
-    and timing laws state, its stages first firing and its products
-    completing as :func:`_schedule_law` does, so it is ``stall_free``.
+    and timing laws state, each stage first firing on
+    :func:`_schedule_law`'s cycle and so each product completing on it, so
+    it is ``stall_free``.
     Each FIFO has two banks of ``hold`` slots (:func:`_columns`),
     which the fill loads before the first fire: it peaks at its capacity,
     2 * hold, whenever the stream has products.  The buffer in front of

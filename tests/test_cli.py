@@ -573,19 +573,22 @@ def test_deeply_nested_json_exits_two(toy_tables, tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["mul", "sim", "check"])
 def test_too_many_digits_names_its_location(toy_tables, tmp_path, capsys,
                                             command):
-    # int() refuses a decimal string this long; the error line still names
-    # the file, line and field
+    # int() refuses a decimal string this long, and json.loads a JSON
+    # number this long with a plain ValueError; the error line still names
+    # the file and line, and the field for a string
     vec = tmp_path / "v.ndjson"
-    write_ndjson(vec, [{"a": ["1" * 5000, "0", "0", "0"],
-                        "b": ["0", "0", "0", "0"]}])
     tables = ["--params", str(toy_tables), "--vectors", str(vec)]
     argv = {
         "mul": ["mul", *tables, "--out", str(tmp_path / "c.ndjson")],
         "sim": ["sim", *tables, "--report", str(tmp_path / "r.json")],
         "check": ["check", *tables],
     }[command]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: {vec}:1 field a: ")
+    for digits, where in ((f'"{"1" * 5000}"', "1 field a: "),
+                          ("1" * 5000, "1: invalid JSON (")):
+        vec.write_text(f'{{"a": [{digits}, "0", "0", "0"], '
+                       '"b": ["0", "0", "0", "0"]}\n')
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {vec}:{where}")
 
 
 # SHA-256 of every file and stdout of one fixed session at the paper ring,

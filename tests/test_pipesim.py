@@ -297,17 +297,25 @@ class TestStageFifo:
             assert len(out) == total
 
 
-def unit_stage(latency):
+def unit_stage():
     # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
     # element first, so fire t must receive the labels (2t, 2t + 1)
-    return _PipeStage("unit", 0, latency)
+    return _PipeStage("unit", 0)
 
 
-def law_out(stage, cycle):
-    # a stage's output after cycle's tick by the timing law: fire k's
-    # labels (2k, 2k + 1), k = cycle - lag - first_fire, if 0 <= k < t
-    k = stage.t and cycle - stage.lag - stage.first_fire
+def law_out(stage, cycle, latency):
+    # a stage's output after cycle's tick by the timing law, through a unit
+    # of the given latency: fire k's labels (2k, 2k + 1),
+    # k = cycle - (latency - 1) - first_fire, if 0 <= k < t
+    k = stage.t and cycle - (latency - 1) - stage.first_fire
     return (2 * k, 2 * k + 1) if 0 <= k < stage.t else None
+
+
+def scalar_latency(config):
+    # the multipliers' unit latency S as _schedule_law states it: forward
+    # stage 1, which has no FIFO, first fires S cycles after weighting
+    firsts, _ = _schedule_law(config.n, config.butterfly_latency)
+    return firsts[1] - firsts[0]
 
 
 class TestButterflyUnit:
@@ -316,7 +324,7 @@ class TestButterflyUnit:
     def test_latency_and_order(self, latency, lead, fires):
         # by the timing law, the unit's output is fire t's labels
         # (2t, 2t + 1) as a delay line of latency - 1 slots would emit them
-        stage = unit_stage(latency)
+        stage = unit_stage()
         line = deque([None] * (latency - 1))
         feed = ([None] * lead + [(2 * t, 2 * t + 1) for t in range(fires)]
                 + [None] * (latency + 1))
@@ -324,18 +332,18 @@ class TestButterflyUnit:
             stage.tick(cycle, arrival)
             line.append(arrival)
             out = line.popleft()
-            assert law_out(stage, cycle) == out, cycle
+            assert law_out(stage, cycle, latency) == out, cycle
         assert stage.t == fires
         assert stage.first_fire == (lead + 1 if fires else None)
 
     def test_single_cycle_latency_same_tick(self):
-        stage = unit_stage(latency=1)
+        stage = unit_stage()
         stage.tick(5, (0, 1))
-        assert law_out(stage, 5) == (0, 1)
+        assert law_out(stage, 5, 1) == (0, 1)
 
     def test_arrival_breaking_the_law_raises(self):
         # fire 1 must pair the labels (3, 2); product 0 is checked too
-        stage = unit_stage(latency=1)
+        stage = unit_stage()
         stage.tick(1, (0, 1))
         with pytest.raises(PipelineAssertionError,
                            match=r"unit: fire 1 pairs \(5, 4\), not \(3, 2\)"):
@@ -343,7 +351,7 @@ class TestButterflyUnit:
 
     def test_fire_off_its_cycle_raises(self):
         # fire 1 must come at first_fire + 1, the cycle after fire 0
-        stage = unit_stage(latency=1)
+        stage = unit_stage()
         stage.tick(1, (0, 1))
         stage.tick(2, None)
         with pytest.raises(PipelineAssertionError,
@@ -356,7 +364,7 @@ class TestPipelineConfig:
         cfg = PipelineConfig(n=16, params=fixed_params[16])
         assert cfg.mode == "schedule"
         assert cfg.butterfly_latency == 1
-        assert cfg.scalar_latency == 1
+        assert scalar_latency(cfg) == 1
 
     def test_schedule_refuses_deep_latency(self, fixed_params):
         with pytest.raises(ValueError):
@@ -365,19 +373,19 @@ class TestPipelineConfig:
     def test_structural_default_depths(self, fixed_params):
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural")
         assert cfg.butterfly_latency == 12
-        assert cfg.scalar_latency == 10
+        assert scalar_latency(cfg) == 10
 
     def test_structural_override(self, fixed_params):
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=4)
-        assert cfg.scalar_latency == 2
+        assert scalar_latency(cfg) == 2
 
     def test_latency_bound(self, fixed_params):
         # the fill, and with it the rows a trace writes, grows with the
         # depth, so it is bounded
         cfg = PipelineConfig(n=16, params=fixed_params[16], mode="structural",
                              butterfly_latency=1024)
-        assert cfg.scalar_latency == 1022
+        assert scalar_latency(cfg) == 1022
         for bad in (0, 1025):
             with pytest.raises(ValueError, match=r"butterfly_latency.*1024"):
                 PipelineConfig(n=16, params=fixed_params[16],
@@ -747,7 +755,9 @@ def every_cycle(config, count):
     # split at pointwise into two chains, both ticked on every cycle from
     # cycle 1 to the last completion, in reverse dataflow order so that each
     # stage reads what its feeder emitted on the cycle before, each stage's
-    # output a delay line of lag slots behind its fires, pointwise's output
+    # output a delay line of latency - 1 slots behind its fires, its unit's
+    # latency stated here apart from _schedule_law (L for a butterfly,
+    # max(1, L - ADDSUB_CYCLES) for a multiplier), pointwise's output
     # handed to inv1 by a ticked TransformGate, and a trace row written from
     # every butterfly tick.  It measures the report's figures from what it
     # ticks (first fires, completions, the most loaded bank slots of each FIFO
@@ -755,14 +765,15 @@ def every_cycle(config, count):
     # and asserts that they are the report by law.  Returns the trace text
     n_half = config.n // 2
     columns = pipesim._columns(config.n)
-    stages = [_PipeStage(label, hold, config.butterfly_latency if p
-                         else config.scalar_latency)
-              for label, hold, p in columns]
+    L = config.butterfly_latency
+    stages = [_PipeStage(label, hold) for label, hold, _ in columns]
     cut = [label for label, _, _ in columns].index("pointwise") + 1
     front, back = stages[:cut], stages[cut:]
     gate = TransformGate(n_half)
     total = count * n_half
-    lines = {st: deque([None] * st.lag) for st in stages}
+    lines = {st: deque([None] * ((L if p else
+                                  max(1, L - pipesim.ADDSUB_CYCLES)) - 1))
+             for st, (_, _, p) in zip(stages, columns)}
     out = dict.fromkeys(lines)
     # the butterfly stages, each with its fires per twiddle
     per = {st: p for st, (_, _, p) in zip(stages, columns) if p}
@@ -840,6 +851,17 @@ def every_cycle(config, count):
     law = pipesim._build_report(config, count)
     assert dataclasses.replace(law, **measured) == law, measured
     return "".join(text)
+
+
+def assert_same_lines(got, want):
+    # got == want for two texts, failing with the first line that differs
+    # rather than a diff of the whole texts, which is slow on long traces
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got, want), start=1):
+        if g != w:
+            pytest.fail(f"line {i}: {g!r}, not {w!r}", pytrace=False)
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} lines, not {len(want)}", pytrace=False)
 
 
 def dataflow(n):
@@ -1148,7 +1170,7 @@ class TestControlPlane:
             return text.getvalue()
 
         jumped = run()
-        assert jumped == every_cycle(config, count)
+        assert_same_lines(jumped, every_cycle(config, count))
 
         def repeat(trace, rows, shifts):
             for i in shifts:
@@ -1157,7 +1179,7 @@ class TestControlPlane:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_TraceWriter, "repeat", repeat)
-            assert run() == jumped
+            assert_same_lines(run(), jumped)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -1250,9 +1272,9 @@ class TestControlPlane:
         (4, range(1, 65)), (8, range(1, 65)),
         (256, (1, 2, 3, 5, 12, 64, 199)), (1024, (1, 12, 40))])
     def test_schedule_law(self, n, latencies):
-        # every first fire and completion of the loop, which checks them
-        # against _schedule_law at the end of each run, and so of the
-        # report, equals the closed forms: F_1 = 1 + S, F_s = F_{s-1} + L +
+        # every first fire and completion of _schedule_law, on which the
+        # loop starts each stage and proves it, and so of the report,
+        # equals the closed forms: F_1 = 1 + S, F_s = F_{s-1} + L +
         # N/2**s, I_1 = F_m + N/2 + L + S - 1, I_s = I_{s-1} + L +
         # 2**(s-2), completion k at I_m + N/2 - 1 + (L - 1) + S + k*N/2;
         # and so do the two latencies the report derives from them: the
@@ -1279,7 +1301,7 @@ class TestControlPlane:
                 with pytest.MonkeyPatch.context() as mp:
                     stages = built_stages(mp)
                     assert _run_cycles(config, count, None) is None
-                # the multipliers' first fires, as the run checks them:
+                # the multipliers' first fires, as the run ticks them:
                 # weighting on cycle 1, pointwise and unweighting a
                 # butterfly latency after the stage before
                 assert ((stages["weight"].first_fire,
@@ -1301,69 +1323,43 @@ class TestControlPlane:
             rep = pipesim._build_report(config, 6)
             assert rep.completion_cycles[0] == _schedule_law(n, 1)[1]
 
-    @pytest.mark.parametrize("off, error", [
-        (0, "fwd_a1: first fire at cycle 2, not 3 by law"),
-        (1, "inv1: first fire at cycle 21, not 22 by law"),
-        (2, "product 0 completes at cycle 39, not 40 by law")])
-    def test_schedule_off_its_law_raises(self, fixed_params, monkeypatch,
-                                         off, error):
-        # a law one cycle off in the forward stages, the inverse ones or the
-        # completions: the run, traced or not, raises at its end, naming
-        # the first stage or product off it.  The traced run has written
-        # the law's rows up to the earlier of the ticked and the law's
-        # cycle, at the stage off it, or at unweighting for a completion.
-        # The law moves a stage without a FIFO, which writes no row before
-        # its first fire, or the completion, which writes none: up to that
-        # cycle its rows are the clean run's
-        fail = ((2, "fwd_a1"), (21, "inv1"), (39, "unweight"))[off]
+    @pytest.mark.parametrize("off", [-1, 1], ids=["early", "late"])
+    @pytest.mark.parametrize("label", ["fwd_a2", "inv3"])
+    def test_first_fire_off_its_law_raises(self, fixed_params, label, off):
+        # a FIFO whose first fire is a cycle off its law's F: its fill
+        # skips its first slot (early) or its first arrival is stalled a
+        # cycle (late).  Early, fire 0 on cycle F - 1 pairs the slot the
+        # fill skipped, and the routing law raises; late, the stage has not
+        # fired by cycle F and is short of its law there.  The run, traced
+        # or not, raises at that column and cycle, and the traced run has
+        # written the law's rows up to its tick there
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
         _run_cycles(config, 12, _TraceWriter(clean))
-        real_law = pipesim._schedule_law
-
-        def law(n, latency):
-            firsts, done = real_law(n, latency)
-            if off == 2:
-                return firsts, done + 1
-            i = [label for label, _, _ in pipesim._columns(n)].index(fail[1])
-            return (*firsts[:i], firsts[i] + 1, *firsts[i + 1:]), done
-
-        monkeypatch.setattr(pipesim, "_schedule_law", law)
-        text = io.StringIO()
-        for trace in (None, _TraceWriter(text)):
-            with pytest.raises(PipelineAssertionError,
-                               match=rf"^{re.escape(error)}$"):
-                _run_cycles(config, 12, trace)
-        assert text.getvalue() == rows_before(clean.getvalue(), 16, *fail)
-
-    @pytest.mark.parametrize("slow, error", [
-        ("fwd_a4", "pointwise: first fire at cycle 14, not 13 by law"),
-        ("inv4", "unweight: first fire at cycle 33, not 32 by law")])
-    def test_multiplier_off_its_law_raises(self, fixed_params, monkeypatch,
-                                           slow, error):
-        # the last butterfly unit of a chain one cycle slower than its
-        # latency: the multiplier behind it fires a cycle late, every stage
-        # still on its own timing law, and the run, traced or not, raises
-        # at its end naming the multiplier, before any stage or product
-        # behind it.  The traced run has written the law's rows up to that
-        # first fire's cycle by law, the earlier one, at the multiplier
-        fail = (13, "pointwise") if slow == "fwd_a4" else (32, "unweight")
-        config = PipelineConfig(n=16, params=fixed_params[16])
-        clean = io.StringIO()
-        _run_cycles(config, 12, _TraceWriter(clean))
+        i = dataflow(16).index(label)
+        first, hold = _schedule_law(16, 1)[0][i], pipesim._columns(16)[i][1]
         real_init = _PipeStage.__init__
 
-        def init(st, label, hold, latency):
-            real_init(st, label, hold, latency)
-            st.lag += label == slow
+        def init(st, *args):
+            real_init(st, *args)
+            if st.label == label:
+                st.fifo.counter = 1
 
-        monkeypatch.setattr(_PipeStage, "__init__", init)
+        error = (rf"{label}: fire 0 pairs \({2 * hold - 2}, None\), not "
+                 rf"\({2 * hold}, 0\)" if off < 0 else
+                 f"{label}: 0 of 96 fires by cycle {first}, short of its law")
         text = io.StringIO()
         for trace in (None, _TraceWriter(text)):
-            with pytest.raises(PipelineAssertionError,
-                               match=rf"^{re.escape(error)}$"):
-                _run_cycles(config, 12, trace)
-        assert text.getvalue() == rows_before(clean.getvalue(), 16, *fail)
+            with pytest.MonkeyPatch.context() as mp:
+                if off < 0:
+                    mp.setattr(_PipeStage, "__init__", init)
+                else:
+                    stall(mp, label, first - hold)
+                with pytest.raises(PipelineAssertionError,
+                                   match=rf"^{error}$"):
+                    _run_cycles(config, 12, trace)
+        assert text.getvalue() == rows_before(clean.getvalue(), 16,
+                                              first + min(off, 0), label)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
