@@ -102,9 +102,10 @@ class PipelineConfig:
     match the closed forms) or ``"structural"`` (deep arithmetic pipelines).
     ``butterfly_latency`` defaults to 1 / karatsuba+reduce+addsub cycles
     respectively; :func:`_schedule_law` gives the units' latencies from it,
-    the multipliers' (weight, pointwise, unweight) included.  It is at most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit,
-    since the fill, and with it the rows a traced run writes, grows with
-    it.  The per-stage proof does not: each stage is ticked from its first
+    the multipliers' (weight, pointwise, unweight) included.  It is at
+    most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit, since the
+    fill, and with it the rows a traced run writes, grows with it.  The
+    per-stage proof does not: each stage is ticked from its first
     arrival for at most hold + 1 + its period cycles, or to its last fire
     in a stream too short to repeat, and a stage short of its law raises at
     its first snapshot behind the timing law, or past its last snapshot on

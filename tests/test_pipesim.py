@@ -765,14 +765,14 @@ def every_cycle(config, count):
     # and asserts that they are the report by law.  Returns the trace text
     n_half = config.n // 2
     columns = pipesim._columns(config.n)
-    L = config.butterfly_latency
     stages = [_PipeStage(label, hold) for label, hold, _ in columns]
     cut = [label for label, _, _ in columns].index("pointwise") + 1
     front, back = stages[:cut], stages[cut:]
     gate = TransformGate(n_half)
     total = count * n_half
-    lines = {st: deque([None] * ((L if p else
-                                  max(1, L - pipesim.ADDSUB_CYCLES)) - 1))
+    L = config.butterfly_latency
+    S = max(1, L - pipesim.ADDSUB_CYCLES)
+    lines = {st: deque([None] * ((L if p else S) - 1))
              for st, (_, _, p) in zip(stages, columns)}
     out = dict.fromkeys(lines)
     # the butterfly stages, each with its fires per twiddle
