@@ -57,7 +57,12 @@ def _poly_from_json(value, n, M, where):
         raise ValueError(f"{where}: expected an array of {n} coefficients")
     try:
         # decimal strings become ints (int() refuses too many digits);
-        # Polynomial rejects every other entry
+        # Polynomial rejects every other entry.  A list of ASCII digit
+        # strings, the common case, is decoded by C-level maps; any other
+        # list entry by entry, with the same result
+        if ({*map(type, value)} == {str} and all(map(str.isdigit, value))
+                and "".join(value).isascii()):
+            return Polynomial(list(map(int, value)), M)
         return Polynomial([int(x) if isinstance(x, str) and x.isascii()
                            and x.isdigit() else x for x in value], M)
     except ValueError as e:
@@ -160,13 +165,18 @@ def cmd_sim(args) -> int:
                             butterfly_latency=args.butterfly_latency)
     pairs = [(r["a"], r["b"]) for r in records]
     products, report = run_stream(pairs, config, trace_path=args.trace)
-    doc = {
-        "report": report.to_dict(),
-        "products": [_str_coeffs(poly.coeffs) for poly in products],
-    }
+    # the text json.dump(doc, fh, indent=2, sort_keys=True) writes for doc
+    # = {"products": [...], "report": ...}, written a product at a time:
+    # the products are digit strings, which need no escaping
     with open(args.report, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "products": [')
+        for i, poly in enumerate(products):
+            fh.write(f'{"," if i else ""}\n    [\n      "'
+                     + '",\n      "'.join(map(str, poly.coeffs))
+                     + '"\n    ]')
+        fh.write(('\n  ]' if products else ']') + ',\n  "report": '
+                 + json.dumps(report.to_dict(), indent=2, sort_keys=True)
+                 .replace("\n", "\n  ") + "\n}\n")
     print(f"simulated {len(pairs)} multiplications at n={p.n} "
           f"({config.mode} mode, butterfly latency {config.butterfly_latency})")
     if report.first_mul_latency is not None:

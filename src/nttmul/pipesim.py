@@ -47,8 +47,9 @@ law, as its docstring proves.  A stage first fires on its law's cycle or
 raises: no fire before it is routed right, and a stage that has not fired
 by then is short of its law.  So a run that returns is on the law, its
 completions included, and its report (:func:`_build_report`) and its trace
-(:func:`_write_trace`) are built from :func:`_schedule_law` and the column
-table of :func:`_columns` alone.  A traced run that raises leaves the file
+(:func:`_write_trace`, one run of rows per column, written in chunks of at
+most N/2 cycles) are built from :func:`_schedule_law` and the column table
+of :func:`_columns` alone.  A traced run that raises leaves the file
 with the same laws' rows up to the failing cycle and column.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
@@ -218,8 +219,9 @@ class _PipeStage:
     Fire t, counted over the stream, emits the labels (2t, 2t + 1).  By the
     routing law it pairs, higher label first, (2t + d, 2t) when ``t & hold``
     is 0 and (2t + 1, 2t + 1 - d) otherwise, with d = max(1, 2 * hold); by
-    the timing law it happens at cycle ``first_fire + t``.  A fire breaking
-    either raises :class:`PipelineAssertionError`.  Its twiddle is entry
+    the timing law it happens at cycle ``first + t``, ``first`` the
+    column's first fire by :func:`_schedule_law`.  A fire breaking either
+    raises :class:`PipelineAssertionError`.  Its twiddle is entry
     (t mod N/2) // per of its stage's table, with ``per`` its fires per
     twiddle (:func:`_columns`).
 
@@ -230,15 +232,15 @@ class _PipeStage:
     FIFO's fill ends, keeps the routing law.
     """
 
-    __slots__ = ("label", "fifo", "hold", "d", "t", "first_fire")
+    __slots__ = ("label", "fifo", "hold", "d", "t", "first")
 
-    def __init__(self, label, hold):
+    def __init__(self, label, hold, first):
         self.label = label
         self.fifo = StageFifo(hold) if hold else None
         self.hold = hold
         self.d = max(1, 2 * hold)
         self.t = 0
-        self.first_fire = None
+        self.first = first
 
     def tick(self, cycle: int, arrival):
         fifo = self.fifo
@@ -255,12 +257,10 @@ class _PipeStage:
                 raise PipelineAssertionError(
                     f"{self.label}: fire {t} pairs {pair}, "
                     f"not {(lo + self.d, lo)}")
-            if not t:
-                self.first_fire = cycle
-            elif cycle != self.first_fire + t:
+            if cycle != self.first + t:
                 raise PipelineAssertionError(
                     f"{self.label}: fire {t} at cycle {cycle}, "
-                    f"not {self.first_fire + t}")
+                    f"not {self.first + t}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +348,6 @@ def _check_n(n: int):
 
 # ---------------------------------------------------------------------------
 # the simulator
-
-class _TraceWriter:
-    """Trace rows as CSV text on an open file: a run of rows in one write,
-    or a period of rows again over a range of shifts.  The text is what
-    ``csv.writer`` writes, ``\\r\\n`` line ends included, because no field
-    needs quoting or holds a ``%``: labels are ``[a-z0-9_]`` and every
-    other field is an int or ``""``."""
-
-    __slots__ = ("write",)
-
-    def __init__(self, fh):
-        self.write = fh.write
-
-    def rows(self, rows):
-        self.write("".join(["%s,%s,%s,%s,%s,%s\r\n" % row for row in rows]))
-
-    def repeat(self, rows, shifts):
-        """``rows`` once per shift i, with ``cycle`` and a FIFO's
-        ``counter`` up by i: one format string with a ``%d`` slot for each
-        of those, everything else literal, and one write per shift."""
-        fmt, base = [], []
-        for c, label, sel, k, lo, hi in rows:
-            counted = k != ""
-            fmt.append(f"%d,{label},{sel},{'%d' if counted else ''},"
-                       f"{lo},{hi}\r\n")
-            base += (c, k) if counted else (c,)
-        fmt = "".join(fmt)
-        for i in shifts:
-            self.write(fmt % tuple(map(i.__add__, base)))
-
 
 @cache
 def _columns(n: int):
@@ -549,9 +519,10 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     activity (cycle, stage, sel, counter, emitted pair indices) is written
     there after the same proof, by :func:`_write_trace` from the closed
     forms of :func:`_schedule_law` and the column table of
-    :func:`_columns`: the fill and the drain row by row, and the steady
-    middle as one period repeated, so memory holds at most one period's
-    text.  A traced and an untraced run give one report.  When the proof
+    :func:`_columns`, in chunks of at most N/2 cycles, each written in one
+    join of runs of field text, so memory holds one chunk's text and a
+    table of decimal strings spanning at most the fill and N/2 cycles.  A
+    traced and an untraced run give one report.  When the proof
     raises :class:`PipelineAssertionError`, the file holds those laws' rows
     up to the failing cycle and column, and is closed.
     """
@@ -565,7 +536,7 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     else:
         with open(trace_path, "w", newline="") as fh:
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            _run_cycles(config, len(products), _TraceWriter(fh))
+            _run_cycles(config, len(products), fh)
     return products, _build_report(config, len(products))
 
 
@@ -612,81 +583,99 @@ def _schedule_law(n, butterfly_latency):
     return tuple(firsts), arrival + n // 2 - 2
 
 
-def _write_trace(trace, config, count, stop=None):
-    """Writes the trace rows of ``count`` products by their closed forms:
-    each butterfly column's label, hold and fires per twiddle by
-    :func:`_columns` and its first fire by :func:`_schedule_law`; the
-    multipliers write no rows.  It writes every cycle up to the first
-    completion's cycle plus ``count - 1`` periods, or, with ``stop =
-    (cycle, k)`` and k the failing column's place in tick order, the
-    cycles before ``cycle`` and that cycle's rows of the k columns a cycle
-    ticks before the failing one: those after it in dataflow order.
+def _write_trace(fh, config, count, stop=None):
+    """Writes to the open file ``fh`` the trace rows of ``count`` products
+    by their closed forms: each butterfly column's label, hold and fires
+    per twiddle by :func:`_columns` and its first fire by
+    :func:`_schedule_law`; the multipliers write no rows.  It writes every
+    cycle up to the first completion's cycle plus ``count - 1`` periods,
+    or, with ``stop = (cycle, k)`` and k the failing column's place in tick
+    order, the cycles before ``cycle`` and that cycle's rows of the k
+    columns a cycle ticks before the failing one: those after it in
+    dataflow order.
 
     A stage with hold h, fires per twiddle ``per`` and first fire F fires
     t < T = count * N/2 at cycle F + t, and with tp = t mod N/2 and base =
     2tp - tp mod ``per`` emits the pair fields (base, base + ``per``).
     Behind a FIFO it writes a row on every cycle c from its first arrival,
-    F - h, with the counter min(c - F + h + 1, T + h), the arrivals and
-    then the drain's None arrivals it has counted, and sel 1 - (counter //
-    h mod 2); without one (stage 1) it writes a row only on the cycles it
+    F - h, with the counter k = min(c - F + h + 1, T + h), the arrivals
+    and then the drain's None arrivals it has counted, and sel 1 - (k // h
+    mod 2); without one (stage 1) it writes a row only on the cycles it
     fires.  Within a cycle rows go in tick order, reverse dataflow order:
     inverse stages from the last to the first, then forward stages from
     the last to the first.
 
-    From the last first fire to the first stage's last fire every stage
-    fires and no counter has stopped, so the rows of a cycle N/2 later are
-    those of the cycle, with ``cycle`` and ``counter`` up N/2, ``sel``
-    unchanged as 2h divides N/2, and the pair fields unchanged: that
-    middle is one period's rows repeated (:meth:`_TraceWriter.repeat`).
-    The fill and the drain are written row by row, one period's cycles a
-    write."""
-    n = config.n
-    n_half, total = n // 2, count * n // 2
+    So a column writes one run of rows, and between the cycles where a
+    column starts, first fires or stops firing, each of its fields is a
+    run too: ``cycle`` and ``counter`` go up one a cycle, or ``counter``
+    stands at T + h once the column has stopped firing; ``label,sel``
+    repeats with period 2h, which divides N/2, and ``pair_lo,pair_hi``
+    with period N/2, empty outside the fires.  The cycles go in chunks of
+    at most N/2, cut at those cycles, and in a chunk every field is a
+    constant or a slice: of a tape of two periods of N/2, or of a table of
+    the decimal strings of the ints from a - R to the chunk's last cycle,
+    with a its first cycle and R the last first fire by the law.  That
+    table holds every counter, c - (F - h - 1) on cycle c, and converts
+    each int once over the run.  The fields of the chunk's columns are
+    interleaved by strided slice assignment and written in one join, so
+    memory holds one chunk's text and R + N/2 strings.  The text is what
+    ``csv.writer`` writes, ``\r\n`` line ends included, because no field
+    needs quoting: labels are ``[a-z0-9_]`` and every other field is an
+    int or empty."""
+    n, n_half, total = config.n, config.n // 2, count * config.n // 2
     firsts, done = _schedule_law(n, config.butterfly_latency)
-    # dataflow order, reversed into tick order
-    cols = [(*col, first) for col, first in zip(_columns(n), firsts)][::-1]
-    end, keep = stop or (done + total - n_half, len(cols))
+    end, keep = stop or (done + total - n_half, None)
+    cols, marks, blank = [], {end}, [",,\r\n"] * n_half
+    # tick order, the dataflow order reversed.  Both tapes run over two
+    # periods of N/2 cycles: label,sel by the counter, as 2h divides N/2,
+    # and the pair fields by the fire
+    for (label, h, per), first in zip(_columns(n)[::-1], firsts[::-1]):
+        heads = (([f",{label},1,"] * h + [f",{label},0,"] * h) * (n_half // h)
+                 if h else [f",{label},,"] * n)
+        pairs = [f",{2 * i - i % per},{2 * i - i % per + per}\r\n"
+                 for i in range(n_half) if per]
+        cols.append((h, per, first, heads, pairs + pairs))
+        marks.update((first - h, first, first + total))
+    marks = sorted(c for c in marks if c <= end)
+    # no counter is below c - reach on cycle c: the table holds the strings
+    # of the ints from a - reach to the chunk's end
+    reach = max(firsts)
+    table = list(map(str, range(marks[0] - reach, marks[0])))
 
-    def rows(cycles, cols=cols):
-        out = []
-        for c in cycles:
-            for label, h, per, first in cols:
-                t = c - first
-                fires = per and 0 <= t < total      # a multiplier writes none
-                if h and t >= -h:
-                    k = min(t + h + 1, total + h)
-                    sel = 1 - (k // h & 1)
-                elif fires:
-                    sel = k = ""
-                else:
-                    continue
-                if fires:
-                    tp = t % n_half
-                    lo = 2 * tp - tp % per
-                    out.append((c, label, sel, k, lo, lo + per))
-                else:
-                    out.append((c, label, sel, k, "", ""))
-        return out
+    def chunk(a, b, cols):
+        table.extend(map(str, range(a, b)))
+        ln, o, runs = b - a, reach - a, []
+        for h, per, first, heads, pairs in cols:
+            t, k = a - first, a - first + h + 1
+            if not per or t < -h or t >= total and not h:
+                continue        # a multiplier, or no row on these cycles
+            if t >= total:
+                runs.append(([heads[h]] * ln, [str(total + h)] * ln,
+                             blank[:ln]))
+            else:
+                runs.append((heads[k % n_half:k % n_half + ln],
+                             table[k + o:k + o + ln] if h else [""] * ln,
+                             pairs[t % n_half:t % n_half + ln] if t >= 0
+                             else blank[:ln]))
+        w = 4 * len(runs)
+        out = [None] * (w * ln)
+        for j, fields in enumerate(runs):
+            out[4 * j::w] = table[reach:]
+            for i, field in enumerate(fields, 4 * j + 1):
+                out[i::w] = field
+        del table[:ln]
+        fh.write("".join(out))
 
-    def write(lo, hi):
-        for c in range(lo, hi, n_half):
-            trace.rows(rows(range(c, min(c + n_half, hi))))
-
-    fly = [first for _, _, per, first in cols if per]  # butterflies' firsts
-    steady = max(fly)
-    periods = max(0, min(min(fly) + total, end) - steady) // n_half
-    if periods:
-        write(1, steady)
-        trace.repeat(rows(range(steady, steady + n_half)),
-                     range(0, periods * n_half, n_half))
-    write(steady + periods * n_half if periods else 1, end)
-    trace.rows(rows((end,), cols[:keep]))
+    for lo, hi in zip(marks, marks[1:]):
+        for a in range(lo, hi, n_half):
+            chunk(a, min(a + n_half, hi), cols)
+    chunk(end, end + 1, cols[:keep])
 
 
-def _run_cycles(config, count, trace):
+def _run_cycles(config, count, fh):
     """The per-stage proof of the schedule for ``count`` products, position
     j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
-    pN/2 + j + 1.  ``trace`` is a :class:`_TraceWriter` or None.  Returns
+    pN/2 + j + 1.  ``fh`` is the open trace file or None.  Returns
     None once every stage has fired on its law, or raises
     :class:`PipelineAssertionError`; it builds no report.
 
@@ -710,9 +699,9 @@ def _run_cycles(config, count, trace):
     checks that fire t pairs 2t plus terms in ``hold`` and ``t & hold``.
     So ``t & hold`` stays, and so do a FIFO's phase bit and tap ``counter
     mod hold``, which with != 0 and < hold (false past its first fire) are
-    all it reads of ``counter``.  A stage reads ``t`` also as 0, passed at
-    its first fire, and against ``cycle`` in the timing law:
-    ``first_fire`` is fixed, and ``cycle`` and ``t`` move together.
+    all it reads of ``counter``.  A stage reads ``t`` also against
+    ``cycle`` in the timing law: ``first`` is fixed, and ``cycle`` and
+    ``t`` move together.
 
     Each stage is snapshot at its first fire by law, its first arrival +
     hold, and every P fires after, while t is below the total
@@ -750,10 +739,12 @@ def _run_cycles(config, count, trace):
     if not count:
         return
     firsts, _ = _schedule_law(config.n, config.butterfly_latency)
-    stages = [_PipeStage(label, hold) for label, hold, _ in _columns(config.n)]
+    stages = [_PipeStage(label, hold, first) for (label, hold, _), first
+              in zip(_columns(config.n), firsts)]
     total = count * config.n // 2
     try:
-        for st, first in zip(stages, firsts):
+        for st in stages:
+            first = st.first
             start = cycle = first - st.hold     # its first arrival by law
             due, snap = first, None
             while True:
@@ -775,11 +766,11 @@ def _run_cycles(config, count, trace):
                 cycle += 1
             st.t = total
     except PipelineAssertionError:
-        if trace is not None:
-            _write_trace(trace, config, count, (cycle, stages[::-1].index(st)))
+        if fh is not None:
+            _write_trace(fh, config, count, (cycle, stages[::-1].index(st)))
         raise
-    if trace is not None:
-        _write_trace(trace, config, count)
+    if fh is not None:
+        _write_trace(fh, config, count)
 
 
 def _build_report(config, count):

@@ -26,7 +26,7 @@ from nttmul.pipesim import (
     _run_cycles,
     _schedule_law,
     _table_proof,
-    _TraceWriter,
+    _write_trace,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
@@ -297,18 +297,35 @@ class TestStageFifo:
             assert len(out) == total
 
 
-def unit_stage():
-    # a hold-0 column: each arrival (x_j, x_{j+N/2}) issues at once, higher
-    # element first, so fire t must receive the labels (2t, 2t + 1)
-    return _PipeStage("unit", 0)
+def unit_stage(first):
+    # a hold-0 column first firing on cycle ``first``: each arrival
+    # (x_j, x_{j+N/2}) issues at once, higher element first, so fire t must
+    # receive the labels (2t, 2t + 1), on cycle first + t
+    return _PipeStage("unit", 0, first)
 
 
 def law_out(stage, cycle, latency):
     # a stage's output after cycle's tick by the timing law, through a unit
     # of the given latency: fire k's labels (2k, 2k + 1),
-    # k = cycle - (latency - 1) - first_fire, if 0 <= k < t
-    k = stage.t and cycle - (latency - 1) - stage.first_fire
+    # k = cycle - (latency - 1) - first, if 0 <= k < t
+    k = cycle - (latency - 1) - stage.first
     return (2 * k, 2 * k + 1) if 0 <= k < stage.t else None
+
+
+def first_fires(mp):
+    # the cycle of each stage's fire 0 as a run ticks it, by label, filled
+    # in as the run ticks
+    real_tick = _PipeStage.tick
+    fired = {}
+
+    def tick(stage, cycle, arrival):
+        t = stage.t
+        real_tick(stage, cycle, arrival)
+        if stage.t > t == 0:
+            fired[stage.label] = cycle
+
+    mp.setattr(_PipeStage, "tick", tick)
+    return fired
 
 
 def scalar_latency(config):
@@ -324,7 +341,7 @@ class TestButterflyUnit:
     def test_latency_and_order(self, latency, lead, fires):
         # by the timing law, the unit's output is fire t's labels
         # (2t, 2t + 1) as a delay line of latency - 1 slots would emit them
-        stage = unit_stage()
+        stage = unit_stage(lead + 1)
         line = deque([None] * (latency - 1))
         feed = ([None] * lead + [(2 * t, 2 * t + 1) for t in range(fires)]
                 + [None] * (latency + 1))
@@ -334,29 +351,35 @@ class TestButterflyUnit:
             out = line.popleft()
             assert law_out(stage, cycle, latency) == out, cycle
         assert stage.t == fires
-        assert stage.first_fire == (lead + 1 if fires else None)
 
     def test_single_cycle_latency_same_tick(self):
-        stage = unit_stage()
+        stage = unit_stage(5)
         stage.tick(5, (0, 1))
         assert law_out(stage, 5, 1) == (0, 1)
 
     def test_arrival_breaking_the_law_raises(self):
         # fire 1 must pair the labels (3, 2); product 0 is checked too
-        stage = unit_stage()
+        stage = unit_stage(1)
         stage.tick(1, (0, 1))
         with pytest.raises(PipelineAssertionError,
                            match=r"unit: fire 1 pairs \(5, 4\), not \(3, 2\)"):
             stage.tick(2, (4, 5))
 
     def test_fire_off_its_cycle_raises(self):
-        # fire 1 must come at first_fire + 1, the cycle after fire 0
-        stage = unit_stage()
+        # fire 1 must come at first + 1, the cycle after fire 0
+        stage = unit_stage(1)
         stage.tick(1, (0, 1))
         stage.tick(2, None)
         with pytest.raises(PipelineAssertionError,
                            match=r"^unit: fire 1 at cycle 3, not 2$"):
             stage.tick(3, (2, 3))
+
+    @pytest.mark.parametrize("cycle", [1, 3])
+    def test_first_fire_off_its_law_raises(self, cycle):
+        # fire 0 must come at the law's first fire, here cycle 2
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^unit: fire 0 at cycle {cycle}, not 2$"):
+            unit_stage(2).tick(cycle, (0, 1))
 
 
 class TestPipelineConfig:
@@ -763,14 +786,16 @@ def every_cycle(config, count):
     # ticks (first fires, completions, the most loaded bank slots of each FIFO
     # after any tick, bank lengths, the gate's peak and the first latencies)
     # and asserts that they are the report by law.  Returns the trace text
-    n_half = config.n // 2
+    n_half, L = config.n // 2, config.butterfly_latency
     columns = pipesim._columns(config.n)
-    stages = [_PipeStage(label, hold) for label, hold, _ in columns]
+    # each stage checks its fires against the law's first fire, and the
+    # reference records the cycle of its fire 0 as it ticks it
+    stages = [_PipeStage(label, hold, first) for (label, hold, _), first
+              in zip(columns, _schedule_law(config.n, L)[0])]
     cut = [label for label, _, _ in columns].index("pointwise") + 1
     front, back = stages[:cut], stages[cut:]
     gate = TransformGate(n_half)
     total = count * n_half
-    L = config.butterfly_latency
     S = max(1, L - pipesim.ADDSUB_CYCLES)
     lines = {st: deque([None] * ((L if p else S) - 1))
              for st, (_, _, p) in zip(stages, columns)}
@@ -778,7 +803,7 @@ def every_cycle(config, count):
     # the butterfly stages, each with its fires per twiddle
     per = {st: p for st, (_, _, p) in zip(stages, columns) if p}
     peak = dict.fromkeys(per, 0)
-    text = []
+    text, fired_first = [], {}
     last_ntt_fire = None
 
     def tick(st, cycle, arrival):
@@ -786,6 +811,8 @@ def every_cycle(config, count):
         t = st.t
         st.tick(cycle, arrival)
         fired = st.t > t
+        if fired and not t:
+            fired_first[st] = cycle
         lines[st].append((2 * t, 2 * t + 1) if fired else None)
         out[st] = lines[st].popleft()
         if st is front[-2] and fired and t == n_half - 1:
@@ -833,8 +860,8 @@ def every_cycle(config, count):
     spacings = {b - a for a, b in zip(completions, completions[1:])}
     assert len(spacings) <= 1       # completions evenly spaced
     measured = dict(
-        fwd_stage_first_fire=tuple(st.first_fire for st in fwd),
-        inv_stage_first_fire=tuple(st.first_fire for st in inv),
+        fwd_stage_first_fire=tuple(map(fired_first.get, fwd)),
+        inv_stage_first_fire=tuple(map(fired_first.get, inv)),
         completion_cycles=tuple(completions),
         steady_cycles_per_mul=min(spacings) if count >= 4 else None,
         regs_per_stage=regs,
@@ -843,9 +870,9 @@ def every_cycle(config, count):
         fifo_capacity_per_stage=banks(fwd),
         inv_fifo_capacity_per_stage=banks(inv),
         handoff_peak_pairs=gate.peak_pairs,
-        first_ntt_latency=(last_ntt_fire - fwd[0].first_fire + 1
+        first_ntt_latency=(last_ntt_fire - fired_first[fwd[0]] + 1
                            if count else None),
-        first_mul_latency=(completions[0] - front[0].first_fire + 1
+        first_mul_latency=(completions[0] - fired_first[front[0]] + 1
                            if count else None),
     )
     law = pipesim._build_report(config, count)
@@ -862,6 +889,22 @@ def assert_same_lines(got, want):
             pytest.fail(f"line {i}: {g!r}, not {w!r}", pytrace=False)
     if len(got) != len(want):
         pytest.fail(f"{len(got)} lines, not {len(want)}", pytrace=False)
+
+
+@functools.cache
+def paper_config(n, latency):
+    # the paper modulus in schedule mode, or at a structural depth
+    return PipelineConfig(n=n, params=build_params(FIXED_M, n),
+                          mode="structural" if latency else "schedule",
+                          butterfly_latency=latency)
+
+
+@functools.cache
+def clean_trace(n, latency, count):
+    # the whole trace text of a stream of paper_config(n, latency)
+    text = io.StringIO()
+    _write_trace(text, paper_config(n, latency), count)
+    return text.getvalue()
 
 
 def dataflow(n):
@@ -1155,31 +1198,17 @@ class TestControlPlane:
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
-        # the traced run, whose trace jumps the steady middle as one
-        # period repeated, returns, and writes the trace text of the
-        # reference that ticks both chains on every cycle and measures the
-        # report by law, and the text of the same rows written one by one
+        # the traced run, whose proof jumps past each stage's repeat and
+        # whose trace is written in column runs, returns, and writes the
+        # trace text of the reference that ticks both chains on every cycle,
+        # writes a row per tick and measures the report by law
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
-
-        def run():
-            text = io.StringIO()
-            assert _run_cycles(config, count, _TraceWriter(text)) is None
-            return text.getvalue()
-
-        jumped = run()
-        assert_same_lines(jumped, every_cycle(config, count))
-
-        def repeat(trace, rows, shifts):
-            for i in shifts:
-                trace.rows([(c + i, label, sel, k if k == "" else k + i,
-                             lo, hi) for c, label, sel, k, lo, hi in rows])
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_TraceWriter, "repeat", repeat)
-            assert_same_lines(run(), jumped)
+        text = io.StringIO()
+        assert _run_cycles(config, count, text) is None
+        assert_same_lines(text.getvalue(), every_cycle(config, count))
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -1299,14 +1328,13 @@ class TestControlPlane:
                                     butterfly_latency=latency)
             for count in (1, 6):
                 with pytest.MonkeyPatch.context() as mp:
-                    stages = built_stages(mp)
+                    fired = first_fires(mp)
                     assert _run_cycles(config, count, None) is None
                 # the multipliers' first fires, as the run ticks them:
                 # weighting on cycle 1, pointwise and unweighting a
                 # butterfly latency after the stage before
-                assert ((stages["weight"].first_fire,
-                         stages["pointwise"].first_fire,
-                         stages["unweight"].first_fire)
+                assert ((fired["weight"], fired["pointwise"],
+                         fired["unweight"])
                         == (1, fwd[-1] + latency, inv[-1] + latency))
                 rep = pipesim._build_report(config, count)
                 assert rep.fwd_stage_first_fire == tuple(fwd)
@@ -1335,7 +1363,7 @@ class TestControlPlane:
         # written the law's rows up to its tick there
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
-        _run_cycles(config, 12, _TraceWriter(clean))
+        _run_cycles(config, 12, clean)
         i = dataflow(16).index(label)
         first, hold = _schedule_law(16, 1)[0][i], pipesim._columns(16)[i][1]
         real_init = _PipeStage.__init__
@@ -1349,7 +1377,7 @@ class TestControlPlane:
                  rf"\({2 * hold}, 0\)" if off < 0 else
                  f"{label}: 0 of 96 fires by cycle {first}, short of its law")
         text = io.StringIO()
-        for trace in (None, _TraceWriter(text)):
+        for trace in (None, text):
             with pytest.MonkeyPatch.context() as mp:
                 if off < 0:
                     mp.setattr(_PipeStage, "__init__", init)
@@ -1412,8 +1440,8 @@ PINNED_DIGESTS = {
         "52a714afd8eaf7dfeffbd52562740eea151a0fc786622e84f264598329077d3c",
         "71817d3f7770bf523729d4230917630dd4b38052ac66f4f034c0f1af408bcb69",
         "f807a23c9a3ec53e24cb50b1fba122e9b7daa31e9971e19b8b17bf13c5550b04"),
-    # long enough for the trace to repeat a steady middle (8 and 9 of 12
-    # and 20 periods); pinned when the cycle loop ticked every cycle
+    # long enough for a steady middle, where every column fires (8 and 9
+    # of 12 and 20 periods); pinned when the cycle loop ticked every cycle
     (FIXED_M, 16, "schedule", 12): (
         "70c21234f548f6ead68a02f8a3a2e4199bb2caf23b0d3341686a274717d36fdc",
         "496156e6279f7cb1f245eb9c60f540ff0a6c3e54993d87a135d66edf7eb32900",
@@ -1475,9 +1503,9 @@ class TestDeterminism:
 
     # a fault injected at a stage's FIFO counter: the aborted file holds
     # the law's rows up to the failing cycle and stage.  Retirement is off,
-    # so that the stage is ticked to its counter; 12 pairs repeat the
-    # steady middle over cycles 31 to 94, and inv3 reaches counter 80 only
-    # in the drain after it
+    # so that the stage is ticked to its counter; with 12 pairs every column
+    # fires over cycles 31 to 94, the steady middle, and inv3 reaches
+    # counter 80 only in the drain after it
     @pytest.mark.parametrize("count, label, counter",
                              [(3, "fwd_a2", 9), (3, "inv4", 13),
                               (12, "inv3", 80)],
@@ -1511,8 +1539,8 @@ class TestDeterminism:
         assert aborted.read_text().splitlines() == lines[:fail]
         assert full.read_bytes().startswith(aborted.read_bytes())
         if count == 12:
-            # the failing row comes after the repeated middle, so the
-            # aborted file holds every repeated period
+            # the failing row comes after the steady middle, so the
+            # aborted file holds all of it
             assert int(lines[fail].split(",")[0]) >= 31 + 8 * 8
 
     def test_trace_on_abort_at_weighting_keeps_its_cycles_rows(
@@ -1524,7 +1552,7 @@ class TestDeterminism:
         no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
-        _run_cycles(config, 3, _TraceWriter(clean))
+        _run_cycles(config, 3, clean)
         real_tick = _PipeStage.tick
 
         def tick(stage, cycle, arrival):
@@ -1536,7 +1564,7 @@ class TestDeterminism:
         text = io.StringIO()
         with pytest.raises(PipelineAssertionError,
                            match=r"^weight: fire 5 pairs \(10, 11\)"):
-            _run_cycles(config, 3, _TraceWriter(text))
+            _run_cycles(config, 3, text)
         rows = text.getvalue()
         assert rows == rows_before(clean.getvalue(), 16, 6, "weight")
         assert rows.endswith("6,fwd_a1,,,4,12\r\n")
@@ -1554,7 +1582,7 @@ class TestDeterminism:
         no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
         clean = io.StringIO()
-        _run_cycles(config, 12, _TraceWriter(clean))
+        _run_cycles(config, 12, clean)
         first = _schedule_law(16, 1)[0][dataflow(16).index(label)]
         fire = 40 - first
         assert fire >= 1
@@ -1568,32 +1596,48 @@ class TestDeterminism:
         monkeypatch.setattr(_PipeStage, "tick", tick)
         text = io.StringIO()
         with pytest.raises(PipelineAssertionError, match="^injected$"):
-            _run_cycles(config, 12, _TraceWriter(text))
+            _run_cycles(config, 12, text)
         assert text.getvalue() == rows_before(clean.getvalue(), 16, 40, label)
+
+    @given(data=st.data(), n=st.sampled_from([16, 64, 256]),
+           latency=st.sampled_from([None, 2, 12]), count=st.integers(1, 5))
+    def test_trace_abort_anywhere_is_the_clean_prefix(self, data, n, latency,
+                                                      count):
+        # stop = (cycle, k) at a random column k in tick order, and a cycle
+        # drawn either anywhere up to the last completion, mostly inside a
+        # chunk, or a cycle either side of one where a column starts, first
+        # fires or stops firing, where the writer cuts its chunks: the file
+        # holds the clean trace's rows up to that cycle's tick of column k
+        config = paper_config(n, latency)
+        firsts, done = _schedule_law(n, config.butterfly_latency)
+        total = count * n // 2
+        last = done + total - n // 2
+        cuts = [c + e for (_, hold, per), first
+                in zip(pipesim._columns(n), firsts) if per
+                for c in (first - hold, first, first + total)
+                for e in (-1, 0, 1)]
+        cycle = data.draw(st.sampled_from(cuts) | st.integers(1, last))
+        cycle = min(max(cycle, 1), last)
+        k = data.draw(st.integers(0, len(dataflow(n)) - 1))
+        text = io.StringIO()
+        _write_trace(text, config, count, (cycle, k))
+        assert_same_lines(text.getvalue(),
+                          rows_before(clean_trace(n, latency, count), n,
+                                      cycle, dataflow(n)[::-1][k]))
 
     @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
                                      (12289, 32, "structural", 20)],
                              ids=_pinned_id)
     def test_trace_is_what_csv_writes(self, tmp_path, key):
-        # the rows are formatted by hand, repeated periods included (both
-        # streams repeat a steady middle, 8 and 9 periods long): read back
-        # and rewritten by the csv module, the file comes out byte for
-        # byte, six fields a row
+        # the rows are joined by hand from runs of field text (both streams
+        # have a steady middle, 8 and 9 periods long): read back and
+        # rewritten by the csv module, the file comes out byte for byte,
+        # six fields a row
         m, n, mode, count = key
         p = build_params(m, n)
         path = tmp_path / "t.csv"
-        real_repeat, periods = _TraceWriter.repeat, []
-
-        def repeat(trace, rows, shifts):
-            periods.append(len(shifts))
-            real_repeat(trace, rows, shifts)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_TraceWriter, "repeat", repeat)
-            run_stream(rand_pairs(random.Random(60), p, count),
-                       PipelineConfig(n=n, params=p, mode=mode),
-                       trace_path=path)
-        assert periods == [8 if count == 12 else 9]
+        run_stream(rand_pairs(random.Random(60), p, count),
+                   PipelineConfig(n=n, params=p, mode=mode), trace_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {6}
