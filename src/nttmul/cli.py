@@ -57,12 +57,7 @@ def _poly_from_json(value, n, M, where):
         raise ValueError(f"{where}: expected an array of {n} coefficients")
     try:
         # decimal strings become ints (int() refuses too many digits);
-        # Polynomial rejects every other entry.  A list of ASCII digit
-        # strings, the common case, is decoded by C-level maps; any other
-        # list entry by entry, with the same result
-        if ({*map(type, value)} == {str} and all(map(str.isdigit, value))
-                and "".join(value).isascii()):
-            return Polynomial(list(map(int, value)), M)
+        # Polynomial rejects every other entry
         return Polynomial([int(x) if isinstance(x, str) and x.isascii()
                            and x.isdigit() else x for x in value], M)
     except ValueError as e:
@@ -166,8 +161,9 @@ def cmd_sim(args) -> int:
     pairs = [(r["a"], r["b"]) for r in records]
     products, report = run_stream(pairs, config, trace_path=args.trace)
     # the text json.dump(doc, fh, indent=2, sort_keys=True) writes for doc
-    # = {"products": [...], "report": ...}, written a product at a time:
-    # the products are digit strings, which need no escaping
+    # = {"products": [...], "report": ...}, written a product at a time so
+    # that no list of every product's strings is held: the products are
+    # digit strings, which need no escaping
     with open(args.report, "w") as fh:
         fh.write('{\n  "products": [')
         for i, poly in enumerate(products):
