@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import reprlib
 import sys
 
 from .params import build_params, emit_tables, load_tables
@@ -57,11 +58,17 @@ def _poly_from_json(value, n, M, where):
         raise ValueError(f"{where}: expected an array of {n} coefficients")
     try:
         # decimal strings become ints (int() refuses too many digits);
-        # Polynomial rejects every other entry
+        # every other entry, a JSON number included, is refused by name
         return Polynomial([int(x) if isinstance(x, str) and x.isascii()
-                           and x.isdigit() else x for x in value], M)
+                           and x.isdigit() else _not_decimal(x)
+                           for x in value], M)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+
+
+def _not_decimal(entry):
+    raise ValueError(f"coefficient {reprlib.repr(entry)} is not a decimal "
+                     "string")
 
 
 def _load_records(path, params):

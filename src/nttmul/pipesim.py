@@ -50,7 +50,11 @@ completions included, and its report (:func:`_build_report`) and its trace
 (:func:`_write_trace`, one run of rows per column, written in chunks of at
 most N/2 cycles) are built from :func:`_schedule_law` and the column table
 of :func:`_columns` alone.  A traced run that raises leaves the file
-with the same laws' rows up to the failing cycle and column.
+with the same laws' rows up to the failing cycle and column.  The proof
+reads only N, the butterfly latency and the number of products, not the
+operands or the tables, so it runs once per (N, latency, count) in a
+process (:func:`_schedule_proof`), as the two proofs below run once per N
+and per table set.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` walks,
@@ -58,9 +62,10 @@ on indices alone and once per N, the network the law builds from the
 stages' holds and fires per twiddle, and shows that it is a tree of CRT
 splits; :func:`_table_proof` shows, once per table set, that the tables
 hold the powers the splits need, so the network computes
-a*b mod x**N + 1 for every input; and the schoolbook product is
-exact by its slot bound: with B the smallest multiple of M at or above
-N*(M-1)**2, each wrapped slot s_k - s_{k+N} + B lies in [0, 2B], so no
+a*b mod x**N + 1 for every input; and the schoolbook product, by
+two-point Kronecker substitution, is exact by its slot bound: with B the
+smallest multiple of M at or above N*(M-1)**2, each wrapped slot
+s_k - s_{k+N} + B of either half, even or odd k, lies in [0, 2B], so no
 slot carries or borrows, for every coefficient below M < 2**64.  The
 index proofs hold per N and the table check per table set; primality of
 M, which neither uses, is decided exactly below 2**64 by
@@ -110,7 +115,9 @@ class PipelineConfig:
     arrival for at most hold + 1 + its period cycles, or to its last fire
     in a stream too short to repeat, and a stage short of its law raises at
     its first snapshot behind the timing law, or past its last snapshot on
-    the cycle after its last fire was due (:func:`_run_cycles`).
+    the cycle after its last fire was due (:func:`_run_cycles`).  The proof
+    reads ``n`` and ``butterfly_latency`` alone, and runs once per (N,
+    latency, count) in a process (:func:`_schedule_proof`).
     """
 
     n: int
@@ -500,8 +507,11 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     control state repeats, a period of its own after its first fire, or,
     in a stream too short for that, until its last fire; its remaining
     fires, and the completions, follow from the timing law
-    (:func:`_run_cycles`).  The proof returns nothing: once it has, the
-    report is the law's for the config and the stream's length
+    (:func:`_run_cycles`).  It reads N, the butterfly latency and the
+    stream's length alone, so it runs once per such key in a process and a
+    later call with the key ticks no stage (:func:`_schedule_proof`); a
+    proof that raises is never kept.  The proof returns nothing: once it
+    has, the report is the law's for the config and the stream's length
     (:func:`_build_report`).  Products are
     :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order, one
     call each through the module.  Before any is computed, the run checks
@@ -521,8 +531,9 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     forms of :func:`_schedule_law` and the column table of
     :func:`_columns`, in chunks of at most N/2 cycles, each written in one
     join of runs of field text, so memory holds one chunk's text and a
-    table of decimal strings spanning at most the fill and N/2 cycles.  A
-    traced and an untraced run give one report.  When the proof
+    table of decimal strings spanning at most the fill and N/2 cycles; a
+    key already proved writes the same rows.  A traced and an untraced run
+    give one report.  When the proof
     raises :class:`PipelineAssertionError`, the file holds those laws' rows
     up to the failing cycle and column, and is closed.
     """
@@ -532,12 +543,39 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     # through the module, so a wrapper of the oracle sees every call
     products = [polymul.naive_negacyclic_mul(a, b, params) for a, b in pairs]
     if trace_path is None:
-        _run_cycles(config, len(products), None)
+        _schedule_proof(config, len(products), None)
     else:
         with open(trace_path, "w", newline="") as fh:
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            _run_cycles(config, len(products), fh)
+            _schedule_proof(config, len(products), fh)
     return products, _build_report(config, len(products))
+
+
+# the keys (N, butterfly latency, count) whose schedule proof has returned
+# in this process, oldest first, at most _PROVED_KEYS of them
+_PROVED_KEYS = 64
+_proved: dict = {}
+
+
+def _schedule_proof(config, count, fh):
+    """:func:`_run_cycles`' proof of the schedule, once per key (N,
+    butterfly latency, count) in a process.  The proof reads nothing
+    else: not the operands, the tables or ``params``.  A key whose proof
+    has returned is kept, up to the last ``_PROVED_KEYS`` keys, and is
+    not proved again; a traced call for it writes the whole trace by
+    :func:`_write_trace`, which is what the proof writes once it returns.
+    A proof that raises keeps no key, so every call for a failing key
+    proves again, raises again and, traced, writes its rows up to the
+    failing cycle and column again."""
+    key = config.n, config.butterfly_latency, count
+    if key in _proved:
+        if fh is not None:
+            _write_trace(fh, config, count)
+        return
+    _run_cycles(config, count, fh)
+    if len(_proved) >= _PROVED_KEYS:
+        del _proved[next(iter(_proved))]
+    _proved[key] = None
 
 
 def _moved(st, fires):

@@ -1,12 +1,14 @@
 """Reference negacyclic polynomial multiplication.
 
 Everything here is the plain, array-at-a-time version of the arithmetic: a
-schoolbook product computed as one exact big-int multiplication that also
-wraps x**N = -1, which serves as the oracle (its wrapped slots
-s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so none carries or
-borrows, for coefficients below M < 2**64), a constant-geometry transform
-pair on the per-stage twiddle tables, and the five-step weighted-transform
-multiplier (weight, forward, pointwise, inverse, unweight).  The streaming
+schoolbook product computed by two-point Kronecker substitution, as two
+exact big-int multiplications of half size, whose even and odd halves
+each wrap x**N = -1 in the big-int, which serves as the oracle (its
+wrapped slots s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so
+none carries or borrows, for coefficients below M < 2**64), a
+constant-geometry transform pair on the per-stage twiddle tables, and the
+five-step weighted-transform multiplier (weight, forward, pointwise,
+inverse, unweight).  The streaming
 pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's products,
 once it has proved that its own stages' network is a tree of CRT splits
 and that this network, on the tables it is given, computes
@@ -87,23 +89,24 @@ def _check_operand(p: Polynomial, params: NttParams, *, domain: str, name: str):
 def _slots(n: int, M: int):
     """Slot geometry of :func:`naive_negacyclic_mul` for (N, M): the slot
     width w in bytes, q = ceil(w/8) 64-bit limbs a slot spreads into, the
-    bytes a coefficient below M fills, D (B in each of N slots), and the
-    struct packer of N coefficients and unpacker of q*N limbs."""
+    bytes a coefficient below M fills, D (B in each of N/2 slots), and the
+    struct packer of N/2 coefficients and unpacker of q*N limbs."""
     B = -(-n * (M - 1) ** 2 // M) * M   # smallest multiple of M >= N*(M-1)**2
     w = ((2 * B).bit_length() + 7) // 8
     q = (w + 7) // 8
-    D = int.from_bytes(B.to_bytes(w, "little") * n, "little")
+    D = int.from_bytes(B.to_bytes(w, "little") * (n // 2), "little")
     return (w, q, ((M - 1).bit_length() + 7) // 8, D,
-            struct.Struct(f"<{n}Q").pack, struct.Struct(f"<{q * n}Q").unpack)
+            struct.Struct(f"<{n // 2}Q").pack,
+            struct.Struct(f"<{q * n}Q").unpack)
 
 
-def _restride(src, step: int, new_step: int, width: int, n: int) -> bytearray:
-    """The low ``width`` bytes of n records ``step`` bytes apart in src,
-    copied into zeroed records ``new_step`` bytes apart: one strided slice
-    copy per byte lane, so the per-record work stays in C."""
-    out = bytearray(new_step * n)
+def _restride(out, start: int, new_step: int, src, step: int, width: int):
+    """Copies the low ``width`` bytes of each record ``step`` bytes apart in
+    src into out's records ``new_step`` bytes apart from byte ``start``,
+    one strided slice copy per byte lane, so the per-record work stays in
+    C.  Returns out."""
     for j in range(width):
-        out[j::new_step] = src[j::step]
+        out[start + j::new_step] = src[j::step]
     return out
 
 
@@ -112,32 +115,45 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
     """Schoolbook product reduced mod x**N + 1: the oracle for every other path.
 
     c_k = s_k - s_{k+N} (mod M), where s_k = sum_{i+j = k} a_i b_j is the full
-    product, computed as one exact big-int product (Kronecker substitution):
-    each operand becomes one int holding coefficient i in byte slot i of w
-    bytes, the two ints are multiplied once to z, and slot k of z is s_k.
-    The wrap happens in the big-int too: with B the smallest multiple of M
-    at or above N*(M-1)**2 and D holding B in every slot, slot k of
-    r = lo(z) - hi(z) + D (the low and high N slots of z) is
-    s_k - s_{k+N} + B, so c_k = slot_k mod M.  No slot carries or borrows:
-    0 <= s_k <= N*(M-1)**2 <= B, so every slot of z and of r lies in
-    [0, 2B], and w is the fewest bytes holding 2B.
+    product, computed by two-point Kronecker substitution (Harvey 2009,
+    "KS2"), two exact big-int products of half size.  Each operand is split
+    into its even and odd coefficients, packed as E and O with coefficient
+    2i or 2i + 1 in byte slot i of w bytes, so that with Y = 2**(8w) and
+    e = 4w bits, a(2**e) = E + O * 2**e and a(-2**e) = E - O * 2**e.  The
+    products z+ and z- of the two operands' values at 2**e and -2**e give
+    (z+ + z-) / 2 = sum s_{2i} Y**i and (z+ - z-) / 2**(e+1) =
+    sum s_{2i+1} Y**i, both exact.  N is even, so s_{k+N} has the parity
+    of s_k, and each half wraps on its own: with B the smallest multiple of
+    M at or above N*(M-1)**2 and D holding B in each of N/2 slots, slot i
+    of r = lo(z) - hi(z) + D (the low and high N/2 slots of a half z) is
+    s_k - s_{k+N} + B for k = 2i or 2i + 1, so c_k = slot mod M.  No slot
+    carries or borrows: 0 <= s_k <= N*(M-1)**2 <= B, so every slot of a
+    half and of r lies in [0, 2B], and w is the fewest bytes holding 2B.
 
     Coefficients are below M < 2**64, which
     :func:`nttmul.params.ring_problem` enforces for every table set, so
     struct packs them as little-endian 64-bit words and byte-lane slice
-    copies lay them into w-byte slots; unpacking spreads each slot into
-    q = ceil(w/8) words and joins them.  One path serves every M and N;
-    only the final reduction runs per coefficient in Python.
+    copies lay them into w-byte slots; the two wrapped halves are laid
+    into one buffer, even slots and odd slots interleaved, which is
+    unpacked once, each slot spread into q = ceil(w/8) words and joined.
+    One path serves every M and N; only the final reduction runs per
+    coefficient in Python.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     N, M = params.n, params.M
     w, q, width, D, pack, unpack = _slots(N, M)
-    x, y = (int.from_bytes(_restride(pack(*p.coeffs), 8, w, width, N), "little")
-            for p in (a, b))
-    z, bits = x * y, 8 * w * N
-    r = (z & (1 << bits) - 1) - (z >> bits) + D
-    limbs = unpack(_restride(r.to_bytes(w * N, "little"), w, 8 * q, w, N))
+    h, e = N // 2, 4 * w
+    (xe, xo), (ye, yo) = ([int.from_bytes(_restride(
+        bytearray(w * h), 0, w, pack(*p.coeffs[j::2]), 8, width), "little")
+        for j in (0, 1)] for p in (a, b))
+    xo, yo = xo << e, yo << e
+    plus, minus = (xe + xo) * (ye + yo), (xe - xo) * (ye - yo)
+    bits, out = 8 * w * h, bytearray(16 * q * h)
+    for j, z in enumerate(((plus + minus) >> 1, (plus - minus) >> e + 1)):
+        r = (z & (1 << bits) - 1) - (z >> bits) + D
+        _restride(out, 8 * q * j, 16 * q, r.to_bytes(w * h, "little"), w, w)
+    limbs = unpack(out)
     s = limbs[0::q]
     for j in range(1, q):
         s = [lo + (hi << 64 * j) for lo, hi in zip(s, limbs[j::q])]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from nttmul import build_params
+from nttmul import build_params, pipesim
 
 # Property tests share small, noisy hosts: no per-example deadline, and a fixed
 # example budget so the suite's run time does not drift.
@@ -25,3 +25,11 @@ def p17_8():
 def fixed_params():
     # one derivation per size at the production modulus, shared session-wide
     return {n: build_params(FIXED_M, n) for n in (4, 8, 16, 32, 64, 128, 256)}
+
+
+@pytest.fixture(autouse=True)
+def cold_schedule_proofs():
+    # run_stream proves the schedule once per (N, latency, count) in a
+    # process: every test starts with no key proved, so one that patches
+    # the stages meets a proof that runs, whatever earlier tests ran
+    pipesim._proved.clear()

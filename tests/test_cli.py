@@ -186,7 +186,7 @@ class TestMulCommand:
         assert rc == 2
         assert f"{vec}:1 field a" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [1.5, True, None, "-1", "+1", " 1",
+    @pytest.mark.parametrize("entry", [1, 1.5, True, None, "-1", "+1", " 1",
                                        "", "0x1"])
     def test_rejects_entries_that_are_not_decimal(self, toy_tables, tmp_path,
                                                   capsys, entry):
@@ -197,7 +197,25 @@ class TestMulCommand:
                        "--vectors", str(vec), "--out", str(tmp_path / "c")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {vec}:1 field b: coefficient {entry!r} is not an int\n")
+            f"error: {vec}:1 field b: coefficient {entry!r} is not a "
+            "decimal string\n")
+
+    @pytest.mark.parametrize("field", ["a", "b", "c_expected"])
+    def test_rejects_bare_json_integers(self, toy_tables, tmp_path, capsys,
+                                        field):
+        # vector files carry decimal strings: a JSON number in any field
+        # exits 2, naming the field and the entry
+        vec = tmp_path / "v.ndjson"
+        record = {"a": ["1", "0", "0", "0"], "b": ["0", "1", "0", "0"],
+                  "c_expected": ["0", "1", "0", "0"]}
+        record[field] = ["0", "1", 1, "0"]
+        write_ndjson(vec, [record])
+        rc = cli.main(["mul", "--params", str(toy_tables),
+                       "--vectors", str(vec), "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {vec}:1 field {field}: coefficient 1 is not a decimal "
+            "string\n")
 
     def test_rejects_malformed_json(self, toy_tables, tmp_path, capsys):
         vec = tmp_path / "v.ndjson"
@@ -368,6 +386,9 @@ class TestSimCommand:
         assert cli.main([*sim, "--report", str(tmp_path / "clean.json"),
                          "--trace", str(clean)]) == 0
         capsys.readouterr()
+        # the clean run proved the key: forget it, so that the faulty run
+        # proves
+        pipesim._proved.clear()
 
         real_tick = pipesim.StageFifo.tick
         stages = built_stages(monkeypatch)

@@ -676,15 +676,21 @@ def stall(mp, label, at):
     mp.setattr(_PipeStage, "tick", tick)
 
 
-def tick_count(config, count, retiring=True):
-    # the _PipeStage ticks of one untraced proof, which returns nothing
+def counted_ticks(mp):
+    # the list that gets one entry per _PipeStage tick from here on
     real_tick = _PipeStage.tick
     calls = []
+    mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
+        calls.append(None), real_tick(stage, cycle, arrival)))
+    return calls
+
+
+def tick_count(config, count, retiring=True):
+    # the _PipeStage ticks of one untraced proof, which returns nothing
     with pytest.MonkeyPatch.context() as mp:
         if not retiring:
             no_retirement(mp)
-        mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
-            calls.append(None), real_tick(stage, cycle, arrival)))
+        calls = counted_ticks(mp)
         assert _run_cycles(config, count, None) is None
     return len(calls)
 
@@ -1235,11 +1241,8 @@ class TestControlPlane:
         # arrival to its repeat
         config = PipelineConfig(n=1024, params=build_params(12289, 1024),
                                 mode="structural")
-        real_tick = _PipeStage.tick
-        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_PipeStage, "tick", lambda stage, cycle, arrival: (
-                calls.append(None), real_tick(stage, cycle, arrival)))
+            calls = counted_ticks(mp)
             every_cycle(config, 4)
             oracle = len(calls)
             calls.clear()
@@ -1519,6 +1522,8 @@ class TestDeterminism:
         full = tmp_path / "full.csv"
         run_stream(pairs, cfg, trace_path=full)
         lines = full.read_text().splitlines()
+        # the key is proved now: forget it, so that the faulty run proves
+        pipesim._proved.clear()
         # the failing tick's row: its counter has advanced past `counter`
         fail = next(i for i, line in enumerate(lines)
                     if line.split(",")[1:4:2] == [label, str(counter + 1)])
@@ -1802,3 +1807,104 @@ class TestNetworkProof:
         prods, _ = run_stream(pairs, PipelineConfig(n=n, params=p))
         assert ([q.coeffs for q in prods]
                 == [negacyclic_mul_ntt(a, b, p).coeffs for a, b in pairs])
+
+
+class TestScheduleProofMemo:
+    def test_proves_once_per_key(self, fixed_params, tmp_path, monkeypatch):
+        # the benchmark's paper-ring stream proves its schedule in 786
+        # ticks, 2 * 388 + 10 (test_retirement_ticks_a_fixed_count), and
+        # an identical second call, traced or not, ticks no stage; another
+        # N, latency or count is another key, and proves once in its turn
+        calls = counted_ticks(monkeypatch)
+        rng = random.Random(68)
+
+        def ticks(config, count, trace_path=None):
+            calls.clear()
+            run_stream(rand_pairs(rng, config.params, count), config,
+                       trace_path=trace_path)
+            return len(calls)
+
+        paper = PipelineConfig(n=256, params=fixed_params[256])
+        assert ticks(paper, 8) == 786
+        assert ticks(paper, 8) == 0
+        assert ticks(paper, 8, tmp_path / "t.csv") == 0
+        for config, count in (
+                (PipelineConfig(n=128, params=fixed_params[128]), 8),
+                (PipelineConfig(n=256, params=fixed_params[256],
+                                mode="structural"), 8),
+                (paper, 7)):
+            assert ticks(config, count) == retired_ticks(config, count) > 0
+            assert ticks(config, count) == 0
+        assert ticks(paper, 8) == 0
+
+    def test_keeps_the_last_keys(self, p17_4, monkeypatch):
+        # proofs of 65 keys keep the last 64: the oldest proves again
+        calls = counted_ticks(monkeypatch)
+        config = PipelineConfig(n=4, params=p17_4)
+        pairs = rand_pairs(random.Random(69), p17_4, 66)
+        for count in range(1, 66):
+            run_stream(pairs[:count], config)
+        assert list(pipesim._proved) == [(4, 1, c) for c in range(2, 66)]
+        calls.clear()
+        run_stream(pairs[:65], config)
+        assert not calls
+        run_stream(pairs[:1], config)
+        assert calls
+
+    def test_failing_key_raises_every_time(self, fixed_params, tmp_path,
+                                           monkeypatch):
+        # a proof that raises keeps no key: each call proves again, raises
+        # again and rewrites the trace up to the failing cycle and column,
+        # and once the fault is gone the key proves clean
+        config = PipelineConfig(n=16, params=fixed_params[16])
+        pairs = rand_pairs(random.Random(70), config.params, 3)
+        clean = io.StringIO()
+        _write_trace(clean, config, 3)
+        real_tick = _PipeStage.tick
+
+        def tick(stage, cycle, arrival):
+            if (stage.label, stage.t) == ("inv2", 1):
+                raise PipelineAssertionError("injected")
+            real_tick(stage, cycle, arrival)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_PipeStage, "tick", tick)
+            traces = []
+            for i in range(2):
+                with pytest.raises(PipelineAssertionError, match="^injected$"):
+                    run_stream(pairs, config)
+                trace = tmp_path / f"t{i}.csv"
+                with pytest.raises(PipelineAssertionError, match="^injected$"):
+                    run_stream(pairs, config, trace_path=trace)
+                traces.append(trace.read_bytes().decode())
+        first = _schedule_law(16, 1)[0][dataflow(16).index("inv2")]
+        head = "cycle,stage,sel,counter,pair_lo,pair_hi\r\n"
+        assert traces == 2 * [head + rows_before(clean.getvalue(), 16,
+                                                 first + 1, "inv2")]
+        assert not pipesim._proved
+        calls = counted_ticks(monkeypatch)
+        run_stream(pairs, config)
+        assert len(calls) == retired_ticks(config, 3)
+
+    @pytest.mark.parametrize("m, n, mode, count", [
+        (FIXED_M, 256, "schedule", 8), (12289, 1024, "structural", 4)],
+        ids=["paper-ring", "generic-ring"])
+    def test_hit_gives_the_cold_outputs(self, tmp_path, m, n, mode, count):
+        # after the key is proved, traced or not, a call gives the cold
+        # call's products, report and trace bytes
+        p = build_params(m, n)
+        pairs = rand_pairs(random.Random(71), p, count)
+        config = PipelineConfig(n=n, params=p, mode=mode)
+
+        def run(name=None):
+            trace = name and tmp_path / name
+            prods, rep = run_stream(pairs, config, trace_path=trace)
+            return ([q.coeffs for q in prods], rep,
+                    trace and trace.read_bytes())
+
+        cold = run("cold.csv")
+        assert run("hit.csv") == cold
+        assert run() == (*cold[:2], None)
+        pipesim._proved.clear()
+        assert run() == (*cold[:2], None)
+        assert run("after_untraced.csv") == cold

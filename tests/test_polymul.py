@@ -165,6 +165,42 @@ class TestNaiveMul:
         assert (naive_negacyclic_mul(a, b, p).coeffs
                 == schoolbook_reference(a.coeffs, b.coeffs, N, M))
 
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_monomials_wrap_on_both_halves(self, p17_4, p17_8, N):
+        # (M-1) x**i times 3 x**j is -3 x**(i+j), wrapped to 3 x**(i+j-N)
+        # past N; the kernel splits the product by parity, so i + j runs
+        # over both halves, odd wraps included (x**(N-1) * x**2 = -x), and
+        # at N = 4 each half is two slots
+        p = {4: p17_4, 8: p17_8}[N]
+        for i in range(N):
+            for j in range(N):
+                a = Polynomial(tuple(16 * (k == i) for k in range(N)), 17)
+                b = Polynomial(tuple(3 * (k == j) for k in range(N)), 17)
+                k = (i + j) % N
+                want = tuple((-3 if i + j < N else 3) % 17 * (m == k)
+                             for m in range(N))
+                assert want == schoolbook_reference(a.coeffs, b.coeffs, N, 17)
+                assert naive_negacyclic_mul(a, b, p).coeffs == want, (i, j)
+
+    def test_smallest_ring_against_independent_schoolbook(self, p17_4):
+        # N = 4: each of the kernel's halves is N/2 = 2 slots
+        rng = random.Random(6)
+        top = Polynomial((16,) * 4, 17)
+        pairs = [(top, top)] + [(rand_poly(rng, p17_4), rand_poly(rng, p17_4))
+                                for _ in range(300)]
+        for a, b in pairs:
+            assert (naive_negacyclic_mul(a, b, p17_4).coeffs
+                    == schoolbook_reference(a.coeffs, b.coeffs, 4, 17))
+
+    @given(ring=_prime_rings())
+    def test_all_max_operands_on_prime_rings(self, ring):
+        # every full-product coefficient at its largest, N * (M-1)**2 at
+        # N - 1, on any prime ring below 2**64, 1 to 3 limbs a slot
+        M, N = ring
+        top = Polynomial((M - 1,) * N, M)
+        assert (naive_negacyclic_mul(top, top, build_params(M, N)).coeffs
+                == schoolbook_reference(top.coeffs, top.coeffs, N, M))
+
     @pytest.mark.parametrize("M, N, w, q", LIMB_RINGS)
     def test_random_operands_at_limb_boundaries(self, M, N, w, q):
         assert _slots(N, M)[:2] == (w, q)
