@@ -7,8 +7,8 @@ each wrap x**N = -1 in the big-int, which serves as the oracle (its
 wrapped slots s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so
 none carries or borrows, for coefficients below M < 2**64), a
 constant-geometry transform pair on the per-stage twiddle tables, and the
-five-step weighted-transform multiplier (weight, forward, pointwise,
-inverse, unweight).  The streaming
+merged-twiddle multiplier, which runs that pair on stage tables carrying
+the phi weights and N**-1 (two forwards, pointwise, inverse).  The streaming
 pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's products,
 once it has proved that its own stages' network is a tree of CRT splits
 and that this network, on the tables it is given, computes
@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import reprlib
 import struct
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .params import NttParams, bit_reverse_index
 
@@ -165,63 +167,117 @@ def _forward(a: list[int], tables, M: int) -> list[int]:
     # Each stage pairs a[j] with a[j + N/2] and writes to 2j and 2j + 1,
     # rotating every index left by one bit; so after s - 1 stages the block
     # bits of the in-place index are the low s - 1 bits of j, and pair j
-    # takes tw[j mod len(tw)].  Lazy reduction: only products reduce, so
-    # |x| <= (s+1)*M after stage s; Python ints are exact at any size.
+    # takes tw[j mod len(tw)] (a table already N/2 long is not copied).
+    # Lazy reduction: only products reduce, so |x| <= (s+1)*M after stage
+    # s; Python ints are exact at any size.
     h = len(a) >> 1
     for tw in tables:
         lo = a[:h]
         v = [x * w % M for x, w in zip(a[h:], tw * (h // len(tw)))]
-        a[0::2] = [x + y for x, y in zip(lo, v)]
-        a[1::2] = [x - y for x, y in zip(lo, v)]
+        a[0::2] = map(add, lo, v)
+        a[1::2] = map(sub, lo, v)
     return a
 
 
-def _inverse(a: list[int], tables, M: int) -> list[int]:
+def _inverse(a: list[int], tables, M: int,
+             n_inv: int | None = None) -> list[int]:
     # The mirror image, bit-reversed in, natural out: pair a[2j] with
     # a[2j + 1], sum to j and twiddled difference to j + N/2 (rotate right);
     # pair j takes tw[j mod len(tw)], and |x| <= 2**s * M after stage s.
+    # Given n_inv, the last stage also multiplies its sums by it, so every
+    # output is reduced, in [0, M); its difference twiddles carry n_inv.
     h = len(a) >> 1
-    for tw in tables:
+    last = len(tables) - 1
+    for s, tw in enumerate(tables):
         ev, od = a[0::2], a[1::2]
-        a[:h] = [x + y for x, y in zip(ev, od)]
+        if s == last and n_inv is not None:
+            a[:h] = [(x + y) * n_inv % M for x, y in zip(ev, od)]
+        else:
+            a[:h] = map(add, ev, od)
         a[h:] = [(x - y) * w % M for x, y, w in zip(ev, od, tw * (h // len(tw)))]
     return a
+
+
+@lru_cache(maxsize=64)
+def _bit_reversal(m: int) -> tuple[int, ...]:
+    """bit_reverse_index(i, m) for i < 2**m: the permutation between the
+    transforms' bit-reversed spectra and natural order (an involution)."""
+    return tuple(bit_reverse_index(i, m) for i in range(1 << m))
 
 
 def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     """Evaluate at the powers of omega: out_i = sum_j a_j omega**(i*j)."""
     _check_operand(a, params, domain="coefficient", name="a")
-    N, M, m = params.n, params.M, params.num_stages
+    M = params.M
     vals = _forward(list(a.coeffs), params.stage_twiddles_fwd, M)
     return Polynomial._unchecked(
-        tuple(vals[bit_reverse_index(i, m)] % M for i in range(N)), M,
+        tuple([vals[j] % M for j in _bit_reversal(params.num_stages)]), M,
         "evaluation")
 
 
 def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     """Inverse transform including the N**-1 scaling."""
     _check_operand(a, params, domain="evaluation", name="a")
-    N, M, m = params.n, params.M, params.num_stages
-    vals = _inverse([a.coeffs[bit_reverse_index(i, m)] for i in range(N)],
-                    params.stage_twiddles_inv, M)
-    n_inv = params.n_inv
-    return Polynomial._unchecked(tuple(v * n_inv % M for v in vals), M,
-                                 "coefficient")
+    M, cs, n_inv = params.M, a.coeffs, params.n_inv
+    *tables, last = params.stage_twiddles_inv
+    vals = _inverse([cs[j] for j in _bit_reversal(params.num_stages)],
+                    (*tables, tuple(w * n_inv % M for w in last)), M, n_inv)
+    return Polynomial._unchecked(tuple(vals), M, "coefficient")
+
+
+# the merged tables of each live table set, keyed by the set's id; an
+# entry leaves when its set is collected, so no later set given that id
+# finds it, and no lookup hashes or compares a set's tables
+_merged: dict = {}
+
+
+def _merged_tables(params: NttParams):
+    """The negacyclic stage tables of a table set, derived once per set.
+
+    Forward stage s, entry t, is ``stage_twiddles_fwd[s-1][t] *
+    phi**(N >> s)`` = phi**((N >> s) * (2*brv_{s-1}(t) + 1)), so stage 1
+    splits x**N + 1 by phi**(N/2) and the transform evaluates a at the
+    odd powers of phi.  Inverse stage s mirrors forward stage m - s + 1:
+    ``stage_twiddles_inv[s-1][t] * phi_inv**(2**(s-1))``, and the last
+    inverse stage's twiddle also carries N**-1, by which that stage scales
+    its sums too.  Each table is tiled to N/2 entries, one per pair, as
+    the stage loops read it.  Returns (forward tables, inverse tables).
+    """
+    hit = _merged.get(id(params))
+    if hit is None:
+        N, M, m = params.n, params.M, params.num_stages
+
+        def scaled(tw, c):
+            return tuple(w * c % M for w in tw) * (N // 2 // len(tw))
+
+        fwd = tuple(scaled(tw, pow(params.phi, N >> s, M))
+                    for s, tw in enumerate(params.stage_twiddles_fwd, 1))
+        inv = tuple(scaled(tw, pow(params.phi_inv, 1 << (s - 1), M)
+                           * (params.n_inv if s == m else 1))
+                    for s, tw in enumerate(params.stage_twiddles_inv, 1))
+        # the entry holds the weak reference whose callback removes it
+        key = id(params)
+        hit = _merged[key] = (
+            weakref.ref(params, lambda _: _merged.pop(key, None)), fwd, inv)
+    return hit[1:]
 
 
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
                        params: NttParams) -> Polynomial:
-    """Five-step transform product: weight, two forwards, pointwise, inverse,
-    unweight.  The spectra stay in bit-reversed order, as the pointwise step
-    does not depend on order, and the unweighting table already carries
-    N**-1.  Exactly equals naive_negacyclic_mul.
+    """Transform product on the merged tables of :func:`_merged_tables`:
+    two forwards, pointwise, one inverse, with the phi weights and N**-1
+    inside the butterflies (Roy et al., CHES 2014), so there is no
+    weighting or unweighting pass.  The spectra stay in bit-reversed
+    order, as the pointwise step does not depend on order, and the last
+    inverse stage leaves every coefficient in [0, M).  Exactly equals
+    naive_negacyclic_mul.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
-    M, wf, fwd = params.M, params.weights_fwd, params.stage_twiddles_fwd
-    a_hat = _forward([c * w % M for c, w in zip(a.coeffs, wf)], fwd, M)
-    b_hat = _forward([c * w % M for c, w in zip(b.coeffs, wf)], fwd, M)
+    M = params.M
+    fwd, inv = _merged_tables(params)
+    a_hat = _forward(list(a.coeffs), fwd, M)
+    b_hat = _forward(list(b.coeffs), fwd, M)
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]
-    c_hat = _inverse(prod, params.stage_twiddles_inv, M)
-    out = tuple(c * w % M for c, w in zip(c_hat, params.weights_inv_scaled))
+    out = tuple(_inverse(prod, inv, M, params.n_inv))
     return Polynomial._unchecked(out, M, "coefficient")

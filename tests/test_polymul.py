@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import random
 import re
 
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 
 from nttmul import build_params
 from nttmul import params as params_module
-from nttmul.params import derive_roots, is_prime
+from nttmul.params import bit_reverse_index, derive_roots, is_prime
 from nttmul.pipesim import (PipelineAssertionError, PipelineConfig, _table_proof,
                             run_stream)
 from nttmul.polymul import (
     Polynomial,
     _forward,
     _inverse,
+    _merged,
+    _merged_tables,
     _slots,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
@@ -384,26 +387,30 @@ class TestFiveStepMul:
 
     @pytest.mark.parametrize("M, N", [(FIXED_M, 256), (12289, 1024)])
     def test_lazy_adders_keep_the_stated_bounds(self, M, N):
-        # the transforms' adders do not reduce: walked one table at a time,
-        # |x| < (s+1)*M after forward stage s and |x| < 2**s * M after
-        # inverse stage s, with random and all-(M-1) operands
+        # the transforms' adders do not reduce: walked one merged table at
+        # a time, |x| < (s+1)*M after forward stage s and |x| < 2**s * M
+        # after inverse stage s < m, and the last stage, which scales its
+        # sums by N**-1, leaves every entry in [0, M); random and
+        # all-(M-1) operands
         p = build_params(M, N)
+        fwd, inv = _merged_tables(p)
         rng = random.Random(61)
         top = Polynomial((M - 1,) * N, M)
         for a, b in ((rand_poly(rng, p), rand_poly(rng, p)), (top, top)):
             spectra = []
             for c in (a, b):
-                x = [v * w % M for v, w in zip(c.coeffs, p.weights_fwd)]
-                for s, tw in enumerate(p.stage_twiddles_fwd, 1):
+                x = list(c.coeffs)
+                for s, tw in enumerate(fwd, 1):
                     x = _forward(x, [tw], M)
                     assert max(map(abs, x)) < (s + 1) * M, s
                 spectra.append(x)
             x = [u * v % M for u, v in zip(*spectra)]
-            for s, tw in enumerate(p.stage_twiddles_inv, 1):
+            for s, tw in enumerate(inv[:-1], 1):
                 x = _inverse(x, [tw], M)
                 assert max(map(abs, x)) < 2**s * M, s
-            assert ([v * w % M for v, w in zip(x, p.weights_inv_scaled)]
-                    == list(negacyclic_mul_ntt(a, b, p).coeffs))
+            x = _inverse(x, inv[-1:], M, p.n_inv)
+            assert 0 <= min(x) and max(x) < M
+            assert x == list(negacyclic_mul_ntt(a, b, p).coeffs)
 
     def test_identity(self, p17_8):
         rng = random.Random(17)
@@ -462,6 +469,68 @@ def tampered(params, key, at, value):
                                    **{key: table[:s] + (stage,) + table[s + 1:]})
     return dataclasses.replace(params,
                                **{key: table[:at] + (value,) + table[at + 1:]})
+
+
+class TestMergedTables:
+    """negacyclic_mul_ntt's stage tables, derived once per table set with
+    the phi weights and N**-1 folded in."""
+
+    @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
+    def test_tables_equal_the_closed_form(self, M, N):
+        # forward stage s, pair j: phi**((N >> s) * (2*brv_{s-1}(t) + 1));
+        # inverse stage s: phi_inv**(2**(s-1) * (2*brv_{m-s}(t) + 1)),
+        # times N**-1 at s = m; t is j mod the stage's count of twiddles
+        p = build_params(M, N)
+        m, phi, phi_inv = p.num_stages, p.phi, p.phi_inv
+        fwd, inv = _merged_tables(p)
+        assert len(fwd) == len(inv) == m
+        for s in range(1, m + 1):
+            t = [j % (1 << (s - 1)) for j in range(N // 2)]
+            assert fwd[s - 1] == tuple(
+                pow(phi, (N >> s) * (2 * bit_reverse_index(i, s - 1) + 1), M)
+                for i in t), s
+            t = [j % (1 << (m - s)) for j in range(N // 2)]
+            scale = p.n_inv if s == m else 1
+            assert inv[s - 1] == tuple(
+                pow(phi_inv, (1 << (s - 1)) * (2 * bit_reverse_index(i, m - s)
+                                               + 1), M) * scale % M
+                for i in t), s
+
+    @pytest.mark.parametrize("key", ["stage_twiddles_fwd",
+                                     "stage_twiddles_inv"])
+    @pytest.mark.parametrize("s", [0, 3, 7])
+    def test_tampered_set_is_not_served_the_derived_tables(self, fixed_params,
+                                                           key, s):
+        # the derived set's tables are cached first; a set equal to it but
+        # for one stage entry, at the same (M, N), derives its own
+        p = fixed_params[256]
+        rng = random.Random(s)
+        a, b = rand_poly(rng, p), rand_poly(rng, p)
+        want = negacyclic_mul_ntt(a, b, p)
+        i = rng.randrange(len(getattr(p, key)[s]))
+        bad = tampered(p, key, (s, i), (getattr(p, key)[s][i] + 1) % p.M)
+        assert negacyclic_mul_ntt(a, b, bad) != want
+        assert negacyclic_mul_ntt(a, b, p) == want
+
+    def test_entry_leaves_with_its_set(self):
+        # the tables are kept while their set lives, so no later set given
+        # its id finds them
+        p = build_params(17, 8)
+        key = id(p)
+        negacyclic_mul_ntt(Polynomial((1,) * 8, 17), Polynomial((2,) * 8, 17),
+                           p)
+        assert key in _merged
+        del p
+        gc.collect()
+        assert key not in _merged
+
+    @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
+    def test_all_max_operands_equal_the_oracle(self, M, N):
+        # all-(M-1) operands: every full-product coefficient at its largest
+        p = build_params(M, N)
+        top = Polynomial((M - 1,) * N, M)
+        assert negacyclic_mul_ntt(top, top, p) == naive_negacyclic_mul(top,
+                                                                       top, p)
 
 
 class TestNetworkCertificate:
