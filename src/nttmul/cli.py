@@ -272,7 +272,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PipelineAssertionError as e:
         print(f"internal assertion: {e}", file=sys.stderr)
-        if getattr(args, "trace", None):
+        # a break of the schedule proof, the one that a traced run writes
+        # its rows up to; a network or table proof breaks before any row
+        if e.stop is not None and getattr(args, "trace", None):
             print(f"cycle trace (up to the failure): {args.trace}",
                   file=sys.stderr)
         return EXIT_ASSERT

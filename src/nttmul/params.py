@@ -27,6 +27,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .modarith import ModulusContext
 
@@ -156,7 +157,9 @@ class NttParams:
 
     ``stage_twiddles_fwd[s-1]`` holds the distinct twiddles stage s consumes,
     in feed order, one per butterfly block; counts double per forward stage
-    (1, 2, 4, ...) and halve per inverse stage.
+    (1, 2, 4, ...) and halve per inverse stage.  ``merged_tables``, the
+    multiplier's stage tables, is derived from these on first use and kept
+    on the set, so a set made by ``dataclasses.replace`` derives its own.
     """
 
     n: int
@@ -178,6 +181,32 @@ class NttParams:
     @property
     def num_stages(self) -> int:
         return self.n.bit_length() - 1
+
+    @cached_property
+    def merged_tables(self):
+        """The negacyclic stage tables of :func:`nttmul.polymul.negacyclic_mul_ntt`.
+
+        Forward stage s, entry t, is ``stage_twiddles_fwd[s-1][t] *
+        phi**(N >> s)`` = phi**((N >> s) * (2*brv_{s-1}(t) + 1)), so stage 1
+        splits x**N + 1 by phi**(N/2) and the transform evaluates a at the
+        odd powers of phi.  Inverse stage s mirrors forward stage m - s + 1:
+        ``stage_twiddles_inv[s-1][t] * phi_inv**(2**(s-1))``, and the last
+        inverse stage's twiddle also carries N**-1, by which that stage
+        scales its sums too.  Each table is tiled to N/2 entries, one per
+        pair, as the stage loops read it.  Returns (forward tables, inverse
+        tables).
+        """
+        N, M, m = self.n, self.M, self.num_stages
+
+        def scaled(tw, c):
+            return tuple(w * c % M for w in tw) * (N // 2 // len(tw))
+
+        fwd = tuple(scaled(tw, pow(self.phi, N >> s, M))
+                    for s, tw in enumerate(self.stage_twiddles_fwd, 1))
+        inv = tuple(scaled(tw, pow(self.phi_inv, 1 << (s - 1), M)
+                           * (self.n_inv if s == m else 1))
+                    for s, tw in enumerate(self.stage_twiddles_inv, 1))
+        return fwd, inv
 
 
 def _stage_table(root: int, N: int, M: int, s: int) -> tuple[int, ...]:

@@ -53,21 +53,21 @@ of :func:`_columns` alone.  A traced run that raises leaves the file
 with the same laws' rows up to the failing cycle and column.  The proof
 reads only N, the butterfly latency and the number of products, not the
 operands or the tables, so it runs once per (N, latency, count) in a
-process (:func:`_schedule_proof`), as the two proofs below run once per N
-and per table set.
+process, the last 64 such keys kept (:data:`_schedule_proof`).
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` walks,
 on indices alone and once per N, the network the law builds from the
 stages' holds and fires per twiddle, and shows that it is a tree of CRT
-splits; :func:`_table_proof` shows, once per table set, that the tables
-hold the powers the splits need, so the network computes
-a*b mod x**N + 1 for every input; and the schoolbook product, by
+splits; :func:`_table_proof` shows that the tables hold the powers the
+splits need, so the network computes a*b mod x**N + 1 for every input;
+both run when a :class:`PipelineConfig` is built, so a config exists only
+for a proved network and table set; and the schoolbook product, by
 two-point Kronecker substitution, is exact by its slot bound: with B the
 smallest multiple of M at or above N*(M-1)**2, each wrapped slot
 s_k - s_{k+N} + B of either half, even or odd k, lies in [0, 2B], so no
 slot carries or borrows, for every coefficient below M < 2**64.  The
-index proofs hold per N and the table check per table set; primality of
+index proofs hold per N and the table check per config; primality of
 M, which neither uses, is decided exactly below 2**64 by
 :func:`nttmul.params.ring_problem`.  The same inputs and configuration
 give the same trace.
@@ -76,7 +76,7 @@ give the same trace.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from . import polymul
 # read by perfbench/tracing.count_modmuls, which wraps it by name
@@ -96,8 +96,13 @@ class PipelineAssertionError(RuntimeError):
     are not the powers the network needs.
 
     Any of these means the stage schedule is broken; they cannot happen for
-    a correctly configured run and are never silently absorbed.
+    a correctly configured run and are never silently absorbed.  ``stop``
+    is None but on a break of the schedule proof (:func:`_run_cycles`),
+    where it is (cycle, k): the failing cycle and the failing column's
+    place in tick order, up to which a traced run writes its rows.
     """
+
+    stop = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,13 @@ class PipelineConfig:
     its first snapshot behind the timing law, or past its last snapshot on
     the cycle after its last fire was due (:func:`_run_cycles`).  The proof
     reads ``n`` and ``butterfly_latency`` alone, and runs once per (N,
-    latency, count) in a process (:func:`_schedule_proof`).
+    latency, count) in a process (:data:`_schedule_proof`).
+
+    Building a config runs :func:`_network_proof` for ``n`` and
+    :func:`_table_proof` for ``params``, as a ``ModulusContext`` certifies
+    its Barrett constants: a config exists only for a network that is a
+    tree of CRT splits and for tables that hold the powers it needs, or
+    building it raises :class:`PipelineAssertionError`.
     """
 
     n: int
@@ -141,6 +152,8 @@ class PipelineConfig:
                              f"[1, {MAX_BUTTERFLY_LATENCY}]")
         if self.mode == "schedule" and self.butterfly_latency != 1:
             raise ValueError("schedule mode forces butterfly_latency = 1")
+        _network_proof(self.n)
+        _table_proof(self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +469,11 @@ def _powers(x, first, n, M):
     return tuple(out)
 
 
-@cache
 def _table_proof(params: NttParams):
     """Checks a table set against what :func:`_network_proof` needs, once
-    per table set: then the stages' network, between the weighting and
-    unweighting multipliers, computes a*b mod x**N + 1 on these tables
-    for every input.
+    per :class:`PipelineConfig`, when it is built: then the stages'
+    network, between the weighting and unweighting multipliers, computes
+    a*b mod x**N + 1 on these tables for every input.
 
     phi**N = -1 and omega = phi**2 give omega**N = 1 and omega**(N/2) = -1,
     which the CRT walk uses.  Each stage table must be the powers of omega
@@ -509,17 +521,16 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
     fires, and the completions, follow from the timing law
     (:func:`_run_cycles`).  It reads N, the butterfly latency and the
     stream's length alone, so it runs once per such key in a process and a
-    later call with the key ticks no stage (:func:`_schedule_proof`); a
+    later call with the key ticks no stage (:data:`_schedule_proof`); a
     proof that raises is never kept.  The proof returns nothing: once it
     has, the report is the law's for the config and the stream's length
     (:func:`_build_report`).  Products are
     :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order, one
-    call each through the module.  Before any is computed, the run checks
-    :func:`_network_proof` for its N and :func:`_table_proof` for its
-    tables: the stages' network is a tree of CRT splits, and on these
-    tables it computes a*b mod x**N + 1 for every input, so the products
-    are the pipeline's.  A break raises :class:`PipelineAssertionError`;
-    there is no fallback.
+    call each through the module.  They are the pipeline's because the
+    config was built: :class:`PipelineConfig` has proved that the stages'
+    network is a tree of CRT splits and that on its tables it computes
+    a*b mod x**N + 1 for every input.  A break raises
+    :class:`PipelineAssertionError`; there is no fallback.
 
     One row of forward stages routes both operands under their shared
     control; the report still counts registers for both hardware
@@ -527,55 +538,31 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is written
-    there after the same proof, by :func:`_write_trace` from the closed
+    there once the proof has run, by :func:`_write_trace` from the closed
     forms of :func:`_schedule_law` and the column table of
     :func:`_columns`, in chunks of at most N/2 cycles, each written in one
     join of runs of field text, so memory holds one chunk's text and a
     table of decimal strings spanning at most the fill and N/2 cycles; a
     key already proved writes the same rows.  A traced and an untraced run
-    give one report.  When the proof
-    raises :class:`PipelineAssertionError`, the file holds those laws' rows
-    up to the failing cycle and column, and is closed.
+    give one report.  When the proof raises, the file holds those laws'
+    rows up to the failing cycle and column, the error's ``stop``, and is
+    closed before the error propagates.
     """
-    params = config.params
-    _network_proof(config.n)
-    _table_proof(params)
     # through the module, so a wrapper of the oracle sees every call
-    products = [polymul.naive_negacyclic_mul(a, b, params) for a, b in pairs]
-    if trace_path is None:
-        _schedule_proof(config, len(products), None)
-    else:
+    products = [polymul.naive_negacyclic_mul(a, b, config.params)
+                for a, b in pairs]
+    count, failure = len(products), None
+    try:
+        _schedule_proof(config.n, config.butterfly_latency, count)
+    except PipelineAssertionError as e:
+        failure = e
+    if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            _schedule_proof(config, len(products), fh)
-    return products, _build_report(config, len(products))
-
-
-# the keys (N, butterfly latency, count) whose schedule proof has returned
-# in this process, oldest first, at most _PROVED_KEYS of them
-_PROVED_KEYS = 64
-_proved: dict = {}
-
-
-def _schedule_proof(config, count, fh):
-    """:func:`_run_cycles`' proof of the schedule, once per key (N,
-    butterfly latency, count) in a process.  The proof reads nothing
-    else: not the operands, the tables or ``params``.  A key whose proof
-    has returned is kept, up to the last ``_PROVED_KEYS`` keys, and is
-    not proved again; a traced call for it writes the whole trace by
-    :func:`_write_trace`, which is what the proof writes once it returns.
-    A proof that raises keeps no key, so every call for a failing key
-    proves again, raises again and, traced, writes its rows up to the
-    failing cycle and column again."""
-    key = config.n, config.butterfly_latency, count
-    if key in _proved:
-        if fh is not None:
-            _write_trace(fh, config, count)
-        return
-    _run_cycles(config, count, fh)
-    if len(_proved) >= _PROVED_KEYS:
-        del _proved[next(iter(_proved))]
-    _proved[key] = None
+            _write_trace(fh, config, count, failure and failure.stop)
+    if failure is not None:
+        raise failure
+    return products, _build_report(config, count)
 
 
 def _moved(st, fires):
@@ -659,7 +646,9 @@ def _write_trace(fh, config, count, stop=None):
     memory holds one chunk's text and R + N/2 strings.  The text is what
     ``csv.writer`` writes, ``\r\n`` line ends included, because no field
     needs quoting: labels are ``[a-z0-9_]`` and every other field is an
-    int or empty."""
+    int or empty.  No products, no rows."""
+    if not count:
+        return
     n, n_half, total = config.n, config.n // 2, count * config.n // 2
     firsts, done = _schedule_law(n, config.butterfly_latency)
     end, keep = stop or (done + total - n_half, None)
@@ -710,12 +699,12 @@ def _write_trace(fh, config, count, stop=None):
     chunk(end, end + 1, cols[:keep])
 
 
-def _run_cycles(config, count, fh):
-    """The per-stage proof of the schedule for ``count`` products, position
-    j of product p fed as the labels (pN + 2j, pN + 2j + 1) on cycle
-    pN/2 + j + 1.  ``fh`` is the open trace file or None.  Returns
-    None once every stage has fired on its law, or raises
-    :class:`PipelineAssertionError`; it builds no report.
+def _run_cycles(n, butterfly_latency, count):
+    """The per-stage proof of the schedule for ``count`` products at N =
+    ``n``, position j of product p fed as the labels (pN + 2j, pN + 2j + 1)
+    on cycle pN/2 + j + 1.  Returns None once every stage has fired on its
+    law, or raises :class:`PipelineAssertionError`; it builds no report
+    and writes no trace.
 
     It builds one stage per column of :func:`_columns`, with the column's
     label and hold, and proves them one at a time in that dataflow order:
@@ -766,20 +755,18 @@ def _run_cycles(config, count, fh):
     completion k, its fire (k + 1)N/2 - 1 leaving, comes where
     :func:`_schedule_law` puts it, N/2 cycles after completion k - 1.
 
-    A traced run writes, by :func:`_write_trace`, the rows that
-    :func:`_schedule_law` and :func:`_columns` give: all of them once the
-    proof has returned, or, when it raises, those up to the failing cycle
-    and column, in the order a cycle ticks the columns, reverse dataflow
-    order: that cycle's rows of the columns after the failing one.  The
-    failing cycle and column are those of the tick that raises: an early
-    first fire's own, or a late one's cycle by law.
+    A break records where it stopped on the error, as ``stop = (cycle,
+    k)``: the cycle and the place k of the column in the order a cycle
+    ticks the columns, reverse dataflow order, of the tick that raises: an
+    early first fire's own, or a late one's cycle by law.  A traced run
+    writes, by :func:`_write_trace`, the rows up to there.
     """
     if not count:
         return
-    firsts, _ = _schedule_law(config.n, config.butterfly_latency)
+    firsts, _ = _schedule_law(n, butterfly_latency)
     stages = [_PipeStage(label, hold, first) for (label, hold, _), first
-              in zip(_columns(config.n), firsts)]
-    total = count * config.n // 2
+              in zip(_columns(n), firsts)]
+    total = count * n // 2
     try:
         for st in stages:
             first = st.first
@@ -803,12 +790,15 @@ def _run_cycles(config, count, fh):
                         f"{cycle}, short of its law")
                 cycle += 1
             st.t = total
-    except PipelineAssertionError:
-        if fh is not None:
-            _write_trace(fh, config, count, (cycle, stages[::-1].index(st)))
+    except PipelineAssertionError as e:
+        e.stop = cycle, stages[::-1].index(st)
         raise
-    if fh is not None:
-        _write_trace(fh, config, count)
+
+
+# the proof once per key (N, butterfly latency, count) in a process: the
+# last 64 keys whose proof returned are kept; a call that raises is never
+# kept, so a failing key proves, and raises, again on every call
+_schedule_proof = lru_cache(maxsize=64)(_run_cycles)
 
 
 def _build_report(config, count):

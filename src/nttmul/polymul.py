@@ -8,10 +8,11 @@ wrapped slots s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so
 none carries or borrows, for coefficients below M < 2**64), a
 constant-geometry transform pair on the per-stage twiddle tables, and the
 merged-twiddle multiplier, which runs that pair on stage tables carrying
-the phi weights and N**-1 (two forwards, pointwise, inverse).  The streaming
-pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's products,
-once it has proved that its own stages' network is a tree of CRT splits
-and that this network, on the tables it is given, computes
+the phi weights and N**-1 (two forwards, pointwise, inverse), derived on
+first use and kept on their table set (``NttParams.merged_tables``).  The
+streaming pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's
+products: a ``PipelineConfig`` exists only once its stages' network is
+proved a tree of CRT splits that, on the config's tables, computes
 a*b mod x**N + 1 for every input (``pipesim._network_proof`` and
 ``pipesim._table_proof``).  Those proofs do not read this transform,
 which rests on its own tests.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import reprlib
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
@@ -225,48 +225,12 @@ def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     return Polynomial._unchecked(tuple(vals), M, "coefficient")
 
 
-# the merged tables of each live table set, keyed by the set's id; an
-# entry leaves when its set is collected, so no later set given that id
-# finds it, and no lookup hashes or compares a set's tables
-_merged: dict = {}
-
-
-def _merged_tables(params: NttParams):
-    """The negacyclic stage tables of a table set, derived once per set.
-
-    Forward stage s, entry t, is ``stage_twiddles_fwd[s-1][t] *
-    phi**(N >> s)`` = phi**((N >> s) * (2*brv_{s-1}(t) + 1)), so stage 1
-    splits x**N + 1 by phi**(N/2) and the transform evaluates a at the
-    odd powers of phi.  Inverse stage s mirrors forward stage m - s + 1:
-    ``stage_twiddles_inv[s-1][t] * phi_inv**(2**(s-1))``, and the last
-    inverse stage's twiddle also carries N**-1, by which that stage scales
-    its sums too.  Each table is tiled to N/2 entries, one per pair, as
-    the stage loops read it.  Returns (forward tables, inverse tables).
-    """
-    hit = _merged.get(id(params))
-    if hit is None:
-        N, M, m = params.n, params.M, params.num_stages
-
-        def scaled(tw, c):
-            return tuple(w * c % M for w in tw) * (N // 2 // len(tw))
-
-        fwd = tuple(scaled(tw, pow(params.phi, N >> s, M))
-                    for s, tw in enumerate(params.stage_twiddles_fwd, 1))
-        inv = tuple(scaled(tw, pow(params.phi_inv, 1 << (s - 1), M)
-                           * (params.n_inv if s == m else 1))
-                    for s, tw in enumerate(params.stage_twiddles_inv, 1))
-        # the entry holds the weak reference whose callback removes it
-        key = id(params)
-        hit = _merged[key] = (
-            weakref.ref(params, lambda _: _merged.pop(key, None)), fwd, inv)
-    return hit[1:]
-
-
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
                        params: NttParams) -> Polynomial:
-    """Transform product on the merged tables of :func:`_merged_tables`:
-    two forwards, pointwise, one inverse, with the phi weights and N**-1
-    inside the butterflies (Roy et al., CHES 2014), so there is no
+    """Transform product on the set's merged tables
+    (:attr:`~nttmul.params.NttParams.merged_tables`): two forwards,
+    pointwise, one inverse, with the phi weights and N**-1 inside the
+    butterflies (Roy et al., CHES 2014), so there is no
     weighting or unweighting pass.  The spectra stay in bit-reversed
     order, as the pointwise step does not depend on order, and the last
     inverse stage leaves every coefficient in [0, M).  Exactly equals
@@ -275,7 +239,7 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     M = params.M
-    fwd, inv = _merged_tables(params)
+    fwd, inv = params.merged_tables
     a_hat = _forward(list(a.coeffs), fwd, M)
     b_hat = _forward(list(b.coeffs), fwd, M)
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]

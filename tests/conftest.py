@@ -32,4 +32,4 @@ def cold_schedule_proofs():
     # run_stream proves the schedule once per (N, latency, count) in a
     # process: every test starts with no key proved, so one that patches
     # the stages meets a proof that runs, whatever earlier tests ran
-    pipesim._proved.clear()
+    pipesim._schedule_proof.cache_clear()

@@ -338,7 +338,10 @@ class TestSimCommand:
                   "--seed", "6", "--out", str(vec)])
 
         def boom(*args, **kwargs):
-            raise PipelineAssertionError("forced failure")
+            # a break of the schedule proof, which says where it stopped
+            error = PipelineAssertionError("forced failure")
+            error.stop = 1, 0
+            raise error
 
         monkeypatch.setattr(cli, "run_stream", boom)
         rc = cli.main(["sim", "--params", str(toy_tables),
@@ -349,6 +352,30 @@ class TestSimCommand:
         assert rc == 3
         assert "forced failure" in err
         assert "t.csv" in err
+
+    def test_proof_before_any_row_names_no_trace(self, toy_tables, tmp_path,
+                                                 monkeypatch, capsys):
+        # the network proof breaks when the config is built, before the
+        # schedule proof and before any row: exit 3, and neither a trace
+        # line nor a trace file
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "6", "--out", str(vec)])
+        capsys.readouterr()
+
+        def broken(n):
+            raise PipelineAssertionError("network broken")
+
+        monkeypatch.setattr(pipesim, "_network_proof", broken)
+        trace = tmp_path / "t.csv"
+        rc = cli.main(["sim", "--params", str(toy_tables),
+                       "--vectors", str(vec),
+                       "--report", str(tmp_path / "r.json"),
+                       "--trace", str(trace)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "internal assertion: network broken\n")
+        assert not trace.exists()
 
     def test_assertion_without_trace_names_no_trace(self, toy_tables,
                                                     tmp_path, monkeypatch,
@@ -388,7 +415,7 @@ class TestSimCommand:
         capsys.readouterr()
         # the clean run proved the key: forget it, so that the faulty run
         # proves
-        pipesim._proved.clear()
+        pipesim._schedule_proof.cache_clear()
 
         real_tick = pipesim.StageFifo.tick
         stages = built_stages(monkeypatch)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nttmul import pipesim
+from nttmul import pipesim, polymul
 from nttmul.modarith import (barrett_reduce_fixed, barrett_reduce_generic,
                             karatsuba_mul)
-from nttmul.params import build_params
+from nttmul.params import NttParams, build_params
 from nttmul.pipesim import (
     PipelineAssertionError,
     PipelineConfig,
@@ -25,7 +25,6 @@ from nttmul.pipesim import (
     _PipeStage,
     _run_cycles,
     _schedule_law,
-    _table_proof,
     _write_trace,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
@@ -685,13 +684,30 @@ def counted_ticks(mp):
     return calls
 
 
+def run_cycles(config, count):
+    # the schedule proof of a stream of count products under config, as
+    # run_stream runs it for a key it has not kept
+    return _run_cycles(config.n, config.butterfly_latency, count)
+
+
+def proof_rows(config, count, match):
+    # the proof of a stream that raises, as ``match`` states, and the rows
+    # a traced run_stream writes after its header: the law's, up to where
+    # the error says the proof stopped
+    with pytest.raises(PipelineAssertionError, match=match) as e:
+        run_cycles(config, count)
+    text = io.StringIO()
+    _write_trace(text, config, count, e.value.stop)
+    return text.getvalue()
+
+
 def tick_count(config, count, retiring=True):
     # the _PipeStage ticks of one untraced proof, which returns nothing
     with pytest.MonkeyPatch.context() as mp:
         if not retiring:
             no_retirement(mp)
         calls = counted_ticks(mp)
-        assert _run_cycles(config, count, None) is None
+        assert run_cycles(config, count) is None
     return len(calls)
 
 
@@ -730,7 +746,7 @@ def live_arrivals(config, count):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_PipeStage, "tick", record)
         no_retirement(mp)
-        _run_cycles(config, count, None)
+        run_cycles(config, count)
     return arrivals
 
 
@@ -946,7 +962,7 @@ class TestControlPlane:
         for n in (1024, 4096):
             config = PipelineConfig(n=n, params=build_params(RLWE_M, n),
                                     mode=mode)
-            assert _run_cycles(config, 4, None) is None
+            assert run_cycles(config, 4) is None
             rep = pipesim._build_report(config, 4)
             if mode == "schedule":
                 assert rep.first_ntt_latency == rep.predicted_first_ntt
@@ -1070,7 +1086,7 @@ class TestControlPlane:
                 mp.setattr(StageFifo, "tick", fifo_tick)
                 with pytest.raises(PipelineAssertionError,
                                    match=rf"^{label}: fire {fire} pairs "):
-                    _run_cycles(config, 3, None)
+                    run_cycles(config, 3)
 
     def test_stage_stopping_after_its_consumer_left_wedges(self,
                                                            fixed_params):
@@ -1100,7 +1116,7 @@ class TestControlPlane:
                                    match=rf"^fwd_a2: 110 of {count * 128} "
                                          r"fires by cycle 195, short of its "
                                          r"law$"):
-                    _run_cycles(config, count, None)
+                    run_cycles(config, count)
             assert "fwd_a3" not in ticked
             assert stopped[-1] == 67 + 128
             assert len(ticked) == 197
@@ -1133,7 +1149,7 @@ class TestControlPlane:
                         stall(mp, label, at)
                         no_retirement(mp)
                         try:
-                            assert _run_cycles(config, 3, None) is None
+                            assert run_cycles(config, 3) is None
                             error = "clean"
                         except PipelineAssertionError as e:
                             error = re.sub(r"\b\d+", "#", str(e))
@@ -1167,7 +1183,7 @@ class TestControlPlane:
                 mp.setattr(_PipeStage, "tick", tick)
                 no_retirement(mp)
                 with pytest.raises(PipelineAssertionError) as e:
-                    _run_cycles(config, 3, None)
+                    run_cycles(config, 3)
             error = re.sub(r"\b\d+", "#", str(e.value))
             assert error.startswith(f"{label}: "), (label, at, error)
             outcomes.add(error.removeprefix(f"{label}: "))
@@ -1183,7 +1199,7 @@ class TestControlPlane:
         real_tick = _PipeStage.tick
         seen = []
         for count in (8, 200):
-            assert _run_cycles(config, count, None) is None
+            assert run_cycles(config, count) is None
             last = pipesim._build_report(config, count).completion_cycles[-1]
 
             def tick(stage, cycle, arrival):
@@ -1196,7 +1212,7 @@ class TestControlPlane:
                 with pytest.raises(PipelineAssertionError,
                                    match="^unweight: .* short of its law$"
                                    ) as e:
-                    _run_cycles(config, count, None)
+                    run_cycles(config, count)
             fires, total, cycle = map(int, re.findall(r"\d+", str(e.value)))
             seen.append((total - fires, cycle - last))
         assert seen == [(1, 1), (1, 1)]
@@ -1204,16 +1220,17 @@ class TestControlPlane:
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
     def test_jump_is_exact(self, fixed_params, n, latency, structural, count):
-        # the traced run, whose proof jumps past each stage's repeat and
-        # whose trace is written in column runs, returns, and writes the
-        # trace text of the reference that ticks both chains on every cycle,
-        # writes a row per tick and measures the report by law
+        # the proof, which jumps past each stage's repeat, returns, and the
+        # trace written in column runs once it has is the trace text of the
+        # reference that ticks both chains on every cycle, writes a row per
+        # tick and measures the report by law
         p = fixed_params[n]
         config = (PipelineConfig(n=n, params=p, mode="structural",
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
+        assert run_cycles(config, count) is None
         text = io.StringIO()
-        assert _run_cycles(config, count, text) is None
+        _write_trace(text, config, count)
         assert_same_lines(text.getvalue(), every_cycle(config, count))
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
@@ -1229,10 +1246,10 @@ class TestControlPlane:
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
         every_cycle(config, count)
-        assert _run_cycles(config, count, None) is None
+        assert run_cycles(config, count) is None
         with pytest.MonkeyPatch.context() as mp:
             no_retirement(mp)
-            assert _run_cycles(config, count, None) is None
+            assert run_cycles(config, count) is None
 
     def test_window_skips_idle_ticks(self):
         # the benchmark's structural N = 1024 stream of 4: the every-cycle
@@ -1246,7 +1263,7 @@ class TestControlPlane:
             every_cycle(config, 4)
             oracle = len(calls)
             calls.clear()
-            _run_cycles(config, 4, None)
+            run_cycles(config, 4)
         last = pipesim._build_report(config, 4).completion_cycles[-1]
         assert oracle == 23 * last == 88_550
         assert len(calls) == 3094
@@ -1332,7 +1349,7 @@ class TestControlPlane:
             for count in (1, 6):
                 with pytest.MonkeyPatch.context() as mp:
                     fired = first_fires(mp)
-                    assert _run_cycles(config, count, None) is None
+                    assert run_cycles(config, count) is None
                 # the multipliers' first fires, as the run ticks them:
                 # weighting on cycle 1, pointwise and unweighting a
                 # butterfly latency after the stage before
@@ -1350,7 +1367,7 @@ class TestControlPlane:
                     2 * n + 2 * m - 1 + 2 * m * (latency - 1) + 3 * (S - 1))
         if latencies[0] == 1:
             config = PipelineConfig(n=n, params=p)
-            assert _run_cycles(config, 6, None) is None
+            assert run_cycles(config, 6) is None
             rep = pipesim._build_report(config, 6)
             assert rep.completion_cycles[0] == _schedule_law(n, 1)[1]
 
@@ -1361,12 +1378,10 @@ class TestControlPlane:
         # skips its first slot (early) or its first arrival is stalled a
         # cycle (late).  Early, fire 0 on cycle F - 1 pairs the slot the
         # fill skipped, and the routing law raises; late, the stage has not
-        # fired by cycle F and is short of its law there.  The run, traced
-        # or not, raises at that column and cycle, and the traced run has
-        # written the law's rows up to its tick there
+        # fired by cycle F and is short of its law there.  The proof raises
+        # at that column and cycle, up to whose tick a traced run writes
+        # the law's rows
         config = PipelineConfig(n=16, params=fixed_params[16])
-        clean = io.StringIO()
-        _run_cycles(config, 12, clean)
         i = dataflow(16).index(label)
         first, hold = _schedule_law(16, 1)[0][i], pipesim._columns(16)[i][1]
         real_init = _PipeStage.__init__
@@ -1379,18 +1394,14 @@ class TestControlPlane:
         error = (rf"{label}: fire 0 pairs \({2 * hold - 2}, None\), not "
                  rf"\({2 * hold}, 0\)" if off < 0 else
                  f"{label}: 0 of 96 fires by cycle {first}, short of its law")
-        text = io.StringIO()
-        for trace in (None, text):
-            with pytest.MonkeyPatch.context() as mp:
-                if off < 0:
-                    mp.setattr(_PipeStage, "__init__", init)
-                else:
-                    stall(mp, label, first - hold)
-                with pytest.raises(PipelineAssertionError,
-                                   match=rf"^{error}$"):
-                    _run_cycles(config, 12, trace)
-        assert text.getvalue() == rows_before(clean.getvalue(), 16,
-                                              first + min(off, 0), label)
+        with pytest.MonkeyPatch.context() as mp:
+            if off < 0:
+                mp.setattr(_PipeStage, "__init__", init)
+            else:
+                stall(mp, label, first - hold)
+            rows = proof_rows(config, 12, rf"^{error}$")
+        assert rows == rows_before(clean_trace(16, None, 12), 16,
+                                   first + min(off, 0), label)
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24),
@@ -1523,7 +1534,7 @@ class TestDeterminism:
         run_stream(pairs, cfg, trace_path=full)
         lines = full.read_text().splitlines()
         # the key is proved now: forget it, so that the faulty run proves
-        pipesim._proved.clear()
+        pipesim._schedule_proof.cache_clear()
         # the failing tick's row: its counter has advanced past `counter`
         fail = next(i for i, line in enumerate(lines)
                     if line.split(",")[1:4:2] == [label, str(counter + 1)])
@@ -1556,8 +1567,6 @@ class TestDeterminism:
         # Retirement is off, so that weighting is ticked to its fire 5
         no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
-        clean = io.StringIO()
-        _run_cycles(config, 3, clean)
         real_tick = _PipeStage.tick
 
         def tick(stage, cycle, arrival):
@@ -1566,12 +1575,8 @@ class TestDeterminism:
             real_tick(stage, cycle, arrival)
 
         monkeypatch.setattr(_PipeStage, "tick", tick)
-        text = io.StringIO()
-        with pytest.raises(PipelineAssertionError,
-                           match=r"^weight: fire 5 pairs \(10, 11\)"):
-            _run_cycles(config, 3, text)
-        rows = text.getvalue()
-        assert rows == rows_before(clean.getvalue(), 16, 6, "weight")
+        rows = proof_rows(config, 3, r"^weight: fire 5 pairs \(10, 11\)")
+        assert rows == rows_before(clean_trace(16, None, 3), 16, 6, "weight")
         assert rows.endswith("6,fwd_a1,,,4,12\r\n")
 
     @pytest.mark.parametrize("label", dataflow(16))
@@ -1586,8 +1591,6 @@ class TestDeterminism:
         # that the column is ticked to that fire
         no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
-        clean = io.StringIO()
-        _run_cycles(config, 12, clean)
         first = _schedule_law(16, 1)[0][dataflow(16).index(label)]
         fire = 40 - first
         assert fire >= 1
@@ -1599,10 +1602,8 @@ class TestDeterminism:
             real_tick(stage, cycle, arrival)
 
         monkeypatch.setattr(_PipeStage, "tick", tick)
-        text = io.StringIO()
-        with pytest.raises(PipelineAssertionError, match="^injected$"):
-            _run_cycles(config, 12, text)
-        assert text.getvalue() == rows_before(clean.getvalue(), 16, 40, label)
+        assert (proof_rows(config, 12, "^injected$")
+                == rows_before(clean_trace(16, None, 12), 16, 40, label))
 
     @given(data=st.data(), n=st.sampled_from([16, 64, 256]),
            latency=st.sampled_from([None, 2, 12]), count=st.integers(1, 5))
@@ -1773,32 +1774,62 @@ class TestNetworkProof:
             run_stream(rand_pairs(random.Random(65), p, 2),
                        PipelineConfig(n=16, params=p))
 
-    def test_runs_once_per_n(self, fixed_params):
-        # and the table certificate once per table set
+    def test_runs_once_per_n(self, fixed_params, monkeypatch):
+        # and the table certificate once per config, when it is built, and
+        # never in run_stream
         _network_proof.cache_clear()
-        _table_proof.cache_clear()
+        real, checked = pipesim._table_proof, []
+        monkeypatch.setattr(pipesim, "_table_proof", lambda params: (
+            checked.append(params), real(params)))
         p = fixed_params[16]
         pairs = rand_pairs(random.Random(66), p, 2)
         config = PipelineConfig(n=16, params=p)
         first = run_stream(pairs, config)
         assert run_stream(pairs, config) == first
+        assert PipelineConfig(n=16, params=p) == config
         assert _network_proof.cache_info().misses == 1
-        info = _table_proof.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert len(checked) == 2 and all(q is p for q in checked)
 
     def test_run_stream_rests_on_the_table_certificate(self, fixed_params,
-                                                      tmp_path):
-        # a tampered table raises before any product or trace row
+                                                      tmp_path, monkeypatch):
+        # a tampered table raises when its config is built: before any
+        # oracle call, and before any trace file exists
         p = fixed_params[16]
         tw = p.stage_twiddles_inv[1]
         bad = dataclasses.replace(p, stage_twiddles_inv=(
             p.stage_twiddles_inv[0], tw[::-1], *p.stage_twiddles_inv[2:]))
+        calls = []
+        monkeypatch.setattr(polymul, "naive_negacyclic_mul",
+                            lambda *args: calls.append(args))
+        with pytest.raises(PipelineAssertionError,
+                           match="^tables: stage_twiddles_inv "):
+            PipelineConfig(n=16, params=bad)
         trace = tmp_path / "trace.csv"
         with pytest.raises(PipelineAssertionError,
                            match="^tables: stage_twiddles_inv "):
             run_stream(rand_pairs(random.Random(67), p, 2),
                        PipelineConfig(n=16, params=bad), trace_path=trace)
+        assert not calls
         assert not trace.exists()
+
+    def test_no_table_set_is_hashed_per_call(self, fixed_params, monkeypatch):
+        # a built config's run and the transform hash no table set: with
+        # NttParams' hash refused they give the products and report they
+        # gave before
+        p = fixed_params[256]
+        pairs = rand_pairs(random.Random(72), p, 4)
+        config = PipelineConfig(n=256, params=p)
+        want = run_stream(pairs, config)
+        products = [negacyclic_mul_ntt(a, b, p) for a, b in pairs]
+
+        def refuse(params):
+            raise AssertionError("a table set was hashed")
+
+        monkeypatch.setattr(NttParams, "__hash__", refuse)
+        with pytest.raises(AssertionError, match="hashed"):
+            hash(p)
+        assert run_stream(pairs, config) == want
+        assert [negacyclic_mul_ntt(a, b, p) for a, b in pairs] == products
 
     @pytest.mark.parametrize("n", [2048, 4096])
     def test_products_equal_the_transform_above_1024(self, n):
@@ -1844,12 +1875,14 @@ class TestScheduleProofMemo:
         pairs = rand_pairs(random.Random(69), p17_4, 66)
         for count in range(1, 66):
             run_stream(pairs[:count], config)
-        assert list(pipesim._proved) == [(4, 1, c) for c in range(2, 66)]
         calls.clear()
-        run_stream(pairs[:65], config)
+        for count in range(2, 66):
+            run_stream(pairs[:count], config)
         assert not calls
         run_stream(pairs[:1], config)
         assert calls
+        info = pipesim._schedule_proof.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (64, 66, 64)
 
     def test_failing_key_raises_every_time(self, fixed_params, tmp_path,
                                            monkeypatch):
@@ -1881,10 +1914,18 @@ class TestScheduleProofMemo:
         head = "cycle,stage,sel,counter,pair_lo,pair_hi\r\n"
         assert traces == 2 * [head + rows_before(clean.getvalue(), 16,
                                                  first + 1, "inv2")]
-        assert not pipesim._proved
+        assert not pipesim._schedule_proof.cache_info().currsize
         calls = counted_ticks(monkeypatch)
         run_stream(pairs, config)
         assert len(calls) == retired_ticks(config, 3)
+
+    def test_empty_stream_traces_its_header_alone(self, p17_4, tmp_path):
+        # a stream of no products writes no row, proved cold or kept
+        config = PipelineConfig(n=4, params=p17_4)
+        for name in ("cold.csv", "hit.csv"):
+            assert run_stream([], config, trace_path=tmp_path / name)[0] == []
+            assert ((tmp_path / name).read_bytes()
+                    == b"cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
 
     @pytest.mark.parametrize("m, n, mode, count", [
         (FIXED_M, 256, "schedule", 8), (12289, 1024, "structural", 4)],
@@ -1905,6 +1946,6 @@ class TestScheduleProofMemo:
         cold = run("cold.csv")
         assert run("hit.csv") == cold
         assert run() == (*cold[:2], None)
-        pipesim._proved.clear()
+        pipesim._schedule_proof.cache_clear()
         assert run() == (*cold[:2], None)
         assert run("after_untraced.csv") == cold

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import gc
 import random
 import re
 
@@ -17,8 +16,6 @@ from nttmul.polymul import (
     Polynomial,
     _forward,
     _inverse,
-    _merged,
-    _merged_tables,
     _slots,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
@@ -393,7 +390,7 @@ class TestFiveStepMul:
         # sums by N**-1, leaves every entry in [0, M); random and
         # all-(M-1) operands
         p = build_params(M, N)
-        fwd, inv = _merged_tables(p)
+        fwd, inv = p.merged_tables
         rng = random.Random(61)
         top = Polynomial((M - 1,) * N, M)
         for a, b in ((rand_poly(rng, p), rand_poly(rng, p)), (top, top)):
@@ -472,8 +469,9 @@ def tampered(params, key, at, value):
 
 
 class TestMergedTables:
-    """negacyclic_mul_ntt's stage tables, derived once per table set with
-    the phi weights and N**-1 folded in."""
+    """negacyclic_mul_ntt's stage tables, ``NttParams.merged_tables``: the
+    phi weights and N**-1 folded in, derived on first use and kept on the
+    table set."""
 
     @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
     def test_tables_equal_the_closed_form(self, M, N):
@@ -482,7 +480,7 @@ class TestMergedTables:
         # times N**-1 at s = m; t is j mod the stage's count of twiddles
         p = build_params(M, N)
         m, phi, phi_inv = p.num_stages, p.phi, p.phi_inv
-        fwd, inv = _merged_tables(p)
+        fwd, inv = p.merged_tables
         assert len(fwd) == len(inv) == m
         for s in range(1, m + 1):
             t = [j % (1 << (s - 1)) for j in range(N // 2)]
@@ -512,18 +510,6 @@ class TestMergedTables:
         assert negacyclic_mul_ntt(a, b, bad) != want
         assert negacyclic_mul_ntt(a, b, p) == want
 
-    def test_entry_leaves_with_its_set(self):
-        # the tables are kept while their set lives, so no later set given
-        # its id finds them
-        p = build_params(17, 8)
-        key = id(p)
-        negacyclic_mul_ntt(Polynomial((1,) * 8, 17), Polynomial((2,) * 8, 17),
-                           p)
-        assert key in _merged
-        del p
-        gc.collect()
-        assert key not in _merged
-
     @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
     def test_all_max_operands_equal_the_oracle(self, M, N):
         # all-(M-1) operands: every full-product coefficient at its largest
@@ -540,13 +526,13 @@ class TestNetworkCertificate:
 
     @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
     def test_accepts_derived_tables(self, M, N):
-        _table_proof.__wrapped__(build_params(M, N))
+        _table_proof(build_params(M, N))
 
     @given(ring=_prime_rings(), data=st.data())
     def test_rejects_any_single_tampered_entry(self, ring, data):
         M, N = ring
         p = build_params(*ring)
-        _table_proof.__wrapped__(p)
+        _table_proof(p)
         key = data.draw(st.sampled_from(
             ["weights_fwd", "weights_inv_scaled", "stage_twiddles_fwd",
              "stage_twiddles_inv", "phi", "omega", "phi_inv", "omega_inv",
@@ -562,7 +548,7 @@ class TestNetworkCertificate:
             old = getattr(p, key)[at]
         value = data.draw(st.integers(0, M - 1).filter(lambda v: v != old))
         with pytest.raises(PipelineAssertionError, match=key):
-            _table_proof.__wrapped__(tampered(p, key, at, value))
+            _table_proof(tampered(p, key, at, value))
 
     @pytest.mark.parametrize("mutant", ["twiddle-swap", "index-rotation",
                                         "direction-swap"])
@@ -585,7 +571,7 @@ class TestNetworkCertificate:
                 assert new != tw
                 mutated = tables[:s] + (new,) + tables[s + 1:]
                 with pytest.raises(PipelineAssertionError, match=key):
-                    _table_proof.__wrapped__(
+                    _table_proof(
                         dataclasses.replace(p, **{key: mutated}))
                 rejected += 1
         assert rejected == 14
@@ -609,4 +595,4 @@ class TestNetworkCertificate:
                 != naive_negacyclic_mul(a, b, p).coeffs)
         with pytest.raises(PipelineAssertionError,
                            match=rf"^tables: {re.escape(law)} fails$"):
-            _table_proof.__wrapped__(p)
+            _table_proof(p)
