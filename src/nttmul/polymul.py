@@ -6,10 +6,13 @@ exact big-int multiplications of half size, whose even and odd halves
 each wrap x**N = -1 in the big-int, which serves as the oracle (its
 wrapped slots s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so
 none carries or borrows, for coefficients below M < 2**64), a
-constant-geometry transform pair on the per-stage twiddle tables, and the
-merged-twiddle multiplier, which runs that pair on stage tables carrying
-the phi weights and N**-1 (two forwards, pointwise, inverse), derived on
-first use and kept on their table set (``NttParams.merged_tables``).  The
+constant-geometry transform pair on the per-stage twiddle tables, whose
+stages run two to a pass (four entries read and four written per loop
+iteration, after a lone stage in the forward and before one in the
+inverse when log2 N is odd), and the merged-twiddle multiplier, which
+runs that pair on stage tables carrying the phi weights and N**-1 (two
+forwards, pointwise, inverse), derived on first use and kept on their
+table set (``NttParams.merged_tables``).  The
 streaming pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's
 products: a ``PipelineConfig`` exists only once its stages' network is
 proved a tree of CRT splits that, on the config's tables, computes
@@ -170,12 +173,33 @@ def _forward(a: list[int], tables, M: int) -> list[int]:
     # takes tw[j mod len(tw)] (a table already N/2 long is not copied).
     # Lazy reduction: only products reduce, so |x| <= (s+1)*M after stage
     # s; Python ints are exact at any size.
+    # Stages run two to a pass, after one lone stage when their count is
+    # odd.  A pass's first stage pairs j and j + N/4 for j < N/4, written
+    # to 2j, 2j + 1 and 2j + N/2, 2j + N/2 + 1, which its second stage
+    # pairs and writes to 4j ... 4j + 3; so a pass reads a[j], a[j + N/2],
+    # a[j + N/4], a[j + 3N/4] and makes every value the two stages make.
+    # The first stage s <= m - 1 has period 2**(s-1) <= N/4, so pairs j
+    # and j + N/4 share tw[j], and a pass reads three twiddle streams.
     h = len(a) >> 1
-    for tw in tables:
+    q = h >> 1
+    tables = [tw * (h // len(tw)) for tw in tables]
+    if len(tables) & 1:
         lo = a[:h]
-        v = [x * w % M for x, w in zip(a[h:], tw * (h // len(tw)))]
+        v = [x * w % M for x, w in zip(a[h:], tables.pop(0))]
         a[0::2] = map(add, lo, v)
         a[1::2] = map(sub, lo, v)
+    for t1, t2 in zip(tables[0::2], tables[1::2]):
+        out = []
+        put = out.extend
+        for x0, x1, x2, x3, w1, w2, w3 in zip(a, a[h:h + q], a[q:h],
+                                              a[h + q:], t1, t2[0::2],
+                                              t2[1::2]):
+            u, v = x1 * w1 % M, x3 * w1 % M
+            y0, y1 = x0 + u, x0 - u
+            y2, y3 = x2 + v, x2 - v
+            u, v = y2 * w2 % M, y3 * w3 % M
+            put((y0 + u, y0 - u, y1 + v, y1 - v))
+        a = out
     return a
 
 
@@ -184,17 +208,34 @@ def _inverse(a: list[int], tables, M: int,
     # The mirror image, bit-reversed in, natural out: pair a[2j] with
     # a[2j + 1], sum to j and twiddled difference to j + N/2 (rotate right);
     # pair j takes tw[j mod len(tw)], and |x| <= 2**s * M after stage s.
-    # Given n_inv, the last stage also multiplies its sums by it, so every
-    # output is reduced, in [0, M); its difference twiddles carry n_inv.
+    # Stages run two to a pass, then one lone stage when their count is
+    # odd.  A pass reads a[4i ... 4i + 3], which its first stage writes to
+    # 2i, 2i + 1 and 2i + N/2, 2i + N/2 + 1, and its second stage pairs
+    # those, writing to i, i + N/4, i + N/2 and i + 3N/4: one row per i,
+    # and the four quarters are the rows' columns.  The second stage
+    # s + 1 >= 2 has period 2**(m-s-1) <= N/4, so pairs i and i + N/4
+    # share tw[i], and a pass reads three twiddle streams.
+    # Given n_inv, the last stage's sums are then multiplied by it, so
+    # every output is reduced, in [0, M); the last stage's difference
+    # twiddles carry n_inv.
     h = len(a) >> 1
-    last = len(tables) - 1
-    for s, tw in enumerate(tables):
+    tables = [tw * (h // len(tw)) for tw in tables]
+    for t1, t2 in zip(tables[0::2], tables[1::2]):
+        rows = []
+        put = rows.append
+        for x0, x1, x2, x3, w1, w2, w3 in zip(a[0::4], a[1::4], a[2::4],
+                                              a[3::4], t1[0::2], t1[1::2], t2):
+            e0, e1 = x0 + x1, x2 + x3
+            d0, d1 = (x0 - x1) * w1 % M, (x2 - x3) * w2 % M
+            put((e0 + e1, d0 + d1, (e0 - e1) * w3 % M, (d0 - d1) * w3 % M))
+        c0, c1, c2, c3 = zip(*rows)
+        a = [*c0, *c1, *c2, *c3]
+    if len(tables) & 1:
         ev, od = a[0::2], a[1::2]
-        if s == last and n_inv is not None:
-            a[:h] = [(x + y) * n_inv % M for x, y in zip(ev, od)]
-        else:
-            a[:h] = map(add, ev, od)
-        a[h:] = [(x - y) * w % M for x, y, w in zip(ev, od, tw * (h // len(tw)))]
+        a[:h] = map(add, ev, od)
+        a[h:] = [(x - y) * w % M for x, y, w in zip(ev, od, tables[-1])]
+    if n_inv is not None:
+        a[:h] = [x * n_inv % M for x in a[:h]]
     return a
 
 
@@ -233,7 +274,15 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     butterflies (Roy et al., CHES 2014), so there is no
     weighting or unweighting pass.  The spectra stay in bit-reversed
     order, as the pointwise step does not depend on order, and the last
-    inverse stage leaves every coefficient in [0, M).  Exactly equals
+    inverse stage leaves every coefficient in [0, M).  Each transform runs
+    its stages two to a pass, and a lone stage when log2 N is odd (first
+    in the forwards, last in the inverse); per loop iteration a pass
+    reads four entries, makes four products and eight sums and writes
+    four, from three twiddle streams, as a pass's pairs j and j + N/4
+    share a twiddle in the stage of the two whose table repeats within
+    N/4 (the first forward, the second inverse).  Every value a pass
+    makes is the one its two stages make, so the lazy bounds hold as
+    stated at the stage loops.  Exactly equals
     naive_negacyclic_mul.
     """
     _check_operand(a, params, domain="coefficient", name="a")

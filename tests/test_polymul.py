@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nttmul import build_params
@@ -517,6 +517,45 @@ class TestMergedTables:
         top = Polynomial((M - 1,) * N, M)
         assert negacyclic_mul_ntt(top, top, p) == naive_negacyclic_mul(top,
                                                                        top, p)
+
+
+def _stage_operands(M, N):
+    """All M-1, alternating 0 / M-1, a single M-1 and random operands of
+    length N; a random one is drawn from a seed, as N reaches 4096."""
+    top = M - 1
+    return st.one_of(
+        st.just([top] * N),
+        st.just([top * (i & 1) for i in range(N)]),
+        st.integers(0, N - 1).map(
+            lambda j: [0] * j + [top] + [0] * (N - j - 1)),
+        st.randoms(use_true_random=False).map(
+            lambda r: [r.randrange(M) for _ in range(N)]))
+
+
+class TestStagePasses:
+    """The transforms run their stages two to a pass: a pass makes the
+    values its two stages make one at a time, unreduced sums included, so
+    the stated lazy bounds hold for the passes too."""
+
+    @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_pass_equals_its_two_stages(self, M, N, data):
+        # every pair of adjacent stages k + 1, k + 2 (odd and even m), on
+        # the drawn operand and on the values the first k stages leave
+        p = build_params(M, N)
+        fwd, inv = p.merged_tables
+        m, x = p.num_stages, data.draw(_stage_operands(M, N))
+        for t, run in ((fwd, _forward), (inv, _inverse)):
+            y = list(x)
+            for k in range(m - 1):
+                for z in (x, y):
+                    assert run(list(z), t[k:k + 2], M) == run(
+                        run(list(z), t[k:k + 1], M), t[k + 1:k + 2], M), k
+                y = run(y, t[k:k + 1], M)
+        for z in (x, _inverse(list(x), inv[:-2], M)):
+            assert _inverse(list(z), inv[-2:], M, p.n_inv) == _inverse(
+                _inverse(list(z), inv[-2:-1], M), inv[-1:], M, p.n_inv)
 
 
 class TestNetworkCertificate:
