@@ -34,7 +34,8 @@ import reprlib
 import sys
 
 from .params import build_params, emit_tables, load_tables
-from .pipesim import PipelineAssertionError, PipelineConfig, run_stream
+from .pipesim import (PipelineAssertionError, PipelineConfig, run_stream,
+                      write_trace)
 from .polymul import Polynomial, naive_negacyclic_mul, negacyclic_mul_ntt
 
 EXIT_OK = 0
@@ -107,10 +108,6 @@ def _dump_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _str_coeffs(values):
-    return [str(v) for v in values]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -137,11 +134,9 @@ def cmd_gen(args) -> int:
     n, M = p.n, p.M
     with open(args.out, "w") as fh:
         for _ in range(args.count):
-            a = [rng.randrange(M) for _ in range(n)]
-            b = [rng.randrange(M) for _ in range(n)]
-            fh.write(_dump_json_line({"a": _str_coeffs(a),
-                                      "b": _str_coeffs(b),
-                                      "seed": args.seed}))
+            a = [str(rng.randrange(M)) for _ in range(n)]
+            b = [str(rng.randrange(M)) for _ in range(n)]
+            fh.write(_dump_json_line({"a": a, "b": b, "seed": args.seed}))
     print(f"wrote {args.count} records to {args.out}")
     return EXIT_OK
 
@@ -154,7 +149,7 @@ def cmd_mul(args) -> int:
         for rec in records:
             c = mul(rec["a"], rec["b"], p)
             out = dict(rec["raw"])
-            out["c"] = _str_coeffs(c.coeffs)
+            out["c"] = list(map(str, c.coeffs))
             fh.write(_dump_json_line(out))
     print(f"multiplied {len(records)} records ({args.method}) into {args.out}")
     return EXIT_OK
@@ -162,10 +157,17 @@ def cmd_mul(args) -> int:
 
 def cmd_sim(args) -> int:
     p = _load_params(args.params)
-    records = _load_records(args.vectors, p)
-    config = PipelineConfig(n=p.n, params=p, mode=args.mode,
-                            butterfly_latency=args.butterfly_latency)
-    pairs = [(r["a"], r["b"]) for r in records]
+    pairs = [(r["a"], r["b"]) for r in _load_records(args.vectors, p)]
+    try:
+        config = PipelineConfig(n=p.n, params=p, mode=args.mode,
+                                butterfly_latency=args.butterfly_latency)
+    except PipelineAssertionError as e:
+        # a break of the schedule proof: the law's rows up to where it
+        # stopped, at the config's latency, for this many products
+        if e.stop is not None and args.trace is not None:
+            write_trace(args.trace, p.n, e.butterfly_latency, len(pairs),
+                        e.stop)
+        raise
     products, report = run_stream(pairs, config, trace_path=args.trace)
     # the text json.dump(doc, fh, indent=2, sort_keys=True) writes for doc
     # = {"products": [...], "report": ...}, written a product at a time so
@@ -198,9 +200,8 @@ def cmd_check(args) -> int:
     p = _load_params(args.params)
     records = _load_records(args.vectors, p)
     pairs = [(r["a"], r["b"]) for r in records]
-    config = PipelineConfig(n=p.n, params=p, mode="schedule")
     # the simulator's products are the schoolbook oracle's, by its proofs
-    products, _ = run_stream(pairs, config)
+    products, _ = run_stream(pairs, PipelineConfig(n=p.n, params=p))
     for i, ((a, b), rec, want) in enumerate(zip(pairs, records, products)):
         if negacyclic_mul_ntt(a, b, p).coeffs != want.coeffs:
             print(f"record {i}: transform result disagrees with the "

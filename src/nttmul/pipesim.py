@@ -47,13 +47,16 @@ law, as its docstring proves.  A stage first fires on its law's cycle or
 raises: no fire before it is routed right, and a stage that has not fired
 by then is short of its law.  So a run that returns is on the law, its
 completions included, and its report (:func:`_build_report`) and its trace
-(:func:`_write_trace`, one run of rows per column, written in chunks of at
+(:func:`write_trace`, one run of rows per column, written in chunks of at
 most N/2 cycles) are built from :func:`_schedule_law` and the column table
-of :func:`_columns` alone.  A traced run that raises leaves the file
-with the same laws' rows up to the failing cycle and column.  The proof
-reads only N, the butterfly latency and the number of products, not the
-operands or the tables, so it runs once per (N, latency, count) in a
-process, the last 64 such keys kept (:data:`_schedule_proof`).
+of :func:`_columns` alone.  The proof reads only N, not the operands,
+the tables, the butterfly latency or the number of products: the latency
+only translates each stage's walk, and every stream of two or more
+products walks as one of two up to each stage's repeat.  So
+:func:`_schedule_proof` walks streams of one and two products once per
+N, when a :class:`PipelineConfig` is built, and a config whose proof
+raises is never built; a traced ``nttmul sim`` then leaves the file with
+the laws' rows up to the failing cycle and column.
 The products are :func:`nttmul.polymul.naive_negacyclic_mul`'s, one call
 per pair, and a chain of proofs makes them the pipeline's at every size:
 the stages fire as the routing law states; :func:`_network_proof` walks,
@@ -61,14 +64,15 @@ on indices alone and once per N, the network the law builds from the
 stages' holds and fires per twiddle, and shows that it is a tree of CRT
 splits; :func:`_table_proof` shows that the tables hold the powers the
 splits need, so the network computes a*b mod x**N + 1 for every input;
-both run when a :class:`PipelineConfig` is built, so a config exists only
-for a proved network and table set; and the schoolbook product, by
+both run when a :class:`PipelineConfig` is built, beside the schedule
+proof, so a config exists only for a proved schedule, network and table
+set; and the schoolbook product, by
 two-point Kronecker substitution, is exact by its slot bound: with B the
 smallest multiple of M at or above N*(M-1)**2, each wrapped slot
 s_k - s_{k+N} + B of either half, even or odd k, lies in [0, 2B], so no
 slot carries or borrows, for every coefficient below M < 2**64.  The
-index proofs hold per N and the table check per config; primality of
-M, which neither uses, is decided exactly below 2**64 by
+schedule and index proofs hold per N and the table check per config;
+primality of M, which none uses, is decided exactly below 2**64 by
 :func:`nttmul.params.ring_problem`.  The same inputs and configuration
 give the same trace.
 """
@@ -76,7 +80,7 @@ give the same trace.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 from . import polymul
 # read by perfbench/tracing.count_modmuls, which wraps it by name
@@ -98,11 +102,15 @@ class PipelineAssertionError(RuntimeError):
     Any of these means the stage schedule is broken; they cannot happen for
     a correctly configured run and are never silently absorbed.  ``stop``
     is None but on a break of the schedule proof (:func:`_run_cycles`),
-    where it is (cycle, k): the failing cycle and the failing column's
-    place in tick order, up to which a traced run writes its rows.
+    where it is (k, offset): the failing column's place k in tick order
+    and the failing cycle's offset from that column's first arrival by
+    law, so :func:`write_trace` places it at any latency and count.  A
+    :class:`PipelineConfig` whose schedule proof breaks sets
+    ``butterfly_latency`` on the error to its own, resolved one, the
+    latency whose rows a traced run writes up to ``stop``.
     """
 
-    stop = None
+    stop = butterfly_latency = None
 
 
 @dataclass(frozen=True)
@@ -116,19 +124,20 @@ class PipelineConfig:
     the multipliers' (weight, pointwise, unweight) included.  It is at
     most ``MAX_BUTTERFLY_LATENCY``, 85 times the modelled unit, since the
     fill, and with it the rows a traced run writes, grows with it.  The
-    per-stage proof does not: each stage is ticked from its first
-    arrival for at most hold + 1 + its period cycles, or to its last fire
-    in a stream too short to repeat, and a stage short of its law raises at
-    its first snapshot behind the timing law, or past its last snapshot on
-    the cycle after its last fire was due (:func:`_run_cycles`).  The proof
-    reads ``n`` and ``butterfly_latency`` alone, and runs once per (N,
-    latency, count) in a process (:data:`_schedule_proof`).
+    schedule proof does not: it walks at latency 1, each stage ticked from
+    its first arrival for at most hold + 1 + its period cycles, or to its
+    last fire in a stream too short to repeat, and a stage short of its
+    law raises at its first snapshot behind the timing law, or past its
+    last snapshot on the cycle after its last fire was due
+    (:func:`_run_cycles`).
 
-    Building a config runs :func:`_network_proof` for ``n`` and
+    Building a config runs :func:`_network_proof` and
+    :func:`_schedule_proof` for ``n``, each once per N in a process, and
     :func:`_table_proof` for ``params``, as a ``ModulusContext`` certifies
-    its Barrett constants: a config exists only for a network that is a
-    tree of CRT splits and for tables that hold the powers it needs, or
-    building it raises :class:`PipelineAssertionError`.
+    its Barrett constants: a config exists only for a schedule that holds
+    at every latency and stream length, a network that is a tree of CRT
+    splits and tables that hold the powers it needs, or building it raises
+    :class:`PipelineAssertionError`.
     """
 
     n: int
@@ -153,6 +162,11 @@ class PipelineConfig:
         if self.mode == "schedule" and self.butterfly_latency != 1:
             raise ValueError("schedule mode forces butterfly_latency = 1")
         _network_proof(self.n)
+        try:
+            _schedule_proof(self.n)
+        except PipelineAssertionError as e:
+            e.butterfly_latency = self.butterfly_latency
+            raise
         _table_proof(self.params)
 
 
@@ -264,10 +278,7 @@ class _PipeStage:
 
     def tick(self, cycle: int, arrival):
         fifo = self.fifo
-        if fifo is None:
-            pair = None if arrival is None else (arrival[1], arrival[0])
-        else:
-            pair = fifo.tick(arrival)
+        pair = fifo.tick(arrival) if fifo else arrival and arrival[::-1]
         if pair is not None:
             t = self.t
             self.t = t + 1
@@ -326,7 +337,6 @@ class CycleReport:
 def predicted_first_ntt_latency(n: int) -> int:
     """Cycles from first stage-1 butterfly to the last output of one transform:
     N + log2(N) - 2, :func:`_first_latencies` at butterfly latency 1."""
-    _check_n(n)
     return _first_latencies(n, 1)[0]
 
 
@@ -334,7 +344,6 @@ def predicted_first_mul_latency(n: int) -> int:
     """Cycles from first weighting to the last coefficient of the first
     product: 2N + 2*log2(N) - 1, :func:`_first_latencies` at butterfly
     latency 1."""
-    _check_n(n)
     return _first_latencies(n, 1)[1]
 
 
@@ -355,7 +364,9 @@ def _first_latencies(n, butterfly_latency):
     """(first transform, first product) latency by :func:`_schedule_law`,
     both counted inclusively: from the last forward stage's fire N/2 - 1,
     at its first fire + N/2 - 1, back to forward stage 1's first fire, and
-    from the first completion back to weighting's first fire, on cycle 1."""
+    from the first completion back to weighting's first fire, on cycle 1.
+    Refuses an N that is not a power of two >= 4."""
+    _check_n(n)
     firsts, done = _schedule_law(n, butterfly_latency)
     # column s is forward stage s, for s = 1 ... log2 N
     return firsts[n.bit_length() - 1] + n // 2 - firsts[1], done
@@ -496,14 +507,12 @@ def _table_proof(params: NttParams):
         if not holds:
             raise PipelineAssertionError(f"tables: {law} fails")
     root = _powers(omega, 1, n, M)
-    fwd, inv = _network_proof(n)
     for key, want in (
             ("weights_fwd", _powers(phi, 1, n, M)),
             ("weights_inv_scaled", _powers(params.phi_inv, params.n_inv, n, M)),
-            ("stage_twiddles_fwd", tuple(tuple(root[e] for e in st)
-                                         for st in fwd)),
-            ("stage_twiddles_inv", tuple(tuple(root[e] for e in st)
-                                         for st in inv))):
+            *((f"stage_twiddles_{d}", tuple(tuple(root[e] for e in stage)
+                                            for stage in needs))
+              for d, needs in zip(("fwd", "inv"), _network_proof(n)))):
         if getattr(params, key) != want:
             raise PipelineAssertionError(
                 f"tables: {key} is not what the network needs")
@@ -514,23 +523,15 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     ``pairs`` is a sequence of (a, b) coefficient-domain polynomials.  Feeds
     two coefficients of each operand per cycle with no gaps and returns
-    ``(products, CycleReport)``.  The schedule is proved one stage at a
-    time, each stage ticked alone on its feeder's output by law until its
-    control state repeats, a period of its own after its first fire, or,
-    in a stream too short for that, until its last fire; its remaining
-    fires, and the completions, follow from the timing law
-    (:func:`_run_cycles`).  It reads N, the butterfly latency and the
-    stream's length alone, so it runs once per such key in a process and a
-    later call with the key ticks no stage (:data:`_schedule_proof`); a
-    proof that raises is never kept.  The proof returns nothing: once it
-    has, the report is the law's for the config and the stream's length
-    (:func:`_build_report`).  Products are
-    :func:`~nttmul.polymul.naive_negacyclic_mul`'s, in input order, one
-    call each through the module.  They are the pipeline's because the
-    config was built: :class:`PipelineConfig` has proved that the stages'
+    ``(products, CycleReport)``.  It proves nothing: the config was built,
+    so :func:`_schedule_proof` has shown, once for its N, that every stage
+    fires on the routing and timing laws at every latency and for every
+    stream length, and :class:`PipelineConfig` has proved that the stages'
     network is a tree of CRT splits and that on its tables it computes
-    a*b mod x**N + 1 for every input.  A break raises
-    :class:`PipelineAssertionError`; there is no fallback.
+    a*b mod x**N + 1 for every input.  So the report is the law's for the
+    config and the stream's length (:func:`_build_report`), and the
+    products, :func:`~nttmul.polymul.naive_negacyclic_mul`'s in input
+    order, one call each through the module, are the pipeline's.
 
     One row of forward stages routes both operands under their shared
     control; the report still counts registers for both hardware
@@ -538,42 +539,29 @@ def run_stream(pairs, config: PipelineConfig, *, trace_path=None):
 
     When ``trace_path`` is given, a per-cycle CSV of butterfly-stage
     activity (cycle, stage, sel, counter, emitted pair indices) is written
-    there once the proof has run, by :func:`_write_trace` from the closed
-    forms of :func:`_schedule_law` and the column table of
-    :func:`_columns`, in chunks of at most N/2 cycles, each written in one
-    join of runs of field text, so memory holds one chunk's text and a
-    table of decimal strings spanning at most the fill and N/2 cycles; a
-    key already proved writes the same rows.  A traced and an untraced run
-    give one report.  When the proof raises, the file holds those laws'
-    rows up to the failing cycle and column, the error's ``stop``, and is
-    closed before the error propagates.
+    there by :func:`write_trace`, from the closed forms of
+    :func:`_schedule_law` and the column table of :func:`_columns`, in
+    chunks of at most N/2 cycles, each written in one join of runs of field
+    text, so memory holds one chunk's text and a table of decimal strings
+    spanning at most the fill and N/2 cycles.  A traced and an untraced run
+    give one report.
     """
     # through the module, so a wrapper of the oracle sees every call
     products = [polymul.naive_negacyclic_mul(a, b, config.params)
                 for a, b in pairs]
-    count, failure = len(products), None
-    try:
-        _schedule_proof(config.n, config.butterfly_latency, count)
-    except PipelineAssertionError as e:
-        failure = e
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
-            _write_trace(fh, config, count, failure and failure.stop)
-    if failure is not None:
-        raise failure
-    return products, _build_report(config, count)
+        write_trace(trace_path, config.n, config.butterfly_latency,
+                    len(products))
+    return products, _build_report(config, len(products))
 
 
-def _moved(st, fires):
-    """The state a stage's proof reads moved up by ``fires`` fires, as a
-    value: t, and the FIFO counter and banks or None.  A FIFO holds
-    nothing else, nor does a unit: its output follows from t and the
+def _moved(st):
+    """The state a stage's proof reads moved down by its fire count t, as
+    a value: the FIFO counter and banks, or None without a FIFO.  A FIFO
+    holds nothing else, nor does a unit: its output follows from t and the
     cycle."""
-    f, lab = st.fifo, 2 * fires
-    return st.t + fires, f and (f.counter + fires,
-                                [x + lab for x in f.block_i],
-                                [x + lab for x in f.block_ii])
+    f, lab = st.fifo, 2 * st.t
+    return f and (f.counter - st.t, [x - lab for x in f.block_i + f.block_ii])
 
 
 def _schedule_law(n, butterfly_latency):
@@ -595,12 +583,11 @@ def _schedule_law(n, butterfly_latency):
     first fire + (k + 1)*N/2 - 1 + S - 1.  This is the model's one
     statement of the unit latencies and of the hand-over: :func:`_run_cycles`
     starts each stage on the first arrival it gives."""
-    L = butterfly_latency
-    S = max(1, L - ADDSUB_CYCLES)
+    S = max(1, butterfly_latency - ADDSUB_CYCLES)
     firsts, arrival = [], 1                 # weighting's first arrival
     for label, hold, per in _columns(n):
         firsts.append(arrival + hold)
-        arrival = firsts[-1] + (L if per else S)
+        arrival = firsts[-1] + (butterfly_latency if per else S)
         if label == "pointwise":    # inverse stage 1 reads whole blocks
             arrival += n // 2 - 1
     # unweighting's fire 0 leaves at arrival - 1, and completion 0, its
@@ -608,16 +595,17 @@ def _schedule_law(n, butterfly_latency):
     return tuple(firsts), arrival + n // 2 - 2
 
 
-def _write_trace(fh, config, count, stop=None):
-    """Writes to the open file ``fh`` the trace rows of ``count`` products
-    by their closed forms: each butterfly column's label, hold and fires
-    per twiddle by :func:`_columns` and its first fire by
-    :func:`_schedule_law`; the multipliers write no rows.  It writes every
-    cycle up to the first completion's cycle plus ``count - 1`` periods,
-    or, with ``stop = (cycle, k)`` and k the failing column's place in tick
-    order, the cycles before ``cycle`` and that cycle's rows of the k
-    columns a cycle ticks before the failing one: those after it in
-    dataflow order.
+def write_trace(path, n, butterfly_latency, count, stop=None):
+    """Writes the trace file ``path`` of ``count`` products at N = ``n``:
+    the CSV header and the rows by their closed forms, each butterfly
+    column's label, hold and fires per twiddle by :func:`_columns` and its
+    first fire by :func:`_schedule_law`; the multipliers write no rows.
+    It writes every cycle up to the first completion's cycle plus
+    ``count - 1`` periods, or, with ``stop = (k, offset)``, k the failing
+    column's place in tick order, up to that column's first arrival by law
+    plus ``offset``: the cycles before it and its rows of the k columns a
+    cycle ticks before the failing one, those after it in dataflow order.
+    A stop past the last cycle keeps the whole trace.
 
     A stage with hold h, fires per twiddle ``per`` and first fire F fires
     t < T = count * N/2 at cycle F + t, and with tp = t mod N/2 and base =
@@ -647,12 +635,10 @@ def _write_trace(fh, config, count, stop=None):
     ``csv.writer`` writes, ``\r\n`` line ends included, because no field
     needs quoting: labels are ``[a-z0-9_]`` and every other field is an
     int or empty.  No products, no rows."""
-    if not count:
-        return
-    n, n_half, total = config.n, config.n // 2, count * config.n // 2
-    firsts, done = _schedule_law(n, config.butterfly_latency)
-    end, keep = stop or (done + total - n_half, None)
-    cols, marks, blank = [], {end}, [",,\r\n"] * n_half
+    n_half, total = n // 2, count * n // 2
+    firsts, done = _schedule_law(n, butterfly_latency)
+    end, keep = done + total - n_half, len(firsts)
+    cols, marks, blank = [], set(), [",,\r\n"] * n_half
     # tick order, the dataflow order reversed.  Both tapes run over two
     # periods of N/2 cycles: label,sel by the counter, as 2h divides N/2,
     # and the pair fields by the fire
@@ -663,7 +649,10 @@ def _write_trace(fh, config, count, stop=None):
                  for i in range(n_half) if per]
         cols.append((h, per, first, heads, pairs + pairs))
         marks.update((first - h, first, first + total))
-    marks = sorted(c for c in marks if c <= end)
+    if stop:    # column k in tick order, ``offset`` past its first arrival
+        h, _, first, *_ = cols[stop[0]]
+        end, keep = min((end, keep), (first - h + stop[1], stop[0]))
+    marks = sorted(c for c in marks | {end} if c <= end)
     # no counter is below c - reach on cycle c: the table holds the strings
     # of the ints from a - reach to the chunk's end
     reach = max(firsts)
@@ -693,18 +682,22 @@ def _write_trace(fh, config, count, stop=None):
         del table[:ln]
         fh.write("".join(out))
 
-    for lo, hi in zip(marks, marks[1:]):
-        for a in range(lo, hi, n_half):
-            chunk(a, min(a + n_half, hi), cols)
-    chunk(end, end + 1, cols[:keep])
+    with open(path, "w", newline="") as fh:
+        fh.write("cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
+        if count:
+            for lo, hi in zip(marks, marks[1:]):
+                for a in range(lo, hi, n_half):
+                    chunk(a, min(a + n_half, hi), cols)
+            chunk(end, end + 1, cols[:keep])
 
 
-def _run_cycles(n, butterfly_latency, count):
+def _run_cycles(n, butterfly_latency, count, repeat=False):
     """The per-stage proof of the schedule for ``count`` products at N =
     ``n``, position j of product p fed as the labels (pN + 2j, pN + 2j + 1)
     on cycle pN/2 + j + 1.  Returns None once every stage has fired on its
     law, or raises :class:`PipelineAssertionError`; it builds no report
-    and writes no trace.
+    and writes no trace.  With ``repeat``, a stage that reaches its last
+    fire before its state repeats raises too.
 
     It builds one stage per column of :func:`_columns`, with the column's
     label and hold, and proves them one at a time in that dataflow order:
@@ -719,16 +712,16 @@ def _run_cycles(n, butterfly_latency, count):
     not fired by F is short of its law there.
 
     The shift: moving a stage's state up P fires (t and a FIFO's counter
-    up P, labels up 2P, as :func:`_moved` does) commutes with P cycles of
-    ticks on arrivals moved up 2P, if P is a multiple of the stage's
-    period: 2 * hold behind a FIFO, 1 without one.  A stage never reads a
-    label's value: it moves labels, emits (2t, 2t + 1) at fire t and
-    checks that fire t pairs 2t plus terms in ``hold`` and ``t & hold``.
-    So ``t & hold`` stays, and so do a FIFO's phase bit and tap ``counter
-    mod hold``, which with != 0 and < hold (false past its first fire) are
-    all it reads of ``counter``.  A stage reads ``t`` also against
-    ``cycle`` in the timing law: ``first`` is fixed, and ``cycle`` and
-    ``t`` move together.
+    up P, labels up 2P; :func:`_moved` moves them down by t) commutes
+    with P cycles of ticks on arrivals moved up 2P, if P is a multiple of
+    the stage's period: 2 * hold behind a FIFO, 1 without one.  A stage
+    never reads a label's value: it moves labels, emits (2t, 2t + 1) at
+    fire t and checks that fire t pairs 2t plus terms in ``hold`` and
+    ``t & hold``.  So ``t & hold`` stays, and so do a FIFO's phase bit and
+    tap ``counter mod hold``, which with != 0 and < hold (false past its
+    first fire) are all it reads of ``counter``.  A stage reads ``t`` also
+    against ``cycle`` in the timing law: ``first`` is fixed, and ``cycle``
+    and ``t`` move together.
 
     Each stage is snapshot at its first fire by law, its first arrival +
     hold, and every P fires after, while t is below the total
@@ -736,9 +729,9 @@ def _run_cycles(n, butterfly_latency, count):
     at a snapshot t must be its timing-law count, cycle - F + 1 (c); a
     stage behind it has stopped firing, is short of its law, and raises.
     The stage stops at the first snapshot equal to the one before, or else
-    after its fire T - 1; either way t becomes T.  Past its last snapshot,
-    a stage not done on the cycle after its fire T - 1's cycle by law,
-    F + T - 1, is short of its law too.
+    after its fire T - 1.  Past its last snapshot, a stage not done on the
+    cycle after its fire T - 1's cycle by law, F + T - 1, is short of its
+    law too.
     Proof that every stage fires T times by both laws, and so emits its
     law output on every cycle, by induction in dataflow order: the feed
     does.  Let a stage's feeder do so (for inverse stage 1, pointwise,
@@ -755,11 +748,33 @@ def _run_cycles(n, butterfly_latency, count):
     completion k, its fire (k + 1)N/2 - 1 leaving, comes where
     :func:`_schedule_law` puts it, N/2 cycles after completion k - 1.
 
-    A break records where it stopped on the error, as ``stop = (cycle,
-    k)``: the cycle and the place k of the column in the order a cycle
-    ticks the columns, reverse dataflow order, of the tick that raises: an
-    early first fire's own, or a late one's cycle by law.  A traced run
-    writes, by :func:`_write_trace`, the rows up to there.
+    Latency: a stage reads the cycle only against its own first fire by
+    law, F: its feeder's output ``cycle - start`` (start = F - hold), a
+    snapshot's ``cycle == due`` (due = F + jP) and t against
+    ``cycle - first + 1``, the bound ``cycle >= first + total`` and the
+    timing law's ``first + t``.  The latency moves only F, by
+    :func:`_schedule_law`, so it translates each stage's walk: the same
+    ticks, checks and errors, each at the same offset from the stage's
+    first arrival, at every latency.
+
+    Count: snapshots come P <= N/2 fires apart, at t = 1 + jP, and a
+    snapshot is due only while t + P < T.  In a stream of two products,
+    T = N, so a snapshot has t <= N - P + 1 and its tick reads arrival
+    k = t - 1 + hold <= N - P + hold < N: every arrival a stage ticks up
+    to a repeat there is live, and is the same, as are the dues and the
+    checks, in every stream of two or more products.  So a walk of two
+    products in which every stage stops at a repeat, and not at its last
+    fire (``repeat``), is the walk of every such stream, which returns
+    too; :func:`_schedule_proof` walks it, and one of one product, and a
+    stream of no products has no fire.
+
+    A break records where it stopped on the error, as ``stop = (k,
+    offset)``: the place k of the column in the order a cycle ticks the
+    columns, reverse dataflow order, and the offset from that column's
+    first arrival by law of the tick that raises: an early first fire's
+    own, or a late one's cycle by law.  By the translation above it names
+    the same tick at every latency, and a traced ``nttmul sim`` writes, by
+    :func:`write_trace`, the rows up to there.
     """
     if not count:
         return
@@ -771,14 +786,18 @@ def _run_cycles(n, butterfly_latency, count):
         for st in stages:
             first = st.first
             start = cycle = first - st.hold     # its first arrival by law
-            due, snap = first, None
+            due, snap = first, ()      # no snapshot yet: () is no state
             while True:
                 k = cycle - start       # the feeder's law output: fire k
                 st.tick(cycle, (2 * k, 2 * k + 1) if k < total else None)
                 if st.t == total:
+                    if repeat:
+                        raise PipelineAssertionError(
+                            f"{st.label}: fire {total - 1} at cycle "
+                            f"{cycle}, its last, before a repeat")
                     break
                 if cycle == due and st.t == cycle - first + 1:
-                    moved = _moved(st, -st.t)       # a snapshot on (c)
+                    moved = _moved(st)      # a snapshot on (c)
                     if moved == snap:
                         break
                     snap = moved
@@ -789,16 +808,23 @@ def _run_cycles(n, butterfly_latency, count):
                         f"{st.label}: {st.t} of {total} fires by cycle "
                         f"{cycle}, short of its law")
                 cycle += 1
-            st.t = total
     except PipelineAssertionError as e:
-        e.stop = cycle, stages[::-1].index(st)
+        e.stop = stages[::-1].index(st), cycle - start
         raise
 
 
-# the proof once per key (N, butterfly latency, count) in a process: the
-# last 64 keys whose proof returned are kept; a call that raises is never
-# kept, so a failing key proves, and raises, again on every call
-_schedule_proof = lru_cache(maxsize=64)(_run_cycles)
+@cache
+def _schedule_proof(n):
+    """The schedule proof at N = ``n`` for every butterfly latency and
+    every number of products, run once per N in a process, when a
+    :class:`PipelineConfig` is built: :func:`_run_cycles` at latency 1 on
+    a stream of one product and on one of two, in which every stage must
+    stop at a repeat.  By the latency and count arguments of
+    :func:`_run_cycles`, every stream at every latency then walks as one of
+    these, translated, and returns.  A call that raises is never kept, so
+    building a config at an N whose proof fails raises every time."""
+    _run_cycles(n, 1, 1)
+    _run_cycles(n, 1, 2, repeat=True)
 
 
 def _build_report(config, count):

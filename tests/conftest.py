@@ -29,7 +29,7 @@ def fixed_params():
 
 @pytest.fixture(autouse=True)
 def cold_schedule_proofs():
-    # run_stream proves the schedule once per (N, latency, count) in a
-    # process: every test starts with no key proved, so one that patches
-    # the stages meets a proof that runs, whatever earlier tests ran
+    # a config proves its N's schedule once per process: every test starts
+    # with no N proved, so one that patches the stages and then builds a
+    # config meets a proof that runs, whatever earlier tests built
     pipesim._schedule_proof.cache_clear()

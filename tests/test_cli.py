@@ -11,7 +11,7 @@ from nttmul import cli, pipesim, polymul
 from nttmul.params import load_tables
 from nttmul.pipesim import PipelineAssertionError
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
-from test_pipesim import built_stages, no_retirement
+from test_pipesim import built_stages
 
 
 @pytest.fixture
@@ -398,10 +398,11 @@ class TestSimCommand:
 
     def test_pipeline_fault_exits_three(self, tmp_path, monkeypatch, capsys):
         # a fault in the model itself, not a patched run_stream: fwd_a3's
-        # FIFO swaps the pair it emits at fire 8, product 1's first, with
-        # retirement off so that the stage is still ticked there.  The run
-        # exits 3 naming the stage and the trace, writes no report, and
-        # leaves the clean run's trace up to the failure
+        # FIFO swaps the pair it emits at fire 4, its last before its
+        # second snapshot, in the walk of 2 products that building the
+        # config runs.  The run exits 3 naming the stage and the trace,
+        # writes no report, and leaves the clean run's trace up to the
+        # failure, at this stream's length
         tables, vec = tmp_path / "p16.json", tmp_path / "v.ndjson"
         cli.main(["params", "--modulus", "1049089", "--n", "16",
                   "--out", str(tables)])
@@ -413,18 +414,17 @@ class TestSimCommand:
         assert cli.main([*sim, "--report", str(tmp_path / "clean.json"),
                          "--trace", str(clean)]) == 0
         capsys.readouterr()
-        # the clean run proved the key: forget it, so that the faulty run
+        # the clean run proved N = 16: forget it, so that the faulty run
         # proves
         pipesim._schedule_proof.cache_clear()
 
         real_tick = pipesim.StageFifo.tick
         stages = built_stages(monkeypatch)
-        no_retirement(monkeypatch)
 
         def tick(fifo, arrival):
             pair = real_tick(fifo, arrival)
             if (fifo is stages["fwd_a3"].fifo
-                    and fifo.counter == fifo.hold + 8 + 1):
+                    and fifo.counter == fifo.hold + 4 + 1):
                 return pair[::-1]
             return pair
 
@@ -432,7 +432,7 @@ class TestSimCommand:
         rc = cli.main([*sim, "--report", str(report), "--trace", str(trace)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "internal assertion: fwd_a3: fire 8 pairs " in err
+        assert "internal assertion: fwd_a3: fire 4 pairs " in err
         assert f"cycle trace (up to the failure): {trace}\n" in err
         assert not report.exists()
         assert clean.read_bytes().startswith(trace.read_bytes())

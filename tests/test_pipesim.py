@@ -4,8 +4,10 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import tempfile
 from collections import deque
 from itertools import takewhile
 
@@ -25,12 +27,12 @@ from nttmul.pipesim import (
     _PipeStage,
     _run_cycles,
     _schedule_law,
-    _write_trace,
     predicted_first_mul_latency,
     predicted_first_ntt_latency,
     predicted_mul_regs,
     predicted_ntt_regs,
     run_stream,
+    write_trace,
 )
 from nttmul.polymul import (Polynomial, naive_negacyclic_mul,
                             negacyclic_mul_ntt)
@@ -684,21 +686,35 @@ def counted_ticks(mp):
     return calls
 
 
+HEADER = "cycle,stage,sel,counter,pair_lo,pair_hi\r\n"
+
+
 def run_cycles(config, count):
-    # the schedule proof of a stream of count products under config, as
-    # run_stream runs it for a key it has not kept
+    # the per-stage walk of a stream of count products at config's N and
+    # butterfly latency, which the schedule proof runs at latency 1 for 1
+    # and 2 products
     return _run_cycles(config.n, config.butterfly_latency, count)
 
 
+def trace_rows(n, latency, count, stop=None):
+    # the rows write_trace writes after its header for count products at N
+    # and a butterfly latency: the law's, all of them or those up to stop
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_trace(path, n, latency, count, stop)
+        with open(path, newline="") as fh:
+            assert fh.readline() == HEADER
+            return fh.read()
+
+
 def proof_rows(config, count, match):
-    # the proof of a stream that raises, as ``match`` states, and the rows
-    # a traced run_stream writes after its header: the law's, up to where
-    # the error says the proof stopped
+    # the walk of a stream that raises, as ``match`` states, and the rows a
+    # traced nttmul sim writes after its header: the law's, up to where the
+    # error says the walk stopped
     with pytest.raises(PipelineAssertionError, match=match) as e:
         run_cycles(config, count)
-    text = io.StringIO()
-    _write_trace(text, config, count, e.value.stop)
-    return text.getvalue()
+    return trace_rows(config.n, config.butterfly_latency, count,
+                      e.value.stop)
 
 
 def tick_count(config, count, retiring=True):
@@ -924,9 +940,7 @@ def paper_config(n, latency):
 @functools.cache
 def clean_trace(n, latency, count):
     # the whole trace text of a stream of paper_config(n, latency)
-    text = io.StringIO()
-    _write_trace(text, paper_config(n, latency), count)
-    return text.getvalue()
+    return trace_rows(n, paper_config(n, latency).butterfly_latency, count)
 
 
 def dataflow(n):
@@ -991,8 +1005,8 @@ class TestControlPlane:
         # swap the pair a stage-3 FIFO emits at fire 8, product 1's first:
         # the data would come out wrong, and the routing check catches it.
         # Stage 3 leaves at its second snapshot, after fire 4, so fire 8 is
-        # ticked only with retirement off
-        p = fixed_params[16]
+        # ticked only with retirement off, in a walk of 3 products
+        config = PipelineConfig(n=16, params=fixed_params[16])
         real_tick = StageFifo.tick
         labels = fifo_labels(monkeypatch)
         no_retirement(monkeypatch)
@@ -1005,14 +1019,13 @@ class TestControlPlane:
 
         monkeypatch.setattr(StageFifo, "tick", tick)
         with pytest.raises(PipelineAssertionError, match="fwd_a3: fire 8"):
-            run_stream(rand_pairs(random.Random(57), p, 3),
-                       PipelineConfig(n=16, params=p))
+            run_cycles(config, 3)
 
     def test_misrouting_every_product_alike_raises(self, fixed_params,
                                                    monkeypatch):
         # swap every pair stage 3 emits in its drain phase, product 0's
-        # included: the first is fire 2, and the law catches it there
-        p = fixed_params[16]
+        # included: the first is fire 2, and the law catches it there, in
+        # the proof that building the config runs
         real_tick = StageFifo.tick
         labels = fifo_labels(monkeypatch)
 
@@ -1025,8 +1038,7 @@ class TestControlPlane:
 
         monkeypatch.setattr(StageFifo, "tick", tick)
         with pytest.raises(PipelineAssertionError, match="fwd_a3: fire 2 "):
-            run_stream(rand_pairs(random.Random(57), p, 3),
-                       PipelineConfig(n=16, params=p))
+            PipelineConfig(n=16, params=fixed_params[16])
 
     @pytest.mark.parametrize("label, counter, bank", [
         ("fwd_a3", 5, "block_i"),
@@ -1035,9 +1047,9 @@ class TestControlPlane:
     def test_corrupted_bank_entry_raises(self, fixed_params, monkeypatch,
                                          label, counter, bank):
         # swap two entries of one bank just before a tick: the FIFO emits a
-        # wrong element, and the routing law names the stage and the fire.
+        # wrong element, and the routing law names the stage and the fire,
+        # in the walk of one product that building the config runs first.
         # Retirement off: inv3's swap meets its fire 5, after it has left
-        p = fixed_params[16]
         real_tick = StageFifo.tick
         labels = fifo_labels(monkeypatch)
         no_retirement(monkeypatch)
@@ -1051,8 +1063,7 @@ class TestControlPlane:
         monkeypatch.setattr(StageFifo, "tick", tick)
         with pytest.raises(PipelineAssertionError,
                            match=rf"^{label}: fire \d+ pairs "):
-            run_stream(rand_pairs(random.Random(57), p, 3),
-                       PipelineConfig(n=16, params=p))
+            PipelineConfig(n=16, params=fixed_params[16])
 
     @pytest.mark.parametrize("latency", [None, 12])
     def test_fault_before_a_second_snapshot_raises(self, fixed_params,
@@ -1229,9 +1240,8 @@ class TestControlPlane:
                                  butterfly_latency=latency) if structural
                   else PipelineConfig(n=n, params=p))
         assert run_cycles(config, count) is None
-        text = io.StringIO()
-        _write_trace(text, config, count)
-        assert_same_lines(text.getvalue(), every_cycle(config, count))
+        assert_same_lines(trace_rows(n, config.butterfly_latency, count),
+                          every_cycle(config, count))
 
     @given(n=st.sampled_from([4, 8, 16, 32]), latency=st.integers(1, 16),
            structural=st.booleans(), count=st.integers(0, 24))
@@ -1516,25 +1526,24 @@ class TestDeterminism:
         assert digest == PINNED_DIGESTS[key][1]
 
     # a fault injected at a stage's FIFO counter: the aborted file holds
-    # the law's rows up to the failing cycle and stage.  Retirement is off,
-    # so that the stage is ticked to its counter; with 12 pairs every column
-    # fires over cycles 31 to 94, the steady middle, and inv3 reaches
-    # counter 80 only in the drain after it
+    # the law's rows up to the failing cycle and stage.  fwd_a2 reaches
+    # counter 9 in the walks of 1 and 2 products a config's proof runs,
+    # which stops the build, as a traced nttmul sim writes it.  inv4 leaves
+    # at its repeat before counter 13, and inv3 reaches counter 80 only in
+    # the drain of 12 products, after the steady middle (every column
+    # fires over cycles 31 to 94): those walk the stream itself, with
+    # retirement off, so that the stage is ticked to its counter
     @pytest.mark.parametrize("count, label, counter",
                              [(3, "fwd_a2", 9), (3, "inv4", 13),
                               (12, "inv3", 80)],
                              ids=["fwd_a2-9", "inv4-13", "drain-inv3-80"])
     def test_trace_on_abort_is_the_unaborted_prefix(
             self, fixed_params, tmp_path, monkeypatch, count, label, counter):
-        no_retirement(monkeypatch)
         p = fixed_params[16]
         pairs = rand_pairs(random.Random(56), p, count)
-        cfg = PipelineConfig(n=16, params=p)
         full = tmp_path / "full.csv"
-        run_stream(pairs, cfg, trace_path=full)
+        run_stream(pairs, PipelineConfig(n=16, params=p), trace_path=full)
         lines = full.read_text().splitlines()
-        # the key is proved now: forget it, so that the faulty run proves
-        pipesim._schedule_proof.cache_clear()
         # the failing tick's row: its counter has advanced past `counter`
         fail = next(i for i, line in enumerate(lines)
                     if line.split(",")[1:4:2] == [label, str(counter + 1)])
@@ -1548,9 +1557,16 @@ class TestDeterminism:
             return real_tick(fifo, arrival)
 
         monkeypatch.setattr(StageFifo, "tick", tick)
+        # N = 16 is proved now: forget it, so that a config proves again
+        pipesim._schedule_proof.cache_clear()
+        with pytest.raises(PipelineAssertionError, match="injected") as e:
+            if label == "fwd_a2":       # the proof a config runs
+                PipelineConfig(n=16, params=p)
+            else:                       # the stream's own walk
+                no_retirement(monkeypatch)
+                _run_cycles(16, 1, count)
         aborted = tmp_path / "aborted.csv"
-        with pytest.raises(PipelineAssertionError, match="injected"):
-            run_stream(pairs, cfg, trace_path=aborted)
+        write_trace(aborted, 16, 1, count, e.value.stop)
         # header plus every row written before the failing stage's row
         assert aborted.read_text().splitlines() == lines[:fail]
         assert full.read_bytes().startswith(aborted.read_bytes())
@@ -1565,8 +1581,8 @@ class TestDeterminism:
         # on cycle 6: the file holds every row before cycle 6 and cycle
         # 6's rows of every butterfly stage, fwd_a1's fire 4 the last.
         # Retirement is off, so that weighting is ticked to its fire 5
-        no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
+        no_retirement(monkeypatch)
         real_tick = _PipeStage.tick
 
         def tick(stage, cycle, arrival):
@@ -1589,8 +1605,8 @@ class TestDeterminism:
         # and that cycle's rows of the columns ticked before the failing
         # one, those after it in dataflow order.  Retirement is off, so
         # that the column is ticked to that fire
-        no_retirement(monkeypatch)
         config = PipelineConfig(n=16, params=fixed_params[16])
+        no_retirement(monkeypatch)
         first = _schedule_law(16, 1)[0][dataflow(16).index(label)]
         fire = 40 - first
         assert fire >= 1
@@ -1609,11 +1625,13 @@ class TestDeterminism:
            latency=st.sampled_from([None, 2, 12]), count=st.integers(1, 5))
     def test_trace_abort_anywhere_is_the_clean_prefix(self, data, n, latency,
                                                       count):
-        # stop = (cycle, k) at a random column k in tick order, and a cycle
-        # drawn either anywhere up to the last completion, mostly inside a
-        # chunk, or a cycle either side of one where a column starts, first
-        # fires or stops firing, where the writer cuts its chunks: the file
-        # holds the clean trace's rows up to that cycle's tick of column k
+        # a stop at a random column k in tick order, and a cycle drawn
+        # either anywhere up to N/2 past the last completion, mostly inside
+        # a chunk, or a cycle either side of one where a column starts,
+        # first fires or stops firing, where the writer cuts its chunks,
+        # given as its offset from column k's first arrival: the file holds
+        # the clean trace's rows up to that cycle's tick of column k, all of
+        # them for a stop past the last completion
         config = paper_config(n, latency)
         firsts, done = _schedule_law(n, config.butterfly_latency)
         total = count * n // 2
@@ -1622,12 +1640,12 @@ class TestDeterminism:
                 in zip(pipesim._columns(n), firsts) if per
                 for c in (first - hold, first, first + total)
                 for e in (-1, 0, 1)]
-        cycle = data.draw(st.sampled_from(cuts) | st.integers(1, last))
-        cycle = min(max(cycle, 1), last)
+        cycle = data.draw(st.sampled_from(cuts) | st.integers(1, last + n // 2))
+        cycle = max(cycle, 1)
         k = data.draw(st.integers(0, len(dataflow(n)) - 1))
-        text = io.StringIO()
-        _write_trace(text, config, count, (cycle, k))
-        assert_same_lines(text.getvalue(),
+        (_, hold, _), first = pipesim._columns(n)[~k], firsts[~k]
+        assert_same_lines(trace_rows(n, config.butterfly_latency, count,
+                                     (k, cycle - first + hold)),
                           rows_before(clean_trace(n, latency, count), n,
                                       cycle, dataflow(n)[::-1][k]))
 
@@ -1655,8 +1673,8 @@ class TestDeterminism:
         (FIXED_M, 256, "schedule", 64), (12289, 1024, "structural", 8)],
         ids=["paper-ring", "generic-ring"])
     def test_one_report_traced_or_not(self, tmp_path, m, n, mode, count):
-        # the traced run runs the untraced run's proof and then writes its
-        # rows by law: both give one report and one set of products
+        # the traced run writes its rows by law beside the untraced run's
+        # work: both give one report and one set of products
         p = build_params(m, n)
         pairs = rand_pairs(random.Random(62), p, count)
         config = PipelineConfig(n=n, params=p, mode=mode)
@@ -1842,57 +1860,72 @@ class TestNetworkProof:
 
 class TestScheduleProofMemo:
     def test_proves_once_per_key(self, fixed_params, tmp_path, monkeypatch):
-        # the benchmark's paper-ring stream proves its schedule in 786
-        # ticks, 2 * 388 + 10 (test_retirement_ticks_a_fixed_count), and
-        # an identical second call, traced or not, ticks no stage; another
-        # N, latency or count is another key, and proves once in its turn
+        # the key is N alone: the first config at N = 256 walks a stream of
+        # one product and one of two, 784 + 786 stage ticks; a second config
+        # at that N, of another mode, latency or table set, ticks none, and
+        # no run_stream ticks any, at any count or latency, traced or not;
+        # another N proves once in its turn
         calls = counted_ticks(monkeypatch)
-        rng = random.Random(68)
-
-        def ticks(config, count, trace_path=None):
-            calls.clear()
-            run_stream(rand_pairs(rng, config.params, count), config,
-                       trace_path=trace_path)
-            return len(calls)
-
         paper = PipelineConfig(n=256, params=fixed_params[256])
-        assert ticks(paper, 8) == 786
-        assert ticks(paper, 8) == 0
-        assert ticks(paper, 8, tmp_path / "t.csv") == 0
-        for config, count in (
-                (PipelineConfig(n=128, params=fixed_params[128]), 8),
-                (PipelineConfig(n=256, params=fixed_params[256],
-                                mode="structural"), 8),
-                (paper, 7)):
-            assert ticks(config, count) == retired_ticks(config, count) > 0
-            assert ticks(config, count) == 0
-        assert ticks(paper, 8) == 0
-
-    def test_keeps_the_last_keys(self, p17_4, monkeypatch):
-        # proofs of 65 keys keep the last 64: the oldest proves again
-        calls = counted_ticks(monkeypatch)
-        config = PipelineConfig(n=4, params=p17_4)
-        pairs = rand_pairs(random.Random(69), p17_4, 66)
-        for count in range(1, 66):
-            run_stream(pairs[:count], config)
+        assert (len(calls) == retired_ticks(paper, 1) + retired_ticks(paper, 2)
+                == 784 + 786)
         calls.clear()
-        for count in range(2, 66):
-            run_stream(pairs[:count], config)
+        configs = [paper,
+                   PipelineConfig(n=256, params=fixed_params[256],
+                                  mode="structural"),
+                   PipelineConfig(n=256, params=fixed_params[256],
+                                  mode="structural", butterfly_latency=40),
+                   PipelineConfig(n=256, params=build_params(12289, 256))]
+        rng = random.Random(68)
+        for config in configs:
+            for count in (0, 1, 2, 3, 8):
+                pairs = rand_pairs(rng, config.params, count)
+                run_stream(pairs, config)
+                run_stream(pairs, config, trace_path=tmp_path / "t.csv")
         assert not calls
-        run_stream(pairs[:1], config)
-        assert calls
-        info = pipesim._schedule_proof.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (64, 66, 64)
+        other = PipelineConfig(n=128, params=fixed_params[128])
+        assert len(calls) == retired_ticks(other, 1) + retired_ticks(other, 2)
+        calls.clear()
+        PipelineConfig(n=128, params=fixed_params[128], mode="structural")
+        assert not calls
+
+    def test_walks_one_and_two_products(self, fixed_params, monkeypatch):
+        # the proof walks latency 1 alone, for 1 and 2 products, in that
+        # order, at every N; a stream of 2 whose stages all repeat stands
+        # for every longer one
+        real, walks = pipesim._run_cycles, []
+        monkeypatch.setattr(pipesim, "_run_cycles", lambda *args, **kw: (
+            walks.append((*args, kw.get("repeat", False))), real(*args, **kw)))
+        for n in (4, 16, 256):
+            PipelineConfig(n=n, params=fixed_params[n], mode="structural")
+            assert walks == [(n, 1, 1, False), (n, 1, 2, True)]
+            walks.clear()
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_stream_of_two_must_repeat(self, fixed_params, monkeypatch, n):
+        # with no snapshot ever equal to the one before, weighting, the
+        # first stage proved, reaches its last fire in the walk of 2
+        # products, and building a config raises naming it; the walk of 1
+        # product, which needs no repeat, returns
+        no_retirement(monkeypatch)
+        assert _run_cycles(n, 1, 1) is None
+        with pytest.raises(PipelineAssertionError,
+                           match=rf"^weight: fire {n - 1} at cycle {n}, its "
+                                 r"last, before a repeat$") as e:
+            PipelineConfig(n=n, params=fixed_params[n])
+        # weighting is the last column a cycle ticks, its last fire n - 1
+        # cycles past its first arrival
+        assert e.value.stop == (2 * n.bit_length(), n - 1)
+        assert e.value.butterfly_latency == 1
 
     def test_failing_key_raises_every_time(self, fixed_params, tmp_path,
                                            monkeypatch):
-        # a proof that raises keeps no key: each call proves again, raises
-        # again and rewrites the trace up to the failing cycle and column,
-        # and once the fault is gone the key proves clean
-        config = PipelineConfig(n=16, params=fixed_params[16])
-        pairs = rand_pairs(random.Random(70), config.params, 3)
-        clean = io.StringIO()
-        _write_trace(clean, config, 3)
+        # a proof that raises is never kept: each config built at that N
+        # proves again and raises again, with the same stop and its own
+        # resolved latency, so a traced nttmul sim writes the law's rows up
+        # to the failing cycle and column at that latency every time; once
+        # the fault is gone the N proves clean
+        p = fixed_params[16]
         real_tick = _PipeStage.tick
 
         def tick(stage, cycle, arrival):
@@ -1900,46 +1933,49 @@ class TestScheduleProofMemo:
                 raise PipelineAssertionError("injected")
             real_tick(stage, cycle, arrival)
 
+        traces = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_PipeStage, "tick", tick)
-            traces = []
-            for i in range(2):
-                with pytest.raises(PipelineAssertionError, match="^injected$"):
-                    run_stream(pairs, config)
-                trace = tmp_path / f"t{i}.csv"
-                with pytest.raises(PipelineAssertionError, match="^injected$"):
-                    run_stream(pairs, config, trace_path=trace)
-                traces.append(trace.read_bytes().decode())
-        first = _schedule_law(16, 1)[0][dataflow(16).index("inv2")]
-        head = "cycle,stage,sel,counter,pair_lo,pair_hi\r\n"
-        assert traces == 2 * [head + rows_before(clean.getvalue(), 16,
-                                                 first + 1, "inv2")]
+            for mode in ("schedule", "structural", "schedule"):
+                with pytest.raises(PipelineAssertionError,
+                                   match="^injected$") as e:
+                    PipelineConfig(n=16, params=p, mode=mode)
+                latency = e.value.butterfly_latency
+                assert latency == (1 if mode == "schedule" else 12)
+                trace = tmp_path / f"t{len(traces)}.csv"
+                write_trace(trace, 16, latency, 3, e.value.stop)
+                first = _schedule_law(16, latency)[0][
+                    dataflow(16).index("inv2")]
+                assert trace.read_bytes().decode() == HEADER + rows_before(
+                    trace_rows(16, latency, 3), 16, first + 1, "inv2")
+                traces.append(trace.read_bytes())
+        assert traces[0] == traces[2] != traces[1]
         assert not pipesim._schedule_proof.cache_info().currsize
         calls = counted_ticks(monkeypatch)
-        run_stream(pairs, config)
-        assert len(calls) == retired_ticks(config, 3)
+        config = PipelineConfig(n=16, params=p)
+        assert len(calls) == retired_ticks(config, 1) + retired_ticks(config, 2)
 
     def test_empty_stream_traces_its_header_alone(self, p17_4, tmp_path):
-        # a stream of no products writes no row, proved cold or kept
+        # a stream of no products writes no row, on a first run and again
         config = PipelineConfig(n=4, params=p17_4)
-        for name in ("cold.csv", "hit.csv"):
+        for name in ("first.csv", "again.csv"):
             assert run_stream([], config, trace_path=tmp_path / name)[0] == []
-            assert ((tmp_path / name).read_bytes()
-                    == b"cycle,stage,sel,counter,pair_lo,pair_hi\r\n")
+            assert (tmp_path / name).read_bytes() == HEADER.encode()
 
     @pytest.mark.parametrize("m, n, mode, count", [
         (FIXED_M, 256, "schedule", 8), (12289, 1024, "structural", 4)],
         ids=["paper-ring", "generic-ring"])
     def test_hit_gives_the_cold_outputs(self, tmp_path, m, n, mode, count):
-        # after the key is proved, traced or not, a call gives the cold
-        # call's products, report and trace bytes
+        # a config built after its N is proved, traced or not, gives the
+        # products, report and trace bytes of the one that proved it
         p = build_params(m, n)
         pairs = rand_pairs(random.Random(71), p, count)
-        config = PipelineConfig(n=n, params=p, mode=mode)
 
         def run(name=None):
             trace = name and tmp_path / name
-            prods, rep = run_stream(pairs, config, trace_path=trace)
+            prods, rep = run_stream(pairs, PipelineConfig(n=n, params=p,
+                                                          mode=mode),
+                                    trace_path=trace)
             return ([q.coeffs for q in prods], rep,
                     trace and trace.read_bytes())
 

@@ -30,6 +30,9 @@ FIXED_M = 1_049_089
 LIMB_RINGS = [(FIXED_M, 256, 7, 1), (1_073_741_441, 8, 8, 1),
               (1_518_500_033, 8, 9, 2), (3_221_225_473, 8, 9, 2),
               (18_446_744_073_709_550_593, 32, 17, 3)]
+# (M, N): the Fermat primes 257 and 65537, where M - 1 is a power of two
+FERMAT_RINGS = ([(257, 1 << e) for e in range(2, 8)]
+                + [(65_537, 256), (65_537, 4096)])
 
 
 def rand_poly(rng, params, **tags):
@@ -64,6 +67,10 @@ class TestPolynomialType:
         p = Polynomial([1, 2, 3, 4], 17)
         assert p.coeffs == (1, 2, 3, 4)
         assert p.domain == "coefficient"
+
+    def test_accepts_length_one(self):
+        # 1 = 2**0 is a power of two
+        assert Polynomial((0,), 17).coeffs == (0,)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -191,6 +198,24 @@ class TestNaiveMul:
         for a, b in pairs:
             assert (naive_negacyclic_mul(a, b, p17_4).coeffs
                     == schoolbook_reference(a.coeffs, b.coeffs, 4, 17))
+
+    @pytest.mark.parametrize("M, N", FERMAT_RINGS)
+    @pytest.mark.parametrize("kind", ["top-times-one", "all-top"])
+    def test_fermat_rings_against_independent_schoolbook(self, M, N, kind):
+        # M - 1 a power of two: a coefficient M - 1 fills one byte more
+        # than M - 2 does, so a slot that drops its top byte gives wrong
+        # products.  The schoolbook, the transform and the pipeline model
+        # each equal the independent schoolbook
+        one = [1] + [0] * (N - 1)
+        a, b = (([M - 1] + [0] * (N - 1), one) if kind == "top-times-one"
+                else ([M - 1] * N,) * 2)
+        want = schoolbook_reference(a, b, N, M)
+        p = build_params(M, N)
+        a, b = Polynomial(a, M), Polynomial(b, M)
+        (piped,), _ = run_stream([(a, b)], PipelineConfig(n=N, params=p))
+        assert naive_negacyclic_mul(a, b, p).coeffs == want
+        assert negacyclic_mul_ntt(a, b, p).coeffs == want
+        assert piped.coeffs == want
 
     @given(ring=_prime_rings())
     def test_all_max_operands_on_prime_rings(self, ring):
