@@ -58,8 +58,20 @@ def _poly_from_json(value, n, M, where):
     if not isinstance(value, list) or len(value) != n:
         raise ValueError(f"{where}: expected an array of {n} coefficients")
     try:
-        # decimal strings become ints (int() refuses too many digits);
-        # every other entry, a JSON number included, is refused by name
+        text = "".join(value)
+    except TypeError:               # an entry that is not a string
+        text = ""
+    try:
+        # one pass at C speed when every entry is a non-empty string and
+        # their text is ASCII digits alone: the ints are then >= 0 and one
+        # max bounds them (int() refuses too many digits)
+        if all(value) and text.isascii() and text.isdigit():
+            cs = tuple(map(int, value))
+            if max(cs) < M:
+                return Polynomial._unchecked(cs, M, "coefficient")
+            return Polynomial(cs, M)    # names the first entry out of range
+        # any other list holds an entry that is not a decimal string, so
+        # this raises at the first entry int() or the rule refuses
         return Polynomial([int(x) if isinstance(x, str) and x.isascii()
                            and x.isdigit() else _not_decimal(x)
                            for x in value], M)
@@ -165,8 +177,11 @@ def cmd_sim(args) -> int:
         # a break of the schedule proof: the law's rows up to where it
         # stopped, at the config's latency, for this many products
         if e.stop is not None and args.trace is not None:
-            write_trace(args.trace, p.n, e.butterfly_latency, len(pairs),
-                        e.stop)
+            try:
+                write_trace(args.trace, p.n, e.butterfly_latency,
+                            len(pairs), e.stop)
+            except OSError as w:    # main prints it after the assertion
+                e.trace_error = w
         raise
     products, report = run_stream(pairs, config, trace_path=args.trace)
     # the text json.dump(doc, fh, indent=2, sort_keys=True) writes for doc
@@ -274,8 +289,11 @@ def main(argv=None) -> int:
     except PipelineAssertionError as e:
         print(f"internal assertion: {e}", file=sys.stderr)
         # a break of the schedule proof, the one that a traced run writes
-        # its rows up to; a network or table proof breaks before any row
-        if e.stop is not None and getattr(args, "trace", None):
+        # its rows up to, unless that write failed; a network or table
+        # proof breaks before any row
+        if getattr(e, "trace_error", None):
+            print(f"error: {e.trace_error}", file=sys.stderr)
+        elif e.stop is not None and getattr(args, "trace", None):
             print(f"cycle trace (up to the failure): {args.trace}",
                   file=sys.stderr)
         return EXIT_ASSERT

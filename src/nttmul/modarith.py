@@ -18,7 +18,7 @@ the input it rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._frozen import Frozen
 
 # A residue is an int in [0, M); the alias only marks intent in signatures.
 Residue = int
@@ -42,8 +42,7 @@ class BarrettConstantError(ValueError):
     """Raised when Barrett constants reduce some input of the domain wrongly."""
 
 
-@dataclass(frozen=True)
-class ModulusContext:
+class ModulusContext(Frozen):
     """Modulus plus its certified Barrett reduction constants.
 
     Construction runs :func:`validate_barrett_constants`, so a context

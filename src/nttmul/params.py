@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._frozen import Frozen
 from .modarith import ModulusContext
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -150,8 +150,7 @@ def derive_roots(M: int, N: int) -> tuple[int, int]:
     return omega, phi
 
 
-@dataclass(frozen=True)
-class NttParams:
+class NttParams(Frozen):
     """Complete table set for one (M, N) transform instance, as derived by
     ``build_params``; a table file loads only when equal to the derived set.
 
@@ -159,7 +158,7 @@ class NttParams:
     in feed order, one per butterfly block; counts double per forward stage
     (1, 2, 4, ...) and halve per inverse stage.  ``merged_tables``, the
     multiplier's stage tables, is derived from these on first use and kept
-    on the set, so a set made by ``dataclasses.replace`` derives its own.
+    on the set, so a set made by ``_replace`` derives its own.
     """
 
     n: int

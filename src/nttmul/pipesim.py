@@ -79,10 +79,10 @@ give the same trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cache
 
 from . import polymul
+from ._frozen import Frozen
 # read by perfbench/tracing.count_modmuls, which wraps it by name
 from .modarith import karatsuba_mul  # noqa: F401
 from .params import NttParams
@@ -113,8 +113,7 @@ class PipelineAssertionError(RuntimeError):
     stop = butterfly_latency = None
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Frozen):
     """Simulation setup for one (M, N) instance.
 
     ``mode`` is ``"schedule"`` (all unit latencies one cycle, cycle counts
@@ -297,8 +296,7 @@ class _PipeStage:
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Frozen):
     """Measured and predicted figures for one simulated stream."""
 
     n: int
@@ -331,7 +329,7 @@ class CycleReport:
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+                for k, v in zip(self._fields, self._values())}
 
 
 def predicted_first_ntt_latency(n: int) -> int:
@@ -629,12 +627,17 @@ def write_trace(path, n, butterfly_latency, count, stop=None):
     the decimal strings of the ints from a - R to the chunk's last cycle,
     with a its first cycle and R the last first fire by the law.  That
     table holds every counter, c - (F - h - 1) on cycle c, and converts
-    each int once over the run.  The fields of the chunk's columns are
-    interleaved by strided slice assignment and written in one join, so
-    memory holds one chunk's text and R + N/2 strings.  The text is what
-    ``csv.writer`` writes, ``\r\n`` line ends included, because no field
-    needs quoting: labels are ``[a-z0-9_]`` and every other field is an
-    int or empty.  No products, no rows."""
+    each int once over the run.  Between two cuts, every full chunk reads
+    the same tape slices and constants, as it starts N/2 cycles after the
+    last, and its cycles and counters from the same table offsets, as the
+    table slides with the chunks.  So the fields of a segment's columns
+    are interleaved, by strided slice assignment, into one list when the
+    segment starts and again for its shorter last chunk, and each chunk
+    assigns only its cycle and counter slices there and writes the list in
+    one join: memory holds one chunk's fields and R + N/2 strings.  The
+    text is what ``csv.writer`` writes, ``\r\n`` line ends included,
+    because no field needs quoting: labels are ``[a-z0-9_]`` and every
+    other field is an int or empty.  No products, no rows."""
     n_half, total = n // 2, count * n // 2
     firsts, done = _schedule_law(n, butterfly_latency)
     end, keep = done + total - n_half, len(firsts)
@@ -658,27 +661,34 @@ def write_trace(path, n, butterfly_latency, count, stop=None):
     reach = max(firsts)
     table = list(map(str, range(marks[0] - reach, marks[0])))
 
-    def chunk(a, b, cols):
-        table.extend(map(str, range(a, b)))
-        ln, o, runs = b - a, reach - a, []
-        for h, per, first, heads, pairs in cols:
-            t, k = a - first, a - first + h + 1
-            if not per or t < -h or t >= total and not h:
-                continue        # a multiplier, or no row on these cycles
-            if t >= total:
-                runs.append(([heads[h]] * ln, [str(total + h)] * ln,
-                             blank[:ln]))
+    def layout(a, ln, cols):
+        # the fields of the cycles a ... a + ln - 1 but the cycles and
+        # counters, and the (field, table offset) pairs that fill those; a
+        # chunk of ln = N/2 cycles later in the segment reads the same
+        live = [(h, first, heads, pairs) for h, per, first, heads, pairs
+                in cols if per and -h <= a - first and (a - first < total or h)]
+        w = 4 * len(live)
+        out, fill = [None] * (w * ln), []
+        for i, (h, first, heads, pairs) in zip(range(0, w, 4), live):
+            t, k = a - first, (a - first + h + 1) % n_half
+            fill.append((i, reach))
+            if t >= total:      # stopped firing: the counter stands
+                out[i + 1::w] = [heads[h]] * ln
+                out[i + 2::w] = [str(total + h)] * ln
             else:
-                runs.append((heads[k % n_half:k % n_half + ln],
-                             table[k + o:k + o + ln] if h else [""] * ln,
-                             pairs[t % n_half:t % n_half + ln] if t >= 0
-                             else blank[:ln]))
-        w = 4 * len(runs)
-        out = [None] * (w * ln)
-        for j, fields in enumerate(runs):
-            out[4 * j::w] = table[reach:]
-            for i, field in enumerate(fields, 4 * j + 1):
-                out[i::w] = field
+                out[i + 1::w] = heads[k:k + ln]
+                if h:           # c - (first - h - 1) on cycle c
+                    fill.append((i + 2, reach - first + h + 1))
+                else:
+                    out[i + 2::w] = [""] * ln
+            out[i + 3::w] = (pairs[t % n_half:t % n_half + ln]
+                             if 0 <= t < total else blank[:ln])
+        return out, w, fill
+
+    def chunk(a, ln, out, w, fill):
+        table.extend(map(str, range(a, a + ln)))
+        for i, o in fill:
+            out[i::w] = table[o:o + ln]
         del table[:ln]
         fh.write("".join(out))
 
@@ -687,8 +697,11 @@ def write_trace(path, n, butterfly_latency, count, stop=None):
         if count:
             for lo, hi in zip(marks, marks[1:]):
                 for a in range(lo, hi, n_half):
-                    chunk(a, min(a + n_half, hi), cols)
-            chunk(end, end + 1, cols[:keep])
+                    ln = min(n_half, hi - a)
+                    if a == lo or ln < n_half:  # a segment's first, or last
+                        rows = layout(a, ln, cols)
+                    chunk(a, ln, *rows)
+            chunk(end, 1, *layout(end, 1, cols[:keep]))
 
 
 def _run_cycles(n, butterfly_latency, count, repeat=False):

@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import reprlib
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
+from ._frozen import Frozen
 from .params import NttParams, bit_reverse_index
 
 DOMAINS = ("coefficient", "evaluation")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     coeffs: tuple[int, ...]
     modulus: int
     domain: str = "coefficient"
@@ -66,7 +65,8 @@ class Polynomial:
     def _unchecked(cls, coeffs: tuple, modulus: int, domain: str):
         """A kernel's result, built without the checks: the kernels below
         make a tuple of N ints, each ``v % M`` for the M of a checked table
-        set, so every check would pass.  Every other construction checks."""
+        set, so every check would pass.  The CLI's record decoder builds
+        one too; it checks type, sign, bound and length itself."""
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         object.__setattr__(p, "modulus", modulus)

@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nttmul import cli, pipesim, polymul
 from nttmul.params import load_tables
 from nttmul.pipesim import PipelineAssertionError
 from nttmul.polymul import Polynomial, naive_negacyclic_mul
+from conftest import FIXED_M
 from test_pipesim import built_stages
 
 
@@ -438,6 +441,35 @@ class TestSimCommand:
         assert clean.read_bytes().startswith(trace.read_bytes())
         assert len(trace.read_bytes()) < len(clean.read_bytes())
 
+    def test_unwritable_trace_after_a_proof_break_exits_three(
+            self, toy_tables, tmp_path, monkeypatch, capsys):
+        # the schedule proof breaks at inv2's fire 1 and the trace of the
+        # rows up to there cannot be opened: exit 3 with the assertion
+        # first, then the failed write on its own error line, and no
+        # trace line
+        vec = tmp_path / "v.ndjson"
+        cli.main(["gen", "--params", str(toy_tables), "--count", "1",
+                  "--seed", "6", "--out", str(vec)])
+        capsys.readouterr()
+        real_tick = pipesim._PipeStage.tick
+
+        def tick(stage, cycle, arrival):
+            if (stage.label, stage.t) == ("inv2", 1):
+                raise PipelineAssertionError("injected")
+            real_tick(stage, cycle, arrival)
+
+        monkeypatch.setattr(pipesim._PipeStage, "tick", tick)
+        trace = tmp_path / "missing" / "t.csv"
+        rc = cli.main(["sim", "--params", str(toy_tables),
+                       "--vectors", str(vec),
+                       "--report", str(tmp_path / "r.json"),
+                       "--trace", str(trace)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "internal assertion: injected\n"
+            f"error: [Errno 2] No such file or directory: {str(trace)!r}\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_schedule_mode_rejects_deep_latency(self, toy_tables, tmp_path,
                                                 capsys):
         vec = tmp_path / "v.ndjson"
@@ -664,6 +696,72 @@ def test_too_many_digits_names_its_location(toy_tables, tmp_path, capsys,
         assert capsys.readouterr().err.startswith(f"error: {vec}:{where}")
 
 
+def entry_by_entry(value, n, M, where):
+    # the decoder's rule entry by entry, as it read before its one-pass
+    # form: a decimal string becomes an int, int() refusing too many
+    # digits, any other entry is refused by name, and Polynomial checks the
+    # ints' bound
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{where}: expected an array of {n} coefficients")
+    try:
+        return Polynomial([int(x) if isinstance(x, str) and x.isascii()
+                           and x.isdigit() else cli._not_decimal(x)
+                           for x in value], M)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def decoded(decode, value, n, M):
+    # what a decoder gives: the coefficients, modulus and domain, or the
+    # error's type and message
+    try:
+        p = decode(value, n, M, "v:1 field a")
+    except ValueError as e:
+        return type(e), str(e)
+    return p.coeffs, p.modulus, p.domain
+
+
+string_entries = (
+    st.integers(0, 2 * FIXED_M).map(str)                     # >= M too
+    | st.tuples(st.integers(1, 4), st.integers(0, 99)).map(
+        lambda z: "0" * z[0] + str(z[1]))                    # leading zeros
+    | st.sampled_from(["", "\u0663", "1\u00b2", "\uff11", " 1", "+1", "-1",
+                       "1_0", "0x1", "a"])
+    | st.integers(4301, 4400).map(lambda k: "1" * k)         # over 4300 digits
+    | st.integers(4296, 4305).map(lambda k: "0" * k))
+entries = (string_entries
+           | st.integers(-3, 2 * FIXED_M)                    # JSON numbers
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.booleans() | st.none())
+
+
+class TestRecordDecoder:
+    @given(value=st.lists(entries, min_size=4, max_size=4)
+           | st.lists(string_entries, min_size=4, max_size=4)
+           | st.lists(st.integers(0, 2 * FIXED_M).map(str), min_size=4,
+                      max_size=4),
+           M=st.sampled_from([17, 257, FIXED_M]))
+    def test_one_pass_is_the_entry_by_entry_rule(self, value, M):
+        # random lists of mixed entries, of strings alone, and of digit
+        # strings alone (the one pass, in and out of range): equal
+        # coefficients, or the same first error
+        assert (decoded(cli._poly_from_json, value, 4, M)
+                == decoded(entry_by_entry, value, 4, M))
+
+    @pytest.mark.parametrize("value", [
+        ["1", "1" * 5000, 1, "0"],       # too many digits before a number
+        ["1", "17", "1" * 5000, "0"],    # out of range before too many
+        ["1", "0", "0", 17],
+        ["1", "0x1", "2", "3"],
+        ["1", "", "2", "3"],
+        ["007", "16", "0", "00"],
+        ["1", "2", "3"],
+        "1234"])
+    def test_first_error_as_entry_by_entry(self, value):
+        assert (decoded(cli._poly_from_json, value, 4, 17)
+                == decoded(entry_by_entry, value, 4, 17))
+
+
 # SHA-256 of every file and stdout of one fixed session at the paper ring,
 # plus the table file and params stdout of two more rings: a refactor must
 # keep them all.
@@ -745,3 +843,15 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the value classes are nttmul._frozen's: dataclasses, and the inspect
+    # it imports, cost each CLI process 10-18 ms at start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, nttmul.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

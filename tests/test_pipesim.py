@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -914,7 +913,7 @@ def every_cycle(config, count):
                            if count else None),
     )
     law = pipesim._build_report(config, count)
-    assert dataclasses.replace(law, **measured) == law, measured
+    assert law._replace(**measured) == law, measured
     return "".join(text)
 
 
@@ -1649,6 +1648,36 @@ class TestDeterminism:
                           rows_before(clean_trace(n, latency, count), n,
                                       cycle, dataflow(n)[::-1][k]))
 
+    @pytest.mark.parametrize("n, latency, count",
+                             [(16, None, 8), (64, None, 8), (32, 12, 16)])
+    def test_segment_layout_reused_over_chunks(self, n, latency, count):
+        # between two of the cycles where the writer cuts its chunks (a
+        # column starts, first fires or stops firing) lies a stretch of at
+        # least four full chunks of N/2 cycles, so three reuse the layout
+        # of the first: the trace is the every-cycle reference's, and a stop
+        # at each column, on the first cycles of the second and last full
+        # chunks there and mid-way through the third, keeps its rows up to
+        # that tick
+        config = paper_config(n, latency)
+        L, n_half = config.butterfly_latency, n // 2
+        firsts, done = _schedule_law(n, L)
+        total = count * n_half
+        cuts = sorted({c for (_, hold, per), first
+                       in zip(pipesim._columns(n), firsts) if per
+                       for c in (first - hold, first, first + total)
+                       if c <= done + total - n_half})
+        lo, hi = max(zip(cuts, cuts[1:]), key=lambda s: s[1] - s[0])
+        assert (hi - lo) // n_half >= 4
+        want = every_cycle(config, count)
+        assert_same_lines(trace_rows(n, L, count), want)
+        for cycle in (lo + n_half, lo + 2 * n_half + n_half // 2,
+                      lo + ((hi - lo) // n_half - 1) * n_half):
+            for k, ((_, hold, _), first) in enumerate(
+                    zip(pipesim._columns(n)[::-1], firsts[::-1])):
+                assert_same_lines(
+                    trace_rows(n, L, count, (k, cycle - first + hold)),
+                    rows_before(want, n, cycle, dataflow(n)[::-1][k]))
+
     @pytest.mark.parametrize("key", [(FIXED_M, 16, "schedule", 12),
                                      (12289, 32, "structural", 20)],
                              ids=_pinned_id)
@@ -1814,7 +1843,7 @@ class TestNetworkProof:
         # oracle call, and before any trace file exists
         p = fixed_params[16]
         tw = p.stage_twiddles_inv[1]
-        bad = dataclasses.replace(p, stage_twiddles_inv=(
+        bad = p._replace(stage_twiddles_inv=(
             p.stage_twiddles_inv[0], tw[::-1], *p.stage_twiddles_inv[2:]))
         calls = []
         monkeypatch.setattr(polymul, "naive_negacyclic_mul",

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import re
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nttmul import build_params
+from nttmul import BarrettConstantError, build_params
 from nttmul import params as params_module
 from nttmul.params import bit_reverse_index, derive_roots, is_prime
 from nttmul.pipesim import (PipelineAssertionError, PipelineConfig, _table_proof,
@@ -127,6 +126,52 @@ class TestPolynomialType:
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError):
             Polynomial((1, 2), 17, domain="spectral")
+
+
+class TestFrozenValues:
+    # the value classes (Polynomial, ModulusContext, NttParams,
+    # PipelineConfig, CycleReport) share nttmul._frozen.Frozen
+
+    def test_compare_hash_and_print_by_fields(self):
+        p = Polynomial([1, 2], 17)
+        q = Polynomial._unchecked((1, 2), 17, "coefficient")
+        assert p == q and hash(p) == hash(q)
+        assert p != Polynomial((1, 2), 17, "evaluation")
+        assert p != ((1, 2), 17, "coefficient")
+        assert repr(p) == ("Polynomial(coeffs=(1, 2), modulus=17, "
+                           "domain='coefficient')")
+
+    def test_refuses_assignment_and_deletion(self):
+        p = Polynomial((1, 2), 17)
+        for change in (lambda: setattr(p, "modulus", 19),
+                       lambda: setattr(p, "extra", 1),
+                       lambda: delattr(p, "coeffs")):
+            with pytest.raises(AttributeError):
+                change()
+        assert p == Polynomial((1, 2), 17)
+
+    def test_arguments_by_place_name_or_default(self):
+        assert (Polynomial((1, 2), 17) == Polynomial(coeffs=(1, 2), modulus=17)
+                == Polynomial((1, 2), modulus=17, domain="coefficient"))
+        for args, kwargs in [(((1, 2),), {}),                  # missing
+                             (((1, 2), 17, "coefficient", 0), {}),  # too many
+                             (((1, 2), 17), {"modulus": 17}),  # twice
+                             (((1, 2), 17), {"size": 2})]:     # no such field
+            with pytest.raises(TypeError):
+                Polynomial(*args, **kwargs)
+
+    def test_replace_checks_again(self, p17_4):
+        p = Polynomial((1, 2), 17)
+        assert p._replace(domain="evaluation").domain == "evaluation"
+        with pytest.raises(ValueError, match="coefficient 17 outside"):
+            p._replace(coeffs=(0, 17))
+        with pytest.raises(BarrettConstantError):
+            p17_4.ctx._replace(barrett_u=1)
+        # the merged tables cached on a set are not a field
+        p17_4.merged_tables
+        copy = p17_4._replace()
+        assert copy == p17_4 and hash(copy) == hash(p17_4)
+        assert "merged_tables" not in vars(copy)
 
 
 class TestNaiveMul:
@@ -482,15 +527,13 @@ def tampered(params, key, at, value):
     # params with entry `at` of table `key` (a (stage, entry) pair for the
     # stage tables, None for a scalar) set to value
     if at is None:
-        return dataclasses.replace(params, **{key: value})
+        return params._replace(**{key: value})
     table = getattr(params, key)
     if isinstance(at, tuple):
         s, i = at
         stage = table[s][:i] + (value,) + table[s][i + 1:]
-        return dataclasses.replace(params,
-                                   **{key: table[:s] + (stage,) + table[s + 1:]})
-    return dataclasses.replace(params,
-                               **{key: table[:at] + (value,) + table[at + 1:]})
+        return params._replace(**{key: table[:s] + (stage,) + table[s + 1:]})
+    return params._replace(**{key: table[:at] + (value,) + table[at + 1:]})
 
 
 class TestMergedTables:
@@ -636,7 +679,7 @@ class TestNetworkCertificate:
                 mutated = tables[:s] + (new,) + tables[s + 1:]
                 with pytest.raises(PipelineAssertionError, match=key):
                     _table_proof(
-                        dataclasses.replace(p, **{key: mutated}))
+                        p._replace(**{key: mutated}))
                 rejected += 1
         assert rejected == 14
 
