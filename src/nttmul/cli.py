@@ -233,54 +233,67 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, arguments as (flag, add_argument keywords))
+_COMMANDS = {
+    "params": ("derive constants and write a table file", cmd_params, (
+        ("--modulus", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--out", {"required": True}))),
+    "gen": ("generate seeded test vectors", cmd_gen, (
+        ("--params", {"required": True}),
+        ("--count", {"type": int, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+        ("--out", {"required": True}))),
+    "mul": ("multiply vector records with reference code", cmd_mul, (
+        ("--params", {"required": True}),
+        ("--vectors", {"required": True}),
+        ("--method", {"choices": ("naive", "ntt"), "default": "ntt"}),
+        ("--out", {"required": True}))),
+    "sim": ("run the cycle-accurate multiplier model", cmd_sim, (
+        ("--params", {"required": True}),
+        ("--vectors", {"required": True}),
+        ("--mode", {"choices": ("schedule", "structural"),
+                    "default": "schedule"}),
+        ("--butterfly-latency", {"type": int}),
+        ("--report", {"required": True}),
+        ("--trace", {"help": "CSV cycle-trace path"}))),
+    "check": ("cross-check oracle, transform, simulator", cmd_check, (
+        ("--params", {"required": True}),
+        ("--vectors", {"required": True}))),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI's parser.  When argv starts with a subcommand's name, only
+    that subparser is built: argparse hands it every later argument, and
+    the one message the top parser can still print, an unrecognized
+    argument's, shows its usage, whose metavar is then spelled out as
+    argparse spells the full list of names."""
     ap = argparse.ArgumentParser(
         prog="nttmul",
         description="negacyclic polynomial multiplication: parameter "
                     "derivation, reference multiplication, and the "
                     "cycle-accurate pipeline model")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("params", help="derive constants and write a table file")
-    sp.add_argument("--modulus", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_params)
-
-    sp = sub.add_parser("gen", help="generate seeded test vectors")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("mul", help="multiply vector records with reference code")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--vectors", required=True)
-    sp.add_argument("--method", choices=("naive", "ntt"), default="ntt")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_mul)
-
-    sp = sub.add_parser("sim", help="run the cycle-accurate multiplier model")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--vectors", required=True)
-    sp.add_argument("--mode", choices=("schedule", "structural"),
-                    default="schedule")
-    sp.add_argument("--butterfly-latency", type=int, default=None)
-    sp.add_argument("--report", required=True)
-    sp.add_argument("--trace", default=None, help="CSV cycle-trace path")
-    sp.set_defaults(func=cmd_sim)
-
-    sp = sub.add_parser("check", help="cross-check oracle, transform, simulator")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--vectors", required=True)
-    sp.set_defaults(func=cmd_check)
-
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}")
+        names = [argv[0]]
+    else:
+        sub = ap.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, func, arguments = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -5,18 +5,22 @@ schoolbook product computed by two-point Kronecker substitution, as two
 exact big-int multiplications of half size, whose even and odd halves
 each wrap x**N = -1 in the big-int, which serves as the oracle (its
 wrapped slots s_k - s_{k+N} + B lie in [0, 2B] for B a multiple of M, so
-none carries or borrows, for coefficients below M < 2**64), a
+none carries or borrows, for coefficients below M < 2**64); a
 constant-geometry transform pair on the per-stage twiddle tables, whose
-stages run two to a pass (four entries read and four written per loop
-iteration, after a lone stage in the forward and before one in the
-inverse when log2 N is odd), and the merged-twiddle multiplier, which
-runs that pair on stage tables carrying the phi weights and N**-1 (two
-forwards, pointwise, inverse), derived on first use and kept on their
-table set (``NttParams.merged_tables``).  The
-streaming pipeline model in :mod:`nttmul.pipesim` returns the schoolbook's
-products: a ``PipelineConfig`` exists only once its stages' network is
-proved a tree of CRT splits that, on the config's tables, computes
-a*b mod x**N + 1 for every input (``pipesim._network_proof`` and
+first k = max(0, log2 N - 4) forward stages and last k inverse stages
+run on packed blocks, a few big-int operations per block with Shoup's
+modular product in [0, 2M) on slots wide enough for N*M, and whose
+other stages, four from N = 16 on, run two to a pass (four entries read
+and four written per loop iteration, after a lone stage in the forward
+and before one in the inverse when their count is odd, at N = 8 alone);
+and the merged-twiddle multiplier, which runs that pair on stage tables
+carrying the phi weights and N**-1 (two forwards, pointwise, inverse),
+derived on first use and kept on their table set
+(``NttParams.merged_tables``).  The streaming pipeline model in
+:mod:`nttmul.pipesim` returns the schoolbook's products: a
+``PipelineConfig`` exists only once its stages' network is proved a tree
+of CRT splits that, on the config's tables, computes a*b mod x**N + 1
+for every input (``pipesim._network_proof`` and
 ``pipesim._table_proof``).  Those proofs do not read this transform,
 which rests on its own tests.
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 import reprlib
 import struct
 from functools import lru_cache
+from itertools import chain
 from operator import add, sub
 
 from ._frozen import Frozen
@@ -96,13 +101,29 @@ def _slots(n: int, M: int):
     width w in bytes, q = ceil(w/8) 64-bit limbs a slot spreads into, the
     bytes a coefficient below M fills, D (B in each of N/2 slots), and the
     struct packer of N/2 coefficients and unpacker of q*N limbs."""
-    B = -(-n * (M - 1) ** 2 // M) * M   # smallest multiple of M >= N*(M-1)**2
+    # B, the smallest multiple of M >= N*(M-1)**2: the wrapped slot
+    # s_k - s_{k+N} + B neither borrows (s_{k+N} <= (N-1)*(M-1)**2) nor
+    # passes 2B (s_k <= N*(M-1)**2), and w bytes hold 2B.  Any larger
+    # multiple B' of M, as (M+1)**2 or M**2 in place of (M-1)**2 gives,
+    # yields slots congruent mod M in [0, 2B'], which w' bytes hold, so the
+    # same products.  The one from (M-2)**2, B'' >= N*(M-2)**2, still exceeds
+    # (N-1)*(M-1)**2 when M >= 2N + 1, but the top slot N*(M-1)**2 + B''
+    # can pass 2B''; it overflows w'' bytes only if 256**w'' lies in
+    # (2B'', N*(M-1)**2 + B''], which forces M - 1 or M - 2 to be
+    # isqrt(256**w'' // 2N), and no valid ring lies there
+    # (test_smaller_slot_bound_overflows_on_no_ring checks every N and w'').
+    B = -(-n * (M - 1) ** 2 // M) * M
     w = ((2 * B).bit_length() + 7) // 8
     q = (w + 7) // 8
-    D = int.from_bytes(B.to_bytes(w, "little") * (n // 2), "little")
+    D = _spread(B, w, n // 2)
     return (w, q, ((M - 1).bit_length() + 7) // 8, D,
             struct.Struct(f"<{n // 2}Q").pack,
             struct.Struct(f"<{q * n}Q").unpack)
+
+
+def _spread(v: int, size: int, count: int) -> int:
+    """v in each of count little-endian slots of size bytes, as one int."""
+    return int.from_bytes(v.to_bytes(size, "little") * count, "little")
 
 
 def _restride(out, start: int, new_step: int, src, step: int, width: int):
@@ -158,10 +179,7 @@ def naive_negacyclic_mul(a: Polynomial, b: Polynomial,
     for j, z in enumerate(((plus + minus) >> 1, (plus - minus) >> e + 1)):
         r = (z & (1 << bits) - 1) - (z >> bits) + D
         _restride(out, 8 * q * j, 16 * q, r.to_bytes(w * h, "little"), w, w)
-    limbs = unpack(out)
-    s = limbs[0::q]
-    for j in range(1, q):
-        s = [lo + (hi << 64 * j) for lo, hi in zip(s, limbs[j::q])]
+    s = _join_limbs(unpack(out), q)
     return Polynomial._unchecked(tuple([v % M for v in s]), M, "coefficient")
 
 
@@ -239,6 +257,142 @@ def _inverse(a: list[int], tables, M: int,
     return a
 
 
+_BLOCK = 16     # slots a packed block keeps when the scalar passes take over
+
+
+def _codec(count: int, q: int):
+    """(to_int, from_int) for ``count`` slots of q little-endian 64-bit
+    limbs: to_int packs a sequence of ints below 2**(64*q) into one int,
+    from_int gives back the sequence of its slots."""
+    size = 8 * q * count
+    unpack = struct.Struct(f"<{q * count}Q").unpack
+    if q == 1:
+        pack = struct.Struct(f"<{count}Q").pack
+        return (lambda vals: int.from_bytes(pack(*vals), "little"),
+                lambda x: unpack(x.to_bytes(size, "little")))
+    return (lambda vals: int.from_bytes(b"".join(
+                [v.to_bytes(8 * q, "little") for v in vals]), "little"),
+            lambda x: _join_limbs(unpack(x.to_bytes(size, "little")), q))
+
+
+@lru_cache(maxsize=64)
+def _packing(n: int, M: int):
+    """Block geometry of the packed stages for (N, M): k, the number of
+    packed stages; beta = 32*q, Shoup's shift, for a slot of q 64-bit
+    limbs; the codecs (:func:`_codec`) of N slots and of _BLOCK; and per
+    packed forward stage s = 1 ... k, for halves of L = N >> s slots, the
+    half's bit length, its mask, the mask of each slot's low beta bits,
+    2M in every slot and L*M in every slot.
+
+    Bound: forward slots stay below (2s+1)*M after stage s and inverse
+    slots at most 2**s * (M-1), so every Shoup input, X + C - Y and the
+    last stage's sums included, is below N*M; q is the fewest limbs with
+    N*M <= 2**(32*q).  Then w' = floor(w * 2**beta / M) < 2**beta, and
+    each slot product, x*w', x*w and floor(x*w' / 2**beta)*M, is below
+    2**(2*beta), the slot width, so none carries into the next slot.  The
+    three benchmark rings take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
+
+    k = m - 4, m = log2 N, hands _BLOCK = 16-slot blocks to the scalar
+    passes: on a 2-vCPU Xeon (best of 5 runs of 2 to 50 products),
+    handing over 8 slots (k = m - 3) was 3-4 % slower at N = 128 ... 1024
+    and 2 % faster at N = 4096, and 32 slots (k = m - 5) 11-17 % slower.
+    The packed stages gain about 10 % at N = 128 and cost about 12 % at
+    N = 64, where scalar stages are cheap against a block's fixed cost.
+    """
+    k = max(0, (n // _BLOCK).bit_length() - 1)
+    q = -(-(n * M - 1).bit_length() // 32)
+    beta, size = 32 * q, 8 * q
+    halves = [(64 * q * L, (1 << 64 * q * L) - 1,
+               _spread((1 << beta) - 1, size, L), _spread(2 * M, size, L),
+               _spread(L * M, size, L))
+              for L in (n >> s for s in range(1, k + 1))]
+    return k, beta, _codec(n, q), _codec(_BLOCK, q), halves
+
+
+def _join_limbs(limbs, q: int) -> list[int]:
+    """The ints whose q little-endian 64-bit limbs follow one another."""
+    s = limbs[0::q]
+    for j in range(1, q):
+        s = [lo + (hi << 64 * j) for lo, hi in zip(s, limbs[j::q])]
+    return s
+
+
+def _block_stages_fwd(blocks, tables, n: int, M: int) -> list[int]:
+    # _forward's stages on packed blocks, one per table (at most the k of
+    # _packing), from the stage that len(blocks) = 2**s blocks enter.
+    # Block c after stage s is a[c::2**s] as _forward leaves it, so stage
+    # s + 1 pairs the block's low half lo with its high half hi under the
+    # one twiddle w, entry c of the stage's table, and writes blocks 2c
+    # and 2c + 1.  Shoup's product r = hi*w - floor(hi*w' / 2**beta)*M lies in
+    # [0, 2M) slot by slot for slots below 2**beta, so the blocks lo + r
+    # and lo + 2M - r stay non-negative, no slot borrows, and every slot
+    # is below (2s+3)*M after stage s + 1.
+    _, beta, _, _, halves = _packing(n, M)
+    for tw, (bits, low, mask, twice, _) in zip(
+            tables, halves[len(blocks).bit_length() - 1:]):
+        out = []
+        put = out.extend
+        for x, w in zip(blocks, tw):
+            lo, hi = x & low, x >> bits
+            r = hi * w - ((hi * ((w << beta) // M) >> beta) & mask) * M
+            put((lo + r, lo + twice - r))
+        blocks = out
+    return blocks
+
+
+def _block_stages_inv(blocks, tables, n: int, M: int) -> list[int]:
+    # _inverse's stages on packed blocks, one per table, the mirror image:
+    # of the blocks left, X = 2c and Y = 2c + 1 make block c, whose low
+    # half is X + Y and high half Shoup's product of X + C - Y by w, entry
+    # c of the stage's table.  C = L*M in each of X's L = 2**(s-1) slots
+    # is a multiple of M at or above every slot, which is at most
+    # 2**(s-1) * (M-1) before stage s, so no slot borrows; sums double per
+    # stage and the high halves lie in [0, 2M).
+    _, beta, _, _, halves = _packing(n, M)
+    for tw in tables:
+        bits, _, mask, _, C = halves[len(blocks).bit_length() - 2]
+        out = []
+        put = out.append
+        for x, y, w in zip(blocks[0::2], blocks[1::2], tw):
+            d = x + C - y
+            put(x + y + ((d * w - ((d * ((w << beta) // M) >> beta) & mask)
+                          * M) << bits))
+        blocks = out
+    return blocks
+
+
+def _forward_packed(coeffs, tables, M: int) -> list[int]:
+    """_forward's result up to multiples of M: its first k stages on one
+    packed block of the coefficients, then its passes on the rest."""
+    n = len(coeffs)
+    k, _, (to_int, _), (_, from_block), _ = _packing(n, M)
+    if not k:
+        return _forward(list(coeffs), tables, M)
+    blocks = _block_stages_fwd([to_int(coeffs)], tables, n, M)
+    # slot i of block c is a[c + 2**k * i]: zip takes the blocks' columns
+    return _forward(list(chain.from_iterable(zip(*map(from_block, blocks)))),
+                    tables[k:], M)
+
+
+def _inverse_packed(a: list[int], tables, M: int, n_inv: int) -> list[int]:
+    """_inverse's result with n_inv: its passes on all but the last k
+    stages, which run on packed blocks; the last stage's sums are then
+    scaled by n_inv, with Shoup's product too, and every entry reduced."""
+    n = len(a)
+    k, beta, (_, from_int), (to_block, _), halves = _packing(n, M)
+    if not k:
+        return _inverse(a, tables, M, n_inv)
+    a = _inverse(a, tables[:-k], M)
+    # block c holds a[c::2**k]: the columns of the _BLOCK rows of 2**k
+    (x,) = _block_stages_inv(
+        list(map(to_block, zip(*zip(*[iter(a)] * (n // _BLOCK))))),
+        tables[-k:], n, M)
+    _, low, mask, _, _ = halves[0]
+    lo = x & low
+    x += lo * n_inv - ((lo * ((n_inv << beta) // M) >> beta) & mask) * M - lo
+    return [v % M for v in from_int(x)]
+
+
 @lru_cache(maxsize=64)
 def _bit_reversal(m: int) -> tuple[int, ...]:
     """bit_reverse_index(i, m) for i < 2**m: the permutation between the
@@ -250,7 +404,7 @@ def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     """Evaluate at the powers of omega: out_i = sum_j a_j omega**(i*j)."""
     _check_operand(a, params, domain="coefficient", name="a")
     M = params.M
-    vals = _forward(list(a.coeffs), params.stage_twiddles_fwd, M)
+    vals = _forward_packed(a.coeffs, params.stage_twiddles_fwd, M)
     return Polynomial._unchecked(
         tuple([vals[j] % M for j in _bit_reversal(params.num_stages)]), M,
         "evaluation")
@@ -261,8 +415,9 @@ def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     _check_operand(a, params, domain="evaluation", name="a")
     M, cs, n_inv = params.M, a.coeffs, params.n_inv
     *tables, last = params.stage_twiddles_inv
-    vals = _inverse([cs[j] for j in _bit_reversal(params.num_stages)],
-                    (*tables, tuple(w * n_inv % M for w in last)), M, n_inv)
+    vals = _inverse_packed([cs[j] for j in _bit_reversal(params.num_stages)],
+                           (*tables, tuple(w * n_inv % M for w in last)), M,
+                           n_inv)
     return Polynomial._unchecked(tuple(vals), M, "coefficient")
 
 
@@ -273,24 +428,35 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     pointwise, one inverse, with the phi weights and N**-1 inside the
     butterflies (Roy et al., CHES 2014), so there is no
     weighting or unweighting pass.  The spectra stay in bit-reversed
-    order, as the pointwise step does not depend on order, and the last
-    inverse stage leaves every coefficient in [0, M).  Each transform runs
-    its stages two to a pass, and a lone stage when log2 N is odd (first
-    in the forwards, last in the inverse); per loop iteration a pass
-    reads four entries, makes four products and eight sums and writes
-    four, from three twiddle streams, as a pass's pairs j and j + N/4
-    share a twiddle in the stage of the two whose table repeats within
-    N/4 (the first forward, the second inverse).  Every value a pass
-    makes is the one its two stages make, so the lazy bounds hold as
-    stated at the stage loops.  Exactly equals
+    order, as the pointwise step does not depend on order, and the
+    inverse leaves every coefficient in [0, M).  Exactly equals
     naive_negacyclic_mul.
+
+    With m = log2 N, the first k = max(0, m - 4) forward stages and the
+    last k inverse stages run on packed blocks: after forward stage s
+    there are 2**s blocks, each one int of fixed-width slots, and a stage
+    costs a few big-int operations per block, as a block takes one
+    twiddle.  The modular product is Shoup's (Harvey, J. Symbolic Comput.
+    60, 2014): for a slot x < 2**beta and w' = floor(w * 2**beta / M),
+    x*w - floor(x*w' / 2**beta)*M lies in [0, 2M), and every slot of
+    the block's product comes out in one shift and one mask.  Slots are
+    q 64-bit limbs with beta = 32*q, the fewest with N*M <= 2**beta,
+    which bounds every Shoup input (see :func:`_packing`).  After k
+    stages block c is exactly a[c::2**k] of the constant-geometry order,
+    so ``_forward`` runs the last four stages unchanged; the inverse
+    mirrors this, and its last stage's sums are scaled by N**-1 with
+    Shoup's product too.  The scalar passes run two stages per loop
+    iteration: four entries read, four products and eight sums made and
+    four entries written, from three twiddle streams; every value a pass
+    makes is the one its two stages make, so the lazy bounds hold as
+    stated at the stage loops.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     M = params.M
     fwd, inv = params.merged_tables
-    a_hat = _forward(list(a.coeffs), fwd, M)
-    b_hat = _forward(list(b.coeffs), fwd, M)
+    a_hat = _forward_packed(a.coeffs, fwd, M)
+    b_hat = _forward_packed(b.coeffs, fwd, M)
     prod = [x * y % M for x, y in zip(a_hat, b_hat)]
-    out = tuple(_inverse(prod, inv, M, params.n_inv))
+    out = tuple(_inverse_packed(prod, inv, M, params.n_inv))
     return Polynomial._unchecked(out, M, "coefficient")

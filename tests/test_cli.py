@@ -834,6 +834,114 @@ class TestArgumentErrors:
             cli.main([])
 
 
+# the parser's output, taken when every process built all five subparsers:
+# argv, exit status, stdout, stderr; COLUMNS=80
+PINNED_PARSER_OUTPUT = [
+    (("--help",), 0,
+     "usage: nttmul [-h] {params,gen,mul,sim,check} ...\n"
+     "\n"
+     "negacyclic polynomial multiplication: parameter derivation, reference\n"
+     "multiplication, and the cycle-accurate pipeline model\n"
+     "\n"
+     "positional arguments:\n"
+     "  {params,gen,mul,sim,check}\n"
+     "    params              derive constants and write a table file\n"
+     "    gen                 generate seeded test vectors\n"
+     "    mul                 multiply vector records with reference code\n"
+     "    sim                 run the cycle-accurate multiplier model\n"
+     "    check               cross-check oracle, transform, simulator\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n",
+     ""),
+    (("params", "--help"), 0,
+     "usage: nttmul params [-h] --modulus MODULUS --n N --out OUT\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --modulus MODULUS\n"
+     "  --n N\n"
+     "  --out OUT\n",
+     ""),
+    (("gen", "--help"), 0,
+     "usage: nttmul gen [-h] --params PARAMS --count COUNT --seed SEED --out "
+     "OUT\n"
+     "\n"
+     "options:\n"
+     "  -h, --help       show this help message and exit\n"
+     "  --params PARAMS\n"
+     "  --count COUNT\n"
+     "  --seed SEED\n"
+     "  --out OUT\n",
+     ""),
+    (("mul", "--help"), 0,
+     "usage: nttmul mul [-h] --params PARAMS --vectors VECTORS\n"
+     "                  [--method {naive,ntt}] --out OUT\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --params PARAMS\n"
+     "  --vectors VECTORS\n"
+     "  --method {naive,ntt}\n"
+     "  --out OUT\n",
+     ""),
+    (("sim", "--help"), 0,
+     "usage: nttmul sim [-h] --params PARAMS --vectors VECTORS\n"
+     "                  [--mode {schedule,structural}]\n"
+     "                  [--butterfly-latency BUTTERFLY_LATENCY] --report "
+     "REPORT\n"
+     "                  [--trace TRACE]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --params PARAMS\n"
+     "  --vectors VECTORS\n"
+     "  --mode {schedule,structural}\n"
+     "  --butterfly-latency BUTTERFLY_LATENCY\n"
+     "  --report REPORT\n"
+     "  --trace TRACE         CSV cycle-trace path\n",
+     ""),
+    (("check", "--help"), 0,
+     "usage: nttmul check [-h] --params PARAMS --vectors VECTORS\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --params PARAMS\n"
+     "  --vectors VECTORS\n",
+     ""),
+    (("gen",), 2,
+     "",
+     "usage: nttmul gen [-h] --params PARAMS --count COUNT --seed SEED --out "
+     "OUT\n"
+     "nttmul gen: error: the following arguments are required: --params, "
+     "--count, --seed, --out\n"),
+    (("bogus",), 2,
+     "",
+     "usage: nttmul [-h] {params,gen,mul,sim,check} ...\n"
+     "nttmul: error: argument command: invalid choice: 'bogus' (choose from "
+     "'params', 'gen', 'mul', 'sim', 'check')\n"),
+    ((), 2,
+     "",
+     "usage: nttmul [-h] {params,gen,mul,sim,check} ...\n"
+     "nttmul: error: the following arguments are required: command\n"),
+    (("check", "--params", "p", "--vectors", "v", "--extra"), 2,
+     "",
+     "usage: nttmul [-h] {params,gen,mul,sim,check} ...\n"
+     "nttmul: error: unrecognized arguments: --extra\n"),
+]
+
+
+@pytest.mark.parametrize("argv, status, out, err", PINNED_PARSER_OUTPUT)
+def test_parser_output_pinned(monkeypatch, capsys, argv, status, out, err):
+    # only the subparser that argv names is built; help, usage and errors
+    # stay byte for byte those of the parser with every subparser
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(argv))
+    assert stop.value.code == status
+    assert capsys.readouterr() == (out, err)
+
+
 def test_cli_import_loads_no_numpy():
     # a fresh interpreter, so modules the test session already imported
     # (numpy among them) cannot hide an import

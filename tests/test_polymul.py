@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import re
 
@@ -8,13 +9,19 @@ from hypothesis import strategies as st
 
 from nttmul import BarrettConstantError, build_params
 from nttmul import params as params_module
-from nttmul.params import bit_reverse_index, derive_roots, is_prime
+from nttmul.params import (bit_reverse_index, derive_roots, is_prime,
+                           ring_problem)
 from nttmul.pipesim import (PipelineAssertionError, PipelineConfig, _table_proof,
                             run_stream)
 from nttmul.polymul import (
     Polynomial,
+    _block_stages_fwd,
+    _block_stages_inv,
     _forward,
+    _forward_packed,
     _inverse,
+    _inverse_packed,
+    _packing,
     _slots,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
@@ -703,3 +710,155 @@ class TestNetworkCertificate:
         with pytest.raises(PipelineAssertionError,
                            match=rf"^tables: {re.escape(law)} fails$"):
             _table_proof(p)
+
+
+GOLDILOCKS = (1 << 64) - (1 << 32) + 1
+# (M, N, k, q): rings of the packed stages, with k packed stages and slots
+# of q 64-bit limbs: the three benchmark rings (N*M just below 2**32 at
+# N = 4096), N*M just above 2**32 and at 2**35.5, and the two primes near
+# 2**64 that the wide tests use
+PACKED_RINGS = [(FIXED_M, 256, 4, 1), (12289, 1024, 6, 1),
+                (786433, 4096, 8, 1), (16_777_729, 256, 4, 2),
+                (1_518_500_033, 32, 1, 2),
+                (GOLDILOCKS, 64, 2, 3), (GOLDILOCKS, 256, 4, 3),
+                (18_446_744_073_709_550_593, 32, 1, 3)]
+
+
+def _encode(vals, q):
+    """A packed block: vals in slots of q 64-bit limbs, low slot first."""
+    return sum(v << 64 * q * i for i, v in enumerate(vals))
+
+
+def _decode(x, count, q):
+    """The count slots of the packed block x; no bit lies above them."""
+    size = 64 * q
+    assert 0 <= x < 1 << size * count
+    return [x >> size * i & (1 << size) - 1 for i in range(count)]
+
+
+def _shoup(x, w, beta, M):
+    """Shoup's product slot by slot, with the bounds its slot must keep:
+    x below 2**beta, every product below the slot width 2**(2*beta), and
+    the result in [0, 2M), congruent to x*w."""
+    wq = (w << beta) // M
+    quot = x * wq >> beta
+    assert 0 <= x < 1 << beta
+    assert max(x * wq, x * w, quot * M) < 1 << 2 * beta
+    r = x * w - quot * M
+    assert 0 <= r < 2 * M and r % M == x * w % M
+    return r
+
+
+class TestPackedStages:
+    """The first k forward and last k inverse stages of the transform run
+    on packed blocks (``_block_stages_fwd``, ``_block_stages_inv``): each
+    block's slots equal a per-slot scalar model of the step, the stated
+    bounds hold, and the blocks hand over to the scalar passes in their
+    constant-geometry order."""
+
+    @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
+    def test_geometry(self, M, N, k, q):
+        got_k, beta, _, _, halves = _packing(N, M)
+        assert (got_k, beta) == (k, 32 * q) and len(halves) == k
+        # q is the fewest limbs whose beta bounds the Shoup inputs
+        assert N * M <= 1 << beta and (q == 1 or N * M > 1 << beta - 32)
+
+    @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 2048])
+    def test_k_leaves_four_scalar_stages(self, N):
+        m = N.bit_length() - 1
+        assert _packing(N, 12289)[0] == max(0, m - 4)
+
+    @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
+    def test_forward_slots_equal_the_scalar_model(self, M, N, k, q):
+        p = build_params(M, N)
+        fwd, _ = p.merged_tables
+        beta = 32 * q
+        rng = random.Random(N)
+        for coeffs in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
+            model, blocks = [coeffs], [_encode(coeffs, q)]
+            for s in range(1, k + 1):
+                L = N >> s
+                step = []
+                for c, v in enumerate(model):
+                    r = [_shoup(x, fwd[s - 1][c], beta, M) for x in v[L:]]
+                    step += ([lo + y for lo, y in zip(v, r)],
+                             [lo + 2 * M - y for lo, y in zip(v, r)])
+                model = step
+                blocks = _block_stages_fwd(blocks, fwd[s - 1:s], N, M)
+                assert [_decode(x, L, q) for x in blocks] == model, s
+                assert max(map(max, model)) < (2 * s + 1) * M, s
+            # block c is a[c::2**k] of the scalar stages' output, mod M
+            a = _forward(list(coeffs), fwd[:k], M)
+            for c, v in enumerate(model):
+                assert [x % M for x in v] == [x % M for x in a[c::1 << k]]
+            assert ([x % M for x in _forward_packed(coeffs, fwd, M)]
+                    == [x % M for x in _forward(list(coeffs), fwd, M)])
+
+    @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
+    def test_inverse_slots_equal_the_scalar_model(self, M, N, k, q):
+        p = build_params(M, N)
+        _, inv = p.merged_tables
+        m, beta = p.num_stages, 32 * q
+        rng = random.Random(N)
+        for spectrum in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
+            a = _inverse(list(spectrum), inv[:m - k], M)
+            assert max(a) <= 2**(m - k) * (M - 1)
+            model = [a[c::1 << k] for c in range(1 << k)]
+            blocks = [_encode(v, q) for v in model]
+            for s in range(m - k + 1, m + 1):
+                L = 1 << s - 1
+                step = []
+                for c, (x, y) in enumerate(zip(model[0::2], model[1::2])):
+                    C = L * M       # a multiple of M at or above every slot
+                    assert max(y) <= C
+                    step.append([u + v for u, v in zip(x, y)]
+                                + [_shoup(u + C - v, inv[s - 1][c], beta, M)
+                                   for u, v in zip(x, y)])
+                model = step
+                blocks = _block_stages_inv(blocks, inv[s - 1:s], N, M)
+                assert [_decode(x, 2 * L, q) for x in blocks] == model, s
+                assert max(map(max, model)) <= 2**s * M, s
+            # the last stage's sums scaled by N**-1, then reduced
+            (v,) = model
+            want = [_shoup(x, p.n_inv, beta, M) % M for x in v[:N // 2]]
+            want += [x % M for x in v[N // 2:]]
+            assert _inverse_packed(list(spectrum), inv, M, p.n_inv) == want
+            assert want == _inverse(list(spectrum), inv, M, p.n_inv)
+
+    @pytest.mark.parametrize("M, N", [(17, 4), (17, 8), (97, 16),
+                                      (GOLDILOCKS, 64), (GOLDILOCKS, 128),
+                                      (GOLDILOCKS, 256),
+                                      (18_446_744_073_709_550_593, 32)])
+    def test_products_equal_the_schoolbook(self, M, N):
+        # k = 0 at N <= 16; slots of three limbs near 2**64
+        p = build_params(M, N)
+        rng = random.Random(M % 1000 + N)
+        top = Polynomial((M - 1,) * N, M)
+        for a, b in ((top, top), (rand_poly(rng, p), rand_poly(rng, p))):
+            want = schoolbook_reference(a.coeffs, b.coeffs, N, M)
+            assert negacyclic_mul_ntt(a, b, p).coeffs == want
+            assert naive_negacyclic_mul(a, b, p).coeffs == want
+            back = ntt_inverse(ntt_forward(a, p), p)
+            assert back.coeffs == a.coeffs
+
+
+def test_smaller_slot_bound_overflows_on_no_ring():
+    # _slots' B from (M-2)**2, B'' = M*ceil(N*(M-2)**2 / M): its top slot
+    # N*(M-1)**2 + B'' overflows w'' = bytes(2B'') only where
+    # 2B'' < 256**w'' <= N*(M-1)**2 + B''.  With s = sqrt(256**w'' / 2N),
+    # the left inequality needs M - 2 < s, and M <= s rules the right one
+    # out, as N*(M-1)**2 + B'' < N*((M-1)**2 + (M-2)**2) + M < 2N*M**2 then;
+    # so M - 1 or M - 2 is floor(s), and checking those two for every
+    # N = 2**m <= 2**62 (2N | M - 1 < 2**64) and every w'' up to 24 bytes
+    # (N*(M-1)**2 + B'' < 2**192) covers every valid ring
+    for m in range(2, 63):
+        N = 1 << m
+        for w in range(1, 25):
+            root = math.isqrt((1 << 8 * w) // (2 * N))
+            for M in (root + 1, root + 2):
+                if (M - 1) % (2 * N) or ring_problem(M, N):
+                    continue
+                B = -(-N * (M - 2) ** 2 // M) * M
+                assert B >= (N - 1) * (M - 1) ** 2
+                width = ((2 * B).bit_length() + 7) // 8
+                assert N * (M - 1) ** 2 + B < 1 << 8 * width, (M, N)
