@@ -157,8 +157,9 @@ class NttParams(Frozen):
     ``stage_twiddles_fwd[s-1]`` holds the distinct twiddles stage s consumes,
     in feed order, one per butterfly block; counts double per forward stage
     (1, 2, 4, ...) and halve per inverse stage.  ``merged_tables``, the
-    multiplier's stage tables, is derived from these on first use and kept
-    on the set, so a set made by ``_replace`` derives its own.
+    multiplier's stage tables, and ``leaf_constants``, its leaf fold's
+    constants, are derived from these on first use and kept on the set, so
+    a set made by ``_replace`` derives its own.
     """
 
     n: int
@@ -194,6 +195,12 @@ class NttParams(Frozen):
         scales its sums too.  Each table is tiled to N/2 entries, one per
         pair, as the stage loops read it.  Returns (forward tables, inverse
         tables).
+
+        The product reads forward stages 1 ... k_p, with k_p = max(1,
+        m - 4), forward stage k_p + 1 through ``leaf_constants`` (whose
+        squared twiddles are its leaves' zeta_c), and inverse stages
+        m - k_p + 1 ... m; the stages between are those the leaf products
+        stand in for.
         """
         N, M, m = self.n, self.M, self.num_stages
 
@@ -206,6 +213,15 @@ class NttParams(Frozen):
                            * (self.n_inv if s == m else 1))
                     for s, tw in enumerate(self.stage_twiddles_inv, 1))
         return fwd, inv
+
+    @cached_property
+    def leaf_constants(self):
+        """The leaf fold's constants of
+        :func:`nttmul.polymul.negacyclic_mul_ntt`, derived from
+        ``merged_tables`` on first use and kept on the set
+        (``polymul._leaf_constants``)."""
+        from .polymul import _leaf_constants
+        return _leaf_constants(self)
 
 
 def _stage_table(root: int, N: int, M: int, s: int) -> tuple[int, ...]:

@@ -13,10 +13,17 @@ modular product in [0, 2M) on slots wide enough for N*M, and whose
 other stages, four from N = 16 on, run two to a pass (four entries read
 and four written per loop iteration, after a lone stage in the forward
 and before one in the inverse when their count is odd, at N = 8 alone);
-and the merged-twiddle multiplier, which runs that pair on stage tables
-carrying the phi weights and N**-1 (two forwards, pointwise, inverse),
+and the transform multiplier, an incomplete transform on stage tables
+carrying the phi weights and N**-1 (``NttParams.merged_tables``): the
+first k_p = max(1, log2 N - 4) packed forward stages on each operand
+leave 2**k_p leaves, block c the operand mod x**L - zeta_c with
+L = N >> k_p and zeta_c the square of stage k_p + 1's twiddle c; one
+big-int product per leaf, whose slots of 2*beta bits hold its coefficient
+sums without a carry; a fold mod x**L - zeta_c, scaled by L, by four
+Shoup products on the slots' beta-bit halves and one by 1, into
+[0, 2M); and the last k_p packed inverse stages.  Its constants are
 derived on first use and kept on their table set
-(``NttParams.merged_tables``).  The streaming pipeline model in
+(``NttParams.leaf_constants``).  The streaming pipeline model in
 :mod:`nttmul.pipesim` returns the schoolbook's products: a
 ``PipelineConfig`` exists only once its stages' network is proved a tree
 of CRT splits that, on the config's tables, computes a*b mod x**N + 1
@@ -278,19 +285,29 @@ def _codec(count: int, q: int):
 @lru_cache(maxsize=64)
 def _packing(n: int, M: int):
     """Block geometry of the packed stages for (N, M): k, the number of
-    packed stages; beta = 32*q, Shoup's shift, for a slot of q 64-bit
-    limbs; the codecs (:func:`_codec`) of N slots and of _BLOCK; and per
-    packed forward stage s = 1 ... k, for halves of L = N >> s slots, the
-    half's bit length, its mask, the mask of each slot's low beta bits,
-    2M in every slot and L*M in every slot.
+    packed stages of ``ntt_forward`` and ``ntt_inverse``; beta = 32*q,
+    Shoup's shift, for a slot of q 64-bit limbs; the codecs
+    (:func:`_codec`) of N slots and of _BLOCK; and per packed forward
+    stage s = 1 ... k_p, for halves of L = N >> s slots, the half's bit
+    length, its mask, the mask of each slot's low beta bits, 2M in every
+    slot and L*M in every slot.  k_p = max(1, k), the length of that
+    list, is the number of packed forward stages before
+    :func:`negacyclic_mul_ntt`'s leaves.
 
     Bound: forward slots stay below (2s+1)*M after stage s and inverse
     slots at most 2**s * (M-1), so every Shoup input, X + C - Y and the
-    last stage's sums included, is below N*M; q is the fewest limbs with
-    N*M <= 2**(32*q).  Then w' = floor(w * 2**beta / M) < 2**beta, and
-    each slot product, x*w', x*w and floor(x*w' / 2**beta)*M, is below
-    2**(2*beta), the slot width, so none carries into the next slot.  The
-    three benchmark rings take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
+    last stage's sums included, is below N*M.  A slot of a leaf product
+    sums at most L = N >> k_p products of forward slots, below
+    L * (2*k_p + 1)**2 * M**2 <= (N*M)**2 from N = 8 on, and the leaf
+    fold's last Shoup input, the sum of four Shoup results, is below 8M.
+    q is the fewest limbs with max(N, 8)*M <= 2**(32*q): at N = 4 a leaf
+    slot reaches 2*(3M - 1)**2 (both operands (M-1, M-1, 0, 0), whose
+    forward slots lo + 2M - r have r = 0), past 2**(2*beta) when
+    4M <= 2**beta < 3*sqrt(2)*M, as at M = 1073741689.  Then
+    w' = floor(w * 2**beta / M) < 2**beta, and each slot product, x*w',
+    x*w and floor(x*w' / 2**beta)*M, is below 2**(2*beta), the slot
+    width, so none carries into the next slot.  The three benchmark rings
+    take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
 
     k = m - 4, m = log2 N, hands _BLOCK = 16-slot blocks to the scalar
     passes: on a 2-vCPU Xeon (best of 5 runs of 2 to 50 products),
@@ -300,12 +317,12 @@ def _packing(n: int, M: int):
     N = 64, where scalar stages are cheap against a block's fixed cost.
     """
     k = max(0, (n // _BLOCK).bit_length() - 1)
-    q = -(-(n * M - 1).bit_length() // 32)
+    q = -(-(max(n, 8) * M - 1).bit_length() // 32)
     beta, size = 32 * q, 8 * q
     halves = [(64 * q * L, (1 << 64 * q * L) - 1,
                _spread((1 << beta) - 1, size, L), _spread(2 * M, size, L),
                _spread(L * M, size, L))
-              for L in (n >> s for s in range(1, k + 1))]
+              for L in (n >> s for s in range(1, max(1, k) + 1))]
     return k, beta, _codec(n, q), _codec(_BLOCK, q), halves
 
 
@@ -374,23 +391,75 @@ def _forward_packed(coeffs, tables, M: int) -> list[int]:
                     tables[k:], M)
 
 
-def _inverse_packed(a: list[int], tables, M: int, n_inv: int) -> list[int]:
-    """_inverse's result with n_inv: its passes on all but the last k
-    stages, which run on packed blocks; the last stage's sums are then
-    scaled by n_inv, with Shoup's product too, and every entry reduced."""
-    n = len(a)
-    k, beta, (_, from_int), (to_block, _), halves = _packing(n, M)
-    if not k:
-        return _inverse(a, tables, M, n_inv)
-    a = _inverse(a, tables[:-k], M)
-    # block c holds a[c::2**k]: the columns of the _BLOCK rows of 2**k
-    (x,) = _block_stages_inv(
-        list(map(to_block, zip(*zip(*[iter(a)] * (n // _BLOCK))))),
-        tables[-k:], n, M)
+def _inverse_blocks(blocks, tables, n: int, M: int, n_inv: int) -> list[int]:
+    """The packed inverse stages on blocks, one per table, down to one
+    block; the last stage's sums are then scaled by n_inv, with Shoup's
+    product too, and every entry reduced."""
+    _, beta, (_, from_int), _, halves = _packing(n, M)
+    (x,) = _block_stages_inv(blocks, tables, n, M)
     _, low, mask, _, _ = halves[0]
     lo = x & low
     x += lo * n_inv - ((lo * ((n_inv << beta) // M) >> beta) & mask) * M - lo
     return [v % M for v in from_int(x)]
+
+
+def _inverse_packed(a: list[int], tables, M: int, n_inv: int) -> list[int]:
+    """_inverse's result with n_inv: its passes on all but the last k
+    stages, which run on packed blocks (:func:`_inverse_blocks`)."""
+    n = len(a)
+    k, _, _, (to_block, _), _ = _packing(n, M)
+    if not k:
+        return _inverse(a, tables, M, n_inv)
+    a = _inverse(a, tables[:-k], M)
+    # block c holds a[c::2**k]: the columns of the _BLOCK rows of 2**k
+    return _inverse_blocks(
+        list(map(to_block, zip(*zip(*[iter(a)] * (n // _BLOCK))))),
+        tables[-k:], n, M, n_inv)
+
+
+def _leaf_constants(params: NttParams):
+    """The leaf fold's constants for :func:`negacyclic_mul_ntt`, as Shoup
+    pairs (w, floor(w * 2**beta / M)), with L = N >> k_p: the pairs of L
+    and L * 2**beta and floor(2**beta / M), shared by every leaf; and per
+    leaf c the pairs of L*zeta_c and L*zeta_c * 2**beta, where
+    zeta_c = fwd[k_p][c]**2 (all mod M)."""
+    n, M = params.n, params.M
+    _, beta, _, _, halves = _packing(n, M)
+    kp = len(halves)
+
+    def pairs(w):
+        w, w2 = w % M, (w << beta) % M
+        return w, (w << beta) // M, w2, (w2 << beta) // M
+
+    fwd, _ = params.merged_tables
+    return ((*pairs(n >> kp), (1 << beta) // M),
+            tuple(pairs((n >> kp) * w * w) for w in fwd[kp][:1 << kp]))
+
+
+def _leaf_products(xs, ys, params: NttParams) -> list[int]:
+    """Per leaf c, L * x_c*y_c mod (x**L - zeta_c, M) as one packed block
+    of L slots in [0, 2M), for the 2**k_p forward blocks xs and ys that
+    :func:`negacyclic_mul_ntt` makes; the constants are the set's
+    ``leaf_constants``."""
+    M = params.M
+    _, beta, _, _, halves = _packing(params.n, M)
+    bits, low, mask, _, _ = halves[-1]
+    (s0, s0q, s1, s1q, oneq), twists = params.leaf_constants
+    leaves = []
+    put = leaves.append
+    for x, y, (t0, t0q, t1, t1q) in zip(xs, ys, twists):
+        z = x * y
+        lo, hi = z & low, z >> bits
+        u0, u1 = lo & mask, lo >> beta & mask
+        v0, v1 = hi & mask, hi >> beta & mask
+        # each product by a constant, less its quotient times M, is Shoup's:
+        # every slot of r is the sum of four Shoup results, below 8M,
+        # whatever the big-int sum carries on the way
+        r = (u0 * s0 + u1 * s1 + v0 * t0 + v1 * t1
+             - ((u0 * s0q >> beta & mask) + (u1 * s1q >> beta & mask)
+                + (v0 * t0q >> beta & mask) + (v1 * t1q >> beta & mask)) * M)
+        put(r - (r * oneq >> beta & mask) * M)
+    return leaves
 
 
 @lru_cache(maxsize=64)
@@ -424,39 +493,59 @@ def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
 def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
                        params: NttParams) -> Polynomial:
     """Transform product on the set's merged tables
-    (:attr:`~nttmul.params.NttParams.merged_tables`): two forwards,
-    pointwise, one inverse, with the phi weights and N**-1 inside the
-    butterflies (Roy et al., CHES 2014), so there is no
-    weighting or unweighting pass.  The spectra stay in bit-reversed
-    order, as the pointwise step does not depend on order, and the
-    inverse leaves every coefficient in [0, M).  Exactly equals
-    naive_negacyclic_mul.
+    (:attr:`~nttmul.params.NttParams.merged_tables`): an incomplete
+    transform, as in Kyber (Bos et al., EuroS&P 2018), whose leaves are
+    multiplied as packed big ints (Kronecker substitution; Harvey,
+    J. Symbolic Comput. 44, 2009), with the phi weights and N**-1 inside
+    the butterflies (Roy et al., CHES 2014), so there is no weighting or
+    unweighting pass.  The inverse leaves every coefficient in [0, M).
+    Exactly equals naive_negacyclic_mul.
 
-    With m = log2 N, the first k = max(0, m - 4) forward stages and the
-    last k inverse stages run on packed blocks: after forward stage s
-    there are 2**s blocks, each one int of fixed-width slots, and a stage
-    costs a few big-int operations per block, as a block takes one
-    twiddle.  The modular product is Shoup's (Harvey, J. Symbolic Comput.
-    60, 2014): for a slot x < 2**beta and w' = floor(w * 2**beta / M),
-    x*w - floor(x*w' / 2**beta)*M lies in [0, 2M), and every slot of
-    the block's product comes out in one shift and one mask.  Slots are
-    q 64-bit limbs with beta = 32*q, the fewest with N*M <= 2**beta,
-    which bounds every Shoup input (see :func:`_packing`).  After k
-    stages block c is exactly a[c::2**k] of the constant-geometry order,
-    so ``_forward`` runs the last four stages unchanged; the inverse
-    mirrors this, and its last stage's sums are scaled by N**-1 with
-    Shoup's product too.  The scalar passes run two stages per loop
-    iteration: four entries read, four products and eight sums made and
-    four entries written, from three twiddle streams; every value a pass
-    makes is the one its two stages make, so the lazy bounds hold as
-    stated at the stage loops.
+    With m = log2 N, each operand runs the first k_p = max(1, m - 4)
+    forward stages on packed blocks: after stage s there are 2**s blocks,
+    each one int of fixed-width slots, and a stage costs a few big-int
+    operations per block, as a block takes one twiddle.  The modular
+    product is Shoup's (Harvey, J. Symbolic Comput. 60, 2014): for a slot
+    x < 2**beta and w' = floor(w * 2**beta / M), x*w - floor(x*w' /
+    2**beta)*M lies in [0, 2M), indeed below M * (1 + x / 2**beta), and
+    every slot of the block's product comes out in one shift and one
+    mask.  Slots are q 64-bit limbs with beta = 32*q (see :func:`_packing`
+    for the bounds).  Block c is then the operand mod x**L - zeta_c, the
+    leaf, with L = N >> k_p (16 from N = 32 on) and slot i the
+    coefficient of x**i: stage k_p + 1 would split it by its twiddle
+    w_c = fwd[k_p][c] into x**(L/2) - w_c and x**(L/2) + w_c, so
+    zeta_c = w_c**2.  Per leaf, z = A_c * B_c is one big-int product; each
+    of its 2L - 1 slots sums at most L slot products, below 2**(2*beta),
+    so no slot carries and slot i of z is the coefficient of x**i of the
+    product.
+
+    The fold (:func:`_leaf_products`) takes z mod x**L - zeta_c,
+    lo + zeta_c * hi for lo and hi the low and high L slots of z, times L,
+    without leaving the packed form: each slot of lo and of hi is split
+    into its beta-bit halves, every one below 2**beta, and four Shoup
+    products by L, L * 2**beta, L*zeta_c and L*zeta_c * 2**beta (mod M,
+    :func:`_leaf_constants`) sum to a leaf with slots below
+    8M <= 2**beta, which one more Shoup product, by 1, puts in [0, 2M),
+    within the offset C = L*M of the first inverse stage.  The leaves then
+    run the last k_p inverse stages on packed blocks, which multiply by
+    2**k_p, and the last stage's sums and difference twiddles carry
+    N**-1, so the fold's L makes the scale 1.
+
+    k_p >= 1 at N <= 16 too, so every product reads its forward stages
+    1 ... k_p + 1 and inverse stages m - k_p + 1 ... m.  Leaves of _BLOCK
+    = 16 are the blocks the packed stages hand to ``ntt_forward``'s scalar
+    passes.  Other leaf sizes on a 2-vCPU Xeon (best of 8 interleaved
+    rounds, N = 64 ... 4096): 32 coefficients (k_p = m - 5) were 5-9 %
+    faster, 64 about level and 128 5-10 % slower.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
-    M = params.M
+    N, M = params.n, params.M
     fwd, inv = params.merged_tables
-    a_hat = _forward_packed(a.coeffs, fwd, M)
-    b_hat = _forward_packed(b.coeffs, fwd, M)
-    prod = [x * y % M for x, y in zip(a_hat, b_hat)]
-    out = tuple(_inverse_packed(prod, inv, M, params.n_inv))
+    _, _, (to_int, _), _, halves = _packing(N, M)
+    kp = len(halves)
+    leaves = _leaf_products(
+        _block_stages_fwd([to_int(a.coeffs)], fwd[:kp], N, M),
+        _block_stages_fwd([to_int(b.coeffs)], fwd[:kp], N, M), params)
+    out = tuple(_inverse_blocks(leaves, inv[-kp:], N, M, params.n_inv))
     return Polynomial._unchecked(out, M, "coefficient")

@@ -21,6 +21,7 @@ from nttmul.polymul import (
     _forward_packed,
     _inverse,
     _inverse_packed,
+    _leaf_products,
     _packing,
     _slots,
     naive_negacyclic_mul,
@@ -571,18 +572,27 @@ class TestMergedTables:
 
     @pytest.mark.parametrize("key", ["stage_twiddles_fwd",
                                      "stage_twiddles_inv"])
-    @pytest.mark.parametrize("s", [0, 3, 7])
+    @pytest.mark.parametrize("s", [0, 3, 4, 7])
     def test_tampered_set_is_not_served_the_derived_tables(self, fixed_params,
                                                            key, s):
         # the derived set's tables are cached first; a set equal to it but
-        # for one stage entry, at the same (M, N), derives its own
+        # for one stage entry, at the same (M, N), derives its own merged
+        # tables and leaf constants.  At N = 256 (m = 8, k_p = 4) the
+        # product reads forward stages 1 ... 5, stage 5 (s = 4) through
+        # the leaf constants alone, and inverse stages 5 ... 8, so the
+        # tampered entry changes the product exactly there
         p = fixed_params[256]
         rng = random.Random(s)
         a, b = rand_poly(rng, p), rand_poly(rng, p)
         want = negacyclic_mul_ntt(a, b, p)
         i = rng.randrange(len(getattr(p, key)[s]))
         bad = tampered(p, key, (s, i), (getattr(p, key)[s][i] + 1) % p.M)
-        assert negacyclic_mul_ntt(a, b, bad) != want
+        assert bad.merged_tables != p.merged_tables
+        assert bad.leaf_constants is not p.leaf_constants
+        forward = key == "stage_twiddles_fwd"
+        assert (bad.leaf_constants != p.leaf_constants) == (forward and s == 4)
+        reads = s <= 4 if forward else s >= 4
+        assert (negacyclic_mul_ntt(a, b, bad) != want) == reads
         assert negacyclic_mul_ntt(a, b, p) == want
 
     @pytest.mark.parametrize("M, N", CERTIFIED_RINGS)
@@ -840,6 +850,155 @@ class TestPackedStages:
             assert naive_negacyclic_mul(a, b, p).coeffs == want
             back = ntt_inverse(ntt_forward(a, p), p)
             assert back.coeffs == a.coeffs
+
+
+# (M, N): rings of the leaf product besides PACKED_RINGS, k_p = 1 at N = 4,
+# 8 and 16.  At N = 4, 4M is just below 2**32 for M = 1073741689, and
+# 7M <= 2**32 < 8M for M = 536871001
+LEAF_RINGS = ([(17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 16),
+               (1_073_741_689, 4), (536_871_001, 4), (GOLDILOCKS, 4),
+               (GOLDILOCKS, 16)]
+              + [(M, N) for M, N, _, _ in PACKED_RINGS])
+
+
+def _leaf_geometry(M, N):
+    """(k_p, beta): the packed forward stages before the leaves, of
+    L = N >> k_p slots, and Shoup's shift."""
+    _, beta, _, _, halves = _packing(N, M)
+    return len(halves), beta
+
+
+def _leaf_operands(M, N, seed):
+    """All M-1; M-1 in the low half and 0 in the high, whose stage 1
+    writes lo + 2M - r with r = 0, slots of 3M - 1; two random."""
+    rng = random.Random(seed)
+    return ([M - 1] * N, [M - 1] * (N // 2) + [0] * (N // 2),
+            [rng.randrange(M) for _ in range(N)],
+            [rng.randrange(M) for _ in range(N)])
+
+
+def _shoup_tight(x, w, beta, M):
+    """_shoup, whose result is also below M * (1 + x / 2**beta)."""
+    r = _shoup(x, w, beta, M)
+    assert r << beta < M * ((1 << beta) + x)
+    return r
+
+
+class TestLeafProducts:
+    """negacyclic_mul_ntt's incomplete transform: k_p = max(1, m - 4)
+    packed forward stages leave block c the operand mod x**L - zeta_c,
+    zeta_c = fwd[k_p][c]**2; each leaf is one big-int product, folded by
+    four Shoup products and one by 1 (``_leaf_products``), and the leaves
+    run the last k_p packed inverse stages."""
+
+    @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 128, 1024, 2048])
+    def test_k_p_leaves_sixteen_coefficients(self, N):
+        m = N.bit_length() - 1
+        kp, _ = _leaf_geometry(12289, N)
+        assert kp == max(1, m - 4)
+        assert N >> kp == min(N // 2, 16)
+
+    @pytest.mark.parametrize("M, N", LEAF_RINGS)
+    def test_slot_width(self, M, N):
+        # q is the fewest limbs with max(N, 8)*M <= 2**beta: N*M bounds the
+        # stages' Shoup inputs, and 8M the fold's last one, the sum of four
+        # Shoup results
+        _, beta = _leaf_geometry(M, N)
+        bound = max(N, 8) * M
+        assert bound <= 1 << beta and (beta == 32 or bound > 1 << beta - 32)
+
+    def test_four_coefficient_ring_below_2_32_takes_two_limbs(self):
+        # at M = 1073741689, N*M = 4M is just below 2**32, but the operand
+        # (M-1, M-1, 0, 0) leaves forward block 1 = (3M - 1, 3M - 1), whose
+        # square has the middle slot 2*(3M - 1)**2 > 2**64: one-limb slots
+        # would carry there whatever Shoup's bound.  The slots take two
+        # limbs, as 8M > 2**32, and every bound then holds
+        M, N = 1_073_741_689, 4
+        p = build_params(M, N)
+        assert 4 * M < 1 << 32 < 8 * M and 2 * (3 * M - 1) ** 2 > 1 << 64
+        kp, beta = _leaf_geometry(M, N)
+        assert (kp, beta) == (1, 64)
+        fwd, _ = p.merged_tables
+        _, x = _block_stages_fwd([_encode([M - 1, M - 1, 0, 0], 2)], fwd[:1],
+                                 N, M)
+        assert _decode(x, 2, 2) == [3 * M - 1] * 2
+        assert _decode(x * x, 4, 2)[1] == 2 * (3 * M - 1) ** 2
+
+    @pytest.mark.parametrize("M, N", LEAF_RINGS)
+    def test_forward_blocks_are_residues_mod_x_L_minus_zeta(self, M, N):
+        # the forward is linear: on each monomial x**j block c holds
+        # x**j mod x**L - zeta_c = zeta_c**(j // L) * x**(j % L), mod M;
+        # every j up to N = 256, a sample of them beyond
+        p = build_params(M, N)
+        fwd, _ = p.merged_tables
+        kp, beta = _leaf_geometry(M, N)
+        q, L = beta // 32, N >> kp
+        zetas = [w * w % M for w in fwd[kp][:1 << kp]]
+        js = range(N) if N <= 256 else (0, 1, L - 1, L, L + 1, N // 2, N - 1)
+        for j in js:
+            blocks = _block_stages_fwd([1 << 64 * q * j], fwd[:kp], N, M)
+            assert len(blocks) == len(zetas) == 1 << kp
+            for x, zeta in zip(blocks, zetas):
+                want = [0] * L
+                want[j % L] = pow(zeta, j // L, M)
+                assert [v % M for v in _decode(x, L, q)] == want, j
+
+    @pytest.mark.parametrize("M, N", LEAF_RINGS)
+    def test_leaf_slots_equal_the_scalar_model(self, M, N):
+        # slot for slot: the packed leaf product carries no slot (every
+        # slot of z below 2**(2*beta)), the fold's Shoup inputs are below
+        # 2**beta, its four results sum below 8M, and every leaf slot lies
+        # in [0, 2M), at most the first inverse stage's offset C = L*M
+        p = build_params(M, N)
+        fwd, _ = p.merged_tables
+        kp, beta = _leaf_geometry(M, N)
+        q, L = beta // 32, N >> kp
+        digit = (1 << beta) - 1
+        ops = _leaf_operands(M, N, N)
+        for x, y in [(ops[0], ops[0]), (ops[1], ops[1]), (ops[1], ops[2]),
+                     (ops[2], ops[3])]:
+            xs = _block_stages_fwd([_encode(x, q)], fwd[:kp], N, M)
+            ys = _block_stages_fwd([_encode(y, q)], fwd[:kp], N, M)
+            leaves = _leaf_products(xs, ys, p)
+            assert len(leaves) == 1 << kp
+            for c, (bx, by, leaf) in enumerate(zip(xs, ys, leaves)):
+                zeta = fwd[kp][c] ** 2 % M
+                u, v = _decode(bx, L, q), _decode(by, L, q)
+                z = [sum(u[i] * v[j - i]
+                         for i in range(max(0, j - L + 1), min(j, L - 1) + 1))
+                     for j in range(2 * L)]
+                assert max(z) < 1 << 2 * beta
+                assert _decode(bx * by, 2 * L, q) == z
+                consts = (L, L << beta, L * zeta, L * zeta << beta)
+                model = []
+                for lo, hi in zip(z[:L], z[L:]):
+                    parts = (lo & digit, lo >> beta, hi & digit, hi >> beta)
+                    r = sum(_shoup_tight(h, w % M, beta, M)
+                            for h, w in zip(parts, consts))
+                    assert r < 8 * M
+                    model.append(_shoup_tight(r, 1, beta, M))
+                assert _decode(leaf, L, q) == model
+                assert max(model) < 2 * M <= L * M
+                # L times the leaf product mod x**L - zeta_c
+                assert [r % M for r in model] == [
+                    L * (lo + zeta * hi) % M for lo, hi in zip(z[:L], z[L:])]
+
+    @pytest.mark.parametrize("M, N", [
+        (17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 8),
+        (FIXED_M, 16), (FIXED_M, 32), (FIXED_M, 64), (FIXED_M, 256),
+        (GOLDILOCKS, 4), (GOLDILOCKS, 16), (GOLDILOCKS, 64),
+        (GOLDILOCKS, 256), (18_446_744_073_709_550_593, 32),
+        (1_073_741_689, 4), (536_871_001, 4)])
+    def test_products_equal_the_schoolbook(self, M, N):
+        # k_p = 1 at N <= 16; three-limb slots near 2**64; at
+        # M = 1073741689, N = 4, the leaf slot 2*(3M - 1)**2 of the
+        # half-(M-1) operand
+        p = build_params(M, N)
+        top, half, r1, r2 = _leaf_operands(M, N, M % 1000 + N)
+        for x, y in [(top, top), (half, half), (half, top), (r1, r2)]:
+            a, b = Polynomial(x, M), Polynomial(y, M)
+            assert (negacyclic_mul_ntt(a, b, p).coeffs
+                    == schoolbook_reference(x, y, N, M))
 
 
 def test_smaller_slot_bound_overflows_on_no_ring():
