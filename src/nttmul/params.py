@@ -157,9 +157,11 @@ class NttParams(Frozen):
     ``stage_twiddles_fwd[s-1]`` holds the distinct twiddles stage s consumes,
     in feed order, one per butterfly block; counts double per forward stage
     (1, 2, 4, ...) and halve per inverse stage.  ``merged_tables``, the
-    multiplier's stage tables, and ``leaf_constants``, its leaf fold's
-    constants, are derived from these on first use and kept on the set, so
-    a set made by ``_replace`` derives its own.
+    multiplier's stage tables, ``leaf_constants``, its leaf fold's
+    constants, and ``shoup_tables``, the Shoup pairs of the packed stages,
+    are derived from these on first use and kept on the set, so
+    ``build_params`` derives none of them and a set made by ``_replace``
+    derives its own.
     """
 
     n: int
@@ -197,10 +199,11 @@ class NttParams(Frozen):
         tables).
 
         The product reads forward stages 1 ... k_p, with k_p = max(1,
-        m - 4), forward stage k_p + 1 through ``leaf_constants`` (whose
-        squared twiddles are its leaves' zeta_c), and inverse stages
-        m - k_p + 1 ... m; the stages between are those the leaf products
-        stand in for.
+        m - 5), so that its leaves have min(N/2, 32) coefficients, as
+        Shoup pairs through ``shoup_tables``; forward stage k_p + 1
+        through ``leaf_constants`` (whose squared twiddles are its leaves'
+        zeta_c); and inverse stages m - k_p + 1 ... m, as pairs too.  The
+        stages between are those the leaf products stand in for.
         """
         N, M, m = self.n, self.M, self.num_stages
 
@@ -222,6 +225,16 @@ class NttParams(Frozen):
         (``polymul._leaf_constants``)."""
         from .polymul import _leaf_constants
         return _leaf_constants(self)
+
+    @cached_property
+    def shoup_tables(self):
+        """The packed stages' tables as Shoup pairs (w, floor(w * 2**beta
+        / M)), for the product's ``merged_tables`` and for the set's own
+        stage tables, with the inverse tables of ``ntt_inverse`` (its last
+        stage times N**-1), derived on first use and kept on the set, so
+        that no call divides (``polymul._shoup_tables``)."""
+        from .polymul import _shoup_tables
+        return _shoup_tables(self)
 
 
 def _stage_table(root: int, N: int, M: int, s: int) -> tuple[int, ...]:

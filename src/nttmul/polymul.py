@@ -9,21 +9,24 @@ none carries or borrows, for coefficients below M < 2**64); a
 constant-geometry transform pair on the per-stage twiddle tables, whose
 first k = max(0, log2 N - 4) forward stages and last k inverse stages
 run on packed blocks, a few big-int operations per block with Shoup's
-modular product in [0, 2M) on slots wide enough for N*M, and whose
+modular product in [0, 2M) on slots wide enough for N*M (its pairs
+(w, w') cached on the table set, ``NttParams.shoup_tables``), and whose
 other stages, four from N = 16 on, run two to a pass (four entries read
 and four written per loop iteration, after a lone stage in the forward
 and before one in the inverse when their count is odd, at N = 8 alone);
 and the transform multiplier, an incomplete transform on stage tables
 carrying the phi weights and N**-1 (``NttParams.merged_tables``): the
-first k_p = max(1, log2 N - 4) packed forward stages on each operand
+first k_p = max(1, log2 N - 5) packed forward stages on each operand
 leave 2**k_p leaves, block c the operand mod x**L - zeta_c with
-L = N >> k_p and zeta_c the square of stage k_p + 1's twiddle c; one
-big-int product per leaf, whose slots of 2*beta bits hold its coefficient
-sums without a carry; a fold mod x**L - zeta_c, scaled by L, by four
-Shoup products on the slots' beta-bit halves and one by 1, into
-[0, 2M); and the last k_p packed inverse stages.  Its constants are
-derived on first use and kept on their table set
-(``NttParams.leaf_constants``).  The streaming pipeline model in
+L = N >> k_p = min(N/2, 32) and zeta_c the square of stage k_p + 1's
+twiddle c; one big-int product per leaf, whose slots of 2*beta bits hold
+its coefficient sums without a carry; a fold mod x**L - zeta_c, scaled
+by L, by four Shoup products on the slots' beta-bit halves and one by 1,
+into [0, 2M); and the last k_p packed inverse stages, after which one
+conditional subtraction of M, made on all N packed slots at once, leaves
+every coefficient in [0, M).  Its constants are derived on first use and
+kept on their table set (``NttParams.leaf_constants`` and
+``NttParams.shoup_tables``).  The streaming pipeline model in
 :mod:`nttmul.pipesim` returns the schoolbook's products: a
 ``PipelineConfig`` exists only once its stages' network is proved a tree
 of CRT splits that, on the config's tables, computes a*b mod x**N + 1
@@ -76,7 +79,7 @@ class Polynomial(Frozen):
     @classmethod
     def _unchecked(cls, coeffs: tuple, modulus: int, domain: str):
         """A kernel's result, built without the checks: the kernels below
-        make a tuple of N ints, each ``v % M`` for the M of a checked table
+        make a tuple of N ints, each in [0, M) for the M of a checked table
         set, so every check would pass.  The CLI's record decoder builds
         one too; it checks type, sign, bound and length itself."""
         p = object.__new__(cls)
@@ -284,37 +287,41 @@ def _codec(count: int, q: int):
 
 @lru_cache(maxsize=64)
 def _packing(n: int, M: int):
-    """Block geometry of the packed stages for (N, M): k, the number of
-    packed stages of ``ntt_forward`` and ``ntt_inverse``; beta = 32*q,
-    Shoup's shift, for a slot of q 64-bit limbs; the codecs
-    (:func:`_codec`) of N slots and of _BLOCK; and per packed forward
-    stage s = 1 ... k_p, for halves of L = N >> s slots, the half's bit
-    length, its mask, the mask of each slot's low beta bits, 2M in every
-    slot and L*M in every slot.  k_p = max(1, k), the length of that
-    list, is the number of packed forward stages before
-    :func:`negacyclic_mul_ntt`'s leaves.
+    """Block geometry of the packed stages for (N, M), with m = log2 N:
+    k = max(0, m - 4), the number of packed stages of ``ntt_forward`` and
+    ``ntt_inverse``, which hand _BLOCK = 16-slot blocks to the scalar
+    passes; k_p = max(1, m - 5), the number of packed forward stages
+    before :func:`negacyclic_mul_ntt`'s leaves of L = min(N/2, 32)
+    slots; beta = 32*q, Shoup's shift, for a slot of q 64-bit limbs; the
+    codecs (:func:`_codec`) of N slots and of _BLOCK; per packed forward
+    stage s = 1 ... max(1, k), which covers k_p, for halves of
+    L = N >> s slots, the half's bit length, its mask, the mask of each
+    slot's low beta bits, 2M in every slot and L*M in every slot; and
+    2**beta - M and 1 in each of N slots, the constants of the final
+    reduction in :func:`_inverse_blocks`.
 
     Bound: forward slots stay below (2s+1)*M after stage s and inverse
     slots at most 2**s * (M-1), so every Shoup input, X + C - Y and the
     last stage's sums included, is below N*M.  A slot of a leaf product
     sums at most L = N >> k_p products of forward slots, below
-    L * (2*k_p + 1)**2 * M**2 <= (N*M)**2 from N = 8 on, and the leaf
-    fold's last Shoup input, the sum of four Shoup results, is below 8M.
-    q is the fewest limbs with max(N, 8)*M <= 2**(32*q): at N = 4 a leaf
-    slot reaches 2*(3M - 1)**2 (both operands (M-1, M-1, 0, 0), whose
-    forward slots lo + 2M - r have r = 0), past 2**(2*beta) when
-    4M <= 2**beta < 3*sqrt(2)*M, as at M = 1073741689.  Then
-    w' = floor(w * 2**beta / M) < 2**beta, and each slot product, x*w',
-    x*w and floor(x*w' / 2**beta)*M, is below 2**(2*beta), the slot
-    width, so none carries into the next slot.  The three benchmark rings
-    take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
+    L * (2*k_p + 1)**2 * M**2 <= (N*M)**2 from N = 8 on (at N = 64,
+    32 * 9 <= 4096), and the leaf fold's last Shoup input, the sum of four
+    Shoup results, is below 8M.  q is the fewest limbs with
+    max(N, 8)*M <= 2**(32*q): at N = 4 a leaf slot reaches 2*(3M - 1)**2
+    (both operands (M-1, M-1, 0, 0), whose forward slots lo + 2M - r have
+    r = 0), past 2**(2*beta) when 4M <= 2**beta < 3*sqrt(2)*M, as at
+    M = 1073741689.  Then w' = floor(w * 2**beta / M) < 2**beta, and each
+    slot product, x*w', x*w and floor(x*w' / 2**beta)*M, is below
+    2**(2*beta), the slot width, so none carries into the next slot.  The
+    three benchmark rings take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
 
-    k = m - 4, m = log2 N, hands _BLOCK = 16-slot blocks to the scalar
-    passes: on a 2-vCPU Xeon (best of 5 runs of 2 to 50 products),
-    handing over 8 slots (k = m - 3) was 3-4 % slower at N = 128 ... 1024
-    and 2 % faster at N = 4096, and 32 slots (k = m - 5) 11-17 % slower.
-    The packed stages gain about 10 % at N = 128 and cost about 12 % at
-    N = 64, where scalar stages are cheap against a block's fixed cost.
+    On a 2-vCPU Xeon (best of 5 runs of 2 to 50 products), handing
+    ``ntt_forward``'s scalar passes 8 slots (k = m - 3) was 3-4 % slower
+    at N = 128 ... 1024 and 2 % faster at N = 4096, and 32 slots
+    (k = m - 5) 11-17 % slower.  Its packed stages gain about 10 % at
+    N = 128 and cost about 12 % at N = 64, where scalar stages are cheap
+    against a block's fixed cost.  The leaf sizes of the product are
+    timed in :func:`negacyclic_mul_ntt`'s docstring.
     """
     k = max(0, (n // _BLOCK).bit_length() - 1)
     q = -(-(max(n, 8) * M - 1).bit_length() // 32)
@@ -323,7 +330,10 @@ def _packing(n: int, M: int):
                _spread((1 << beta) - 1, size, L), _spread(2 * M, size, L),
                _spread(L * M, size, L))
               for L in (n >> s for s in range(1, max(1, k) + 1))]
-    return k, beta, _codec(n, q), _codec(_BLOCK, q), halves
+    # k_p = max(1, m - 5): leaves of min(N/2, 32) slots
+    return (k, max(1, (n >> 5).bit_length() - 1), beta, _codec(n, q),
+            _codec(_BLOCK, q), halves,
+            (_spread((1 << beta) - M, size, n), _spread(1, size, n)))
 
 
 def _join_limbs(limbs, q: int) -> list[int]:
@@ -335,86 +345,115 @@ def _join_limbs(limbs, q: int) -> list[int]:
 
 
 def _block_stages_fwd(blocks, tables, n: int, M: int) -> list[int]:
-    # _forward's stages on packed blocks, one per table (at most the k of
-    # _packing), from the stage that len(blocks) = 2**s blocks enter.
-    # Block c after stage s is a[c::2**s] as _forward leaves it, so stage
-    # s + 1 pairs the block's low half lo with its high half hi under the
-    # one twiddle w, entry c of the stage's table, and writes blocks 2c
-    # and 2c + 1.  Shoup's product r = hi*w - floor(hi*w' / 2**beta)*M lies in
-    # [0, 2M) slot by slot for slots below 2**beta, so the blocks lo + r
-    # and lo + 2M - r stay non-negative, no slot borrows, and every slot
-    # is below (2s+3)*M after stage s + 1.
-    _, beta, _, _, halves = _packing(n, M)
+    # _forward's stages on packed blocks, one per table of Shoup pairs
+    # (w, w') (at most the k of _packing; NttParams.shoup_tables), from the
+    # stage that len(blocks) = 2**s blocks enter.  Block c after stage s is
+    # a[c::2**s] as _forward leaves it, so stage s + 1 pairs the block's
+    # low half lo with its high half hi under the one twiddle w, entry c
+    # of the stage's table, and writes blocks 2c and 2c + 1.  Shoup's
+    # product r = hi*w - floor(hi*w' / 2**beta)*M lies in [0, 2M) slot by
+    # slot for slots below 2**beta, so the blocks lo + r and lo + 2M - r
+    # stay non-negative, no slot borrows, and every slot is below
+    # (2s+3)*M after stage s + 1.
+    _, _, beta, _, _, halves, _ = _packing(n, M)
     for tw, (bits, low, mask, twice, _) in zip(
             tables, halves[len(blocks).bit_length() - 1:]):
         out = []
         put = out.extend
-        for x, w in zip(blocks, tw):
+        for x, (w, wq) in zip(blocks, tw):
             lo, hi = x & low, x >> bits
-            r = hi * w - ((hi * ((w << beta) // M) >> beta) & mask) * M
+            r = hi * w - ((hi * wq >> beta) & mask) * M
             put((lo + r, lo + twice - r))
         blocks = out
     return blocks
 
 
 def _block_stages_inv(blocks, tables, n: int, M: int) -> list[int]:
-    # _inverse's stages on packed blocks, one per table, the mirror image:
-    # of the blocks left, X = 2c and Y = 2c + 1 make block c, whose low
-    # half is X + Y and high half Shoup's product of X + C - Y by w, entry
-    # c of the stage's table.  C = L*M in each of X's L = 2**(s-1) slots
-    # is a multiple of M at or above every slot, which is at most
-    # 2**(s-1) * (M-1) before stage s, so no slot borrows; sums double per
-    # stage and the high halves lie in [0, 2M).
-    _, beta, _, _, halves = _packing(n, M)
+    # _inverse's stages on packed blocks, one per table of Shoup pairs,
+    # the mirror image: of the blocks left, X = 2c and Y = 2c + 1 make
+    # block c, whose low half is X + Y and high half Shoup's product of
+    # X + C - Y by w, entry c of the stage's table.  C = L*M in each of
+    # X's L = 2**(s-1) slots is a multiple of M at or above every slot,
+    # which is at most 2**(s-1) * (M-1) before stage s, so no slot
+    # borrows; sums double per stage and the high halves lie in [0, 2M).
+    _, _, beta, _, _, halves, _ = _packing(n, M)
     for tw in tables:
         bits, _, mask, _, C = halves[len(blocks).bit_length() - 2]
         out = []
         put = out.append
-        for x, y, w in zip(blocks[0::2], blocks[1::2], tw):
+        for x, y, (w, wq) in zip(blocks[0::2], blocks[1::2], tw):
             d = x + C - y
-            put(x + y + ((d * w - ((d * ((w << beta) // M) >> beta) & mask)
-                          * M) << bits))
+            put(x + y + ((d * w - ((d * wq >> beta) & mask) * M) << bits))
         blocks = out
     return blocks
 
 
-def _forward_packed(coeffs, tables, M: int) -> list[int]:
+def _forward_packed(coeffs, tables, pairs, M: int) -> list[int]:
     """_forward's result up to multiples of M: its first k stages on one
-    packed block of the coefficients, then its passes on the rest."""
+    packed block of the coefficients, by pairs, the Shoup pairs of those k
+    stages' tables, then its passes on the rest."""
     n = len(coeffs)
-    k, _, (to_int, _), (_, from_block), _ = _packing(n, M)
+    k, _, _, (to_int, _), (_, from_block), _, _ = _packing(n, M)
     if not k:
         return _forward(list(coeffs), tables, M)
-    blocks = _block_stages_fwd([to_int(coeffs)], tables, n, M)
+    blocks = _block_stages_fwd([to_int(coeffs)], pairs, n, M)
     # slot i of block c is a[c + 2**k * i]: zip takes the blocks' columns
     return _forward(list(chain.from_iterable(zip(*map(from_block, blocks)))),
                     tables[k:], M)
 
 
-def _inverse_blocks(blocks, tables, n: int, M: int, n_inv: int) -> list[int]:
-    """The packed inverse stages on blocks, one per table, down to one
-    block; the last stage's sums are then scaled by n_inv, with Shoup's
-    product too, and every entry reduced."""
-    _, beta, (_, from_int), _, halves = _packing(n, M)
+def _inverse_blocks(blocks, tables, n: int, M: int, n_inv: int):
+    """The packed inverse stages on blocks, one per table of Shoup pairs,
+    down to one block; the last stage's sums are then scaled by n_inv,
+    with Shoup's product too, which leaves every slot in [0, 2M), and
+    every slot is reduced into [0, M) on the packed block: bit beta of
+    slot + 2**beta - M is set exactly when slot >= M, and the 2*beta-bit
+    slot holds that sum, below 2**beta + M, so no slot carries, and none
+    borrows when M is taken from the slots at or above it."""
+    _, _, beta, (_, from_int), _, halves, (top, ones) = _packing(n, M)
     (x,) = _block_stages_inv(blocks, tables, n, M)
     _, low, mask, _, _ = halves[0]
     lo = x & low
     x += lo * n_inv - ((lo * ((n_inv << beta) // M) >> beta) & mask) * M - lo
-    return [v % M for v in from_int(x)]
+    return from_int(x - ((x + top) >> beta & ones) * M)
 
 
-def _inverse_packed(a: list[int], tables, M: int, n_inv: int) -> list[int]:
+def _inverse_packed(a, tables, pairs, M: int, n_inv: int) -> list[int]:
     """_inverse's result with n_inv: its passes on all but the last k
-    stages, which run on packed blocks (:func:`_inverse_blocks`)."""
+    stages, which run on packed blocks by pairs, the Shoup pairs of those
+    k stages' tables (:func:`_inverse_blocks`)."""
     n = len(a)
-    k, _, _, (to_block, _), _ = _packing(n, M)
+    k, _, _, _, (to_block, _), _, _ = _packing(n, M)
     if not k:
         return _inverse(a, tables, M, n_inv)
     a = _inverse(a, tables[:-k], M)
     # block c holds a[c::2**k]: the columns of the _BLOCK rows of 2**k
     return _inverse_blocks(
         list(map(to_block, zip(*zip(*[iter(a)] * (n // _BLOCK))))),
-        tables[-k:], n, M, n_inv)
+        pairs, n, M, n_inv)
+
+
+def _shoup_tables(params: NttParams):
+    """The tables of the packed stages as Shoup pairs (w, floor(w * 2**beta
+    / M)), per stage the entries its blocks read, the first 2**(s-1) of
+    forward stage s and 2**(m-s) of inverse stage s: the first k_p
+    forward and last k_p inverse stages of ``merged_tables``, for
+    :func:`negacyclic_mul_ntt`; the first k forward and last k inverse
+    stages of the set's own tables, the last inverse one times N**-1,
+    for ``ntt_forward`` and ``ntt_inverse``; and that inverse table set
+    itself, which ``ntt_inverse``'s scalar passes read.  No other stage
+    runs packed, so at N = 256 there are 14 pairs for the product and 30
+    for the transform pair."""
+    M, m, inv = params.M, params.num_stages, params.stage_twiddles_inv
+    k, kp, beta, _, _, _, _ = _packing(params.n, M)
+    own = (*inv[:-1], tuple(w * params.n_inv % M for w in inv[-1]))
+    (mf, mi), fwd = params.merged_tables, params.stage_twiddles_fwd
+    pairs = [tuple(tuple((w, (w << beta) // M) for w in tw[:len(t)])
+                   for tw, t in zip(tables[lo:hi], like[lo:hi]))
+             for tables, like, lo, hi in (
+                 (mf, fwd, 0, kp), (mi, inv, m - kp, m), (fwd, fwd, 0, k),
+                 (own, inv, m - k, m))]
+    return (*pairs, own)
 
 
 def _leaf_constants(params: NttParams):
@@ -424,8 +463,7 @@ def _leaf_constants(params: NttParams):
     leaf c the pairs of L*zeta_c and L*zeta_c * 2**beta, where
     zeta_c = fwd[k_p][c]**2 (all mod M)."""
     n, M = params.n, params.M
-    _, beta, _, _, halves = _packing(n, M)
-    kp = len(halves)
+    _, kp, beta, _, _, _, _ = _packing(n, M)
 
     def pairs(w):
         w, w2 = w % M, (w << beta) % M
@@ -438,12 +476,13 @@ def _leaf_constants(params: NttParams):
 
 def _leaf_products(xs, ys, params: NttParams) -> list[int]:
     """Per leaf c, L * x_c*y_c mod (x**L - zeta_c, M) as one packed block
-    of L slots in [0, 2M), for the 2**k_p forward blocks xs and ys that
-    :func:`negacyclic_mul_ntt` makes; the constants are the set's
-    ``leaf_constants``."""
+    of L = min(N/2, 32) slots in [0, 2M), for the 2**k_p forward blocks
+    xs and ys that :func:`negacyclic_mul_ntt` makes; the halves entry of
+    stage k_p, whose halves have L slots, gives the slot masks, and the
+    constants are the set's ``leaf_constants``."""
     M = params.M
-    _, beta, _, _, halves = _packing(params.n, M)
-    bits, low, mask, _, _ = halves[-1]
+    _, kp, beta, _, _, halves, _ = _packing(params.n, M)
+    bits, low, mask, _, _ = halves[kp - 1]
     (s0, s0q, s1, s1q, oneq), twists = params.leaf_constants
     leaves = []
     put = leaves.append
@@ -473,7 +512,8 @@ def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
     """Evaluate at the powers of omega: out_i = sum_j a_j omega**(i*j)."""
     _check_operand(a, params, domain="coefficient", name="a")
     M = params.M
-    vals = _forward_packed(a.coeffs, params.stage_twiddles_fwd, M)
+    _, _, pairs, _, _ = params.shoup_tables
+    vals = _forward_packed(a.coeffs, params.stage_twiddles_fwd, pairs, M)
     return Polynomial._unchecked(
         tuple([vals[j] % M for j in _bit_reversal(params.num_stages)]), M,
         "evaluation")
@@ -482,11 +522,10 @@ def ntt_forward(a: Polynomial, params: NttParams) -> Polynomial:
 def ntt_inverse(a: Polynomial, params: NttParams) -> Polynomial:
     """Inverse transform including the N**-1 scaling."""
     _check_operand(a, params, domain="evaluation", name="a")
-    M, cs, n_inv = params.M, a.coeffs, params.n_inv
-    *tables, last = params.stage_twiddles_inv
+    M, cs = params.M, a.coeffs
+    _, _, _, pairs, tables = params.shoup_tables
     vals = _inverse_packed([cs[j] for j in _bit_reversal(params.num_stages)],
-                           (*tables, tuple(w * n_inv % M for w in last)), M,
-                           n_inv)
+                           tables, pairs, M, params.n_inv)
     return Polynomial._unchecked(tuple(vals), M, "coefficient")
 
 
@@ -501,7 +540,7 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     unweighting pass.  The inverse leaves every coefficient in [0, M).
     Exactly equals naive_negacyclic_mul.
 
-    With m = log2 N, each operand runs the first k_p = max(1, m - 4)
+    With m = log2 N, each operand runs the first k_p = max(1, m - 5)
     forward stages on packed blocks: after stage s there are 2**s blocks,
     each one int of fixed-width slots, and a stage costs a few big-int
     operations per block, as a block takes one twiddle.  The modular
@@ -509,9 +548,11 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     x < 2**beta and w' = floor(w * 2**beta / M), x*w - floor(x*w' /
     2**beta)*M lies in [0, 2M), indeed below M * (1 + x / 2**beta), and
     every slot of the block's product comes out in one shift and one
-    mask.  Slots are q 64-bit limbs with beta = 32*q (see :func:`_packing`
-    for the bounds).  Block c is then the operand mod x**L - zeta_c, the
-    leaf, with L = N >> k_p (16 from N = 32 on) and slot i the
+    mask.  The pairs (w, w') are divided once per table set
+    (``NttParams.shoup_tables``), not once per block.  Slots are q 64-bit
+    limbs with beta = 32*q (see :func:`_packing` for the bounds).  Block c
+    is then the operand mod x**L - zeta_c, the leaf, with
+    L = N >> k_p = min(N/2, 32) (32 from N = 64 on) and slot i the
     coefficient of x**i: stage k_p + 1 would split it by its twiddle
     w_c = fwd[k_p][c] into x**(L/2) - w_c and x**(L/2) + w_c, so
     zeta_c = w_c**2.  Per leaf, z = A_c * B_c is one big-int product; each
@@ -529,23 +570,28 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     within the offset C = L*M of the first inverse stage.  The leaves then
     run the last k_p inverse stages on packed blocks, which multiply by
     2**k_p, and the last stage's sums and difference twiddles carry
-    N**-1, so the fold's L makes the scale 1.
+    N**-1, so the fold's L makes the scale 1.  Every slot is then in
+    [0, 2M), and one conditional subtraction of M on the packed block
+    (:func:`_inverse_blocks`) leaves every coefficient in [0, M), with no
+    reduction per coefficient.
 
     k_p >= 1 at N <= 16 too, so every product reads its forward stages
-    1 ... k_p + 1 and inverse stages m - k_p + 1 ... m.  Leaves of _BLOCK
-    = 16 are the blocks the packed stages hand to ``ntt_forward``'s scalar
-    passes.  Other leaf sizes on a 2-vCPU Xeon (best of 8 interleaved
-    rounds, N = 64 ... 4096): 32 coefficients (k_p = m - 5) were 5-9 %
-    faster, 64 about level and 128 5-10 % slower.
+    1 ... k_p + 1 and inverse stages m - k_p + 1 ... m.  k_p is not the k
+    of ``ntt_forward``'s packed stages, which hand _BLOCK = 16-slot blocks
+    to its scalar passes.  Other leaf sizes on a 2-vCPU Xeon with Python
+    3.11 (per-product medians over 8 interleaved processes, each the best
+    of 5 timed loops, N = 64 ... 4096, cached pairs and the packed final
+    reduction in every variant): 16 coefficients (k_p = m - 4) were
+    6-17 % slower, 64 (k_p = m - 6) 3-9 % slower from N = 128 on, and
+    128 (k_p = m - 7) 16-25 % slower from N = 256 on.
     """
     _check_operand(a, params, domain="coefficient", name="a")
     _check_operand(b, params, domain="coefficient", name="b")
     N, M = params.n, params.M
-    fwd, inv = params.merged_tables
-    _, _, (to_int, _), _, halves = _packing(N, M)
-    kp = len(halves)
-    leaves = _leaf_products(
-        _block_stages_fwd([to_int(a.coeffs)], fwd[:kp], N, M),
-        _block_stages_fwd([to_int(b.coeffs)], fwd[:kp], N, M), params)
-    out = tuple(_inverse_blocks(leaves, inv[-kp:], N, M, params.n_inv))
+    fwd, inv, _, _, _ = params.shoup_tables
+    _, _, _, (to_int, _), _, _, _ = _packing(N, M)
+    leaves = _leaf_products(_block_stages_fwd([to_int(a.coeffs)], fwd, N, M),
+                            _block_stages_fwd([to_int(b.coeffs)], fwd, N, M),
+                            params)
+    out = tuple(_inverse_blocks(leaves, inv, N, M, params.n_inv))
     return Polynomial._unchecked(out, M, "coefficient")

@@ -20,6 +20,7 @@ from nttmul.polymul import (
     _forward,
     _forward_packed,
     _inverse,
+    _inverse_blocks,
     _inverse_packed,
     _leaf_products,
     _packing,
@@ -31,6 +32,7 @@ from nttmul.polymul import (
 )
 
 FIXED_M = 1_049_089
+GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 # (M, N, w, q): rings whose schoolbook slot of w bytes spreads into q 64-bit
 # limbs, under one limb, exactly one, two (twice) and three; the last M is
 # the largest prime below 2**64 with 64 | M - 1
@@ -175,11 +177,14 @@ class TestFrozenValues:
             p._replace(coeffs=(0, 17))
         with pytest.raises(BarrettConstantError):
             p17_4.ctx._replace(barrett_u=1)
-        # the merged tables cached on a set are not a field
-        p17_4.merged_tables
+        # the tables cached on a set are not fields; build_params derives
+        # none of them, and a copy derives its own
+        caches = {"merged_tables", "leaf_constants", "shoup_tables"}
+        assert not caches & set(vars(build_params(17, 4)))
+        p17_4.merged_tables, p17_4.leaf_constants, p17_4.shoup_tables
         copy = p17_4._replace()
         assert copy == p17_4 and hash(copy) == hash(p17_4)
-        assert "merged_tables" not in vars(copy)
+        assert not caches & set(vars(copy))
 
 
 class TestNaiveMul:
@@ -572,15 +577,15 @@ class TestMergedTables:
 
     @pytest.mark.parametrize("key", ["stage_twiddles_fwd",
                                      "stage_twiddles_inv"])
-    @pytest.mark.parametrize("s", [0, 3, 4, 7])
+    @pytest.mark.parametrize("s", [0, 2, 3, 5, 7])
     def test_tampered_set_is_not_served_the_derived_tables(self, fixed_params,
                                                            key, s):
         # the derived set's tables are cached first; a set equal to it but
         # for one stage entry, at the same (M, N), derives its own merged
-        # tables and leaf constants.  At N = 256 (m = 8, k_p = 4) the
-        # product reads forward stages 1 ... 5, stage 5 (s = 4) through
-        # the leaf constants alone, and inverse stages 5 ... 8, so the
-        # tampered entry changes the product exactly there
+        # tables, Shoup pairs and leaf constants.  At N = 256 (m = 8,
+        # k_p = 3) the product reads forward stages 1 ... 4, stage 4
+        # (s = 3) through the leaf constants alone, and inverse stages
+        # 6 ... 8, so the tampered entry changes the product exactly there
         p = fixed_params[256]
         rng = random.Random(s)
         a, b = rand_poly(rng, p), rand_poly(rng, p)
@@ -589,9 +594,13 @@ class TestMergedTables:
         bad = tampered(p, key, (s, i), (getattr(p, key)[s][i] + 1) % p.M)
         assert bad.merged_tables != p.merged_tables
         assert bad.leaf_constants is not p.leaf_constants
+        assert bad.shoup_tables is not p.shoup_tables
         forward = key == "stage_twiddles_fwd"
-        assert (bad.leaf_constants != p.leaf_constants) == (forward and s == 4)
-        reads = s <= 4 if forward else s >= 4
+        assert (bad.leaf_constants != p.leaf_constants) == (forward and s == 3)
+        reads = s <= 3 if forward else s >= 5
+        # the product's pairs change with the packed stages it reads
+        assert (bad.shoup_tables[:2] != p.shoup_tables[:2]) == (
+            reads and s != 3)
         assert (negacyclic_mul_ntt(a, b, bad) != want) == reads
         assert negacyclic_mul_ntt(a, b, p) == want
 
@@ -602,6 +611,33 @@ class TestMergedTables:
         top = Polynomial((M - 1,) * N, M)
         assert negacyclic_mul_ntt(top, top, p) == naive_negacyclic_mul(top,
                                                                        top, p)
+
+    @pytest.mark.parametrize("M, N", [(17, 4), (97, 16), (FIXED_M, 256),
+                                      (12289, 1024), (GOLDILOCKS, 64)])
+    def test_shoup_tables_pair_the_entries_each_stage_reads(self, M, N):
+        # per packed stage, (w, floor(w * 2**beta / M)) for the entries its
+        # blocks read, 2**(s-1) of forward stage s and 2**(m-s) of inverse
+        # stage s: the product's first k_p forward and last k_p inverse
+        # merged stages, and the first k forward and last k inverse stages
+        # of the set's own tables, whose last inverse stage ntt_inverse
+        # takes times N**-1, cached with them
+        p = build_params(M, N)
+        m = p.num_stages
+        k, kp, beta, _, _, _, _ = _packing(N, M)
+        own = p.stage_twiddles_inv[:-1] + (tuple(
+            w * p.n_inv % M for w in p.stage_twiddles_inv[-1]),)
+        mf, mi = p.merged_tables
+        want = [[mf[s - 1][:1 << s - 1] for s in range(1, kp + 1)],
+                [mi[s - 1][:1 << m - s] for s in range(m - kp + 1, m + 1)],
+                p.stage_twiddles_fwd[:k], own[m - k:]]
+        got = p.shoup_tables
+        assert got[4] == own and len(got) == 5
+        for tables, pairs in zip(want, got):
+            assert [[w for w, _ in t] for t in pairs] == [list(t)
+                                                          for t in tables]
+            assert all(wq == (w << beta) // M < 1 << beta
+                       for t in pairs for w, wq in t)
+        assert p.shoup_tables is got
 
 
 def _stage_operands(M, N):
@@ -722,7 +758,6 @@ class TestNetworkCertificate:
             _table_proof(p)
 
 
-GOLDILOCKS = (1 << 64) - (1 << 32) + 1
 # (M, N, k, q): rings of the packed stages, with k packed stages and slots
 # of q 64-bit limbs: the three benchmark rings (N*M just below 2**32 at
 # N = 4096), N*M just above 2**32 and at 2**35.5, and the two primes near
@@ -744,6 +779,12 @@ def _decode(x, count, q):
     size = 64 * q
     assert 0 <= x < 1 << size * count
     return [x >> size * i & (1 << size) - 1 for i in range(count)]
+
+
+def _pairs(tables, beta, M):
+    """Every entry w of each table with its Shoup companion
+    floor(w * 2**beta / M); the packed stages read a prefix of each."""
+    return [tuple((w, (w << beta) // M) for w in t) for t in tables]
 
 
 def _shoup(x, w, beta, M):
@@ -768,7 +809,7 @@ class TestPackedStages:
 
     @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
     def test_geometry(self, M, N, k, q):
-        got_k, beta, _, _, halves = _packing(N, M)
+        got_k, _, beta, _, _, halves, _ = _packing(N, M)
         assert (got_k, beta) == (k, 32 * q) and len(halves) == k
         # q is the fewest limbs whose beta bounds the Shoup inputs
         assert N * M <= 1 << beta and (q == 1 or N * M > 1 << beta - 32)
@@ -783,6 +824,7 @@ class TestPackedStages:
         p = build_params(M, N)
         fwd, _ = p.merged_tables
         beta = 32 * q
+        pairs = _pairs(fwd, beta, M)
         rng = random.Random(N)
         for coeffs in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
             model, blocks = [coeffs], [_encode(coeffs, q)]
@@ -794,14 +836,15 @@ class TestPackedStages:
                     step += ([lo + y for lo, y in zip(v, r)],
                              [lo + 2 * M - y for lo, y in zip(v, r)])
                 model = step
-                blocks = _block_stages_fwd(blocks, fwd[s - 1:s], N, M)
+                blocks = _block_stages_fwd(blocks, pairs[s - 1:s], N, M)
                 assert [_decode(x, L, q) for x in blocks] == model, s
                 assert max(map(max, model)) < (2 * s + 1) * M, s
             # block c is a[c::2**k] of the scalar stages' output, mod M
             a = _forward(list(coeffs), fwd[:k], M)
             for c, v in enumerate(model):
                 assert [x % M for x in v] == [x % M for x in a[c::1 << k]]
-            assert ([x % M for x in _forward_packed(coeffs, fwd, M)]
+            assert ([x % M for x in _forward_packed(coeffs, fwd, pairs[:k],
+                                                    M)]
                     == [x % M for x in _forward(list(coeffs), fwd, M)])
 
     @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
@@ -809,6 +852,7 @@ class TestPackedStages:
         p = build_params(M, N)
         _, inv = p.merged_tables
         m, beta = p.num_stages, 32 * q
+        pairs = _pairs(inv, beta, M)
         rng = random.Random(N)
         for spectrum in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
             a = _inverse(list(spectrum), inv[:m - k], M)
@@ -825,15 +869,36 @@ class TestPackedStages:
                                 + [_shoup(u + C - v, inv[s - 1][c], beta, M)
                                    for u, v in zip(x, y)])
                 model = step
-                blocks = _block_stages_inv(blocks, inv[s - 1:s], N, M)
+                blocks = _block_stages_inv(blocks, pairs[s - 1:s], N, M)
                 assert [_decode(x, 2 * L, q) for x in blocks] == model, s
                 assert max(map(max, model)) <= 2**s * M, s
             # the last stage's sums scaled by N**-1, then reduced
             (v,) = model
             want = [_shoup(x, p.n_inv, beta, M) % M for x in v[:N // 2]]
             want += [x % M for x in v[N // 2:]]
-            assert _inverse_packed(list(spectrum), inv, M, p.n_inv) == want
+            assert list(_inverse_packed(list(spectrum), inv, pairs[-k:], M,
+                                        p.n_inv)) == want
             assert want == _inverse(list(spectrum), inv, M, p.n_inv)
+
+    @pytest.mark.parametrize("M, q", [(FIXED_M, 1), (GOLDILOCKS, 3)])
+    def test_final_reduction_per_slot(self, M, q):
+        # the tail of _inverse_blocks on slots in [0, 2M): per slot, bit
+        # beta of t = v + 2**beta - M is set exactly when v >= M, t fits
+        # the 2*beta-bit slot, and v less that bit times M is v % M.  On a
+        # block of N = 16 slots with no inverse stage and n_inv = 1, the
+        # high half runs the reduction alone and the low half after
+        # Shoup's product by 1, which leaves v mod M in [0, 2M)
+        N, beta = 16, 32 * q
+        assert _packing(N, M)[2] == beta
+        vals = [0, 1, M - 1, M, M + 1, 2 * M - 1, M - 1, M]
+        for v in vals:
+            t = v + (1 << beta) - M
+            assert t < 1 << 2 * beta
+            assert (t >> beta & 1) == (v >= M)
+            assert v - (t >> beta & 1) * M == v % M
+        for slots in (vals + vals, vals[::-1] + vals):
+            got = _inverse_blocks([_encode(slots, q)], (), N, M, 1)
+            assert list(got) == [v % M for v in slots]
 
     @pytest.mark.parametrize("M, N", [(17, 4), (17, 8), (97, 16),
                                       (GOLDILOCKS, 64), (GOLDILOCKS, 128),
@@ -852,20 +917,21 @@ class TestPackedStages:
             assert back.coeffs == a.coeffs
 
 
-# (M, N): rings of the leaf product besides PACKED_RINGS, k_p = 1 at N = 4,
-# 8 and 16.  At N = 4, 4M is just below 2**32 for M = 1073741689, and
-# 7M <= 2**32 < 8M for M = 536871001
+# (M, N): rings of the leaf product besides PACKED_RINGS, k_p = 1 from
+# N = 4 to 64 (at N = 64, leaves of 32 coefficients; PACKED_RINGS holds
+# (GOLDILOCKS, 64)).  At N = 4, 4M is just below 2**32 for M = 1073741689,
+# and 7M <= 2**32 < 8M for M = 536871001
 LEAF_RINGS = ([(17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 16),
-               (1_073_741_689, 4), (536_871_001, 4), (GOLDILOCKS, 4),
-               (GOLDILOCKS, 16)]
+               (FIXED_M, 64), (1_073_741_689, 4), (536_871_001, 4),
+               (GOLDILOCKS, 4), (GOLDILOCKS, 16)]
               + [(M, N) for M, N, _, _ in PACKED_RINGS])
 
 
 def _leaf_geometry(M, N):
     """(k_p, beta): the packed forward stages before the leaves, of
     L = N >> k_p slots, and Shoup's shift."""
-    _, beta, _, _, halves = _packing(N, M)
-    return len(halves), beta
+    _, kp, beta, _, _, _, _ = _packing(N, M)
+    return kp, beta
 
 
 def _leaf_operands(M, N, seed):
@@ -885,18 +951,21 @@ def _shoup_tight(x, w, beta, M):
 
 
 class TestLeafProducts:
-    """negacyclic_mul_ntt's incomplete transform: k_p = max(1, m - 4)
+    """negacyclic_mul_ntt's incomplete transform: k_p = max(1, m - 5)
     packed forward stages leave block c the operand mod x**L - zeta_c,
     zeta_c = fwd[k_p][c]**2; each leaf is one big-int product, folded by
     four Shoup products and one by 1 (``_leaf_products``), and the leaves
     run the last k_p packed inverse stages."""
 
     @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 128, 1024, 2048])
-    def test_k_p_leaves_sixteen_coefficients(self, N):
+    def test_k_p_leaves_thirty_two_coefficients(self, N):
+        # k_p is not the k of ntt_forward's packed stages, max(0, m - 4),
+        # but every stage k_p reads has its halves entry, k_p <= max(1, k)
         m = N.bit_length() - 1
         kp, _ = _leaf_geometry(12289, N)
-        assert kp == max(1, m - 4)
-        assert N >> kp == min(N // 2, 16)
+        assert kp == max(1, m - 5)
+        assert N >> kp == min(N // 2, 32)
+        assert kp <= len(_packing(N, 12289)[5])
 
     @pytest.mark.parametrize("M, N", LEAF_RINGS)
     def test_slot_width(self, M, N):
@@ -918,9 +987,9 @@ class TestLeafProducts:
         assert 4 * M < 1 << 32 < 8 * M and 2 * (3 * M - 1) ** 2 > 1 << 64
         kp, beta = _leaf_geometry(M, N)
         assert (kp, beta) == (1, 64)
-        fwd, _ = p.merged_tables
-        _, x = _block_stages_fwd([_encode([M - 1, M - 1, 0, 0], 2)], fwd[:1],
-                                 N, M)
+        pairs, _, _, _, _ = p.shoup_tables
+        _, x = _block_stages_fwd([_encode([M - 1, M - 1, 0, 0], 2)],
+                                 pairs[:1], N, M)
         assert _decode(x, 2, 2) == [3 * M - 1] * 2
         assert _decode(x * x, 4, 2)[1] == 2 * (3 * M - 1) ** 2
 
@@ -931,12 +1000,13 @@ class TestLeafProducts:
         # every j up to N = 256, a sample of them beyond
         p = build_params(M, N)
         fwd, _ = p.merged_tables
+        pairs, _, _, _, _ = p.shoup_tables
         kp, beta = _leaf_geometry(M, N)
         q, L = beta // 32, N >> kp
         zetas = [w * w % M for w in fwd[kp][:1 << kp]]
         js = range(N) if N <= 256 else (0, 1, L - 1, L, L + 1, N // 2, N - 1)
         for j in js:
-            blocks = _block_stages_fwd([1 << 64 * q * j], fwd[:kp], N, M)
+            blocks = _block_stages_fwd([1 << 64 * q * j], pairs[:kp], N, M)
             assert len(blocks) == len(zetas) == 1 << kp
             for x, zeta in zip(blocks, zetas):
                 want = [0] * L
@@ -951,14 +1021,15 @@ class TestLeafProducts:
         # in [0, 2M), at most the first inverse stage's offset C = L*M
         p = build_params(M, N)
         fwd, _ = p.merged_tables
+        pairs, _, _, _, _ = p.shoup_tables
         kp, beta = _leaf_geometry(M, N)
         q, L = beta // 32, N >> kp
         digit = (1 << beta) - 1
         ops = _leaf_operands(M, N, N)
         for x, y in [(ops[0], ops[0]), (ops[1], ops[1]), (ops[1], ops[2]),
                      (ops[2], ops[3])]:
-            xs = _block_stages_fwd([_encode(x, q)], fwd[:kp], N, M)
-            ys = _block_stages_fwd([_encode(y, q)], fwd[:kp], N, M)
+            xs = _block_stages_fwd([_encode(x, q)], pairs[:kp], N, M)
+            ys = _block_stages_fwd([_encode(y, q)], pairs[:kp], N, M)
             leaves = _leaf_products(xs, ys, p)
             assert len(leaves) == 1 << kp
             for c, (bx, by, leaf) in enumerate(zip(xs, ys, leaves)):
@@ -982,6 +1053,27 @@ class TestLeafProducts:
                 # L times the leaf product mod x**L - zeta_c
                 assert [r % M for r in model] == [
                     L * (lo + zeta * hi) % M for lo, hi in zip(z[:L], z[L:])]
+
+    @pytest.mark.parametrize("M, N", [(FIXED_M, 32), (FIXED_M, 64),
+                                      (GOLDILOCKS, 64)])
+    def test_basis_pairs_certify_the_product(self, M, N):
+        # negacyclic_mul_ntt is Z/M-bilinear: every step is an integer sum
+        # or a product by a constant, taken mod M, so agreeing with
+        # x**i * x**j = +-x**((i+j) mod N) on all N**2 basis pairs proves
+        # it on every pair of operands on this table set (32-coefficient
+        # leaves at N = 64, k_p = 1; one-limb and three-limb slots).  It
+        # proves the algebra only where no slot carries: basis inputs stay
+        # far from the slot bounds, which the all-(M-1) operands reach
+        # (test_all_max_operands_equal_the_oracle and the leaf tests)
+        p = build_params(M, N)
+        basis = [Polynomial((0,) * i + (1,) + (0,) * (N - i - 1), M)
+                 for i in range(N)]
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                want = [0] * N
+                want[(i + j) % N] = 1 if i + j < N else M - 1
+                assert negacyclic_mul_ntt(x, y, p).coeffs == tuple(want), (i,
+                                                                           j)
 
     @pytest.mark.parametrize("M, N", [
         (17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 8),
