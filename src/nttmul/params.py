@@ -220,9 +220,9 @@ class NttParams(Frozen):
     @cached_property
     def leaf_constants(self):
         """The leaf fold's constants of
-        :func:`nttmul.polymul.negacyclic_mul_ntt`, derived from
-        ``merged_tables`` on first use and kept on the set
-        (``polymul._leaf_constants``)."""
+        :func:`nttmul.polymul.negacyclic_mul_ntt` and N**-1's Shoup pair
+        at its slot width, derived from ``merged_tables`` on first use and
+        kept on the set (``polymul._leaf_constants``)."""
         from .polymul import _leaf_constants
         return _leaf_constants(self)
 

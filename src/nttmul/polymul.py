@@ -22,10 +22,17 @@ L = N >> k_p = min(N/2, 32) and zeta_c the square of stage k_p + 1's
 twiddle c; one big-int product per leaf, whose slots of 2*beta bits hold
 its coefficient sums without a carry; a fold mod x**L - zeta_c, scaled
 by L, by four Shoup products on the slots' beta-bit halves and one by 1,
-into [0, 2M); and the last k_p packed inverse stages, after which one
-conditional subtraction of M, made on all N packed slots at once, leaves
-every coefficient in [0, M).  Its constants are derived on first use and
-kept on their table set (``NttParams.leaf_constants`` and
+into [0, 2M); and the last k_p packed inverse stages, with the offset
+C = 2**k_p * M, after which one conditional subtraction of M, made on
+all N packed slots at once, leaves every coefficient in [0, M).  The
+multiplier's slots are sized by its own bounds, not by N*M, since it
+runs only k_p stages each way: every Shoup input is below
+max(8M, 2**(k_p+1) * M) <= 2**beta and every leaf slot below
+L*((2*k_p + 1)*M)**2 <= 2**(2*beta), for beta the smallest multiple of 4,
+so that a slot is beta/4 whole bytes, which one struct call each way
+packs and unpacks (``_product_packing``); the transform pair keeps its
+N*M slots.  Its constants are derived on first use and kept on their
+table set (``NttParams.leaf_constants`` and
 ``NttParams.shoup_tables``).  The streaming pipeline model in
 :mod:`nttmul.pipesim` returns the schoolbook's products: a
 ``PipelineConfig`` exists only once its stages' network is proved a tree
@@ -270,16 +277,61 @@ def _inverse(a: list[int], tables, M: int,
 _BLOCK = 16     # slots a packed block keeps when the scalar passes take over
 
 
+class _Slots(Frozen):
+    """The layout of N packed slots of 2*beta bits, beta being Shoup's
+    shift: per packed forward stage s = 1, 2, ..., for halves of
+    L = N >> s slots, the half's bit length, its mask, the mask of each
+    slot's low beta bits, 2M in every slot and the inverse stages' offset
+    C in every slot; to_int and from_int, the codec of N slots; and
+    2**beta - M and 1 in each of N slots, the constants of the final
+    reduction in :func:`_inverse_blocks`."""
+    beta: int
+    halves: tuple
+    to_int: object
+    from_int: object
+    top: int
+    ones: int
+
+
+def _slot_layout(n: int, M: int, beta: int, stages: int, offset: int | None,
+                 codec) -> _Slots:
+    """The _Slots of N slots of beta/4 bytes with ``stages`` halves
+    entries, whose offset C is ``offset``, or L*M for halves of L slots
+    when it is None."""
+    size = beta // 4
+    halves = tuple((8 * size * L, (1 << 8 * size * L) - 1,
+                    _spread((1 << beta) - 1, size, L),
+                    _spread(2 * M, size, L), _spread(offset or L * M, size, L))
+                   for L in (n >> s for s in range(1, stages + 1)))
+    return _Slots(beta, halves, *codec, _spread((1 << beta) - M, size, n),
+                  _spread(1, size, n))
+
+
+def _byte_codec(count: int, size: int):
+    """(to_int, from_int) for ``count`` little-endian slots of ``size``
+    bytes: to_int packs a sequence of ints into one int, from_int gives
+    back the sequence of its slots.  One struct call each way lays every
+    int out as a word of 8 bytes in a slot of 8 or more, 4 in one of 4 to
+    7 and 2 in a smaller one, the slot's other bytes zero, so the ints
+    must be below 2**64, 2**32 and 2**16 (struct raises past them), and
+    from_int reads the words alone."""
+    word = "Q" if size >= 8 else "I" if size >= 4 else "H"
+    pad = size - struct.calcsize(word)
+    layout = struct.Struct(f"<{count}{word}" if not pad
+                           else "<" + f"{word}{pad}x" * count)
+    pack, unpack, total = layout.pack, layout.unpack, size * count
+    return (lambda vals: int.from_bytes(pack(*vals), "little"),
+            lambda x: unpack(x.to_bytes(total, "little")))
+
+
 def _codec(count: int, q: int):
     """(to_int, from_int) for ``count`` slots of q little-endian 64-bit
     limbs: to_int packs a sequence of ints below 2**(64*q) into one int,
     from_int gives back the sequence of its slots."""
+    if q == 1:
+        return _byte_codec(count, 8)
     size = 8 * q * count
     unpack = struct.Struct(f"<{q * count}Q").unpack
-    if q == 1:
-        pack = struct.Struct(f"<{count}Q").pack
-        return (lambda vals: int.from_bytes(pack(*vals), "little"),
-                lambda x: unpack(x.to_bytes(size, "little")))
     return (lambda vals: int.from_bytes(b"".join(
                 [v.to_bytes(8 * q, "little") for v in vals]), "little"),
             lambda x: _join_limbs(unpack(x.to_bytes(size, "little")), q))
@@ -287,53 +339,80 @@ def _codec(count: int, q: int):
 
 @lru_cache(maxsize=64)
 def _packing(n: int, M: int):
-    """Block geometry of the packed stages for (N, M), with m = log2 N:
-    k = max(0, m - 4), the number of packed stages of ``ntt_forward`` and
-    ``ntt_inverse``, which hand _BLOCK = 16-slot blocks to the scalar
-    passes; k_p = max(1, m - 5), the number of packed forward stages
-    before :func:`negacyclic_mul_ntt`'s leaves of L = min(N/2, 32)
-    slots; beta = 32*q, Shoup's shift, for a slot of q 64-bit limbs; the
-    codecs (:func:`_codec`) of N slots and of _BLOCK; per packed forward
-    stage s = 1 ... max(1, k), which covers k_p, for halves of
-    L = N >> s slots, the half's bit length, its mask, the mask of each
-    slot's low beta bits, 2M in every slot and L*M in every slot; and
-    2**beta - M and 1 in each of N slots, the constants of the final
-    reduction in :func:`_inverse_blocks`.
+    """Block geometry of the transform pair's packed stages for (N, M),
+    with m = log2 N: k = max(0, m - 4), the number of packed stages of
+    ``ntt_forward`` and ``ntt_inverse``, which hand _BLOCK = 16-slot
+    blocks to the scalar passes; their _Slots, with k halves entries, slots
+    of q 64-bit limbs, beta = 32*q, the offset C = L*M for halves of L
+    slots and the codec (:func:`_codec`) of N slots; and the codec of
+    _BLOCK slots.
 
     Bound: forward slots stay below (2s+1)*M after stage s and inverse
     slots at most 2**s * (M-1), so every Shoup input, X + C - Y and the
-    last stage's sums included, is below N*M.  A slot of a leaf product
-    sums at most L = N >> k_p products of forward slots, below
-    L * (2*k_p + 1)**2 * M**2 <= (N*M)**2 from N = 8 on (at N = 64,
-    32 * 9 <= 4096), and the leaf fold's last Shoup input, the sum of four
-    Shoup results, is below 8M.  q is the fewest limbs with
-    max(N, 8)*M <= 2**(32*q): at N = 4 a leaf slot reaches 2*(3M - 1)**2
-    (both operands (M-1, M-1, 0, 0), whose forward slots lo + 2M - r have
-    r = 0), past 2**(2*beta) when 4M <= 2**beta < 3*sqrt(2)*M, as at
-    M = 1073741689.  Then w' = floor(w * 2**beta / M) < 2**beta, and each
-    slot product, x*w', x*w and floor(x*w' / 2**beta)*M, is below
+    last stage's sums included, is below N*M, and q is the fewest limbs
+    with N*M <= 2**(32*q).  Then w' = floor(w * 2**beta / M) < 2**beta,
+    and each slot product, x*w', x*w and floor(x*w' / 2**beta)*M, is below
     2**(2*beta), the slot width, so none carries into the next slot.  The
     three benchmark rings take q = 1, and 2**64 - 2**32 + 1 takes q = 3.
+    The product sizes its own slots (:func:`_product_packing`).
 
     On a 2-vCPU Xeon (best of 5 runs of 2 to 50 products), handing
     ``ntt_forward``'s scalar passes 8 slots (k = m - 3) was 3-4 % slower
     at N = 128 ... 1024 and 2 % faster at N = 4096, and 32 slots
     (k = m - 5) 11-17 % slower.  Its packed stages gain about 10 % at
     N = 128 and cost about 12 % at N = 64, where scalar stages are cheap
-    against a block's fixed cost.  The leaf sizes of the product are
-    timed in :func:`negacyclic_mul_ntt`'s docstring.
+    against a block's fixed cost.
     """
     k = max(0, (n // _BLOCK).bit_length() - 1)
-    q = -(-(max(n, 8) * M - 1).bit_length() // 32)
-    beta, size = 32 * q, 8 * q
-    halves = [(64 * q * L, (1 << 64 * q * L) - 1,
-               _spread((1 << beta) - 1, size, L), _spread(2 * M, size, L),
-               _spread(L * M, size, L))
-              for L in (n >> s for s in range(1, max(1, k) + 1))]
-    # k_p = max(1, m - 5): leaves of min(N/2, 32) slots
-    return (k, max(1, (n >> 5).bit_length() - 1), beta, _codec(n, q),
-            _codec(_BLOCK, q), halves,
-            (_spread((1 << beta) - M, size, n), _spread(1, size, n)))
+    q = -(-(n * M - 1).bit_length() // 32)
+    return (k, _slot_layout(n, M, 32 * q, k, None, _codec(n, q)),
+            _codec(_BLOCK, q))
+
+
+@lru_cache(maxsize=64)
+def _product_packing(n: int, M: int):
+    """Block geometry of :func:`negacyclic_mul_ntt` for (N, M), with
+    m = log2 N: k_p = max(1, m - 5), the number of packed forward stages
+    before its leaves of L = N >> k_p = min(N/2, 32) slots and of packed
+    inverse stages after them; and its _Slots, with k_p halves entries,
+    slots of beta/4 bytes, the offset C = 2**k_p * M and the codec
+    (:func:`_byte_codec`) of N slots holding coefficients below M.
+
+    Bounds, the product's own: forward slots stay below (2s+1)*M after
+    stage s, so a leaf's slots are below (2*k_p + 1)*M, and every slot of
+    a leaf product, a sum of at most L products of two of them, is below
+    L*((2*k_p + 1)*M)**2.  The fold's last Shoup input, a sum of four
+    Shoup results, is below 8M, and it leaves the leaves in [0, 2M).  Every
+    slot is below 2**j * M <= C before inverse stage j = 1 ... k_p of the
+    product, so no slot of X + C - Y borrows, and that Shoup input, like
+    the last stage's sums that N**-1 scales, is below 2**j * M + C <=
+    2**(k_p+1) * M.  So every Shoup input, the forward stages' below
+    (2*k_p - 1)*M included, is below max(8M, 2**(k_p+1) * M).  beta is
+    the smallest multiple of 4 (so that a slot of 2*beta bits is a whole
+    number of bytes) with max(8M, 2**(k_p+1) * M) <= 2**beta and
+    L*((2*k_p + 1)*M)**2 <= 2**(2*beta); each slot product, x*w', x*w and
+    floor(x*w' / 2**beta)*M, is then below 2**(2*beta) too, so no slot
+    carries.  beta is 20 at (12289, 1024), 24 at (12289, 2048), 28 at
+    (1049089, 256) and (786433, 4096), and 72 for 2**64 - 2**32 + 1 at
+    N = 64, where the transform pair's N*M bound (:func:`_packing`) gives
+    32 at each but the last, and 96 there.
+
+    No slot widens past its bound to a whole 64-bit word: the codec is
+    one struct call each way at every width, a word and pad bytes per
+    slot.  On a 2-vCPU Xeon with Python 3.11 (per-product medians of 9
+    interleaved rounds), 7-byte slots took 12 % less time than 8-byte
+    ones at (1049089, 64) and 17 % less at (1049089, 256); with struct's
+    64-bit words laid into 7-byte slots by byte-lane slice copies instead,
+    they took 4-5 % more at (1049089, 64).  The leaf sizes are timed in
+    :func:`negacyclic_mul_ntt`'s docstring.
+    """
+    kp = max(1, (n >> 5).bit_length() - 1)
+    L = n >> kp
+    bits = max((max(8, 2 << kp) * M - 1).bit_length(),
+               ((L * ((2 * kp + 1) * M) ** 2 - 1).bit_length() + 1) // 2)
+    size = -(-bits // 4)
+    return kp, _slot_layout(n, M, 4 * size, kp, M << kp,
+                            _byte_codec(n, size))
 
 
 def _join_limbs(limbs, q: int) -> list[int]:
@@ -344,20 +423,21 @@ def _join_limbs(limbs, q: int) -> list[int]:
     return s
 
 
-def _block_stages_fwd(blocks, tables, n: int, M: int) -> list[int]:
+def _block_stages_fwd(blocks, tables, slots: _Slots, M: int) -> list[int]:
     # _forward's stages on packed blocks, one per table of Shoup pairs
-    # (w, w') (at most the k of _packing; NttParams.shoup_tables), from the
-    # stage that len(blocks) = 2**s blocks enter.  Block c after stage s is
-    # a[c::2**s] as _forward leaves it, so stage s + 1 pairs the block's
-    # low half lo with its high half hi under the one twiddle w, entry c
-    # of the stage's table, and writes blocks 2c and 2c + 1.  Shoup's
-    # product r = hi*w - floor(hi*w' / 2**beta)*M lies in [0, 2M) slot by
-    # slot for slots below 2**beta, so the blocks lo + r and lo + 2M - r
-    # stay non-negative, no slot borrows, and every slot is below
-    # (2s+3)*M after stage s + 1.
-    _, _, beta, _, _, halves, _ = _packing(n, M)
+    # (w, w') (at most one per halves entry of slots;
+    # NttParams.shoup_tables), from the stage that len(blocks) = 2**s
+    # blocks enter.  Block c after stage s is a[c::2**s] as _forward
+    # leaves it, so stage s + 1 pairs the block's low half lo with its
+    # high half hi under the one twiddle w, entry c of the stage's table,
+    # and writes blocks 2c and 2c + 1.  Shoup's product
+    # r = hi*w - floor(hi*w' / 2**beta)*M lies in [0, 2M) slot by slot for
+    # slots below 2**beta, so the blocks lo + r and lo + 2M - r stay
+    # non-negative, no slot borrows, and every slot is below (2s+3)*M
+    # after stage s + 1.
+    beta = slots.beta
     for tw, (bits, low, mask, twice, _) in zip(
-            tables, halves[len(blocks).bit_length() - 1:]):
+            tables, slots.halves[len(blocks).bit_length() - 1:]):
         out = []
         put = out.extend
         for x, (w, wq) in zip(blocks, tw):
@@ -368,15 +448,16 @@ def _block_stages_fwd(blocks, tables, n: int, M: int) -> list[int]:
     return blocks
 
 
-def _block_stages_inv(blocks, tables, n: int, M: int) -> list[int]:
+def _block_stages_inv(blocks, tables, slots: _Slots, M: int) -> list[int]:
     # _inverse's stages on packed blocks, one per table of Shoup pairs,
     # the mirror image: of the blocks left, X = 2c and Y = 2c + 1 make
     # block c, whose low half is X + Y and high half Shoup's product of
-    # X + C - Y by w, entry c of the stage's table.  C = L*M in each of
-    # X's L = 2**(s-1) slots is a multiple of M at or above every slot,
-    # which is at most 2**(s-1) * (M-1) before stage s, so no slot
+    # X + C - Y by w, entry c of the stage's table.  C, the halves entry's
+    # offset, is a multiple of M at or above every slot of Y (L*M for the
+    # transform pair, X having L = 2**(s-1) slots at stage s and every slot
+    # at most 2**(s-1) * (M-1); 2**k_p * M for the product), so no slot
     # borrows; sums double per stage and the high halves lie in [0, 2M).
-    _, _, beta, _, _, halves, _ = _packing(n, M)
+    beta, halves = slots.beta, slots.halves
     for tw in tables:
         bits, _, mask, _, C = halves[len(blocks).bit_length() - 2]
         out = []
@@ -393,44 +474,46 @@ def _forward_packed(coeffs, tables, pairs, M: int) -> list[int]:
     packed block of the coefficients, by pairs, the Shoup pairs of those k
     stages' tables, then its passes on the rest."""
     n = len(coeffs)
-    k, _, _, (to_int, _), (_, from_block), _, _ = _packing(n, M)
+    k, slots, (_, from_block) = _packing(n, M)
     if not k:
         return _forward(list(coeffs), tables, M)
-    blocks = _block_stages_fwd([to_int(coeffs)], pairs, n, M)
+    blocks = _block_stages_fwd([slots.to_int(coeffs)], pairs, slots, M)
     # slot i of block c is a[c + 2**k * i]: zip takes the blocks' columns
     return _forward(list(chain.from_iterable(zip(*map(from_block, blocks)))),
                     tables[k:], M)
 
 
-def _inverse_blocks(blocks, tables, n: int, M: int, n_inv: int):
+def _inverse_blocks(blocks, tables, slots: _Slots, M: int, scale):
     """The packed inverse stages on blocks, one per table of Shoup pairs,
-    down to one block; the last stage's sums are then scaled by n_inv,
-    with Shoup's product too, which leaves every slot in [0, 2M), and
-    every slot is reduced into [0, M) on the packed block: bit beta of
+    down to one block; the last stage's sums are then scaled by N**-1,
+    with Shoup's product by scale, the pair (N**-1, floor(N**-1 * 2**beta
+    / M)), too, which leaves every slot in [0, 2M), and every slot is
+    reduced into [0, M) on the packed block: bit beta of
     slot + 2**beta - M is set exactly when slot >= M, and the 2*beta-bit
     slot holds that sum, below 2**beta + M, so no slot carries, and none
     borrows when M is taken from the slots at or above it."""
-    _, _, beta, (_, from_int), _, halves, (top, ones) = _packing(n, M)
-    (x,) = _block_stages_inv(blocks, tables, n, M)
-    _, low, mask, _, _ = halves[0]
+    beta, (n_inv, n_inv_q) = slots.beta, scale
+    (x,) = _block_stages_inv(blocks, tables, slots, M)
+    _, low, mask, _, _ = slots.halves[0]
     lo = x & low
-    x += lo * n_inv - ((lo * ((n_inv << beta) // M) >> beta) & mask) * M - lo
-    return from_int(x - ((x + top) >> beta & ones) * M)
+    x += lo * n_inv - ((lo * n_inv_q >> beta) & mask) * M - lo
+    return slots.from_int(x - ((x + slots.top) >> beta & slots.ones) * M)
 
 
 def _inverse_packed(a, tables, pairs, M: int, n_inv: int) -> list[int]:
     """_inverse's result with n_inv: its passes on all but the last k
     stages, which run on packed blocks by pairs, the Shoup pairs of those
-    k stages' tables (:func:`_inverse_blocks`)."""
+    k stages' tables (:func:`_inverse_blocks`, whose N**-1 pair is divided
+    here, once per call)."""
     n = len(a)
-    k, _, _, _, (to_block, _), _, _ = _packing(n, M)
+    k, slots, (to_block, _) = _packing(n, M)
     if not k:
         return _inverse(a, tables, M, n_inv)
     a = _inverse(a, tables[:-k], M)
     # block c holds a[c::2**k]: the columns of the _BLOCK rows of 2**k
     return _inverse_blocks(
         list(map(to_block, zip(*zip(*[iter(a)] * (n // _BLOCK))))),
-        pairs, n, M, n_inv)
+        pairs, slots, M, (n_inv, (n_inv << slots.beta) // M))
 
 
 def _shoup_tables(params: NttParams):
@@ -438,32 +521,39 @@ def _shoup_tables(params: NttParams):
     / M)), per stage the entries its blocks read, the first 2**(s-1) of
     forward stage s and 2**(m-s) of inverse stage s: the first k_p
     forward and last k_p inverse stages of ``merged_tables``, for
-    :func:`negacyclic_mul_ntt`; the first k forward and last k inverse
-    stages of the set's own tables, the last inverse one times N**-1,
-    for ``ntt_forward`` and ``ntt_inverse``; and that inverse table set
-    itself, which ``ntt_inverse``'s scalar passes read.  No other stage
-    runs packed, so at N = 256 there are 14 pairs for the product and 30
-    for the transform pair."""
+    :func:`negacyclic_mul_ntt`, at its beta (:func:`_product_packing`);
+    the first k forward and last k inverse stages of the set's own tables,
+    the last inverse one times N**-1, for ``ntt_forward`` and
+    ``ntt_inverse``, at theirs (:func:`_packing`); and that inverse table
+    set itself, which ``ntt_inverse``'s scalar passes read.  No other
+    stage runs packed, so at N = 256 there are 14 pairs for the product
+    and 30 for the transform pair."""
     M, m, inv = params.M, params.num_stages, params.stage_twiddles_inv
-    k, kp, beta, _, _, _, _ = _packing(params.n, M)
+    k, slots, _ = _packing(params.n, M)
+    kp, product = _product_packing(params.n, M)
     own = (*inv[:-1], tuple(w * params.n_inv % M for w in inv[-1]))
     (mf, mi), fwd = params.merged_tables, params.stage_twiddles_fwd
     pairs = [tuple(tuple((w, (w << beta) // M) for w in tw[:len(t)])
                    for tw, t in zip(tables[lo:hi], like[lo:hi]))
-             for tables, like, lo, hi in (
-                 (mf, fwd, 0, kp), (mi, inv, m - kp, m), (fwd, fwd, 0, k),
-                 (own, inv, m - k, m))]
+             for tables, like, lo, hi, beta in (
+                 (mf, fwd, 0, kp, product.beta),
+                 (mi, inv, m - kp, m, product.beta),
+                 (fwd, fwd, 0, k, slots.beta),
+                 (own, inv, m - k, m, slots.beta))]
     return (*pairs, own)
 
 
 def _leaf_constants(params: NttParams):
-    """The leaf fold's constants for :func:`negacyclic_mul_ntt`, as Shoup
-    pairs (w, floor(w * 2**beta / M)), with L = N >> k_p: the pairs of L
-    and L * 2**beta and floor(2**beta / M), shared by every leaf; and per
-    leaf c the pairs of L*zeta_c and L*zeta_c * 2**beta, where
-    zeta_c = fwd[k_p][c]**2 (all mod M)."""
+    """The constants of :func:`negacyclic_mul_ntt`'s leaf fold and final
+    scale as Shoup pairs (w, floor(w * 2**beta / M)) at its beta
+    (:func:`_product_packing`), with L = N >> k_p: the pairs of L and
+    L * 2**beta and floor(2**beta / M), shared by every leaf; per leaf c
+    the pairs of L*zeta_c and L*zeta_c * 2**beta, where
+    zeta_c = fwd[k_p][c]**2 (all mod M); and the pair of N**-1, which
+    scales the last inverse stage's sums (:func:`_inverse_blocks`)."""
     n, M = params.n, params.M
-    _, kp, beta, _, _, _, _ = _packing(n, M)
+    kp, slots = _product_packing(n, M)
+    beta = slots.beta
 
     def pairs(w):
         w, w2 = w % M, (w << beta) % M
@@ -471,19 +561,21 @@ def _leaf_constants(params: NttParams):
 
     fwd, _ = params.merged_tables
     return ((*pairs(n >> kp), (1 << beta) // M),
-            tuple(pairs((n >> kp) * w * w) for w in fwd[kp][:1 << kp]))
+            tuple(pairs((n >> kp) * w * w) for w in fwd[kp][:1 << kp]),
+            pairs(params.n_inv)[:2])
 
 
 def _leaf_products(xs, ys, params: NttParams) -> list[int]:
     """Per leaf c, L * x_c*y_c mod (x**L - zeta_c, M) as one packed block
     of L = min(N/2, 32) slots in [0, 2M), for the 2**k_p forward blocks
-    xs and ys that :func:`negacyclic_mul_ntt` makes; the halves entry of
-    stage k_p, whose halves have L slots, gives the slot masks, and the
-    constants are the set's ``leaf_constants``."""
+    xs and ys that :func:`negacyclic_mul_ntt` makes; the last halves entry
+    of the product's slots, whose halves have L slots, gives the slot
+    masks, and the constants are the set's ``leaf_constants``."""
     M = params.M
-    _, kp, beta, _, _, halves, _ = _packing(params.n, M)
-    bits, low, mask, _, _ = halves[kp - 1]
-    (s0, s0q, s1, s1q, oneq), twists = params.leaf_constants
+    _, slots = _product_packing(params.n, M)
+    beta = slots.beta
+    bits, low, mask, _, _ = slots.halves[-1]
+    (s0, s0q, s1, s1q, oneq), twists, _ = params.leaf_constants
     leaves = []
     put = leaves.append
     for x, y, (t0, t0q, t1, t1q) in zip(xs, ys, twists):
@@ -549,9 +641,13 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     2**beta)*M lies in [0, 2M), indeed below M * (1 + x / 2**beta), and
     every slot of the block's product comes out in one shift and one
     mask.  The pairs (w, w') are divided once per table set
-    (``NttParams.shoup_tables``), not once per block.  Slots are q 64-bit
-    limbs with beta = 32*q (see :func:`_packing` for the bounds).  Block c
-    is then the operand mod x**L - zeta_c, the leaf, with
+    (``NttParams.shoup_tables``), not once per block.  Slots are sized by
+    the product's own bounds, not by the transform pair's N*M
+    (:func:`_product_packing`): every Shoup input is below
+    max(8M, 2**(k_p+1) * M) <= 2**beta and every leaf slot below
+    L*((2*k_p + 1)*M)**2 <= 2**(2*beta), for beta the smallest multiple
+    of 4, so that a slot of 2*beta bits is a whole number of bytes, beta/4.
+    Block c is then the operand mod x**L - zeta_c, the leaf, with
     L = N >> k_p = min(N/2, 32) (32 from N = 64 on) and slot i the
     coefficient of x**i: stage k_p + 1 would split it by its twiddle
     w_c = fwd[k_p][c] into x**(L/2) - w_c and x**(L/2) + w_c, so
@@ -567,13 +663,14 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     products by L, L * 2**beta, L*zeta_c and L*zeta_c * 2**beta (mod M,
     :func:`_leaf_constants`) sum to a leaf with slots below
     8M <= 2**beta, which one more Shoup product, by 1, puts in [0, 2M),
-    within the offset C = L*M of the first inverse stage.  The leaves then
+    within the inverse stages' offset C = 2**k_p * M.  The leaves then
     run the last k_p inverse stages on packed blocks, which multiply by
     2**k_p, and the last stage's sums and difference twiddles carry
     N**-1, so the fold's L makes the scale 1.  Every slot is then in
     [0, 2M), and one conditional subtraction of M on the packed block
     (:func:`_inverse_blocks`) leaves every coefficient in [0, M), with no
-    reduction per coefficient.
+    reduction per coefficient.  N**-1's Shoup pair is kept with the leaf
+    constants, so a product divides nothing.
 
     k_p >= 1 at N <= 16 too, so every product reads its forward stages
     1 ... k_p + 1 and inverse stages m - k_p + 1 ... m.  k_p is not the k
@@ -589,9 +686,10 @@ def negacyclic_mul_ntt(a: Polynomial, b: Polynomial,
     _check_operand(b, params, domain="coefficient", name="b")
     N, M = params.n, params.M
     fwd, inv, _, _, _ = params.shoup_tables
-    _, _, _, (to_int, _), _, _, _ = _packing(N, M)
-    leaves = _leaf_products(_block_stages_fwd([to_int(a.coeffs)], fwd, N, M),
-                            _block_stages_fwd([to_int(b.coeffs)], fwd, N, M),
-                            params)
-    out = tuple(_inverse_blocks(leaves, inv, N, M, params.n_inv))
+    _, slots = _product_packing(N, M)
+    leaves = _leaf_products(
+        _block_stages_fwd([slots.to_int(a.coeffs)], fwd, slots, M),
+        _block_stages_fwd([slots.to_int(b.coeffs)], fwd, slots, M), params)
+    # the codec unpacks a tuple
+    out = _inverse_blocks(leaves, inv, slots, M, params.leaf_constants[2])
     return Polynomial._unchecked(out, M, "coefficient")

@@ -2,6 +2,9 @@ import functools
 import math
 import random
 import re
+import struct
+from itertools import repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from nttmul.polymul import (
     Polynomial,
     _block_stages_fwd,
     _block_stages_inv,
+    _byte_codec,
     _forward,
     _forward_packed,
     _inverse,
@@ -24,6 +28,7 @@ from nttmul.polymul import (
     _inverse_packed,
     _leaf_products,
     _packing,
+    _product_packing,
     _slots,
     naive_negacyclic_mul,
     negacyclic_mul_ntt,
@@ -62,12 +67,13 @@ def _prime_rings(draw):
 
 
 def schoolbook_reference(a, b, N, M):
-    # second, independently structured schoolbook: expand to 2N terms, then
-    # fold the upper half back in with a sign flip
+    # second, independently structured schoolbook: expand to 2N terms, one
+    # row a_i * b added at offset i per nonzero a_i, then fold the upper
+    # half back in with a sign flip
     full = [0] * (2 * N)
-    for i in range(N):
-        for j in range(N):
-            full[i + j] += a[i] * b[j]
+    for i, x in enumerate(a):
+        if x:
+            full[i:i + N] = map(add, full[i:i + N], map(mul, repeat(x), b))
     return tuple((full[k] - full[k + N]) % M for k in range(N))
 
 
@@ -620,10 +626,12 @@ class TestMergedTables:
         # stage s: the product's first k_p forward and last k_p inverse
         # merged stages, and the first k forward and last k inverse stages
         # of the set's own tables, whose last inverse stage ntt_inverse
-        # takes times N**-1, cached with them
+        # takes times N**-1, cached with them; the product's pairs at its
+        # own beta, the transform pair's at theirs
         p = build_params(M, N)
         m = p.num_stages
-        k, kp, beta, _, _, _, _ = _packing(N, M)
+        k, slots, _ = _packing(N, M)
+        kp, product = _product_packing(N, M)
         own = p.stage_twiddles_inv[:-1] + (tuple(
             w * p.n_inv % M for w in p.stage_twiddles_inv[-1]),)
         mf, mi = p.merged_tables
@@ -632,7 +640,8 @@ class TestMergedTables:
                 p.stage_twiddles_fwd[:k], own[m - k:]]
         got = p.shoup_tables
         assert got[4] == own and len(got) == 5
-        for tables, pairs in zip(want, got):
+        betas = (product.beta,) * 2 + (slots.beta,) * 2
+        for tables, pairs, beta in zip(want, got, betas):
             assert [[w for w, _ in t] for t in pairs] == [list(t)
                                                           for t in tables]
             assert all(wq == (w << beta) // M < 1 << beta
@@ -758,10 +767,10 @@ class TestNetworkCertificate:
             _table_proof(p)
 
 
-# (M, N, k, q): rings of the packed stages, with k packed stages and slots
-# of q 64-bit limbs: the three benchmark rings (N*M just below 2**32 at
-# N = 4096), N*M just above 2**32 and at 2**35.5, and the two primes near
-# 2**64 that the wide tests use
+# (M, N, k, q): rings of the packed stages, with k packed stages of the
+# transform pair and its slots of q 64-bit limbs: the three benchmark rings
+# (N*M just below 2**32 at N = 4096), N*M just above 2**32 and at 2**35.5,
+# and the two primes near 2**64 that the wide tests use
 PACKED_RINGS = [(FIXED_M, 256, 4, 1), (12289, 1024, 6, 1),
                 (786433, 4096, 8, 1), (16_777_729, 256, 4, 2),
                 (1_518_500_033, 32, 1, 2),
@@ -769,16 +778,76 @@ PACKED_RINGS = [(FIXED_M, 256, 4, 1), (12289, 1024, 6, 1),
                 (18_446_744_073_709_550_593, 32, 1, 3)]
 
 
-def _encode(vals, q):
-    """A packed block: vals in slots of q 64-bit limbs, low slot first."""
-    return sum(v << 64 * q * i for i, v in enumerate(vals))
+# (M, N): rings of the leaf product besides PACKED_RINGS, k_p = 1 from
+# N = 4 to 64 (at N = 64, leaves of 32 coefficients; PACKED_RINGS holds
+# (GOLDILOCKS, 64)).  At N = 4, 4M is just below 2**32 for M = 1073741689,
+# and 7M <= 2**32 < 8M for M = 536871001
+LEAF_RINGS = ([(17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 16),
+               (FIXED_M, 64), (1_073_741_689, 4), (536_871_001, 4),
+               (GOLDILOCKS, 4), (GOLDILOCKS, 16)]
+              + [(M, N) for M, N, _, _ in PACKED_RINGS])
 
 
-def _decode(x, count, q):
-    """The count slots of the packed block x; no bit lies above them."""
-    size = 64 * q
-    assert 0 <= x < 1 << size * count
-    return [x >> size * i & (1 << size) - 1 for i in range(count)]
+def _product_bounds(M, N):
+    """The product's two stated bounds, with k_p = max(1, log2 N - 5) and
+    L = N >> k_p: every Shoup input is below max(8M, 2**(k_p+1) * M), and
+    every slot of a leaf product below L*((2*k_p + 1)*M)**2."""
+    kp = max(1, N.bit_length() - 6)
+    return max(8 * M, M << kp + 1), (N >> kp) * ((2 * kp + 1) * M) ** 2
+
+
+def _least_beta(M, N):
+    """The smallest multiple of 4 that both of the product's bounds hold
+    at: Shoup inputs below 2**beta, leaf slots below 2**(2*beta)."""
+    shoup, leaf = _product_bounds(M, N)
+    beta = 4
+    while shoup > 1 << beta or leaf > 1 << 2 * beta:
+        beta += 4
+    return beta
+
+
+def _tight_rings(limit):
+    """(M, N, bound) for every prime M = k*2N + 1 below limit, N = 4 ...
+    256, at whose beta one of the product's bounds would fail for
+    M + 2N, the next modulus of that form: the bound is met within one
+    step of M."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    found = []
+    for N in (4, 8, 16, 32, 64, 128, 256):
+        for M in range(2 * N + 1, limit, 2 * N):
+            if sieve[M]:
+                beta = _least_beta(M, N)
+                shoup, leaf = _product_bounds(M + 2 * N, N)
+                if shoup > 1 << beta or leaf > 1 << 2 * beta:
+                    found.append((M, N, "shoup" if shoup > 1 << beta
+                                  else "leaf"))
+    return found
+
+
+# (M, N): the rings below 2**18 where a bound of the product is met within
+# one step of M (test_tight_rings_are_the_ones_found): 8M <= 2**8 at
+# (17, 8), and the leaf bound at the other three, where the half-(M-1)
+# operand's leaf slot L*(3M - 1)**2 reaches 99.96 % of 2**40 at
+# (123553, 16) and 99.2 % of 2**32 at (5441, 32), and L*(7M - 1)**2 97.2 %
+# of 2**40 at (26113, 256), with k_p = 3 and C = 8M
+TIGHT_RINGS = [(17, 8), (123_553, 16), (5441, 32), (26_113, 256)]
+
+
+def _encode(vals, size):
+    """A packed block: vals in slots of size bytes, low slot first."""
+    return sum(v << 8 * size * i for i, v in enumerate(vals))
+
+
+def _decode(x, count, size):
+    """The count slots of size bytes of the packed block x; no bit lies
+    above them."""
+    bits = 8 * size
+    assert 0 <= x < 1 << bits * count
+    return [x >> bits * i & (1 << bits) - 1 for i in range(count)]
 
 
 def _pairs(tables, beta, M):
@@ -800,17 +869,67 @@ def _shoup(x, w, beta, M):
     return r
 
 
+def _forward_model(coeffs, fwd, slots, stages, M):
+    """The first ``stages`` packed forward stages on coeffs in slots, each
+    block equal slot for slot to a per-slot scalar model of the step,
+    whose slots stay below (2s+1)*M after stage s; the model's blocks."""
+    N, beta = len(coeffs), slots.beta
+    size, pairs = beta // 4, _pairs(fwd, beta, M)
+    model, blocks = [coeffs], [_encode(coeffs, size)]
+    for s in range(1, stages + 1):
+        L = N >> s
+        step = []
+        for c, v in enumerate(model):
+            r = [_shoup(x, fwd[s - 1][c], beta, M) for x in v[L:]]
+            step += ([lo + y for lo, y in zip(v, r)],
+                     [lo + 2 * M - y for lo, y in zip(v, r)])
+        model = step
+        blocks = _block_stages_fwd(blocks, pairs[s - 1:s], slots, M)
+        assert [_decode(x, L, size) for x in blocks] == model, s
+        assert max(map(max, model)) < (2 * s + 1) * M, s
+    return model
+
+
+def _inverse_model(model, inv, slots, offset, M):
+    """The packed inverse stages that the blocks of model, lists of slot
+    values, enter, down to one block, each block equal slot for slot to
+    a per-slot scalar model: of X = 2c and Y = 2c + 1, block c is X + Y
+    and Shoup's product of X + C - Y, with C = offset(L) for X of L
+    slots, a multiple of M at or above every slot of Y.  Returns the last
+    block's slots and each stage's largest slot."""
+    beta, m = slots.beta, len(inv)
+    size, pairs = beta // 4, _pairs(inv, beta, M)
+    blocks, peaks = [_encode(v, size) for v in model], []
+    for s in range(m + 2 - len(model).bit_length(), m + 1):
+        L = 1 << s - 1
+        C = offset(L)
+        step = []
+        for c, (x, y) in enumerate(zip(model[0::2], model[1::2])):
+            assert max(y) <= C and C % M == 0
+            step.append([u + v for u, v in zip(x, y)]
+                        + [_shoup(u + C - v, inv[s - 1][c], beta, M)
+                           for u, v in zip(x, y)])
+        model = step
+        blocks = _block_stages_inv(blocks, pairs[s - 1:s], slots, M)
+        assert [_decode(x, 2 * L, size) for x in blocks] == model, s
+        peaks.append(max(map(max, model)))
+    (last,) = model
+    return last, peaks
+
+
 class TestPackedStages:
     """The first k forward and last k inverse stages of the transform run
     on packed blocks (``_block_stages_fwd``, ``_block_stages_inv``): each
     block's slots equal a per-slot scalar model of the step, the stated
     bounds hold, and the blocks hand over to the scalar passes in their
-    constant-geometry order."""
+    constant-geometry order.  The product's k_p stages each way run on
+    its own slots (``_product_packing``) and are modelled the same way."""
 
     @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
     def test_geometry(self, M, N, k, q):
-        got_k, _, beta, _, _, halves, _ = _packing(N, M)
-        assert (got_k, beta) == (k, 32 * q) and len(halves) == k
+        got_k, slots, _ = _packing(N, M)
+        beta = slots.beta
+        assert (got_k, beta) == (k, 32 * q) and len(slots.halves) == k
         # q is the fewest limbs whose beta bounds the Shoup inputs
         assert N * M <= 1 << beta and (q == 1 or N * M > 1 << beta - 32)
 
@@ -823,22 +942,12 @@ class TestPackedStages:
     def test_forward_slots_equal_the_scalar_model(self, M, N, k, q):
         p = build_params(M, N)
         fwd, _ = p.merged_tables
-        beta = 32 * q
-        pairs = _pairs(fwd, beta, M)
+        _, slots, _ = _packing(N, M)
+        assert slots.beta == 32 * q
+        pairs = _pairs(fwd, slots.beta, M)
         rng = random.Random(N)
         for coeffs in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
-            model, blocks = [coeffs], [_encode(coeffs, q)]
-            for s in range(1, k + 1):
-                L = N >> s
-                step = []
-                for c, v in enumerate(model):
-                    r = [_shoup(x, fwd[s - 1][c], beta, M) for x in v[L:]]
-                    step += ([lo + y for lo, y in zip(v, r)],
-                             [lo + 2 * M - y for lo, y in zip(v, r)])
-                model = step
-                blocks = _block_stages_fwd(blocks, pairs[s - 1:s], N, M)
-                assert [_decode(x, L, q) for x in blocks] == model, s
-                assert max(map(max, model)) < (2 * s + 1) * M, s
+            model = _forward_model(coeffs, fwd, slots, k, M)
             # block c is a[c::2**k] of the scalar stages' output, mod M
             a = _forward(list(coeffs), fwd[:k], M)
             for c, v in enumerate(model):
@@ -849,56 +958,104 @@ class TestPackedStages:
 
     @pytest.mark.parametrize("M, N, k, q", PACKED_RINGS)
     def test_inverse_slots_equal_the_scalar_model(self, M, N, k, q):
+        # C = L*M for X of L = 2**(s-1) slots at stage s, at or above every
+        # slot, which is at most 2**(s-1) * (M-1) before stage s
         p = build_params(M, N)
         _, inv = p.merged_tables
-        m, beta = p.num_stages, 32 * q
+        m = p.num_stages
+        _, slots, _ = _packing(N, M)
+        beta = slots.beta
+        assert beta == 32 * q
         pairs = _pairs(inv, beta, M)
         rng = random.Random(N)
         for spectrum in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
             a = _inverse(list(spectrum), inv[:m - k], M)
             assert max(a) <= 2**(m - k) * (M - 1)
-            model = [a[c::1 << k] for c in range(1 << k)]
-            blocks = [_encode(v, q) for v in model]
-            for s in range(m - k + 1, m + 1):
-                L = 1 << s - 1
-                step = []
-                for c, (x, y) in enumerate(zip(model[0::2], model[1::2])):
-                    C = L * M       # a multiple of M at or above every slot
-                    assert max(y) <= C
-                    step.append([u + v for u, v in zip(x, y)]
-                                + [_shoup(u + C - v, inv[s - 1][c], beta, M)
-                                   for u, v in zip(x, y)])
-                model = step
-                blocks = _block_stages_inv(blocks, pairs[s - 1:s], N, M)
-                assert [_decode(x, 2 * L, q) for x in blocks] == model, s
-                assert max(map(max, model)) <= 2**s * M, s
+            v, peaks = _inverse_model([a[c::1 << k] for c in range(1 << k)],
+                                      inv, slots, lambda L: L * M, M)
+            for s, peak in zip(range(m - k + 1, m + 1), peaks):
+                assert peak <= 2**s * M, s
             # the last stage's sums scaled by N**-1, then reduced
-            (v,) = model
             want = [_shoup(x, p.n_inv, beta, M) % M for x in v[:N // 2]]
             want += [x % M for x in v[N // 2:]]
             assert list(_inverse_packed(list(spectrum), inv, pairs[-k:], M,
                                         p.n_inv)) == want
             assert want == _inverse(list(spectrum), inv, M, p.n_inv)
 
+    @pytest.mark.parametrize("M, N", LEAF_RINGS + TIGHT_RINGS)
+    def test_product_forward_slots_equal_the_scalar_model(self, M, N):
+        # the product's k_p forward stages on its own slots: every Shoup
+        # input, below (2*k_p - 1)*M, is below 2**beta, and the leaves'
+        # slots below (2*k_p + 1)*M
+        p = build_params(M, N)
+        fwd, _ = p.merged_tables
+        kp, slots = _product_packing(N, M)
+        for coeffs in _leaf_operands(M, N, N):
+            model = _forward_model(coeffs, fwd, slots, kp, M)
+            assert len(model) == 1 << kp and len(model[0]) == N >> kp
+
+    @pytest.mark.parametrize("M, N", LEAF_RINGS + TIGHT_RINGS)
+    def test_product_inverse_slots_equal_the_scalar_model(self, M, N):
+        # the product's last k_p inverse stages on leaves in [0, 2M), with
+        # C = 2**k_p * M in every stage: before its stage j every slot is
+        # below 2**j * M <= C, so X + C - Y never borrows and, like the
+        # last stage's sums, is below 2**(k_p+1) * M <= 2**beta.  Leaves
+        # all 2M - 1; 2M - 1 in every X and 0 in every Y of the first
+        # stage, its largest X + C - Y; and random
+        p = build_params(M, N)
+        _, inv = p.merged_tables
+        kp, slots = _product_packing(N, M)
+        L, beta = N >> kp, slots.beta
+        rng = random.Random(M % 1000 + N)
+        for leaves in ([[2 * M - 1] * L] * (1 << kp),
+                       [[(2 * M - 1) * (1 - c % 2)] * L
+                        for c in range(1 << kp)],
+                       [[rng.randrange(2 * M) for _ in range(L)]
+                        for _ in range(1 << kp)]):
+            v, peaks = _inverse_model(leaves, inv, slots, lambda _: M << kp,
+                                      M)
+            assert len(peaks) == kp
+            for j, peak in enumerate(peaks, 1):
+                assert peak < 2**(j + 1) * M, j
+            # the last stage's sums scaled by N**-1, then reduced; block c
+            # holds a[c::2**k_p] of the scalar stages' input
+            want = [_shoup(x, p.n_inv, beta, M) % M for x in v[:N // 2]]
+            want += [x % M for x in v[N // 2:]]
+            _, pairs, _, _, _ = p.shoup_tables
+            got = _inverse_blocks([_encode(x, beta // 4) for x in leaves],
+                                  pairs, slots, M, p.leaf_constants[2])
+            assert list(got) == want
+            a = [0] * N
+            for c, x in enumerate(leaves):
+                a[c::1 << kp] = x
+            assert want == _inverse(a, inv[-kp:], M, p.n_inv)
+
     @pytest.mark.parametrize("M, q", [(FIXED_M, 1), (GOLDILOCKS, 3)])
     def test_final_reduction_per_slot(self, M, q):
         # the tail of _inverse_blocks on slots in [0, 2M): per slot, bit
         # beta of t = v + 2**beta - M is set exactly when v >= M, t fits
-        # the 2*beta-bit slot, and v less that bit times M is v % M.  On a
-        # block of N = 16 slots with no inverse stage and n_inv = 1, the
-        # high half runs the reduction alone and the low half after
-        # Shoup's product by 1, which leaves v mod M in [0, 2M)
-        N, beta = 16, 32 * q
-        assert _packing(N, M)[2] == beta
+        # the 2*beta-bit slot, and v less that bit times M is v % M.  On
+        # one block with no inverse stage and N**-1 = 1, the high half runs
+        # the reduction alone and the low half after Shoup's product by 1,
+        # which leaves v mod M in [0, 2M); on the transform pair's slots of
+        # q limbs at N = 32 and on the product's own at N = 16
+        _, pair, _ = _packing(32, M)
+        _, product = _product_packing(16, M)
+        assert pair.beta == 32 * q
+        assert product.beta == _least_beta(M, 16)
         vals = [0, 1, M - 1, M, M + 1, 2 * M - 1, M - 1, M]
-        for v in vals:
-            t = v + (1 << beta) - M
-            assert t < 1 << 2 * beta
-            assert (t >> beta & 1) == (v >= M)
-            assert v - (t >> beta & 1) * M == v % M
-        for slots in (vals + vals, vals[::-1] + vals):
-            got = _inverse_blocks([_encode(slots, q)], (), N, M, 1)
-            assert list(got) == [v % M for v in slots]
+        for N, slots in ((32, pair), (16, product)):
+            beta = slots.beta
+            for v in vals:
+                t = v + (1 << beta) - M
+                assert t < 1 << 2 * beta
+                assert (t >> beta & 1) == (v >= M)
+                assert v - (t >> beta & 1) * M == v % M
+            for block in ((vals + vals) * (N // 16),
+                          (vals[::-1] + vals) * (N // 16)):
+                got = _inverse_blocks([_encode(block, beta // 4)], (), slots,
+                                      M, (1, (1 << beta) // M))
+                assert list(got) == [v % M for v in block]
 
     @pytest.mark.parametrize("M, N", [(17, 4), (17, 8), (97, 16),
                                       (GOLDILOCKS, 64), (GOLDILOCKS, 128),
@@ -917,23 +1074,6 @@ class TestPackedStages:
             assert back.coeffs == a.coeffs
 
 
-# (M, N): rings of the leaf product besides PACKED_RINGS, k_p = 1 from
-# N = 4 to 64 (at N = 64, leaves of 32 coefficients; PACKED_RINGS holds
-# (GOLDILOCKS, 64)).  At N = 4, 4M is just below 2**32 for M = 1073741689,
-# and 7M <= 2**32 < 8M for M = 536871001
-LEAF_RINGS = ([(17, 4), (17, 8), (97, 16), (FIXED_M, 4), (FIXED_M, 16),
-               (FIXED_M, 64), (1_073_741_689, 4), (536_871_001, 4),
-               (GOLDILOCKS, 4), (GOLDILOCKS, 16)]
-              + [(M, N) for M, N, _, _ in PACKED_RINGS])
-
-
-def _leaf_geometry(M, N):
-    """(k_p, beta): the packed forward stages before the leaves, of
-    L = N >> k_p slots, and Shoup's shift."""
-    _, kp, beta, _, _, _, _ = _packing(N, M)
-    return kp, beta
-
-
 def _leaf_operands(M, N, seed):
     """All M-1; M-1 in the low half and 0 in the high, whose stage 1
     writes lo + 2M - r with r = 0, slots of 3M - 1; two random."""
@@ -950,48 +1090,101 @@ def _shoup_tight(x, w, beta, M):
     return r
 
 
+def test_tight_rings_are_the_ones_found():
+    # every ring below 2**18, N = 4 ... 256, where a bound of the product
+    # is met within one step of M: the modulus M + 2N would break it at
+    # M's beta
+    assert _tight_rings(1 << 18) == [(17, 8, "shoup"), (123_553, 16, "leaf"),
+                                     (5441, 32, "leaf"), (26_113, 256, "leaf")]
+    assert [(M, N) for M, N, _ in _tight_rings(1 << 18)] == TIGHT_RINGS
+
+
+def test_byte_codec_round_trips_and_refuses_wide_ints():
+    # a word of 8, 4 or 2 bytes and zero pad bytes per slot: every slot
+    # width from 2 to 18 bytes gives back what it packed, slot by slot, and
+    # struct refuses an int past the word rather than spill it
+    rng = random.Random(3)
+    for size in range(2, 19):
+        word = 8 if size >= 8 else 4 if size >= 4 else 2
+        to_int, from_int = _byte_codec(5, size)
+        vals = [0, 1, (1 << 8 * word) - 1] + [rng.randrange(1 << 8 * word)
+                                              for _ in range(2)]
+        x = to_int(vals)
+        assert _decode(x, 5, size) == vals and list(from_int(x)) == vals
+        with pytest.raises(struct.error):
+            to_int([1 << 8 * word] + vals[1:])
+
+
 class TestLeafProducts:
     """negacyclic_mul_ntt's incomplete transform: k_p = max(1, m - 5)
     packed forward stages leave block c the operand mod x**L - zeta_c,
     zeta_c = fwd[k_p][c]**2; each leaf is one big-int product, folded by
     four Shoup products and one by 1 (``_leaf_products``), and the leaves
-    run the last k_p packed inverse stages."""
+    run the last k_p packed inverse stages, all on slots sized by the
+    product's own bounds."""
 
     @pytest.mark.parametrize("N", [4, 8, 16, 32, 64, 128, 1024, 2048])
     def test_k_p_leaves_thirty_two_coefficients(self, N):
-        # k_p is not the k of ntt_forward's packed stages, max(0, m - 4),
-        # but every stage k_p reads has its halves entry, k_p <= max(1, k)
+        # k_p is not the k of ntt_forward's packed stages, max(0, m - 4);
+        # the product's slots have one halves entry per stage k_p reads
         m = N.bit_length() - 1
-        kp, _ = _leaf_geometry(12289, N)
+        kp, slots = _product_packing(N, 12289)
         assert kp == max(1, m - 5)
         assert N >> kp == min(N // 2, 32)
-        assert kp <= len(_packing(N, 12289)[5])
+        assert len(slots.halves) == kp
 
-    @pytest.mark.parametrize("M, N", LEAF_RINGS)
+    @pytest.mark.parametrize(
+        "M, N", list(dict.fromkeys(LEAF_RINGS + FERMAT_RINGS + TIGHT_RINGS)))
     def test_slot_width(self, M, N):
-        # q is the fewest limbs with max(N, 8)*M <= 2**beta: N*M bounds the
-        # stages' Shoup inputs, and 8M the fold's last one, the sum of four
-        # Shoup results
-        _, beta = _leaf_geometry(M, N)
-        bound = max(N, 8) * M
-        assert bound <= 1 << beta and (beta == 32 or bound > 1 << beta - 32)
+        # beta is the smallest multiple of 4 with both of the product's
+        # bounds: every Shoup input, below max(8M, 2**(k_p+1) * M), below
+        # 2**beta, and every leaf slot, below L*((2*k_p + 1)*M)**2, below
+        # 2**(2*beta), the slot width; beta - 4 breaks one of them
+        beta = _product_packing(N, M)[1].beta
+        shoup, leaf = _product_bounds(M, N)
+        assert beta % 4 == 0
+        assert shoup <= 1 << beta and leaf <= 1 << 2 * beta
+        assert shoup > 1 << beta - 4 or leaf > 1 << 2 * (beta - 4)
 
-    def test_four_coefficient_ring_below_2_32_takes_two_limbs(self):
+    @pytest.mark.parametrize("M, N, beta", [
+        (FIXED_M, 256, 28), (12289, 1024, 20), (12289, 2048, 24),
+        (786433, 4096, 28), (GOLDILOCKS, 64, 72), (1_073_741_689, 4, 36)])
+    def test_rings_take_their_own_width(self, M, N, beta):
+        # the benchmark rings and 2**64 - 2**32 + 1 at N = 64 (18-byte
+        # slots; the transform pair's N*M gives 32, 32, 32, 32 and 96);
+        # per packed stage, 2M and C = 2**k_p * M in every slot of a half,
+        # and the codec gives back what it packed, all M - 1 included
+        kp, slots = _product_packing(N, M)
+        size = beta // 4
+        assert slots.beta == beta == _least_beta(M, N)
+        for s, (bits, low, mask, twice, C) in enumerate(slots.halves, 1):
+            L = N >> s
+            assert (bits, low) == (8 * size * L, (1 << 8 * size * L) - 1)
+            assert _decode(mask, L, size) == [(1 << beta) - 1] * L
+            assert _decode(twice, L, size) == [2 * M] * L
+            assert _decode(C, L, size) == [M << kp] * L
+        rng = random.Random(N)
+        for vals in ([M - 1] * N, [rng.randrange(M) for _ in range(N)]):
+            x = slots.to_int(vals)
+            assert _decode(x, N, size) == vals
+            assert list(slots.from_int(x)) == vals
+
+    def test_four_coefficient_ring_below_2_32_takes_nine_byte_slots(self):
         # at M = 1073741689, N*M = 4M is just below 2**32, but the operand
         # (M-1, M-1, 0, 0) leaves forward block 1 = (3M - 1, 3M - 1), whose
-        # square has the middle slot 2*(3M - 1)**2 > 2**64: one-limb slots
-        # would carry there whatever Shoup's bound.  The slots take two
-        # limbs, as 8M > 2**32, and every bound then holds
+        # square has the middle slot 2*(3M - 1)**2 > 2**64, and the fold's
+        # last Shoup input can pass 4M: slots sized for N*M would carry.
+        # 8M > 2**32 takes beta = 36, 9-byte slots, and every bound holds
         M, N = 1_073_741_689, 4
         p = build_params(M, N)
         assert 4 * M < 1 << 32 < 8 * M and 2 * (3 * M - 1) ** 2 > 1 << 64
-        kp, beta = _leaf_geometry(M, N)
-        assert (kp, beta) == (1, 64)
+        kp, slots = _product_packing(N, M)
+        assert (kp, slots.beta) == (1, 36)
         pairs, _, _, _, _ = p.shoup_tables
-        _, x = _block_stages_fwd([_encode([M - 1, M - 1, 0, 0], 2)],
-                                 pairs[:1], N, M)
-        assert _decode(x, 2, 2) == [3 * M - 1] * 2
-        assert _decode(x * x, 4, 2)[1] == 2 * (3 * M - 1) ** 2
+        _, x = _block_stages_fwd([_encode([M - 1, M - 1, 0, 0], 9)],
+                                 pairs[:1], slots, M)
+        assert _decode(x, 2, 9) == [3 * M - 1] * 2
+        assert _decode(x * x, 4, 9)[1] == 2 * (3 * M - 1) ** 2 < 1 << 72
 
     @pytest.mark.parametrize("M, N", LEAF_RINGS)
     def test_forward_blocks_are_residues_mod_x_L_minus_zeta(self, M, N):
@@ -1001,45 +1194,46 @@ class TestLeafProducts:
         p = build_params(M, N)
         fwd, _ = p.merged_tables
         pairs, _, _, _, _ = p.shoup_tables
-        kp, beta = _leaf_geometry(M, N)
-        q, L = beta // 32, N >> kp
+        kp, slots = _product_packing(N, M)
+        size, L = slots.beta // 4, N >> kp
         zetas = [w * w % M for w in fwd[kp][:1 << kp]]
         js = range(N) if N <= 256 else (0, 1, L - 1, L, L + 1, N // 2, N - 1)
         for j in js:
-            blocks = _block_stages_fwd([1 << 64 * q * j], pairs[:kp], N, M)
+            blocks = _block_stages_fwd([1 << 8 * size * j], pairs[:kp],
+                                       slots, M)
             assert len(blocks) == len(zetas) == 1 << kp
             for x, zeta in zip(blocks, zetas):
                 want = [0] * L
                 want[j % L] = pow(zeta, j // L, M)
-                assert [v % M for v in _decode(x, L, q)] == want, j
+                assert [v % M for v in _decode(x, L, size)] == want, j
 
-    @pytest.mark.parametrize("M, N", LEAF_RINGS)
+    @pytest.mark.parametrize("M, N", LEAF_RINGS + TIGHT_RINGS)
     def test_leaf_slots_equal_the_scalar_model(self, M, N):
         # slot for slot: the packed leaf product carries no slot (every
         # slot of z below 2**(2*beta)), the fold's Shoup inputs are below
         # 2**beta, its four results sum below 8M, and every leaf slot lies
-        # in [0, 2M), at most the first inverse stage's offset C = L*M
+        # in [0, 2M), below the inverse stages' offset C = 2**k_p * M
         p = build_params(M, N)
         fwd, _ = p.merged_tables
         pairs, _, _, _, _ = p.shoup_tables
-        kp, beta = _leaf_geometry(M, N)
-        q, L = beta // 32, N >> kp
-        digit = (1 << beta) - 1
+        kp, slots = _product_packing(N, M)
+        beta, L = slots.beta, N >> kp
+        size, digit = beta // 4, (1 << beta) - 1
         ops = _leaf_operands(M, N, N)
         for x, y in [(ops[0], ops[0]), (ops[1], ops[1]), (ops[1], ops[2]),
                      (ops[2], ops[3])]:
-            xs = _block_stages_fwd([_encode(x, q)], pairs[:kp], N, M)
-            ys = _block_stages_fwd([_encode(y, q)], pairs[:kp], N, M)
+            xs = _block_stages_fwd([_encode(x, size)], pairs[:kp], slots, M)
+            ys = _block_stages_fwd([_encode(y, size)], pairs[:kp], slots, M)
             leaves = _leaf_products(xs, ys, p)
             assert len(leaves) == 1 << kp
             for c, (bx, by, leaf) in enumerate(zip(xs, ys, leaves)):
                 zeta = fwd[kp][c] ** 2 % M
-                u, v = _decode(bx, L, q), _decode(by, L, q)
+                u, v = _decode(bx, L, size), _decode(by, L, size)
                 z = [sum(u[i] * v[j - i]
                          for i in range(max(0, j - L + 1), min(j, L - 1) + 1))
                      for j in range(2 * L)]
                 assert max(z) < 1 << 2 * beta
-                assert _decode(bx * by, 2 * L, q) == z
+                assert _decode(bx * by, 2 * L, size) == z
                 consts = (L, L << beta, L * zeta, L * zeta << beta)
                 model = []
                 for lo, hi in zip(z[:L], z[L:]):
@@ -1048,11 +1242,26 @@ class TestLeafProducts:
                             for h, w in zip(parts, consts))
                     assert r < 8 * M
                     model.append(_shoup_tight(r, 1, beta, M))
-                assert _decode(leaf, L, q) == model
-                assert max(model) < 2 * M <= L * M
+                assert _decode(leaf, L, size) == model
+                assert max(model) < 2 * M <= M << kp
                 # L times the leaf product mod x**L - zeta_c
                 assert [r % M for r in model] == [
                     L * (lo + zeta * hi) % M for lo, hi in zip(z[:L], z[L:])]
+
+    def test_leaf_bound_is_met_within_one_step_at_123553(self):
+        # at (123553, 16), k_p = 1 and L = 8: the half-(M-1) operand leaves
+        # forward block 1 all 3M - 1, and its square's middle slot,
+        # 8*(3M - 1)**2, is 99.96 % of 2**40, the 20-bit beta's slot; the
+        # modulus M + 32 would pass the bound 8*(3M)**2 <= 2**40
+        M, N = 123_553, 16
+        kp, slots = _product_packing(N, M)
+        assert (kp, slots.beta) == (1, 20)
+        assert 8 * (3 * M) ** 2 <= 1 << 40 < 8 * (3 * (M + 32)) ** 2
+        pairs, _, _, _, _ = build_params(M, N).shoup_tables
+        _, x = _block_stages_fwd([_encode(_leaf_operands(M, N, 0)[1], 5)],
+                                 pairs[:1], slots, M)
+        top = _decode(x * x, 16, 5)[7]
+        assert top == 8 * (3 * M - 1) ** 2 and top > (1 << 40) * 9995 // 10000
 
     @pytest.mark.parametrize("M, N", [(FIXED_M, 32), (FIXED_M, 64),
                                       (GOLDILOCKS, 64)])
@@ -1061,7 +1270,7 @@ class TestLeafProducts:
         # or a product by a constant, taken mod M, so agreeing with
         # x**i * x**j = +-x**((i+j) mod N) on all N**2 basis pairs proves
         # it on every pair of operands on this table set (32-coefficient
-        # leaves at N = 64, k_p = 1; one-limb and three-limb slots).  It
+        # leaves at N = 64, k_p = 1; 6-, 7- and 18-byte slots).  It
         # proves the algebra only where no slot carries: basis inputs stay
         # far from the slot bounds, which the all-(M-1) operands reach
         # (test_all_max_operands_equal_the_oracle and the leaf tests)
@@ -1080,17 +1289,33 @@ class TestLeafProducts:
         (FIXED_M, 16), (FIXED_M, 32), (FIXED_M, 64), (FIXED_M, 256),
         (GOLDILOCKS, 4), (GOLDILOCKS, 16), (GOLDILOCKS, 64),
         (GOLDILOCKS, 256), (18_446_744_073_709_550_593, 32),
-        (1_073_741_689, 4), (536_871_001, 4)])
+        (1_073_741_689, 4), (536_871_001, 4), (123_553, 16), (5441, 32),
+        (26_113, 256)])
     def test_products_equal_the_schoolbook(self, M, N):
-        # k_p = 1 at N <= 16; three-limb slots near 2**64; at
+        # k_p = 1 at N <= 16; 18-byte slots near 2**64; at
         # M = 1073741689, N = 4, the leaf slot 2*(3M - 1)**2 of the
-        # half-(M-1) operand
+        # half-(M-1) operand; the rings where a bound is met within one
+        # step of M
         p = build_params(M, N)
         top, half, r1, r2 = _leaf_operands(M, N, M % 1000 + N)
         for x, y in [(top, top), (half, half), (half, top), (r1, r2)]:
             a, b = Polynomial(x, M), Polynomial(y, M)
             assert (negacyclic_mul_ntt(a, b, p).coeffs
                     == schoolbook_reference(x, y, N, M))
+
+    @given(ring=_prime_rings(), data=st.data())
+    def test_prime_rings_match_independent_schoolbook(self, ring, data):
+        # any prime ring below 2**64 at N = 4 ... 32, each on its own slot
+        # width: random and all-(M-1) operands
+        M, N = ring
+        p = build_params(M, N)
+        coeffs = st.lists(st.integers(0, M - 1), min_size=N, max_size=N)
+        a = Polynomial(data.draw(coeffs), M)
+        top = Polynomial((M - 1,) * N, M)
+        for x, y in ((a, Polynomial(data.draw(coeffs), M)), (top, top),
+                     (top, a)):
+            assert (negacyclic_mul_ntt(x, y, p).coeffs
+                    == schoolbook_reference(x.coeffs, y.coeffs, N, M))
 
 
 def test_smaller_slot_bound_overflows_on_no_ring():
